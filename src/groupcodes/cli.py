@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -84,6 +85,11 @@ def _parse_counts(text: str, count: int) -> tuple[int, ...]:
         raise ValidationError(f"bad counts {text!r}: {exc}") from None
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise ValidationError(f"{flag} must be >= 1, got {value}")
+
+
 def _write_csv(path: str, rows: list[list[str]]) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -143,60 +149,37 @@ def cmd_group_info(args) -> int:
     return EXIT_OK
 
 
-def cmd_capacity(args) -> int:
+def _cmd_rate(args, sense: str) -> int:
+    """capacity (sense "channel") or rd (sense "source") of a problem file."""
     problem = load_problem(args.file)
-    if not isinstance(problem, ChannelProblem):
-        raise ValidationError(f"{args.file} is not a channel problem")
+    if sense == "channel" and isinstance(problem, ChannelProblem):
+        data, kind = problem.channel, "capacity"
+        terms_of, closed_form = channel_terms, channel_rate_prime_power
+    elif sense == "source" and isinstance(problem, SourceProblem):
+        data, kind = problem.joint, "rd"
+        terms_of, closed_form = source_terms, source_rate_prime_power
+    else:
+        raise ValidationError(f"{args.file} is not a {sense} problem")
+    if args.grid_check is not None:
+        _require_positive(args.grid_check, "--grid-check")
     start = time.perf_counter()
-    terms = channel_terms(problem.channel)
-    result = optimize_weights(
-        problem.decomposition.spec, terms, "channel", tol=args.tolerance
-    )
+    spec = problem.decomposition.spec
+    terms = terms_of(data)
+    result = optimize_weights(spec, terms, sense)
     extras: dict = {}
     if args.closed_form:
-        closed = channel_rate_prime_power(problem.channel)
+        closed = closed_form(data)
         if abs(closed - result.value) > 1e-6:
             raise SolverError(
                 f"closed form {closed:.9f} disagrees with solver {result.value:.9f}"
             )
         extras["closed_form"] = closed
     if args.grid_check:
-        grid_value, _ = grid_search(
-            problem.decomposition.spec, terms, "channel", steps=args.grid_check
-        )
+        grid_value, _ = grid_search(spec, terms, sense, steps=args.grid_check)
         extras["grid_value"] = grid_value
         extras["grid_gap"] = abs(grid_value - result.value)
     elapsed = time.perf_counter() - start
-    _emit_rate(args, problem, result, "capacity", extras)
-    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_rd(args) -> int:
-    problem = load_problem(args.file)
-    if not isinstance(problem, SourceProblem):
-        raise ValidationError(f"{args.file} is not a source problem")
-    start = time.perf_counter()
-    terms = source_terms(problem.joint)
-    result = optimize_weights(
-        problem.decomposition.spec, terms, "source", tol=args.tolerance
-    )
-    extras: dict = {}
-    if args.closed_form:
-        closed = source_rate_prime_power(problem.joint)
-        if abs(closed - result.value) > 1e-6:
-            raise SolverError(
-                f"closed form {closed:.9f} disagrees with solver {result.value:.9f}"
-            )
-        extras["closed_form"] = closed
-    if args.grid_check:
-        grid_value, _ = grid_search(
-            problem.decomposition.spec, terms, "source", steps=args.grid_check
-        )
-        extras["grid_value"] = grid_value
-        extras["grid_gap"] = abs(grid_value - result.value)
-    elapsed = time.perf_counter() - start
-    _emit_rate(args, problem, result, "rd", extras)
+    _emit_rate(args, problem, result, kind, extras)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -253,6 +236,8 @@ def cmd_verify_ensemble(args) -> int:
     dec = decompose(parse_group_string(args.group))
     spec = dec.spec
     counts = _parse_counts(args.counts, len(spec.weight_slots))
+    _require_positive(args.n, "--n")
+    _require_positive(args.trials, "--trials")
     ig = InputGroup(spec, counts)
     supported_primes = {q for q, _ in ig.support}
     if supported_primes != set(spec.primes):
@@ -290,6 +275,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"{args.file} is not a channel problem")
     spec = problem.decomposition.spec
     counts = _parse_counts(args.counts, len(spec.weight_slots))
+    _require_positive(args.n, "--n")
     ig = InputGroup(spec, counts)
     report = mc_channel_error(ig, args.n, problem.channel, args.trials, args.seed)
     doc = {
@@ -322,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON on stdout")
     common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    common.add_argument(
-        "--tolerance", type=float, default=1e-9, help="bisection tolerance in bits"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -333,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group", help='comma-separated cyclic orders, e.g. "4,3,9,9"')
     p.set_defaults(func=cmd_group_info)
 
-    for name, func, blurb in (
-        ("capacity", cmd_capacity, "channel-coding group rate of a channel file"),
-        ("rd", cmd_rd, "source-coding group rate of a source file"),
+    for name, sense, blurb in (
+        ("capacity", "channel", "channel-coding group rate of a channel file"),
+        ("rd", "source", "source-coding group rate of a source file"),
     ):
         p = sub.add_parser(name, parents=[common], help=blurb)
         p.add_argument("file", help="problem file (JSON)")
@@ -352,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--csv", metavar="PATH", help="write the per-theta table as CSV")
         p.add_argument("--nats", action="store_true", help="report rates in nats")
-        p.set_defaults(func=func)
+        p.set_defaults(func=functools.partial(_cmd_rate, sense=sense))
 
     p = sub.add_parser(
         "theta-table", parents=[common], help="selectors and omega for a support"

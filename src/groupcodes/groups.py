@@ -60,16 +60,6 @@ class GroupSpec:
                 raise ValueError(f"multiplicity indices for ({p},{r}) not contiguous")
             seen[(p, r)] = m
 
-    @classmethod
-    def from_ring_orders(cls, levels: Sequence[tuple[int, int]]) -> "GroupSpec":
-        """Build a spec from (p, r) pairs, assigning multiplicity indices."""
-        counts: dict[tuple[int, int], int] = {}
-        rings = []
-        for p, r in sorted(levels):
-            counts[(p, r)] = counts.get((p, r), 0) + 1
-            rings.append((p, r, counts[(p, r)]))
-        return cls(tuple(rings))
-
     @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(p**r for p, r, _ in self.rings)
@@ -213,18 +203,6 @@ class GroupElement:
         return all(v == 0 for v in self.residues)
 
 
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
-
-
-def neg(a: GroupElement) -> GroupElement:
-    return -a
-
-
-def scalar_mul(count: int, a: GroupElement) -> GroupElement:
-    return count * a
-
-
 @dataclass(frozen=True)
 class ThetaVector:
     """Per-(p, r) subgroup depth exponents, aligned with ``spec.ring_levels``.
@@ -335,14 +313,6 @@ class Subgroup:
         ]
         for tup in itertools.product(*ranges):
             yield GroupElement(self.spec, tup)
-
-
-def subgroup(spec: GroupSpec, theta: ThetaVector) -> Subgroup:
-    return Subgroup(spec, theta)
-
-
-def coset_label(h: Subgroup, x: GroupElement) -> tuple[int, ...]:
-    return h.coset_label(x)
 
 
 def _crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:

@@ -24,6 +24,8 @@ def _as_prob_array(values, shape_hint: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValidationError(f"{shape_hint} is empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{shape_hint} has non-finite entries")
     if np.any(arr < -PROB_TOL):
         raise ValidationError(f"{shape_hint} has negative entries")
     return np.clip(arr, 0.0, None)

@@ -44,9 +44,12 @@ def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ValidationError(f"{where}: cannot parse {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: {value!r} is not a finite number")
+    return number
 
 
 def _matrix(raw: Any, where: str) -> list[list[float]]:

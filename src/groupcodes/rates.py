@@ -2,25 +2,26 @@
 
 The two central quantities are a min-max (source side) and a max-min
 (channel side) over weight vectors w on the (q, s) slots and subgroup
-selectors theta.  Every objective term is a ratio of linear forms in w, so
-for a fixed support the optimum is found by bisection on the target rate
-with an exact rational feasibility test (vertex enumeration of a small
-polytope); the outer optimization enumerates the support patterns that give
-every prime of the group at least one slot.
+selectors theta.  Every objective term is a ratio of linear forms in w whose
+value does not change when w is scaled, so for a fixed support the inner
+problem is one linear-fractional program; the Charnes-Cooper substitution
+turns it into one packing linear program, solved by a small dense simplex.
+The outer optimization enumerates the support patterns that give every prime
+of the group at least one slot.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, ThetaVector
+from .groups import GroupSpec, ThetaVector
 from .measures import (
     ChannelSpec,
     SourceJoint,
@@ -33,8 +34,9 @@ from .measures import (
 # Information terms at or below this count as exactly zero when applying the
 # 0/0 -> 0 term convention; far below any meaningful rate in bits.
 INFO_ZERO_TOL = 1e-12
-BISECT_TOL = 1e-9
-BISECT_MAX_ITER = 200
+# Pivot and reduced-cost threshold of the simplex; the LP coefficients are
+# bits and s * log2(q), of order one.
+LP_TOL = 1e-12
 # Relative slack when collecting the thetas that attain the inner optimum.
 CRITICAL_TOL = 1e-7
 
@@ -103,37 +105,50 @@ def induced_theta(
     selector they induce on the group: each level takes the minimum of
     |r - s|^+ + depth over supported slots of its prime, clamped to [0, r]."""
     support = tuple(support)
+    _check_support(spec, support)
+    for slot in support:
+        depth = slot_depths[slot]
+        if not 0 <= depth <= slot[1]:
+            raise ValueError(f"depth {depth} for slot {slot} not in [0, {slot[1]}]")
+    comps = [
+        min([r] + [max(r - s, 0) + slot_depths[(q, s)] for q, s in support if q == p])
+        for p, r in spec.ring_levels
+    ]
+    return ThetaVector(spec, tuple(comps))
+
+
+def _check_support(spec: GroupSpec, support: tuple[tuple[int, int], ...]) -> None:
+    """A support must hold weight slots only and give every prime a slot."""
     slots = set(spec.weight_slots)
     for slot in support:
         if slot not in slots:
             raise ValueError(f"slot {slot} is not a weight slot of this group")
-        q, s = slot
-        depth = slot_depths[slot]
-        if not 0 <= depth <= s:
-            raise ValueError(f"depth {depth} for slot {slot} not in [0, {s}]")
-    comps = []
-    for p, r in spec.ring_levels:
-        vals = [
-            max(r - s, 0) + slot_depths[(q, s)] for (q, s) in support if q == p
-        ]
-        if not vals:
-            raise ValueError(
-                f"support {support} has no slot for prime {p}: "
-                "the induced depth is undefined"
-            )
-        comps.append(min(r, min(vals)))
-    return ThetaVector(spec, tuple(comps))
+    missing = set(spec.primes) - {q for q, _ in support}
+    if missing:
+        raise ValueError(
+            f"support {support} has no slot for prime {min(missing)}: "
+            "the induced depth is undefined"
+        )
 
 
 @lru_cache(maxsize=None)
 def _theta_set_cached(
     spec: GroupSpec, support: tuple[tuple[int, int], ...]
 ) -> frozenset[ThetaVector]:
-    ranges = [range(s + 1) for (_, s) in support]
-    out = set()
-    for depths in itertools.product(*ranges):
-        out.add(induced_theta(spec, support, dict(zip(support, depths))))
-    return frozenset(out)
+    """Fold the support in one slot at a time: every level starts at r and
+    takes the minimum with |r - s|^+ + depth, so only the distinct partial
+    vectors need to be carried from one slot to the next."""
+    _check_support(spec, support)
+    partial = {tuple(r for _, r in spec.ring_levels)}
+    for q, s in support:
+        options = [
+            tuple(max(r - s, 0) + depth if p == q else r for p, r in spec.ring_levels)
+            for depth in range(s + 1)
+        ]
+        partial = {
+            tuple(map(min, vec, opt)) for vec in partial for opt in options
+        }
+    return frozenset(ThetaVector(spec, comps) for comps in partial)
 
 
 def enumerate_theta_set(
@@ -175,10 +190,8 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
 class _SupportProblem:
     support: tuple[tuple[int, int], ...]
     thetas: tuple[ThetaVector, ...]  # Theta(support), sorted by components
-    d_coeffs: tuple[Fraction, ...]  # s * log2(q) per slot
-    n_coeffs: tuple[tuple[Fraction, ...], ...]  # per theta, per slot
-    d_floats: tuple[float, ...]
-    n_floats: tuple[tuple[float, ...], ...]
+    d_floats: tuple[float, ...]  # s * log2(q) per slot
+    n_floats: tuple[tuple[float, ...], ...]  # per theta, per slot
 
 
 @lru_cache(maxsize=None)
@@ -188,21 +201,14 @@ def _support_problem(
     thetas = tuple(
         sorted(enumerate_theta_set(spec, support), key=lambda t: t.components)
     )
-    d_coeffs = tuple(Fraction(s) * _log_weight(q) for q, s in support)
-    n_coeffs = tuple(
-        tuple(
-            Fraction(_numerator_coeff(spec, th, q, s)) * _log_weight(q)
-            for q, s in support
-        )
-        for th in thetas
-    )
     return _SupportProblem(
         support,
         thetas,
-        d_coeffs,
-        n_coeffs,
-        tuple(float(c) for c in d_coeffs),
-        tuple(tuple(float(c) for c in row) for row in n_coeffs),
+        tuple(s * math.log2(q) for q, s in support),
+        tuple(
+            tuple(_numerator_coeff(spec, th, q, s) * math.log2(q) for q, s in support)
+            for th in thetas
+        ),
     )
 
 
@@ -227,57 +233,55 @@ def _covering_supports(spec: GroupSpec) -> list[tuple[tuple[int, int], ...]]:
 
 
 def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
-    """Union of the theta sets over every valid support pattern."""
-    out: set[ThetaVector] = set()
-    for support in _covering_supports(spec):
-        out |= enumerate_theta_set(spec, support)
-    return tuple(sorted(out, key=lambda t: t.components))
+    """Union of the theta sets over every valid support pattern.
+
+    That union is the theta set of the full support: a slot at its full
+    depth s gives |r - s|^+ + s >= r, so adding a slot never removes a
+    selector and Theta(S) is contained in Theta(S + slot)."""
+    thetas = enumerate_theta_set(spec, spec.weight_slots)
+    return tuple(sorted(thetas, key=lambda t: t.components))
 
 
-# -- exact feasibility -----------------------------------------------------
+# -- linear programming ----------------------------------------------------
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve a small square rational system; None if singular."""
-    k = len(rows)
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[r][k] for r in range(k)]
+def _packing_lp(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Maximise c.x subject to A x <= b, x >= 0, for b >= 0.
 
-
-def _find_feasible(
-    k: int, ineq_rows: list[tuple[Fraction, ...]]
-) -> tuple[Fraction, ...] | None:
-    """A point of {w in Q^k : sum w = 1, row . w >= 0 for all rows}, or None.
-
-    The polytope is a subset of the simplex, hence bounded: if nonempty it
-    has a vertex cut out by the sum constraint plus k-1 of the inequalities,
-    so enumerating those (tiny) candidate systems is a complete decision
-    procedure.
+    A dense tableau simplex started at the feasible origin, with Bland's
+    rule (lowest-index entering column, lowest-index leaving basic variable
+    among the tied ratios), which cannot cycle.  Returns the primal optimum x
+    and the dual optimum y (the reduced costs of the slack columns), or None
+    when the LP is unbounded.
     """
-    one = Fraction(1)
-    eq_row = [one] * k
-    rhs = [one] + [Fraction(0)] * (k - 1)
-    for active in itertools.combinations(range(len(ineq_rows)), k - 1):
-        mat = [eq_row] + [list(ineq_rows[i]) for i in active]
-        w = _solve_linear(mat, rhs)
-        if w is None:
-            continue
-        if all(
-            sum(c * wi for c, wi in zip(row, w)) >= 0 for row in ineq_rows
-        ):
-            return tuple(w)
-    return None
+    m, n = a.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = b
+    tab[m, :n] = -c
+    basis = list(range(n, n + m))
+    while True:
+        entering = np.flatnonzero(tab[m, :-1] < -LP_TOL)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        rows = np.flatnonzero(tab[:m, j] > LP_TOL)
+        if rows.size == 0:
+            return None
+        ratios = tab[rows, -1] / tab[rows, j]
+        tied = rows[ratios <= ratios.min() + LP_TOL]
+        i = min(tied, key=basis.__getitem__)
+        tab[i] /= tab[i, j]
+        pivot_col = tab[:, j].copy()
+        pivot_col[i] = 0.0
+        tab -= np.outer(pivot_col, tab[i])
+        basis[i] = j
+    x = np.zeros(n + m)
+    x[basis] = tab[:m, -1]
+    return np.maximum(x[:n], 0.0), np.maximum(tab[m, n : n + m], 0.0)
 
 
 # -- inner evaluation ------------------------------------------------------
@@ -323,44 +327,14 @@ def _evaluate_point(
     return value, ratios
 
 
-# -- per-support bisection -------------------------------------------------
+# -- per-support linear program -------------------------------------------
 
 
 @dataclass
 class _SupportResult:
     value: float
-    witness: tuple
+    witness: tuple[float, ...]
     problem: _SupportProblem
-
-
-def _feasibility_rows(
-    prob: _SupportProblem,
-    terms: Mapping[ThetaVector, float],
-    sense: str,
-    t: Fraction,
-) -> list[tuple[Fraction, ...]]:
-    k = len(prob.support)
-    rows: list[tuple[Fraction, ...]] = []
-    # nonnegativity rows first: simplex vertices are the cheapest candidates
-    for i in range(k):
-        rows.append(tuple(Fraction(int(i == j)) for j in range(k)))
-    for th, n_row in zip(prob.thetas, prob.n_coeffs):
-        c = terms[th]
-        if sense == "source":
-            if th.is_zero() or c <= INFO_ZERO_TOL:
-                continue  # vacuous: contributes 0 to the max
-            cf = Fraction(c)
-            rows.append(tuple(t * n - cf * d for n, d in zip(n_row, prob.d_coeffs)))
-        else:
-            if th.is_full() or c <= INFO_ZERO_TOL:
-                continue  # zero terms short-circuit before bisection
-            if all(n == d for n, d in zip(n_row, prob.d_coeffs)):
-                continue  # term is +inf on the whole simplex: never binds
-            cf = Fraction(c)
-            rows.append(
-                tuple(cf * d - t * (d - n) for n, d in zip(n_row, prob.d_coeffs))
-            )
-    return rows
 
 
 def _solve_support(
@@ -368,101 +342,48 @@ def _solve_support(
     support: tuple[tuple[int, int], ...],
     terms: Mapping[ThetaVector, float],
     sense: str,
-    tol: float,
-    max_iter: int,
-    incumbent: float | None,
 ) -> _SupportResult | None:
-    """Optimize one support pattern; None when it provably cannot beat the
-    incumbent (or, for the source side, when some term is infinite for every
-    weight choice)."""
+    """Optimize one support pattern; None for a source support on which some
+    term is infinite for every weight choice.
+
+    With v = w * rate / (D.w) the inner problem becomes one packing LP:
+    channel, rate = max D.v subject to (D - N_theta).v <= c_theta; source,
+    rate = min D.v subject to N_theta.v >= c_theta, solved as its dual
+    max c.y subject to N^T y <= D, whose dual values are v.
+    """
     prob = _support_problem(spec, support)
     k = len(support)
-    uniform = tuple(Fraction(1, k) for _ in range(k))
-
+    uniform = (1.0 / k,) * k
+    d = np.array(prob.d_floats)
     active = [
-        (th, n_row)
+        (terms[th], n_row)
         for th, n_row in zip(prob.thetas, prob.n_floats)
         if not (th.is_zero() if sense == "source" else th.is_full())
         and terms[th] > INFO_ZERO_TOL
     ]
+    c = np.array([term for term, _ in active])
+    n = np.array([n_row for _, n_row in active]).reshape(len(active), k)
 
     if sense == "source":
-        for th, n_row in active:
-            if all(n == 0 for n in n_row):
-                return None  # infinite term for every w on this support
+        if any(not row.any() for row in n):
+            return None  # infinite term for every w on this support
         if not active:
             return _SupportResult(0.0, uniform, prob)
-        # D/N over the simplex is minimized at a vertex, so this is a valid
-        # lower bracket for the inner max of every active term
-        lo = max(
-            terms[th]
-            * min(d / n for n, d in zip(n_row, prob.d_floats) if n != 0)
-            for th, n_row in active
-        )
-        hi, _ = _evaluate_point(prob, terms, uniform, sense)
-        hi += 1e-12 * (1.0 + hi)
-        witness = uniform
-        if incumbent is not None:
-            if incumbent <= lo:
-                return None
-            if incumbent < hi:
-                w = _feasible_at(prob, terms, sense, incumbent, k)
-                if w is None:
-                    return None
-                hi, witness = incumbent, w
-        feasible_is_high = True
+        _, v = _packing_lp(n.T, d, c)
     else:
         if any(
             terms[th] <= INFO_ZERO_TOL for th in prob.thetas if not th.is_full()
         ):
             # a zero term pins the inner min to zero for every weight choice
             return _SupportResult(0.0, uniform, prob)
-        # the minimal selector of the support has an all-zero numerator row,
-        # so its term is a constant upper bound on the achievable value
-        bound = min(
-            (terms[th] for th, n_row in active if all(n == 0 for n in n_row)),
-            default=None,
-        )
-        if bound is None:
-            raise SolverError(f"support {support}: no constant bounding term")
-        hi = bound + 1.0
-        lo, _ = _evaluate_point(prob, terms, uniform, sense)
-        lo = max(0.0, lo - 1e-12 * (1.0 + lo))
-        witness = uniform
-        if incumbent is not None:
-            if incumbent >= bound:
-                return None
-            if incumbent > lo:
-                w = _feasible_at(prob, terms, sense, incumbent, k)
-                if w is None:
-                    return None
-                lo, witness = incumbent, w
-        feasible_is_high = False
+        solution = _packing_lp(d - n, c, d)
+        if solution is None:
+            raise SolverError(f"support {support}: the channel LP is unbounded")
+        v, _ = solution
 
-    iters = 0
-    while hi - lo > tol and iters < max_iter:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        w = _feasible_at(prob, terms, sense, mid, k)
-        if (w is not None) == feasible_is_high:
-            hi = mid
-        else:
-            lo = mid
-        if w is not None:
-            witness = w
-    if hi - lo > tol:
-        raise SolverError(
-            f"bisection on support {support} did not converge: bracket "
-            f"[{lo:.12g}, {hi:.12g}] after {iters} iterations (tol {tol:g})"
-        )
-
+    witness = tuple((v / v.sum()).tolist())
     value, _ = _evaluate_point(prob, terms, witness, sense)
     return _SupportResult(value, witness, prob)
-
-
-def _feasible_at(prob, terms, sense, t: float, k: int):
-    rows = _feasibility_rows(prob, terms, sense, Fraction(t))
-    return _find_feasible(k, rows)
 
 
 # -- results ---------------------------------------------------------------
@@ -494,9 +415,6 @@ def optimize_weights(
     spec: GroupSpec,
     terms: Mapping[ThetaVector, float],
     sense: str,
-    *,
-    tol: float = BISECT_TOL,
-    max_iter: int = BISECT_MAX_ITER,
 ) -> RateResult:
     """Optimize the weighted min-max (source) or max-min (channel) objective
     built from precomputed per-selector information terms.
@@ -514,8 +432,7 @@ def optimize_weights(
 
     best: _SupportResult | None = None
     for support in _covering_supports(spec):
-        incumbent = best.value if best is not None else None
-        res = _solve_support(spec, support, terms, sense, tol, max_iter, incumbent)
+        res = _solve_support(spec, support, terms, sense)
         if res is None:
             continue
         if (
@@ -533,7 +450,7 @@ def optimize_weights(
     value, ratios = _evaluate_point(prob, terms, best.witness, sense)
     weight_map = dict(zip(prob.support, best.witness))
     weights = WeightVector.from_mapping(spec, weight_map)
-    crit_tol = max(CRITICAL_TOL, 10 * tol) * (1.0 + abs(value))
+    crit_tol = CRITICAL_TOL * (1.0 + abs(value))
     critical = tuple(
         th
         for th in prob.thetas
@@ -565,22 +482,16 @@ def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
     return {th: coset_mi_channel(chan, th) for th in all_reachable_thetas(chan.group)}
 
 
-def source_coding_rate(
-    sj: SourceJoint, *, tol: float = BISECT_TOL, max_iter: int = BISECT_MAX_ITER
-) -> RateResult:
+def source_coding_rate(sj: SourceJoint) -> RateResult:
     """Source-coding group mutual information of a joint with uniform
     reconstruction marginal: min over weights of the max scaled coset term."""
-    return optimize_weights(sj.group, source_terms(sj), "source", tol=tol, max_iter=max_iter)
+    return optimize_weights(sj.group, source_terms(sj), "source")
 
 
-def channel_coding_rate(
-    chan: ChannelSpec, *, tol: float = BISECT_TOL, max_iter: int = BISECT_MAX_ITER
-) -> RateResult:
+def channel_coding_rate(chan: ChannelSpec) -> RateResult:
     """Channel-coding group mutual information of a channel with uniform
     input: max over weights of the min scaled coset term."""
-    return optimize_weights(
-        chan.group, channel_terms(chan), "channel", tol=tol, max_iter=max_iter
-    )
+    return optimize_weights(chan.group, channel_terms(chan), "channel")
 
 
 # -- closed forms for a single Z_{p^r} ring --------------------------------
@@ -638,7 +549,7 @@ def grid_search(
 ) -> tuple[float, WeightVector]:
     """Independent exhaustive oracle: evaluate the inner optimum on every
     weight vector of the simplex grid with the given step count and return
-    the best value.  Slow but direct; used to cross-check the bisection
+    the best value.  Slow but direct; used to cross-check the linear-program
     solver."""
     slots = spec.weight_slots
     k = len(slots)

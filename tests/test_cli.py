@@ -145,6 +145,30 @@ def test_capacity_bad_matrix(capsys, tmp_path):
     assert code == 2
 
 
+def test_capacity_rejects_nan(capsys, tmp_path):
+    doc = {"kind": "channel", "group": [2], "output_size": 2,
+           "matrix": [[0.5, "nan"], [0.5, 0.5]]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["capacity", str(path)])
+    assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("distortion", [[0, "nan"], ["nan", 0]]), ("max_distortion", "nan")],
+)
+def test_rd_rejects_nan(capsys, tmp_path, field, value):
+    doc = {"kind": "source", "group": [2], "source_size": 2,
+           "joint": [[0.5, 0], [0, 0.5]], "distortion": [[0, 1], [1, 0]],
+           "max_distortion": 0.5}
+    doc[field] = value
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["rd", str(path)])
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_rd_matches_closed_form(capsys, identity_source_file):
     code, out, _ = run_cli(capsys, ["rd", identity_source_file, "--closed-form", "--json"])
     assert code == 0
@@ -240,6 +264,22 @@ def test_simulate(capsys, merged_channel_file):
     assert doc["trials"] == 60 and 0.0 <= doc["error_rate"] <= 1.0
     code, out2, _ = run_cli(capsys, args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "{chan}", "--grid-check", "-3"],
+        ["capacity", "{chan}", "--grid-check", "0"],
+        ["verify-ensemble", "4", "--counts", "0,1", "--n", "0"],
+        ["verify-ensemble", "4", "--counts", "0,1", "--trials", "0"],
+        ["simulate", "{chan}", "--counts", "0,1", "--n", "0"],
+    ],
+)
+def test_numeric_arguments_validated(capsys, merged_channel_file, argv):
+    argv = [a.format(chan=merged_channel_file) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "must be >= 1" in err
 
 
 def test_problem_roundtrip_idempotent(merged_channel_file):

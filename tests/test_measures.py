@@ -76,6 +76,8 @@ def test_channel_validation():
         ChannelSpec(spec, np.ones((4, 2)))  # rows sum to 2
     with pytest.raises(ValidationError):
         ChannelSpec(spec, np.eye(3))  # wrong row count
+    with pytest.raises(ValidationError):
+        ChannelSpec(spec, [[0.5, float("nan")]] + [[0.5, 0.5]] * 3)
 
 
 def test_source_joint_validation():

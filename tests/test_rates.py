@@ -25,6 +25,7 @@ from groupcodes import (
     source_rate_prime_power,
 )
 from groupcodes.rates import (
+    _covering_supports,
     all_reachable_thetas,
     channel_terms,
     search_source_joint,
@@ -89,6 +90,36 @@ def test_theta_set_z2_z4_single_slot():
     spec = decompose([2, 4]).spec
     got = enumerate_theta_set(spec, [(2, 1)])
     assert sorted(t.components for t in got) == [(0, 1), (1, 2)]
+
+
+def theta_set_by_product(spec, support):
+    """Reference route: the induced selector of every depth assignment in the
+    product over the support of range(s + 1)."""
+    return {
+        induced_theta(spec, support, dict(zip(support, depths)))
+        for depths in itertools.product(*(range(s + 1) for _, s in support))
+    }
+
+
+@pytest.mark.parametrize(
+    "orders", [[8], [4, 3], [8, 9], [2, 4, 8], [16, 27], [4, 4, 9, 3]]
+)
+def test_theta_fold_matches_product(orders):
+    spec = decompose(orders).spec
+    union = set()
+    for support in _covering_supports(spec):
+        expected = theta_set_by_product(spec, support)
+        assert enumerate_theta_set(spec, support) == expected
+        union |= expected
+    assert set(all_reachable_thetas(spec)) == union
+
+
+def test_theta_set_rejects_bad_support():
+    spec = decompose([4, 3]).spec
+    with pytest.raises(ValueError, match="not a weight slot"):
+        enumerate_theta_set(spec, [(2, 3), (3, 1)])
+    with pytest.raises(ValueError, match="no slot for prime 3"):
+        enumerate_theta_set(spec, [(2, 1)])
 
 
 # -- omega -------------------------------------------------------------------
@@ -164,16 +195,6 @@ def test_missing_terms_rejected():
         optimize_weights(spec, {}, "channel")
     with pytest.raises(ValueError):
         optimize_weights(spec, {t: 0.1 for t in all_reachable_thetas(spec)}, "both")
-
-
-def test_nonconvergence_raises_with_state():
-    from groupcodes.rates import SolverError
-
-    spec = decompose([8]).spec
-    rng = make_rng(55)
-    chan = random_channel(spec, 4, rng)
-    with pytest.raises(SolverError, match="bracket"):
-        optimize_weights(spec, channel_terms(chan), "channel", max_iter=2)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -341,20 +362,22 @@ def test_infinite_supports_are_skipped():
 
 
 def test_grid_oracle_agrees_small():
-    spec = decompose([8]).spec
-    rng = make_rng(13)
-    chan = random_channel(spec, 4, rng)
-    terms = channel_terms(chan)
-    res = optimize_weights(spec, terms, "channel")
-    grid_value, grid_w = grid_search(spec, terms, "channel", steps=60)
-    assert res.value >= grid_value - 1e-9
-    assert abs(res.value - grid_value) < 5e-3
-    sj = random_source_joint(spec, 4, rng)
-    sterms = source_terms(sj)
-    sres = optimize_weights(spec, sterms, "source")
-    sgrid, _ = grid_search(spec, sterms, "source", steps=60)
-    assert sres.value <= sgrid + 1e-9
-    assert abs(sres.value - sgrid) < 5e-3
+    # Z8+Z9 has five slots and 21 covering supports on two primes
+    for orders, seed, steps in (([8], 13, 60), ([8, 9], 14, 16)):
+        spec = decompose(orders).spec
+        rng = make_rng(seed)
+        chan = random_channel(spec, 4, rng)
+        terms = channel_terms(chan)
+        res = optimize_weights(spec, terms, "channel")
+        grid_value, grid_w = grid_search(spec, terms, "channel", steps=steps)
+        assert res.value >= grid_value - 1e-9
+        assert abs(res.value - grid_value) < 5e-3
+        sj = random_source_joint(spec, 4, rng)
+        sterms = source_terms(sj)
+        sres = optimize_weights(spec, sterms, "source")
+        sgrid, _ = grid_search(spec, sterms, "source", steps=steps)
+        assert sres.value <= sgrid + 1e-9
+        assert abs(sres.value - sgrid) < 5e-3
 
 
 def test_search_source_joint_heuristic():
