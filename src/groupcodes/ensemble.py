@@ -15,8 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -137,51 +136,122 @@ class HomomorphismTable:
             raise ValueError(f"generator image violates ensemble constraints: {bad[0]}")
 
 
+# -- the residue-array core ----------------------------------------------------
+#
+# Inside this module a table is an int64 array images[k, n, c] (input
+# component x coordinate x target ring) and a dither is an array [n, c];
+# GroupElement appears only where a public function takes or returns one.
+
+
+def _allowed_step(ig: InputGroup) -> np.ndarray:
+    """[k, c]: the (p, r) image of a Z_{q^s} generator lies in step * Z_{p^r},
+    step = p^(r-s)+ for q = p and p^r (zero only) across primes."""
+    return np.array(
+        [
+            [p ** max(r - s, 0) if p == q else p**r for p, r, _ in ig.group.rings]
+            for q, s, _ in ig.spec.rings
+        ],
+        dtype=np.int64,
+    )
+
+
+def _grid(radices) -> np.ndarray:
+    """Every digit vector over the radices, one per row, last digit fastest
+    (for moduli this is the canonical element order)."""
+    return np.indices(tuple(radices)).reshape(len(radices), -1).T
+
+
+def _tables(ig: InputGroup, n: int, pick) -> np.ndarray:
+    """Generator images [..., k, n, c].  ``pick(bounds)`` gives the digits
+    [..., len(bounds)] of the drawn positions, the same-prime (component,
+    coordinate, ring) cells in C order; cross-prime cells stay zero."""
+    moduli = np.array(ig.group.moduli)
+    step = np.broadcast_to(_allowed_step(ig)[:, None, :], (ig.total, n, len(moduli)))
+    drawn = step < moduli
+    digits = pick((moduli // step)[drawn])
+    images = np.zeros(digits.shape[:-1] + step.shape, dtype=np.int64)
+    images[..., drawn] = digits * step[drawn]
+    return images
+
+
+def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
+    """Every homomorphism table, [T, k, n, c]."""
+    return _tables(ig, n, _grid)
+
+
+def _sample_tables(
+    ig: InputGroup, n: int, rng: np.random.Generator, size: tuple[int, ...] = ()
+) -> np.ndarray:
+    """``size`` tables drawn from the ensemble, [*size, k, n, c]."""
+    return _tables(
+        ig, n, lambda bounds: rng.integers(0, bounds, size=size + bounds.shape)
+    )
+
+
+def _sample_table(
+    ig: InputGroup, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One table's generator images [k, n, c], then its dither [n, c]."""
+    images = _sample_tables(ig, n, rng)
+    moduli = ig.group.moduli
+    return images, rng.integers(0, np.broadcast_to(moduli, (n, len(moduli))))
+
+
+def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
+    """Cells of images [..., k, n, c] outside their allowed subgroup or
+    outside [0, p^r)."""
+    moduli = np.array(ig.group.moduli)
+    return (images % _allowed_step(ig)[:, None, :] != 0) | (images < 0) | (
+        images >= moduli
+    )
+
+
+def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
+    if _violations(ig, images).any():
+        raise ValueError("generator image violates ensemble constraints")
+    return images
+
+
+def _encode(messages, images: np.ndarray, dither, moduli) -> np.ndarray:
+    """(messages @ images + dither) mod moduli: messages [..., k] against
+    images [..., k, n, c] gives codewords [..., n, c]."""
+    # k products of residues below max(moduli), plus the dither, fit in int64
+    if images.shape[-3] * max(moduli) ** 2 >= 2**63:
+        raise ValueError("group moduli too large for int64 residue arithmetic")
+    return (np.einsum("...k,...kic->...ic", messages, images) + dither) % moduli
+
+
+def _image_array(table: HomomorphismTable) -> np.ndarray:
+    ig = table.input_group
+    return np.array(
+        [[g.residues for g in row] for row in table.images], dtype=np.int64
+    ).reshape(ig.total, table.blocklength, len(ig.group.rings))
+
+
+def _elements(spec: GroupSpec, rows: np.ndarray) -> tuple[GroupElement, ...]:
+    return tuple(GroupElement(spec, tuple(row)) for row in rows.tolist())
+
+
 def constraint_violations(table: HomomorphismTable) -> list[str]:
     """Structural checks on the generator images; empty when the table obeys
     the ensemble's two constraints."""
-    out = []
-    g_spec = table.input_group.group
-    for (q, s, l), row in zip(table.input_group.spec.rings, table.images):
-        for i, g in enumerate(row):
-            if g.spec != g_spec:
-                out.append(f"component ({q},{s},{l}) coord {i}: wrong group")
-                continue
-            for (p, r, m), v in zip(g_spec.rings, g.residues):
-                if p != q and v != 0:
-                    out.append(
-                        f"({q},{s},{l})->({p},{r},{m}) coord {i}: cross-prime {v} != 0"
-                    )
-                if p == q and r >= s and v % p ** (r - s) != 0:
-                    out.append(
-                        f"({q},{s},{l})->({p},{r},{m}) coord {i}: "
-                        f"{v} not in {p}^{r - s} Z_{p**r}"
-                    )
-    return out
-
-
-def _sample_with_rng(
-    ig: InputGroup, n: int, rng: np.random.Generator, seed: int | None
-) -> HomomorphismTable:
+    ig = table.input_group
     g_spec = ig.group
-    images = []
-    for q, s, _ in ig.spec.rings:
-        row = []
-        for _ in range(n):
-            residues = []
-            for p, r, _m in g_spec.rings:
-                if p != q:
-                    residues.append(0)
-                else:
-                    step = p ** max(r - s, 0)
-                    residues.append(step * int(rng.integers(0, p ** min(r, s))))
-            row.append(GroupElement(g_spec, tuple(residues)))
-        images.append(tuple(row))
-    dither = tuple(
-        GroupElement(g_spec, tuple(int(rng.integers(0, m)) for m in g_spec.moduli))
-        for _ in range(n)
-    )
-    return HomomorphismTable(ig, n, tuple(images), dither, seed)
+    wrong = [
+        f"component {ig.spec.rings[j]} coord {i}: wrong group"
+        for j, row in enumerate(table.images)
+        for i, g in enumerate(row)
+        if g.spec != g_spec
+    ]
+    if wrong:
+        return wrong
+    images = _image_array(table)
+    out = []
+    for j, i, c in np.argwhere(_violations(ig, images)).tolist():
+        (q, s, l), (p, r, m), v = ig.spec.rings[j], g_spec.rings[c], images[j, i, c]
+        what = f"cross-prime {v} != 0" if p != q else f"{v} not in {p}^{r - s} Z_{p**r}"
+        out.append(f"({q},{s},{l})->({p},{r},{m}) coord {i}: {what}")
+    return out
 
 
 def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
@@ -191,7 +261,10 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    return _sample_with_rng(ig, n, rng, seed)
+    images, dither = _sample_table(ig, n, rng)
+    g_spec = ig.group
+    rows = tuple(_elements(g_spec, row) for row in images)
+    return HomomorphismTable(ig, n, rows, _elements(g_spec, dither), seed)
 
 
 def apply_hom(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
@@ -199,16 +272,17 @@ def apply_hom(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
     generator images."""
     a = table.input_group.element(a)
     g_spec = table.input_group.group
-    out = [g_spec.zero()] * table.blocklength
-    for value, row in zip(a.residues, table.images):
-        if value:
-            out = [acc + value * g for acc, g in zip(out, row)]
-    return tuple(out)
+    return _elements(g_spec, _encode(a.residues, _image_array(table), 0, g_spec.moduli))
 
 
 def encode(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
     """Shifted codeword: homomorphism image plus dither."""
-    return tuple(x + b for x, b in zip(apply_hom(table, a), table.dither))
+    a = table.input_group.element(a)
+    g_spec = table.input_group.group
+    dither = [d.residues for d in table.dither]
+    return _elements(
+        g_spec, _encode(a.residues, _image_array(table), dither, g_spec.moduli)
+    )
 
 
 def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
@@ -273,7 +347,7 @@ def t_theta_bound(ig: InputGroup, theta: ThetaVector) -> int:
 class PairwiseLawReport:
     theta: ThetaVector
     mode: str  # "exhaustive" | "sampled"
-    outcomes: int  # states enumerated or samples drawn
+    outcomes: int  # tables enumerated or drawn
     support_cells: int
     off_support_mass: float
     tv_distance: float
@@ -282,12 +356,8 @@ class PairwiseLawReport:
 
 
 def _hom_space_size(ig: InputGroup, n: int) -> int:
-    size = 1
-    for q, s, _ in ig.spec.rings:
-        for p, r, _m in ig.group.rings:
-            if p == q:
-                size *= p ** (min(r, s) * n)
-    return size
+    moduli = np.array(ig.group.moduli)
+    return math.prod((moduli // _allowed_step(ig)).ravel().tolist()) ** n
 
 
 def verify_pairwise_law(
@@ -302,9 +372,13 @@ def verify_pairwise_law(
     shifted images is uniform on {(u, v) : v - u in H_theta^n} and zero
     elsewhere, theta being the selector of the input pair.
 
-    Exhaustive (exact, zero tolerance) whenever the (generators, dither)
-    space fits under the cap; otherwise seeded sampling with a total
-    variation threshold of 3 * sqrt(cells / samples).
+    The dither D is uniform and independent of the homomorphism phi, so the
+    joint law of (phi(a) + D, phi(b) + D) is Uniform(G^n) times the law of
+    w = phi(b - a): the check tallies w over the tables, and its distances
+    are those of w on the |H_theta|^n cells of H_theta^n.  Exhaustive (exact,
+    zero tolerance) whenever the (generators, dither) space fits under the
+    cap; otherwise seeded sampling of tables with a total variation threshold
+    of 3 * sqrt(|H_theta|^n / samples).
     """
     g_spec = ig.group
     gn = g_spec.order**n
@@ -315,118 +389,30 @@ def verify_pairwise_law(
     a = ig.element(a)
     b = ig.element(b)
     theta = pair_theta(ig, a, b)
-    h = Subgroup(g_spec, theta)
-    support_cells = gn * (h.order**n)
+    cells = Subgroup(g_spec, theta).order ** n
 
-    def word_index(word: Sequence[GroupElement]) -> int:
-        idx = 0
-        for x in word:
-            idx = idx * g_spec.order + g_spec.element_index(x)
-        return idx
-
-    def in_support(u: Sequence[GroupElement], v: Sequence[GroupElement]) -> bool:
-        zero_label = (0,) * len(g_spec.rings)
-        return all(h.coset_label(vi - ui) == zero_label for ui, vi in zip(u, v))
-
-    space = _hom_space_size(ig, n) * gn
-    counts: dict[tuple[int, int], int] = {}
-
-    if space <= EXHAUSTIVE_CAP:
-        mode = "exhaustive"
-        total = 0
-        all_dithers = list(
-            itertools.product(*[list(g_spec.elements())] * n)
-        )
-        for table in _all_tables(ig, n):
-            xa = apply_hom(table, a)
-            xb = apply_hom(table, b)
-            for dither in all_dithers:
-                u = tuple(x + d for x, d in zip(xa, dither))
-                v = tuple(x + d for x, d in zip(xb, dither))
-                key = (word_index(u), word_index(v))
-                counts[key] = counts.get(key, 0) + 1
-                total += 1
-        expected = Fraction(1, support_cells)
-        off_mass = Fraction(0)
-        tv = Fraction(0)
-        seen_support = 0
-        for (ui, vi), c in counts.items():
-            u = _word_at(g_spec, n, ui)
-            v = _word_at(g_spec, n, vi)
-            prob = Fraction(c, total)
-            if in_support(u, v):
-                seen_support += 1
-                tv += abs(prob - expected)
-            else:
-                off_mass += prob
-        tv += (support_cells - seen_support) * expected  # support cells never hit
-        tv = tv / 2
-        passed = off_mass == 0 and tv == 0
-        return PairwiseLawReport(
-            theta, mode, total, support_cells, float(off_mass), float(tv), 0.0, passed
-        )
-
-    mode = "sampled"
-    rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(samples):
-        table = _sample_with_rng(ig, n, rng, None)
-        u = encode(table, a)
-        v = encode(table, b)
-        key = (word_index(u), word_index(v))
-        counts[key] = counts.get(key, 0) + 1
-    expected_f = 1.0 / support_cells
-    off_mass_f = 0.0
-    tv_f = 0.0
-    seen_support = 0
-    for (ui, vi), c in counts.items():
-        u = _word_at(g_spec, n, ui)
-        v = _word_at(g_spec, n, vi)
-        prob = c / samples
-        if in_support(u, v):
-            seen_support += 1
-            tv_f += abs(prob - expected_f)
-        else:
-            off_mass_f += prob
-    tv_f += (support_cells - seen_support) * expected_f
-    tv_f /= 2
-    threshold = 3.0 * math.sqrt(support_cells / samples)
-    passed = off_mass_f == 0.0 and tv_f < threshold
+    if _hom_space_size(ig, n) * gn <= EXHAUSTIVE_CAP:
+        mode, threshold = "exhaustive", 0.0
+        tables = _all_tables(ig, n)
+    else:
+        mode, threshold = "sampled", 3.0 * math.sqrt(cells / samples)
+        rng = np.random.Generator(np.random.Philox(seed))
+        tables = _sample_tables(ig, n, rng, (samples,))
+    moduli = np.array(g_spec.moduli)
+    w = _encode((b - a).residues, _checked(ig, tables), 0, moduli)  # [T, n, c]
+    h_step = np.array([p ** theta[(p, r)] for p, r, _ in g_spec.rings])  # H = h_step Z
+    inside = (w % h_step == 0).all(axis=(1, 2))
+    digits = (w[inside] // h_step).reshape(-1, n * len(moduli))
+    cell = np.ravel_multi_index(tuple(digits.T), tuple(moduli // h_step) * n)
+    hits = np.bincount(cell, minlength=cells)
+    total = len(tables)
+    off_mass = Fraction(total - len(digits), total)
+    # TV over the support: (1/2) sum |hits/total - 1/cells|, in integers
+    tv = Fraction(int(np.abs(hits * cells - total).sum()), 2 * total * cells)
+    passed = off_mass == 0 and (tv == 0 or tv < threshold)
     return PairwiseLawReport(
-        theta, mode, samples, support_cells, off_mass_f, tv_f, threshold, passed
+        theta, mode, total, gn * cells, float(off_mass), float(tv), threshold, passed
     )
-
-
-def _word_at(g_spec: GroupSpec, n: int, index: int) -> tuple[GroupElement, ...]:
-    out = []
-    for _ in range(n):
-        out.append(g_spec.element_at(index % g_spec.order))
-        index //= g_spec.order
-    return tuple(reversed(out))
-
-
-def _all_tables(ig: InputGroup, n: int):
-    """Every homomorphism table (dither fixed at zero: callers own the dither
-    loop), in a deterministic order."""
-    g_spec = ig.group
-    positions = []  # (slot_index, coord, ring_index, step, choices)
-    for si, (q, s, _) in enumerate(ig.spec.rings):
-        for i in range(n):
-            for ri, (p, r, _m) in enumerate(g_spec.rings):
-                if p == q:
-                    positions.append((si, i, ri, p ** max(r - s, 0), p ** min(r, s)))
-    zero_dither = tuple(g_spec.zero() for _ in range(n))
-    for values in itertools.product(*[range(c) for _, _, _, _, c in positions]):
-        residues = [
-            [[0] * len(g_spec.rings) for _ in range(n)]
-            for _ in ig.spec.rings
-        ]
-        for (si, i, ri, step, _), val in zip(positions, values):
-            residues[si][i][ri] = step * val
-        images = tuple(
-            tuple(GroupElement(g_spec, tuple(res)) for res in row)
-            for row in residues
-        )
-        yield HomomorphismTable(ig, n, images, zero_dither, None)
 
 
 # -- Monte Carlo channel simulation -----------------------------------------
@@ -459,8 +445,8 @@ def mc_channel_error(
         raise ValueError("codebook times space size exceeds the simulation cap")
     if trials < 1:
         raise ValueError("need at least one trial")
-    g_spec = ig.group
-    messages = list(ig.spec.elements())
+    moduli = ig.group.moduli
+    messages = _grid(ig.spec.moduli)
     w = chan.matrix
     ny = chan.output_size
     errors = 0
@@ -468,15 +454,10 @@ def mc_channel_error(
     injective_errors = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.Generator(np.random.Philox(child))
-        table = _sample_with_rng(ig, n, rng, None)
-        codebook = np.array(
-            [
-                [g_spec.element_index(x) for x in encode(table, m)]
-                for m in messages
-            ],
-            dtype=np.intp,
-        )
-        injective = len({tuple(row) for row in codebook}) == len(messages)
+        images, dither = _sample_table(ig, n, rng)
+        codewords = _encode(messages, _checked(ig, images), dither, moduli)
+        codebook = np.ravel_multi_index(np.moveaxis(codewords, -1, 0), moduli)
+        injective = len(np.unique(codebook, axis=0)) == len(messages)
         m_idx = int(rng.integers(0, len(messages)))
         y = np.array(
             [rng.choice(ny, p=w[xi]) for xi in codebook[m_idx]], dtype=np.intp
@@ -516,13 +497,8 @@ def lemma_suite(
 
     # generator constraints on freshly sampled tables
     n_tables = min(samples, 1000)
-    bad_tables = 0
-    tables = []
-    for _ in range(n_tables):
-        table = _sample_with_rng(ig, n, rng, None)
-        tables.append(table)
-        if constraint_violations(table):
-            bad_tables += 1
+    tables = [_sample_table(ig, n, rng)[0] for _ in range(n_tables)]
+    bad_tables = sum(bool(_violations(ig, images).any()) for images in tables)
     checks.append(
         LemmaCheck(
             "generator-constraints",
@@ -532,26 +508,23 @@ def lemma_suite(
     )
 
     # additivity of the sampled maps
-    elements = list(ig.spec.elements()) if ig.size <= 256 else None
+    in_moduli = ig.spec.moduli
+    moduli = ig.group.moduli
+    grid = _grid(in_moduli) if ig.size <= 64 else None
     law_fail = 0
     law_total = 0
-    for table in tables[: min(len(tables), 25)]:
-        if elements is not None and len(elements) ** 2 <= 4096:
-            pairs = itertools.product(elements, elements)
+    for images in tables[:25]:
+        if grid is not None:
+            a = np.repeat(grid, len(grid), axis=0)
+            b = np.tile(grid, (len(grid), 1))
         else:
-            pairs = (
-                (
-                    ig.spec.element([int(rng.integers(0, m)) for m in ig.spec.moduli]),
-                    ig.spec.element([int(rng.integers(0, m)) for m in ig.spec.moduli]),
-                )
-                for _ in range(64)
-            )
-        for a, b in pairs:
-            law_total += 1
-            lhs = apply_hom(table, a + b)
-            rhs = tuple(x + y for x, y in zip(apply_hom(table, a), apply_hom(table, b)))
-            if lhs != rhs:
-                law_fail += 1
+            # 64 random pairs, drawn a then b per pair
+            draws = rng.integers(0, np.broadcast_to(in_moduli, (64, 2, ig.total)))
+            a, b = draws[:, 0], draws[:, 1]
+        lhs = _encode((a + b) % in_moduli, images, 0, moduli)
+        rhs = (_encode(a, images, 0, moduli) + _encode(b, images, 0, moduli)) % moduli
+        law_total += len(a)
+        law_fail += int((lhs != rhs).any(axis=(1, 2)).sum())
     checks.append(
         LemmaCheck(
             "homomorphism-law",
@@ -561,6 +534,7 @@ def lemma_suite(
     )
 
     # pairwise joint law
+    elements = list(ig.spec.elements()) if ig.size <= 256 else None
     if elements is not None and len(elements) ** 2 <= 64:
         pairs = list(itertools.product(elements, elements))
     else:

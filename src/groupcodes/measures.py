@@ -145,11 +145,17 @@ class SourceJoint:
             d = np.asarray(self.distortion, dtype=float)
             if d.shape != arr.shape:
                 raise ValidationError("distortion matrix shape mismatch")
+            if not np.all(np.isfinite(d)):
+                raise ValidationError("distortion entries must be finite")
             if np.any(d < 0):
                 raise ValidationError("distortion entries must be >= 0")
             d.setflags(write=False)
             object.__setattr__(self, "distortion", d)
             if self.max_distortion is not None:
+                if not np.isfinite(self.max_distortion):
+                    raise ValidationError(
+                        f"distortion target {self.max_distortion} is not finite"
+                    )
                 expected = float((arr * d).sum())
                 if expected > self.max_distortion + PROB_TOL:
                     raise ValidationError(

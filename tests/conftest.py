@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from groupcodes import ChannelSpec, GroupSpec, SourceJoint, decompose
+
+
+# Property tests replay the same examples on every run and stay inside the
+# suite's time budget.
+settings.register_profile(
+    "groupcodes", derandomize=True, max_examples=60, deadline=None
+)
+settings.load_profile("groupcodes")
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -1,10 +1,16 @@
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from groupcodes import ChannelSpec, ThetaVector, decompose
+from groupcodes import ChannelSpec, GroupSpec, Subgroup, ThetaVector, decompose
+from groupcodes import ensemble
 from groupcodes.ensemble import (
     HomomorphismTable,
     InputGroup,
@@ -31,6 +37,96 @@ from conftest import additive_noise_channel, make_rng
 def ig_of(orders, counts_map) -> InputGroup:
     spec = decompose(orders).spec
     return InputGroup.from_mapping(spec, counts_map)
+
+
+def generator_choices(ig: InputGroup, n: int, fixed_zero=()) -> list[list[int]]:
+    """Admissible residues per (component, coordinate, target ring), in that
+    order: p^(r-s)+ Z_{p^r} for the same prime, zero across primes and at the
+    ``fixed_zero`` positions."""
+    return [
+        [0]
+        if p != q or (j, i, ring) in fixed_zero
+        else [p ** max(r - s, 0) * v for v in range(p ** min(r, s))]
+        for j, (q, s, _) in enumerate(ig.spec.rings)
+        for i in range(n)
+        for ring, (p, r, _m) in enumerate(ig.group.rings)
+    ]
+
+
+def joint_law_oracle(ig: InputGroup, n: int, a, b, fixed_zero=()) -> dict:
+    """The pairwise law by its full joint route, in GroupElement arithmetic:
+    tally (phi(a) + D, phi(b) + D) over every generator table and every
+    dither word D, then take the exact TV to the uniform law on
+    {(u, v) : v - u in H_theta^n} and the mass off that support."""
+    g_spec = ig.group
+    a, b = ig.element(a), ig.element(b)
+    theta = pair_theta(ig, a, b)
+    h = Subgroup(g_spec, theta)
+    c = len(g_spec.rings)
+    words = list(itertools.product(g_spec.elements(), repeat=n))
+
+    def image(x, gens):
+        out = [g_spec.zero()] * n
+        for value, row in zip(x.residues, gens):
+            out = [acc + value * g for acc, g in zip(out, row)]
+        return out
+
+    counts = Counter()
+    for flat in itertools.product(*generator_choices(ig, n, fixed_zero)):
+        gens = [
+            [g_spec.element(flat[(j * n + i) * c : (j * n + i + 1) * c])
+             for i in range(n)]
+            for j in range(ig.total)
+        ]
+        xa, xb = image(a, gens), image(b, gens)
+        for dither in words:
+            u = tuple(x + d for x, d in zip(xa, dither))
+            v = tuple(x + d for x, d in zip(xb, dither))
+            counts[u, v] += 1
+    total = sum(counts.values())
+    support_cells = g_spec.order**n * h.order**n
+    expected = Fraction(1, support_cells)
+    off_mass = tv = Fraction(0)
+    seen = 0
+    for (u, v), count in counts.items():
+        prob = Fraction(count, total)
+        if all(vi - ui in h for ui, vi in zip(u, v)):
+            seen += 1
+            tv += abs(prob - expected)
+        else:
+            off_mass += prob
+    tv = (tv + (support_cells - seen) * expected) / 2
+    return {
+        "theta": theta,
+        "mode": "exhaustive",
+        "support_cells": support_cells,
+        "off_support_mass": float(off_mass),
+        "tv_distance": float(tv),
+        "passed": off_mass == 0 and tv == 0,
+    }
+
+
+def assert_matches_oracle(ig: InputGroup, n: int, a, b, fixed_zero=()) -> None:
+    want = joint_law_oracle(ig, n, a, b, fixed_zero)
+    rep = verify_pairwise_law(ig, n, a, b)
+    assert {key: getattr(rep, key) for key in want} == want, (ig, n, a, b)
+
+
+ALL_TABLES = ensemble._all_tables
+
+
+def drop_tables(fixed_zero):
+    """An enumerator of the tables whose images are zero at ``fixed_zero``:
+    part of the hom space, dropped."""
+
+    def all_tables(ig, n):
+        tables = ALL_TABLES(ig, n)
+        keep = np.ones(len(tables), dtype=bool)
+        for j, i, ring in fixed_zero:
+            keep &= tables[:, j, i, ring] == 0
+        return tables[keep]
+
+    return all_tables
 
 
 # -- input groups -------------------------------------------------------------
@@ -124,6 +220,14 @@ def test_apply_hom_hand_value():
     table = HomomorphismTable(ig, 1, ((spec.element([2]),),), (spec.zero(),))
     assert apply_hom(table, [1])[0].residues == (2,)
     assert encode(table, [1])[0].residues == (2,)
+
+
+def test_apply_hom_rejects_overflowing_moduli():
+    spec = GroupSpec(((2, 32, 1),))
+    ig = InputGroup.from_mapping(spec, {(2, 32): 1})
+    table = HomomorphismTable(ig, 1, ((spec.element([2**32 - 1]),),), (spec.zero(),))
+    with pytest.raises(ValueError):
+        apply_hom(table, [2**32 - 1])
 
 
 # -- pair selectors -----------------------------------------------------------
@@ -251,6 +355,117 @@ def test_pairwise_law_sampled_mode():
     assert rep.passed
 
 
+@pytest.mark.parametrize(
+    "orders,n",
+    [([2], 1), ([3], 1), ([4], 1), ([2, 2], 1), ([4, 3], 1), ([2], 2), ([4], 2)],
+)
+def test_pairwise_law_matches_joint_oracle(orders, n):
+    spec = decompose(orders).spec
+    for slot in spec.weight_slots:
+        ig = InputGroup.from_mapping(spec, {slot: 1})
+        for a, b in itertools.product(ig.spec.elements(), repeat=2):
+            assert_matches_oracle(ig, n, a, b)
+
+
+def test_pairwise_law_detects_dropped_tables(monkeypatch):
+    # generator residue 0 only: phi(b - a) stays 0, far from uniform on Z_4
+    ig = ig_of([4], {(2, 2): 1})
+    monkeypatch.setattr(ensemble, "_all_tables", drop_tables([(0, 0, 0)]))
+    rep = verify_pairwise_law(ig, 1, [0], [1])
+    assert rep.mode == "exhaustive" and rep.outcomes == 1
+    assert not rep.passed and rep.tv_distance == 0.75
+    assert_matches_oracle(ig, 1, [0], [1], fixed_zero=[(0, 0, 0)])
+    # the Z_4 ring of Z_2 + Z_4 held at 0: phi(2) = 0 on the two cells of
+    # H_theta, TV 1/2, matching the joint route
+    ig2 = ig_of([2, 4], {(2, 2): 1})
+    monkeypatch.setattr(ensemble, "_all_tables", drop_tables([(0, 0, 1)]))
+    rep = verify_pairwise_law(ig2, 1, [0], [2])
+    assert not rep.passed and rep.tv_distance == 0.5
+    assert_matches_oracle(ig2, 1, [0], [2], fixed_zero=[(0, 0, 1)])
+
+
+def test_pairwise_law_sampled_detects_dropped_tables(monkeypatch):
+    ig = ig_of([4], {(2, 1): 1, (2, 2): 1})
+    sample = ensemble._sample_tables
+
+    def without_last_generator(ig, n, rng, size=()):
+        tables = sample(ig, n, rng, size)
+        tables[..., -1, :, :] = 0
+        return tables
+
+    monkeypatch.setattr(ensemble, "_sample_tables", without_last_generator)
+    rep = verify_pairwise_law(ig, 4, [0, 0], [1, 1], seed=4)
+    assert rep.mode == "sampled"
+    assert not rep.passed and rep.tv_distance >= rep.threshold
+
+
+def test_pairwise_law_detects_off_support_mass(monkeypatch):
+    # a selector one level too deep puts phi(b - a) outside H_theta
+    ig = ig_of([4], {(2, 2): 1})
+    full = lambda ig, a, b: ThetaVector.full(ig.group)
+    monkeypatch.setattr(ensemble, "pair_theta", full)
+    rep = verify_pairwise_law(ig, 1, [0], [1])
+    assert not rep.passed and rep.off_support_mass == 0.75
+
+
+def test_pairwise_law_checks_table_constraints(monkeypatch):
+    ig = ig_of([4], {(2, 1): 1})  # images must lie in 2 Z_4
+    shift = lambda tables: (tables + 1) % 4
+    all_tables, sample = ensemble._all_tables, ensemble._sample_tables
+    monkeypatch.setattr(ensemble, "_all_tables", lambda ig, n: shift(all_tables(ig, n)))
+    with pytest.raises(ValueError):
+        verify_pairwise_law(ig, 1, [0], [1])
+    monkeypatch.setattr(
+        ensemble, "_sample_tables", lambda *args, **kw: shift(sample(*args, **kw))
+    )
+    with pytest.raises(ValueError):
+        verify_pairwise_law(ig_of([4], {(2, 1): 1, (2, 2): 1}), 4, [0, 0], [0, 1])
+    with pytest.raises(ValueError):
+        mc_channel_error(ig, 1, ChannelSpec(ig.group, np.eye(4)), trials=1, seed=0)
+
+
+def test_pairwise_law_sampled_threshold_not_vacuous():
+    # 256 cells of H_theta^4 = Z_4^4: threshold 3 sqrt(256 / 4096) = 0.75
+    ig = ig_of([4], {(2, 1): 1, (2, 2): 1})
+    rep = verify_pairwise_law(ig, 4, [1, 2], [1, 3], samples=4096, seed=7)
+    assert rep.mode == "sampled" and rep.theta.is_zero()
+    assert rep.threshold < 1
+    assert rep.passed
+
+
+def small_configs(max_states: int = 1024):
+    """(orders, counts, n) whose tables times dither words number at most
+    max_states, so the joint route stays cheap."""
+    for orders in ([2], [3], [4], [8], [2, 2], [2, 4], [4, 3]):
+        spec = decompose(orders).spec
+        for n in (1, 2):
+            for counts in itertools.product(range(3), repeat=len(spec.weight_slots)):
+                if not sum(counts):
+                    continue
+                choices = generator_choices(InputGroup(spec, counts), n)
+                if math.prod(map(len, choices)) * spec.order**n <= max_states:
+                    yield orders, counts, n
+
+
+@given(st.data())
+def test_reduced_law_matches_oracle_property(data):
+    orders, counts, n = data.draw(st.sampled_from(list(small_configs())))
+    ig = InputGroup(decompose(orders).spec, counts)
+    a, b = (
+        data.draw(st.tuples(*[st.integers(0, m - 1) for m in ig.spec.moduli]))
+        for _ in range(2)
+    )
+    cells = [
+        (j, i, ring)
+        for j in range(ig.total)
+        for i in range(n)
+        for ring in range(len(ig.group.rings))
+    ]
+    fixed_zero = data.draw(st.lists(st.sampled_from(cells), max_size=2, unique=True))
+    with mock.patch.object(ensemble, "_all_tables", drop_tables(fixed_zero)):
+        assert_matches_oracle(ig, n, a, b, fixed_zero)
+
+
 def test_pairwise_law_cap():
     ig = ig_of([8], {(2, 3): 1})
     with pytest.raises(ValueError):
@@ -341,6 +556,27 @@ def test_mc_deterministic():
     a = mc_channel_error(ig, 2, chan, trials=100, seed=21)
     b = mc_channel_error(ig, 2, chan, trials=100, seed=21)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "orders,counts,n,noise,seed,trials,expected",
+    [
+        ([4, 3], {(2, 1): 1, (3, 1): 1}, 2,
+         [0.7, 0.1, 0.05, 0.05, 0.02, 0.02, 0.02, 0.01, 0.01, 0.01, 0.005, 0.005],
+         3, 50, (19, 40, 10)),
+        ([8], {(2, 2): 1, (2, 3): 1}, 2, [0.75, 0.1, 0.05, 0, 0, 0, 0.05, 0.05],
+         17, 60, (33, 26, 10)),
+        ([2, 2], {(2, 1): 3}, 2, [0.85, 0.05, 0.05, 0.05], 29, 60, (24, 32, 8)),
+    ],
+)
+def test_mc_reports_pinned(orders, counts, n, noise, seed, trials, expected):
+    # (errors, injective trials, injective errors) recorded with the earlier
+    # per-element implementation: the seeded draws must not move
+    spec = decompose(orders).spec
+    ig = InputGroup.from_mapping(spec, counts)
+    chan = additive_noise_channel(spec, noise)
+    rep = mc_channel_error(ig, n, chan, trials=trials, seed=seed)
+    assert (rep.errors, rep.injective_trials, rep.injective_errors) == expected
 
 
 def test_mc_cap():

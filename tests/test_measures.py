@@ -96,6 +96,17 @@ def test_source_joint_validation():
         SourceJoint(spec, np.full((4, 4), 1 / 16), d, 0.1)  # E[d] = 0.75
     with pytest.raises(ValidationError):
         SourceJoint(spec, joint, None, 0.1)  # target without matrix
+    # non-finite distortion data would make E[d] nan
+    z2 = decompose([2]).spec
+    half = [[0.5, 0.0], [0.0, 0.5]]
+    for bad_d in ([[0, float("nan")], [1, 0]], [[0, float("inf")], [1, 0]]):
+        with pytest.raises(ValidationError):
+            SourceJoint(z2, half, bad_d)
+        with pytest.raises(ValidationError):
+            SourceJoint(z2, half, bad_d, 0.5)
+    for target in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            SourceJoint(z2, half, [[0, 1], [1, 0]], target)
 
 
 def test_coset_mi_source_endpoints():
