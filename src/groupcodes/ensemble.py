@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, Subgroup, ThetaVector
+from .groups import GroupElement, GroupSpec, Subgroup, ThetaVector, _grid
 from .measures import ChannelSpec
 from .rates import _numerator_coeff, enumerate_theta_set
 
@@ -155,12 +155,6 @@ def _allowed_step(ig: InputGroup) -> np.ndarray:
     )
 
 
-def _grid(radices) -> np.ndarray:
-    """Every digit vector over the radices, one per row, last digit fastest
-    (for moduli this is the canonical element order)."""
-    return np.indices(tuple(radices)).reshape(len(radices), -1).T
-
-
 def _tables(ig: InputGroup, n: int, pick) -> np.ndarray:
     """Generator images [..., k, n, c].  ``pick(bounds)`` gives the digits
     [..., len(bounds)] of the drawn positions, the same-prime (component,
@@ -285,30 +279,29 @@ def encode(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
     )
 
 
+def _selectors(ig: InputGroup, diffs) -> np.ndarray:
+    """The selector components [..., levels] of every input difference b - a
+    in diffs [..., k] (see pair_theta)."""
+    diffs = np.asarray(diffs)
+    levels = ig.group.ring_levels
+    top = [r for _, r in levels]
+    selectors = np.full(diffs.shape[:-1] + (len(levels),), top)
+    for j, (q, s, _) in enumerate(ig.spec.rings):
+        # the t <= s with q^t dividing the difference: s for a zero difference
+        depth = sum(diffs[..., j] % q**t == 0 for t in range(1, s + 1))
+        # a candidate across primes is r + depth, never below the clamp
+        offset = [max(r - s, 0) if p == q else r for p, r in levels]
+        selectors = np.minimum(selectors, depth[..., None] + offset)
+    return selectors
+
+
 def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
     """The subgroup selector induced by an input pair: per level (p, r), the
     minimum of |r-s|^+ plus the q-adic depth of the component difference,
     over components of the same prime (clamped to r; levels with no matching
     component get r, since the image difference there is identically zero)."""
-    a = ig.element(a)
-    b = ig.element(b)
-    comps = []
-    for p, r in ig.group.ring_levels:
-        best = r
-        for (q, s, _), av, bv in zip(ig.spec.rings, a.residues, b.residues):
-            if q == p:
-                cand = max(r - s, 0) + _depth((bv - av) % q**s, q, s)
-                best = min(best, cand)
-        comps.append(min(best, r))
-    return ThetaVector(ig.group, tuple(comps))
-
-
-def count_t_theta(ig: InputGroup, a, theta: ThetaVector) -> int:
-    """Exact size of {b : pair_theta(a, b) = theta} by enumeration."""
-    if ig.size > SIZE_CAP:
-        raise ValueError(f"input group size {ig.size} exceeds cap {SIZE_CAP}")
-    a = ig.element(a)
-    return sum(1 for b in ig.spec.elements() if pair_theta(ig, a, b) == theta)
+    diff = (ig.element(b) - ig.element(a)).residues
+    return ThetaVector(ig.group, tuple(_selectors(ig, diff).tolist()))
 
 
 def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
@@ -317,11 +310,18 @@ def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     if ig.size > SIZE_CAP:
         raise ValueError(f"input group size {ig.size} exceeds cap {SIZE_CAP}")
     a = ig.element(a) if a is not None else ig.spec.zero()
-    census: dict[ThetaVector, int] = {}
-    for b in ig.spec.elements():
-        th = pair_theta(ig, a, b)
-        census[th] = census.get(th, 0) + 1
-    return census
+    moduli = ig.spec.moduli
+    diffs = (_grid(moduli) - a.residues) % moduli
+    rows, counts = np.unique(_selectors(ig, diffs), axis=0, return_counts=True)
+    return {
+        ThetaVector(ig.group, tuple(row)): count
+        for row, count in zip(rows.tolist(), counts.tolist())
+    }
+
+
+def count_t_theta(ig: InputGroup, a, theta: ThetaVector) -> int:
+    """Exact size of {b : pair_theta(a, b) = theta}, from the census."""
+    return theta_census(ig, a).get(theta, 0)
 
 
 def brute_theta_set(ig: InputGroup, a=None) -> frozenset[ThetaVector]:
@@ -382,14 +382,12 @@ def verify_pairwise_law(
     """
     g_spec = ig.group
     gn = g_spec.order**n
-    if gn * gn > TABLE_CELL_CAP:
-        raise ValueError(
-            f"joint table would need {gn * gn} cells, above cap {TABLE_CELL_CAP}"
-        )
     a = ig.element(a)
     b = ig.element(b)
     theta = pair_theta(ig, a, b)
     cells = Subgroup(g_spec, theta).order ** n
+    if cells > TABLE_CELL_CAP:
+        raise ValueError(f"H_theta^n has {cells} cells, above cap {TABLE_CELL_CAP}")
 
     if _hom_space_size(ig, n) * gn <= EXHAUSTIVE_CAP:
         mode, threshold = "exhaustive", 0.0

@@ -1,21 +1,31 @@
 """Finite Abelian groups in canonical prime-power form.
 
 A group is represented as an ordered direct sum of rings Z_{p^r}; elements
-are residue vectors with componentwise modular arithmetic.  Everything here
-is immutable and safe to share across threads.
+are residue vectors with componentwise modular arithmetic.  ``GroupElement``
+is the per-element public type; computations over the whole group use the
+residue grid instead, one row per element in canonical order (last residue
+fastest), and a subgroup gives the coset of every row in one label array.
+Everything here is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 # Soft cap on element enumeration: groups in this library are desk-scale,
 # fail loudly instead of hanging on a huge order.
 ENUMERATION_CAP = 1 << 20
+
+
+def _grid(radices) -> np.ndarray:
+    """Every digit vector over the radices, one per row, last digit fastest
+    (for moduli this is the canonical element order)."""
+    return np.indices(tuple(radices)).reshape(len(radices), -1).T
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -292,15 +302,11 @@ class Subgroup:
             raise TypeError("element bound to a different group")
         return tuple(v % q for v, q in zip(x.residues, self._label_moduli))
 
-    def labels(self) -> Iterator[tuple[int, ...]]:
-        """All coset labels in lexicographic order."""
-        return itertools.product(*(range(q) for q in self._label_moduli))
-
-    def label_index(self, label: tuple[int, ...]) -> int:
-        idx = 0
-        for v, q in zip(label, self._label_moduli):
-            idx = idx * q + v
-        return idx
+    def label_indices(self) -> np.ndarray:
+        """The coset of every element in canonical order, as the position of
+        its label among all labels in lexicographic order."""
+        labels = _grid(self.spec.moduli) % self._label_moduli
+        return np.ravel_multi_index(tuple(labels.T), self._label_moduli)
 
     def __contains__(self, x: GroupElement) -> bool:
         return self.coset_label(x) == (0,) * len(self.spec.rings)

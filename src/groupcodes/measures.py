@@ -7,7 +7,6 @@ tolerance; 0*log(0) is treated as 0 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -178,33 +177,23 @@ class SourceJoint:
         return mutual_information(self.joint)
 
 
-def _label_indices(spec: GroupSpec, theta: ThetaVector) -> tuple[np.ndarray, int]:
-    """Coset label index for every element in canonical order."""
-    h = Subgroup(spec, theta)
-    idx = np.empty(spec.order, dtype=np.intp)
-    for i, x in enumerate(spec.elements()):
-        idx[i] = h.label_index(h.coset_label(x))
-    return idx, h.index
-
-
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction
     symbols into cosets of the theta-subgroup."""
-    labels, n_labels = _label_indices(sj.group, theta)
-    merged = np.zeros((sj.joint.shape[0], n_labels))
-    np.add.at(merged.T, labels, sj.joint.T)
+    h = Subgroup(sj.group, theta)
+    merged = np.zeros((sj.joint.shape[0], h.index))
+    np.add.at(merged.T, h.label_indices(), sj.joint.T)
     return mutual_information(merged)
 
 
 def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
     """Mutual information of the channel restricted to each coset of the
     theta-subgroup (input uniform on the coset), in coset-label order."""
-    labels, n_labels = _label_indices(chan.group, theta)
-    h_order = chan.group.order // n_labels
-    return [
-        mutual_information(chan.matrix[labels == label] / h_order)
-        for label in range(n_labels)
-    ]
+    h = Subgroup(chan.group, theta)
+    # a stable sort keeps each coset's rows in canonical order
+    rows = chan.matrix[np.argsort(h.label_indices(), kind="stable")]
+    blocks = rows.reshape(h.index, h.order, chan.output_size) / h.order
+    return [mutual_information(block) for block in blocks]
 
 
 def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
@@ -217,8 +206,8 @@ def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
 def coset_mi_channel_chain(chan: ChannelSpec, theta: ThetaVector) -> float:
     """Same quantity as :func:`coset_mi_channel` via the chain identity
     I(X;Y) - I([X]_theta;Y); kept as an independent computation route."""
-    labels, n_labels = _label_indices(chan.group, theta)
+    h = Subgroup(chan.group, theta)
     joint = chan.uniform_joint()
-    merged = np.zeros((n_labels, chan.output_size))
-    np.add.at(merged, labels, joint)
+    merged = np.zeros((h.index, chan.output_size))
+    np.add.at(merged, h.label_indices(), joint)
     return mutual_information(joint) - mutual_information(merged)

@@ -92,9 +92,6 @@ class WeightVector:
     def as_mapping(self) -> dict[tuple[int, int], object]:
         return dict(zip(self.spec.weight_slots, self.values))
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
-
 
 def induced_theta(
     spec: GroupSpec,
@@ -287,7 +284,7 @@ def _packing_lp(
 # -- inner evaluation ------------------------------------------------------
 
 
-def _term_ratio(sense: str, c: float, den_fraction: float) -> float:
+def _term_ratio(c: float, den_fraction: float) -> float:
     """Objective term c / omega-part with the 0/0 -> 0 convention.
 
     ``den_fraction`` is omega (source) or 1 - omega (channel).
@@ -313,10 +310,10 @@ def _evaluate_point(
         n_val = sum(c * v for c, v in zip(n_row, wf))
         c = terms[th]
         if sense == "source":
-            ratio = _term_ratio(sense, c, n_val / d_val)
+            ratio = _term_ratio(c, n_val / d_val)
             excluded = th.is_zero()
         else:
-            ratio = _term_ratio(sense, c, (d_val - n_val) / d_val)
+            ratio = _term_ratio(c, (d_val - n_val) / d_val)
             excluded = th.is_full()
         ratios[th] = ratio
         if not excluded:

@@ -29,7 +29,7 @@ from groupcodes.ensemble import (
     theta_census,
     verify_pairwise_law,
 )
-from groupcodes.rates import enumerate_theta_set
+from groupcodes.rates import all_reachable_thetas, enumerate_theta_set
 
 from conftest import additive_noise_channel, make_rng
 
@@ -53,6 +53,25 @@ def generator_choices(ig: InputGroup, n: int, fixed_zero=()) -> list[list[int]]:
     ]
 
 
+def pair_theta_oracle(ig: InputGroup, a, b) -> ThetaVector:
+    """The selector of an input pair, one component at a time in GroupElement
+    arithmetic: per level (p, r), the least |r-s|^+ plus the q-adic depth of
+    the component difference over components of prime p, at most r."""
+    diff = ig.element(b) - ig.element(a)
+    comps = []
+    for p, r in ig.group.ring_levels:
+        best = r
+        for (q, s, _), d in zip(ig.spec.rings, diff.residues):
+            if q == p:
+                best = min(best, max(r - s, 0) + ensemble._depth(d, q, s))
+        comps.append(best)
+    return ThetaVector(ig.group, tuple(comps))
+
+
+def census_oracle(ig: InputGroup, a) -> dict:
+    return dict(Counter(pair_theta_oracle(ig, a, b) for b in ig.spec.elements()))
+
+
 def joint_law_oracle(ig: InputGroup, n: int, a, b, fixed_zero=()) -> dict:
     """The pairwise law by its full joint route, in GroupElement arithmetic:
     tally (phi(a) + D, phi(b) + D) over every generator table and every
@@ -60,7 +79,7 @@ def joint_law_oracle(ig: InputGroup, n: int, a, b, fixed_zero=()) -> dict:
     {(u, v) : v - u in H_theta^n} and the mass off that support."""
     g_spec = ig.group
     a, b = ig.element(a), ig.element(b)
-    theta = pair_theta(ig, a, b)
+    theta = pair_theta_oracle(ig, a, b)
     h = Subgroup(g_spec, theta)
     c = len(g_spec.rings)
     words = list(itertools.product(g_spec.elements(), repeat=n))
@@ -306,6 +325,32 @@ def test_theta_set_depends_only_on_support():
     assert a == b
 
 
+def census_configs(max_size: int = 512):
+    """(orders, counts) over small groups whose input group has at most
+    max_size elements."""
+    for orders in ([2], [3], [4], [8], [9], [2, 2], [2, 4], [4, 3], [8, 9]):
+        spec = decompose(orders).spec
+        for counts in itertools.product(range(3), repeat=len(spec.weight_slots)):
+            if sum(counts) and InputGroup(spec, counts).size <= max_size:
+                yield orders, counts
+
+
+@given(st.data())
+def test_census_matches_oracle_property(data):
+    orders, counts = data.draw(st.sampled_from(list(census_configs())))
+    ig = InputGroup(decompose(orders).spec, counts)
+    a, b = (
+        data.draw(st.tuples(*[st.integers(0, m - 1) for m in ig.spec.moduli]))
+        for _ in range(2)
+    )
+    census = census_oracle(ig, a)
+    assert theta_census(ig, a) == census
+    assert pair_theta(ig, a, b) == pair_theta_oracle(ig, a, b)
+    # selectors of the group outside the support's census count 0
+    for theta in all_reachable_thetas(ig.group):
+        assert count_t_theta(ig, a, theta) == census.get(theta, 0)
+
+
 # -- pairwise law -------------------------------------------------------------
 
 
@@ -467,9 +512,14 @@ def test_reduced_law_matches_oracle_property(data):
 
 
 def test_pairwise_law_cap():
-    ig = ig_of([8], {(2, 3): 1})
+    # the cap bounds the |H_theta|^n cells of the tally, not |G|^(2n): on Z_8
+    # at n = 3 the pair 0, 4 tallies 2^3 cells, sampled since the tables and
+    # dither words number 8^6
+    rep = verify_pairwise_law(ig_of([8], {(2, 3): 1}), 3, [0], [4])
+    assert rep.mode == "sampled" and rep.theta.components == (2,)
+    assert rep.threshold < 1 and rep.passed
     with pytest.raises(ValueError):
-        verify_pairwise_law(ig, 3, [0], [1])  # 8^6 cells is over the cap
+        verify_pairwise_law(ig_of([2], {(2, 1): 1}), 17, [0], [1])  # 2^17 cells
 
 
 # -- congruence solver --------------------------------------------------------

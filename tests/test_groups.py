@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcodes import GroupSpec, Subgroup, ThetaVector, decompose
 from groupcodes.groups import GroupElement, factorize
@@ -191,6 +193,22 @@ def test_quotient_law(orders):
             key = (h.coset_label(x), h.coset_label(y))
             label = h.coset_label(x + y)
             assert table.setdefault(key, label) == label
+
+
+@given(st.data())
+def test_label_indices_match_coset_labels_property(data):
+    groups = [[2], [8], [9], [2, 2], [2, 4], [4, 3], [2, 4, 8], [8, 9], [4, 4, 3]]
+    orders = data.draw(st.sampled_from(groups))
+    spec = decompose(orders).spec
+    theta = ThetaVector(
+        spec, tuple(data.draw(st.integers(0, r)) for _, r in spec.ring_levels)
+    )
+    h = Subgroup(spec, theta)
+    labels = [h.coset_label(x) for x in spec.elements()]
+    # equal indices exactly for equal labels, numbered in lexicographic order
+    rank = {label: i for i, label in enumerate(sorted(set(labels)))}
+    assert len(rank) == h.index
+    assert h.label_indices().tolist() == [rank[label] for label in labels]
 
 
 def test_element_index_roundtrip():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcodes import (
     ChannelSpec,
@@ -349,6 +351,42 @@ def test_result_value_consistent_with_witness():
     assert res.critical_thetas  # someone attains the optimum
     for t in res.per_theta:
         assert 0.0 <= t.omega <= 1.0
+
+
+def unit_scaling(spec, units) -> np.ndarray:
+    """The row order of the relabelling x -> u*x, one unit per ring:
+    perm[index(u*x)] = index(x)."""
+    perm = np.empty(spec.order, dtype=np.intp)
+    for x in spec.elements():
+        ux = spec.element([u * v for u, v in zip(units, x.residues)])
+        perm[spec.element_index(ux)] = spec.element_index(x)
+    return perm
+
+
+@given(st.data())
+def test_unit_scaling_invariance_property(data):
+    # x -> u*x is an automorphism fixing every H_theta, so it maps each coset
+    # of H_theta onto a coset of H_theta
+    groups = [[3], [4], [8], [9], [2, 4], [4, 3], [4, 4], [8, 3], [4, 9]]
+    spec = decompose(data.draw(st.sampled_from(groups))).spec
+    units = [
+        data.draw(st.sampled_from([u for u in range(1, p**r) if u % p]))
+        for p, r, _ in spec.rings
+    ]
+    rng = make_rng(data.draw(st.integers(0, 2**32)))
+    perm = unit_scaling(spec, units)
+    chan = random_channel(spec, 4, rng)
+    chan_u = ChannelSpec(spec, chan.matrix[perm])
+    sj = random_source_joint(spec, 3, rng)
+    sj_u = SourceJoint(spec, sj.joint[:, perm])
+    for terms_of, rate_of, a, b in (
+        (channel_terms, channel_coding_rate, chan, chan_u),
+        (source_terms, source_coding_rate, sj, sj_u),
+    ):
+        terms_a, terms_b = terms_of(a), terms_of(b)
+        assert terms_a.keys() == terms_b.keys()
+        assert all(abs(terms_a[t] - terms_b[t]) <= 1e-12 for t in terms_a)
+        assert abs(rate_of(a).value - rate_of(b).value) <= 1e-9
 
 
 def test_infinite_supports_are_skipped():
