@@ -19,9 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, Subgroup, ThetaVector, _grid
+from .groups import GroupElement, GroupSpec, Subgroup, ThetaVector
+from .groups import _grid, _induce, _min_depths
 from .measures import ChannelSpec
-from .rates import _numerator_coeff, enumerate_theta_set
+from .rates import enumerate_theta_set
 
 # Exhaustive enumeration is preferred whenever the sampled space fits under
 # this cap; statistical checks are a fallback, not the default.
@@ -283,16 +284,11 @@ def _selectors(ig: InputGroup, diffs) -> np.ndarray:
     """The selector components [..., levels] of every input difference b - a
     in diffs [..., k] (see pair_theta)."""
     diffs = np.asarray(diffs)
-    levels = ig.group.ring_levels
-    top = [r for _, r in levels]
-    selectors = np.full(diffs.shape[:-1] + (len(levels),), top)
-    for j, (q, s, _) in enumerate(ig.spec.rings):
-        # the t <= s with q^t dividing the difference: s for a zero difference
-        depth = sum(diffs[..., j] % q**t == 0 for t in range(1, s + 1))
-        # a candidate across primes is r + depth, never below the clamp
-        offset = [max(r - s, 0) if p == q else r for p, r in levels]
-        selectors = np.minimum(selectors, depth[..., None] + offset)
-    return selectors
+    slots = [(q, s) for q, s, _ in ig.spec.rings]
+    q, s = np.array(slots).T
+    # the t <= s with q^t dividing the difference: s for a zero difference
+    depths = sum((diffs % q**t == 0) & (t <= s) for t in range(1, s.max() + 1))
+    return _induce(ig.group.ring_levels, slots, depths)
 
 
 def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
@@ -332,12 +328,12 @@ def brute_theta_set(ig: InputGroup, a=None) -> frozenset[ThetaVector]:
 
 def t_theta_bound(ig: InputGroup, theta: ThetaVector) -> int:
     """The census upper bound: product over slots of q^((s - coeff) * count)."""
-    bound = 1
-    for (q, s), count in zip(ig.group.weight_slots, ig.counts):
-        if count:
-            coeff = _numerator_coeff(ig.group, theta, q, s)
-            bound *= q ** ((s - coeff) * count)
-    return bound
+    slots = ig.group.weight_slots
+    coeffs = _min_depths(ig.group.ring_levels, slots, theta.components).tolist()
+    return math.prod(
+        q ** ((s - coeff) * count)
+        for (q, s), coeff, count in zip(slots, coeffs, ig.counts)
+    )
 
 
 # -- pairwise joint law ------------------------------------------------------

@@ -5,6 +5,7 @@ are residue vectors with componentwise modular arithmetic.  ``GroupElement``
 is the per-element public type; computations over the whole group use the
 residue grid instead, one row per element in canonical order (last residue
 fastest), and a subgroup gives the coset of every row in one label array.
+The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
 Everything here is immutable and safe to share across threads.
 """
 
@@ -244,10 +245,6 @@ class ThetaVector:
         """The all-r vector; selects the trivial subgroup {0}."""
         return cls(spec, tuple(r for _, r in spec.ring_levels))
 
-    @classmethod
-    def of(cls, spec: GroupSpec, by_level: Mapping[tuple[int, int], int]) -> "ThetaVector":
-        return cls(spec, tuple(by_level[pr] for pr in spec.ring_levels))
-
     def __getitem__(self, level: tuple[int, int]) -> int:
         return self.components[self.spec.ring_levels.index(level)]
 
@@ -260,6 +257,39 @@ class ThetaVector:
     def dominates(self, other: "ThetaVector") -> bool:
         """True when every component is >= the other's (deeper subgroup)."""
         return all(a >= b for a, b in zip(self.components, other.components))
+
+
+# -- the selector algebra: slots (q, s) carry depths in [0, s], levels (p, r)
+# carry selector components in [0, r]
+
+
+def _gaps(levels, slots) -> np.ndarray:
+    """[k, L]: |r - s|^+ at the levels (p, r) of the slot's prime, and r at
+    the others, where a slot neither lowers a component nor raises a depth."""
+    return np.array(
+        [[max(r - s, 0) if p == q else r for p, r in levels] for q, s in slots]
+    )
+
+
+def _induce(levels, slots, depths) -> np.ndarray:
+    """The selector components [..., L] induced by per-slot depths [..., k]:
+    each level (p, r) takes min(r, |r - s|^+ + depth) over the slots of its
+    prime (r when it has none)."""
+    depths = np.asarray(depths)
+    selectors = np.full(depths.shape[:-1] + (len(levels),), [r for _, r in levels])
+    for j, gap in enumerate(_gaps(levels, slots)):
+        selectors = np.minimum(selectors, depths[..., j, None] + gap)
+    return selectors
+
+
+def _min_depths(levels, slots, thetas) -> np.ndarray:
+    """The least per-slot depths [..., k] whose induced selector is at least
+    thetas [..., L] componentwise: for slot (q, s), the max over levels (q, r)
+    of (theta - |r - s|^+)^+.  These are also the omega numerator
+    coefficients, and thetas is reachable from the slots exactly when these
+    depths induce it back."""
+    thetas = np.asarray(thetas)
+    return (thetas[..., None, :] - _gaps(levels, slots)).max(axis=-1, initial=0)
 
 
 @dataclass(frozen=True)

@@ -173,9 +173,6 @@ class SourceJoint:
             return None
         return float((self.joint * self.distortion).sum())
 
-    def plain_mi(self) -> float:
-        return mutual_information(self.joint)
-
 
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction

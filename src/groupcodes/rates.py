@@ -8,6 +8,9 @@ problem is one linear-fractional program; the Charnes-Cooper substitution
 turns it into one packing linear program, solved by a small dense simplex.
 The outer optimization enumerates the support patterns that give every prime
 of the group at least one slot.
+Each optimization builds one selector table, from which every support's
+linear program is sliced; Theta(S) is the set of selectors theta whose least
+inducing depths m(theta) on S induce them back.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .groups import GroupSpec, ThetaVector
+from .groups import GroupSpec, ThetaVector, _grid, _induce, _min_depths
 from .measures import (
     ChannelSpec,
     SourceJoint,
@@ -50,16 +52,6 @@ def _log_weight(q: int) -> Fraction:
     return Fraction(1) if q == 2 else Fraction(math.log2(q))
 
 
-def _numerator_coeff(spec: GroupSpec, theta: ThetaVector, q: int, s: int) -> int:
-    """Coefficient of w_{q,s} in the omega numerator: the clipped depth
-    max over levels (p,r) with p=q of (theta_{p,r} - |r-s|^+)^+."""
-    best = 0
-    for (p, r), t in zip(spec.ring_levels, theta.components):
-        if p == q:
-            best = max(best, t - max(r - s, 0))
-    return max(best, 0)
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Nonnegative weights over the (q, s) slots of a group, summing to one.
@@ -74,6 +66,8 @@ class WeightVector:
         slots = self.spec.weight_slots
         if len(self.values) != len(slots):
             raise ValueError(f"expected {len(slots)} weights for slots {slots}")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"weights must be finite, got {self.values}")
         if any(v < 0 for v in self.values):
             raise ValueError("weights must be nonnegative")
         if abs(sum(self.values) - 1) > 1e-9:
@@ -107,11 +101,8 @@ def induced_theta(
         depth = slot_depths[slot]
         if not 0 <= depth <= slot[1]:
             raise ValueError(f"depth {depth} for slot {slot} not in [0, {slot[1]}]")
-    comps = [
-        min([r] + [max(r - s, 0) + slot_depths[(q, s)] for q, s in support if q == p])
-        for p, r in spec.ring_levels
-    ]
-    return ThetaVector(spec, tuple(comps))
+    depths = [slot_depths[slot] for slot in support]
+    return ThetaVector(spec, tuple(_induce(spec.ring_levels, support, depths).tolist()))
 
 
 def _check_support(spec: GroupSpec, support: tuple[tuple[int, int], ...]) -> None:
@@ -128,24 +119,31 @@ def _check_support(spec: GroupSpec, support: tuple[tuple[int, int], ...]) -> Non
         )
 
 
-@lru_cache(maxsize=None)
-def _theta_set_cached(
-    spec: GroupSpec, support: tuple[tuple[int, int], ...]
-) -> frozenset[ThetaVector]:
-    """Fold the support in one slot at a time: every level starts at r and
-    takes the minimum with |r - s|^+ + depth, so only the distinct partial
-    vectors need to be carried from one slot to the next."""
-    _check_support(spec, support)
-    partial = {tuple(r for _, r in spec.ring_levels)}
-    for q, s in support:
-        options = [
-            tuple(max(r - s, 0) + depth if p == q else r for p, r in spec.ring_levels)
-            for depth in range(s + 1)
-        ]
-        partial = {
-            tuple(map(min, vec, opt)) for vec in partial for opt in options
-        }
-    return frozenset(ThetaVector(spec, comps) for comps in partial)
+def _theta_sets(spec: GroupSpec, supports) -> tuple[np.ndarray, ...]:
+    """The selector grid [n, L] (sorted by components), the least depths
+    m(theta) [n, k] of every row on every weight slot (the omega
+    coefficients), the supports as slot masks [supports, k], and Theta(S) of
+    each as a row of a mask [supports, n].
+
+    Depths inducing theta are at least m(theta) and inducing is monotone, so
+    theta is in Theta(S) exactly when m(theta) on S induces it back: when a
+    slot of S alone hits each level exactly, as none induces less."""
+    levels, slots = spec.ring_levels, spec.weight_slots
+    grid = _grid([r + 1 for _, r in levels])
+    depths = _min_depths(levels, slots, grid)
+    hits = np.array(  # [k, n, L]: each slot alone
+        [_induce(levels, [x], depths[:, [j]]) == grid for j, x in enumerate(slots)]
+    )
+    columns = np.array([[slot in sup for slot in slots] for sup in supports])
+    # one level at a time, so nothing larger than the mask is built
+    members = np.ones((len(supports), len(grid)), dtype=bool)
+    for level in range(grid.shape[1]):
+        members &= columns @ hits[:, :, level]
+    return grid, depths, columns, members
+
+
+def _thetas(spec: GroupSpec, rows: np.ndarray) -> list[ThetaVector]:
+    return [ThetaVector(spec, tuple(row)) for row in rows.tolist()]
 
 
 def enumerate_theta_set(
@@ -153,7 +151,10 @@ def enumerate_theta_set(
 ) -> frozenset[ThetaVector]:
     """All subgroup selectors reachable from a support pattern.  Depends only
     on the support, never on the weight values."""
-    return _theta_set_cached(spec, tuple(sorted(set(support))))
+    support = tuple(sorted(set(support)))
+    _check_support(spec, support)
+    grid, _, _, members = _theta_sets(spec, [support])
+    return frozenset(_thetas(spec, grid[members[0]]))
 
 
 def omega(spec: GroupSpec, weights, theta: ThetaVector):
@@ -164,49 +165,28 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
     prime (log factors cancel); with floats it is a float.
     """
     if isinstance(weights, WeightVector):
-        items = list(zip(spec.weight_slots, weights.values))
+        values = weights.values
     else:
-        items = [(slot, weights.get(slot, 0)) for slot in spec.weight_slots]
+        values = [weights.get(slot, 0) for slot in spec.weight_slots]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"weights must be finite, got {values}")
+    coeffs = _min_depths(spec.ring_levels, spec.weight_slots, theta.components)
+    return _omega(spec, values, coeffs.tolist())
+
+
+def _omega(spec: GroupSpec, values, coeffs):
+    """omega from the weights and the numerator coefficients on every slot."""
     num = 0
     den = 0
-    for (q, s), w in items:
+    for (q, s), w, coeff in zip(spec.weight_slots, values, coeffs):
         if w == 0:
             continue
         scale = _log_weight(q) * w
-        num = num + _numerator_coeff(spec, theta, q, s) * scale
+        num = num + coeff * scale
         den = den + s * scale
     if den == 0:
         raise ValueError("weight vector has empty support")
     return num / den
-
-
-# -- per-support data ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SupportProblem:
-    support: tuple[tuple[int, int], ...]
-    thetas: tuple[ThetaVector, ...]  # Theta(support), sorted by components
-    d_floats: tuple[float, ...]  # s * log2(q) per slot
-    n_floats: tuple[tuple[float, ...], ...]  # per theta, per slot
-
-
-@lru_cache(maxsize=None)
-def _support_problem(
-    spec: GroupSpec, support: tuple[tuple[int, int], ...]
-) -> _SupportProblem:
-    thetas = tuple(
-        sorted(enumerate_theta_set(spec, support), key=lambda t: t.components)
-    )
-    return _SupportProblem(
-        support,
-        thetas,
-        tuple(s * math.log2(q) for q, s in support),
-        tuple(
-            tuple(_numerator_coeff(spec, th, q, s) * math.log2(q) for q, s in support)
-            for th in thetas
-        ),
-    )
 
 
 def _covering_supports(spec: GroupSpec) -> list[tuple[tuple[int, int], ...]]:
@@ -237,6 +217,40 @@ def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
     selector and Theta(S) is contained in Theta(S + slot)."""
     thetas = enumerate_theta_set(spec, spec.weight_slots)
     return tuple(sorted(thetas, key=lambda t: t.components))
+
+
+def _support_problems(
+    spec: GroupSpec, terms: Mapping[ThetaVector, float], sense: str
+):
+    """Build the selector table of one call, rejecting missing or invalid
+    terms, and slice it lazily, support by covering support in lexicographic
+    order: (support, the selectors of Theta(S), and the LP input n =
+    m(theta) log2 q on S, D = s log2 q on S, the terms and the sense's
+    excluded endpoint selector)."""
+    if sense not in ("source", "channel"):
+        raise ValueError(f"unknown sense {sense!r}")
+    supports = _covering_supports(spec)
+    grid, depths, columns, members = _theta_sets(spec, supports)
+    # the union of the Theta(S) is the reachable set, which terms must cover
+    reachable = members.any(axis=0)
+    thetas = _thetas(spec, grid[reachable])
+    missing = [th for th in thetas if th not in terms]
+    if missing:
+        raise ValueError(f"terms missing for selectors {missing}")
+    for th, c in terms.items():
+        if not math.isfinite(c) or c < -1e-12:
+            raise ValueError(f"information term for {th.components} is {c}")
+    term_array = np.full(len(grid), math.nan)
+    term_array[reachable] = [terms[th] for th in thetas]
+    # the zero selector is the grid's first row, the full selector its last
+    excluded = np.zeros(len(grid), dtype=bool)
+    excluded[0 if sense == "source" else -1] = True
+    log_q = np.array([math.log2(q) for q, _ in spec.weight_slots])
+    n = depths * log_q
+    d = np.array([s for _, s in spec.weight_slots]) * log_q
+    for support, cols, rows in zip(supports, columns, members):
+        problem = (n[rows][:, cols], d[cols], term_array[rows], excluded[rows])
+        yield support, grid[rows], problem
 
 
 # -- linear programming ----------------------------------------------------
@@ -284,42 +298,30 @@ def _packing_lp(
 # -- inner evaluation ------------------------------------------------------
 
 
-def _term_ratio(c: float, den_fraction: float) -> float:
-    """Objective term c / omega-part with the 0/0 -> 0 convention.
-
-    ``den_fraction`` is omega (source) or 1 - omega (channel).
-    """
-    if den_fraction <= 0:
-        return 0.0 if c <= INFO_ZERO_TOL else math.inf
-    return c / den_fraction
-
-
 def _evaluate_point(
-    prob: _SupportProblem,
-    terms: Mapping[ThetaVector, float],
+    n: np.ndarray,
+    d: np.ndarray,
+    c: np.ndarray,
+    excluded: np.ndarray,
     w: Sequence,
     sense: str,
-) -> tuple[float, dict[ThetaVector, float]]:
-    """Inner max (source) or min (channel) at a weight point, plus the
-    per-theta ratios, skipping the excluded endpoint selector."""
+) -> tuple[float, list[float]]:
+    """Inner max (source) or min (channel) at a weight point over one
+    support's selectors, plus the per-selector ratios, skipping the excluded
+    endpoint selector."""
     wf = [float(v) for v in w]
-    d_val = sum(c * v for c, v in zip(prob.d_floats, wf))
-    ratios: dict[ThetaVector, float] = {}
-    candidates: list[float] = []
-    for th, n_row in zip(prob.thetas, prob.n_floats):
-        n_val = sum(c * v for c, v in zip(n_row, wf))
-        c = terms[th]
-        if sense == "source":
-            ratio = _term_ratio(c, n_val / d_val)
-            excluded = th.is_zero()
-        else:
-            ratio = _term_ratio(c, (d_val - n_val) / d_val)
-            excluded = th.is_full()
-        ratios[th] = ratio
-        if not excluded:
-            candidates.append(ratio)
-    if not candidates:
-        raise SolverError(f"no admissible selector for support {prob.support}")
+    # the sums run in slot order, one slot at a time
+    d_val = sum(x * v for x, v in zip(d.tolist(), wf))
+    n_val = sum(n[:, j] * v for j, v in enumerate(wf))
+    part = n_val / d_val if sense == "source" else (d_val - n_val) / d_val
+    # the term over omega (source) or 1 - omega (channel); 0/0 -> 0, c/0 -> inf
+    ratios = [
+        (0.0 if x <= INFO_ZERO_TOL else math.inf) if y <= 0 else x / y
+        for x, y in zip(c.tolist(), part.tolist())
+    ]
+    # Theta(S) holds the full selector and the one of depth zero on every
+    # slot, which differ, so one of them is a candidate
+    candidates = [r for r, skip in zip(ratios, excluded.tolist()) if not skip]
     value = max(candidates) if sense == "source" else min(candidates)
     return value, ratios
 
@@ -327,60 +329,43 @@ def _evaluate_point(
 # -- per-support linear program -------------------------------------------
 
 
-@dataclass
-class _SupportResult:
-    value: float
-    witness: tuple[float, ...]
-    problem: _SupportProblem
-
-
 def _solve_support(
-    spec: GroupSpec,
-    support: tuple[tuple[int, int], ...],
-    terms: Mapping[ThetaVector, float],
+    n: np.ndarray,
+    d: np.ndarray,
+    c: np.ndarray,
+    excluded: np.ndarray,
     sense: str,
-) -> _SupportResult | None:
-    """Optimize one support pattern; None for a source support on which some
-    term is infinite for every weight choice.
+) -> tuple[float, tuple[float, ...]] | None:
+    """Optimize one support pattern, given its slice of the selector table;
+    returns the value and the witness, or None for a source support on which
+    some term is infinite for every weight choice.
 
     With v = w * rate / (D.w) the inner problem becomes one packing LP:
     channel, rate = max D.v subject to (D - N_theta).v <= c_theta; source,
     rate = min D.v subject to N_theta.v >= c_theta, solved as its dual
     max c.y subject to N^T y <= D, whose dual values are v.
     """
-    prob = _support_problem(spec, support)
-    k = len(support)
+    k = len(d)
     uniform = (1.0 / k,) * k
-    d = np.array(prob.d_floats)
-    active = [
-        (terms[th], n_row)
-        for th, n_row in zip(prob.thetas, prob.n_floats)
-        if not (th.is_zero() if sense == "source" else th.is_full())
-        and terms[th] > INFO_ZERO_TOL
-    ]
-    c = np.array([term for term, _ in active])
-    n = np.array([n_row for _, n_row in active]).reshape(len(active), k)
+    active = ~excluded & (c > INFO_ZERO_TOL)
 
     if sense == "source":
-        if any(not row.any() for row in n):
+        if not n[active].any(axis=1).all():
             return None  # infinite term for every w on this support
-        if not active:
-            return _SupportResult(0.0, uniform, prob)
-        _, v = _packing_lp(n.T, d, c)
+        if not active.any():
+            return 0.0, uniform
+        _, v = _packing_lp(n[active].T, d, c[active])
     else:
-        if any(
-            terms[th] <= INFO_ZERO_TOL for th in prob.thetas if not th.is_full()
-        ):
+        if (c[~excluded] <= INFO_ZERO_TOL).any():
             # a zero term pins the inner min to zero for every weight choice
-            return _SupportResult(0.0, uniform, prob)
-        solution = _packing_lp(d - n, c, d)
-        if solution is None:
-            raise SolverError(f"support {support}: the channel LP is unbounded")
-        v, _ = solution
+            return 0.0, uniform
+        # bounded: the selector of depth zero on every slot is active, with
+        # the row D > 0
+        v, _ = _packing_lp(d - n[active], c[active], d)
 
     witness = tuple((v / v.sum()).tolist())
-    value, _ = _evaluate_point(prob, terms, witness, sense)
-    return _SupportResult(value, witness, prob)
+    value, _ = _evaluate_point(n, d, c, excluded, witness, sense)
+    return value, witness
 
 
 # -- results ---------------------------------------------------------------
@@ -416,54 +401,47 @@ def optimize_weights(
     """Optimize the weighted min-max (source) or max-min (channel) objective
     built from precomputed per-selector information terms.
 
-    ``terms`` must cover every selector reachable from some support pattern.
+    ``terms`` must cover every selector reachable from some support pattern,
+    with finite nonnegative values.
     """
-    if sense not in ("source", "channel"):
-        raise ValueError(f"unknown sense {sense!r}")
-    missing = [th for th in all_reachable_thetas(spec) if th not in terms]
-    if missing:
-        raise ValueError(f"terms missing for selectors {missing}")
-    for th, c in terms.items():
-        if c < -1e-12 or math.isnan(c):
-            raise ValueError(f"information term for {th.components} is {c}")
-
-    best: _SupportResult | None = None
-    for support in _covering_supports(spec):
-        res = _solve_support(spec, support, terms, sense)
+    best = None
+    for support, rows, problem in _support_problems(spec, terms, sense):
+        res = _solve_support(*problem, sense)
         if res is None:
             continue
         if (
             best is None
-            or (sense == "source" and res.value < best.value)
-            or (sense == "channel" and res.value > best.value)
+            or (sense == "source" and res[0] < best[0])
+            or (sense == "channel" and res[0] > best[0])
         ):
-            best = res
+            best = (*res, support, rows, problem)
 
     if best is None:
         # only reachable when every support carries an everywhere-infinite term
         return RateResult(math.inf, None, (), (), (), sense)
 
-    prob = best.problem
-    value, ratios = _evaluate_point(prob, terms, best.witness, sense)
-    weight_map = dict(zip(prob.support, best.witness))
-    weights = WeightVector.from_mapping(spec, weight_map)
+    _, witness, support, rows, problem = best
+    excluded = problem[3]
+    value, ratios = _evaluate_point(*problem, witness, sense)
+    weights = WeightVector.from_mapping(spec, dict(zip(support, witness)))
+    thetas = _thetas(spec, rows)
+    coeffs = _min_depths(spec.ring_levels, spec.weight_slots, rows).tolist()
     crit_tol = CRITICAL_TOL * (1.0 + abs(value))
     critical = tuple(
         th
-        for th in prob.thetas
-        if not (th.is_zero() if sense == "source" else th.is_full())
-        and abs(ratios[th] - value) <= crit_tol
+        for th, skip, ratio in zip(thetas, excluded, ratios)
+        if not skip and abs(ratio - value) <= crit_tol
     )
-    table = tuple(
+    per_theta = tuple(
         PerThetaTerm(
             theta=th,
-            omega=float(omega(spec, weights, th)),
+            omega=float(_omega(spec, weights.values, row)),
             info_bits=terms[th],
-            ratio_bits=ratios[th],
+            ratio_bits=ratio,
         )
-        for th in prob.thetas
+        for th, row, ratio in zip(thetas, coeffs, ratios)
     )
-    return RateResult(value, weights, critical, table, prob.support, sense)
+    return RateResult(value, weights, critical, per_theta, support, sense)
 
 
 # -- the two functionals ---------------------------------------------------
@@ -549,22 +527,18 @@ def grid_search(
     the best value.  Slow but direct; used to cross-check the linear-program
     solver."""
     slots = spec.weight_slots
-    k = len(slots)
-    prime_of_slot = [q for q, _ in slots]
-    cache: dict[tuple[bool, ...], _SupportProblem] = {}
+    problems = {
+        support: problem
+        for support, _, problem in _support_problems(spec, terms, sense)
+    }
     best_val: float | None = None
     best_w: tuple[float, ...] | None = None
-    for combo in _compositions(steps, k):
-        mask = tuple(c > 0 for c in combo)
-        if {q for q, m in zip(prime_of_slot, mask) if m} != set(spec.primes):
-            continue
-        prob = cache.get(mask)
-        if prob is None:
-            support = tuple(s for s, m in zip(slots, mask) if m)
-            prob = _support_problem(spec, support)
-            cache[mask] = prob
-        w = tuple(c / steps for c, m in zip(combo, mask) if m)
-        value, _ = _evaluate_point(prob, terms, w, sense)
+    for combo in _compositions(steps, len(slots)):
+        problem = problems.get(tuple(x for x, c in zip(slots, combo) if c > 0))
+        if problem is None:
+            continue  # some prime has no weight
+        w = tuple(c / steps for c in combo if c > 0)
+        value, _ = _evaluate_point(*problem, w, sense)
         if (
             best_val is None
             or (sense == "source" and value < best_val)

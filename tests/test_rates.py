@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from groupcodes import (
@@ -26,6 +26,7 @@ from groupcodes import (
     source_coding_rate,
     source_rate_prime_power,
 )
+from groupcodes.groups import _min_depths
 from groupcodes.rates import (
     _covering_supports,
     all_reachable_thetas,
@@ -94,12 +95,25 @@ def test_theta_set_z2_z4_single_slot():
     assert sorted(t.components for t in got) == [(0, 1), (1, 2)]
 
 
+def selector_by_formula(spec, support, depths) -> tuple[int, ...]:
+    """The selector that per-slot depths induce, level by level: min(r,
+    |r - s|^+ + depth) over the support slots (q, s) of the level's prime."""
+    return tuple(
+        min([r] + [max(r - s, 0) + d for (q, s), d in zip(support, depths) if q == p])
+        for p, r in spec.ring_levels
+    )
+
+
+def depth_product(support):
+    return itertools.product(*(range(s + 1) for _, s in support))
+
+
 def theta_set_by_product(spec, support):
-    """Reference route: the induced selector of every depth assignment in the
-    product over the support of range(s + 1)."""
+    """Reference route: the selector of every depth assignment in the product
+    over the support of range(s + 1)."""
     return {
-        induced_theta(spec, support, dict(zip(support, depths)))
-        for depths in itertools.product(*(range(s + 1) for _, s in support))
+        ThetaVector(spec, selector_by_formula(spec, support, depths))
+        for depths in depth_product(support)
     }
 
 
@@ -114,6 +128,38 @@ def test_theta_fold_matches_product(orders):
         assert enumerate_theta_set(spec, support) == expected
         union |= expected
     assert set(all_reachable_thetas(spec)) == union
+
+
+SMALL_ORDERS = [2, 3, 4, 5, 8, 9, 16, 27]
+
+
+@st.composite
+def group_and_support(draw):
+    """A random small group and a covering support of it."""
+    orders = draw(st.lists(st.sampled_from(SMALL_ORDERS), min_size=1, max_size=3))
+    spec = decompose(orders).spec
+    assume(len(spec.weight_slots) <= 6)
+    support = []
+    for q in spec.primes:
+        slots = [slot for slot in spec.weight_slots if slot[0] == q]
+        support += draw(st.lists(st.sampled_from(slots), min_size=1, unique=True))
+    return spec, tuple(sorted(support))
+
+
+@given(group_and_support())
+def test_min_depths_identity_property(case):
+    # theta is reachable from S exactly when its least depths m(theta) induce
+    # it back, and m(theta) is below every depth assignment inducing theta
+    spec, support = case
+    by_theta = {}
+    for depths in depth_product(support):
+        theta = selector_by_formula(spec, support, depths)
+        by_theta.setdefault(theta, []).append(depths)
+    for theta in itertools.product(*(range(r + 1) for _, r in spec.ring_levels)):
+        m = tuple(_min_depths(spec.ring_levels, support, theta).tolist())
+        assert (selector_by_formula(spec, support, m) == theta) == (theta in by_theta)
+        for depths in by_theta.get(theta, []):
+            assert all(a <= b for a, b in zip(m, depths))
 
 
 def test_theta_set_rejects_bad_support():
@@ -179,6 +225,17 @@ def test_weight_vector_validation():
         WeightVector(spec, (Fraction(-1, 2), Fraction(1), Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weights_rejected(bad):
+    spec = decompose([8]).spec
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector(spec, (bad, bad, bad))
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector(spec, (bad, 0.5, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        omega(spec, {(2, 2): bad, (2, 3): 0.5}, ThetaVector(spec, (1,)))
+
+
 # -- the optimizer -----------------------------------------------------------
 
 
@@ -197,6 +254,17 @@ def test_missing_terms_rejected():
         optimize_weights(spec, {}, "channel")
     with pytest.raises(ValueError):
         optimize_weights(spec, {t: 0.1 for t in all_reachable_thetas(spec)}, "both")
+
+
+@pytest.mark.parametrize("orders", [[8], [4, 3]])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("sense", ["source", "channel"])
+def test_non_finite_terms_rejected(orders, bad, sense):
+    spec = decompose(orders).spec
+    terms = {th: 0.3 for th in all_reachable_thetas(spec)}
+    terms[all_reachable_thetas(spec)[1]] = bad
+    with pytest.raises(ValueError, match="information term"):
+        optimize_weights(spec, terms, sense)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -387,6 +455,62 @@ def test_unit_scaling_invariance_property(data):
         assert terms_a.keys() == terms_b.keys()
         assert all(abs(terms_a[t] - terms_b[t]) <= 1e-12 for t in terms_a)
         assert abs(rate_of(a).value - rate_of(b).value) <= 1e-9
+
+
+def ring_swap(spec, i, j) -> np.ndarray:
+    """The row order of the relabelling that swaps rings i and j (same
+    modulus): perm[index(swapped x)] = index(x)."""
+    perm = np.empty(spec.order, dtype=np.intp)
+    for x in spec.elements():
+        v = list(x.residues)
+        v[i], v[j] = v[j], v[i]
+        perm[spec.element_index(spec.element(v))] = spec.element_index(x)
+    return perm
+
+
+@given(st.data())
+def test_ring_swap_invariance_property(data):
+    # rings at the same (p, r) level get the same selector component, so
+    # swapping them maps every H_theta coset onto an H_theta coset
+    groups = [[2, 2], [4, 4, 3], [3, 3, 2], [2, 2, 4], [9, 9], [2, 4, 4]]
+    spec = decompose(data.draw(st.sampled_from(groups))).spec
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(spec.rings)), 2)
+        if spec.rings[i][:2] == spec.rings[j][:2]
+    ]
+    i, j = data.draw(st.sampled_from(pairs))
+    rng = make_rng(data.draw(st.integers(0, 2**32)))
+    perm = ring_swap(spec, i, j)
+    chan = random_channel(spec, 4, rng)
+    sj = random_source_joint(spec, 3, rng)
+    assert abs(
+        channel_coding_rate(chan).value
+        - channel_coding_rate(ChannelSpec(spec, chan.matrix[perm])).value
+    ) <= 1e-9
+    assert abs(
+        source_coding_rate(sj).value
+        - source_coding_rate(SourceJoint(spec, sj.joint[:, perm])).value
+    ) <= 1e-9
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 8, 9]), min_size=2, max_size=3),
+    st.integers(0, 2**32),
+    st.integers(4, 12),
+)
+def test_solver_beats_grid_property(orders, seed, steps):
+    # the grid only samples the weights the solver optimises over; with two
+    # or three rings the optimum is often inside the simplex
+    spec = decompose(orders).spec
+    assume(len(spec.weight_slots) <= 4 and spec.order <= 72)
+    rng = make_rng(seed)
+    terms = channel_terms(random_channel(spec, 3, rng))
+    grid_value, _ = grid_search(spec, terms, "channel", steps=steps)
+    assert optimize_weights(spec, terms, "channel").value >= grid_value - 1e-9
+    terms = source_terms(random_source_joint(spec, 3, rng))
+    grid_value, _ = grid_search(spec, terms, "source", steps=steps)
+    assert optimize_weights(spec, terms, "source").value <= grid_value + 1e-9
 
 
 def test_infinite_supports_are_skipped():
