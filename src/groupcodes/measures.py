@@ -2,6 +2,18 @@
 
 All quantities are in bits.  Probability inputs are validated against a 1e-9
 tolerance; 0*log(0) is treated as 0 exactly.
+
+The coset terms take one reshape per selector.  In canonical element order
+the coset of an element under the theta-subgroup is its residues mod
+p^theta, the low base-p digits of each ring, so a ring axis of size p^r
+splits into (p^(r - theta), p^theta) and a sum over the high axes merges
+every coset at once, in lexicographic label order.  Each term is a
+difference of two conditional entropies from those sums: the source term
+H(X) - H(X | [U]_theta), the channel term H(Y | [X]_theta) - H(Y | X).  H(X)
+is the zero selector's H(X | [U]_theta) and H(Y | X) the full selector's
+H(Y | [X]_theta), so those endpoint terms are exactly zero, and the rate
+layer computes them once per joint or channel.  ``coset_mi_channel_chain``
+merges rows by ``Subgroup.label_indices`` instead: the independent route.
 """
 
 from __future__ import annotations
@@ -50,6 +62,11 @@ def entropy(p) -> float:
 def _raw_entropy(arr: np.ndarray) -> float:
     nz = arr[arr > 0]
     return float(-(nz * np.log2(nz)).sum())
+
+
+def _row_entropies(arr: np.ndarray) -> np.ndarray:
+    """The entropy of every distribution along the last axis, 0*log(0) = 0."""
+    return -(arr * np.log2(np.where(arr > 0, arr, 1.0))).sum(axis=-1)
 
 
 def mutual_information(joint) -> float:
@@ -174,37 +191,94 @@ class SourceJoint:
         return float((self.joint * self.distortion).sum())
 
 
+def _split_shape(spec: GroupSpec, theta: ThetaVector) -> tuple[Subgroup, tuple]:
+    """The subgroup of theta, and the shape that splits each ring axis p^r of
+    the canonical element order into (p^(r - theta), p^theta): the high axis
+    runs over a coset, the low axis is the coset label, the residue mod
+    p^theta.  High axes sit at the even positions, low axes at the odd."""
+    h = Subgroup(spec, theta)
+    shape = []
+    for n, q in zip(spec.moduli, h._label_moduli):
+        shape += [n // q, q]
+    return h, tuple(shape)
+
+
+def _coset_sums(spec: GroupSpec, theta: ThetaVector, values: np.ndarray):
+    """The subgroup of theta, and values [order, ...] (rows in canonical
+    element order) summed over each coset: [index, ...], in label order."""
+    h, shape = _split_shape(spec, theta)
+    cells = values.reshape(shape + values.shape[1:])
+    sums = cells.sum(axis=tuple(range(0, len(shape), 2)))
+    return h, sums.reshape((h.index,) + values.shape[1:])
+
+
+def _source_coset_entropy(sj: SourceJoint, theta: ThetaVector) -> float:
+    """H(X | [U]_theta): the coset sums of the joint's columns are the joint
+    of the coset and X, and each coset's entropy of X is weighted by its
+    mass (positive, as the reconstruction marginal is uniform).  At the zero
+    selector there is one coset, and this is H(X)."""
+    _, sums = _coset_sums(sj.group, theta, sj.joint.T)
+    mass = sums.sum(axis=1)
+    return float(mass @ _row_entropies(sums / mass[:, None]))
+
+
+def _channel_coset_entropy(chan: ChannelSpec, theta: ThetaVector) -> float:
+    """H(Y | [X]_theta) with X uniform: the mean entropy of the coset sums of
+    the channel's rows, over |H_theta|.  At the full selector every coset is
+    one input, and this is H(Y | X)."""
+    h, sums = _coset_sums(chan.group, theta, chan.matrix)
+    return float(_row_entropies(sums / h.order).mean())
+
+
+def _source_terms(sj: SourceJoint, thetas) -> list[float]:
+    """I([U]_theta; X) = H(X) - H(X | [U]_theta) for each theta.  H(X) is the
+    zero selector's H(X | [U]_theta), computed once, so that term is exactly
+    zero."""
+    h_x = _source_coset_entropy(sj, ThetaVector.zero(sj.group))
+    return [max(0.0, h_x - _source_coset_entropy(sj, th)) for th in thetas]
+
+
+def _channel_terms(chan: ChannelSpec, thetas) -> list[float]:
+    """I(X; Y | [X]_theta) = H(Y | [X]_theta) - H(Y | X) for each theta.
+    H(Y | X) is the full selector's H(Y | [X]_theta), computed once, so that
+    term is exactly zero."""
+    h_y_x = _channel_coset_entropy(chan, ThetaVector.full(chan.group))
+    return [max(0.0, _channel_coset_entropy(chan, th) - h_y_x) for th in thetas]
+
+
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction
     symbols into cosets of the theta-subgroup."""
-    h = Subgroup(sj.group, theta)
-    merged = np.zeros((sj.joint.shape[0], h.index))
-    np.add.at(merged.T, h.label_indices(), sj.joint.T)
-    return mutual_information(merged)
-
-
-def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
-    """Mutual information of the channel restricted to each coset of the
-    theta-subgroup (input uniform on the coset), in coset-label order."""
-    h = Subgroup(chan.group, theta)
-    # a stable sort keeps each coset's rows in canonical order
-    rows = chan.matrix[np.argsort(h.label_indices(), kind="stable")]
-    blocks = rows.reshape(h.index, h.order, chan.output_size) / h.order
-    return [mutual_information(block) for block in blocks]
+    return _source_terms(sj, [theta])[0]
 
 
 def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
     """I(X; Y | [X]_theta) with X uniform on the group: the coset-average of
     the per-coset mutual informations."""
-    per = mi_per_coset(chan, theta)
-    return sum(per) / len(per)
+    return _channel_terms(chan, [theta])[0]
+
+
+def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
+    """Mutual information of the channel restricted to each coset of the
+    theta-subgroup (input uniform on the coset), in coset-label order."""
+    h, shape = _split_shape(chan.group, theta)
+    cells = chan.matrix.reshape(shape + (chan.output_size,))
+    # labels first, then the position in the coset: rows stay canonical
+    axes = tuple(range(1, len(shape), 2)) + tuple(range(0, len(shape), 2))
+    blocks = cells.transpose(axes + (len(shape),)).reshape(h.index, h.order, -1)
+    h_y_x = _row_entropies(blocks).mean(axis=1)
+    return np.maximum(0.0, _row_entropies(blocks.mean(axis=1)) - h_y_x).tolist()
 
 
 def coset_mi_channel_chain(chan: ChannelSpec, theta: ThetaVector) -> float:
     """Same quantity as :func:`coset_mi_channel` via the chain identity
-    I(X;Y) - I([X]_theta;Y); kept as an independent computation route."""
+    I(X;Y) - I([X]_theta;Y), merging rows by the label array of every
+    element; kept as an independent computation route."""
     h = Subgroup(chan.group, theta)
+    labels = h.label_indices()
     joint = chan.uniform_joint()
-    merged = np.zeros((h.index, chan.output_size))
-    np.add.at(merged, h.label_indices(), joint)
+    merged = np.stack(
+        [np.bincount(labels, weights=col, minlength=h.index) for col in joint.T],
+        axis=1,
+    )
     return mutual_information(joint) - mutual_information(merged)

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .groups import CyclicDecomposition, decompose
 from .measures import ChannelSpec, SourceJoint, ValidationError
 from .rates import RateResult
@@ -45,23 +47,32 @@ def _number(value: Any, where: str) -> float:
         raise ValidationError(f"{where}: expected a number, got {value!r}")
     try:
         number = float(value)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValidationError(f"{where}: cannot parse {value!r}") from None
     if not math.isfinite(number):
         raise ValidationError(f"{where}: {value!r} is not a finite number")
     return number
 
 
-def _matrix(raw: Any, where: str) -> list[list[float]]:
+def _matrix(raw: Any, where: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ValidationError(f"{where}: expected a list of rows")
     width = len(raw[0])
-    out = []
     for i, row in enumerate(raw):
         if len(row) != width:
             raise ValidationError(f"{where}: row {i} has {len(row)} entries, not {width}")
-        out.append([_number(v, f"{where}[{i}]") for v in row])
-    return out
+    # plain JSON numbers convert as one array; anything else (decimal strings,
+    # or the first bad entry, which names itself) goes entry by entry
+    if {type(v) for row in raw for v in row} <= {int, float}:
+        try:
+            arr = np.array(raw, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return np.array(
+        [[_number(v, f"{where}[{i}]") for v in row] for i, row in enumerate(raw)]
+    )
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ def parse_problem(doc: Any):
     dec = decompose(group)
     if kind == "channel":
         matrix = _matrix(doc.get("matrix"), "matrix")
-        output_size = doc.get("output_size", len(matrix[0]) if matrix else 0)
+        output_size = doc.get("output_size", len(matrix[0]))
         if output_size != len(matrix[0]):
             raise ValidationError(
                 f"output_size {output_size} does not match matrix width {len(matrix[0])}"

@@ -27,10 +27,10 @@ from .groups import GroupSpec, ThetaVector, _grid, _induce, _min_depths
 from .measures import (
     ChannelSpec,
     SourceJoint,
-    ValidationError,
+    _channel_terms,
+    _source_terms,
     coset_mi_channel,
     coset_mi_source,
-    validate_distribution,
 )
 
 # Information terms at or below this count as exactly zero when applying the
@@ -175,13 +175,16 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
 
 
 def _omega(spec: GroupSpec, values, coeffs):
-    """omega from the weights and the numerator coefficients on every slot."""
+    """omega from the weights and the numerator coefficients on every slot:
+    in float arithmetic when every nonzero weight is a float, exactly
+    otherwise."""
+    exact = not all(isinstance(w, float) for w in values if w != 0)
     num = 0
     den = 0
     for (q, s), w, coeff in zip(spec.weight_slots, values, coeffs):
         if w == 0:
             continue
-        scale = _log_weight(q) * w
+        scale = (_log_weight(q) if exact else math.log2(q)) * w
         num = num + coeff * scale
         den = den + s * scale
     if den == 0:
@@ -448,13 +451,17 @@ def optimize_weights(
 
 
 def source_terms(sj: SourceJoint) -> dict[ThetaVector, float]:
-    """Coset information terms for every reachable selector."""
-    return {th: coset_mi_source(sj, th) for th in all_reachable_thetas(sj.group)}
+    """Coset information terms for every reachable selector, with H(X)
+    computed once for all of them."""
+    thetas = all_reachable_thetas(sj.group)
+    return dict(zip(thetas, _source_terms(sj, thetas)))
 
 
 def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
-    """Conditional coset information terms for every reachable selector."""
-    return {th: coset_mi_channel(chan, th) for th in all_reachable_thetas(chan.group)}
+    """Conditional coset information terms for every reachable selector,
+    with H(Y | X) computed once for all of them."""
+    thetas = all_reachable_thetas(chan.group)
+    return dict(zip(thetas, _channel_terms(chan, thetas)))
 
 
 def source_coding_rate(sj: SourceJoint) -> RateResult:
@@ -549,98 +556,3 @@ def grid_search(
     if best_val is None:
         raise SolverError("grid contains no valid weight vector")
     return best_val, WeightVector(spec, best_w)
-
-
-# -- heuristic joint search (source design side) ---------------------------
-
-
-@dataclass(frozen=True)
-class JointSearchResult:
-    """Best joint found by the heuristic; ``certified`` is always False: the
-    value is an upper bound on the optimum over admissible joints, nothing
-    more."""
-
-    joint: SourceJoint
-    rate: RateResult
-    certified: bool = False
-
-
-def search_source_joint(
-    source_dist,
-    spec: GroupSpec,
-    distortion,
-    target: float,
-    *,
-    restarts: int = 3,
-    sweeps: int = 60,
-    seed: int = 0,
-) -> JointSearchResult:
-    """Random-restart coordinate search for a low-rate test joint meeting a
-    distortion target under the uniform-reconstruction constraint.
-
-    Moves are 2x2 transport swaps (add mass on one diagonal of a submatrix,
-    remove it on the other), which preserve both marginals exactly; the swap
-    amount is quantized to halves of the available mass.  Not a certified
-    optimum.
-    """
-    px = validate_distribution(source_dist)
-    nx, ng = len(px), spec.order
-    d = np.asarray(distortion, dtype=float)
-    if d.shape != (nx, ng):
-        raise ValidationError(f"distortion must be {nx}x{ng}")
-    if np.any(d < 0):
-        raise ValidationError("distortion entries must be >= 0")
-
-    def expected(q):
-        return float((q * d).sum())
-
-    def rate_of(q):
-        return source_coding_rate(SourceJoint(spec, q))
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    best: JointSearchResult | None = None
-    for _ in range(restarts):
-        q = np.outer(px, np.full(ng, 1.0 / ng))
-        # phase 1: greedy swaps until the distortion target is met
-        for _ in range(20 * sweeps):
-            if expected(q) <= target:
-                break
-            x1, x2 = rng.integers(0, nx, 2)
-            u1, u2 = rng.integers(0, ng, 2)
-            gain = d[x1, u1] + d[x2, u2] - d[x1, u2] - d[x2, u1]
-            amount = min(q[x1, u1], q[x2, u2])
-            if gain <= 0 or amount <= 0:
-                continue
-            q[x1, u1] -= amount
-            q[x2, u2] -= amount
-            q[x1, u2] += amount
-            q[x2, u1] += amount
-        if expected(q) > target + 1e-9:
-            continue
-        current = rate_of(q)
-        # phase 2: accept swaps that keep the target and lower the rate
-        for _ in range(sweeps):
-            x1, x2 = rng.integers(0, nx, 2)
-            u1, u2 = rng.integers(0, ng, 2)
-            amount = 0.5 * min(q[x1, u1], q[x2, u2])
-            if x1 == x2 or u1 == u2 or amount <= 0:
-                continue
-            trial = q.copy()
-            trial[x1, u1] -= amount
-            trial[x2, u2] -= amount
-            trial[x1, u2] += amount
-            trial[x2, u1] += amount
-            if expected(trial) > target + 1e-12:
-                continue
-            cand = rate_of(trial)
-            if cand.value < current.value - 1e-12:
-                q, current = trial, cand
-        sj = SourceJoint(spec, q, d, target)
-        if best is None or current.value < best.rate.value:
-            best = JointSearchResult(sj, current)
-    if best is None:
-        raise SolverError(
-            "no joint meeting the distortion target was found; the target "
-            "may be infeasible for this source"
-        )
-    return best

@@ -155,6 +155,36 @@ def test_capacity_rejects_nan(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.5, True], [0.5, 0.5]], "expected a number"),
+        ([[0.5, None], [0.5, 0.5]], "expected a number"),
+        ([[0.5, "half"], [0.5, 0.5]], "cannot parse"),
+        ([[0.5, float("nan")], [0.5, 0.5]], "finite"),
+        ([[0.5, float("inf")], [0.5, 0.5]], "finite"),
+        ([[0.5, float("-inf")], [0.5, 0.5]], "finite"),
+        ([[0.5, "1e400"], [0.5, 0.5]], "finite"),
+        ([[0.5, 10**400], [0.5, 0.5]], "cannot parse"),
+        ([[0.5, 0.5], [1.0]], "row 1 has 1 entries"),
+    ],
+)
+def test_capacity_rejects_bad_entries(capsys, tmp_path, matrix, message):
+    # json writes NaN and Infinity literals, which its parser reads back
+    doc = {"kind": "channel", "group": [2], "output_size": 2, "matrix": matrix}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["capacity", str(path)])
+    assert code == 2 and out == "" and message in err
+
+
+def test_problem_entries_numbers_and_decimal_strings():
+    doc = {"kind": "channel", "group": [2], "output_size": 2,
+           "matrix": [[1, 0], ["0.25", 0.75]]}
+    chan = parse_problem(doc).channel
+    assert chan.matrix.tolist() == [[1.0, 0.0], [0.25, 0.75]]
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("distortion", [[0, "nan"], ["nan", 0]]), ("max_distortion", "nan")],
 )

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcodes import (
     ChannelSpec,
@@ -15,7 +17,9 @@ from groupcodes import (
     entropy,
     mutual_information,
 )
-from groupcodes.measures import ValidationError
+from groupcodes.groups import Subgroup
+from groupcodes.measures import ValidationError, mi_per_coset
+from groupcodes.rates import channel_terms, source_terms
 
 from conftest import make_rng, random_additive_channel, random_channel, random_source_joint
 
@@ -204,9 +208,6 @@ def test_source_monotone_in_theta(orders):
 def test_additive_channels_have_equal_coset_terms(orders):
     # group-symmetric channels: every coset of every selector carries the
     # same conditional information
-    from groupcodes.groups import Subgroup
-    from groupcodes.measures import mi_per_coset
-
     spec = decompose(orders).spec
     rng = make_rng(100 + spec.order)
     ranges = [range(r + 1) for _, r in spec.ring_levels]
@@ -216,3 +217,63 @@ def test_additive_channels_have_equal_coset_terms(orders):
             theta = ThetaVector(spec, comps)
             per = mi_per_coset(chan, theta)
             assert max(per) - min(per) < 1e-10
+
+
+# -- the reshape route against per-coset oracles on the label array ----------
+
+
+def per_coset_oracle(chan, theta):
+    """One mutual information per coset: rows gathered by a stable sort of
+    the label array, so each coset keeps its rows in canonical order."""
+    h = Subgroup(chan.group, theta)
+    rows = chan.matrix[np.argsort(h.label_indices(), kind="stable")]
+    blocks = rows.reshape(h.index, h.order, chan.output_size) / h.order
+    return [mutual_information(block) for block in blocks]
+
+
+def merged_source_oracle(sj, theta):
+    """I([U]_theta; X) with the joint's columns added into their cosets one
+    element at a time."""
+    h = Subgroup(sj.group, theta)
+    merged = np.zeros((sj.source_size, h.index))
+    np.add.at(merged.T, h.label_indices(), sj.joint.T)
+    return mutual_information(merged)
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), min_size=1, max_size=3),
+    st.integers(0, 2**32),
+    st.integers(2, 5),
+)
+def test_reshape_route_matches_oracles_property(orders, seed, letters):
+    spec = decompose(orders).spec
+    rng = make_rng(seed)
+    chan = random_channel(spec, letters, rng)
+    sj = random_source_joint(spec, letters, rng)
+    ranges = [range(r + 1) for _, r in spec.ring_levels]
+    for comps in itertools.product(*ranges):
+        theta = ThetaVector(spec, comps)
+        per = per_coset_oracle(chan, theta)
+        mean = sum(per) / len(per)
+        assert np.allclose(mi_per_coset(chan, theta), per, rtol=0, atol=1e-12)
+        assert abs(coset_mi_channel(chan, theta) - mean) < 1e-12
+        assert abs(coset_mi_channel_chain(chan, theta) - mean) < 1e-12
+        assert abs(coset_mi_source(sj, theta) - merged_source_oracle(sj, theta)) < 1e-12
+
+
+@pytest.mark.parametrize("orders", [[2], [8], [4, 3], [2, 4, 9]])
+def test_endpoint_terms_are_exactly_zero(orders):
+    # INFO_ZERO_TOL treats tiny terms as zero, but the endpoint selectors
+    # must not rely on it: the full selector conditions on X itself, and the
+    # zero selector merges every reconstruction symbol into one coset
+    spec = decompose(orders).spec
+    rng = make_rng(120 + spec.order)
+    full, zero = ThetaVector.full(spec), ThetaVector.zero(spec)
+    for _ in range(5):
+        chan = random_channel(spec, 4, rng)
+        sj = random_source_joint(spec, 4, rng)
+        assert coset_mi_channel(chan, full) == 0.0
+        assert channel_terms(chan)[full] == 0.0
+        assert mi_per_coset(chan, full) == [0.0] * spec.order
+        assert coset_mi_source(sj, zero) == 0.0
+        assert source_terms(sj)[zero] == 0.0

@@ -31,7 +31,6 @@ from groupcodes.rates import (
     _covering_supports,
     all_reachable_thetas,
     channel_terms,
-    search_source_joint,
     source_terms,
 )
 
@@ -195,6 +194,23 @@ def test_omega_endpoints():
     )
     assert omega(spec, w, ThetaVector.zero(spec)) == 0
     assert omega(spec, w, ThetaVector.full(spec)) == 1
+
+
+def test_omega_float_path_matches_exact():
+    # float weights take plain float arithmetic; it must agree with the exact
+    # Fraction path evaluated at the same weights
+    for orders in ([8], [4, 3], [2, 9, 5]):
+        spec = decompose(orders).spec
+        rng = make_rng(7 + spec.order)
+        thetas = all_reachable_thetas(spec)
+        for _ in range(10):
+            values = rng.dirichlet(np.ones(len(spec.weight_slots))).tolist()
+            floats = WeightVector(spec, tuple(values))
+            exact = WeightVector(spec, tuple(Fraction(v) for v in values))
+            for th in thetas:
+                fast = omega(spec, floats, th)
+                assert isinstance(fast, float)
+                assert abs(fast - float(omega(spec, exact, th))) <= 1e-15
 
 
 @pytest.mark.parametrize("orders", [[8], [4, 3], [2, 4]])
@@ -540,18 +556,3 @@ def test_grid_oracle_agrees_small():
         sgrid, _ = grid_search(spec, sterms, "source", steps=steps)
         assert sres.value <= sgrid + 1e-9
         assert abs(sres.value - sgrid) < 5e-3
-
-
-def test_search_source_joint_heuristic():
-    spec = decompose([4]).spec
-    px = [0.4, 0.3, 0.2, 0.1]
-    d = 1.0 - np.eye(4)  # Hamming-style distortion, |X| = |U|
-    result = search_source_joint(px, spec, d, target=0.5, restarts=2, sweeps=25, seed=9)
-    assert not result.certified
-    sj = result.joint
-    assert sj.expected_distortion() <= 0.5 + 1e-9
-    assert np.allclose(sj.joint.sum(axis=1), px, atol=1e-9)
-    # no better than the rate of the independent start is not required, but
-    # the reported rate must match re-evaluating the joint
-    again = source_coding_rate(sj)
-    assert abs(again.value - result.rate.value) < 1e-9
