@@ -6,11 +6,18 @@ selectors theta.  Every objective term is a ratio of linear forms in w whose
 value does not change when w is scaled, so for a fixed support the inner
 problem is one linear-fractional program; the Charnes-Cooper substitution
 turns it into one packing linear program, solved by a small dense simplex.
-The outer optimization enumerates the support patterns that give every prime
-of the group at least one slot.
-Each optimization builds one selector table, from which every support's
-linear program is sliced; Theta(S) is the set of selectors theta whose least
-inducing depths m(theta) on S induce them back.  Nothing is cached.
+The outer optimization ranges over the support patterns that give every prime
+of the group at least one slot.  The source side solves each of them.  The
+channel side visits them best-first by a vertex bound: a single selector's
+ratio c_theta / (1 - omega_theta) is linear-fractional, so its maximum on
+the face S sits at a vertex, and the least of these over Theta(S) bounds the
+support's optimum; once a bound falls below the incumbent by the relative
+tie tolerance, no later support can tie or win.  Supports whose values agree
+to that tolerance tie, and the lexicographically first wins.
+Each rate call builds one selector table, used for the terms and for every
+support's linear program, which is sliced from it; Theta(S) is the set of
+selectors theta whose least inducing depths m(theta) on S induce them back.
+Nothing is cached.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -41,6 +48,13 @@ INFO_ZERO_TOL = 1e-12
 LP_TOL = 1e-12
 # Relative slack when collecting the thetas that attain the inner optimum.
 CRITICAL_TOL = 1e-7
+# Supports whose values agree to this relative tolerance tie, and the
+# lexicographically first wins; a channel support is skipped only when its
+# vertex bound is below the incumbent by this margin, so it cannot tie.
+TIE_TOL = 1e-12
+# Grid points the oracle evaluates in one array computation, which bounds its
+# memory for any step count.
+GRID_BLOCK = 256
 
 
 class SolverError(RuntimeError):
@@ -222,38 +236,74 @@ def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
     return tuple(sorted(thetas, key=lambda t: t.components))
 
 
-def _support_problems(
-    spec: GroupSpec, terms: Mapping[ThetaVector, float], sense: str
-):
-    """Build the selector table of one call, rejecting missing or invalid
-    terms, and slice it lazily, support by covering support in lexicographic
-    order: (support, the selectors of Theta(S), and the LP input n =
-    m(theta) log2 q on S, D = s log2 q on S, the terms and the sense's
-    excluded endpoint selector)."""
-    if sense not in ("source", "channel"):
-        raise ValueError(f"unknown sense {sense!r}")
-    supports = _covering_supports(spec)
-    grid, depths, columns, members = _theta_sets(spec, supports)
-    # the union of the Theta(S) is the reachable set, which terms must cover
-    reachable = members.any(axis=0)
-    thetas = _thetas(spec, grid[reachable])
-    missing = [th for th in thetas if th not in terms]
-    if missing:
-        raise ValueError(f"terms missing for selectors {missing}")
-    for th, c in terms.items():
-        if not math.isfinite(c) or c < -1e-12:
-            raise ValueError(f"information term for {th.components} is {c}")
-    term_array = np.full(len(grid), math.nan)
-    term_array[reachable] = [terms[th] for th in thetas]
-    # the zero selector is the grid's first row, the full selector its last
-    excluded = np.zeros(len(grid), dtype=bool)
-    excluded[0 if sense == "source" else -1] = True
-    log_q = np.array([math.log2(q) for q, _ in spec.weight_slots])
-    n = depths * log_q
-    d = np.array([s for _, s in spec.weight_slots]) * log_q
-    for support, cols, rows in zip(supports, columns, members):
-        problem = (n[rows][:, cols], d[cols], term_array[rows], excluded[rows])
-        yield support, grid[rows], problem
+class _Table:
+    """The selector table of one rate call: the covering supports in
+    lexicographic order (the tie-break order) and _theta_sets of them."""
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self.supports = _covering_supports(spec)
+        self.grid, self.depths, self.columns, self.members = _theta_sets(
+            spec, self.supports
+        )
+        # the union of the Theta(S), the reachable set, which terms must cover
+        self.reachable = self.members.any(axis=0)
+        self.thetas = _thetas(spec, self.grid[self.reachable])
+
+
+class _SupportProblems:
+    """The LP input of every support of a table for one sense and one set of
+    terms, rejecting missing or invalid terms; support i's slice is taken on
+    demand: (the selectors of Theta(S), and n = m(theta) log2 q on S,
+    D = s log2 q on S, the terms and the sense's excluded endpoint
+    selector)."""
+
+    def __init__(
+        self, table: _Table, terms: Mapping[ThetaVector, float], sense: str
+    ):
+        if sense not in ("source", "channel"):
+            raise ValueError(f"unknown sense {sense!r}")
+        thetas = table.thetas
+        missing = [th for th in thetas if th not in terms]
+        if missing:
+            raise ValueError(f"terms missing for selectors {missing}")
+        for th, c in terms.items():
+            if not math.isfinite(c) or c < -1e-12:
+                raise ValueError(f"information term for {th.components} is {c}")
+        self.table, self.terms, self.sense = table, terms, sense
+        self.c = np.full(len(table.grid), math.nan)
+        self.c[table.reachable] = [terms[th] for th in thetas]
+        # the zero selector is the grid's first row, the full selector its last
+        self.excluded = np.zeros(len(table.grid), dtype=bool)
+        self.excluded[0 if sense == "source" else -1] = True
+        slots = table.spec.weight_slots
+        log_q = np.array([math.log2(q) for q, _ in slots])
+        self.n = table.depths * log_q
+        self.d = np.array([s for _, s in slots]) * log_q
+
+    def __getitem__(self, i: int):
+        cols, rows = self.table.columns[i], self.table.members[i]
+        n, d = self.n[rows][:, cols], self.d[cols]
+        problem = (n, d, self.c[rows], self.excluded[rows])
+        return self.table.grid[rows], problem
+
+    def vertex_bounds(self) -> np.ndarray:
+        """UB(S) of the channel LP on every support: the min over the active
+        theta in Theta(S) of c_theta / (1 - max over j in S of
+        m_j(theta)/s_j), the max of that selector's ratio on the face S,
+        which omega_theta, linear-fractional, reaches at a vertex.  A term at
+        or below INFO_ZERO_TOL bounds by 0, a selector reaching omega = 1 at
+        a vertex by +inf."""
+        table = self.table
+        s = np.array([s for _, s in table.spec.weight_slots])
+        top = np.zeros(table.members.shape)
+        for j in range(len(s)):  # one slot at a time, [supports, n] at most
+            frac = np.where(table.columns[:, [j]], table.depths[:, j] / s[j], 0.0)
+            np.maximum(top, frac, out=top)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(self.c <= INFO_ZERO_TOL, 0.0, self.c / (1.0 - top))
+        bound[:, self.excluded] = math.inf
+        return np.where(table.members, bound, math.inf).min(axis=1)
 
 
 # -- linear programming ----------------------------------------------------
@@ -273,60 +323,61 @@ def _packing_lp(
     m, n = a.shape
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
+    np.fill_diagonal(tab[:m, n:], 1.0)
     tab[:m, -1] = b
     tab[m, :n] = -c
-    basis = list(range(n, n + m))
+    cost, rhs = tab[m, :-1], tab[:m, -1]
+    basis = np.arange(n, n + m)
+    ratios = np.empty(m)
     while True:
-        entering = np.flatnonzero(tab[m, :-1] < -LP_TOL)
-        if entering.size == 0:
+        j = (cost < -LP_TOL).argmax()
+        if not cost[j] < -LP_TOL:
             break
-        j = entering[0]
-        rows = np.flatnonzero(tab[:m, j] > LP_TOL)
-        if rows.size == 0:
+        col = tab[:m, j]
+        rows = col > LP_TOL
+        if not rows.any():
             return None
-        ratios = tab[rows, -1] / tab[rows, j]
-        tied = rows[ratios <= ratios.min() + LP_TOL]
-        i = min(tied, key=basis.__getitem__)
+        ratios.fill(math.inf)
+        np.divide(rhs, col, out=ratios, where=rows)
+        i = np.where(ratios <= ratios.min() + LP_TOL, basis, n + m).argmin()
         tab[i] /= tab[i, j]
         pivot_col = tab[:, j].copy()
         pivot_col[i] = 0.0
-        tab -= np.outer(pivot_col, tab[i])
+        tab -= pivot_col[:, None] * tab[i]
         basis[i] = j
     x = np.zeros(n + m)
-    x[basis] = tab[:m, -1]
+    x[basis] = rhs
     return np.maximum(x[:n], 0.0), np.maximum(tab[m, n : n + m], 0.0)
 
 
 # -- inner evaluation ------------------------------------------------------
 
 
-def _evaluate_point(
+def _evaluate(
     n: np.ndarray,
     d: np.ndarray,
     c: np.ndarray,
     excluded: np.ndarray,
-    w: Sequence,
+    w: np.ndarray,
     sense: str,
-) -> tuple[float, list[float]]:
-    """Inner max (source) or min (channel) at a weight point over one
-    support's selectors, plus the per-selector ratios, skipping the excluded
-    endpoint selector."""
-    wf = [float(v) for v in w]
-    # the sums run in slot order, one slot at a time
-    d_val = sum(x * v for x, v in zip(d.tolist(), wf))
-    n_val = sum(n[:, j] * v for j, v in enumerate(wf))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inner max (source) or min (channel) over one support's selectors at
+    each weight point, a row of w [points, slots], skipping the excluded
+    endpoint selector, plus the per-selector ratios [points, selectors]."""
+    # the sums run in slot order: accumulate adds one slot at a time
+    d_val = np.add.accumulate(w * d, axis=1)[:, -1:]
+    n_val = np.add.accumulate(w[:, :, None] * n.T, axis=1)[:, -1]
     part = n_val / d_val if sense == "source" else (d_val - n_val) / d_val
     # the term over omega (source) or 1 - omega (channel); 0/0 -> 0, c/0 -> inf
-    ratios = [
-        (0.0 if x <= INFO_ZERO_TOL else math.inf) if y <= 0 else x / y
-        for x, y in zip(c.tolist(), part.tolist())
-    ]
+    ratios = np.where(c <= INFO_ZERO_TOL, 0.0, math.inf) * np.ones_like(part)
+    np.divide(c, part, out=ratios, where=part > 0)
     # Theta(S) holds the full selector and the one of depth zero on every
     # slot, which differ, so one of them is a candidate
-    candidates = [r for r, skip in zip(ratios, excluded.tolist()) if not skip]
-    value = max(candidates) if sense == "source" else min(candidates)
-    return value, ratios
+    if sense == "source":
+        values = np.max(ratios, axis=1, where=~excluded, initial=-math.inf)
+    else:
+        values = np.min(ratios, axis=1, where=~excluded, initial=math.inf)
+    return values, ratios
 
 
 # -- per-support linear program -------------------------------------------
@@ -367,8 +418,8 @@ def _solve_support(
         v, _ = _packing_lp(d - n[active], c[active], d)
 
     witness = tuple((v / v.sum()).tolist())
-    value, _ = _evaluate_point(n, d, c, excluded, witness, sense)
-    return value, witness
+    values, _ = _evaluate(n, d, c, excluded, np.array([witness]), sense)
+    return float(values[0]), witness
 
 
 # -- results ---------------------------------------------------------------
@@ -407,28 +458,58 @@ def optimize_weights(
     ``terms`` must cover every selector reachable from some support pattern,
     with finite nonnegative values.
     """
-    best = None
-    for support, rows, problem in _support_problems(spec, terms, sense):
-        res = _solve_support(*problem, sense)
-        if res is None:
-            continue
-        if (
-            best is None
-            or (sense == "source" and res[0] < best[0])
-            or (sense == "channel" and res[0] > best[0])
-        ):
-            best = (*res, support, rows, problem)
+    return _optimize(_SupportProblems(_Table(spec), terms, sense))
 
-    if best is None:
+
+def _optimize(problems: _SupportProblems) -> RateResult:
+    """Solve the supports that can still win and report the winner.
+
+    The source side solves every support.  The channel side visits them by
+    vertex bound, highest first (a stable order, so equal bounds stay
+    lexicographic), and stops at the first bound below the incumbent by more
+    than TIE_TOL: no later support can tie or win."""
+    sense = problems.sense
+    if sense == "source":
+        order = range(len(problems.table.supports))
+    else:
+        bounds = problems.vertex_bounds()
+        order = np.argsort(-bounds, kind="stable").tolist()
+    solved = {}
+    best = -math.inf
+    for i in order:
+        if sense == "channel" and bounds[i] < best * (1.0 - TIE_TOL):
+            break
+        res = _solve_support(*problems[i][1], sense)
+        if res is not None:
+            solved[i] = res
+            best = max(best, res[0])
+    if not solved:
         # only reachable when every support carries an everywhere-infinite term
         return RateResult(math.inf, None, (), (), (), sense)
+    i = _winner({i: value for i, (value, _) in solved.items()}, sense)
+    return _result(problems, i, solved[i][1])
 
-    _, witness, support, rows, problem = best
+
+def _winner(values: Mapping[int, float], sense: str) -> int:
+    """The lexicographically first support whose value is within a relative
+    TIE_TOL of the optimum, so ulp noise cannot reorder tied supports."""
+    opt = min(values.values()) if sense == "source" else max(values.values())
+    slack = TIE_TOL * abs(opt)
+    return min(i for i, v in values.items() if v == opt or abs(v - opt) <= slack)
+
+
+def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
+    """The result of support i at a witness: the inner optimum evaluated
+    there, its critical selectors and the per-selector table."""
+    table, sense = problems.table, problems.sense
+    spec, support = table.spec, table.supports[i]
+    rows, problem = problems[i]
     excluded = problem[3]
-    value, ratios = _evaluate_point(*problem, witness, sense)
+    values, ratios = _evaluate(*problem, np.array([witness]), sense)
+    value, ratios = float(values[0]), ratios[0].tolist()
     weights = WeightVector.from_mapping(spec, dict(zip(support, witness)))
     thetas = _thetas(spec, rows)
-    coeffs = _min_depths(spec.ring_levels, spec.weight_slots, rows).tolist()
+    coeffs = table.depths[table.members[i]].tolist()
     crit_tol = CRITICAL_TOL * (1.0 + abs(value))
     critical = tuple(
         th
@@ -439,7 +520,7 @@ def optimize_weights(
         PerThetaTerm(
             theta=th,
             omega=float(_omega(spec, weights.values, row)),
-            info_bits=terms[th],
+            info_bits=problems.terms[th],
             ratio_bits=ratio,
         )
         for th, row, ratio in zip(thetas, coeffs, ratios)
@@ -464,16 +545,24 @@ def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
     return dict(zip(thetas, _channel_terms(chan, thetas)))
 
 
+def _rate(data, sense: str) -> RateResult:
+    """One selector table for the terms and the optimization."""
+    table = _Table(data.group)
+    terms_of = _source_terms if sense == "source" else _channel_terms
+    terms = dict(zip(table.thetas, terms_of(data, table.thetas)))
+    return _optimize(_SupportProblems(table, terms, sense))
+
+
 def source_coding_rate(sj: SourceJoint) -> RateResult:
     """Source-coding group mutual information of a joint with uniform
     reconstruction marginal: min over weights of the max scaled coset term."""
-    return optimize_weights(sj.group, source_terms(sj), "source")
+    return _rate(sj, "source")
 
 
 def channel_coding_rate(chan: ChannelSpec) -> RateResult:
     """Channel-coding group mutual information of a channel with uniform
     input: max over weights of the min scaled coset term."""
-    return optimize_weights(chan.group, channel_terms(chan), "channel")
+    return _rate(chan, "channel")
 
 
 # -- closed forms for a single Z_{p^r} ring --------------------------------
@@ -513,16 +602,6 @@ def channel_rate_prime_power(chan: ChannelSpec) -> float:
 # -- grid oracle -----------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def grid_search(
     spec: GroupSpec,
     terms: Mapping[ThetaVector, float],
@@ -531,28 +610,32 @@ def grid_search(
 ) -> tuple[float, WeightVector]:
     """Independent exhaustive oracle: evaluate the inner optimum on every
     weight vector of the simplex grid with the given step count and return
-    the best value.  Slow but direct; used to cross-check the linear-program
-    solver."""
+    the best value.  Direct, with no linear program; used to cross-check the
+    solver.  Each covering support takes the grid points positive exactly on
+    it, evaluated GRID_BLOCK points at a time."""
+    problems = _SupportProblems(_Table(spec), terms, sense)
     slots = spec.weight_slots
-    problems = {
-        support: problem
-        for support, _, problem in _support_problems(spec, terms, sense)
-    }
     best_val: float | None = None
     best_w: tuple[float, ...] | None = None
-    for combo in _compositions(steps, len(slots)):
-        problem = problems.get(tuple(x for x, c in zip(slots, combo) if c > 0))
-        if problem is None:
-            continue  # some prime has no weight
-        w = tuple(c / steps for c in combo if c > 0)
-        value, _ = _evaluate_point(*problem, w, sense)
-        if (
-            best_val is None
-            or (sense == "source" and value < best_val)
-            or (sense == "channel" and value > best_val)
-        ):
-            best_val = value
-            best_w = tuple(c / steps for c in combo)
+    for i, support in enumerate(problems.table.supports):
+        _, problem = problems[i]
+        k = len(support)
+        # a positive composition of steps is k - 1 distinct cuts in 1..steps-1
+        cuts = itertools.combinations(range(1, steps), k - 1)
+        while block := list(itertools.islice(cuts, GRID_BLOCK)):
+            edges = np.array(block, dtype=np.int64).reshape(len(block), k - 1)
+            w = np.diff(edges, axis=1, prepend=0, append=steps) / steps
+            values, _ = _evaluate(*problem, w, sense)
+            at = int(values.argmin() if sense == "source" else values.argmax())
+            value = float(values[at])
+            if (
+                best_val is None
+                or (sense == "source" and value < best_val)
+                or (sense == "channel" and value > best_val)
+            ):
+                best_val = value
+                point = dict(zip(support, w[at].tolist()))
+                best_w = tuple(point.get(slot, 0.0) for slot in slots)
     if best_val is None:
         raise SolverError("grid contains no valid weight vector")
     return best_val, WeightVector(spec, best_w)

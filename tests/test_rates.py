@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from groupcodes import (
     ChannelSpec,
+    RateResult,
     SourceJoint,
     ThetaVector,
     WeightVector,
@@ -28,13 +29,25 @@ from groupcodes import (
 )
 from groupcodes.groups import _min_depths
 from groupcodes.rates import (
+    INFO_ZERO_TOL,
+    TIE_TOL,
     _covering_supports,
+    _packing_lp,
+    _result,
+    _solve_support,
+    _SupportProblems,
+    _Table,
     all_reachable_thetas,
     channel_terms,
     source_terms,
 )
 
-from conftest import make_rng, random_channel, random_source_joint
+from conftest import (
+    make_rng,
+    random_additive_channel,
+    random_channel,
+    random_source_joint,
+)
 
 
 # -- induced selectors and theta sets ---------------------------------------
@@ -556,3 +569,191 @@ def test_grid_oracle_agrees_small():
         sgrid, _ = grid_search(spec, sterms, "source", steps=steps)
         assert sres.value <= sgrid + 1e-9
         assert abs(sres.value - sgrid) < 5e-3
+
+
+def inner_optimum(spec, terms, sense, weights) -> float:
+    """The inner max (source) or min (channel) at a weight vector, from the
+    public omega over Theta of its support, with the 0/0 -> 0 convention."""
+    ratios = []
+    for th in enumerate_theta_set(spec, weights.support):
+        if th.is_zero() if sense == "source" else th.is_full():
+            continue
+        w = float(omega(spec, weights, th))
+        frac = w if sense == "source" else 1.0 - w
+        if frac <= 0:
+            ratios.append(0.0 if terms[th] <= INFO_ZERO_TOL else math.inf)
+        else:
+            ratios.append(terms[th] / frac)
+    return max(ratios) if sense == "source" else min(ratios)
+
+
+def grid_by_loop(spec, terms, sense, steps) -> float:
+    """The grid oracle one point at a time, over every composition of steps
+    into the weight slots whose support covers every prime."""
+    best = None
+    for combo in itertools.product(range(steps + 1), repeat=len(spec.weight_slots)):
+        if sum(combo) != steps:
+            continue
+        weights = WeightVector(spec, tuple(c / steps for c in combo))
+        if {q for q, _ in weights.support} != set(spec.primes):
+            continue
+        value = inner_optimum(spec, terms, sense, weights)
+        if best is None or (value < best if sense == "source" else value > best):
+            best = value
+    return best
+
+
+@pytest.mark.parametrize("orders, steps", [([8], 30), ([2, 4], 20), ([4, 3], 12)])
+def test_grid_oracle_matches_loop(orders, steps):
+    # the array oracle finds the loop's value at a grid point that reaches it
+    spec = decompose(orders).spec
+    rng = make_rng(61 + steps)
+    for sense, terms in (
+        ("channel", channel_terms(random_channel(spec, 4, rng))),
+        ("source", source_terms(random_source_joint(spec, 4, rng))),
+    ):
+        value, weights = grid_search(spec, terms, sense, steps=steps)
+        assert abs(value - grid_by_loop(spec, terms, sense, steps)) <= 1e-12
+        assert all(abs(w * steps - round(w * steps)) <= 1e-9 for w in weights.values)
+        assert abs(inner_optimum(spec, terms, sense, weights) - value) <= 1e-12
+
+
+# -- pruning, tie-break and the linear program -------------------------------
+
+
+def unpruned_scan(problems):
+    """Every support solved in lexicographic order; the winner is the first
+    support whose value is within a relative 1e-12 of the optimum."""
+    solved = {}
+    for i in range(len(problems.table.supports)):
+        res = _solve_support(*problems[i][1], problems.sense)
+        if res is not None:
+            solved[i] = res
+    values = [value for value, _ in solved.values()]
+    opt = min(values) if problems.sense == "source" else max(values)
+    first = min(
+        i
+        for i, (value, _) in solved.items()
+        if value == opt or abs(value - opt) <= 1e-12 * abs(opt)
+    )
+    return _result(problems, first, solved[first][1]), solved
+
+
+@st.composite
+def channel_case(draw):
+    """Terms of a random or additive-noise channel (many ties) over a random
+    group of up to three cyclic factors."""
+    orders = draw(
+        st.lists(st.sampled_from([2, 3, 4, 8, 9, 16]), min_size=1, max_size=3)
+    )
+    spec = decompose(orders).spec
+    assume(len(spec.weight_slots) <= 6 and spec.order <= 288)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        chan = random_additive_channel(spec, rng)
+    else:
+        chan = random_channel(spec, draw(st.integers(2, 5)), rng)
+    return spec, channel_terms(chan)
+
+
+def assert_matches_unpruned_scan(spec, terms):
+    problems = _SupportProblems(_Table(spec), terms, "channel")
+    expected, solved = unpruned_scan(problems)
+    got = optimize_weights(spec, terms, "channel")
+    for field in RateResult.__dataclass_fields__:
+        assert getattr(got, field) == getattr(expected, field), field
+    bounds = problems.vertex_bounds()
+    for i, (value, _) in solved.items():
+        assert bounds[i] >= value * (1 - 1e-12)
+        if len(problems.table.supports[i]) == 1:
+            # the face of a single slot is one point, where the bound is met
+            assert abs(bounds[i] - value) <= 1e-12 * value
+
+
+@given(channel_case())
+def test_pruned_channel_optimum_matches_unpruned_scan_property(case):
+    assert_matches_unpruned_scan(*case)
+
+
+@pytest.mark.parametrize(
+    "orders, sixths",
+    [([16], [3, 4, 3, 1, 0]), ([2, 8], [6, 5, 2, 5, 5, 0])],
+)
+def test_pruning_margin_keeps_ties(orders, sixths):
+    # terms in sixths tie several supports to within ulps; an earlier support
+    # whose vertex bound rounds just below the optimum must still be solved
+    spec = decompose(orders).spec
+    thetas = all_reachable_thetas(spec)
+    assert_matches_unpruned_scan(spec, {th: k / 6 for th, k in zip(thetas, sixths)})
+
+
+def test_channel_visits_supports_best_first(monkeypatch):
+    # supports are solved by vertex bound, highest first, equal bounds in
+    # lexicographic order, until a bound falls below the incumbent
+    spec = decompose([64, 81]).spec
+    terms = channel_terms(random_channel(spec, 4, make_rng(3)))
+    problems = _SupportProblems(_Table(spec), terms, "channel")
+    bounds = problems.vertex_bounds()
+    visited = []
+    getitem = _SupportProblems.__getitem__
+
+    def record(self, i):
+        visited.append(i)
+        return getitem(self, i)
+
+    monkeypatch.setattr(_SupportProblems, "__getitem__", record)
+    result = optimize_weights(spec, terms, "channel")
+    *visited, winner = visited  # the last slice builds the result
+    order = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))
+    assert visited == order[: len(visited)]
+    assert problems.table.supports[winner] == result.support
+    assert 0 < len(visited) < len(bounds)
+    assert all(bounds[i] < result.value * (1 - TIE_TOL) for i in order[len(visited) :])
+
+
+@pytest.mark.parametrize(
+    "orders, seed", [([8], 0), ([2, 8], 5), ([16], 1), ([4, 3], 0)]
+)
+def test_ulp_move_keeps_support(orders, seed):
+    # supports tying to a few ulps are ordered lexicographically, not by the
+    # rounding of the terms
+    spec = decompose(orders).spec
+    terms = channel_terms(random_channel(spec, 4, make_rng(seed)))
+    support = optimize_weights(spec, terms, "channel").support
+    for th in terms:
+        for direction in (-math.inf, math.inf):
+            moved = dict(terms)
+            moved[th] = float(np.nextafter(terms[th], direction))
+            assert optimize_weights(spec, moved, "channel").support == support
+
+
+@pytest.mark.parametrize("orders", [[8], [2, 4], [4, 3], [9, 4], [2, 4, 8], [8, 9]])
+def test_packing_lp_matches_highs(orders):
+    # both objectives of every channel and source LP against an independent
+    # solver
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    spec = decompose(orders).spec
+    rng = make_rng(71 + spec.order)
+    cases = (
+        ("channel", channel_terms(random_channel(spec, 4, rng))),
+        ("source", source_terms(random_source_joint(spec, 4, rng))),
+    )
+    solved = 0
+    for sense, terms in cases:
+        problems = _SupportProblems(_Table(spec), terms, sense)
+        for i in range(len(problems.table.supports)):
+            _, (n, d, c, excluded) = problems[i]
+            active = ~excluded & (c > INFO_ZERO_TOL)
+            if sense == "channel":
+                a, b, gain = d - n[active], c[active], d
+            elif n[active].any(axis=1).all() and active.any():
+                a, b, gain = n[active].T, d, c[active]
+            else:
+                continue  # no LP on this support
+            x, y = _packing_lp(a, b, gain)
+            ref = linprog(-gain, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
+            assert ref.status == 0
+            assert abs(gain @ x + ref.fun) <= 1e-9
+            assert abs(b @ y + ref.fun) <= 1e-9
+            solved += 1
+    assert solved
