@@ -280,6 +280,7 @@ def cmd_simulate(args) -> int:
     spec = problem.decomposition.spec
     counts = _parse_counts(args.counts, len(spec.weight_slots))
     _require_positive(args.n, "--n")
+    _require_positive(args.trials, "--trials")
     ig = InputGroup(spec, counts)
     report = mc_channel_error(ig, args.n, problem.channel, args.trials, args.seed)
     doc = {
@@ -376,6 +377,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 2**64:
+            raise ValidationError(f"--seed must be in [0, 2**64), got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -175,12 +175,18 @@ def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
 
 
 def _sample_tables(
-    ig: InputGroup, n: int, rng: np.random.Generator, size: tuple[int, ...] = ()
+    ig: InputGroup,
+    n: int,
+    rng: np.random.Generator | list[np.random.Generator],
+    size: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """``size`` tables drawn from the ensemble, [*size, k, n, c]."""
-    return _tables(
-        ig, n, lambda bounds: rng.integers(0, bounds, size=size + bounds.shape)
-    )
+    """``size`` tables drawn from the ensemble, [*size, k, n, c]; given a
+    list of generators, one table drawn from each, [len(rng), k, n, c]."""
+    if isinstance(rng, np.random.Generator):
+        return _tables(
+            ig, n, lambda bounds: rng.integers(0, bounds, size=size + bounds.shape)
+        )
+    return _tables(ig, n, lambda bounds: np.array([g.integers(0, bounds) for g in rng]))
 
 
 def _sample_table(
@@ -199,6 +205,11 @@ def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     return (images % _allowed_step(ig)[:, None, :] != 0) | (images < 0) | (
         images >= moduli
     )
+
+
+def _check_blocklength(n: int) -> None:
+    if n < 1:
+        raise ValueError("blocklength must be >= 1")
 
 
 def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
@@ -253,8 +264,7 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     """Draw a homomorphism table from the ensemble: each admissible generator
     image component uniform on its allowed subgroup, dither uniform on the
     group, all reproducible from the 64-bit seed (counter-based generator)."""
-    if n < 1:
-        raise ValueError("blocklength must be >= 1")
+    _check_blocklength(n)
     rng = np.random.Generator(np.random.Philox(seed))
     images, dither = _sample_table(ig, n, rng)
     g_spec = ig.group
@@ -376,6 +386,7 @@ def verify_pairwise_law(
     cap; otherwise seeded sampling of tables with a total variation threshold
     of 3 * sqrt(|H_theta|^n / samples).
     """
+    _check_blocklength(n)
     g_spec = ig.group
     gn = g_spec.order**n
     a = ig.element(a)
@@ -426,13 +437,38 @@ class MonteCarloReport:
         return self.errors / self.trials
 
 
+def _trial_draws(
+    ig: InputGroup, n: int, children: list[np.random.SeedSequence], messages: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One Philox stream per child, drawn in order: table images [B, k, n, c],
+    dither [B, n, c], message index [B], one uniform per coordinate [B, n].
+    The generators are dropped on return."""
+    rngs = [np.random.Generator(np.random.Philox(child)) for child in children]
+    moduli = ig.group.moduli
+    dither_bounds = np.broadcast_to(moduli, (n, len(moduli)))
+    images = _checked(ig, _sample_tables(ig, n, rngs))
+    dither = np.array([g.integers(0, dither_bounds) for g in rngs])
+    sent = np.array([g.integers(0, messages) for g in rngs])
+    return images, dither, sent, np.array([g.random(n) for g in rngs])
+
+
 def mc_channel_error(
     ig: InputGroup, n: int, chan: ChannelSpec, trials: int, seed: int
 ) -> MonteCarloReport:
     """Empirical block-error rate of the shifted random code under exhaustive
     maximum-likelihood decoding, averaged over freshly sampled (table,
     dither, message, noise) per trial.  Ties decode to the lowest message
-    index, so the result is deterministic given the seed."""
+    index, so the result is deterministic given the seed.
+
+    Trial t draws from its own Philox stream, child t of
+    ``SeedSequence(seed)``: the table digits, the dither, the message index,
+    then one uniform u per coordinate; the output is the first y whose
+    cumulative W(. | x) exceeds u, which is how ``Generator.choice`` draws.
+    The streams of a block of trials are drawn first; encoding, the
+    injectivity test and decoding then run as arrays over the block, with
+    block x messages x n x rings at most SIZE_CAP cells.  The report is bit
+    for bit that of one trial at a time."""
+    _check_blocklength(n)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     if ig.size * chan.group.order**n > SIZE_CAP:
@@ -442,27 +478,27 @@ def mc_channel_error(
     moduli = ig.group.moduli
     messages = _grid(ig.spec.moduli)
     w = chan.matrix
-    ny = chan.output_size
-    errors = 0
-    injective_trials = 0
-    injective_errors = 0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.Generator(np.random.Philox(child))
-        images, dither = _sample_table(ig, n, rng)
-        codewords = _encode(messages, _checked(ig, images), dither, moduli)
-        codebook = np.ravel_multi_index(np.moveaxis(codewords, -1, 0), moduli)
-        injective = len(np.unique(codebook, axis=0)) == len(messages)
-        m_idx = int(rng.integers(0, len(messages)))
-        y = np.array(
-            [rng.choice(ny, p=w[xi]) for xi in codebook[m_idx]], dtype=np.intp
+    cdf = w.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    # at least 1: messages * |G|^n is within the cap and n * rings <= |G|^n
+    block = SIZE_CAP // (len(messages) * n * len(moduli))
+    children = np.random.SeedSequence(seed).spawn(trials)
+    errors = injective_trials = injective_errors = 0
+    for start in range(0, trials, block):
+        images, dither, sent, u = _trial_draws(
+            ig, n, children[start : start + block], len(messages)
         )
-        likelihood = w[codebook, y].prod(axis=1)
-        decoded = int(np.argmax(likelihood))
-        wrong = decoded != m_idx
-        errors += wrong
-        if injective:
-            injective_trials += 1
-            injective_errors += wrong
+        codewords = _encode(messages, images[:, None], dither[:, None], moduli)
+        codebook = np.ravel_multi_index(np.moveaxis(codewords, -1, 0), moduli)
+        words = np.ravel_multi_index(np.moveaxis(codebook, -1, 0), (len(w),) * n)
+        injective = (np.diff(np.sort(words, axis=1), axis=1) != 0).all(axis=1)
+        x = codebook[np.arange(len(sent)), sent]  # [B, n]
+        y = (cdf[x] <= u[..., None]).sum(axis=-1)
+        likelihood = w[codebook, y[:, None, :]].prod(axis=-1)  # [B, messages]
+        wrong = likelihood.argmax(axis=1) != sent
+        errors += int(wrong.sum())
+        injective_trials += int(injective.sum())
+        injective_errors += int(wrong[injective].sum())
     return MonteCarloReport(
         trials, errors, seed, ig.rate_bits(n), injective_trials, injective_errors
     )
@@ -486,6 +522,7 @@ def lemma_suite(
     Exhaustive wherever the space allows; the pairwise law falls back to
     seeded sampling above the enumeration cap.
     """
+    _check_blocklength(n)
     checks: list[LemmaCheck] = []
     rng = np.random.Generator(np.random.Philox(seed))
 

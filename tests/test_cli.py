@@ -304,12 +304,23 @@ def test_simulate(capsys, merged_channel_file):
         ["verify-ensemble", "4", "--counts", "0,1", "--n", "0"],
         ["verify-ensemble", "4", "--counts", "0,1", "--trials", "0"],
         ["simulate", "{chan}", "--counts", "0,1", "--n", "0"],
+        ["simulate", "{chan}", "--counts", "0,1", "--trials", "0"],
+        ["simulate", "{chan}", "--counts", "0,1", "--seed", "-1"],
+        ["simulate", "{chan}", "--counts", "0,1", "--seed", str(2**64)],
+        ["verify-ensemble", "4", "--counts", "0,1", "--seed", "-1"],
     ],
 )
 def test_numeric_arguments_validated(capsys, merged_channel_file, argv):
+    # every case ends with the offending flag and its value
     argv = [a.format(chan=merged_channel_file) for a in argv]
     code, out, err = run_cli(capsys, argv)
-    assert code == 2 and out == "" and "must be >= 1" in err
+    assert code == 2 and out == "" and f"{argv[-2]} must be" in err
+
+
+def test_largest_seed_accepted(capsys, merged_channel_file):
+    argv = ["simulate", merged_channel_file, "--counts", "0,1", "--trials", "5"]
+    code, out, _ = run_cli(capsys, argv + ["--seed", str(2**64 - 1)])
+    assert code == 0 and "trials: 5" in out
 
 
 def test_problem_roundtrip_idempotent(merged_channel_file):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from groupcodes import ChannelSpec, GroupSpec, Subgroup, ThetaVector, decompose
@@ -565,6 +565,87 @@ def test_congruence_representation_invariance():
 # -- Monte Carlo --------------------------------------------------------------
 
 
+def mc_oracle(ig: InputGroup, n: int, chan: ChannelSpec, trials: int, seed: int):
+    """The Monte Carlo simulation one trial at a time: per trial its own
+    Philox stream, the table and dither, the message, one ``choice`` per
+    coordinate for the channel output, then ML decoding of that trial."""
+    moduli = ig.group.moduli
+    messages = ensemble._grid(ig.spec.moduli)
+    w = chan.matrix
+    ny = chan.output_size
+    errors = 0
+    injective_trials = 0
+    injective_errors = 0
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.Philox(child))
+        images, dither = ensemble._sample_table(ig, n, rng)
+        codewords = ensemble._encode(
+            messages, ensemble._checked(ig, images), dither, moduli
+        )
+        codebook = np.ravel_multi_index(np.moveaxis(codewords, -1, 0), moduli)
+        injective = len(np.unique(codebook, axis=0)) == len(messages)
+        m_idx = int(rng.integers(0, len(messages)))
+        y = np.array(
+            [rng.choice(ny, p=w[xi]) for xi in codebook[m_idx]], dtype=np.intp
+        )
+        likelihood = w[codebook, y].prod(axis=1)
+        decoded = int(np.argmax(likelihood))
+        wrong = decoded != m_idx
+        errors += wrong
+        if injective:
+            injective_trials += 1
+            injective_errors += wrong
+    return ensemble.MonteCarloReport(
+        trials, errors, seed, ig.rate_bits(n), injective_trials, injective_errors
+    )
+
+
+@st.composite
+def mc_case(draw):
+    """A configuration within the simulation cap, with a random, identity or
+    uniform channel (the last two make likelihood ties)."""
+    orders = draw(st.sampled_from([[2], [3], [4], [8], [9], [2, 2], [4, 3]]))
+    spec = decompose(orders).spec
+    slots = len(spec.weight_slots)
+    counts = draw(
+        st.lists(st.integers(0, 3), min_size=slots, max_size=slots).filter(any)
+    )
+    ig = InputGroup(spec, tuple(counts))
+    n = draw(st.integers(1, 3))
+    assume(ig.size * spec.order**n <= ensemble.SIZE_CAP)
+    kind = draw(st.sampled_from(["random", "identity", "uniform"]))
+    ny = spec.order if kind == "identity" else draw(st.integers(1, 5))
+    if kind == "identity":
+        matrix = np.eye(ny)
+    elif kind == "uniform":
+        matrix = np.full((spec.order, ny), 1 / ny)
+    else:
+        rng = make_rng(draw(st.integers(0, 2**32)))
+        matrix = rng.dirichlet(np.ones(ny), size=spec.order)
+        matrix[rng.random(matrix.shape) < 0.3] = 0  # zero entries, even rows
+        matrix[:, 0] += matrix.sum(axis=1) == 0
+        matrix /= matrix.sum(axis=1, keepdims=True)
+    chan = ChannelSpec(spec, matrix)
+    return ig, n, chan, draw(st.integers(1, 30)), draw(st.integers(0, 2**64 - 1))
+
+
+@given(mc_case())
+def test_mc_matches_oracle_property(case):
+    assert mc_channel_error(*case) == mc_oracle(*case)
+
+
+def test_mc_matches_oracle_over_blocks():
+    # 2^10 messages of 10 coordinates: 102 trials per block, three blocks
+    spec = decompose([2]).spec
+    ig = InputGroup(spec, (10,))
+    n, trials = 10, 250
+    assert 2 * ensemble.SIZE_CAP // (ig.size * n) < trials
+    chan = ChannelSpec(spec, [[0.9, 0.1], [0.1, 0.9]])
+    rep = mc_channel_error(ig, n, chan, trials, seed=13)
+    assert rep == mc_oracle(ig, n, chan, trials, seed=13)
+    assert 0 < rep.injective_trials < trials
+
+
 def test_mc_identity_channel_injective_errors():
     spec = decompose([4]).spec
     chan = ChannelSpec(spec, np.eye(4))
@@ -627,6 +708,21 @@ def test_mc_reports_pinned(orders, counts, n, noise, seed, trials, expected):
     chan = additive_noise_channel(spec, noise)
     rep = mc_channel_error(ig, n, chan, trials=trials, seed=seed)
     assert (rep.errors, rep.injective_trials, rep.injective_errors) == expected
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_blocklength_validated(n):
+    ig = ig_of([4], {(2, 2): 1})
+    chan = ChannelSpec(ig.group, np.eye(4))
+    calls = [
+        lambda: sample_hom(ig, n, 0),
+        lambda: mc_channel_error(ig, n, chan, trials=5, seed=0),
+        lambda: verify_pairwise_law(ig, n, [0], [1]),
+        lambda: lemma_suite(ig, n),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="blocklength must be >= 1"):
+            call()
 
 
 def test_mc_cap():

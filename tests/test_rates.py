@@ -324,6 +324,41 @@ def test_prime_power_closed_forms_match_solver(orders):
         ) < 1e-8
 
 
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.integers(0, 2**32),
+)
+def test_field_case_reduces_to_plain_mi_property(p, ny, nx, seed):
+    # a prime field has one ring level, so both rates are the full term
+    spec = decompose([p]).spec
+    rng = make_rng(seed)
+    chan = random_channel(spec, ny, rng)
+    assert abs(
+        channel_coding_rate(chan).value - mutual_information(chan.uniform_joint())
+    ) < 1e-9
+    sj = random_source_joint(spec, nx, rng)
+    assert abs(source_coding_rate(sj).value - mutual_information(sj.joint)) < 1e-9
+
+
+@given(
+    st.sampled_from([2, 4, 8, 16, 32, 3, 9, 27, 5, 25]),
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.integers(0, 2**32),
+)
+def test_prime_power_closed_forms_match_solver_property(order, ny, nx, seed):
+    spec = decompose([order]).spec
+    rng = make_rng(seed)
+    chan = random_channel(spec, ny, rng)
+    assert abs(
+        channel_coding_rate(chan).value - channel_rate_prime_power(chan)
+    ) < 1e-8
+    sj = random_source_joint(spec, nx, rng)
+    assert abs(source_coding_rate(sj).value - source_rate_prime_power(sj)) < 1e-8
+
+
 def test_z4_closed_form_examples():
     spec = decompose([4]).spec
     chan = ChannelSpec(spec, np.eye(4))
