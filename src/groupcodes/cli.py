@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
 import time
 from fractions import Fraction
@@ -22,11 +21,13 @@ from .measures import ValidationError
 from .problems import (
     ChannelProblem,
     SourceProblem,
+    fmt_number,
     load_problem,
     parse_group_string,
     rate_record,
     record_to_json,
     record_to_text,
+    theta_csv_header,
     theta_csv_rows,
 )
 from .rates import (
@@ -129,7 +130,7 @@ def cmd_group_info(args) -> int:
             list(dec.from_canonical(x)) for x in spec.elements()
         ]
     if args.json:
-        sys.stdout.write(json.dumps(info, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(record_to_json(info))
         return EXIT_OK
     lines = [
         f"group: {','.join(str(n) for n in dec.orders)}",
@@ -205,13 +206,8 @@ def cmd_theta_table(args) -> int:
         for t in thetas
     ]
     if args.csv:
-        header = [f"theta_{p}_{r}" for p, r in spec.ring_levels] + [
-            "omega",
-            "info_bits",
-            "ratio_bits",
-        ]
-        csv_rows = [header] + [
-            [str(c) for c in row["theta"]] + [f"{row['omega']:.9f}", "", ""]
+        csv_rows = [theta_csv_header(spec.ring_levels)] + [
+            [str(c) for c in row["theta"]] + [fmt_number(row["omega"]), "", ""]
             for row in rows
         ]
         _write_csv(args.csv, csv_rows)
@@ -222,16 +218,16 @@ def cmd_theta_table(args) -> int:
         "rows": rows,
     }
     if args.json:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(record_to_json(doc))
     else:
         lines = [
             f"group: {','.join(str(n) for n in dec.orders)}",
             "support: " + " ".join(f"({q},{s})" for q, s in support),
-            "weights: " + " ".join(f"{float(v):.9f}" for v in values),
+            "weights: " + " ".join(fmt_number(v) for v in values),
         ]
         for row in rows:
             theta = "(" + ",".join(str(c) for c in row["theta"]) + ")"
-            lines.append(f"  theta={theta} omega={row['omega']:.9f}")
+            lines.append(f"  theta={theta} omega={fmt_number(row['omega'])}")
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -261,7 +257,7 @@ def cmd_verify_ensemble(args) -> int:
             ],
             "passed": all(c.passed for c in checks),
         }
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(record_to_json(doc))
     else:
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
@@ -294,7 +290,7 @@ def cmd_simulate(args) -> int:
         "seed": report.seed,
     }
     if args.json:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(record_to_json(doc))
     else:
         sys.stdout.write(
             f"code rate: {report.code_rate_bits:.9f} bits\n"

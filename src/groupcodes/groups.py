@@ -134,10 +134,12 @@ class GroupSpec:
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * len(self.rings))
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> Iterator["GroupElement"]:
+    def elements(self) -> Iterator["GroupElement"]:
         """All elements in canonical (lexicographic residue vector) order."""
-        if self.order > cap:
-            raise ValueError(f"group order {self.order} exceeds enumeration cap {cap}")
+        if self.order > ENUMERATION_CAP:
+            raise ValueError(
+                f"group order {self.order} exceeds enumeration cap {ENUMERATION_CAP}"
+            )
         for tup in itertools.product(*(range(n) for n in self.moduli)):
             yield GroupElement(self, tup)
 
@@ -341,9 +343,11 @@ class Subgroup:
     def __contains__(self, x: GroupElement) -> bool:
         return self.coset_label(x) == (0,) * len(self.spec.rings)
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> Iterator[GroupElement]:
-        if self.order > cap:
-            raise ValueError(f"subgroup order {self.order} exceeds cap {cap}")
+    def elements(self) -> Iterator[GroupElement]:
+        if self.order > ENUMERATION_CAP:
+            raise ValueError(
+                f"subgroup order {self.order} exceeds cap {ENUMERATION_CAP}"
+            )
         ranges = [
             range(0, n, q) for n, q in zip(self.spec.moduli, self._label_moduli)
         ]

@@ -185,11 +185,6 @@ class SourceJoint:
     def source_size(self) -> int:
         return self.joint.shape[0]
 
-    def expected_distortion(self) -> float | None:
-        if self.distortion is None:
-            return None
-        return float((self.joint * self.distortion).sum())
-
 
 def _split_shape(spec: GroupSpec, theta: ThetaVector) -> tuple[Subgroup, tuple]:
     """The subgroup of theta, and the shape that splits each ring axis p^r of

@@ -162,10 +162,10 @@ def problem_to_doc(problem) -> dict:
 LN2 = math.log(2.0)
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.9f}"
+def fmt_number(value) -> str:
+    """Nine decimals; an infinite value, float or the record's "inf", prints
+    as inf."""
+    return f"{float(value):.9f}"
 
 
 def _json_safe(value: float):
@@ -183,7 +183,7 @@ def rate_record(
     """Deterministic record of a rate computation; no wall-clock fields, so
     identical inputs reproduce identical bytes."""
     scale = 1.0 if units == "bits" else LN2
-    spec = result.weights.spec if result.weights is not None else None
+    spec = result.weights.spec
     record = {
         "command": command,
         "group": list(orders),
@@ -194,9 +194,7 @@ def rate_record(
         "weights": [
             [q, s, float(w)]
             for (q, s), w in zip(spec.weight_slots, result.weights.values)
-        ]
-        if result.weights is not None
-        else [],
+        ],
         "critical_thetas": [list(t.components) for t in result.critical_thetas],
         "per_theta": [
             {
@@ -219,12 +217,10 @@ def record_to_json(record: dict) -> str:
 
 def record_to_text(record: dict) -> str:
     lines = [f"group: {','.join(str(n) for n in record['group'])}"]
-    value = record["value"]
-    value_str = "inf" if value == "inf" else f"{value:.9f}"
-    lines.append(f"{record['kind']} ({record['units']}): {value_str}")
-    if record["weights"]:
-        parts = [f"w[{q},{s}]={w:.9f}" for q, s, w in record["weights"]]
-        lines.append("optimal weights: " + " ".join(parts))
+    value = fmt_number(record["value"])
+    lines.append(f"{record['kind']} ({record['units']}): {value}")
+    parts = [f"w[{q},{s}]={fmt_number(w)}" for q, s, w in record["weights"]]
+    lines.append("optimal weights: " + " ".join(parts))
     if record["critical_thetas"]:
         shown = " ".join(
             "(" + ",".join(str(c) for c in t) + ")" for t in record["critical_thetas"]
@@ -233,13 +229,10 @@ def record_to_text(record: dict) -> str:
     lines.append("theta table:")
     for term in record["per_theta"]:
         theta = "(" + ",".join(str(c) for c in term["theta"]) + ")"
-        info = term["info"]
-        ratio = term["ratio"]
-        info_str = "inf" if info == "inf" else f"{info:.9f}"
-        ratio_str = "inf" if ratio == "inf" else f"{ratio:.9f}"
-        lines.append(
-            f"  theta={theta} omega={term['omega']:.9f} info={info_str} ratio={ratio_str}"
+        omega, info, ratio = (
+            fmt_number(term[key]) for key in ("omega", "info", "ratio")
         )
+        lines.append(f"  theta={theta} omega={omega} info={info} ratio={ratio}")
     for key in sorted(record):
         if key in (
             "command",
@@ -257,18 +250,16 @@ def record_to_text(record: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def theta_csv_header(levels: list[tuple[int, int]]) -> list[str]:
+    """The stable column contract: theta components, omega, info_bits,
+    ratio_bits."""
+    return [f"theta_{p}_{r}" for p, r in levels] + ["omega", "info_bits", "ratio_bits"]
+
+
 def theta_csv_rows(record: dict, levels: list[tuple[int, int]]) -> list[list[str]]:
-    """Per-theta table as CSV rows with the stable column contract:
-    theta components, omega, info_bits, ratio_bits."""
-    header = [f"theta_{p}_{r}" for p, r in levels] + ["omega", "info_bits", "ratio_bits"]
-    rows = [header]
-    for term in record["per_theta"]:
-        rows.append(
-            [str(c) for c in term["theta"]]
-            + [
-                _fmt(term["omega"]),
-                "inf" if term["info"] == "inf" else _fmt(term["info"]),
-                "inf" if term["ratio"] == "inf" else _fmt(term["ratio"]),
-            ]
-        )
-    return rows
+    """Per-theta table as CSV rows under theta_csv_header."""
+    return [theta_csv_header(levels)] + [
+        [str(c) for c in term["theta"]]
+        + [fmt_number(term[key]) for key in ("omega", "info", "ratio")]
+        for term in record["per_theta"]
+    ]

@@ -7,13 +7,14 @@ value does not change when w is scaled, so for a fixed support the inner
 problem is one linear-fractional program; the Charnes-Cooper substitution
 turns it into one packing linear program, solved by a small dense simplex.
 The outer optimization ranges over the support patterns that give every prime
-of the group at least one slot.  The source side solves each of them.  The
-channel side visits them best-first by a vertex bound: a single selector's
-ratio c_theta / (1 - omega_theta) is linear-fractional, so its maximum on
-the face S sits at a vertex, and the least of these over Theta(S) bounds the
-support's optimum; once a bound falls below the incumbent by the relative
-tie tolerance, no later support can tie or win.  Supports whose values agree
-to that tolerance tie, and the lexicographically first wins.
+of the group at least one slot, visited best-first by a vertex bound.  A
+single selector's ratio is linear-fractional, so its extremes on the face S
+sit at vertices: the source bound is the largest over Theta(S) of
+c_theta / max omega_theta, the channel bound the least of
+c_theta / (1 - max omega_theta), and neither side's optimum on S can beat
+its bound.  Once a bound falls short of the incumbent by the relative tie
+tolerance, no later support can tie or win.  Supports whose values agree to
+that tolerance tie, and the lexicographically first wins.
 Each rate call builds one selector table, used for the terms and for every
 support's linear program, which is sliced from it; Theta(S) is the set of
 selectors theta whose least inducing depths m(theta) on S induce them back.
@@ -49,8 +50,8 @@ LP_TOL = 1e-12
 # Relative slack when collecting the thetas that attain the inner optimum.
 CRITICAL_TOL = 1e-7
 # Supports whose values agree to this relative tolerance tie, and the
-# lexicographically first wins; a channel support is skipped only when its
-# vertex bound is below the incumbent by this margin, so it cannot tie.
+# lexicographically first wins; a support is skipped only when its vertex
+# bound falls short of the incumbent by this margin, so it cannot tie.
 TIE_TOL = 1e-12
 # Grid points the oracle evaluates in one array computation, which bounds its
 # memory for any step count.
@@ -256,7 +257,8 @@ class _SupportProblems:
     terms, rejecting missing or invalid terms; support i's slice is taken on
     demand: (the selectors of Theta(S), and n = m(theta) log2 q on S,
     D = s log2 q on S, the terms and the sense's excluded endpoint
-    selector)."""
+    selector).  ``sign`` states the outer direction: +1 maximises (channel),
+    -1 minimises (source), so sign * value is larger when better."""
 
     def __init__(
         self, table: _Table, terms: Mapping[ThetaVector, float], sense: str
@@ -271,6 +273,7 @@ class _SupportProblems:
             if not math.isfinite(c) or c < -1e-12:
                 raise ValueError(f"information term for {th.components} is {c}")
         self.table, self.terms, self.sense = table, terms, sense
+        self.sign = 1 if sense == "channel" else -1
         self.c = np.full(len(table.grid), math.nan)
         self.c[table.reachable] = [terms[th] for th in thetas]
         # the zero selector is the grid's first row, the full selector its last
@@ -288,22 +291,26 @@ class _SupportProblems:
         return self.table.grid[rows], problem
 
     def vertex_bounds(self) -> np.ndarray:
-        """UB(S) of the channel LP on every support: the min over the active
-        theta in Theta(S) of c_theta / (1 - max over j in S of
-        m_j(theta)/s_j), the max of that selector's ratio on the face S,
-        which omega_theta, linear-fractional, reaches at a vertex.  A term at
-        or below INFO_ZERO_TOL bounds by 0, a selector reaching omega = 1 at
-        a vertex by +inf."""
-        table = self.table
+        """The bound of every support that its optimum cannot beat.  On the
+        face S, a selector's omega_theta is linear-fractional, so it is
+        largest at a vertex, top = max over j in S of m_j(theta)/s_j.  The
+        source bound LB(S) is the max over the active theta in Theta(S) of
+        c_theta / top, the channel bound UB(S) the min of
+        c_theta / (1 - top).  A term at or below INFO_ZERO_TOL bounds by 0, a
+        zero denominator by +inf: a source support with LB(S) = +inf has a
+        term that is infinite for every weight choice."""
+        table, sign = self.table, self.sign
         s = np.array([s for _, s in table.spec.weight_slots])
         top = np.zeros(table.members.shape)
         for j in range(len(s)):  # one slot at a time, [supports, n] at most
             frac = np.where(table.columns[:, [j]], table.depths[:, j] / s[j], 0.0)
             np.maximum(top, frac, out=top)
+        part = top if sign < 0 else 1.0 - top
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(self.c <= INFO_ZERO_TOL, 0.0, self.c / (1.0 - top))
-        bound[:, self.excluded] = math.inf
-        return np.where(table.members, bound, math.inf).min(axis=1)
+            bound = np.where(self.c <= INFO_ZERO_TOL, 0.0, self.c / part)
+        counted = table.members & ~self.excluded
+        # the max (source) or min (channel) over the counted selectors
+        return sign * np.where(counted, sign * bound, math.inf).min(axis=1)
 
 
 # -- linear programming ----------------------------------------------------
@@ -311,14 +318,14 @@ class _SupportProblems:
 
 def _packing_lp(
     a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Maximise c.x subject to A x <= b, x >= 0, for b >= 0.
 
     A dense tableau simplex started at the feasible origin, with Bland's
     rule (lowest-index entering column, lowest-index leaving basic variable
     among the tied ratios), which cannot cycle.  Returns the primal optimum x
-    and the dual optimum y (the reduced costs of the slack columns), or None
-    when the LP is unbounded.
+    and the dual optimum y (the reduced costs of the slack columns); raises
+    SolverError when the LP is unbounded.
     """
     m, n = a.shape
     tab = np.zeros((m + 1, n + m + 1))
@@ -336,7 +343,7 @@ def _packing_lp(
         col = tab[:m, j]
         rows = col > LP_TOL
         if not rows.any():
-            return None
+            raise SolverError("unbounded packing LP")
         ratios.fill(math.inf)
         np.divide(rhs, col, out=ratios, where=rows)
         i = np.where(ratios <= ratios.min() + LP_TOL, basis, n + m).argmin()
@@ -389,10 +396,9 @@ def _solve_support(
     c: np.ndarray,
     excluded: np.ndarray,
     sense: str,
-) -> tuple[float, tuple[float, ...]] | None:
+) -> tuple[float, tuple[float, ...]]:
     """Optimize one support pattern, given its slice of the selector table;
-    returns the value and the witness, or None for a source support on which
-    some term is infinite for every weight choice.
+    returns the value and the witness.
 
     With v = w * rate / (D.w) the inner problem becomes one packing LP:
     channel, rate = max D.v subject to (D - N_theta).v <= c_theta; source,
@@ -404,10 +410,10 @@ def _solve_support(
     active = ~excluded & (c > INFO_ZERO_TOL)
 
     if sense == "source":
-        if not n[active].any(axis=1).all():
-            return None  # infinite term for every w on this support
         if not active.any():
             return 0.0, uniform
+        # bounded when every active row of N is nonzero on the support, which
+        # is when its vertex bound is finite
         _, v = _packing_lp(n[active].T, d, c[active])
     else:
         if (c[~excluded] <= INFO_ZERO_TOL).any():
@@ -440,7 +446,7 @@ class RateResult:
     per-selector term table at the witness."""
 
     value: float
-    weights: WeightVector | None
+    weights: WeightVector
     critical_thetas: tuple[ThetaVector, ...]
     per_theta: tuple[PerThetaTerm, ...]
     support: tuple[tuple[int, int], ...]
@@ -464,38 +470,32 @@ def optimize_weights(
 def _optimize(problems: _SupportProblems) -> RateResult:
     """Solve the supports that can still win and report the winner.
 
-    The source side solves every support.  The channel side visits them by
-    vertex bound, highest first (a stable order, so equal bounds stay
-    lexicographic), and stops at the first bound below the incumbent by more
-    than TIE_TOL: no later support can tie or win."""
-    sense = problems.sense
-    if sense == "source":
-        order = range(len(problems.table.supports))
-    else:
-        bounds = problems.vertex_bounds()
-        order = np.argsort(-bounds, kind="stable").tolist()
+    Values and bounds are compared signed, sign * value, so larger is better
+    in both senses.  Supports are visited by bound, best first (a stable
+    order, so equal bounds stay lexicographic), until a bound falls short of
+    the incumbent by more than TIE_TOL: no later support can tie or win.  The
+    full support's bound is finite, so a source support whose term is
+    infinite for every weight choice sorts after it and is never solved."""
+    sign = problems.sign
+    bounds = sign * problems.vertex_bounds()
     solved = {}
     best = -math.inf
-    for i in order:
-        if sense == "channel" and bounds[i] < best * (1.0 - TIE_TOL):
+    for i in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[i] < best - TIE_TOL * abs(best):
             break
-        res = _solve_support(*problems[i][1], sense)
-        if res is not None:
-            solved[i] = res
-            best = max(best, res[0])
-    if not solved:
-        # only reachable when every support carries an everywhere-infinite term
-        return RateResult(math.inf, None, (), (), (), sense)
-    i = _winner({i: value for i, (value, _) in solved.items()}, sense)
+        value, witness = _solve_support(*problems[i][1], problems.sense)
+        solved[i] = sign * value, witness
+        best = max(best, sign * value)
+    i = _winner({i: value for i, (value, _) in solved.items()})
     return _result(problems, i, solved[i][1])
 
 
-def _winner(values: Mapping[int, float], sense: str) -> int:
-    """The lexicographically first support whose value is within a relative
-    TIE_TOL of the optimum, so ulp noise cannot reorder tied supports."""
-    opt = min(values.values()) if sense == "source" else max(values.values())
+def _winner(values: Mapping[int, float]) -> int:
+    """The lexicographically first support whose signed value is within a
+    relative TIE_TOL of the best, so ulp noise cannot reorder tied supports."""
+    opt = max(values.values())
     slack = TIE_TOL * abs(opt)
-    return min(i for i, v in values.items() if v == opt or abs(v - opt) <= slack)
+    return min(i for i, v in values.items() if abs(v - opt) <= slack)
 
 
 def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
@@ -614,7 +614,7 @@ def grid_search(
     solver.  Each covering support takes the grid points positive exactly on
     it, evaluated GRID_BLOCK points at a time."""
     problems = _SupportProblems(_Table(spec), terms, sense)
-    slots = spec.weight_slots
+    sign, slots = problems.sign, spec.weight_slots
     best_val: float | None = None
     best_w: tuple[float, ...] | None = None
     for i, support in enumerate(problems.table.supports):
@@ -626,13 +626,9 @@ def grid_search(
             edges = np.array(block, dtype=np.int64).reshape(len(block), k - 1)
             w = np.diff(edges, axis=1, prepend=0, append=steps) / steps
             values, _ = _evaluate(*problem, w, sense)
-            at = int(values.argmin() if sense == "source" else values.argmax())
+            at = int((sign * values).argmax())
             value = float(values[at])
-            if (
-                best_val is None
-                or (sense == "source" and value < best_val)
-                or (sense == "channel" and value > best_val)
-            ):
+            if best_val is None or sign * value > sign * best_val:
                 best_val = value
                 point = dict(zip(support, w[at].tolist()))
                 best_w = tuple(point.get(slot, 0.0) for slot in slots)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 
 from groupcodes import ChannelSpec, GroupSpec, SourceJoint, decompose
 
+# CLI child processes import the package from this checkout, as the tests do.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 # Property tests replay the same examples on every run and stay inside the
 # suite's time budget.

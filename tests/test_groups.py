@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcodes import GroupSpec, Subgroup, ThetaVector, decompose
+from groupcodes import GroupSpec, Subgroup, ThetaVector, decompose, groups
 from groupcodes.groups import GroupElement, factorize
 
 
@@ -218,10 +218,14 @@ def test_element_index_roundtrip():
         assert spec.element_at(i) == x
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(groups, "ENUMERATION_CAP", 2)
     spec = decompose([4]).spec
     with pytest.raises(ValueError):
-        list(spec.elements(cap=2))
+        list(spec.elements())
+    with pytest.raises(ValueError):
+        list(Subgroup(spec, ThetaVector.zero(spec)).elements())
+    assert len(list(Subgroup(spec, ThetaVector(spec, (1,))).elements())) == 2
 
 
 def test_groupspec_validation():

@@ -31,6 +31,7 @@ from groupcodes.groups import _min_depths
 from groupcodes.rates import (
     INFO_ZERO_TOL,
     TIE_TOL,
+    SolverError,
     _covering_supports,
     _packing_lp,
     _result,
@@ -657,13 +658,14 @@ def test_grid_oracle_matches_loop(orders, steps):
 
 
 def unpruned_scan(problems):
-    """Every support solved in lexicographic order; the winner is the first
-    support whose value is within a relative 1e-12 of the optimum."""
+    """Every support with a finite bound solved in lexicographic order; the
+    winner is the first support whose value is within a relative 1e-12 of
+    the optimum."""
+    bounds = problems.vertex_bounds()
     solved = {}
     for i in range(len(problems.table.supports)):
-        res = _solve_support(*problems[i][1], problems.sense)
-        if res is not None:
-            solved[i] = res
+        if bounds[i] < math.inf:
+            solved[i] = _solve_support(*problems[i][1], problems.sense)
     values = [value for value, _ in solved.values()]
     opt = min(values) if problems.sense == "source" else max(values)
     first = min(
@@ -674,15 +676,22 @@ def unpruned_scan(problems):
     return _result(problems, first, solved[first][1]), solved
 
 
-@st.composite
-def channel_case(draw):
-    """Terms of a random or additive-noise channel (many ties) over a random
-    group of up to three cyclic factors."""
+def draw_group(draw):
+    """A random group of up to three cyclic factors, small enough to solve
+    every support."""
     orders = draw(
         st.lists(st.sampled_from([2, 3, 4, 8, 9, 16]), min_size=1, max_size=3)
     )
     spec = decompose(orders).spec
     assume(len(spec.weight_slots) <= 6 and spec.order <= 288)
+    return spec
+
+
+@st.composite
+def channel_case(draw):
+    """Terms of a random or additive-noise channel (many ties) over a random
+    group."""
+    spec = draw_group(draw)
     rng = make_rng(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         chan = random_additive_channel(spec, rng)
@@ -691,35 +700,58 @@ def channel_case(draw):
     return spec, channel_terms(chan)
 
 
-def assert_matches_unpruned_scan(spec, terms):
-    problems = _SupportProblems(_Table(spec), terms, "channel")
+@st.composite
+def source_case(draw):
+    """Terms of a random source joint over a random group."""
+    spec = draw_group(draw)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    return spec, source_terms(random_source_joint(spec, draw(st.integers(2, 5)), rng))
+
+
+def assert_matches_unpruned_scan(spec, terms, sense):
+    problems = _SupportProblems(_Table(spec), terms, sense)
     expected, solved = unpruned_scan(problems)
-    got = optimize_weights(spec, terms, "channel")
+    got = optimize_weights(spec, terms, sense)
     for field in RateResult.__dataclass_fields__:
         assert getattr(got, field) == getattr(expected, field), field
-    bounds = problems.vertex_bounds()
+    # the channel bound is an upper bound, the source bound a lower one
+    bounds = problems.sign * problems.vertex_bounds()
     for i, (value, _) in solved.items():
-        assert bounds[i] >= value * (1 - 1e-12)
+        assert bounds[i] >= problems.sign * value - 1e-12 * value
         if len(problems.table.supports[i]) == 1:
             # the face of a single slot is one point, where the bound is met
-            assert abs(bounds[i] - value) <= 1e-12 * value
+            assert abs(bounds[i] - problems.sign * value) <= 1e-12 * value
 
 
 @given(channel_case())
 def test_pruned_channel_optimum_matches_unpruned_scan_property(case):
-    assert_matches_unpruned_scan(*case)
+    assert_matches_unpruned_scan(*case, "channel")
+
+
+@given(source_case())
+def test_pruned_source_optimum_matches_unpruned_scan_property(case):
+    assert_matches_unpruned_scan(*case, "source")
 
 
 @pytest.mark.parametrize(
     "orders, sixths",
-    [([16], [3, 4, 3, 1, 0]), ([2, 8], [6, 5, 2, 5, 5, 0])],
+    [
+        ([16], [3, 4, 3, 1, 0]),
+        ([2, 8], [6, 5, 2, 5, 5, 0]),
+        ([32], [0, 1, 4, 0, 5, 0]),
+        ([2, 16], [0, 2, 0, 5, 4, 0, 5, 3]),
+    ],
 )
 def test_pruning_margin_keeps_ties(orders, sixths):
     # terms in sixths tie several supports to within ulps; an earlier support
-    # whose vertex bound rounds just below the optimum must still be solved
+    # whose vertex bound rounds just past the optimum must still be solved
+    # (the first two cases need the margin on the channel side, the last two
+    # on the source side)
     spec = decompose(orders).spec
     thetas = all_reachable_thetas(spec)
-    assert_matches_unpruned_scan(spec, {th: k / 6 for th, k in zip(thetas, sixths)})
+    terms = {th: k / 6 for th, k in zip(thetas, sixths)}
+    for sense in ("channel", "source"):
+        assert_matches_unpruned_scan(spec, terms, sense)
 
 
 def test_channel_visits_supports_best_first(monkeypatch):
@@ -746,6 +778,50 @@ def test_channel_visits_supports_best_first(monkeypatch):
     assert all(bounds[i] < result.value * (1 - TIE_TOL) for i in order[len(visited) :])
 
 
+def test_source_visits_supports_best_first(monkeypatch):
+    # supports are solved by vertex bound, lowest first, equal bounds in
+    # lexicographic order, until a bound rises above the incumbent; the
+    # supports with an infinite bound are never solved
+    spec = decompose([64, 81]).spec
+    terms = source_terms(random_source_joint(spec, 4, make_rng(3)))
+    problems = _SupportProblems(_Table(spec), terms, "source")
+    bounds = problems.vertex_bounds()
+    visited = []
+    getitem = _SupportProblems.__getitem__
+
+    def record(self, i):
+        visited.append(i)
+        return getitem(self, i)
+
+    monkeypatch.setattr(_SupportProblems, "__getitem__", record)
+    result = optimize_weights(spec, terms, "source")
+    *visited, winner = visited  # the last slice builds the result
+    order = sorted(range(len(bounds)), key=lambda i: (bounds[i], i))
+    assert visited == order[: len(visited)]
+    assert problems.table.supports[winner] == result.support
+    assert 0 < len(visited) < len(bounds)
+    assert all(bounds[i] < math.inf for i in visited)
+    assert all(bounds[i] > result.value * (1 + TIE_TOL) for i in order[len(visited) :])
+
+
+@given(
+    st.lists(
+        st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 64, 81]),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_full_support_source_bound_is_finite_property(orders):
+    # with every term active, each nonzero selector has a nonzero least depth
+    # on the full support, so the best-first loop always solves a support
+    # before any whose term is infinite for every weight choice
+    spec = decompose(orders).spec
+    table = _Table(spec)
+    problems = _SupportProblems(table, {th: 1.0 for th in table.thetas}, "source")
+    full = table.supports.index(tuple(sorted(spec.weight_slots)))
+    assert problems.vertex_bounds()[full] < math.inf
+
+
 @pytest.mark.parametrize(
     "orders, seed", [([8], 0), ([2, 8], 5), ([16], 1), ([4, 3], 0)]
 )
@@ -760,6 +836,12 @@ def test_ulp_move_keeps_support(orders, seed):
             moved = dict(terms)
             moved[th] = float(np.nextafter(terms[th], direction))
             assert optimize_weights(spec, moved, "channel").support == support
+
+
+def test_packing_lp_raises_when_unbounded():
+    # max x subject to -x <= 1
+    with pytest.raises(SolverError, match="unbounded packing LP"):
+        _packing_lp(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("orders", [[8], [2, 4], [4, 3], [9, 4], [2, 4, 8], [8, 9]])
