@@ -277,6 +277,8 @@ def cmd_simulate(args) -> int:
     counts = _parse_counts(args.counts, len(spec.weight_slots))
     _require_positive(args.n, "--n")
     _require_positive(args.trials, "--trials")
+    if args.trials > 2**32:  # one trial per single-word SeedSequence spawn key
+        raise ValidationError(f"--trials must be <= 2**32, got {args.trials}")
     ig = InputGroup(spec, counts)
     report = mc_channel_error(ig, args.n, problem.channel, args.trials, args.seed)
     doc = {

@@ -175,27 +175,22 @@ def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
 
 
 def _sample_tables(
-    ig: InputGroup,
-    n: int,
-    rng: np.random.Generator | list[np.random.Generator],
-    size: tuple[int, ...] = (),
+    ig: InputGroup, n: int, rng, size: tuple[int, ...] = ()
 ) -> np.ndarray:
-    """``size`` tables drawn from the ensemble, [*size, k, n, c]; given a
-    list of generators, one table drawn from each, [len(rng), k, n, c]."""
-    if isinstance(rng, np.random.Generator):
-        return _tables(
-            ig, n, lambda bounds: rng.integers(0, bounds, size=size + bounds.shape)
-        )
-    return _tables(ig, n, lambda bounds: np.array([g.integers(0, bounds) for g in rng]))
+    """``size`` tables drawn from the ensemble by ``rng.integers``, [*size,
+    k, n, c]; ``rng`` is a Generator or a _PhiloxStreams (size[0] streams)."""
+    return _tables(
+        ig, n, lambda bounds: rng.integers(0, bounds, size=size + bounds.shape)
+    )
 
 
 def _sample_table(
-    ig: InputGroup, n: int, rng: np.random.Generator
+    ig: InputGroup, n: int, rng, size: tuple[int, ...] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One table's generator images [k, n, c], then its dither [n, c]."""
-    images = _sample_tables(ig, n, rng)
+    """Generator images [*size, k, n, c], then the dither [*size, n, c]."""
+    images = _sample_tables(ig, n, rng, size)
     moduli = ig.group.moduli
-    return images, rng.integers(0, np.broadcast_to(moduli, (n, len(moduli))))
+    return images, rng.integers(0, moduli, size=size + (n, len(moduli)))
 
 
 def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
@@ -437,19 +432,162 @@ class MonteCarloReport:
         return self.errors / self.trials
 
 
+# Trial t of a simulation draws from Generator(Philox(child t of
+# SeedSequence(seed))).  Both algorithms are counter-based or pure hashes, so
+# the streams of a block of trials are computed here as arrays, word for word
+# what the generator objects would produce (the constants are numpy's
+# SeedSequence and Random123's Philox4x64-10).
+
+_U32 = np.uint32
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+
+
+def _child_keys(seq: np.random.SeedSequence, first: int, count: int) -> np.ndarray:
+    """Philox keys [count, 2] of children first, ..., first + count - 1 of
+    ``seq`` (an integer-entropy SeedSequence that has spawned nothing): row i
+    is ``seq.spawn(first + count)[first + i].generate_state(2, np.uint64)``.
+
+    A child's entropy is the parent's, zero-padded to the 4-word pool, then
+    its spawn word t (one word while t < 2**32).  So its pool is the parent's
+    pool with t mixed into every word, the hash constant continuing after the
+    parent's 4 + 12 + 4 * (words - 4)+ hashmix steps."""
+    words = max(1, -(-int(seq.entropy).bit_length() // 32))
+    step = 16 + 4 * max(0, words - 4)
+    t = np.arange(first, first + count, dtype=np.int64).astype(_U32)
+    pool = []
+    for word in seq.pool.tolist():
+        hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, step, 2**32) % 2**32
+        step += 1
+        mixed = (t ^ _U32(hash_const)) * _U32(hash_const * _HASH_MULT_A % 2**32)
+        mixed ^= mixed >> _U32(16)
+        mixed = _U32(_MIX_MULT_L * word % 2**32) - _U32(_MIX_MULT_R) * mixed
+        pool.append(mixed ^ (mixed >> _U32(16)))
+    # generate_state(2, uint64): four hashed pool words, little-endian pairs
+    hash_const = _HASH_INIT_B
+    state = []
+    for word in pool:
+        word = word ^ _U32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B % 2**32
+        word = word * _U32(hash_const)
+        state.append((word ^ (word >> _U32(16))).astype(_U64))
+    return np.stack(
+        [state[0] | state[1] << _U64(32), state[2] | state[3] << _U64(32)], axis=-1
+    )
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * b, over 32-bit halves."""
+    a_lo, a_hi = _U64(a & 0xFFFFFFFF), _U64(a >> 32)
+    b_lo, b_hi = b & _LOW32, b >> _U64(32)
+    cross_lo, cross_hi = a_lo * b_hi, a_hi * b_lo
+    carry = ((a_lo * b_lo) >> _U64(32)) + (cross_lo & _LOW32) + (cross_hi & _LOW32)
+    high = (
+        a_hi * b_hi
+        + (cross_lo >> _U64(32))
+        + (cross_hi >> _U64(32))
+        + (carry >> _U64(32))
+    )
+    return high, b * _U64(a)
+
+
+def _philox(keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """Philox4x64-10 output words [B, 4 * blocks] for keys [B, 2] at
+    counters first, ..., first + blocks - 1: Philox(key=key) starts at
+    counter 1, so counter c holds its words 4(c - 1) to 4c - 1."""
+    counters = np.arange(first, first + blocks, dtype=np.int64).astype(_U64)
+    zero = np.zeros(blocks, dtype=_U64)
+    x = [counters, zero, zero, zero]
+    key0, key1 = keys[:, :1], keys[:, 1:]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key0, key1 = key0 + _PHILOX_BUMP[0], key1 + _PHILOX_BUMP[1]
+        hi0, lo0 = _mulhilo(_PHILOX_MULT[0], x[0])
+        hi1, lo1 = _mulhilo(_PHILOX_MULT[1], x[2])
+        x = [hi1 ^ x[1] ^ key0, lo1, hi0 ^ x[3] ^ key1, lo0]
+    x = [np.broadcast_to(lane, (len(keys), blocks)) for lane in x]
+    return np.stack(x, axis=-1).reshape(len(keys), 4 * blocks)
+
+
+class _PhiloxStreams:
+    """``Generator(Philox(key=key))`` for every row of keys [B, 2] at once:
+    ``integers`` and ``random`` return [B, *size[1:]], row b being what the
+    same call on stream b's generator returns.
+
+    The streams' words are computed as far as the draws reach.  A 32-bit
+    draw takes the low half of a fresh word and keeps its high half for the
+    next one; ``integers(0, b)`` is Lemire's (u * b) >> 32, rejecting u when
+    (u * b) mod 2**32 < 2**32 mod b, which shifts that stream's later draws;
+    ``random`` takes fresh words w, (w >> 11) * 2**-53."""
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self._keys = keys
+        self._words = np.zeros((len(keys), 0), dtype=_U64)
+        self._next = np.zeros(len(keys), dtype=np.int64)  # next fresh word
+        self._kept = np.full(len(keys), -1)  # the kept high half, or -1
+
+    def _upto(self, words: int) -> np.ndarray:
+        """The words computed so far, at least ``words`` per stream."""
+        have = self._words.shape[1] // 4
+        if 4 * have < words:
+            blocks = max(-(-words // 4), 2 * have) - have
+            more = _philox(self._keys, have + 1, blocks)
+            self._words = np.concatenate([self._words, more], axis=1)
+        return self._words
+
+    def integers(self, low, high, size: tuple[int, ...]) -> np.ndarray:
+        span = np.broadcast_to(np.asarray(high) - low, size[1:]).ravel()
+        if not (2 <= span.min() and span.max() <= 2**32):
+            raise ValueError("ranges must hold 2 to 2**32 integers")
+        span = span.astype(_U64)
+        reject_below = (_U64(2**32) - span) % span
+        later = np.arange(span.size)
+        kept = (self._kept >= 0)[:, None]
+        order = np.zeros((len(self._keys), 1), dtype=np.int64) + later
+        while True:
+            # draw i takes the order[i]-th unused half, the kept one first
+            at = 2 * self._next[:, None] + order - kept
+            at = np.where(kept & (order == 0), self._kept[:, None], at)
+            words = self._upto(int(at.max()) // 2 + 1)
+            word = np.take_along_axis(words, at >> 1, axis=1)
+            u = (word >> (_U64(32) * (at & 1).astype(_U64))) & _LOW32
+            product = u * span
+            rejected = (product & _LOW32) < reject_below
+            if not rejected.any():
+                break
+            first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), span.size)
+            order += later >= first[:, None]
+        fresh = order[:, -1] + 1 - kept[:, 0]  # fresh halves taken
+        self._kept = np.where(fresh % 2 == 1, 2 * self._next + fresh, -1)
+        self._next = self._next + (fresh + 1) // 2
+        draws = (product >> _U64(32)).astype(np.int64) + low
+        return draws.reshape((len(self._keys),) + size[1:])
+
+    def random(self, size: tuple[int, ...]) -> np.ndarray:
+        count = math.prod(size[1:])
+        at = self._next[:, None] + np.arange(count)
+        words = np.take_along_axis(self._upto(int(at.max()) + 1), at, axis=1)
+        self._next = self._next + count
+        uniform = (words >> _U64(11)).astype(np.float64) * 2.0**-53
+        return uniform.reshape((len(self._keys),) + size[1:])
+
+
 def _trial_draws(
-    ig: InputGroup, n: int, children: list[np.random.SeedSequence], messages: int
+    ig: InputGroup, n: int, keys: np.ndarray, messages: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One Philox stream per child, drawn in order: table images [B, k, n, c],
-    dither [B, n, c], message index [B], one uniform per coordinate [B, n].
-    The generators are dropped on return."""
-    rngs = [np.random.Generator(np.random.Philox(child)) for child in children]
-    moduli = ig.group.moduli
-    dither_bounds = np.broadcast_to(moduli, (n, len(moduli)))
-    images = _checked(ig, _sample_tables(ig, n, rngs))
-    dither = np.array([g.integers(0, dither_bounds) for g in rngs])
-    sent = np.array([g.integers(0, messages) for g in rngs])
-    return images, dither, sent, np.array([g.random(n) for g in rngs])
+    """Each key's Philox stream, drawn in order: table images [B, k, n, c],
+    dither [B, n, c], message index [B], one uniform per coordinate [B, n]."""
+    streams = _PhiloxStreams(keys)
+    size = (len(keys),)
+    images, dither = _sample_table(ig, n, streams, size)
+    sent = streams.integers(0, messages, size)
+    return _checked(ig, images), dither, sent, streams.random(size + (n,))
 
 
 def mc_channel_error(
@@ -460,21 +598,25 @@ def mc_channel_error(
     dither, message, noise) per trial.  Ties decode to the lowest message
     index, so the result is deterministic given the seed.
 
-    Trial t draws from its own Philox stream, child t of
-    ``SeedSequence(seed)``: the table digits, the dither, the message index,
-    then one uniform u per coordinate; the output is the first y whose
+    Trial t (t < trials <= 2**32) draws from its own Philox4x64-10 stream,
+    keyed by child t of ``SeedSequence(seed)``, an integer seed: the table
+    digits, the dither and the message index, each ``(u * b) >> 32`` on the
+    stream's 32-bit halves (Lemire's rejection), then one uniform u per
+    coordinate from the next full words; the output is the first y whose
     cumulative W(. | x) exceeds u, which is how ``Generator.choice`` draws.
-    The streams of a block of trials are drawn first; encoding, the
-    injectivity test and decoding then run as arrays over the block, with
+    The keys and words of a block of trials are computed as arrays, and
+    encoding, the injectivity test and decoding run over the block, with
     block x messages x n x rings at most SIZE_CAP cells.  The report is bit
-    for bit that of one trial at a time."""
+    for bit that of one ``Generator(Philox(child))`` per trial, drawn one
+    trial at a time; it depends only on the SeedSequence and Philox
+    algorithms, not on how ``Generator``'s methods are implemented."""
     _check_blocklength(n)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     if ig.size * chan.group.order**n > SIZE_CAP:
         raise ValueError("codebook times space size exceeds the simulation cap")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= 2**32:
+        raise ValueError(f"trials must be in [1, 2**32], got {trials}")
     moduli = ig.group.moduli
     messages = _grid(ig.spec.moduli)
     w = chan.matrix
@@ -482,12 +624,11 @@ def mc_channel_error(
     cdf /= cdf[:, -1:]
     # at least 1: messages * |G|^n is within the cap and n * rings <= |G|^n
     block = SIZE_CAP // (len(messages) * n * len(moduli))
-    children = np.random.SeedSequence(seed).spawn(trials)
+    seq = np.random.SeedSequence(seed)
     errors = injective_trials = injective_errors = 0
     for start in range(0, trials, block):
-        images, dither, sent, u = _trial_draws(
-            ig, n, children[start : start + block], len(messages)
-        )
+        keys = _child_keys(seq, start, min(block, trials - start))
+        images, dither, sent, u = _trial_draws(ig, n, keys, len(messages))
         codewords = _encode(messages, images[:, None], dither[:, None], moduli)
         codebook = np.ravel_multi_index(np.moveaxis(codewords, -1, 0), moduli)
         words = np.ravel_multi_index(np.moveaxis(codebook, -1, 0), (len(w),) * n)

@@ -305,6 +305,7 @@ def test_simulate(capsys, merged_channel_file):
         ["verify-ensemble", "4", "--counts", "0,1", "--trials", "0"],
         ["simulate", "{chan}", "--counts", "0,1", "--n", "0"],
         ["simulate", "{chan}", "--counts", "0,1", "--trials", "0"],
+        ["simulate", "{chan}", "--counts", "0,1", "--trials", str(2**32 + 1)],
         ["simulate", "{chan}", "--counts", "0,1", "--seed", "-1"],
         ["simulate", "{chan}", "--counts", "0,1", "--seed", str(2**64)],
         ["verify-ensemble", "4", "--counts", "0,1", "--seed", "-1"],

@@ -646,6 +646,63 @@ def test_mc_matches_oracle_over_blocks():
     assert 0 < rep.injective_trials < trials
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1, 2**130 + 17])
+@pytest.mark.parametrize("first,count", [(0, 5), (3, 4)])
+def test_child_keys_match_spawn(seed, first, count):
+    children = np.random.SeedSequence(seed).spawn(first + count)[first:]
+    expected = [child.generate_state(2, np.uint64) for child in children]
+    got = ensemble._child_keys(np.random.SeedSequence(seed), first, count)
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("m", [1, 6, 11])
+def test_philox_words_match_random_raw(m):
+    keys = ensemble._child_keys(np.random.SeedSequence(5), 0, 3)
+    raw = np.array([np.random.Philox(key=key).random_raw(m + 8) for key in keys])
+    blocks = -(-m // 4)
+    np.testing.assert_array_equal(ensemble._philox(keys, 1, blocks)[:, :m], raw[:, :m])
+    # counter 3 holds words 8 to 11
+    np.testing.assert_array_equal(ensemble._philox(keys, 3, blocks)[:, :m], raw[:, 8:])
+
+
+@pytest.mark.parametrize(
+    "bounds,n",
+    [
+        ([5, 2, 9], 4),  # odd: random starts past the kept high half
+        ([3, 4, 2**32, 7, 6, 2], 3),
+        # near 2**31 about half the words are rejected, shifting later draws
+        ([2**31 + 1, 2**31 + 3, 3 * 2**30 + 5, 2**32 - 1, 2**31 + 7], 5),
+    ],
+)
+def test_streams_match_generator(bounds, n):
+    keys = ensemble._child_keys(np.random.SeedSequence(11), 0, 40)
+    streams = ensemble._PhiloxStreams(keys)
+    size = (len(keys), len(bounds))
+    got = [streams.integers(0, np.array(bounds), size), streams.random((len(keys), n))]
+    got.append(streams.integers(0, np.array(bounds[:2]), (len(keys), 2)))
+    for b, key in enumerate(keys):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        assert got[0][b].tolist() == [rng.integers(0, bound) for bound in bounds]
+        assert got[1][b].tolist() == rng.random(n).tolist()
+        assert got[2][b].tolist() == [rng.integers(0, bound) for bound in bounds[:2]]
+    if bounds[0] > 2**31:  # without rejections: 3 words, n, then 1
+        assert streams._next.max() > 3 + n + 1
+
+
+def test_mc_seed_contract():
+    ig = ig_of([4, 3], {(2, 1): 1, (3, 1): 1})
+    chan = additive_noise_channel(ig.group, [0.7] + [0.3 / 11] * 11)
+    for seed in (np.int64(3), 2**70):
+        case = (ig, 2, chan, 20, seed)
+        assert mc_channel_error(*case) == mc_oracle(*case)
+    with pytest.raises(ValueError):
+        mc_channel_error(ig, 2, chan, 20, -1)
+    with pytest.raises(TypeError):
+        mc_channel_error(ig, 2, chan, 20, 1.5)
+    with pytest.raises(ValueError, match="trials"):
+        mc_channel_error(ig, 2, chan, 2**32 + 1, 0)
+
+
 def test_mc_identity_channel_injective_errors():
     spec = decompose([4]).spec
     chan = ChannelSpec(spec, np.eye(4))
