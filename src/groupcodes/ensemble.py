@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -119,7 +120,7 @@ class HomomorphismTable:
     blocklength: int
     images: tuple[tuple[GroupElement, ...], ...]
     dither: tuple[GroupElement, ...]
-    seed: int | None = None
+    seed: int = 0  # the sample_hom seed; 0 for a table built directly
 
     def __post_init__(self) -> None:
         n = self.blocklength
@@ -202,6 +203,17 @@ def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_seed(seed) -> None:
+    """A seed must be an integer in [0, 2**64): None would draw fresh OS
+    entropy, and no result could be repeated."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _check_blocklength(n: int) -> None:
     if n < 1:
         raise ValueError("blocklength must be >= 1")
@@ -260,6 +272,7 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     image component uniform on its allowed subgroup, dither uniform on the
     group, all reproducible from the 64-bit seed (counter-based generator)."""
     _check_blocklength(n)
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     images, dither = _sample_table(ig, n, rng)
     g_spec = ig.group
@@ -320,17 +333,6 @@ def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     }
 
 
-def count_t_theta(ig: InputGroup, a, theta: ThetaVector) -> int:
-    """Exact size of {b : pair_theta(a, b) = theta}, from the census."""
-    return theta_census(ig, a).get(theta, 0)
-
-
-def brute_theta_set(ig: InputGroup, a=None) -> frozenset[ThetaVector]:
-    """Selectors with a nonempty census class; must equal the enumerated
-    theta set of the support."""
-    return frozenset(theta_census(ig, a))
-
-
 def t_theta_bound(ig: InputGroup, theta: ThetaVector) -> int:
     """The census upper bound: product over slots of q^((s - coeff) * count)."""
     slots = ig.group.weight_slots
@@ -379,8 +381,18 @@ def verify_pairwise_law(
     are those of w on the |H_theta|^n cells of H_theta^n.  Exhaustive (exact,
     zero tolerance) whenever the (generators, dither) space fits under the
     cap; otherwise seeded sampling of tables with a total variation threshold
-    of 3 * sqrt(|H_theta|^n / samples).
+    of 3 * sqrt(|H_theta|^n / samples), drawn from an integer seed in
+    [0, 2**64).
     """
+    _check_seed(seed)
+    return _pairwise_law(ig, n, a, b, samples, seed)
+
+
+def _pairwise_law(
+    ig: InputGroup, n: int, a, b, samples: int, seed: int
+) -> PairwiseLawReport:
+    """verify_pairwise_law for any integer seed: lemma_suite offsets its seed
+    per pair, which may pass 2**64."""
     _check_blocklength(n)
     g_spec = ig.group
     gn = g_spec.order**n
@@ -611,6 +623,7 @@ def mc_channel_error(
     trial at a time; it depends only on the SeedSequence and Philox
     algorithms, not on how ``Generator``'s methods are implemented."""
     _check_blocklength(n)
+    _check_seed(seed)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     if ig.size * chan.group.order**n > SIZE_CAP:
@@ -664,6 +677,7 @@ def lemma_suite(
     seeded sampling above the enumeration cap.
     """
     _check_blocklength(n)
+    _check_seed(seed)
     checks: list[LemmaCheck] = []
     rng = np.random.Generator(np.random.Philox(seed))
 
@@ -718,7 +732,7 @@ def lemma_suite(
                  pool[int(rng.integers(0, len(pool)))]) for _ in range(16)]
         pairs = flat
     reports = [
-        verify_pairwise_law(ig, n, a, b, samples=max(samples, 1024), seed=seed + i)
+        _pairwise_law(ig, n, a, b, max(samples, 1024), seed + i)
         for i, (a, b) in enumerate(pairs)
     ]
     failed = [r for r in reports if not r.passed]
@@ -753,7 +767,8 @@ def lemma_suite(
         )
     )
 
-    # congruence solver against brute force
+    # congruence solver against brute force: a stable sort of a*x mod p^r
+    # over every x groups the solutions of a*x = b by b, in increasing order
     cong_total = 0
     cong_fail = 0
     for p in ig.group.primes:
@@ -761,8 +776,11 @@ def lemma_suite(
             mod = p**r
             for s in range(1, r + 1):
                 for a in range(1, p**s):
+                    image = a * np.arange(mod) % mod
+                    xs = np.argsort(image, kind="stable").tolist()
+                    edges = np.searchsorted(image[xs], np.arange(mod + 1)).tolist()
                     for b in range(mod):
-                        brute = tuple(x for x in range(mod) if (a * x) % mod == b % mod)
+                        brute = tuple(xs[edges[b] : edges[b + 1]])
                         cong_total += 1
                         if solve_congruence(p, r, s, a, b) != brute:
                             cong_fail += 1

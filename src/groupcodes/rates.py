@@ -12,9 +12,13 @@ single selector's ratio is linear-fractional, so its extremes on the face S
 sit at vertices: the source bound is the largest over Theta(S) of
 c_theta / max omega_theta, the channel bound the least of
 c_theta / (1 - max omega_theta), and neither side's optimum on S can beat
-its bound.  Once a bound falls short of the incumbent by the relative tie
-tolerance, no later support can tie or win.  Supports whose values agree to
-that tolerance tie, and the lexicographically first wins.
+its bound.  Supports whose values agree to a relative tie tolerance tie,
+and the lexicographically first wins.  Once a bound falls short of the
+incumbent by that tolerance, no later support can tie or win; a support
+whose bound the current winner already ties, and which comes after it in
+lexicographic order, cannot win either and gets no linear program.  Where
+the endpoint selector's term binds, as on random inputs, the first support
+solved settles the call.
 Each rate call builds one selector table, used for the terms and for every
 support's linear program, which is sliced from it; Theta(S) is the set of
 selectors theta whose least inducing depths m(theta) on S induce them back.
@@ -50,8 +54,9 @@ LP_TOL = 1e-12
 # Relative slack when collecting the thetas that attain the inner optimum.
 CRITICAL_TOL = 1e-7
 # Supports whose values agree to this relative tolerance tie, and the
-# lexicographically first wins; a support is skipped only when its vertex
-# bound falls short of the incumbent by this margin, so it cannot tie.
+# lexicographically first wins.  The best-first loop stops at a vertex bound
+# short of the incumbent by this margin, and skips a support that can at best
+# tie the winner within half of it (the other half covers rounding).
 TIE_TOL = 1e-12
 # Grid points the oracle evaluates in one array computation, which bounds its
 # memory for any step count.
@@ -471,23 +476,49 @@ def _optimize(problems: _SupportProblems) -> RateResult:
     """Solve the supports that can still win and report the winner.
 
     Values and bounds are compared signed, sign * value, so larger is better
-    in both senses.  Supports are visited by bound, best first (a stable
-    order, so equal bounds stay lexicographic), until a bound falls short of
-    the incumbent by more than TIE_TOL: no later support can tie or win.  The
-    full support's bound is finite, so a source support whose term is
-    infinite for every weight choice sorts after it and is never solved."""
+    in both senses.  B_i is support i's signed vertex bound, best the best
+    value solved so far and w the winner among the solved supports
+    (_winner).  Supports are visited by bound, best first (a stable order,
+    so equal bounds stay lexicographic), and support i gets no linear
+    program when it cannot be the winner:
+
+    - stop, B_i < best - TIE_TOL |best|: no support from i on can reach the
+      tie band, so the loop ends;
+    - skip, i > w and v_w >= B_i - TIE_TOL/2 |B_i|: no support from i on has
+      a value above B_i, so the optimum can rise to at most B_i.  Since
+      x - TIE_TOL |x| increases with x, w stays in the final tie band, and
+      the winner ends as w or a support of lower index, never i.
+
+    A computed value can exceed its bound by the rounding of omega at the
+    witness, a few ulps (the scan tests allow up to TIE_TOL).  The skip test
+    keeps half of TIE_TOL back, so w stays in the band for any excess up to
+    about TIE_TOL/2 |B_i|.
+
+    The result is the winner's, so it is the one a scan of every support
+    reports unless skipping moves the tie band: a skipped value above best
+    raises that scan's optimum by at most B_i - best, which can push a
+    later-solved support of lower index out of the band only if its value
+    lies within that rise of the band's lower edge.  Where the endpoint
+    selector's term binds, I(X;Y) on the channel side and I(U;X) on the
+    source side, as on random inputs, every value ties to ulps and one
+    linear program settles the call.  The full support's bound is finite,
+    so a source support whose term is infinite for every weight choice sorts
+    after it and is never solved."""
     sign = problems.sign
     bounds = sign * problems.vertex_bounds()
-    solved = {}
+    values, witnesses = {}, {}
     best = -math.inf
     for i in np.argsort(-bounds, kind="stable").tolist():
-        if bounds[i] < best - TIE_TOL * abs(best):
+        bound = bounds[i]
+        if bound < best - TIE_TOL * abs(best):
             break
-        value, witness = _solve_support(*problems[i][1], problems.sense)
-        solved[i] = sign * value, witness
+        if values and i > w and values[w] >= bound - TIE_TOL / 2 * abs(bound):
+            continue
+        value, witnesses[i] = _solve_support(*problems[i][1], problems.sense)
+        values[i] = sign * value
         best = max(best, sign * value)
-    i = _winner({i: value for i, (value, _) in solved.items()})
-    return _result(problems, i, solved[i][1])
+        w = _winner(values)
+    return _result(problems, w, witnesses[w])
 
 
 def _winner(values: Mapping[int, float]) -> int:

@@ -27,6 +27,7 @@ from groupcodes import (
     source_coding_rate,
     source_rate_prime_power,
 )
+from groupcodes import rates
 from groupcodes.groups import _min_depths
 from groupcodes.rates import (
     INFO_ZERO_TOL,
@@ -754,13 +755,15 @@ def test_pruning_margin_keeps_ties(orders, sixths):
         assert_matches_unpruned_scan(spec, terms, sense)
 
 
-def test_channel_visits_supports_best_first(monkeypatch):
-    # supports are solved by vertex bound, highest first, equal bounds in
-    # lexicographic order, until a bound falls below the incumbent
+def assert_visits_best_first(monkeypatch, terms, sense):
+    """Supports are solved by vertex bound, best first, equal bounds in
+    lexicographic order, and the winner is the reported support.  Every
+    support not solved lies past the stop (its bound below the winner's value
+    by TIE_TOL) or was skipped: it comes after the winner, whose value is
+    within TIE_TOL of its bound, so it could at best tie and lose."""
     spec = decompose([64, 81]).spec
-    terms = channel_terms(random_channel(spec, 4, make_rng(3)))
-    problems = _SupportProblems(_Table(spec), terms, "channel")
-    bounds = problems.vertex_bounds()
+    problems = _SupportProblems(_Table(spec), terms, sense)
+    bounds = problems.sign * problems.vertex_bounds()
     visited = []
     getitem = _SupportProblems.__getitem__
 
@@ -769,39 +772,85 @@ def test_channel_visits_supports_best_first(monkeypatch):
         return getitem(self, i)
 
     monkeypatch.setattr(_SupportProblems, "__getitem__", record)
-    result = optimize_weights(spec, terms, "channel")
+    result = optimize_weights(spec, terms, sense)
     *visited, winner = visited  # the last slice builds the result
-    order = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))
-    assert visited == order[: len(visited)]
+    best_first = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))
+    assert visited == sorted(visited, key=best_first.index)
+    assert visited[0] == best_first[0]
+    assert winner in visited
     assert problems.table.supports[winner] == result.support
+    value = problems.sign * result.value
+    skipped = [
+        i
+        for i in set(range(len(bounds))) - set(visited)
+        if not bounds[i] < value - TIE_TOL * abs(value)
+    ]
+    assert skipped
+    for i in skipped:
+        assert i > winner
+        assert value >= bounds[i] - TIE_TOL * abs(bounds[i])
     assert 0 < len(visited) < len(bounds)
-    assert all(bounds[i] < result.value * (1 - TIE_TOL) for i in order[len(visited) :])
+    return bounds, visited
+
+
+def test_channel_visits_supports_best_first(monkeypatch):
+    terms = channel_terms(random_channel(decompose([64, 81]).spec, 4, make_rng(3)))
+    assert_visits_best_first(monkeypatch, terms, "channel")
 
 
 def test_source_visits_supports_best_first(monkeypatch):
-    # supports are solved by vertex bound, lowest first, equal bounds in
-    # lexicographic order, until a bound rises above the incumbent; the
-    # supports with an infinite bound are never solved
+    # the supports with an infinite bound are never solved
+    terms = source_terms(random_source_joint(decompose([64, 81]).spec, 4, make_rng(3)))
+    bounds, visited = assert_visits_best_first(monkeypatch, terms, "source")
+    assert all(bounds[i] > -math.inf for i in visited)
+
+
+def endpoint_term(terms, sense) -> float:
+    """I(X;Y), the zero selector's term, on the channel side; I(U;X), the
+    full selector's, on the source side."""
+    return next(
+        c
+        for th, c in terms.items()
+        if (th.is_zero() if sense == "channel" else th.is_full())
+    )
+
+
+@pytest.mark.parametrize("orders, seed", [([16, 27], 1), ([64, 9], 2)])
+def test_endpoint_term_binds_matches_unpruned_scan(orders, seed):
+    # random inputs: the optimum is the endpoint selector's term, every
+    # support's value ties it, and the skipped supports leave the result alone
+    spec = decompose(orders).spec
+    rng = make_rng(seed)
+    cases = (
+        ("channel", channel_terms(random_channel(spec, 4, rng))),
+        ("source", source_terms(random_source_joint(spec, 4, rng))),
+    )
+    for sense, terms in cases:
+        value = optimize_weights(spec, terms, sense).value
+        assert abs(value - endpoint_term(terms, sense)) <= TIE_TOL * value
+        assert_matches_unpruned_scan(spec, terms, sense)
+
+
+def test_endpoint_term_binds_one_lp(monkeypatch):
+    # Z64+Z81 has 945 covering supports; the first one solved reaches the
+    # endpoint term, and every other is skipped or past the stop
     spec = decompose([64, 81]).spec
-    terms = source_terms(random_source_joint(spec, 4, make_rng(3)))
-    problems = _SupportProblems(_Table(spec), terms, "source")
-    bounds = problems.vertex_bounds()
-    visited = []
-    getitem = _SupportProblems.__getitem__
+    rng = make_rng(4)
+    calls = []
 
-    def record(self, i):
-        visited.append(i)
-        return getitem(self, i)
+    def counted(*args):
+        calls.append(args)
+        return _packing_lp(*args)
 
-    monkeypatch.setattr(_SupportProblems, "__getitem__", record)
-    result = optimize_weights(spec, terms, "source")
-    *visited, winner = visited  # the last slice builds the result
-    order = sorted(range(len(bounds)), key=lambda i: (bounds[i], i))
-    assert visited == order[: len(visited)]
-    assert problems.table.supports[winner] == result.support
-    assert 0 < len(visited) < len(bounds)
-    assert all(bounds[i] < math.inf for i in visited)
-    assert all(bounds[i] > result.value * (1 + TIE_TOL) for i in order[len(visited) :])
+    monkeypatch.setattr(rates, "_packing_lp", counted)
+    for sense, terms in (
+        ("channel", channel_terms(random_channel(spec, 5, rng))),
+        ("source", source_terms(random_source_joint(spec, 5, rng))),
+    ):
+        calls.clear()
+        result = optimize_weights(spec, terms, sense)
+        assert len(calls) == 1, sense
+        assert abs(result.value - endpoint_term(terms, sense)) <= TIE_TOL * result.value
 
 
 @given(
@@ -842,6 +891,22 @@ def test_packing_lp_raises_when_unbounded():
     # max x subject to -x <= 1
     with pytest.raises(SolverError, match="unbounded packing LP"):
         _packing_lp(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]))
+
+
+def test_packing_lp_leaves_by_lowest_basic_variable():
+    # degenerate at the origin (rows counted from 0): x1 enters in row 3 at
+    # ratio 0, then x3 enters with rows 2 and 3 tied at ratio 0, row 2
+    # holding its slack and row 3 holding x1.  Bland's rule lets x1, the
+    # lower variable index, leave and ends at (0, 0, 0, 2); letting the
+    # lower row index leave ends at another optimal vertex, (0, 1, 1/2, 2)
+    a = np.array(
+        [[0, 1, -2, 1], [-2, -1, -1, -2], [0, 1, 2, -1], [2, -1, 2, 0]], dtype=float
+    )
+    b = np.array([2.0, 2.0, 0.0, 0.0])
+    c = np.array([1.0, -1.0, 2.0, 1.0])
+    x, y = _packing_lp(a, b, c)
+    assert x.tolist() == [0.0, 0.0, 0.0, 2.0]
+    assert c @ x == b @ y == 2.0
 
 
 @pytest.mark.parametrize("orders", [[8], [2, 4], [4, 3], [9, 4], [2, 4, 8], [8, 9]])
