@@ -98,18 +98,14 @@ def _write_csv(path: str, rows: list[list[str]]) -> None:
 
 
 def _emit_rate(args, problem, result, kind: str, extras: dict) -> None:
-    units = "nats" if args.nats else "bits"
-    record = rate_record(
-        command=[kind, args.file],
-        orders=problem.orders,
-        kind=kind,
-        result=result,
-        units=units,
-        extras=extras,
+    record_in = functools.partial(
+        rate_record, [kind, args.file], problem.orders, kind, result, extras=extras
     )
+    record = record_in(units="nats" if args.nats else "bits")
     if args.csv:
+        # the CSV columns are info_bits and ratio_bits, with or without --nats
         levels = list(problem.decomposition.spec.ring_levels)
-        _write_csv(args.csv, theta_csv_rows(record, levels))
+        _write_csv(args.csv, theta_csv_rows(record_in(units="bits"), levels))
     sys.stdout.write(record_to_json(record) if args.json else record_to_text(record))
 
 

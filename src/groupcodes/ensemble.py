@@ -11,7 +11,6 @@ sampling beyond that.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -380,20 +379,14 @@ def verify_pairwise_law(
     w = phi(b - a): the check tallies w over the tables, and its distances
     are those of w on the |H_theta|^n cells of H_theta^n.  Exhaustive (exact,
     zero tolerance) whenever the (generators, dither) space fits under the
-    cap; otherwise seeded sampling of tables with a total variation threshold
-    of 3 * sqrt(|H_theta|^n / samples), drawn from an integer seed in
-    [0, 2**64).
+    cap; otherwise seeded sampling of samples >= 1 tables with a total
+    variation threshold of 3 * sqrt(|H_theta|^n / samples), drawn from an
+    integer seed in [0, 2**64).
     """
     _check_seed(seed)
-    return _pairwise_law(ig, n, a, b, samples, seed)
-
-
-def _pairwise_law(
-    ig: InputGroup, n: int, a, b, samples: int, seed: int
-) -> PairwiseLawReport:
-    """verify_pairwise_law for any integer seed: lemma_suite offsets its seed
-    per pair, which may pass 2**64."""
     _check_blocklength(n)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     g_spec = ig.group
     gn = g_spec.order**n
     a = ig.element(a)
@@ -674,17 +667,24 @@ def lemma_suite(
     """Run every structural check of the ensemble for one configuration.
 
     Exhaustive wherever the space allows; the pairwise law falls back to
-    seeded sampling above the enumeration cap.
+    seeded sampling above the enumeration cap.  One Philox stream, seeded
+    by ``seed``, draws min(samples, 1000) tables in one call (samples >= 1);
+    the first 25 are checked for additivity on every input pair when
+    |J| <= 64, else on 64 fresh pairs each.  The pairwise law is checked on
+    every input pair when |J|^2 <= 64, else on 16 drawn pairs, pair i with
+    seed (seed + i) mod 2**64.  Pairs are residue rows throughout.
     """
     _check_blocklength(n)
     _check_seed(seed)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     checks: list[LemmaCheck] = []
     rng = np.random.Generator(np.random.Philox(seed))
 
     # generator constraints on freshly sampled tables
     n_tables = min(samples, 1000)
-    tables = [_sample_table(ig, n, rng)[0] for _ in range(n_tables)]
-    bad_tables = sum(bool(_violations(ig, images).any()) for images in tables)
+    tables, _ = _sample_table(ig, n, rng, (n_tables,))
+    bad_tables = int(_violations(ig, tables).any(axis=(1, 2, 3)).sum())
     checks.append(
         LemmaCheck(
             "generator-constraints",
@@ -693,20 +693,16 @@ def lemma_suite(
         )
     )
 
-    # additivity of the sampled maps
-    in_moduli = ig.spec.moduli
-    moduli = ig.group.moduli
-    grid = _grid(in_moduli) if ig.size <= 64 else None
+    # additivity of the sampled maps; pairs are [pairs, 2, k], a then b
+    in_moduli, moduli, k = ig.spec.moduli, ig.group.moduli, ig.total
+    every_pair = _grid(in_moduli * 2).reshape(-1, 2, k) if ig.size <= 64 else None
     law_fail = 0
     law_total = 0
     for images in tables[:25]:
-        if grid is not None:
-            a = np.repeat(grid, len(grid), axis=0)
-            b = np.tile(grid, (len(grid), 1))
-        else:
-            # 64 random pairs, drawn a then b per pair
-            draws = rng.integers(0, np.broadcast_to(in_moduli, (64, 2, ig.total)))
-            a, b = draws[:, 0], draws[:, 1]
+        pairs = every_pair
+        if pairs is None:
+            pairs = rng.integers(0, in_moduli, (64, 2, k))
+        a, b = pairs[:, 0], pairs[:, 1]
         lhs = _encode((a + b) % in_moduli, images, 0, moduli)
         rhs = (_encode(a, images, 0, moduli) + _encode(b, images, 0, moduli)) % moduli
         law_total += len(a)
@@ -720,20 +716,13 @@ def lemma_suite(
     )
 
     # pairwise joint law
-    elements = list(ig.spec.elements()) if ig.size <= 256 else None
-    if elements is not None and len(elements) ** 2 <= 64:
-        pairs = list(itertools.product(elements, elements))
+    if ig.size**2 <= 64:
+        pairs = _grid(in_moduli * 2).reshape(-1, 2, k)
     else:
-        pool = elements or [
-            ig.spec.element([int(rng.integers(0, m)) for m in ig.spec.moduli])
-            for _ in range(16)
-        ]
-        flat = [(pool[int(rng.integers(0, len(pool)))],
-                 pool[int(rng.integers(0, len(pool)))]) for _ in range(16)]
-        pairs = flat
+        pairs = rng.integers(0, in_moduli, (16, 2, k))
     reports = [
-        _pairwise_law(ig, n, a, b, max(samples, 1024), seed + i)
-        for i, (a, b) in enumerate(pairs)
+        verify_pairwise_law(ig, n, a, b, max(samples, 1024), (seed + i) % 2**64)
+        for i, (a, b) in enumerate(pairs.tolist())
     ]
     failed = [r for r in reports if not r.passed]
     modes = {r.mode for r in reports}

@@ -52,21 +52,14 @@ def validate_distribution(p) -> np.ndarray:
     return arr
 
 
-def entropy(p) -> float:
-    """Shannon entropy in bits, with 0*log(0) = 0."""
-    arr = validate_distribution(p)
-    nz = arr[arr > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def _raw_entropy(arr: np.ndarray) -> float:
-    nz = arr[arr > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def _row_entropies(arr: np.ndarray) -> np.ndarray:
     """The entropy of every distribution along the last axis, 0*log(0) = 0."""
     return -(arr * np.log2(np.where(arr > 0, arr, 1.0))).sum(axis=-1)
+
+
+def entropy(p) -> float:
+    """Shannon entropy in bits, with 0*log(0) = 0."""
+    return float(_row_entropies(validate_distribution(p)))
 
 
 def mutual_information(joint) -> float:
@@ -76,10 +69,10 @@ def mutual_information(joint) -> float:
         raise ValidationError("joint matrix must be two-dimensional")
     if abs(arr.sum() - 1.0) > PROB_TOL:
         raise ValidationError(f"joint matrix sums to {arr.sum()}, not 1")
-    value = (
-        _raw_entropy(arr.sum(axis=1))
-        + _raw_entropy(arr.sum(axis=0))
-        - _raw_entropy(arr.reshape(-1))
+    value = float(
+        _row_entropies(arr.sum(axis=1))
+        + _row_entropies(arr.sum(axis=0))
+        - _row_entropies(arr.reshape(-1))
     )
     # exact-independence inputs can land a few ulp below zero
     return max(0.0, value)

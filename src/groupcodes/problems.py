@@ -181,7 +181,8 @@ def rate_record(
     extras: dict | None = None,
 ) -> dict:
     """Deterministic record of a rate computation; no wall-clock fields, so
-    identical inputs reproduce identical bytes."""
+    identical inputs reproduce identical bytes.  ``extras`` are further rates
+    in bits (cross-check values), scaled to ``units`` with the rest."""
     scale = 1.0 if units == "bits" else LN2
     spec = result.weights.spec
     record = {
@@ -207,7 +208,7 @@ def rate_record(
         ],
     }
     if extras:
-        record.update(extras)
+        record.update({key: value * scale for key, value in extras.items()})
     return record
 
 
@@ -252,7 +253,7 @@ def record_to_text(record: dict) -> str:
 
 def theta_csv_header(levels: list[tuple[int, int]]) -> list[str]:
     """The stable column contract: theta components, omega, info_bits,
-    ratio_bits."""
+    ratio_bits (always bits)."""
     return [f"theta_{p}_{r}" for p, r in levels] + ["omega", "info_bits", "ratio_bits"]
 
 

@@ -643,7 +643,9 @@ def grid_search(
     weight vector of the simplex grid with the given step count and return
     the best value.  Direct, with no linear program; used to cross-check the
     solver.  Each covering support takes the grid points positive exactly on
-    it, evaluated GRID_BLOCK points at a time."""
+    it, evaluated GRID_BLOCK points at a time.  ``steps`` must be >= 1."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     problems = _SupportProblems(_Table(spec), terms, sense)
     sign, slots = problems.sign, spec.weight_slots
     best_val: float | None = None

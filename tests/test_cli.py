@@ -258,6 +258,50 @@ def test_verify_ensemble_passes(capsys):
     assert out.count("PASS") == 6 and "FAIL" not in out
 
 
+def _suite_lines(tables, pairs, pairwise, classes, equations):
+    return (
+        f"PASS generator-constraints: {tables} sampled tables, 0 violations\n"
+        f"PASS homomorphism-law: {pairs} pairs checked, 0 failures\n"
+        f"PASS pairwise-joint-law: {pairwise}, 0 failures\n"
+        f"PASS census-bound: {classes} selector classes, 0 above the bound\n"
+        f"PASS theta-set-equality: census has {classes} selectors, "
+        f"support enumeration {classes}\n"
+        f"PASS congruence-solver: {equations} equations checked, 0 mismatches\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        # sampled pairwise mode, every pair of an 8-element input group
+        ("8 --counts 0,0,1 --n 3", (200, 1600, "64 pairs (sampled)", 4, 106)),
+        ("4,3 --counts 0,1,1 --n 2", (200, 3600, "16 pairs (exhaustive)", 6, 24)),
+        # |J| > 64: drawn homomorphism-law and pairwise-law pairs
+        (
+            "64,81 --counts 0,0,0,0,0,1,0,0,0,1 --n 1",
+            (200, 1600, "16 pairs (sampled)", 35, 20490),
+        ),
+        # the per-pair seeds pass 2**64 and wrap
+        (
+            "9 --counts 1,1 --n 1 --seed 18446744073709551615",
+            (200, 18225, "16 pairs (exhaustive)", 3, 96),
+        ),
+        (
+            "2,4,3 --counts 1,1,1 --n 1 --trials 5",
+            (5, 2880, "16 pairs (exhaustive)", 8, 24),
+        ),
+        (
+            "4 --counts 0,1 --n 1 --trials 30 --seed 5",
+            (30, 400, "16 pairs (exhaustive)", 3, 18),
+        ),
+    ],
+)
+def test_verify_ensemble_stdout_pinned(capsys, args, expected):
+    code, out, err = run_cli(capsys, ["verify-ensemble"] + args.split())
+    assert code == 0 and err == ""
+    assert out == _suite_lines(*expected)
+
+
 def test_verify_ensemble_needs_covering_counts(capsys):
     code, _, err = run_cli(
         capsys, ["verify-ensemble", "4,3", "--counts", "0,1,0", "--n", "1"]
@@ -277,6 +321,34 @@ def test_verify_ensemble_failure_exit_code(capsys, monkeypatch):
     assert code == 4
     assert "FAIL pairwise-joint-law" in out
     assert "violated: pairwise-joint-law" in err
+
+
+@pytest.mark.parametrize("command", ["capacity", "rd"])
+def test_nats_scales_cross_check_extras(
+    capsys, merged_channel_file, identity_source_file, command
+):
+    path = merged_channel_file if command == "capacity" else identity_source_file
+    argv = [command, path, "--closed-form", "--grid-check", "30", "--json"]
+    _, bits, _ = run_cli(capsys, argv)
+    _, nats, _ = run_cli(capsys, argv + ["--nats"])
+    bits, nats = json.loads(bits), json.loads(nats)
+    assert bits["closed_form"] > 0
+    for key in ("value", "closed_form", "grid_value", "grid_gap"):
+        assert nats[key] == pytest.approx(bits[key] * math.log(2), rel=1e-12, abs=0)
+
+
+def test_csv_stays_in_bits_with_nats(capsys, merged_channel_file, tmp_path):
+    tables = []
+    for units in ([], ["--nats"]):
+        path = tmp_path / f"table{len(units)}.csv"
+        code, _, _ = run_cli(
+            capsys, ["capacity", merged_channel_file, "--csv", str(path)] + units
+        )
+        assert code == 0
+        tables.append(path.read_text())
+    assert tables[0].splitlines()[0] == "theta_2_2,omega,info_bits,ratio_bits"
+    assert tables[0].splitlines()[1] == "0,0.000000000,1.500000000,1.500000000"
+    assert tables[1] == tables[0]
 
 
 def test_solver_disagreement_exit_code(capsys, monkeypatch, merged_channel_file):

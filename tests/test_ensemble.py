@@ -804,6 +804,18 @@ def test_seed_contract(seed, error):
     assert sample_hom(ig, 2, np.int64(7)) == sample_hom(ig, 2, 7)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_samples_contract(samples):
+    # no sample size may pass vacuously or divide by zero, in either mode
+    ig = ig_of([4], {(2, 1): 1, (2, 2): 1})
+    for n, mode in ((4, "sampled"), (1, "exhaustive")):
+        assert verify_pairwise_law(ig, n, [0, 0], [1, 1], samples=64).mode == mode
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify_pairwise_law(ig, n, [0, 0], [1, 1], samples=samples)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        lemma_suite(ig, 1, samples=samples)
+
+
 # -- suite --------------------------------------------------------------------
 
 

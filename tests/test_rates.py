@@ -608,6 +608,14 @@ def test_grid_oracle_agrees_small():
         assert abs(sres.value - sgrid) < 5e-3
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_grid_search_rejects_nonpositive_steps(steps):
+    spec = decompose([8]).spec
+    terms = channel_terms(random_channel(spec, 4, make_rng(8)))
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        grid_search(spec, terms, "channel", steps=steps)
+
+
 def inner_optimum(spec, terms, sense, weights) -> float:
     """The inner max (source) or min (channel) at a weight vector, from the
     public omega over Theta of its support, with the 0/0 -> 0 convention."""
