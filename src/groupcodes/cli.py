@@ -60,31 +60,24 @@ def _parse_support(text: str) -> tuple[tuple[int, int], ...]:
         bits = part.split(",")
         if len(bits) != 2:
             raise ValidationError(f"bad support slot {part!r}: expected q,s")
-        slots.append((int(bits[0]), int(bits[1])))
+        q, s = int(bits[0]), int(bits[1])
+        if (q, s) in slots:
+            raise ValidationError(f"support slot ({q},{s}) is repeated")
+        slots.append((q, s))
     if not slots:
         raise ValidationError(f"no slots in support {text!r}")
     return tuple(slots)
 
 
-def _parse_weights(text: str, count: int) -> tuple[Fraction, ...]:
+def _parse_list(text: str, count: int, what: str, parse) -> tuple:
+    """``count`` comma-separated values, each read by ``parse``."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != count:
-        raise ValidationError(f"expected {count} weights, got {len(parts)}")
+        raise ValidationError(f"expected {count} {what}, got {len(parts)}")
     try:
-        values = tuple(Fraction(p) for p in parts)
+        return tuple(parse(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad weights {text!r}: {exc}") from None
-    return values
-
-
-def _parse_counts(text: str, count: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if len(parts) != count:
-        raise ValidationError(f"expected {count} counts, got {len(parts)}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ValidationError(f"bad counts {text!r}: {exc}") from None
+        raise ValidationError(f"bad {what} {text!r}: {exc}") from None
 
 
 def _require_positive(value: int, flag: str) -> None:
@@ -92,21 +85,22 @@ def _require_positive(value: int, flag: str) -> None:
         raise ValidationError(f"{flag} must be >= 1, got {value}")
 
 
+def _input_group(args, spec) -> InputGroup:
+    """The --counts input group over spec, once --n and --trials check out."""
+    counts = _parse_list(args.counts, len(spec.weight_slots), "counts", int)
+    _require_positive(args.n, "--n")
+    _require_positive(args.trials, "--trials")
+    return InputGroup(spec, counts)
+
+
 def _write_csv(path: str, rows: list[list[str]]) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
 
-def _emit_rate(args, problem, result, kind: str, extras: dict) -> None:
-    record_in = functools.partial(
-        rate_record, [kind, args.file], problem.orders, kind, result, extras=extras
-    )
-    record = record_in(units="nats" if args.nats else "bits")
-    if args.csv:
-        # the CSV columns are info_bits and ratio_bits, with or without --nats
-        levels = list(problem.decomposition.spec.ring_levels)
-        _write_csv(args.csv, theta_csv_rows(record_in(units="bits"), levels))
-    sys.stdout.write(record_to_json(record) if args.json else record_to_text(record))
+def _emit(args, doc: dict, text: str) -> None:
+    """A subcommand's result on stdout: doc as JSON with --json, else text."""
+    sys.stdout.write(record_to_json(doc) if args.json else text)
 
 
 def cmd_group_info(args) -> int:
@@ -121,13 +115,6 @@ def cmd_group_info(args) -> int:
         "weight_slots": [list(s) for s in spec.weight_slots],
         "ring_levels": [list(s) for s in spec.ring_levels],
     }
-    if spec.order <= 64:
-        info["element_order"] = [
-            list(dec.from_canonical(x)) for x in spec.elements()
-        ]
-    if args.json:
-        sys.stdout.write(record_to_json(info))
-        return EXIT_OK
     lines = [
         f"group: {','.join(str(n) for n in dec.orders)}",
         f"order: {spec.order}",
@@ -138,12 +125,15 @@ def cmd_group_info(args) -> int:
         "weight slots S: " + " ".join(f"({q},{s})" for q, s in spec.weight_slots),
         "ring levels Q: " + " ".join(f"({p},{r})" for p, r in spec.ring_levels),
     ]
-    if "element_order" in info:
+    if spec.order <= 64:
+        info["element_order"] = [
+            list(dec.from_canonical(x)) for x in spec.elements()
+        ]
         shown = " ".join(
             "(" + ",".join(str(v) for v in tup) + ")" for tup in info["element_order"]
         )
         lines.append("canonical element order (as cyclic coordinates): " + shown)
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, info, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -180,7 +170,15 @@ def _cmd_rate(args, sense: str) -> int:
         extras["grid_value"] = grid_value
         extras["grid_gap"] = abs(grid_value - result.value)
     elapsed = time.perf_counter() - start
-    _emit_rate(args, problem, result, kind, extras)
+    record_in = functools.partial(
+        rate_record, [kind, args.file], problem.orders, kind, result, extras=extras
+    )
+    if args.csv:
+        # the CSV columns are info_bits and ratio_bits, with or without --nats
+        levels = list(problem.decomposition.spec.ring_levels)
+        _write_csv(args.csv, theta_csv_rows(record_in(units="bits"), levels))
+    record = record_in(units="nats" if args.nats else "bits")
+    _emit(args, record, record_to_text(record))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -191,7 +189,7 @@ def cmd_theta_table(args) -> int:
     support = _parse_support(args.support)
     thetas = sorted(enumerate_theta_set(spec, support), key=lambda t: t.components)
     if args.weights:
-        values = _parse_weights(args.weights, len(support))
+        values = _parse_list(args.weights, len(support), "weights", Fraction)
         if sum(values) != 1:
             raise ValidationError(f"weights sum to {sum(values)}, not 1")
     else:
@@ -213,28 +211,22 @@ def cmd_theta_table(args) -> int:
         "weights": [float(v) for v in values],
         "rows": rows,
     }
-    if args.json:
-        sys.stdout.write(record_to_json(doc))
-    else:
-        lines = [
-            f"group: {','.join(str(n) for n in dec.orders)}",
-            "support: " + " ".join(f"({q},{s})" for q, s in support),
-            "weights: " + " ".join(fmt_number(v) for v in values),
-        ]
-        for row in rows:
-            theta = "(" + ",".join(str(c) for c in row["theta"]) + ")"
-            lines.append(f"  theta={theta} omega={fmt_number(row['omega'])}")
-        sys.stdout.write("\n".join(lines) + "\n")
+    lines = [
+        f"group: {','.join(str(n) for n in dec.orders)}",
+        "support: " + " ".join(f"({q},{s})" for q, s in support),
+        "weights: " + " ".join(fmt_number(v) for v in values),
+    ]
+    for row in rows:
+        theta = "(" + ",".join(str(c) for c in row["theta"]) + ")"
+        lines.append(f"  theta={theta} omega={fmt_number(row['omega'])}")
+    _emit(args, doc, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_verify_ensemble(args) -> int:
     dec = decompose(parse_group_string(args.group))
     spec = dec.spec
-    counts = _parse_counts(args.counts, len(spec.weight_slots))
-    _require_positive(args.n, "--n")
-    _require_positive(args.trials, "--trials")
-    ig = InputGroup(spec, counts)
+    ig = _input_group(args, spec)
     supported_primes = {q for q, _ in ig.support}
     if supported_primes != set(spec.primes):
         raise ValidationError(
@@ -242,22 +234,19 @@ def cmd_verify_ensemble(args) -> int:
             f"(primes {sorted(set(spec.primes) - supported_primes)} are missing)"
         )
     checks = lemma_suite(ig, args.n, samples=args.trials, seed=args.seed)
-    if args.json:
-        doc = {
-            "group": list(dec.orders),
-            "counts": list(counts),
-            "blocklength": args.n,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in checks
-            ],
-            "passed": all(c.passed for c in checks),
-        }
-        sys.stdout.write(record_to_json(doc))
-    else:
-        for c in checks:
-            status = "PASS" if c.passed else "FAIL"
-            sys.stdout.write(f"{status} {c.name}: {c.detail}\n")
+    doc = {
+        "group": list(dec.orders),
+        "counts": list(ig.counts),
+        "blocklength": args.n,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
+        ],
+        "passed": all(c.passed for c in checks),
+    }
+    text = "".join(
+        f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}\n" for c in checks
+    )
+    _emit(args, doc, text)
     failed = [c.name for c in checks if not c.passed]
     if failed:
         print("violated: " + ", ".join(failed), file=sys.stderr)
@@ -269,17 +258,13 @@ def cmd_simulate(args) -> int:
     problem = load_problem(args.file)
     if not isinstance(problem, ChannelProblem):
         raise ValidationError(f"{args.file} is not a channel problem")
-    spec = problem.decomposition.spec
-    counts = _parse_counts(args.counts, len(spec.weight_slots))
-    _require_positive(args.n, "--n")
-    _require_positive(args.trials, "--trials")
+    ig = _input_group(args, problem.decomposition.spec)
     if args.trials > 2**32:  # one trial per single-word SeedSequence spawn key
         raise ValidationError(f"--trials must be <= 2**32, got {args.trials}")
-    ig = InputGroup(spec, counts)
     report = mc_channel_error(ig, args.n, problem.channel, args.trials, args.seed)
     doc = {
         "group": list(problem.orders),
-        "counts": list(counts),
+        "counts": list(ig.counts),
         "blocklength": args.n,
         "trials": report.trials,
         "errors": report.errors,
@@ -287,15 +272,13 @@ def cmd_simulate(args) -> int:
         "code_rate_bits": report.code_rate_bits,
         "seed": report.seed,
     }
-    if args.json:
-        sys.stdout.write(record_to_json(doc))
-    else:
-        sys.stdout.write(
-            f"code rate: {report.code_rate_bits:.9f} bits\n"
-            f"trials: {report.trials}\n"
-            f"errors: {report.errors}\n"
-            f"error rate: {report.error_rate:.9f}\n"
-        )
+    text = (
+        f"code rate: {report.code_rate_bits:.9f} bits\n"
+        f"trials: {report.trials}\n"
+        f"errors: {report.errors}\n"
+        f"error rate: {report.error_rate:.9f}\n"
+    )
+    _emit(args, doc, text)
     return EXIT_OK
 
 

@@ -86,13 +86,6 @@ class InputGroup:
             slot for slot, c in zip(self.group.weight_slots, self.counts) if c > 0
         )
 
-    def weights(self) -> dict[tuple[int, int], Fraction]:
-        k = self.total
-        return {
-            slot: Fraction(c, k)
-            for slot, c in zip(self.group.weight_slots, self.counts)
-        }
-
     def rate_bits(self, blocklength: int) -> float:
         """Code rate log2|J| / n."""
         return math.log2(self.size) / blocklength
@@ -408,7 +401,8 @@ def verify_pairwise_law(
     h_step = np.array([p ** theta[(p, r)] for p, r, _ in g_spec.rings])  # H = h_step Z
     inside = (w % h_step == 0).all(axis=(1, 2))
     digits = (w[inside] // h_step).reshape(-1, n * len(moduli))
-    cell = np.ravel_multi_index(tuple(digits.T), tuple(moduli // h_step) * n)
+    # mixed-radix cell index: the radices multiply to cells, within the cap
+    cell = digits @ (cells // np.cumprod(np.tile(moduli // h_step, n)))
     hits = np.bincount(cell, minlength=cells)
     total = len(tables)
     off_mass = Fraction(total - len(digits), total)
@@ -786,19 +780,6 @@ def lemma_suite(
 # -- the modular linear-congruence solver ------------------------------------
 
 
-def congruence_solutions_from(
-    p: int, r: int, theta_hat: int, theta: int, alpha: int, beta: int
-) -> tuple[int, ...]:
-    """The explicit solution set for p^theta_hat * alpha * x = p^theta * beta
-    mod p^r, exposed separately so the representation invariance (choice of
-    alpha and beta) can be probed directly."""
-    mod = p**r
-    alpha_inv = pow(alpha, -1, mod)
-    base = (p ** (theta - theta_hat) * alpha_inv * beta) % mod
-    step = (alpha_inv * p ** (r - theta_hat)) % mod
-    return tuple(sorted((base + i * step) % mod for i in range(p**theta_hat)))
-
-
 def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
     """Exact solution set of a*x = b mod p^r for a nonzero a in Z_{p^s},
     s <= r: empty when b is shallower than a, else p^depth(a) solutions."""
@@ -815,6 +796,10 @@ def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
     theta = _depth(b, p, r)
     if theta < theta_hat:
         return ()
-    alpha = a // p**theta_hat
-    beta = b // p**theta
-    return congruence_solutions_from(p, r, theta_hat, theta, alpha, beta)
+    # p^theta_hat alpha x = p^theta beta: x = p^(theta - theta_hat) beta /
+    # alpha plus any multiple of p^(r - theta_hat)
+    mod = p**r
+    alpha_inv = pow(a // p**theta_hat, -1, mod)
+    base = p ** (theta - theta_hat) * alpha_inv * (b // p**theta) % mod
+    step = alpha_inv * p ** (r - theta_hat) % mod
+    return tuple(sorted((base + i * step) % mod for i in range(p**theta_hat)))

@@ -12,9 +12,10 @@ Everything here is immutable and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,25 +84,9 @@ class GroupSpec:
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted({p for p, _, _ in self.rings}))
 
-    @cached_property
-    def exponents(self) -> Mapping[int, tuple[int, ...]]:
-        """For each prime p, the sorted set of exponents r with a Z_{p^r} ring."""
-        out: dict[int, list[int]] = {}
-        for p, r, _ in self.rings:
-            if r not in out.setdefault(p, []):
-                out[p].append(r)
-        return {p: tuple(sorted(rs)) for p, rs in out.items()}
-
-    @cached_property
-    def multiplicity(self) -> Mapping[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for p, r, _ in self.rings:
-            out[(p, r)] = out.get((p, r), 0) + 1
-        return out
-
     def max_exponent(self, p: int) -> int:
         """The largest r with a Z_{p^r} ring (r_q in the rate formulas)."""
-        return self.exponents[p][-1]
+        return max(r for q, r, _ in self.rings if q == p)
 
     @cached_property
     def weight_slots(self) -> tuple[tuple[int, int], ...]:
@@ -113,7 +98,7 @@ class GroupSpec:
     @cached_property
     def ring_levels(self) -> tuple[tuple[int, int], ...]:
         """The distinct (p, r) pairs actually present among the rings."""
-        return tuple(sorted(self.multiplicity))
+        return tuple(sorted({(p, r) for p, r, _ in self.rings}))
 
     @cached_property
     def _ring_level_index(self) -> tuple[int, ...]:
@@ -151,15 +136,6 @@ class GroupSpec:
         for v, n in zip(x.residues, self.moduli):
             idx = idx * n + v
         return idx
-
-    def element_at(self, index: int) -> "GroupElement":
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range for order {self.order}")
-        residues = []
-        for n in reversed(self.moduli):
-            residues.append(index % n)
-            index //= n
-        return GroupElement(self, tuple(reversed(residues)))
 
     def describe(self) -> str:
         return " + ".join(f"Z{p**r}({p},{r},{m})" for p, r, m in self.rings)
@@ -202,15 +178,6 @@ class GroupElement:
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
-
-    def __rmul__(self, count: int) -> "GroupElement":
-        """Repeated addition: ``c * x`` is x added to itself c times."""
-        if not isinstance(count, int):
-            return NotImplemented
-        return GroupElement(
-            self.spec,
-            tuple((count * a) % n for a, n in zip(self.residues, self.spec.moduli)),
-        )
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.residues)
@@ -400,18 +367,27 @@ class CyclicDecomposition:
         return tuple(out)
 
 
+def _cyclic_order(value) -> int:
+    """An integer order >= 2, or a float with such a value (JSON writers may
+    print 4 as 4.0); bools, strings and fractional values are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"cyclic order {value!r} is not an integer")
+    if value < 2:
+        raise ValueError(f"cyclic order {value} is invalid: orders must be >= 2")
+    return int(value)
+
+
 def decompose(cyclic_orders: Sequence[int]) -> CyclicDecomposition:
     """Canonically decompose a direct sum of cyclic groups Z_{n_1} + ... + Z_{n_k}.
 
     Each factor is split into its prime-power parts; multiplicity indices are
     assigned in input order so the isomorphism is deterministic.
     """
-    orders = tuple(int(n) for n in cyclic_orders)
+    orders = tuple(_cyclic_order(n) for n in cyclic_orders)
     if not orders:
         raise ValueError("need at least one cyclic order")
-    for n in orders:
-        if n < 2:
-            raise ValueError(f"cyclic order {n} is invalid: orders must be >= 2")
     counts: dict[tuple[int, int], int] = {}
     # (p, r, m) -> owning factor, in input order
     assignments: list[list[tuple[int, int, int]]] = []

@@ -135,28 +135,6 @@ def load_problem(path: str):
     return parse_problem(doc)
 
 
-def problem_to_doc(problem) -> dict:
-    """Normalized document form; serializing a parsed file is idempotent."""
-    if isinstance(problem, ChannelProblem):
-        return {
-            "kind": "channel",
-            "group": list(problem.orders),
-            "output_size": problem.channel.output_size,
-            "matrix": [[float(v) for v in row] for row in problem.channel.matrix],
-        }
-    doc = {
-        "kind": "source",
-        "group": list(problem.orders),
-        "source_size": problem.joint.source_size,
-        "joint": [[float(v) for v in row] for row in problem.joint.joint],
-    }
-    if problem.joint.distortion is not None:
-        doc["distortion"] = [[float(v) for v in row] for row in problem.joint.distortion]
-    if problem.joint.max_distortion is not None:
-        doc["max_distortion"] = float(problem.joint.max_distortion)
-    return doc
-
-
 # -- result records ----------------------------------------------------------
 
 LN2 = math.log(2.0)
@@ -247,7 +225,7 @@ def record_to_text(record: dict) -> str:
             "per_theta",
         ):
             continue
-        lines.append(f"{key}: {record[key]}")
+        lines.append(f"{key}: {fmt_number(record[key])}")
     return "\n".join(lines) + "\n"
 
 

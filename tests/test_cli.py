@@ -1,16 +1,13 @@
+import argparse
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groupcodes import cli
-from groupcodes.problems import (
-    load_problem,
-    parse_group_string,
-    parse_problem,
-    problem_to_doc,
-)
+from groupcodes.problems import parse_group_string, parse_problem
 from groupcodes.measures import ValidationError
 
 
@@ -177,6 +174,30 @@ def test_capacity_rejects_bad_entries(capsys, tmp_path, matrix, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "group, shown",
+    [([4.7], "4.7"), ([True], "True"), ([4, False], "False"), (["4"], "'4'"),
+     ([None], "None")],
+)
+def test_problem_group_entries_must_be_integers(capsys, tmp_path, group, shown):
+    doc = {"kind": "channel", "group": group, "output_size": 2,
+           "matrix": [[0.5, 0.5]] * 4}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["capacity", str(path)])
+    assert code == 2 and out == "" and f"cyclic order {shown} is not an integer" in err
+
+
+def test_problem_group_integral_float(capsys, tmp_path, merged_channel_file):
+    doc = json.loads(Path(merged_channel_file).read_text())
+    doc["group"] = [4.0]
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    _, want, _ = run_cli(capsys, ["capacity", merged_channel_file])
+    code, out, _ = run_cli(capsys, ["capacity", str(path)])
+    assert code == 0 and out == want
+
+
 def test_problem_entries_numbers_and_decimal_strings():
     doc = {"kind": "channel", "group": [2], "output_size": 2,
            "matrix": [[1, 0], ["0.25", 0.75]]}
@@ -239,6 +260,11 @@ def test_theta_table_bad_weights(capsys):
         ["theta-table", "8", "--support", "2,2;2,3", "--weights", "1/3,1/3"],
     )
     assert code == 2 and "sum" in err
+
+
+def test_theta_table_repeated_slot(capsys):
+    code, out, err = run_cli(capsys, ["theta-table", "8", "--support", "2,2;2,2"])
+    assert code == 2 and out == "" and "support slot (2,2) is repeated" in err
 
 
 def test_csv_for_capacity(capsys, merged_channel_file, tmp_path):
@@ -309,6 +335,14 @@ def test_verify_ensemble_needs_covering_counts(capsys):
     assert code == 2 and "prime" in err
 
 
+def test_verify_ensemble_many_axes_reaches_cell_cap(capsys):
+    # n = 64 cell axes: the pair (0, 0) tallies one cell, the pair (0, 1)
+    # has 4^64 cells and stops at the cap
+    argv = ["verify-ensemble", "4", "--counts", "0,1", "--n", "64"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "above cap" in err
+
+
 def test_verify_ensemble_failure_exit_code(capsys, monkeypatch):
     from groupcodes.ensemble import LemmaCheck
 
@@ -335,6 +369,18 @@ def test_nats_scales_cross_check_extras(
     assert bits["closed_form"] > 0
     for key in ("value", "closed_form", "grid_value", "grid_gap"):
         assert nats[key] == pytest.approx(bits[key] * math.log(2), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("units, value", [([], "1.000000000"), (["--nats"], "0.693147181")])
+def test_cross_check_extras_print_nine_decimals(capsys, merged_channel_file, units, value):
+    argv = ["capacity", merged_channel_file, "--closed-form", "--grid-check", "30"]
+    code, out, _ = run_cli(capsys, argv + units)
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        f"closed_form: {value}",
+        "grid_gap: 0.000000000",
+        f"grid_value: {value}",
+    ]
 
 
 def test_csv_stays_in_bits_with_nats(capsys, merged_channel_file, tmp_path):
@@ -396,16 +442,31 @@ def test_largest_seed_accepted(capsys, merged_channel_file):
     assert code == 0 and "trials: 5" in out
 
 
-def test_problem_roundtrip_idempotent(merged_channel_file):
-    problem = load_problem(merged_channel_file)
-    doc1 = problem_to_doc(problem)
-    doc2 = problem_to_doc(parse_problem(doc1))
-    assert doc1 == doc2
-
-
 def test_parse_group_string():
     assert parse_group_string("4, 3 ,9,9") == (4, 3, 9, 9)
     with pytest.raises(ValidationError):
         parse_group_string("")
     with pytest.raises(ValidationError):
         parse_group_string("4,x")
+
+
+def test_option_surface_pinned():
+    # every subcommand's arguments as build_parser declares them: a flag
+    # added, renamed or dropped shows up as a diff here
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [" ".join(a.option_strings) or a.dest for a in p._actions]
+        for name, p in sub.choices.items()
+    }
+    common = ["-h --help", "--json", "--seed"]
+    rate = common + ["file", "--closed-form", "--grid-check", "--csv", "--nats"]
+    ensemble = ["--counts", "--n", "--trials"]
+    assert surface == {
+        "group-info": common + ["group"],
+        "capacity": rate,
+        "rd": rate,
+        "theta-table": common + ["group", "--support", "--weights", "--csv"],
+        "verify-ensemble": common + ["group"] + ensemble,
+        "simulate": common + ["file"] + ensemble,
+    }

@@ -52,14 +52,6 @@ def test_inverse_law_exhaustive():
         assert (a + (-a)) == zero
 
 
-def test_scalar_mul_order():
-    spec = decompose([8]).spec
-    for a in spec.elements():
-        assert (8 * a).is_zero()
-    a = spec.element([3])
-    assert (3 * a).residues == (1,)
-
-
 def test_binding_mismatch_raises():
     a = decompose([4]).spec.element([1])
     b = decompose([2, 2]).spec.element([1, 0])
@@ -215,7 +207,6 @@ def test_element_index_roundtrip():
     spec = decompose([4, 3]).spec
     for i, x in enumerate(spec.elements()):
         assert spec.element_index(x) == i
-        assert spec.element_at(i) == x
 
 
 def test_enumeration_cap(monkeypatch):
