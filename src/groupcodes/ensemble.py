@@ -171,7 +171,11 @@ def _sample_tables(
     ig: InputGroup, n: int, rng, size: tuple[int, ...] = ()
 ) -> np.ndarray:
     """``size`` tables drawn from the ensemble by ``rng.integers``, [*size,
-    k, n, c]; ``rng`` is a Generator or a _PhiloxStreams (size[0] streams)."""
+    k, n, c]; ``rng`` is a Generator or a _PhiloxStreams (size[0] streams).
+    A draw of more than SIZE_CAP cells is rejected before anything is drawn."""
+    cells = math.prod(size) * ig.total * n * len(ig.group.moduli)
+    if cells > SIZE_CAP:
+        raise ValueError(f"table draw of {cells} cells exceeds cap SIZE_CAP={SIZE_CAP}")
     return _tables(
         ig, n, lambda bounds: rng.integers(0, bounds, size=size + bounds.shape)
     )

@@ -31,18 +31,24 @@ def _grid(radices) -> np.ndarray:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} by trial division (orders are tiny)."""
+    """Prime factorization {p: exponent} by trial division up to 2^20.  The
+    cofactor left after it is 1 or a prime when below 2^40; a cofactor at or
+    above 2^40 is rejected rather than divided further."""
     if n < 2:
         raise ValueError(f"cannot factorize {n}: need an integer >= 2")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
+    rest, d = n, 2
+    while d * d <= rest and d <= 1 << 20:
+        while rest % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
+            rest //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if rest >= 1 << 40:
+        raise ValueError(
+            f"cannot factorize order {n}: no divisor up to 2^20 splits {rest}"
+        )
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
     return out
 
 
@@ -64,7 +70,7 @@ class GroupSpec:
             raise ValueError("rings must be sorted by (p, r, m)")
         seen: dict[tuple[int, int], int] = {}
         for p, r, m in self.rings:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            if p < 2 or factorize(p) != {p: 1}:
                 raise ValueError(f"ring modulus base {p} is not prime")
             if r < 1:
                 raise ValueError(f"ring exponent {r} must be >= 1")

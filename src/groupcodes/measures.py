@@ -12,8 +12,10 @@ difference of two conditional entropies from those sums: the source term
 H(X) - H(X | [U]_theta), the channel term H(Y | [X]_theta) - H(Y | X).  H(X)
 is the zero selector's H(X | [U]_theta) and H(Y | X) the full selector's
 H(Y | [X]_theta), so those endpoint terms are exactly zero, and the rate
-layer computes them once per joint or channel.  ``coset_mi_channel_chain``
-merges rows by ``Subgroup.label_indices`` instead: the independent route.
+layer computes them once per joint or channel.  The term route takes each
+selector as its components, a row of the rate layer's selector table, and
+builds no subgroup object.  ``coset_mi_channel_chain`` merges rows by
+``Subgroup.label_indices`` instead: the independent route.
 """
 
 from __future__ import annotations
@@ -179,50 +181,49 @@ class SourceJoint:
         return self.joint.shape[0]
 
 
-def _split_shape(spec: GroupSpec, theta: ThetaVector) -> tuple[Subgroup, tuple]:
-    """The subgroup of theta, and the shape that splits each ring axis p^r of
-    the canonical element order into (p^(r - theta), p^theta): the high axis
-    runs over a coset, the low axis is the coset label, the residue mod
-    p^theta.  High axes sit at the even positions, low axes at the odd."""
-    h = Subgroup(spec, theta)
+def _split_shape(spec: GroupSpec, theta) -> tuple:
+    """The shape that splits each ring axis p^r of the canonical element
+    order into (p^(r - theta), p^theta), theta a selector's components: the
+    high axis runs over a coset, the low axis is the coset label, the residue
+    mod p^theta.  High axes sit at the even positions, low axes at the odd."""
     shape = []
-    for n, q in zip(spec.moduli, h._label_moduli):
-        shape += [n // q, q]
-    return h, tuple(shape)
+    for (p, r, _), level in zip(spec.rings, spec._ring_level_index):
+        shape += [p ** (r - theta[level]), p ** theta[level]]
+    return tuple(shape)
 
 
-def _coset_sums(spec: GroupSpec, theta: ThetaVector, values: np.ndarray):
-    """The subgroup of theta, and values [order, ...] (rows in canonical
-    element order) summed over each coset: [index, ...], in label order."""
-    h, shape = _split_shape(spec, theta)
+def _coset_sums(spec: GroupSpec, theta, values: np.ndarray) -> np.ndarray:
+    """Values [order, ...] (rows in canonical element order) summed over each
+    coset of the selector theta: [index, ...], in label order."""
+    shape = _split_shape(spec, theta)
     cells = values.reshape(shape + values.shape[1:])
     sums = cells.sum(axis=tuple(range(0, len(shape), 2)))
-    return h, sums.reshape((h.index,) + values.shape[1:])
+    return sums.reshape((-1,) + values.shape[1:])
 
 
-def _source_coset_entropy(sj: SourceJoint, theta: ThetaVector) -> float:
+def _source_coset_entropy(sj: SourceJoint, theta) -> float:
     """H(X | [U]_theta): the coset sums of the joint's columns are the joint
     of the coset and X, and each coset's entropy of X is weighted by its
     mass (positive, as the reconstruction marginal is uniform).  At the zero
     selector there is one coset, and this is H(X)."""
-    _, sums = _coset_sums(sj.group, theta, sj.joint.T)
+    sums = _coset_sums(sj.group, theta, sj.joint.T)
     mass = sums.sum(axis=1)
     return float(mass @ _row_entropies(sums / mass[:, None]))
 
 
-def _channel_coset_entropy(chan: ChannelSpec, theta: ThetaVector) -> float:
+def _channel_coset_entropy(chan: ChannelSpec, theta) -> float:
     """H(Y | [X]_theta) with X uniform: the mean entropy of the coset sums of
     the channel's rows, over |H_theta|.  At the full selector every coset is
     one input, and this is H(Y | X)."""
-    h, sums = _coset_sums(chan.group, theta, chan.matrix)
-    return float(_row_entropies(sums / h.order).mean())
+    sums = _coset_sums(chan.group, theta, chan.matrix)
+    return float(_row_entropies(sums / (chan.group.order // len(sums))).mean())
 
 
 def _source_terms(sj: SourceJoint, thetas) -> list[float]:
     """I([U]_theta; X) = H(X) - H(X | [U]_theta) for each theta.  H(X) is the
     zero selector's H(X | [U]_theta), computed once, so that term is exactly
     zero."""
-    h_x = _source_coset_entropy(sj, ThetaVector.zero(sj.group))
+    h_x = _source_coset_entropy(sj, [0] * len(sj.group.ring_levels))
     return [max(0.0, h_x - _source_coset_entropy(sj, th)) for th in thetas]
 
 
@@ -230,30 +231,37 @@ def _channel_terms(chan: ChannelSpec, thetas) -> list[float]:
     """I(X; Y | [X]_theta) = H(Y | [X]_theta) - H(Y | X) for each theta.
     H(Y | X) is the full selector's H(Y | [X]_theta), computed once, so that
     term is exactly zero."""
-    h_y_x = _channel_coset_entropy(chan, ThetaVector.full(chan.group))
+    h_y_x = _channel_coset_entropy(chan, [r for _, r in chan.group.ring_levels])
     return [max(0.0, _channel_coset_entropy(chan, th) - h_y_x) for th in thetas]
+
+
+def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
+    if theta.spec != spec:
+        raise ValueError("theta bound to a different group")
+    return theta.components
 
 
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction
     symbols into cosets of the theta-subgroup."""
-    return _source_terms(sj, [theta])[0]
+    return _source_terms(sj, [_components(sj.group, theta)])[0]
 
 
 def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
     """I(X; Y | [X]_theta) with X uniform on the group: the coset-average of
     the per-coset mutual informations."""
-    return _channel_terms(chan, [theta])[0]
+    return _channel_terms(chan, [_components(chan.group, theta)])[0]
 
 
 def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
     """Mutual information of the channel restricted to each coset of the
     theta-subgroup (input uniform on the coset), in coset-label order."""
-    h, shape = _split_shape(chan.group, theta)
+    shape = _split_shape(chan.group, _components(chan.group, theta))
     cells = chan.matrix.reshape(shape + (chan.output_size,))
     # labels first, then the position in the coset: rows stay canonical
     axes = tuple(range(1, len(shape), 2)) + tuple(range(0, len(shape), 2))
-    blocks = cells.transpose(axes + (len(shape),)).reshape(h.index, h.order, -1)
+    index = np.prod(shape[1::2])
+    blocks = cells.transpose(axes + (len(shape),)).reshape(index, -1, chan.output_size)
     h_y_x = _row_entropies(blocks).mean(axis=1)
     return np.maximum(0.0, _row_entropies(blocks.mean(axis=1)) - h_y_x).tolist()
 

@@ -22,7 +22,9 @@ solved settles the call.
 Each rate call builds one selector table, used for the terms and for every
 support's linear program, which is sliced from it; Theta(S) is the set of
 selectors theta whose least inducing depths m(theta) on S induce them back.
-Nothing is cached.
+Inside a call a selector is a row of that table and the terms are an array
+over its rows; a terms mapping keyed by ThetaVector exists only at
+optimize_weights and grid_search, where it is checked.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -238,62 +241,60 @@ def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
     That union is the theta set of the full support: a slot at its full
     depth s gives |r - s|^+ + s >= r, so adding a slot never removes a
     selector and Theta(S) is contained in Theta(S + slot)."""
-    thetas = enumerate_theta_set(spec, spec.weight_slots)
-    return tuple(sorted(thetas, key=lambda t: t.components))
+    grid, _, _, members = _theta_sets(spec, [spec.weight_slots])
+    return tuple(_thetas(spec, grid[members[0]]))
 
 
-class _Table:
-    """The selector table of one rate call: the covering supports in
-    lexicographic order (the tie-break order) and _theta_sets of them."""
+class _SupportProblems:
+    """The selector table of one rate call, the covering supports in
+    lexicographic order (the tie-break order) and _theta_sets of them, and
+    the LP input of every support for one sense.  The terms c over the rows
+    come from terms_of(the component lists of the rows in some Theta(S)).
+    Support i's slice is taken on demand: (the selectors of Theta(S), and
+    n = m(theta) log2 q on S, D = s log2 q on S, the terms and the sense's
+    excluded endpoint selector).  ``sign`` +1 maximises (channel), -1
+    minimises (source), so sign * value is larger when better."""
 
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
+    def __init__(self, spec: GroupSpec, terms_of, sense: str):
+        if sense not in ("source", "channel"):
+            raise ValueError(f"unknown sense {sense!r}")
+        self.spec, self.sense = spec, sense
+        self.sign = 1 if sense == "channel" else -1
         self.supports = _covering_supports(spec)
         self.grid, self.depths, self.columns, self.members = _theta_sets(
             spec, self.supports
         )
-        # the union of the Theta(S), the reachable set, which terms must cover
-        self.reachable = self.members.any(axis=0)
-        self.thetas = _thetas(spec, self.grid[self.reachable])
-
-
-class _SupportProblems:
-    """The LP input of every support of a table for one sense and one set of
-    terms, rejecting missing or invalid terms; support i's slice is taken on
-    demand: (the selectors of Theta(S), and n = m(theta) log2 q on S,
-    D = s log2 q on S, the terms and the sense's excluded endpoint
-    selector).  ``sign`` states the outer direction: +1 maximises (channel),
-    -1 minimises (source), so sign * value is larger when better."""
-
-    def __init__(
-        self, table: _Table, terms: Mapping[ThetaVector, float], sense: str
-    ):
-        if sense not in ("source", "channel"):
-            raise ValueError(f"unknown sense {sense!r}")
-        thetas = table.thetas
-        missing = [th for th in thetas if th not in terms]
-        if missing:
-            raise ValueError(f"terms missing for selectors {missing}")
-        for th, c in terms.items():
-            if not math.isfinite(c) or c < -1e-12:
-                raise ValueError(f"information term for {th.components} is {c}")
-        self.table, self.terms, self.sense = table, terms, sense
-        self.sign = 1 if sense == "channel" else -1
-        self.c = np.full(len(table.grid), math.nan)
-        self.c[table.reachable] = [terms[th] for th in thetas]
+        reachable = self.members.any(axis=0)
+        self.c = np.full(len(self.grid), math.nan)
+        self.c[reachable] = terms_of(self.grid[reachable].tolist())
         # the zero selector is the grid's first row, the full selector its last
-        self.excluded = np.zeros(len(table.grid), dtype=bool)
+        self.excluded = np.zeros(len(self.grid), dtype=bool)
         self.excluded[0 if sense == "source" else -1] = True
-        slots = table.spec.weight_slots
+        slots = spec.weight_slots
         log_q = np.array([math.log2(q) for q, _ in slots])
-        self.n = table.depths * log_q
+        self.n = self.depths * log_q
         self.d = np.array([s for _, s in slots]) * log_q
 
+    @classmethod
+    def from_mapping(cls, spec: GroupSpec, terms: Mapping[ThetaVector, float], sense):
+        """Problems from a terms mapping, checked complete, finite and >= 0."""
+
+        def terms_of(rows):
+            thetas = [ThetaVector(spec, tuple(row)) for row in rows]
+            if missing := [th for th in thetas if th not in terms]:
+                raise ValueError(f"terms missing for selectors {missing}")
+            for th, c in terms.items():
+                if not math.isfinite(c) or c < -1e-12:
+                    raise ValueError(f"information term for {th.components} is {c}")
+            return [terms[th] for th in thetas]
+
+        return cls(spec, terms_of, sense)
+
     def __getitem__(self, i: int):
-        cols, rows = self.table.columns[i], self.table.members[i]
+        cols, rows = self.columns[i], self.members[i]
         n, d = self.n[rows][:, cols], self.d[cols]
         problem = (n, d, self.c[rows], self.excluded[rows])
-        return self.table.grid[rows], problem
+        return self.grid[rows], problem
 
     def vertex_bounds(self) -> np.ndarray:
         """The bound of every support that its optimum cannot beat.  On the
@@ -304,18 +305,17 @@ class _SupportProblems:
         c_theta / (1 - top).  A term at or below INFO_ZERO_TOL bounds by 0, a
         zero denominator by +inf: a source support with LB(S) = +inf has a
         term that is infinite for every weight choice."""
-        table, sign = self.table, self.sign
-        s = np.array([s for _, s in table.spec.weight_slots])
-        top = np.zeros(table.members.shape)
+        s = np.array([s for _, s in self.spec.weight_slots])
+        top = np.zeros(self.members.shape)
         for j in range(len(s)):  # one slot at a time, [supports, n] at most
-            frac = np.where(table.columns[:, [j]], table.depths[:, j] / s[j], 0.0)
+            frac = np.where(self.columns[:, [j]], self.depths[:, j] / s[j], 0.0)
             np.maximum(top, frac, out=top)
-        part = top if sign < 0 else 1.0 - top
+        part = top if self.sign < 0 else 1.0 - top
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.where(self.c <= INFO_ZERO_TOL, 0.0, self.c / part)
-        counted = table.members & ~self.excluded
+        counted = self.members & ~self.excluded
         # the max (source) or min (channel) over the counted selectors
-        return sign * np.where(counted, sign * bound, math.inf).min(axis=1)
+        return self.sign * np.where(counted, self.sign * bound, math.inf).min(axis=1)
 
 
 # -- linear programming ----------------------------------------------------
@@ -469,7 +469,7 @@ def optimize_weights(
     ``terms`` must cover every selector reachable from some support pattern,
     with finite nonnegative values.
     """
-    return _optimize(_SupportProblems(_Table(spec), terms, sense))
+    return _optimize(_SupportProblems.from_mapping(spec, terms, sense))
 
 
 def _optimize(problems: _SupportProblems) -> RateResult:
@@ -532,15 +532,14 @@ def _winner(values: Mapping[int, float]) -> int:
 def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
     """The result of support i at a witness: the inner optimum evaluated
     there, its critical selectors and the per-selector table."""
-    table, sense = problems.table, problems.sense
-    spec, support = table.spec, table.supports[i]
+    spec, sense, support = problems.spec, problems.sense, problems.supports[i]
     rows, problem = problems[i]
-    excluded = problem[3]
+    _, _, terms, excluded = problem
     values, ratios = _evaluate(*problem, np.array([witness]), sense)
     value, ratios = float(values[0]), ratios[0].tolist()
     weights = WeightVector.from_mapping(spec, dict(zip(support, witness)))
     thetas = _thetas(spec, rows)
-    coeffs = table.depths[table.members[i]].tolist()
+    coeffs = problems.depths[problems.members[i]].tolist()
     crit_tol = CRITICAL_TOL * (1.0 + abs(value))
     critical = tuple(
         th
@@ -548,13 +547,8 @@ def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
         if not skip and abs(ratio - value) <= crit_tol
     )
     per_theta = tuple(
-        PerThetaTerm(
-            theta=th,
-            omega=float(_omega(spec, weights.values, row)),
-            info_bits=problems.terms[th],
-            ratio_bits=ratio,
-        )
-        for th, row, ratio in zip(thetas, coeffs, ratios)
+        PerThetaTerm(th, float(_omega(spec, weights.values, row)), info, ratio)
+        for th, row, info, ratio in zip(thetas, coeffs, terms.tolist(), ratios)
     )
     return RateResult(value, weights, critical, per_theta, support, sense)
 
@@ -566,22 +560,20 @@ def source_terms(sj: SourceJoint) -> dict[ThetaVector, float]:
     """Coset information terms for every reachable selector, with H(X)
     computed once for all of them."""
     thetas = all_reachable_thetas(sj.group)
-    return dict(zip(thetas, _source_terms(sj, thetas)))
+    return dict(zip(thetas, _source_terms(sj, [t.components for t in thetas])))
 
 
 def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
     """Conditional coset information terms for every reachable selector,
     with H(Y | X) computed once for all of them."""
     thetas = all_reachable_thetas(chan.group)
-    return dict(zip(thetas, _channel_terms(chan, thetas)))
+    return dict(zip(thetas, _channel_terms(chan, [t.components for t in thetas])))
 
 
 def _rate(data, sense: str) -> RateResult:
     """One selector table for the terms and the optimization."""
-    table = _Table(data.group)
     terms_of = _source_terms if sense == "source" else _channel_terms
-    terms = dict(zip(table.thetas, terms_of(data, table.thetas)))
-    return _optimize(_SupportProblems(table, terms, sense))
+    return _optimize(_SupportProblems(data.group, partial(terms_of, data), sense))
 
 
 def source_coding_rate(sj: SourceJoint) -> RateResult:
@@ -646,11 +638,11 @@ def grid_search(
     it, evaluated GRID_BLOCK points at a time.  ``steps`` must be >= 1."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    problems = _SupportProblems(_Table(spec), terms, sense)
+    problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign, slots = problems.sign, spec.weight_slots
     best_val: float | None = None
     best_w: tuple[float, ...] | None = None
-    for i, support in enumerate(problems.table.supports):
+    for i, support in enumerate(problems.supports):
         _, problem = problems[i]
         k = len(support)
         # a positive composition of steps is k - 1 distinct cuts in 1..steps-1

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,40 @@ def test_group_info_rejects_order_one(capsys):
     code, _, err = run_cli(capsys, ["group-info", "1"])
     assert code == 2
     assert "invalid" in err
+
+
+def test_group_info_rejects_unfactorable_order():
+    # trial division is bounded: a prime near 10^18 exits 2 at once, naming
+    # the order (in a child process, so a hang fails by the timeout)
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcodes.cli", "group-info", "1000000000000000003"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "order 1000000000000000003" in proc.stderr
+
+
+def test_verify_ensemble_rejects_huge_table_draw(capsys):
+    # 200 tables of 10^15 cells each: rejected before any draw, naming the cap
+    argv = ["verify-ensemble", "4", "--counts", "0,1", "--n", str(10**15)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "SIZE_CAP" in err
+
+
+def test_cli_imports_numpy_only():
+    # the library's one dependency is numpy: the test tools scipy, hypothesis
+    # and pytest must not load with the CLI
+    code = (
+        "import sys, groupcodes.cli; print(sorted({m.split('.')[0] for m in "
+        "sys.modules} & {'scipy', 'hypothesis', 'pytest', '_pytest'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_capacity_identity(capsys, tmp_path):

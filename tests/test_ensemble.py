@@ -518,6 +518,25 @@ def test_pairwise_law_cap():
         verify_pairwise_law(ig_of([2], {(2, 1): 1}), 17, [0], [1])  # 2^17 cells
 
 
+def test_table_draw_cap():
+    # a draw of more than SIZE_CAP cells (tables x k x n x rings) is rejected
+    # before anything is drawn; each draw below would need >= 10^15 bytes
+    ig = ig_of([4], {(2, 2): 1})
+    with pytest.raises(ValueError, match="SIZE_CAP"):
+        lemma_suite(ig, 10**15)
+    with pytest.raises(ValueError, match="SIZE_CAP"):
+        sample_hom(ig, 10**15, 0)
+    ig8 = ig_of([2], {(2, 1): 8})
+    a, b = [0] * 8, [1] + [0] * 7
+    with pytest.raises(ValueError, match="SIZE_CAP"):
+        verify_pairwise_law(ig8, 3, a, b, samples=10**15)
+    # the cap itself: 2^17 tables of 8 x 1 x 1 cells is allowed, one more is not
+    rng = np.random.Generator(np.random.Philox(0))
+    assert ensemble._sample_tables(ig8, 1, rng, (2**17,)).shape == (2**17, 8, 1, 1)
+    with pytest.raises(ValueError, match="SIZE_CAP"):
+        ensemble._sample_tables(ig8, 1, rng, (2**17 + 1,))
+
+
 def test_pairwise_law_many_axes():
     # n * rings >= 64 cell axes, one cell: a == b gives w = 0 in every table
     ig = ig_of([4], {(2, 2): 1})

@@ -38,6 +38,20 @@ def test_factorize():
         factorize(1)
 
 
+def test_factorize_bounded():
+    # trial division stops at 2^20: a cofactor below 2^40 is prime, one at or
+    # above it is rejected, naming the order
+    assert factorize(10**18) == {2: 18, 5: 18}
+    assert factorize(1 << 40) == {2: 40}
+    assert factorize(1099511627689) == {1099511627689: 1}  # largest prime < 2^40
+    assert factorize(3 * 1099511627689) == {3: 1, 1099511627689: 1}
+    with pytest.raises(ValueError, match="order 1099532599387"):
+        factorize(1048583 * 1048589)  # both primes just above 2^20
+    with pytest.raises(ValueError):
+        GroupSpec(((1048583 * 1048589, 1, 1),))
+    assert GroupSpec(((1099511627689, 1, 1),)).order == 1099511627689
+
+
 def test_add_componentwise():
     spec = decompose([4, 3]).spec
     a = spec.element([3, 2])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from groupcodes import (
     source_rate_prime_power,
 )
 from groupcodes import rates
-from groupcodes.groups import _min_depths
+from groupcodes.groups import Subgroup, _min_depths
 from groupcodes.rates import (
     INFO_ZERO_TOL,
     TIE_TOL,
@@ -38,7 +39,6 @@ from groupcodes.rates import (
     _result,
     _solve_support,
     _SupportProblems,
-    _Table,
     all_reachable_thetas,
     channel_terms,
     source_terms,
@@ -672,7 +672,7 @@ def unpruned_scan(problems):
     the optimum."""
     bounds = problems.vertex_bounds()
     solved = {}
-    for i in range(len(problems.table.supports)):
+    for i in range(len(problems.supports)):
         if bounds[i] < math.inf:
             solved[i] = _solve_support(*problems[i][1], problems.sense)
     values = [value for value, _ in solved.values()]
@@ -718,7 +718,7 @@ def source_case(draw):
 
 
 def assert_matches_unpruned_scan(spec, terms, sense):
-    problems = _SupportProblems(_Table(spec), terms, sense)
+    problems = _SupportProblems.from_mapping(spec, terms, sense)
     expected, solved = unpruned_scan(problems)
     got = optimize_weights(spec, terms, sense)
     for field in RateResult.__dataclass_fields__:
@@ -727,7 +727,7 @@ def assert_matches_unpruned_scan(spec, terms, sense):
     bounds = problems.sign * problems.vertex_bounds()
     for i, (value, _) in solved.items():
         assert bounds[i] >= problems.sign * value - 1e-12 * value
-        if len(problems.table.supports[i]) == 1:
+        if len(problems.supports[i]) == 1:
             # the face of a single slot is one point, where the bound is met
             assert abs(bounds[i] - problems.sign * value) <= 1e-12 * value
 
@@ -740,6 +740,59 @@ def test_pruned_channel_optimum_matches_unpruned_scan_property(case):
 @given(source_case())
 def test_pruned_source_optimum_matches_unpruned_scan_property(case):
     assert_matches_unpruned_scan(*case, "source")
+
+
+@st.composite
+def rate_case(draw):
+    """A random or additive-noise channel and a random source joint over a
+    random group."""
+    spec = draw_group(draw)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        chan = random_additive_channel(spec, rng)
+    else:
+        chan = random_channel(spec, draw(st.integers(2, 5)), rng)
+    return spec, chan, random_source_joint(spec, draw(st.integers(2, 5)), rng)
+
+
+@given(rate_case())
+def test_mapping_edge_matches_rate_call_property(case):
+    # the terms mapping at optimize_weights and the array over the selector
+    # table's rows inside a rate call are one computation
+    spec, chan, sj = case
+    for got, expected in (
+        (
+            optimize_weights(spec, channel_terms(chan), "channel"),
+            channel_coding_rate(chan),
+        ),
+        (optimize_weights(spec, source_terms(sj), "source"), source_coding_rate(sj)),
+    ):
+        for field in RateResult.__dataclass_fields__:
+            assert getattr(got, field) == getattr(expected, field), field
+
+
+@pytest.mark.parametrize("orders", [[8], [4, 3], [16, 27], [2, 4, 9]])
+def test_rate_call_selectors_are_table_rows(monkeypatch, orders):
+    # inside a rate call a selector is a row of the selector table: no
+    # Subgroup is built, and the only ThetaVectors are the result's rows
+    built = Counter()
+    for cls in (Subgroup, ThetaVector):
+
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    spec = decompose(orders).spec
+    rng = make_rng(spec.order)
+    for rate, data in (
+        (channel_coding_rate, random_channel(spec, 4, rng)),
+        (source_coding_rate, random_source_joint(spec, 4, rng)),
+    ):
+        built.clear()
+        result = rate(data)
+        assert built["Subgroup"] == 0
+        assert built["ThetaVector"] == len(result.per_theta)
 
 
 @pytest.mark.parametrize(
@@ -770,7 +823,7 @@ def assert_visits_best_first(monkeypatch, terms, sense):
     by TIE_TOL) or was skipped: it comes after the winner, whose value is
     within TIE_TOL of its bound, so it could at best tie and lose."""
     spec = decompose([64, 81]).spec
-    problems = _SupportProblems(_Table(spec), terms, sense)
+    problems = _SupportProblems.from_mapping(spec, terms, sense)
     bounds = problems.sign * problems.vertex_bounds()
     visited = []
     getitem = _SupportProblems.__getitem__
@@ -786,7 +839,7 @@ def assert_visits_best_first(monkeypatch, terms, sense):
     assert visited == sorted(visited, key=best_first.index)
     assert visited[0] == best_first[0]
     assert winner in visited
-    assert problems.table.supports[winner] == result.support
+    assert problems.supports[winner] == result.support
     value = problems.sign * result.value
     skipped = [
         i
@@ -873,9 +926,8 @@ def test_full_support_source_bound_is_finite_property(orders):
     # on the full support, so the best-first loop always solves a support
     # before any whose term is infinite for every weight choice
     spec = decompose(orders).spec
-    table = _Table(spec)
-    problems = _SupportProblems(table, {th: 1.0 for th in table.thetas}, "source")
-    full = table.supports.index(tuple(sorted(spec.weight_slots)))
+    problems = _SupportProblems(spec, lambda rows: [1.0] * len(rows), "source")
+    full = problems.supports.index(tuple(sorted(spec.weight_slots)))
     assert problems.vertex_bounds()[full] < math.inf
 
 
@@ -930,8 +982,8 @@ def test_packing_lp_matches_highs(orders):
     )
     solved = 0
     for sense, terms in cases:
-        problems = _SupportProblems(_Table(spec), terms, sense)
-        for i in range(len(problems.table.supports)):
+        problems = _SupportProblems.from_mapping(spec, terms, sense)
+        for i in range(len(problems.supports)):
             _, (n, d, c, excluded) = problems[i]
             active = ~excluded & (c > INFO_ZERO_TOL)
             if sense == "channel":
