@@ -15,12 +15,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, Subgroup, ThetaVector
-from .groups import _grid, _induce, _min_depths
+from .groups import GroupElement, GroupSpec, ThetaVector
+from .groups import _gaps, _grid, _induce, _min_depths, factorize
 from .measures import ChannelSpec
 from .rates import enumerate_theta_set
 
@@ -33,10 +33,8 @@ SIZE_CAP = 1 << 20
 
 def _depth(value: int, q: int, s: int) -> int:
     """q-adic depth of a residue in Z_{q^s}; the zero residue has depth s."""
-    if value == 0:
-        return s
     d = 0
-    while value % q == 0:
+    while d < s and value % q == 0:
         value //= q
         d += 1
     return d
@@ -71,6 +69,33 @@ class InputGroup:
         for (q, s), count in zip(self.group.weight_slots, self.counts):
             rings.extend((q, s, l) for l in range(1, count + 1))
         return GroupSpec(tuple(sorted(rings)))
+
+    @cached_property
+    def _allowed_step(self) -> np.ndarray:
+        """[k, c], read-only like every array cached here: the (p, r) image of
+        a Z_{q^s} generator lies in step * Z_{p^r}, step = p^(r-s)+ for q = p
+        and p^r (zero only) across primes."""
+        step = np.array(
+            [[p ** max(r - s, 0) if p == q else p**r for p, r, _ in self.group.rings]
+             for q, s, _ in self.spec.rings],
+            dtype=np.int64,
+        )
+        step.setflags(write=False)
+        return step
+
+    @cached_property
+    def _selector_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per component: its slot's gaps [k, L], and the powers q, ..., q^s
+        then q^s + 1 [k, max s], of which a residue's q-adic depth counts
+        those up to its gcd with q^s."""
+        rings, top = self.spec.rings, max(s for _, s, _ in self.spec.rings)
+        gaps = _gaps(self.group.ring_levels, [(q, s) for q, s, _ in rings])
+        powers = np.array(
+            [[q ** min(t, s) + (t > s) for t in range(1, top + 1)] for q, s, _ in rings]
+        )
+        for table in (gaps, powers):
+            table.setflags(write=False)
+        return gaps, powers
 
     @property
     def total(self) -> int:
@@ -137,29 +162,20 @@ class HomomorphismTable:
 # GroupElement appears only where a public function takes or returns one.
 
 
-def _allowed_step(ig: InputGroup) -> np.ndarray:
-    """[k, c]: the (p, r) image of a Z_{q^s} generator lies in step * Z_{p^r},
-    step = p^(r-s)+ for q = p and p^r (zero only) across primes."""
-    return np.array(
-        [
-            [p ** max(r - s, 0) if p == q else p**r for p, r, _ in ig.group.rings]
-            for q, s, _ in ig.spec.rings
-        ],
-        dtype=np.int64,
-    )
-
-
 def _tables(ig: InputGroup, n: int, pick) -> np.ndarray:
     """Generator images [..., k, n, c].  ``pick(bounds)`` gives the digits
     [..., len(bounds)] of the drawn positions, the same-prime (component,
     coordinate, ring) cells in C order; cross-prime cells stay zero."""
     moduli = np.array(ig.group.moduli)
-    step = np.broadcast_to(_allowed_step(ig)[:, None, :], (ig.total, n, len(moduli)))
+    step = np.repeat(ig._allowed_step[:, None, :], n, axis=1)
     drawn = step < moduli
     digits = pick((moduli // step)[drawn])
-    images = np.zeros(digits.shape[:-1] + step.shape, dtype=np.int64)
-    images[..., drawn] = digits * step[drawn]
-    return images
+    if drawn.all():  # one prime: no cross-prime cell stays zero
+        images = digits.reshape(digits.shape[:-1] + step.shape)
+    else:
+        images = np.zeros(digits.shape[:-1] + step.shape, dtype=np.int64)
+        images[..., drawn] = digits
+    return images * step
 
 
 def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
@@ -176,9 +192,13 @@ def _sample_tables(
     cells = math.prod(size) * ig.total * n * len(ig.group.moduli)
     if cells > SIZE_CAP:
         raise ValueError(f"table draw of {cells} cells exceeds cap SIZE_CAP={SIZE_CAP}")
-    return _tables(
-        ig, n, lambda bounds: rng.integers(0, bounds, size=size + bounds.shape)
-    )
+
+    def pick(bounds):
+        # equal bounds draw the same stream as one scalar bound, which is faster
+        high = bounds[0] if (bounds == bounds[0]).all() else bounds
+        return rng.integers(0, high, size=size + bounds.shape)
+
+    return _tables(ig, n, pick)
 
 
 def _sample_table(
@@ -194,7 +214,8 @@ def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     """Cells of images [..., k, n, c] outside their allowed subgroup or
     outside [0, p^r)."""
     moduli = np.array(ig.group.moduli)
-    return (images % _allowed_step(ig)[:, None, :] != 0) | (images < 0) | (
+    # fmod is zero exactly on the multiples, of either sign, and faster than %
+    return (np.fmod(images, ig._allowed_step[:, None, :]) != 0) | (images < 0) | (
         images >= moduli
     )
 
@@ -210,9 +231,13 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _check_blocklength(n: int) -> None:
-    if n < 1:
-        raise ValueError("blocklength must be >= 1")
+def _check_count(name: str, value) -> None:
+    """A blocklength, trial or sample count is an integer >= 1: a bool or a
+    float is refused, not read as 1 or truncated."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
@@ -222,12 +247,16 @@ def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
 
 
 def _encode(messages, images: np.ndarray, dither, moduli) -> np.ndarray:
-    """(messages @ images + dither) mod moduli: messages [..., k] against
-    images [..., k, n, c] gives codewords [..., n, c]."""
+    """(messages @ images + dither) mod moduli: messages [k] or [M, k]
+    against images [..., k, n, c] give codewords [..., n, c] or [..., M, n,
+    c], and the dither broadcasts against them."""
     # k products of residues below max(moduli), plus the dither, fit in int64
     if images.shape[-3] * max(moduli) ** 2 >= 2**63:
         raise ValueError("group moduli too large for int64 residue arithmetic")
-    return (np.einsum("...k,...kic->...ic", messages, images) + dither) % moduli
+    words = np.matmul(messages, images.reshape(images.shape[:-2] + (-1,)))
+    words = words.reshape(words.shape[:-1] + images.shape[-2:]) + dither
+    # numpy divides by one scalar modulus much faster than by an array
+    return words % (moduli[0] if len(set(moduli)) == 1 else moduli)
 
 
 def _image_array(table: HomomorphismTable) -> np.ndarray:
@@ -267,7 +296,7 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     """Draw a homomorphism table from the ensemble: each admissible generator
     image component uniform on its allowed subgroup, dither uniform on the
     group, all reproducible from the 64-bit seed (counter-based generator)."""
-    _check_blocklength(n)
+    _check_count("blocklength", n)
     _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     images, dither = _sample_table(ig, n, rng)
@@ -286,23 +315,16 @@ def apply_hom(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
 
 def encode(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
     """Shifted codeword: homomorphism image plus dither."""
-    a = table.input_group.element(a)
-    g_spec = table.input_group.group
-    dither = [d.residues for d in table.dither]
-    return _elements(
-        g_spec, _encode(a.residues, _image_array(table), dither, g_spec.moduli)
-    )
+    return tuple(x + d for x, d in zip(apply_hom(table, a), table.dither))
 
 
 def _selectors(ig: InputGroup, diffs) -> np.ndarray:
-    """The selector components [..., levels] of every input difference b - a
-    in diffs [..., k] (see pair_theta)."""
-    diffs = np.asarray(diffs)
-    slots = [(q, s) for q, s, _ in ig.spec.rings]
-    q, s = np.array(slots).T
-    # the t <= s with q^t dividing the difference: s for a zero difference
-    depths = sum((diffs % q**t == 0) & (t <= s) for t in range(1, s.max() + 1))
-    return _induce(ig.group.ring_levels, slots, depths)
+    """The selector components [..., L] of every input difference b - a in
+    diffs [..., k], any integer representatives (see pair_theta)."""
+    gaps, powers = ig._selector_tables
+    # gcd(d, q^s) = q^depth, so the depth is the count of powers up to it
+    depths = (np.gcd(diffs, ig.spec.moduli)[..., None] >= powers).sum(axis=-1)
+    return _induce(ig.group.ring_levels, gaps, depths)
 
 
 def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
@@ -310,29 +332,35 @@ def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
     minimum of |r-s|^+ plus the q-adic depth of the component difference,
     over components of the same prime (clamped to r; levels with no matching
     component get r, since the image difference there is identically zero)."""
-    diff = (ig.element(b) - ig.element(a)).residues
+    diff = np.subtract(ig.element(b).residues, ig.element(a).residues)
     return ThetaVector(ig.group, tuple(_selectors(ig, diff).tolist()))
 
 
 def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     """Counts of every selector over all input pairs with a fixed first
-    element (the census is the same for every choice)."""
+    element (the census is the same for every choice), in lexicographic
+    selector order."""
     if ig.size > SIZE_CAP:
         raise ValueError(f"input group size {ig.size} exceeds cap {SIZE_CAP}")
     a = ig.element(a) if a is not None else ig.spec.zero()
-    moduli = ig.spec.moduli
-    diffs = (_grid(moduli) - a.residues) % moduli
-    rows, counts = np.unique(_selectors(ig, diffs), axis=0, return_counts=True)
+    rows = _selectors(ig, _grid(ig.spec.moduli) - a.residues)
+    # one mixed-radix code per selector, in lexicographic order
+    radices = [r + 1 for _, r in ig.group.ring_levels]
+    counts = np.bincount(np.ravel_multi_index(tuple(rows.T), radices))
+    codes = np.flatnonzero(counts)
+    classes = zip(*(axis.tolist() for axis in np.unravel_index(codes, radices)))
     return {
-        ThetaVector(ig.group, tuple(row)): count
-        for row, count in zip(rows.tolist(), counts.tolist())
+        ThetaVector(ig.group, row): count
+        for row, count in zip(classes, counts[codes].tolist())
     }
 
 
 def t_theta_bound(ig: InputGroup, theta: ThetaVector) -> int:
     """The census upper bound: product over slots of q^((s - coeff) * count)."""
+    if theta.spec != ig.group:
+        raise ValueError("theta bound to a different group")
     slots = ig.group.weight_slots
-    coeffs = _min_depths(ig.group.ring_levels, slots, theta.components).tolist()
+    coeffs = _min_depths(ig.group._slot_gaps, theta.components).tolist()
     return math.prod(
         q ** ((s - coeff) * count)
         for (q, s), coeff, count in zip(slots, coeffs, ig.counts)
@@ -352,11 +380,6 @@ class PairwiseLawReport:
     tv_distance: float
     threshold: float
     passed: bool
-
-
-def _hom_space_size(ig: InputGroup, n: int) -> int:
-    moduli = np.array(ig.group.moduli)
-    return math.prod((moduli // _allowed_step(ig)).ravel().tolist()) ** n
 
 
 def verify_pairwise_law(
@@ -381,40 +404,42 @@ def verify_pairwise_law(
     integer seed in [0, 2**64).
     """
     _check_seed(seed)
-    _check_blocklength(n)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_count("blocklength", n)
+    _check_count("samples", samples)
     g_spec = ig.group
     gn = g_spec.order**n
     a = ig.element(a)
     b = ig.element(b)
     theta = pair_theta(ig, a, b)
-    cells = Subgroup(g_spec, theta).order ** n
+    # H_theta is h_step Z_{p^r} in each ring, which has p^r // h_step cells
+    levels = g_spec._ring_level_index
+    h_step = [p ** theta.components[i] for (p, _, _), i in zip(g_spec.rings, levels)]
+    radices = [m // h for m, h in zip(g_spec.moduli, h_step)]
+    cells = math.prod(radices) ** n
     if cells > TABLE_CELL_CAP:
         raise ValueError(f"H_theta^n has {cells} cells, above cap {TABLE_CELL_CAP}")
 
-    if _hom_space_size(ig, n) * gn <= EXHAUSTIVE_CAP:
+    hom_space = math.prod((g_spec.moduli // ig._allowed_step).ravel().tolist()) ** n
+    if hom_space * gn <= EXHAUSTIVE_CAP:
         mode, threshold = "exhaustive", 0.0
         tables = _all_tables(ig, n)
     else:
         mode, threshold = "sampled", 3.0 * math.sqrt(cells / samples)
         rng = np.random.Generator(np.random.Philox(seed))
         tables = _sample_tables(ig, n, rng, (samples,))
-    moduli = np.array(g_spec.moduli)
-    w = _encode((b - a).residues, _checked(ig, tables), 0, moduli)  # [T, n, c]
-    h_step = np.array([p ** theta[(p, r)] for p, r, _ in g_spec.rings])  # H = h_step Z
-    inside = (w % h_step == 0).all(axis=(1, 2))
-    digits = (w[inside] // h_step).reshape(-1, n * len(moduli))
+    diff = np.subtract(b.residues, a.residues)
+    w = _encode(diff, _checked(ig, tables), 0, g_spec.moduli)  # [T, n, c]
+    digits, rest = np.divmod(w, h_step)
+    digits = digits[~rest.any(axis=(1, 2))].reshape(-1, n * len(h_step))
     # mixed-radix cell index: the radices multiply to cells, within the cap
-    cell = digits @ (cells // np.cumprod(np.tile(moduli // h_step, n)))
-    hits = np.bincount(cell, minlength=cells)
+    hits = np.bincount(digits @ (cells // np.cumprod(radices * n)), minlength=cells)
     total = len(tables)
-    off_mass = Fraction(total - len(digits), total)
+    off = total - len(digits)  # int / int is the correctly rounded float
     # TV over the support: (1/2) sum |hits/total - 1/cells|, in integers
     tv = Fraction(int(np.abs(hits * cells - total).sum()), 2 * total * cells)
-    passed = off_mass == 0 and (tv == 0 or tv < threshold)
+    passed = off == 0 and (tv == 0 or tv < threshold)
     return PairwiseLawReport(
-        theta, mode, total, gn * cells, float(off_mass), float(tv), threshold, passed
+        theta, mode, total, gn * cells, off / total, float(tv), threshold, passed
     )
 
 
@@ -448,8 +473,9 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_LOW_HALF, _HIGH_HALF = (0, 1) if np.little_endian else (1, 0)
 
 
 def _child_keys(seq: np.random.SeedSequence, first: int, count: int) -> np.ndarray:
@@ -485,37 +511,46 @@ def _child_keys(seq: np.random.SeedSequence, first: int, count: int) -> np.ndarr
     )
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * b, over 32-bit halves."""
-    a_lo, a_hi = _U64(a & 0xFFFFFFFF), _U64(a >> 32)
-    b_lo, b_hi = b & _LOW32, b >> _U64(32)
-    cross_lo, cross_hi = a_lo * b_hi, a_hi * b_lo
-    carry = ((a_lo * b_lo) >> _U64(32)) + (cross_lo & _LOW32) + (cross_hi & _LOW32)
-    high = (
-        a_hi * b_hi
-        + (cross_lo >> _U64(32))
-        + (cross_hi >> _U64(32))
-        + (carry >> _U64(32))
-    )
-    return high, b * _U64(a)
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 32-bit halves of 64-bit words x (contiguous), as views."""
+    pairs = x.view(_U32)
+    return pairs[..., _LOW_HALF::2], pairs[..., _HIGH_HALF::2]
+
+
+def _mulhi(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products a * b of uint64 arrays, from a's
+    32-bit halves; no partial sum exceeds 64 bits."""
+    b_lo, b_hi = _halves(b)
+    low_cross = a_hi * b_lo
+    low_cross += _halves(a_lo * b_lo)[1]
+    high_cross = a_lo * b_hi
+    high_cross += _halves(low_cross)[0]
+    high = a_hi * b_hi
+    high += _halves(low_cross)[1]
+    high += _halves(high_cross)[1]
+    return high
 
 
 def _philox(keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
     """Philox4x64-10 output words [B, 4 * blocks] for keys [B, 2] at
     counters first, ..., first + blocks - 1: Philox(key=key) starts at
-    counter 1, so counter c holds its words 4(c - 1) to 4c - 1."""
-    counters = np.arange(first, first + blocks, dtype=np.int64).astype(_U64)
-    zero = np.zeros(blocks, dtype=_U64)
-    x = [counters, zero, zero, zero]
-    key0, key1 = keys[:, :1], keys[:, 1:]
+    counter 1, so counter c holds its words 4(c - 1) to 4c - 1.  Lanes 0
+    and 2, and lanes 1 and 3, are stacked [2, blocks, B], so one product
+    serves both multipliers."""
+    # the multipliers and key bumps of lanes 0 and 2, [2, 1, 1]
+    mult = np.array(_PHILOX_MULT, _U64)[:, None, None]
+    bump = np.array(_PHILOX_BUMP, _U64)[:, None, None]
+    halves = mult & _LOW32, mult >> _U64(32)
+    even = np.zeros((2, blocks, len(keys)), dtype=_U64)
+    even[0] = np.arange(first, first + blocks, dtype=np.int64)[:, None]
+    odd = np.zeros((2, 1, 1), dtype=_U64)
+    key = keys.T[:, None, :]
     for r in range(_PHILOX_ROUNDS):
         if r:
-            key0, key1 = key0 + _PHILOX_BUMP[0], key1 + _PHILOX_BUMP[1]
-        hi0, lo0 = _mulhilo(_PHILOX_MULT[0], x[0])
-        hi1, lo1 = _mulhilo(_PHILOX_MULT[1], x[2])
-        x = [hi1 ^ x[1] ^ key0, lo1, hi0 ^ x[3] ^ key1, lo0]
-    x = [np.broadcast_to(lane, (len(keys), blocks)) for lane in x]
-    return np.stack(x, axis=-1).reshape(len(keys), 4 * blocks)
+            key = key + bump
+        even, odd = _mulhi(*halves, even)[::-1] ^ odd ^ key, (even * mult)[::-1]
+    words = np.stack([even, odd], axis=-1)  # [2, blocks, B, 2]: lane 2i + j
+    return words.transpose(2, 1, 0, 3).reshape(len(keys), 4 * blocks)
 
 
 class _PhiloxStreams:
@@ -527,11 +562,13 @@ class _PhiloxStreams:
     draw takes the low half of a fresh word and keeps its high half for the
     next one; ``integers(0, b)`` is Lemire's (u * b) >> 32, rejecting u when
     (u * b) mod 2**32 < 2**32 mod b, which shifts that stream's later draws;
-    ``random`` takes fresh words w, (w >> 11) * 2**-53."""
+    ``random`` takes fresh words w, (w >> 11) * 2**-53.  The first
+    ``words`` words of every stream, those the draws take when none is
+    rejected, are computed at once."""
 
-    def __init__(self, keys: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, words: int = 0) -> None:
         self._keys = keys
-        self._words = np.zeros((len(keys), 0), dtype=_U64)
+        self._words = _philox(keys, 1, -(-words // 4))
         self._next = np.zeros(len(keys), dtype=np.int64)  # next fresh word
         self._kept = np.full(len(keys), -1)  # the kept high half, or -1
 
@@ -586,7 +623,10 @@ def _trial_draws(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each key's Philox stream, drawn in order: table images [B, k, n, c],
     dither [B, n, c], message index [B], one uniform per coordinate [B, n]."""
-    streams = _PhiloxStreams(keys)
+    # 32-bit halves: the drawn table cells, the dither and the message
+    moduli = ig.group.moduli
+    halves = n * (int((ig._allowed_step < moduli).sum()) + len(moduli)) + 1
+    streams = _PhiloxStreams(keys, -(-halves // 2) + n)
     size = (len(keys),)
     images, dither = _sample_table(ig, n, streams, size)
     sent = streams.integers(0, messages, size)
@@ -613,13 +653,14 @@ def mc_channel_error(
     for bit that of one ``Generator(Philox(child))`` per trial, drawn one
     trial at a time; it depends only on the SeedSequence and Philox
     algorithms, not on how ``Generator``'s methods are implemented."""
-    _check_blocklength(n)
+    _check_count("blocklength", n)
     _check_seed(seed)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     if ig.size * chan.group.order**n > SIZE_CAP:
         raise ValueError("codebook times space size exceeds the simulation cap")
-    if not 1 <= trials <= 2**32:
+    _check_count("trials", trials)
+    if trials > 2**32:
         raise ValueError(f"trials must be in [1, 2**32], got {trials}")
     moduli = ig.group.moduli
     messages = _grid(ig.spec.moduli)
@@ -633,7 +674,7 @@ def mc_channel_error(
     for start in range(0, trials, block):
         keys = _child_keys(seq, start, min(block, trials - start))
         images, dither, sent, u = _trial_draws(ig, n, keys, len(messages))
-        codewords = _encode(messages, images[:, None], dither[:, None], moduli)
+        codewords = _encode(messages, images, dither[:, None], moduli)
         codebook = np.ravel_multi_index(np.moveaxis(codewords, -1, 0), moduli)
         words = np.ravel_multi_index(np.moveaxis(codebook, -1, 0), (len(w),) * n)
         injective = (np.diff(np.sort(words, axis=1), axis=1) != 0).all(axis=1)
@@ -672,24 +713,17 @@ def lemma_suite(
     every input pair when |J|^2 <= 64, else on 16 drawn pairs, pair i with
     seed (seed + i) mod 2**64.  Pairs are residue rows throughout.
     """
-    _check_blocklength(n)
+    _check_count("blocklength", n)
     _check_seed(seed)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    checks: list[LemmaCheck] = []
+    _check_count("samples", samples)
     rng = np.random.Generator(np.random.Philox(seed))
 
     # generator constraints on freshly sampled tables
     n_tables = min(samples, 1000)
     tables, _ = _sample_table(ig, n, rng, (n_tables,))
     bad_tables = int(_violations(ig, tables).any(axis=(1, 2, 3)).sum())
-    checks.append(
-        LemmaCheck(
-            "generator-constraints",
-            bad_tables == 0,
-            f"{n_tables} sampled tables, {bad_tables} violations",
-        )
-    )
+    detail = f"{n_tables} sampled tables, {bad_tables} violations"
+    checks = [LemmaCheck("generator-constraints", bad_tables == 0, detail)]
 
     # additivity of the sampled maps; pairs are [pairs, 2, k], a then b
     in_moduli, moduli, k = ig.spec.moduli, ig.group.moduli, ig.total
@@ -705,13 +739,8 @@ def lemma_suite(
         rhs = (_encode(a, images, 0, moduli) + _encode(b, images, 0, moduli)) % moduli
         law_total += len(a)
         law_fail += int((lhs != rhs).any(axis=(1, 2)).sum())
-    checks.append(
-        LemmaCheck(
-            "homomorphism-law",
-            law_fail == 0,
-            f"{law_total} pairs checked, {law_fail} failures",
-        )
-    )
+    detail = f"{law_total} pairs checked, {law_fail} failures"
+    checks.append(LemmaCheck("homomorphism-law", law_fail == 0, detail))
 
     # pairwise joint law
     if ig.size**2 <= 64:
@@ -723,70 +752,67 @@ def lemma_suite(
         for i, (a, b) in enumerate(pairs.tolist())
     ]
     failed = [r for r in reports if not r.passed]
-    modes = {r.mode for r in reports}
-    checks.append(
-        LemmaCheck(
-            "pairwise-joint-law",
-            not failed,
-            f"{len(reports)} pairs ({'/'.join(sorted(modes))}), {len(failed)} failures",
-        )
-    )
+    modes = "/".join(sorted({r.mode for r in reports}))
+    detail = f"{len(reports)} pairs ({modes}), {len(failed)} failures"
+    checks.append(LemmaCheck("pairwise-joint-law", not failed, detail))
 
     # census bound and selector-set equality
     census = theta_census(ig)
-    over = [
-        th for th, count in census.items() if count > t_theta_bound(ig, th)
-    ]
-    checks.append(
-        LemmaCheck(
-            "census-bound",
-            not over,
-            f"{len(census)} selector classes, {len(over)} above the bound",
-        )
-    )
+    over = [th for th, count in census.items() if count > t_theta_bound(ig, th)]
+    detail = f"{len(census)} selector classes, {len(over)} above the bound"
+    checks.append(LemmaCheck("census-bound", not over, detail))
     expected = enumerate_theta_set(ig.group, ig.support)
     got = frozenset(census)
-    checks.append(
-        LemmaCheck(
-            "theta-set-equality",
-            got == expected,
-            f"census has {len(got)} selectors, support enumeration {len(expected)}",
-        )
-    )
+    detail = f"census has {len(got)} selectors, support enumeration {len(expected)}"
+    checks.append(LemmaCheck("theta-set-equality", got == expected, detail))
 
     # congruence solver against brute force: a stable sort of a*x mod p^r
-    # over every x groups the solutions of a*x = b by b, in increasing order
+    # over every x groups the solutions of a*x = b by b, in increasing order.
+    # Above SIZE_CAP equations, each coefficient a is checked, on every b,
+    # with probability SIZE_CAP / equations, so about SIZE_CAP are checked.
+    levels = [
+        (p, r, s)
+        for p in ig.group.primes
+        for r in range(1, ig.group.max_exponent(p) + 1)
+        for s in range(1, r + 1)
+    ]
+    share = SIZE_CAP / sum((p**s - 1) * p**r for p, r, s in levels)
     cong_total = 0
     cong_fail = 0
-    for p in ig.group.primes:
-        for r in range(1, ig.group.max_exponent(p) + 1):
-            mod = p**r
-            for s in range(1, r + 1):
-                for a in range(1, p**s):
-                    image = a * np.arange(mod) % mod
-                    xs = np.argsort(image, kind="stable").tolist()
-                    edges = np.searchsorted(image[xs], np.arange(mod + 1)).tolist()
-                    for b in range(mod):
-                        brute = tuple(xs[edges[b] : edges[b + 1]])
-                        cong_total += 1
-                        if solve_congruence(p, r, s, a, b) != brute:
-                            cong_fail += 1
-    checks.append(
-        LemmaCheck(
-            "congruence-solver",
-            cong_fail == 0,
-            f"{cong_total} equations checked, {cong_fail} mismatches",
-        )
-    )
+    for p, r, s in levels:
+        mod = p**r
+        coeffs = range(1, p**s)
+        if share < 1:
+            coeffs = (np.flatnonzero(rng.random(len(coeffs)) < share) + 1).tolist()
+        for a in coeffs:
+            image = a * np.arange(mod) % mod
+            xs = np.argsort(image, kind="stable").tolist()
+            edges = np.searchsorted(image[xs], np.arange(mod + 1)).tolist()
+            for b in range(mod):
+                brute = tuple(xs[edges[b] : edges[b + 1]])
+                cong_total += 1
+                if solve_congruence(p, r, s, a, b) != brute:
+                    cong_fail += 1
+    sampled = " (sampled)" if share < 1 else ""
+    detail = f"{cong_total} equations checked{sampled}, {cong_fail} mismatches"
+    checks.append(LemmaCheck("congruence-solver", cong_fail == 0, detail))
     return checks
 
 
 # -- the modular linear-congruence solver ------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _is_prime(p: int) -> bool:
+    return p >= 2 and factorize(p) == {p: 1}
+
+
 def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
-    """Exact solution set of a*x = b mod p^r for a nonzero a in Z_{p^s},
-    s <= r: empty when b is shallower than a, else p^depth(a) solutions."""
+    """Exact solution set of a*x = b mod p^r for a prime p and a nonzero a
+    in Z_{p^s}, s <= r: empty when b is shallower than a, else the p^depth(a)
+    residues of one class mod p^(r - depth(a)), in increasing order."""
+    if not _is_prime(p):
+        raise ValueError(f"modulus base p={p} is not prime")
     if not 1 <= s <= r:
         raise ValueError(f"need 1 <= s <= r, got s={s}, r={r}")
     if not 0 < a < p**s:
@@ -801,9 +827,8 @@ def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
     if theta < theta_hat:
         return ()
     # p^theta_hat alpha x = p^theta beta: x = p^(theta - theta_hat) beta /
-    # alpha plus any multiple of p^(r - theta_hat)
-    mod = p**r
-    alpha_inv = pow(a // p**theta_hat, -1, mod)
-    base = p ** (theta - theta_hat) * alpha_inv * (b // p**theta) % mod
-    step = alpha_inv * p ** (r - theta_hat) % mod
-    return tuple(sorted((base + i * step) % mod for i in range(p**theta_hat)))
+    # alpha mod p^(r - theta_hat)
+    period = p ** (r - theta_hat)
+    alpha_inv = pow(a // p**theta_hat, -1, period)
+    base = p ** (theta - theta_hat) * alpha_inv * (b // p**theta) % period
+    return tuple(range(base, p**r, period))

@@ -112,6 +112,13 @@ class GroupSpec:
         pos = {pr: i for i, pr in enumerate(self.ring_levels)}
         return tuple(pos[(p, r)] for p, r, _ in self.rings)
 
+    @cached_property
+    def _slot_gaps(self) -> np.ndarray:
+        """``_gaps`` of the weight slots [slots, L], read-only as it is shared."""
+        gaps = _gaps(self.ring_levels, self.weight_slots)
+        gaps.setflags(write=False)
+        return gaps
+
     # -- elements ---------------------------------------------------------
 
     def element(self, residues: Sequence[int]) -> "GroupElement":
@@ -246,25 +253,21 @@ def _gaps(levels, slots) -> np.ndarray:
     )
 
 
-def _induce(levels, slots, depths) -> np.ndarray:
-    """The selector components [..., L] induced by per-slot depths [..., k]:
-    each level (p, r) takes min(r, |r - s|^+ + depth) over the slots of its
-    prime (r when it has none)."""
-    depths = np.asarray(depths)
-    selectors = np.full(depths.shape[:-1] + (len(levels),), [r for _, r in levels])
-    for j, gap in enumerate(_gaps(levels, slots)):
-        selectors = np.minimum(selectors, depths[..., j, None] + gap)
-    return selectors
+def _induce(levels, gaps, depths) -> np.ndarray:
+    """The selector components [..., L] induced by per-slot depths [..., k]
+    on slots with gaps [k, L]: each level (p, r) takes min(r, |r - s|^+ +
+    depth) over the slots of its prime (r when it has none)."""
+    depths = np.asarray(depths)[..., None]
+    return np.minimum((depths + gaps).min(axis=-2), [r for _, r in levels])
 
 
-def _min_depths(levels, slots, thetas) -> np.ndarray:
+def _min_depths(gaps, thetas) -> np.ndarray:
     """The least per-slot depths [..., k] whose induced selector is at least
-    thetas [..., L] componentwise: for slot (q, s), the max over levels (q, r)
-    of (theta - |r - s|^+)^+.  These are also the omega numerator
-    coefficients, and thetas is reachable from the slots exactly when these
-    depths induce it back."""
-    thetas = np.asarray(thetas)
-    return (thetas[..., None, :] - _gaps(levels, slots)).max(axis=-1, initial=0)
+    thetas [..., L] componentwise, on slots with gaps [k, L]: for slot (q, s),
+    the max over levels (q, r) of (theta - |r - s|^+)^+.  These are also the
+    omega numerator coefficients, and thetas is reachable from the slots
+    exactly when these depths induce it back."""
+    return (np.asarray(thetas)[..., None, :] - gaps).max(axis=-1, initial=0)
 
 
 @dataclass(frozen=True)

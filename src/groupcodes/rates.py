@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .groups import GroupSpec, ThetaVector, _grid, _induce, _min_depths
+from .groups import GroupSpec, ThetaVector, _gaps, _grid, _induce, _min_depths
 from .measures import (
     ChannelSpec,
     SourceJoint,
@@ -125,7 +125,8 @@ def induced_theta(
         if not 0 <= depth <= slot[1]:
             raise ValueError(f"depth {depth} for slot {slot} not in [0, {slot[1]}]")
     depths = [slot_depths[slot] for slot in support]
-    return ThetaVector(spec, tuple(_induce(spec.ring_levels, support, depths).tolist()))
+    induced = _induce(spec.ring_levels, _gaps(spec.ring_levels, support), depths)
+    return ThetaVector(spec, tuple(induced.tolist()))
 
 
 def _check_support(spec: GroupSpec, support: tuple[tuple[int, int], ...]) -> None:
@@ -151,17 +152,16 @@ def _theta_sets(spec: GroupSpec, supports) -> tuple[np.ndarray, ...]:
     Depths inducing theta are at least m(theta) and inducing is monotone, so
     theta is in Theta(S) exactly when m(theta) on S induces it back: when a
     slot of S alone hits each level exactly, as none induces less."""
-    levels, slots = spec.ring_levels, spec.weight_slots
+    levels, slots, gaps = spec.ring_levels, spec.weight_slots, spec._slot_gaps
     grid = _grid([r + 1 for _, r in levels])
-    depths = _min_depths(levels, slots, grid)
-    hits = np.array(  # [k, n, L]: each slot alone
-        [_induce(levels, [x], depths[:, [j]]) == grid for j, x in enumerate(slots)]
-    )
+    depths = _min_depths(gaps, grid)
+    # [n, k, L]: each slot alone, as a one-slot axis per slot
+    hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
     columns = np.array([[slot in sup for slot in slots] for sup in supports])
     # one level at a time, so nothing larger than the mask is built
     members = np.ones((len(supports), len(grid)), dtype=bool)
     for level in range(grid.shape[1]):
-        members &= columns @ hits[:, :, level]
+        members &= columns @ hits[:, :, level].T
     return grid, depths, columns, members
 
 
@@ -193,7 +193,7 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
         values = [weights.get(slot, 0) for slot in spec.weight_slots]
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"weights must be finite, got {values}")
-    coeffs = _min_depths(spec.ring_levels, spec.weight_slots, theta.components)
+    coeffs = _min_depths(spec._slot_gaps, theta.components)
     return _omega(spec, values, coeffs.tolist())
 
 

@@ -279,6 +279,12 @@ def test_census_independent_of_base_point():
     assert len(censuses) == 1
 
 
+def test_t_theta_bound_rejects_selector_of_another_group():
+    ig = InputGroup(decompose([4]).spec, (1, 1))
+    with pytest.raises(ValueError, match="different group"):
+        t_theta_bound(ig, ThetaVector(decompose([8]).spec, (3,)))
+
+
 def test_census_bound_z8_pattern():
     # paper-style weights on the two top slots of Z_8
     ig = ig_of([8], {(2, 2): 1, (2, 3): 1})
@@ -341,7 +347,9 @@ def test_census_matches_oracle_property(data):
         for _ in range(2)
     )
     census = census_oracle(ig, a)
-    assert theta_census(ig, a) == census
+    # the same classes and counts, in lexicographic selector order
+    expected = sorted(census.items(), key=lambda item: item[0].components)
+    assert list(theta_census(ig, a).items()) == expected
     assert pair_theta(ig, a, b) == pair_theta_oracle(ig, a, b)
     # every selector with a nonempty class is reachable in the group
     assert set(census) <= set(all_reachable_thetas(ig.group))
@@ -573,6 +581,12 @@ def test_congruence_exhaustive_small_primes():
                         assert solve_congruence(p, r, s, a, b) == brute
 
 
+@pytest.mark.parametrize("p", [4, 6, 1, 0])
+def test_congruence_rejects_non_prime_base(p):
+    with pytest.raises(ValueError, match=f"p={p} is not prime"):
+        solve_congruence(p, 2, 1, 1, 0)
+
+
 # -- Monte Carlo --------------------------------------------------------------
 
 
@@ -666,14 +680,32 @@ def test_child_keys_match_spawn(seed, first, count):
     np.testing.assert_array_equal(got, expected)
 
 
-@pytest.mark.parametrize("m", [1, 6, 11])
+@pytest.mark.parametrize("m", [1, 6, 11, 20])
 def test_philox_words_match_random_raw(m):
+    # 1, 2, 3 and 5 blocks of the stacked lanes
     keys = ensemble._child_keys(np.random.SeedSequence(5), 0, 3)
     raw = np.array([np.random.Philox(key=key).random_raw(m + 8) for key in keys])
     blocks = -(-m // 4)
     np.testing.assert_array_equal(ensemble._philox(keys, 1, blocks)[:, :m], raw[:, :m])
     # counter 3 holds words 8 to 11
     np.testing.assert_array_equal(ensemble._philox(keys, 3, blocks)[:, :m], raw[:, 8:])
+
+
+def test_mc_one_philox_call_per_block(monkeypatch):
+    # power-of-two bounds reject no draw, so each block of trials computes its
+    # streams' words in one call: blocks of 102, 102 and 46 trials
+    calls = []
+    philox = ensemble._philox
+
+    def counted(keys, first, blocks):
+        calls.append((len(keys), first))
+        return philox(keys, first, blocks)
+
+    monkeypatch.setattr(ensemble, "_philox", counted)
+    spec = decompose([2]).spec
+    chan = ChannelSpec(spec, [[0.9, 0.1], [0.1, 0.9]])
+    mc_channel_error(InputGroup(spec, (10,)), 10, chan, 250, seed=13)
+    assert calls == [(102, 1), (102, 1), (46, 1)]
 
 
 @pytest.mark.parametrize(
@@ -831,6 +863,24 @@ def test_samples_contract(samples):
         lemma_suite(ig, 1, samples=samples)
 
 
+@pytest.mark.parametrize("count", [True, np.True_, 100.5, 4.0, np.float64(3)])
+def test_count_contract(count):
+    # a bool or a float is refused by name, never read as 1 or truncated
+    ig = ig_of([4], {(2, 2): 1})
+    chan = ChannelSpec(ig.group, np.eye(4))
+    with pytest.raises(TypeError, match="trials"):
+        mc_channel_error(ig, 1, chan, count, 0)
+    with pytest.raises(TypeError, match="samples"):
+        verify_pairwise_law(ig, 1, [0], [1], samples=count)
+    with pytest.raises(TypeError, match="samples"):
+        lemma_suite(ig, 1, samples=count)
+    with pytest.raises(TypeError, match="blocklength"):
+        sample_hom(ig, count, 0)
+    assert mc_channel_error(ig, 1, chan, np.int64(5), 0) == mc_channel_error(
+        ig, 1, chan, 5, 0
+    )
+
+
 # -- suite --------------------------------------------------------------------
 
 
@@ -852,3 +902,18 @@ def test_lemma_suite_passes():
         "theta-set-equality",
         "congruence-solver",
     ]
+
+
+def test_lemma_suite_congruence_check_sampled_above_cap(monkeypatch):
+    # above SIZE_CAP equations each coefficient a is checked, on every b, with
+    # probability SIZE_CAP / equations: with a cap of 8 of Z4's 18 equations,
+    # seed 3 checks two coefficients of Z4 (s = 1, 2), 4 equations each
+    ig = ig_of([4], {(2, 2): 1})
+    monkeypatch.setattr(ensemble, "SIZE_CAP", 8)
+    checks = lemma_suite(ig, 1, samples=8, seed=3)
+    assert checks[-1].passed
+    assert checks[-1].detail == "8 equations checked (sampled), 0 mismatches"
+    assert lemma_suite(ig, 1, samples=8, seed=3)[-1].detail == checks[-1].detail
+    monkeypatch.setattr(ensemble, "SIZE_CAP", 18)
+    detail = lemma_suite(ig, 1, samples=8, seed=3)[-1].detail
+    assert detail == "18 equations checked, 0 mismatches"

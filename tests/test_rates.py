@@ -29,7 +29,7 @@ from groupcodes import (
     source_rate_prime_power,
 )
 from groupcodes import rates
-from groupcodes.groups import Subgroup, _min_depths
+from groupcodes.groups import Subgroup, _gaps, _min_depths
 from groupcodes.rates import (
     INFO_ZERO_TOL,
     TIE_TOL,
@@ -170,7 +170,7 @@ def test_min_depths_identity_property(case):
         theta = selector_by_formula(spec, support, depths)
         by_theta.setdefault(theta, []).append(depths)
     for theta in itertools.product(*(range(r + 1) for _, r in spec.ring_levels)):
-        m = tuple(_min_depths(spec.ring_levels, support, theta).tolist())
+        m = tuple(_min_depths(_gaps(spec.ring_levels, support), theta).tolist())
         assert (selector_by_formula(spec, support, m) == theta) == (theta in by_theta)
         for depths in by_theta.get(theta, []):
             assert all(a <= b for a, b in zip(m, depths))
