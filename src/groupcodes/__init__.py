@@ -30,18 +30,21 @@ from .rates import (
     source_coding_rate,
     source_rate_prime_power,
 )
-from .ensemble import (
-    HomomorphismTable,
-    InputGroup,
-    apply_hom,
-    encode,
-    mc_channel_error,
-    pair_theta,
-    sample_hom,
-    solve_congruence,
-    t_theta_bound,
-    verify_pairwise_law,
-)
+
+
+def __getattr__(name: str):
+    # the names of __all__ not imported above are the ensemble module's,
+    # imported on first use so the CLI's rate commands never load it (PEP 562)
+    if name in __all__:
+        from . import ensemble
+
+        return getattr(ensemble, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "ChannelSpec",

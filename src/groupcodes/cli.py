@@ -15,7 +15,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .ensemble import InputGroup, lemma_suite, mc_channel_error
 from .groups import decompose
 from .measures import ValidationError
 from .problems import (
@@ -85,8 +84,10 @@ def _require_positive(value: int, flag: str) -> None:
         raise ValidationError(f"{flag} must be >= 1, got {value}")
 
 
-def _input_group(args, spec) -> InputGroup:
+def _input_group(args, spec):
     """The --counts input group over spec, once --n and --trials check out."""
+    from .ensemble import InputGroup
+
     counts = _parse_list(args.counts, len(spec.weight_slots), "counts", int)
     _require_positive(args.n, "--n")
     _require_positive(args.trials, "--trials")
@@ -224,6 +225,8 @@ def cmd_theta_table(args) -> int:
 
 
 def cmd_verify_ensemble(args) -> int:
+    from .ensemble import lemma_suite
+
     dec = decompose(parse_group_string(args.group))
     spec = dec.spec
     ig = _input_group(args, spec)
@@ -255,6 +258,8 @@ def cmd_verify_ensemble(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .ensemble import mc_channel_error
+
     problem = load_problem(args.file)
     if not isinstance(problem, ChannelProblem):
         raise ValidationError(f"{args.file} is not a channel problem")

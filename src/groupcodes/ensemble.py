@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, ThetaVector
+from .groups import GroupElement, GroupSpec, ThetaVector, _check_count
 from .groups import _gaps, _grid, _induce, _min_depths, factorize
 from .measures import ChannelSpec
 from .rates import enumerate_theta_set
@@ -229,15 +229,6 @@ def _check_seed(seed) -> None:
         raise TypeError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= value < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-
-
-def _check_count(name: str, value) -> None:
-    """A blocklength, trial or sample count is an integer >= 1: a bool or a
-    float is refused, not read as 1 or truncated."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:

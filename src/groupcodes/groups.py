@@ -388,6 +388,15 @@ def _cyclic_order(value) -> int:
     return int(value)
 
 
+def _check_count(name: str, value) -> None:
+    """A blocklength, trial, sample or grid step count is an integer >= 1: a
+    bool or a float is refused, not read as 1 or truncated."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def decompose(cyclic_orders: Sequence[int]) -> CyclicDecomposition:
     """Canonically decompose a direct sum of cyclic groups Z_{n_1} + ... + Z_{n_k}.
 

@@ -24,7 +24,10 @@ support's linear program, which is sliced from it; Theta(S) is the set of
 selectors theta whose least inducing depths m(theta) on S induce them back.
 Inside a call a selector is a row of that table and the terms are an array
 over its rows; a terms mapping keyed by ThetaVector exists only at
-optimize_weights and grid_search, where it is checked.  Nothing is cached.
+optimize_weights and grid_search, where it is checked.  Likewise a support
+is a row of one slot mask array [supports, k] in tie-break order; a tuple of
+slots exists only at RateResult.support and the public inputs.  Nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .groups import GroupSpec, ThetaVector, _gaps, _grid, _induce, _min_depths
+from .groups import GroupSpec, ThetaVector, _check_count, _gaps, _grid, _induce
+from .groups import _min_depths
 from .measures import (
     ChannelSpec,
     SourceJoint,
     _channel_terms,
+    _components,
     _source_terms,
     coset_mi_channel,
     coset_mi_source,
@@ -143,26 +148,25 @@ def _check_support(spec: GroupSpec, support: tuple[tuple[int, int], ...]) -> Non
         )
 
 
-def _theta_sets(spec: GroupSpec, supports) -> tuple[np.ndarray, ...]:
+def _theta_sets(spec: GroupSpec, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     """The selector grid [n, L] (sorted by components), the least depths
     m(theta) [n, k] of every row on every weight slot (the omega
-    coefficients), the supports as slot masks [supports, k], and Theta(S) of
-    each as a row of a mask [supports, n].
+    coefficients), and Theta(S) of each support, a row of the slot masks
+    [supports, k], as a row of a mask [supports, n].
 
     Depths inducing theta are at least m(theta) and inducing is monotone, so
     theta is in Theta(S) exactly when m(theta) on S induces it back: when a
     slot of S alone hits each level exactly, as none induces less."""
-    levels, slots, gaps = spec.ring_levels, spec.weight_slots, spec._slot_gaps
+    levels, gaps = spec.ring_levels, spec._slot_gaps
     grid = _grid([r + 1 for _, r in levels])
     depths = _min_depths(gaps, grid)
     # [n, k, L]: each slot alone, as a one-slot axis per slot
     hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
-    columns = np.array([[slot in sup for slot in slots] for sup in supports])
     # one level at a time, so nothing larger than the mask is built
-    members = np.ones((len(supports), len(grid)), dtype=bool)
+    members = np.ones((len(masks), len(grid)), dtype=bool)
     for level in range(grid.shape[1]):
-        members &= columns @ hits[:, :, level].T
-    return grid, depths, columns, members
+        members &= masks @ hits[:, :, level].T
+    return grid, depths, members
 
 
 def _thetas(spec: GroupSpec, rows: np.ndarray) -> list[ThetaVector]:
@@ -176,7 +180,8 @@ def enumerate_theta_set(
     on the support, never on the weight values."""
     support = tuple(sorted(set(support)))
     _check_support(spec, support)
-    grid, _, _, members = _theta_sets(spec, [support])
+    mask = np.array([[slot in support for slot in spec.weight_slots]])
+    grid, _, members = _theta_sets(spec, mask)
     return frozenset(_thetas(spec, grid[members[0]]))
 
 
@@ -185,15 +190,25 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
 
     ``weights`` is a WeightVector or a mapping over the (q, s) slots.  With
     Fraction weights the result is exact whenever the group has a single
-    prime (log factors cancel); with floats it is a float.
+    prime (log factors cancel); with floats it is a float.  A selector or a
+    weight vector of another group, a mapping key that is not a weight slot
+    and a negative weight are refused.
     """
+    components = _components(spec, theta)
     if isinstance(weights, WeightVector):
+        if weights.spec != spec:
+            raise ValueError("weights bound to a different group")
         values = weights.values
     else:
-        values = [weights.get(slot, 0) for slot in spec.weight_slots]
+        slots = spec.weight_slots
+        if stray := [key for key in weights if key not in slots]:
+            raise ValueError(f"{stray[0]} is not a weight slot of this group")
+        values = [weights.get(slot, 0) for slot in slots]
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"weights must be finite, got {values}")
-    coeffs = _min_depths(spec._slot_gaps, theta.components)
+        if any(v < 0 for v in values):
+            raise ValueError("weights must be nonnegative")
+    coeffs = _min_depths(spec._slot_gaps, components)
     return _omega(spec, values, coeffs.tolist())
 
 
@@ -215,24 +230,19 @@ def _omega(spec: GroupSpec, values, coeffs):
     return num / den
 
 
-def _covering_supports(spec: GroupSpec) -> list[tuple[tuple[int, int], ...]]:
-    """All support patterns giving every prime at least one slot, in
-    lexicographic order (the deterministic tie-break order)."""
-    per_prime = []
-    for q in spec.primes:
-        slots = [(q, s) for s in range(1, spec.max_exponent(q) + 1)]
-        per_prime.append(
-            [
-                c
-                for k in range(1, len(slots) + 1)
-                for c in itertools.combinations(slots, k)
-            ]
-        )
-    supports = [
-        tuple(sorted(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*per_prime)
-    ]
-    return sorted(supports)
+def _covering_masks(spec: GroupSpec) -> np.ndarray:
+    """All support patterns giving every prime at least one slot, as slot
+    masks [supports, k] in the lexicographic order of their sorted slot
+    tuples (the deterministic tie-break order)."""
+    # every prime's nonzero patterns over its slots, in every combination
+    bits = [_grid([2] * spec.max_exponent(q))[1:].astype(bool) for q in spec.primes]
+    picks = _grid([len(b) for b in bits]).T
+    masks = np.hstack([b[pick] for b, pick in zip(bits, picks)])
+    # rows in the order of their sorted slot tuples, a prefix first: at the
+    # first slot where two rows differ, the row holding it (key 1) follows a
+    # row with no later slot (key 0) and precedes one with a later slot (2)
+    later = np.logical_or.accumulate(masks[:, ::-1], axis=1)[:, ::-1]
+    return masks[np.lexsort(np.where(masks, 1, 2 * later).T[::-1])]
 
 
 def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
@@ -241,15 +251,17 @@ def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
     That union is the theta set of the full support: a slot at its full
     depth s gives |r - s|^+ + s >= r, so adding a slot never removes a
     selector and Theta(S) is contained in Theta(S + slot)."""
-    grid, _, _, members = _theta_sets(spec, [spec.weight_slots])
+    full = np.ones((1, len(spec.weight_slots)), dtype=bool)
+    grid, _, members = _theta_sets(spec, full)
     return tuple(_thetas(spec, grid[members[0]]))
 
 
 class _SupportProblems:
-    """The selector table of one rate call, the covering supports in
-    lexicographic order (the tie-break order) and _theta_sets of them, and
-    the LP input of every support for one sense.  The terms c over the rows
-    come from terms_of(the component lists of the rows in some Theta(S)).
+    """The selector table of one rate call, the covering supports as slot
+    masks ``columns`` in lexicographic order (the tie-break order) and
+    _theta_sets of them, and the LP input of every support for one sense.
+    The terms c over the rows come from terms_of(the component lists of the
+    rows in some Theta(S)).
     Support i's slice is taken on demand: (the selectors of Theta(S), and
     n = m(theta) log2 q on S, D = s log2 q on S, the terms and the sense's
     excluded endpoint selector).  ``sign`` +1 maximises (channel), -1
@@ -260,10 +272,8 @@ class _SupportProblems:
             raise ValueError(f"unknown sense {sense!r}")
         self.spec, self.sense = spec, sense
         self.sign = 1 if sense == "channel" else -1
-        self.supports = _covering_supports(spec)
-        self.grid, self.depths, self.columns, self.members = _theta_sets(
-            spec, self.supports
-        )
+        self.columns = _covering_masks(spec)
+        self.grid, self.depths, self.members = _theta_sets(spec, self.columns)
         reachable = self.members.any(axis=0)
         self.c = np.full(len(self.grid), math.nan)
         self.c[reachable] = terms_of(self.grid[reachable].tolist())
@@ -532,7 +542,8 @@ def _winner(values: Mapping[int, float]) -> int:
 def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
     """The result of support i at a witness: the inner optimum evaluated
     there, its critical selectors and the per-selector table."""
-    spec, sense, support = problems.spec, problems.sense, problems.supports[i]
+    spec, sense = problems.spec, problems.sense
+    support = tuple(itertools.compress(spec.weight_slots, problems.columns[i]))
     rows, problem = problems[i]
     _, _, terms, excluded = problem
     values, ratios = _evaluate(*problem, np.array([witness]), sense)
@@ -635,16 +646,14 @@ def grid_search(
     weight vector of the simplex grid with the given step count and return
     the best value.  Direct, with no linear program; used to cross-check the
     solver.  Each covering support takes the grid points positive exactly on
-    it, evaluated GRID_BLOCK points at a time.  ``steps`` must be >= 1."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    it, evaluated GRID_BLOCK points at a time.  ``steps`` is an integer >= 1."""
+    _check_count("steps", steps)
     problems = _SupportProblems.from_mapping(spec, terms, sense)
-    sign, slots = problems.sign, spec.weight_slots
+    sign = problems.sign
     best_val: float | None = None
-    best_w: tuple[float, ...] | None = None
-    for i, support in enumerate(problems.supports):
+    for i, cols in enumerate(problems.columns):
         _, problem = problems[i]
-        k = len(support)
+        k = int(cols.sum())
         # a positive composition of steps is k - 1 distinct cuts in 1..steps-1
         cuts = itertools.combinations(range(1, steps), k - 1)
         while block := list(itertools.islice(cuts, GRID_BLOCK)):
@@ -655,8 +664,8 @@ def grid_search(
             value = float(values[at])
             if best_val is None or sign * value > sign * best_val:
                 best_val = value
-                point = dict(zip(support, w[at].tolist()))
-                best_w = tuple(point.get(slot, 0.0) for slot in slots)
+                best_w = np.zeros(len(cols))
+                best_w[cols] = w[at]
     if best_val is None:
         raise SolverError("grid contains no valid weight vector")
-    return best_val, WeightVector(spec, best_w)
+    return best_val, WeightVector(spec, tuple(best_w.tolist()))

@@ -103,6 +103,22 @@ def test_cli_imports_numpy_only():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_imports_ensemble_lazily():
+    # the rate commands never load the ensemble module, and the package still
+    # serves its names, loading it on first use
+    code = (
+        "import sys, groupcodes, groupcodes.cli\n"
+        "print('groupcodes.ensemble' in sys.modules)\n"
+        "print(groupcodes.InputGroup.__module__)\n"
+        "print(hasattr(groupcodes, 'no_such_name'))\n"
+        "print(set(groupcodes.__all__) <= set(dir(groupcodes)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\ngroupcodes.ensemble\nFalse\nTrue\n"
+
+
 def test_capacity_identity(capsys, tmp_path):
     doc = {"kind": "channel", "group": [4], "output_size": 4,
            "matrix": np.eye(4).tolist()}
@@ -380,10 +396,13 @@ def test_verify_ensemble_many_axes_reaches_cell_cap(capsys):
 
 
 def test_verify_ensemble_failure_exit_code(capsys, monkeypatch):
+    from groupcodes import ensemble
     from groupcodes.ensemble import LemmaCheck
 
+    # the CLI imports the ensemble module when the command runs, so the suite
+    # is replaced where it is defined
     monkeypatch.setattr(
-        cli,
+        ensemble,
         "lemma_suite",
         lambda *a, **k: [LemmaCheck("pairwise-joint-law", False, "forced")],
     )

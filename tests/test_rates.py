@@ -34,7 +34,7 @@ from groupcodes.rates import (
     INFO_ZERO_TOL,
     TIE_TOL,
     SolverError,
-    _covering_supports,
+    _covering_masks,
     _packing_lp,
     _result,
     _solve_support,
@@ -122,6 +122,48 @@ def depth_product(support):
     return itertools.product(*(range(s + 1) for _, s in support))
 
 
+def covering_supports(spec):
+    """Reference route: every support pattern giving each prime a slot, as a
+    sorted slot tuple, in lexicographic order (the tie-break order)."""
+    per_prime = []
+    for q in spec.primes:
+        slots = [(q, s) for s in range(1, spec.max_exponent(q) + 1)]
+        per_prime.append(
+            [
+                c
+                for k in range(1, len(slots) + 1)
+                for c in itertools.combinations(slots, k)
+            ]
+        )
+    supports = [
+        tuple(sorted(itertools.chain.from_iterable(combo)))
+        for combo in itertools.product(*per_prime)
+    ]
+    return sorted(supports)
+
+
+def support_tuples(problems):
+    """The covering supports of a rate call as slot tuples, in row order."""
+    slots = problems.spec.weight_slots
+    return [tuple(itertools.compress(slots, row)) for row in problems.columns]
+
+
+@given(
+    st.sampled_from([64, 128, 729]),
+    st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25, 27]), min_size=1, max_size=3),
+)
+def test_covering_masks_match_itertools_route_property(deep, orders):
+    # one ring deep enough for 63+ patterns of its prime and several primes:
+    # the mask rows are the reference route's supports, in the same order
+    spec = decompose([deep, *orders]).spec
+    assume(len(spec.primes) >= 2)
+    expected = [
+        [slot in support for slot in spec.weight_slots]
+        for support in covering_supports(spec)
+    ]
+    assert _covering_masks(spec).tolist() == expected
+
+
 def theta_set_by_product(spec, support):
     """Reference route: the selector of every depth assignment in the product
     over the support of range(s + 1)."""
@@ -137,7 +179,7 @@ def theta_set_by_product(spec, support):
 def test_theta_fold_matches_product(orders):
     spec = decompose(orders).spec
     union = set()
-    for support in _covering_supports(spec):
+    for support in covering_supports(spec):
         expected = theta_set_by_product(spec, support)
         assert enumerate_theta_set(spec, support) == expected
         union |= expected
@@ -267,6 +309,35 @@ def test_non_finite_weights_rejected(bad):
         omega(spec, {(2, 2): bad, (2, 3): 0.5}, ThetaVector(spec, (1,)))
 
 
+def test_omega_rejects_theta_of_another_group():
+    spec, other = decompose([8]).spec, decompose([9]).spec
+    w = WeightVector(spec, (0.0, 0.5, 0.5))
+    with pytest.raises(ValueError, match="theta bound to a different group"):
+        omega(spec, w, ThetaVector(other, (2,)))
+    with pytest.raises(ValueError, match="theta bound to a different group"):
+        omega(spec, w.as_mapping(), ThetaVector(other, (2,)))
+
+
+def test_omega_rejects_weights_of_another_group():
+    # Z8 and Z8+Z2 have the same three slots, so the values alone would fit
+    spec, other = decompose([8]).spec, decompose([8, 2]).spec
+    w = WeightVector(other, (0.0, 0.5, 0.5))
+    with pytest.raises(ValueError, match="weights bound to a different group"):
+        omega(spec, w, ThetaVector(spec, (1,)))
+
+
+def test_omega_rejects_stray_mapping_key():
+    spec = decompose([8]).spec
+    with pytest.raises(ValueError, match=r"\(7, 1\) is not a weight slot"):
+        omega(spec, {(2, 3): 1.0, (7, 1): 0.5}, ThetaVector(spec, (1,)))
+
+
+def test_omega_rejects_negative_mapping_weight():
+    spec = decompose([8]).spec
+    with pytest.raises(ValueError, match="nonnegative"):
+        omega(spec, {(2, 2): -0.5, (2, 3): 1.5}, ThetaVector(spec, (1,)))
+
+
 # -- the optimizer -----------------------------------------------------------
 
 
@@ -311,7 +382,7 @@ def test_field_case_reduces_to_plain_mi(seed):
         assert abs(res.value - mutual_information(sj.joint)) < 1e-9
 
 
-@pytest.mark.parametrize("orders", [[4], [8], [9]])
+@pytest.mark.parametrize("orders", [[4], [8], [9], [4096]])
 def test_prime_power_closed_forms_match_solver(orders):
     spec = decompose(orders).spec
     rng = make_rng(17 + spec.order)
@@ -616,6 +687,19 @@ def test_grid_search_rejects_nonpositive_steps(steps):
         grid_search(spec, terms, "channel", steps=steps)
 
 
+@pytest.mark.parametrize("steps", [True, np.True_, 2.5, 4.0, np.float64(3)])
+def test_grid_search_rejects_non_integer_steps(steps):
+    # steps shares the count contract: a bool or a float is refused by name,
+    # never read as 1 or truncated
+    spec = decompose([8]).spec
+    terms = channel_terms(random_channel(spec, 4, make_rng(8)))
+    with pytest.raises(TypeError, match="steps must be an integer"):
+        grid_search(spec, terms, "channel", steps=steps)
+    assert grid_search(spec, terms, "channel", steps=np.int64(4)) == grid_search(
+        spec, terms, "channel", steps=4
+    )
+
+
 def inner_optimum(spec, terms, sense, weights) -> float:
     """The inner max (source) or min (channel) at a weight vector, from the
     public omega over Theta of its support, with the 0/0 -> 0 convention."""
@@ -672,7 +756,7 @@ def unpruned_scan(problems):
     the optimum."""
     bounds = problems.vertex_bounds()
     solved = {}
-    for i in range(len(problems.supports)):
+    for i in range(len(problems.columns)):
         if bounds[i] < math.inf:
             solved[i] = _solve_support(*problems[i][1], problems.sense)
     values = [value for value, _ in solved.values()]
@@ -725,9 +809,10 @@ def assert_matches_unpruned_scan(spec, terms, sense):
         assert getattr(got, field) == getattr(expected, field), field
     # the channel bound is an upper bound, the source bound a lower one
     bounds = problems.sign * problems.vertex_bounds()
+    supports = support_tuples(problems)
     for i, (value, _) in solved.items():
         assert bounds[i] >= problems.sign * value - 1e-12 * value
-        if len(problems.supports[i]) == 1:
+        if len(supports[i]) == 1:
             # the face of a single slot is one point, where the bound is met
             assert abs(bounds[i] - problems.sign * value) <= 1e-12 * value
 
@@ -839,7 +924,7 @@ def assert_visits_best_first(monkeypatch, terms, sense):
     assert visited == sorted(visited, key=best_first.index)
     assert visited[0] == best_first[0]
     assert winner in visited
-    assert problems.supports[winner] == result.support
+    assert support_tuples(problems)[winner] == result.support
     value = problems.sign * result.value
     skipped = [
         i
@@ -927,7 +1012,7 @@ def test_full_support_source_bound_is_finite_property(orders):
     # before any whose term is infinite for every weight choice
     spec = decompose(orders).spec
     problems = _SupportProblems(spec, lambda rows: [1.0] * len(rows), "source")
-    full = problems.supports.index(tuple(sorted(spec.weight_slots)))
+    full = support_tuples(problems).index(tuple(sorted(spec.weight_slots)))
     assert problems.vertex_bounds()[full] < math.inf
 
 
@@ -983,7 +1068,7 @@ def test_packing_lp_matches_highs(orders):
     solved = 0
     for sense, terms in cases:
         problems = _SupportProblems.from_mapping(spec, terms, sense)
-        for i in range(len(problems.supports)):
+        for i in range(len(problems.columns)):
             _, (n, d, c, excluded) = problems[i]
             active = ~excluded & (c > INFO_ZERO_TOL)
             if sense == "channel":
