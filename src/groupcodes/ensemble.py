@@ -12,15 +12,16 @@ sampling beyond that.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .groups import GroupElement, GroupSpec, ThetaVector, _check_count
-from .groups import _gaps, _grid, _induce, _min_depths, factorize
+from .groups import _gaps, _grid, _induce, _is_prime, _min_depths, _slot_values
 from .measures import ChannelSpec
 from .rates import enumerate_theta_set
 
@@ -52,14 +53,18 @@ class InputGroup:
         slots = self.group.weight_slots
         if len(self.counts) != len(slots):
             raise ValueError(f"expected {len(slots)} counts for slots {slots}")
-        if any(c < 0 or not isinstance(c, int) for c in self.counts):
+        if any(
+            isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 0
+            for c in self.counts
+        ):
             raise ValueError("counts must be nonnegative integers")
+        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
         if sum(self.counts) < 1:
             raise ValueError("the input group needs at least one component")
 
     @classmethod
     def from_mapping(cls, group: GroupSpec, mapping) -> "InputGroup":
-        return cls(group, tuple(mapping.get(slot, 0) for slot in group.weight_slots))
+        return cls(group, _slot_values(group, mapping))
 
     @cached_property
     def spec(self) -> GroupSpec:
@@ -73,13 +78,11 @@ class InputGroup:
     @cached_property
     def _allowed_step(self) -> np.ndarray:
         """[k, c], read-only like every array cached here: the (p, r) image of
-        a Z_{q^s} generator lies in step * Z_{p^r}, step = p^(r-s)+ for q = p
-        and p^r (zero only) across primes."""
-        step = np.array(
-            [[p ** max(r - s, 0) if p == q else p**r for p, r, _ in self.group.rings]
-             for q, s, _ in self.spec.rings],
-            dtype=np.int64,
-        )
+        a Z_{q^s} generator lies in p^gap Z_{p^r}, its ``_gaps`` entry, so
+        p^(r-s)+ Z_{p^r} for q = p and zero across primes."""
+        primes = np.array([p for p, _, _ in self.group.rings])
+        levels = [(p, r) for p, r, _ in self.group.rings]
+        step = primes ** _gaps(levels, [(q, s) for q, s, _ in self.spec.rings])
         step.setflags(write=False)
         return step
 
@@ -186,9 +189,9 @@ def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
 def _sample_tables(
     ig: InputGroup, n: int, rng, size: tuple[int, ...] = ()
 ) -> np.ndarray:
-    """``size`` tables drawn from the ensemble by ``rng.integers``, [*size,
-    k, n, c]; ``rng`` is a Generator or a _PhiloxStreams (size[0] streams).
-    A draw of more than SIZE_CAP cells is rejected before anything is drawn."""
+    """``size`` tables drawn from the ensemble by the Generator ``rng``,
+    [*size, k, n, c].  A draw of more than SIZE_CAP cells is rejected before
+    anything is drawn."""
     cells = math.prod(size) * ig.total * n * len(ig.group.moduli)
     if cells > SIZE_CAP:
         raise ValueError(f"table draw of {cells} cells exceeds cap SIZE_CAP={SIZE_CAP}")
@@ -451,11 +454,11 @@ class MonteCarloReport:
         return self.errors / self.trials
 
 
-# Trial t of a simulation draws from Generator(Philox(child t of
-# SeedSequence(seed))).  Both algorithms are counter-based or pure hashes, so
-# the streams of a block of trials are computed here as arrays, word for word
-# what the generator objects would produce (the constants are numpy's
-# SeedSequence and Random123's Philox4x64-10).
+# Trial t of a simulation draws what Generator(Philox(child t of
+# SeedSequence(seed))) would.  Both algorithms are counter-based or pure
+# hashes, so the words of a block of trials are computed here as arrays and
+# each draw is read at its position (the constants are numpy's SeedSequence
+# and Random123's Philox4x64-10).
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -544,84 +547,44 @@ def _philox(keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
     return words.transpose(2, 1, 0, 3).reshape(len(keys), 4 * blocks)
 
 
-class _PhiloxStreams:
-    """``Generator(Philox(key=key))`` for every row of keys [B, 2] at once:
-    ``integers`` and ``random`` return [B, *size[1:]], row b being what the
-    same call on stream b's generator returns.
-
-    The streams' words are computed as far as the draws reach.  A 32-bit
-    draw takes the low half of a fresh word and keeps its high half for the
-    next one; ``integers(0, b)`` is Lemire's (u * b) >> 32, rejecting u when
-    (u * b) mod 2**32 < 2**32 mod b, which shifts that stream's later draws;
-    ``random`` takes fresh words w, (w >> 11) * 2**-53.  The first
-    ``words`` words of every stream, those the draws take when none is
-    rejected, are computed at once."""
-
-    def __init__(self, keys: np.ndarray, words: int = 0) -> None:
-        self._keys = keys
-        self._words = _philox(keys, 1, -(-words // 4))
-        self._next = np.zeros(len(keys), dtype=np.int64)  # next fresh word
-        self._kept = np.full(len(keys), -1)  # the kept high half, or -1
-
-    def _upto(self, words: int) -> np.ndarray:
-        """The words computed so far, at least ``words`` per stream."""
-        have = self._words.shape[1] // 4
-        if 4 * have < words:
-            blocks = max(-(-words // 4), 2 * have) - have
-            more = _philox(self._keys, have + 1, blocks)
-            self._words = np.concatenate([self._words, more], axis=1)
-        return self._words
-
-    def integers(self, low, high, size: tuple[int, ...]) -> np.ndarray:
-        span = np.broadcast_to(np.asarray(high) - low, size[1:]).ravel()
-        if not (2 <= span.min() and span.max() <= 2**32):
-            raise ValueError("ranges must hold 2 to 2**32 integers")
-        span = span.astype(_U64)
-        reject_below = (_U64(2**32) - span) % span
-        later = np.arange(span.size)
-        kept = (self._kept >= 0)[:, None]
-        order = np.zeros((len(self._keys), 1), dtype=np.int64) + later
-        while True:
-            # draw i takes the order[i]-th unused half, the kept one first
-            at = 2 * self._next[:, None] + order - kept
-            at = np.where(kept & (order == 0), self._kept[:, None], at)
-            words = self._upto(int(at.max()) // 2 + 1)
-            word = np.take_along_axis(words, at >> 1, axis=1)
-            u = (word >> (_U64(32) * (at & 1).astype(_U64))) & _LOW32
-            product = u * span
-            rejected = (product & _LOW32) < reject_below
-            if not rejected.any():
-                break
-            first = np.where(rejected.any(axis=1), rejected.argmax(axis=1), span.size)
-            order += later >= first[:, None]
-        fresh = order[:, -1] + 1 - kept[:, 0]  # fresh halves taken
-        self._kept = np.where(fresh % 2 == 1, 2 * self._next + fresh, -1)
-        self._next = self._next + (fresh + 1) // 2
-        draws = (product >> _U64(32)).astype(np.int64) + low
-        return draws.reshape((len(self._keys),) + size[1:])
-
-    def random(self, size: tuple[int, ...]) -> np.ndarray:
-        count = math.prod(size[1:])
-        at = self._next[:, None] + np.arange(count)
-        words = np.take_along_axis(self._upto(int(at.max()) + 1), at, axis=1)
-        self._next = self._next + count
-        uniform = (words >> _U64(11)).astype(np.float64) * 2.0**-53
-        return uniform.reshape((len(self._keys),) + size[1:])
-
-
 def _trial_draws(
     ig: InputGroup, n: int, keys: np.ndarray, messages: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each key's Philox stream, drawn in order: table images [B, k, n, c],
-    dither [B, n, c], message index [B], one uniform per coordinate [B, n]."""
-    # 32-bit halves: the drawn table cells, the dither and the message
+    """What each key's ``Generator(Philox(key=key))`` draws by
+    ``_sample_table``, ``integers(0, messages)`` and ``random(n)``: images
+    [B, k, n, c], dither [B, n, c], message index [B], uniforms [B, n].
+
+    Draw i is Lemire's (u * span) >> 32 on 32-bit half i of the stream (low
+    half first), and the uniforms (w >> 11) * 2**-53 take the full words w
+    after the last, unless a draw is rejected, (u * span) mod 2**32 < 2**32
+    mod span: such a stream is replayed one draw at a time, on as many more
+    words as its rejections reach."""
     moduli = ig.group.moduli
-    halves = n * (int((ig._allowed_step < moduli).sum()) + len(moduli)) + 1
-    streams = _PhiloxStreams(keys, -(-halves // 2) + n)
-    size = (len(keys),)
-    images, dither = _sample_table(ig, n, streams, size)
-    sent = streams.integers(0, messages, size)
-    return _checked(ig, images), dither, sent, streams.random(size + (n,))
+    # a stream's spans: the table cells that _tables draws, the dither, the message
+    bounds = np.repeat((moduli // ig._allowed_step)[:, None], n, axis=1)
+    bounds = bounds[bounds > 1]
+    spans = np.concatenate([bounds, np.tile(moduli, n), [messages]]).astype(_U64)
+    head = -(-len(spans) // 2)
+    words = _philox(keys, 1, -(-(head + n) // 4))
+    halves = np.stack(_halves(words), axis=-1).reshape(len(keys), -1)
+    product = halves[:, : len(spans)] * spans
+    draws = (product >> _U64(32)).astype(np.int64)
+    uniform_words = words[:, head : head + n]
+    for b in np.flatnonzero(((product & _LOW32) < _U64(2**32) % spans).any(axis=1)):
+        row, at, i = words[b].tolist(), 0, 0
+        while i < len(spans):  # draw i on half at, or on the next if rejected
+            while len(row) <= at // 2 + n:
+                row += _philox(keys[b : b + 1], len(row) // 4 + 1, 1)[0].tolist()
+            span = int(spans[i])
+            wide = (row[at // 2] >> 32 * (at % 2) & 0xFFFFFFFF) * span
+            at += 1
+            if wide % 2**32 >= 2**32 % span:
+                draws[b, i], i = wide >> 32, i + 1
+        uniform_words[b] = row[-(-at // 2) :][:n]
+    digits, dither, sent = np.split(draws, [len(bounds), -1], axis=1)
+    images = _checked(ig, _tables(ig, n, lambda _: digits))
+    uniforms = (uniform_words >> _U64(11)).astype(np.float64) * 2.0**-53
+    return images, dither.reshape(-1, n, len(moduli)), sent[:, 0], uniforms
 
 
 def mc_channel_error(
@@ -635,15 +598,16 @@ def mc_channel_error(
     Trial t (t < trials <= 2**32) draws from its own Philox4x64-10 stream,
     keyed by child t of ``SeedSequence(seed)``, an integer seed: the table
     digits, the dither and the message index, each ``(u * b) >> 32`` on the
-    stream's 32-bit halves (Lemire's rejection), then one uniform u per
+    stream's next 32-bit half u (Lemire's rejection), then one uniform u per
     coordinate from the next full words; the output is the first y whose
     cumulative W(. | x) exceeds u, which is how ``Generator.choice`` draws.
-    The keys and words of a block of trials are computed as arrays, and
-    encoding, the injectivity test and decoding run over the block, with
-    block x messages x n x rings at most SIZE_CAP cells.  The report is bit
-    for bit that of one ``Generator(Philox(child))`` per trial, drawn one
-    trial at a time; it depends only on the SeedSequence and Philox
-    algorithms, not on how ``Generator``'s methods are implemented."""
+    The draws of a block of trials are read by position from their words,
+    only a stream with a rejected draw being replayed; encoding, the
+    injectivity test and decoding run over the block, with block x messages
+    x n x rings at most SIZE_CAP cells.  The report is bit for bit that of
+    one ``Generator(Philox(child))`` per trial, drawn one trial at a time;
+    it depends only on the SeedSequence and Philox algorithms, not on how
+    ``Generator``'s methods are implemented."""
     _check_count("blocklength", n)
     _check_seed(seed)
     if chan.group != ig.group:
@@ -791,11 +755,6 @@ def lemma_suite(
 
 
 # -- the modular linear-congruence solver ------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _is_prime(p: int) -> bool:
-    return p >= 2 and factorize(p) == {p: 1}
 
 
 def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:

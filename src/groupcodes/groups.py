@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,6 +52,11 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _is_prime(p: int) -> bool:
+    return p >= 2 and factorize(p) == {p: 1}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Canonical decomposition of a finite Abelian group.
@@ -70,7 +75,7 @@ class GroupSpec:
             raise ValueError("rings must be sorted by (p, r, m)")
         seen: dict[tuple[int, int], int] = {}
         for p, r, m in self.rings:
-            if p < 2 or factorize(p) != {p: 1}:
+            if not _is_prime(p):
                 raise ValueError(f"ring modulus base {p} is not prime")
             if r < 1:
                 raise ValueError(f"ring exponent {r} must be >= 1")
@@ -152,6 +157,15 @@ class GroupSpec:
 
     def describe(self) -> str:
         return " + ".join(f"Z{p**r}({p},{r},{m})" for p, r, m in self.rings)
+
+
+def _slot_values(spec: GroupSpec, mapping) -> tuple:
+    """One value per weight slot of ``spec`` from a mapping over slots, 0
+    where absent; a key that is not a weight slot is refused."""
+    slots = spec.weight_slots
+    if stray := [key for key in mapping if key not in slots]:
+        raise ValueError(f"{stray[0]} is not a weight slot of this group")
+    return tuple(mapping.get(slot, 0) for slot in slots)
 
 
 @dataclass(frozen=True)

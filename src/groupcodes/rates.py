@@ -42,7 +42,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _gaps, _grid, _induce
-from .groups import _min_depths
+from .groups import _min_depths, _slot_values
 from .measures import (
     ChannelSpec,
     SourceJoint,
@@ -103,7 +103,7 @@ class WeightVector:
 
     @classmethod
     def from_mapping(cls, spec: GroupSpec, mapping: Mapping[tuple[int, int], object]):
-        return cls(spec, tuple(mapping.get(slot, 0) for slot in spec.weight_slots))
+        return cls(spec, _slot_values(spec, mapping))
 
     @property
     def support(self) -> tuple[tuple[int, int], ...]:
@@ -200,10 +200,7 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
             raise ValueError("weights bound to a different group")
         values = weights.values
     else:
-        slots = spec.weight_slots
-        if stray := [key for key in weights if key not in slots]:
-            raise ValueError(f"{stray[0]} is not a weight slot of this group")
-        values = [weights.get(slot, 0) for slot in slots]
+        values = _slot_values(spec, weights)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"weights must be finite, got {values}")
         if any(v < 0 for v in values):

@@ -167,6 +167,42 @@ def test_input_group_validation():
         InputGroup(spec, (1, -1, 0))
 
 
+def test_input_group_counts_are_integers():
+    spec = decompose([4]).spec
+    for counts in [(True, 0), (0, np.bool_(True)), (1.0, 0), ("1", 0)]:
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            InputGroup(spec, counts)
+    ig = InputGroup(spec, (np.int64(1), np.uint8(2)))
+    assert ig == InputGroup(spec, (1, 2)) and type(ig.counts[0]) is int
+
+
+def test_input_group_from_mapping_rejects_stray_key():
+    spec = decompose([4]).spec
+    with pytest.raises(ValueError, match=r"\(3, 1\) is not a weight slot"):
+        InputGroup.from_mapping(spec, {(2, 1): 1, (3, 1): 5})
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 8, 9, 12, 27]), min_size=1, max_size=3),
+    st.data(),
+)
+def test_allowed_step_matches_formula(orders, data):
+    # the (p, r) image of a Z_{q^s} generator lies in p^(r-s)+ Z_{p^r} for
+    # q = p, and is zero (step p^r) across primes
+    spec = decompose(orders).spec
+    slots = len(spec.weight_slots)
+    counts = data.draw(
+        st.lists(st.integers(0, 2), min_size=slots, max_size=slots).filter(any)
+    )
+    ig = InputGroup(spec, tuple(counts))
+    expected = [
+        [p ** max(r - s, 0) if p == q else p**r for p, r, _ in spec.rings]
+        for q, s, _ in ig.spec.rings
+    ]
+    assert ig._allowed_step.tolist() == expected
+    assert not ig._allowed_step.flags.writeable
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -469,6 +505,8 @@ def test_pairwise_law_checks_table_constraints(monkeypatch):
     )
     with pytest.raises(ValueError):
         verify_pairwise_law(ig_of([4], {(2, 1): 1, (2, 2): 1}), 4, [0, 0], [0, 1])
+    tables = ensemble._tables
+    monkeypatch.setattr(ensemble, "_tables", lambda *args: shift(tables(*args)))
     with pytest.raises(ValueError):
         mc_channel_error(ig, 1, ChannelSpec(ig.group, np.eye(4)), trials=1, seed=0)
 
@@ -708,28 +746,49 @@ def test_mc_one_philox_call_per_block(monkeypatch):
     assert calls == [(102, 1), (102, 1), (46, 1)]
 
 
-@pytest.mark.parametrize(
-    "bounds,n",
-    [
-        ([5, 2, 9], 4),  # odd: random starts past the kept high half
-        ([3, 4, 2**32, 7, 6, 2], 3),
-        # near 2**31 about half the words are rejected, shifting later draws
-        ([2**31 + 1, 2**31 + 3, 3 * 2**30 + 5, 2**32 - 1, 2**31 + 7], 5),
-    ],
-)
-def test_streams_match_generator(bounds, n):
-    keys = ensemble._child_keys(np.random.SeedSequence(11), 0, 40)
-    streams = ensemble._PhiloxStreams(keys)
-    size = (len(keys), len(bounds))
-    got = [streams.integers(0, np.array(bounds), size), streams.random((len(keys), n))]
-    got.append(streams.integers(0, np.array(bounds[:2]), (len(keys), 2)))
+def assert_draws_match_generator(ig: InputGroup, n: int, keys, messages: int):
+    """``_trial_draws`` against each key's own generator: ``_sample_table``,
+    then ``integers(0, messages)``, then ``random(n)``."""
+    got = ensemble._trial_draws(ig, n, keys, messages)
     for b, key in enumerate(keys):
         rng = np.random.Generator(np.random.Philox(key=key))
-        assert got[0][b].tolist() == [rng.integers(0, bound) for bound in bounds]
-        assert got[1][b].tolist() == rng.random(n).tolist()
-        assert got[2][b].tolist() == [rng.integers(0, bound) for bound in bounds[:2]]
-    if bounds[0] > 2**31:  # without rejections: 3 words, n, then 1
-        assert streams._next.max() > 3 + n + 1
+        images, dither = ensemble._sample_table(ig, n, rng)
+        expected = images, dither, rng.integers(0, messages), rng.random(n)
+        for part, want in zip(got, expected):
+            assert part[b].tolist() == np.asarray(want).tolist()
+
+
+@pytest.mark.parametrize(
+    "orders,counts,n,messages",
+    [
+        # 13 halves: the uniforms start past a kept high half
+        ([4, 3], {(2, 1): 1, (3, 1): 1}, 3, 5),
+        ([4, 3], {(2, 1): 1, (2, 2): 1, (3, 1): 1}, 1, 2**32),  # 6 halves
+        # about half, then a quarter, of the message draws are rejected
+        ([8], {(2, 3): 1}, 2, 2**31 + 1),
+        ([5, 2], {(5, 1): 2, (2, 1): 1}, 2, 3 * 2**30 + 5),
+    ],
+)
+def test_trial_draws_match_generator(orders, counts, n, messages):
+    keys = ensemble._child_keys(np.random.SeedSequence(11), 0, 60)
+    assert_draws_match_generator(ig_of(orders, counts), n, keys, messages)
+
+
+def test_trial_draws_replay_rejected_streams(monkeypatch):
+    # near 2**31 about half the message draws are rejected; a replayed stream
+    # computes more words alone, one call per Philox block past those the
+    # block computed up front, and every stream matches its generator
+    calls = []
+    philox = ensemble._philox
+
+    def counted(keys, first, blocks):
+        calls.append((len(keys), first))
+        return philox(keys, first, blocks)
+
+    monkeypatch.setattr(ensemble, "_philox", counted)
+    keys = ensemble._child_keys(np.random.SeedSequence(3), 0, 40)
+    assert_draws_match_generator(ig_of([2], {(2, 1): 1}), 1, keys, 2**31 + 1)
+    assert calls[0] == (40, 1) and (1, 2) in calls[1:]
 
 
 def test_mc_seed_contract():

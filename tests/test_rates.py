@@ -332,6 +332,12 @@ def test_omega_rejects_stray_mapping_key():
         omega(spec, {(2, 3): 1.0, (7, 1): 0.5}, ThetaVector(spec, (1,)))
 
 
+def test_weight_vector_from_mapping_rejects_stray_key():
+    spec = decompose([4]).spec
+    with pytest.raises(ValueError, match=r"\(3, 1\) is not a weight slot"):
+        WeightVector.from_mapping(spec, {(2, 2): 1.0, (3, 1): 0.0})
+
+
 def test_omega_rejects_negative_mapping_weight():
     spec = decompose([8]).spec
     with pytest.raises(ValueError, match="nonnegative"):
