@@ -6,12 +6,17 @@ is the per-element public type; computations over the whole group use the
 residue grid instead, one row per element in canonical order (last residue
 fastest), and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
-Everything here is immutable and safe to share across threads.
+A GroupSpec caches the rate layer's selector plan, which depends on the
+group alone: the selector grid, built on first read, and the covering
+supports, built by the first rate call or oracle.  Everything here is
+immutable and safe to share across threads: a cached value computed twice
+in a race is identical, and its arrays are read-only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -124,6 +129,50 @@ class GroupSpec:
         gaps.setflags(write=False)
         return gaps
 
+    # -- the selector plan: what every rate call, oracle and Theta enumeration
+    # on the group reads, in two layers built on first read
+
+    @cached_property
+    def _selector_layer(self) -> tuple[np.ndarray, ...]:
+        """The selector grid [n, L] (sorted by components: the zero selector
+        first, the full one last), the least depths m(theta) [n, k] of every
+        row on every weight slot (the omega coefficients), ``hits`` [n, k, L]
+        of ``_theta_members`` and the rows reachable from the full support,
+        which are those reachable from any: a slot at its full depth s gives
+        |r - s|^+ + s >= r, so adding one never removes a selector."""
+        levels, gaps = self.ring_levels, self._slot_gaps
+        grid = _grid([r + 1 for _, r in levels])
+        depths = _min_depths(gaps, grid)
+        # [n, k, L]: each slot alone, as a one-slot axis per slot
+        hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
+        reachable = _theta_members(hits, np.ones((1, len(gaps)), dtype=bool))[0]
+        return _read_only(grid, depths, hits, reachable)
+
+    @cached_property
+    def _thetas(self) -> tuple["ThetaVector", ...]:
+        """The grid's rows as selectors."""
+        grid = self._selector_layer[0]
+        return tuple(ThetaVector(self, tuple(row)) for row in grid.tolist())
+
+    @cached_property
+    def _covering_layer(self) -> tuple[np.ndarray, ...]:
+        """The covering supports as slot masks ``columns`` [supports, k] in
+        tie-break order, Theta(S) of each as a row of ``members`` [supports,
+        n], the packing LP's n = m(theta) log2 q [n, k] and d = s log2 q [k],
+        and ``top`` [supports, n], the largest omega_theta on the face S: it
+        is linear-fractional, so largest at a vertex, the max over j in S of
+        m_j(theta)/s_j.  On Z_(2^18) this layer holds about 50 MB, most of it
+        ``top``."""
+        _, depths, hits, _ = self._selector_layer
+        columns = _covering_masks(self)
+        members = _theta_members(hits, columns)
+        s = np.array([s for _, s in self.weight_slots])
+        log_q = np.array([math.log2(q) for q, _ in self.weight_slots])
+        top = np.zeros(members.shape)
+        for j in range(len(s)):  # in place, one slot at a time
+            np.maximum(top, depths[:, j] / s[j], out=top, where=columns[:, [j]])
+        return _read_only(columns, members, depths * log_q, s * log_q, top)
+
     # -- elements ---------------------------------------------------------
 
     def element(self, residues: Sequence[int]) -> "GroupElement":
@@ -157,6 +206,27 @@ class GroupSpec:
 
     def describe(self) -> str:
         return " + ".join(f"Z{p**r}({p},{r},{m})" for p, r, m in self.rings)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _covering_masks(spec: GroupSpec) -> np.ndarray:
+    """All support patterns giving every prime at least one slot, as slot
+    masks [supports, k] in the lexicographic order of their sorted slot
+    tuples (the deterministic tie-break order)."""
+    # every prime's nonzero patterns over its slots, in every combination
+    bits = [_grid([2] * spec.max_exponent(q))[1:].astype(bool) for q in spec.primes]
+    picks = _grid([len(b) for b in bits]).T
+    masks = np.hstack([b[pick] for b, pick in zip(bits, picks)])
+    # rows in the order of their sorted slot tuples, a prefix first: at the
+    # first slot where two rows differ, the row holding it (key 1) follows a
+    # row with no later slot (key 0) and precedes one with a later slot (2)
+    later = np.logical_or.accumulate(masks[:, ::-1], axis=1)[:, ::-1]
+    return masks[np.lexsort(np.where(masks, 1, 2 * later).T[::-1])]
 
 
 def _slot_values(spec: GroupSpec, mapping) -> tuple:
@@ -282,6 +352,22 @@ def _min_depths(gaps, thetas) -> np.ndarray:
     omega numerator coefficients, and thetas is reachable from the slots
     exactly when these depths induce it back."""
     return (np.asarray(thetas)[..., None, :] - gaps).max(axis=-1, initial=0)
+
+
+def _theta_members(hits, masks) -> np.ndarray:
+    """Theta(S) of each support, a row of the slot masks [supports, k], as a
+    row of a mask [supports, n] over the selector grid, from ``hits``
+    [n, k, L]: whether slot j alone at depth m_j(theta) induces level l of
+    theta exactly.
+
+    Depths inducing theta are at least m(theta) and inducing is monotone, so
+    theta is in Theta(S) exactly when m(theta) on S induces it back: when a
+    slot of S alone hits each level exactly, as none induces less."""
+    # one level at a time, so nothing larger than the mask is built
+    members = np.ones((len(masks), len(hits)), dtype=bool)
+    for level in range(hits.shape[2]):
+        members &= masks @ hits[:, :, level].T
+    return members
 
 
 @dataclass(frozen=True)

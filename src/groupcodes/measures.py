@@ -13,7 +13,7 @@ H(X) - H(X | [U]_theta), the channel term H(Y | [X]_theta) - H(Y | X).  H(X)
 is the zero selector's H(X | [U]_theta) and H(Y | X) the full selector's
 H(Y | [X]_theta), so those endpoint terms are exactly zero, and the rate
 layer computes them once per joint or channel.  The term route takes each
-selector as its components, a row of the rate layer's selector table, and
+selector as its components, a row of the rate layer's selector grid, and
 builds no subgroup object.  ``coset_mi_channel_chain`` merges rows by
 ``Subgroup.label_indices`` instead: the independent route.
 """

@@ -19,15 +19,19 @@ whose bound the current winner already ties, and which comes after it in
 lexicographic order, cannot win either and gets no linear program.  Where
 the endpoint selector's term binds, as on random inputs, the first support
 solved settles the call.
-Each rate call builds one selector table, used for the terms and for every
-support's linear program, which is sliced from it; Theta(S) is the set of
+Every rate call, oracle and Theta enumeration on a group reads its selector
+plan, cached on the GroupSpec because it depends on the group alone: the
+selector grid with m(theta) and the reachable rows, built on first read, and
+the covering supports with Theta(S) of each, the LP's n and d and the vertex
+bound's top, built on the first rate call or oracle.  Its arrays are
+read-only and live as long as the spec; a call computes only what depends on
+its input, the terms and what is solved from them.  Theta(S) is the set of
 selectors theta whose least inducing depths m(theta) on S induce them back.
-Inside a call a selector is a row of that table and the terms are an array
-over its rows; a terms mapping keyed by ThetaVector exists only at
+Inside a call a selector is a row of the plan's grid and the terms are an
+array over its rows; a terms mapping keyed by ThetaVector exists only at
 optimize_weights and grid_search, where it is checked.  Likewise a support
 is a row of one slot mask array [supports, k] in tie-break order; a tuple of
-slots exists only at RateResult.support and the public inputs.  Nothing is
-cached.
+slots exists only at RateResult.support and the public inputs.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .groups import GroupSpec, ThetaVector, _check_count, _gaps, _grid, _induce
-from .groups import _min_depths, _slot_values
+from .groups import GroupSpec, ThetaVector, _check_count, _gaps, _induce
+from .groups import _min_depths, _slot_values, _theta_members
 from .measures import (
     ChannelSpec,
     SourceJoint,
@@ -148,31 +152,6 @@ def _check_support(spec: GroupSpec, support: tuple[tuple[int, int], ...]) -> Non
         )
 
 
-def _theta_sets(spec: GroupSpec, masks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The selector grid [n, L] (sorted by components), the least depths
-    m(theta) [n, k] of every row on every weight slot (the omega
-    coefficients), and Theta(S) of each support, a row of the slot masks
-    [supports, k], as a row of a mask [supports, n].
-
-    Depths inducing theta are at least m(theta) and inducing is monotone, so
-    theta is in Theta(S) exactly when m(theta) on S induces it back: when a
-    slot of S alone hits each level exactly, as none induces less."""
-    levels, gaps = spec.ring_levels, spec._slot_gaps
-    grid = _grid([r + 1 for _, r in levels])
-    depths = _min_depths(gaps, grid)
-    # [n, k, L]: each slot alone, as a one-slot axis per slot
-    hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
-    # one level at a time, so nothing larger than the mask is built
-    members = np.ones((len(masks), len(grid)), dtype=bool)
-    for level in range(grid.shape[1]):
-        members &= masks @ hits[:, :, level].T
-    return grid, depths, members
-
-
-def _thetas(spec: GroupSpec, rows: np.ndarray) -> list[ThetaVector]:
-    return [ThetaVector(spec, tuple(row)) for row in rows.tolist()]
-
-
 def enumerate_theta_set(
     spec: GroupSpec, support: Iterable[tuple[int, int]]
 ) -> frozenset[ThetaVector]:
@@ -181,8 +160,8 @@ def enumerate_theta_set(
     support = tuple(sorted(set(support)))
     _check_support(spec, support)
     mask = np.array([[slot in support for slot in spec.weight_slots]])
-    grid, _, members = _theta_sets(spec, mask)
-    return frozenset(_thetas(spec, grid[members[0]]))
+    _, _, hits, _ = spec._selector_layer
+    return frozenset(itertools.compress(spec._thetas, _theta_members(hits, mask)[0]))
 
 
 def omega(spec: GroupSpec, weights, theta: ThetaVector):
@@ -227,67 +206,43 @@ def _omega(spec: GroupSpec, values, coeffs):
     return num / den
 
 
-def _covering_masks(spec: GroupSpec) -> np.ndarray:
-    """All support patterns giving every prime at least one slot, as slot
-    masks [supports, k] in the lexicographic order of their sorted slot
-    tuples (the deterministic tie-break order)."""
-    # every prime's nonzero patterns over its slots, in every combination
-    bits = [_grid([2] * spec.max_exponent(q))[1:].astype(bool) for q in spec.primes]
-    picks = _grid([len(b) for b in bits]).T
-    masks = np.hstack([b[pick] for b, pick in zip(bits, picks)])
-    # rows in the order of their sorted slot tuples, a prefix first: at the
-    # first slot where two rows differ, the row holding it (key 1) follows a
-    # row with no later slot (key 0) and precedes one with a later slot (2)
-    later = np.logical_or.accumulate(masks[:, ::-1], axis=1)[:, ::-1]
-    return masks[np.lexsort(np.where(masks, 1, 2 * later).T[::-1])]
-
-
 def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
-    """Union of the theta sets over every valid support pattern.
-
-    That union is the theta set of the full support: a slot at its full
-    depth s gives |r - s|^+ + s >= r, so adding a slot never removes a
-    selector and Theta(S) is contained in Theta(S + slot)."""
-    full = np.ones((1, len(spec.weight_slots)), dtype=bool)
-    grid, _, members = _theta_sets(spec, full)
-    return tuple(_thetas(spec, grid[members[0]]))
+    """Union of the theta sets over every valid support pattern, which is
+    the theta set of the full support, in grid order."""
+    *_, reachable = spec._selector_layer
+    return tuple(itertools.compress(spec._thetas, reachable))
 
 
 class _SupportProblems:
-    """The selector table of one rate call, the covering supports as slot
-    masks ``columns`` in lexicographic order (the tie-break order) and
-    _theta_sets of them, and the LP input of every support for one sense.
-    The terms c over the rows come from terms_of(the component lists of the
-    rows in some Theta(S)).
-    Support i's slice is taken on demand: (the selectors of Theta(S), and
-    n = m(theta) log2 q on S, D = s log2 q on S, the terms and the sense's
-    excluded endpoint selector).  ``sign`` +1 maximises (channel), -1
-    minimises (source), so sign * value is larger when better."""
+    """The per-input solve of one rate call over its group's selector plan
+    (``GroupSpec._selector_layer`` and ``._covering_layer``, shared by every
+    call on the group): the terms c over the grid's rows, from terms_of(the
+    component lists of the reachable rows), and the sense's excluded
+    endpoint selector.  Support i's LP input is sliced on demand: (n and D
+    on S over the rows of Theta(S), their terms and excluded flags).
+    ``sign`` +1 maximises (channel), -1 minimises (source), so sign * value
+    is larger when better."""
 
     def __init__(self, spec: GroupSpec, terms_of, sense: str):
         if sense not in ("source", "channel"):
             raise ValueError(f"unknown sense {sense!r}")
         self.spec, self.sense = spec, sense
         self.sign = 1 if sense == "channel" else -1
-        self.columns = _covering_masks(spec)
-        self.grid, self.depths, self.members = _theta_sets(spec, self.columns)
-        reachable = self.members.any(axis=0)
-        self.c = np.full(len(self.grid), math.nan)
-        self.c[reachable] = terms_of(self.grid[reachable].tolist())
+        grid, self.depths, _, reachable = spec._selector_layer
+        plan = spec._covering_layer
+        self.columns, self.members, self.n, self.d, self.top = plan
+        self.c = np.full(len(grid), math.nan)
+        self.c[reachable] = terms_of(grid[reachable].tolist())
         # the zero selector is the grid's first row, the full selector its last
-        self.excluded = np.zeros(len(self.grid), dtype=bool)
+        self.excluded = np.zeros(len(grid), dtype=bool)
         self.excluded[0 if sense == "source" else -1] = True
-        slots = spec.weight_slots
-        log_q = np.array([math.log2(q) for q, _ in slots])
-        self.n = self.depths * log_q
-        self.d = np.array([s for _, s in slots]) * log_q
 
     @classmethod
     def from_mapping(cls, spec: GroupSpec, terms: Mapping[ThetaVector, float], sense):
         """Problems from a terms mapping, checked complete, finite and >= 0."""
 
         def terms_of(rows):
-            thetas = [ThetaVector(spec, tuple(row)) for row in rows]
+            thetas = all_reachable_thetas(spec)  # the rows, as selectors
             if missing := [th for th in thetas if th not in terms]:
                 raise ValueError(f"terms missing for selectors {missing}")
             for th, c in terms.items():
@@ -299,25 +254,17 @@ class _SupportProblems:
 
     def __getitem__(self, i: int):
         cols, rows = self.columns[i], self.members[i]
-        n, d = self.n[rows][:, cols], self.d[cols]
-        problem = (n, d, self.c[rows], self.excluded[rows])
-        return self.grid[rows], problem
+        return self.n[rows][:, cols], self.d[cols], self.c[rows], self.excluded[rows]
 
     def vertex_bounds(self) -> np.ndarray:
-        """The bound of every support that its optimum cannot beat.  On the
-        face S, a selector's omega_theta is linear-fractional, so it is
-        largest at a vertex, top = max over j in S of m_j(theta)/s_j.  The
-        source bound LB(S) is the max over the active theta in Theta(S) of
-        c_theta / top, the channel bound UB(S) the min of
-        c_theta / (1 - top).  A term at or below INFO_ZERO_TOL bounds by 0, a
-        zero denominator by +inf: a source support with LB(S) = +inf has a
-        term that is infinite for every weight choice."""
-        s = np.array([s for _, s in self.spec.weight_slots])
-        top = np.zeros(self.members.shape)
-        for j in range(len(s)):  # one slot at a time, [supports, n] at most
-            frac = np.where(self.columns[:, [j]], self.depths[:, j] / s[j], 0.0)
-            np.maximum(top, frac, out=top)
-        part = top if self.sign < 0 else 1.0 - top
+        """The bound of every support that its optimum cannot beat, from the
+        plan's top, the largest omega_theta on the face S.  The source bound
+        LB(S) is the max over the active theta in Theta(S) of c_theta / top,
+        the channel bound UB(S) the min of c_theta / (1 - top).  A term at or
+        below INFO_ZERO_TOL bounds by 0, a zero denominator by +inf: a source
+        support with LB(S) = +inf has a term that is infinite for every
+        weight choice."""
+        part = self.top if self.sign < 0 else 1.0 - self.top
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.where(self.c <= INFO_ZERO_TOL, 0.0, self.c / part)
         counted = self.members & ~self.excluded
@@ -409,7 +356,7 @@ def _solve_support(
     excluded: np.ndarray,
     sense: str,
 ) -> tuple[float, tuple[float, ...]]:
-    """Optimize one support pattern, given its slice of the selector table;
+    """Optimize one support pattern, given its slice of the selector plan;
     returns the value and the witness.
 
     With v = w * rate / (D.w) the inner problem becomes one packing LP:
@@ -521,7 +468,7 @@ def _optimize(problems: _SupportProblems) -> RateResult:
             break
         if values and i > w and values[w] >= bound - TIE_TOL / 2 * abs(bound):
             continue
-        value, witnesses[i] = _solve_support(*problems[i][1], problems.sense)
+        value, witnesses[i] = _solve_support(*problems[i], problems.sense)
         values[i] = sign * value
         best = max(best, sign * value)
         w = _winner(values)
@@ -541,12 +488,12 @@ def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
     there, its critical selectors and the per-selector table."""
     spec, sense = problems.spec, problems.sense
     support = tuple(itertools.compress(spec.weight_slots, problems.columns[i]))
-    rows, problem = problems[i]
+    problem = problems[i]
     _, _, terms, excluded = problem
     values, ratios = _evaluate(*problem, np.array([witness]), sense)
     value, ratios = float(values[0]), ratios[0].tolist()
     weights = WeightVector.from_mapping(spec, dict(zip(support, witness)))
-    thetas = _thetas(spec, rows)
+    thetas = list(itertools.compress(spec._thetas, problems.members[i]))
     coeffs = problems.depths[problems.members[i]].tolist()
     crit_tol = CRITICAL_TOL * (1.0 + abs(value))
     critical = tuple(
@@ -579,7 +526,7 @@ def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
 
 
 def _rate(data, sense: str) -> RateResult:
-    """One selector table for the terms and the optimization."""
+    """The terms on the group's selector plan, then the optimization."""
     terms_of = _source_terms if sense == "source" else _channel_terms
     return _optimize(_SupportProblems(data.group, partial(terms_of, data), sense))
 
@@ -649,7 +596,7 @@ def grid_search(
     sign = problems.sign
     best_val: float | None = None
     for i, cols in enumerate(problems.columns):
-        _, problem = problems[i]
+        problem = problems[i]
         k = int(cols.sum())
         # a positive composition of steps is k - 1 distinct cuts in 1..steps-1
         cuts = itertools.combinations(range(1, steps), k - 1)

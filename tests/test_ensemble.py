@@ -791,6 +791,45 @@ def test_trial_draws_replay_rejected_streams(monkeypatch):
     assert calls[0] == (40, 1) and (1, 2) in calls[1:]
 
 
+def lemire_reference(halves, spans):
+    """Plain-integer Lemire draws on a stream of 32-bit halves: a draw is
+    accepted when its leftover (u * span) mod 2**32 is at least 2**32 mod
+    span, as numpy's buffered_bounded_lemire_uint32 accepts; returns the
+    draws and the halves read."""
+    draws, at = [], 0
+    for span in spans:
+        while True:
+            wide, at = halves[at] * span, at + 1
+            if wide % 2**32 >= 2**32 % span:
+                draws.append(wide >> 32)
+                break
+    return draws, at
+
+
+def test_trial_draws_accept_leftover_at_threshold(monkeypatch):
+    # Z3 spans 3, 3, 3 (table cell, dither, message): half 0 leaves 0 < 1 =
+    # 2**32 mod 3 and is rejected, so the stream is replayed; half 1 leaves
+    # 3 * 0xAAAAAAAB mod 2**32 = 1, exactly the threshold, and is draw 2
+    halves = [0, 0xAAAAAAAB, 0x80000000, 0xFFFFFFFF]
+    words = [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
+    words += [0x123456789ABCDEF0 + i for i in range(6)]
+    row = np.array([words], dtype=np.uint64)
+
+    def crafted(keys, first, blocks):
+        return row[:, 4 * (first - 1) : 4 * (first - 1 + blocks)]
+
+    monkeypatch.setattr(ensemble, "_philox", crafted)
+    ig = ig_of([3], {(3, 1): 1})
+    keys = np.zeros((1, 2), dtype=np.uint64)
+    images, dither, sent, uniforms = ensemble._trial_draws(ig, 1, keys, 3)
+    split = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+    (cell, shift, message), at = lemire_reference(split, [3, 3, 3])
+    assert (cell, at) == (2, 4)
+    assert images.tolist() == [[[[cell]]]]
+    assert dither.tolist() == [[[shift]]] and sent.tolist() == [message]
+    assert uniforms.tolist() == [[(words[-(-at // 2)] >> 11) * 2.0**-53]]
+
+
 def test_mc_seed_contract():
     ig = ig_of([4, 3], {(2, 1): 1, (3, 1): 1})
     chan = additive_noise_channel(ig.group, [0.7] + [0.3 / 11] * 11)

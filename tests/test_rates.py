@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,13 +29,12 @@ from groupcodes import (
     source_coding_rate,
     source_rate_prime_power,
 )
-from groupcodes import rates
-from groupcodes.groups import Subgroup, _gaps, _min_depths
+from groupcodes import groups, rates
+from groupcodes.groups import GroupSpec, Subgroup, _covering_masks, _gaps, _min_depths
 from groupcodes.rates import (
     INFO_ZERO_TOL,
     TIE_TOL,
     SolverError,
-    _covering_masks,
     _packing_lp,
     _result,
     _solve_support,
@@ -764,7 +764,7 @@ def unpruned_scan(problems):
     solved = {}
     for i in range(len(problems.columns)):
         if bounds[i] < math.inf:
-            solved[i] = _solve_support(*problems[i][1], problems.sense)
+            solved[i] = _solve_support(*problems[i], problems.sense)
     values = [value for value, _ in solved.values()]
     opt = min(values) if problems.sense == "source" else max(values)
     first = min(
@@ -862,10 +862,67 @@ def test_mapping_edge_matches_rate_call_property(case):
             assert getattr(got, field) == getattr(expected, field), field
 
 
+@given(rate_case())
+def test_plan_reuse_keeps_results_property(case):
+    # the group's selector plan is built by whichever call reads it first:
+    # a cold call on a fresh spec, a warm second call, and a call after the
+    # oracle, optimize_weights and a Theta enumeration give one result
+    spec, chan, sj = case
+    for data, rate, terms_of in (
+        (chan, channel_coding_rate, channel_terms),
+        (sj, source_coding_rate, source_terms),
+    ):
+        sense = "channel" if rate is channel_coding_rate else "source"
+        cold = replace(data, group=GroupSpec(spec.rings))
+        results = [repr(rate(cold)), repr(rate(cold))]
+        after = replace(data, group=GroupSpec(spec.rings))
+        grid_search(after.group, terms_of(after), sense, steps=3)
+        optimize_weights(after.group, terms_of(after), sense)
+        enumerate_theta_set(after.group, after.group.weight_slots)
+        results.append(repr(rate(after)))
+        assert results == [repr(rate(data))] * 3
+
+
+def test_plan_arrays_are_read_only():
+    spec = decompose([4, 9]).spec
+    arrays = spec._selector_layer + spec._covering_layer
+    assert len(arrays) == 9
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
+
+
+def test_covering_table_built_once_per_group(monkeypatch):
+    # a rate call, the terms mapping and the oracle share one plan
+    built = []
+    masks = groups._covering_masks
+
+    def counted(spec):
+        built.append(spec)
+        return masks(spec)
+
+    monkeypatch.setattr(groups, "_covering_masks", counted)
+    spec = decompose([2, 8]).spec
+    chan = random_channel(spec, 3, make_rng(2))
+    channel_coding_rate(chan)
+    grid_search(spec, channel_terms(chan), "channel", steps=4)
+    assert built == [spec]
+
+
+def test_theta_enumeration_builds_no_covering_table():
+    # one support's Theta(S) reads only the selector layer: Z65536 has 65535
+    # covering supports, which verify-ensemble never pays for
+    spec = decompose([65536]).spec
+    assert len(enumerate_theta_set(spec, [(2, 3), (2, 16)])) > 1
+    assert len(all_reachable_thetas(spec)) == 17
+    assert "_selector_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+
+
 @pytest.mark.parametrize("orders", [[8], [4, 3], [16, 27], [2, 4, 9]])
 def test_rate_call_selectors_are_table_rows(monkeypatch, orders):
-    # inside a rate call a selector is a row of the selector table: no
-    # Subgroup is built, and the only ThetaVectors are the result's rows
+    # inside a rate call a selector is a row of the plan's grid: no Subgroup
+    # is built, and the only ThetaVectors are the grid's rows, built once per
+    # group by the first call and shared by the results
     built = Counter()
     for cls in (Subgroup, ThetaVector):
 
@@ -876,6 +933,7 @@ def test_rate_call_selectors_are_table_rows(monkeypatch, orders):
         monkeypatch.setattr(cls, "__post_init__", counted)
     spec = decompose(orders).spec
     rng = make_rng(spec.order)
+    thetas_built = []
     for rate, data in (
         (channel_coding_rate, random_channel(spec, 4, rng)),
         (source_coding_rate, random_source_joint(spec, 4, rng)),
@@ -883,7 +941,9 @@ def test_rate_call_selectors_are_table_rows(monkeypatch, orders):
         built.clear()
         result = rate(data)
         assert built["Subgroup"] == 0
-        assert built["ThetaVector"] == len(result.per_theta)
+        thetas_built.append(built["ThetaVector"])
+        assert {id(t.theta) for t in result.per_theta} <= set(map(id, spec._thetas))
+    assert thetas_built == [len(spec._thetas), 0]
 
 
 @pytest.mark.parametrize(
@@ -1075,7 +1135,7 @@ def test_packing_lp_matches_highs(orders):
     for sense, terms in cases:
         problems = _SupportProblems.from_mapping(spec, terms, sense)
         for i in range(len(problems.columns)):
-            _, (n, d, c, excluded) = problems[i]
+            n, d, c, excluded = problems[i]
             active = ~excluded & (c > INFO_ZERO_TOL)
             if sense == "channel":
                 a, b, gain = d - n[active], c[active], d
