@@ -7,8 +7,9 @@ residue grid instead, one row per element in canonical order (last residue
 fastest), and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
 A GroupSpec caches the rate layer's selector plan, which depends on the
-group alone: the selector grid, built on first read, and the covering
-supports, built by the first rate call or oracle.  Everything here is
+group alone: the selector grid, built on first read, the covering supports,
+built by the first rate call or oracle, and the walk of the coset terms down
+the selector lattice, built by the first terms call.  Everything here is
 immutable and safe to share across threads: a cached value computed twice
 in a race is identical, and its arrays are read-only.
 """
@@ -130,7 +131,7 @@ class GroupSpec:
         return gaps
 
     # -- the selector plan: what every rate call, oracle and Theta enumeration
-    # on the group reads, in two layers built on first read
+    # on the group reads, in layers built on first read
 
     @cached_property
     def _selector_layer(self) -> tuple[np.ndarray, ...]:
@@ -172,6 +173,13 @@ class GroupSpec:
         for j in range(len(s)):  # in place, one slot at a time
             np.maximum(top, depths[:, j] / s[j], out=top, where=columns[:, [j]])
         return _read_only(columns, members, depths * log_q, s * log_q, top)
+
+    @cached_property
+    def _walk_layer(self) -> tuple[tuple, tuple]:
+        """The walk of ``_walk_schedule`` to the reachable rows, built by the
+        first coset-terms call: what every terms computation on the group
+        reads."""
+        return _walk_schedule(self, np.flatnonzero(self._selector_layer[3]))
 
     # -- elements ---------------------------------------------------------
 
@@ -227,6 +235,81 @@ def _covering_masks(spec: GroupSpec) -> np.ndarray:
     # row with no later slot (key 0) and precedes one with a later slot (2)
     later = np.logical_or.accumulate(masks[:, ::-1], axis=1)[:, ::-1]
     return masks[np.lexsort(np.where(masks, 1, 2 * later).T[::-1])]
+
+
+def _walk_schedule(spec: GroupSpec, rows) -> tuple[tuple, tuple]:
+    """The walk down the selector lattice (see measures) that reaches the
+    selector grid's rows ``rows``: the steps of ``measures._walk`` and the
+    batches of its entropies.  It starts at the full selector and reaches
+    each selector by steps in nondecreasing level order, so its path is
+    fixed, visiting only selectors with one of ``rows`` at or below them.
+
+    A step is (src, dst, shape, axes, put): the parent's array is at stack
+    slot src, reshaped to shape with the p axes of one level at axes, and
+    the child goes to slot dst, dropping the deeper slots.  A node's last
+    child replaces it, so an array is dropped once its children are done;
+    children come in decreasing level order, the one with the most below it
+    last.  put is None off the rows, else the node's rows (start, stop) in
+    its entropy batch and |H_theta|, the coset size.  A batch is (its row
+    count, the start of each node in it, their grid rows, their coset
+    counts); a node that would take a batch past the group's order starts
+    the next, so no batch is larger than the input."""
+    levels, ring_level = spec.ring_levels, spec._ring_level_index
+    primes = [p for p, _, _ in spec.rings]
+    grid = spec._selector_layer[0]
+    targets = {tuple(theta): row for theta, row in zip(grid[rows].tolist(), rows)}
+    steps: list = []
+
+    def below(theta, level) -> bool:
+        # the selectors a node reached at level reaches: theta lowered at
+        # that level and after it
+        head = theta[:level]
+        return any(
+            t[:level] == head and all(a <= b for a, b in zip(t[level:], theta[level:]))
+            for t in targets
+        )
+
+    def visit(theta, level, src, dst, shape, axes) -> None:
+        steps.append([src, dst, shape, axes, targets.get(theta)])
+        kids = [
+            (lv, theta[:lv] + (theta[lv] - 1,) + theta[lv + 1 :])
+            for lv in reversed(range(level, len(levels)))
+            if theta[lv]
+        ]
+        kids = [(lv, kid) for lv, kid in kids if below(kid, lv)]
+        for n, (lv, kid) in enumerate(kids):
+            shape, axes = [], []
+            for p, at in zip(primes, ring_level):
+                if at == lv:
+                    axes.append(len(shape))
+                    shape += [p, p ** kid[lv]]
+                else:
+                    shape.append(p ** theta[at])
+            slot = dst if n == len(kids) - 1 else dst + 1
+            visit(kid, lv, dst, slot, (*shape, -1), tuple(axes))
+
+    visit(tuple(r for _, r in levels), 0, 0, 0, None, None)
+
+    batches, batch, used = [], [], 0
+    for step in steps:
+        if (row := step[4]) is None:
+            continue
+        count = math.prod(p ** int(grid[row, at]) for p, at in zip(primes, ring_level))
+        if used + count > spec.order:
+            batches.append(_batch(used, batch))
+            batch, used = [], 0
+        batch.append((used, row, count))
+        step[4] = (used, used + count, spec.order // count)
+        used += count
+    batches.append(_batch(used, batch))
+    return tuple(map(tuple, steps)), tuple(batches)
+
+
+def _batch(size: int, members: list) -> tuple:
+    """An entropy batch of ``_walk_schedule`` from its (start, row, count)
+    members."""
+    starts, rows, counts = map(np.array, zip(*members))
+    return (size, *_read_only(starts, rows, counts.astype(float)))
 
 
 def _slot_values(spec: GroupSpec, mapping) -> tuple:

@@ -3,28 +3,40 @@
 All quantities are in bits.  Probability inputs are validated against a 1e-9
 tolerance; 0*log(0) is treated as 0 exactly.
 
-The coset terms take one reshape per selector.  In canonical element order
-the coset of an element under the theta-subgroup is its residues mod
-p^theta, the low base-p digits of each ring, so a ring axis of size p^r
-splits into (p^(r - theta), p^theta) and a sum over the high axes merges
-every coset at once, in lexicographic label order.  Each term is a
-difference of two conditional entropies from those sums: the source term
-H(X) - H(X | [U]_theta), the channel term H(Y | [X]_theta) - H(Y | X).  H(X)
-is the zero selector's H(X | [U]_theta) and H(Y | X) the full selector's
-H(Y | [X]_theta), so those endpoint terms are exactly zero, and the rate
-layer computes them once per joint or channel.  The term route takes each
-selector as its components, a row of the rate layer's selector grid, and
-builds no subgroup object.  ``coset_mi_channel_chain`` merges rows by
+The coset terms come from one walk down the selector lattice.  In canonical
+element order the coset of an element under the theta-subgroup is its
+residues mod p^theta, the low base-p digits of each ring, so the coset sums
+of theta are an array with one axis of size p^theta per ring, in
+lexicographic label order.  A step at one level splits each ring axis of
+that level, of size p^theta, into (p, p^(theta - 1)) and sums the p axis:
+the sums of theta lowered by one there, from theta's own.  The walk starts
+at the full selector, the input itself, and visits every selector it needs
+depth first, by steps in a fixed level order; its layout, the plan's walk
+layer ``GroupSpec._walk_layer`` (``groups._walk_schedule``), depends on the
+group alone.  An array is dropped once its children are done, and the
+normalised sums go into entropy batches of at most the input's own size, so
+the walk's peak memory, a few times the input, stays within that of one
+selector's reshape and sum, the route it replaced.  Each term is a
+difference of two conditional entropies: the source term H(X) -
+H(X | [U]_theta), the channel term H(Y | [X]_theta) - H(Y | X).  H(X) is
+the zero selector's H(X | [U]_theta) and H(Y | X) the full selector's
+H(Y | [X]_theta), read from the same walk, so those endpoint terms are
+exactly zero.  A single selector walks only its
+own path, by the same steps, so its term equals the batch's exactly.  The
+term route takes each selector as a row of the selector grid and builds no
+subgroup object.  ``coset_mi_channel_chain`` merges rows by
 ``Subgroup.label_indices`` instead: the independent route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .groups import GroupSpec, Subgroup, ThetaVector
+from .groups import GroupSpec, Subgroup, ThetaVector, _walk_schedule
 
 PROB_TOL = 1e-9
 
@@ -55,8 +67,12 @@ def validate_distribution(p) -> np.ndarray:
 
 
 def _row_entropies(arr: np.ndarray) -> np.ndarray:
-    """The entropy of every distribution along the last axis, 0*log(0) = 0."""
-    return -(arr * np.log2(np.where(arr > 0, arr, 1.0))).sum(axis=-1)
+    """The entropy of every distribution along the last axis, 0*log(0) = 0,
+    with one temporary the size of arr."""
+    terms = np.where(arr > 0, arr, 1.0)
+    np.log2(terms, out=terms)
+    terms *= arr
+    return -terms.sum(axis=-1)
 
 
 def entropy(p) -> float:
@@ -181,58 +197,81 @@ class SourceJoint:
         return self.joint.shape[0]
 
 
-def _split_shape(spec: GroupSpec, theta) -> tuple:
-    """The shape that splits each ring axis p^r of the canonical element
-    order into (p^(r - theta), p^theta), theta a selector's components: the
-    high axis runs over a coset, the low axis is the coset label, the residue
-    mod p^theta.  High axes sit at the even positions, low axes at the odd."""
-    shape = []
-    for (p, r, _), level in zip(spec.rings, spec._ring_level_index):
-        shape += [p ** (r - theta[level]), p ** theta[level]]
-    return tuple(shape)
+def _walk(cells: np.ndarray, steps) -> Iterator[tuple[tuple, np.ndarray]]:
+    """Walk the steps of ``groups._walk_schedule`` from cells [moduli...,
+    letters], the full selector's values, each node's sums from its
+    parent's, and yield the coset sums [p^theta per ring, letters] of each
+    node with a put, with that put."""
+    stack = [cells]
+    for src, dst, shape, axes, put in steps:
+        if shape is not None:
+            stack[dst:] = [stack[src].reshape(shape).sum(axis=axes)]
+        if put is not None:
+            yield put, stack[-1]
 
 
-def _coset_sums(spec: GroupSpec, theta, values: np.ndarray) -> np.ndarray:
-    """Values [order, ...] (rows in canonical element order) summed over each
-    coset of the selector theta: [index, ...], in label order."""
-    shape = _split_shape(spec, theta)
-    cells = values.reshape(shape + values.shape[1:])
-    sums = cells.sum(axis=tuple(range(0, len(shape), 2)))
-    return sums.reshape((-1,) + values.shape[1:])
+def _cells(data) -> np.ndarray:
+    """The channel's rows or the joint's columns as [moduli..., letters], a
+    view in canonical element order."""
+    moduli = data.group.moduli
+    if isinstance(data, ChannelSpec):
+        return data.matrix.reshape(moduli + (-1,))
+    return np.moveaxis(data.joint.reshape((-1,) + moduli), 0, -1)
 
 
-def _source_coset_entropy(sj: SourceJoint, theta) -> float:
-    """H(X | [U]_theta): the coset sums of the joint's columns are the joint
-    of the coset and X, and each coset's entropy of X is weighted by its
-    mass (positive, as the reconstruction marginal is uniform).  At the zero
-    selector there is one coset, and this is H(X)."""
-    sums = _coset_sums(sj.group, theta, sj.joint.T)
-    mass = sums.sum(axis=1)
-    return float(mass @ _row_entropies(sums / mass[:, None]))
+def _coset_entropies(data, steps, batches) -> np.ndarray:
+    """H(Y | [X]_theta) (channel) or H(X | [U]_theta) (source) of every grid
+    row the walk puts, NaN elsewhere.  Each node's coset sums are normalised
+    into its rows of an entropy batch: the channel's by the coset size, each
+    coset's conditional law of Y with X uniform; the joint's by each coset's
+    mass, positive as the reconstruction marginal is uniform.  A full batch
+    takes one ``_row_entropies``, and each node's rows reduce to the coset
+    mean (channel) or the mass-weighted sum (source)."""
+    channel = isinstance(data, ChannelSpec)
+    cells = _cells(data)
+    h = np.full(len(data.group._selector_layer[0]), math.nan)
+    pending = iter(batches)
+    for (start, stop, size), sums in _walk(cells, steps):
+        if start == 0:
+            rows, starts, targets, counts = next(pending)
+            conditional = np.empty((rows, cells.shape[-1]))
+            mass = None if channel else np.empty(rows)
+        out = conditional[start:stop].reshape(sums.shape)
+        if channel:
+            np.divide(sums, size, out=out)
+        else:
+            coset_mass = mass[start:stop].reshape(sums.shape[:-1])
+            np.sum(sums, axis=-1, out=coset_mass)
+            np.divide(sums, coset_mass[..., None], out=out)
+        if stop == rows:
+            entropies = _row_entropies(conditional)
+            del conditional
+            if channel:
+                h[targets] = np.add.reduceat(entropies, starts) / counts
+            else:
+                entropies *= mass
+                h[targets] = np.add.reduceat(entropies, starts)
+    return h
 
 
-def _channel_coset_entropy(chan: ChannelSpec, theta) -> float:
-    """H(Y | [X]_theta) with X uniform: the mean entropy of the coset sums of
-    the channel's rows, over |H_theta|.  At the full selector every coset is
-    one input, and this is H(Y | X)."""
-    sums = _coset_sums(chan.group, theta, chan.matrix)
-    return float(_row_entropies(sums / (chan.group.order // len(sums))).mean())
-
-
-def _source_terms(sj: SourceJoint, thetas) -> list[float]:
-    """I([U]_theta; X) = H(X) - H(X | [U]_theta) for each theta.  H(X) is the
-    zero selector's H(X | [U]_theta), computed once, so that term is exactly
-    zero."""
-    h_x = _source_coset_entropy(sj, [0] * len(sj.group.ring_levels))
-    return [max(0.0, h_x - _source_coset_entropy(sj, th)) for th in thetas]
-
-
-def _channel_terms(chan: ChannelSpec, thetas) -> list[float]:
-    """I(X; Y | [X]_theta) = H(Y | [X]_theta) - H(Y | X) for each theta.
-    H(Y | X) is the full selector's H(Y | [X]_theta), computed once, so that
-    term is exactly zero."""
-    h_y_x = _channel_coset_entropy(chan, [r for _, r in chan.group.ring_levels])
-    return [max(0.0, _channel_coset_entropy(chan, th) - h_y_x) for th in thetas]
+def _coset_terms(data, rows=None) -> np.ndarray:
+    """The coset term of each selector grid row in ``rows``, by default the
+    rows reachable from a support, as one array, with the endpoint's
+    entropy from the same walk.  Given rows, the walk visits only the paths
+    to them and the endpoint, by the same steps, so each term equals the
+    default's."""
+    spec = data.group
+    channel = isinstance(data, ChannelSpec)
+    grid, _, _, reachable = spec._selector_layer
+    endpoint = len(grid) - 1 if channel else 0
+    if rows is None:
+        rows = np.flatnonzero(reachable)
+        schedule = spec._walk_layer
+    else:
+        schedule = _walk_schedule(spec, [*rows, endpoint])
+    h = _coset_entropies(data, *schedule)
+    gain = h[rows] - h[endpoint] if channel else h[endpoint] - h[rows]
+    return np.maximum(0.0, gain)
 
 
 def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
@@ -241,29 +280,36 @@ def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
     return theta.components
 
 
+def _grid_row(spec: GroupSpec, theta: ThetaVector) -> int:
+    """The row of a selector of ``spec`` in its selector grid."""
+    radices = [r + 1 for _, r in spec.ring_levels]
+    return int(np.ravel_multi_index(_components(spec, theta), radices))
+
+
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction
     symbols into cosets of the theta-subgroup."""
-    return _source_terms(sj, [_components(sj.group, theta)])[0]
+    return float(_coset_terms(sj, [_grid_row(sj.group, theta)])[0])
 
 
 def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
     """I(X; Y | [X]_theta) with X uniform on the group: the coset-average of
     the per-coset mutual informations."""
-    return _channel_terms(chan, [_components(chan.group, theta)])[0]
+    return float(_coset_terms(chan, [_grid_row(chan.group, theta)])[0])
 
 
 def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
     """Mutual information of the channel restricted to each coset of the
-    theta-subgroup (input uniform on the coset), in coset-label order."""
-    shape = _split_shape(chan.group, _components(chan.group, theta))
-    cells = chan.matrix.reshape(shape + (chan.output_size,))
-    # labels first, then the position in the coset: rows stay canonical
-    axes = tuple(range(1, len(shape), 2)) + tuple(range(0, len(shape), 2))
-    index = np.prod(shape[1::2])
-    blocks = cells.transpose(axes + (len(shape),)).reshape(index, -1, chan.output_size)
-    h_y_x = _row_entropies(blocks).mean(axis=1)
-    return np.maximum(0.0, _row_entropies(blocks.mean(axis=1)) - h_y_x).tolist()
+    theta-subgroup (input uniform on the coset), in coset-label order: the
+    entropy of the coset's mean row less the coset mean of the rows'
+    entropies, both coset sums from the walk."""
+    spec = chan.group
+    steps, _ = _walk_schedule(spec, [_grid_row(spec, theta)])
+    row_entropies = _row_entropies(chan.matrix).reshape(spec.moduli + (1,))
+    ((_, _, size), sums), = _walk(_cells(chan), steps)
+    (_, h_y_x), = _walk(row_entropies, steps)
+    mi = _row_entropies(sums / size) - h_y_x[..., 0] / size
+    return np.maximum(0.0, mi).reshape(-1).tolist()
 
 
 def coset_mi_channel_chain(chan: ChannelSpec, theta: ThetaVector) -> float:

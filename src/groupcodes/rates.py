@@ -21,12 +21,17 @@ the endpoint selector's term binds, as on random inputs, the first support
 solved settles the call.
 Every rate call, oracle and Theta enumeration on a group reads its selector
 plan, cached on the GroupSpec because it depends on the group alone: the
-selector grid with m(theta) and the reachable rows, built on first read, and
-the covering supports with Theta(S) of each, the LP's n and d and the vertex
-bound's top, built on the first rate call or oracle.  Its arrays are
-read-only and live as long as the spec; a call computes only what depends on
-its input, the terms and what is solved from them.  Theta(S) is the set of
-selectors theta whose least inducing depths m(theta) on S induce them back.
+selector grid with m(theta) and the reachable rows, built on first read, the
+covering supports with Theta(S) of each, the LP's n and d and the vertex
+bound's top, built on the first rate call or oracle, and the walk layer of
+the coset terms (see measures), built by the first terms call.  Its arrays
+are read-only and live as long as the spec; a call computes only what
+depends on its input, the terms and what is solved from them.  The vertex
+bounds take one float array the size of top, built in place.  The winning
+support's solve evaluates the inner problem at its witness once, and the
+result table reuses those ratios, with every omega in one array pass.
+Theta(S) is the set of selectors theta whose least inducing depths m(theta)
+on S induce them back.
 Inside a call a selector is a row of the plan's grid and the terms are an
 array over its rows; a terms mapping keyed by ThetaVector exists only at
 optimize_weights and grid_search, where it is checked.  Likewise a support
@@ -40,7 +45,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -50,9 +54,8 @@ from .groups import _min_depths, _slot_values, _theta_members
 from .measures import (
     ChannelSpec,
     SourceJoint,
-    _channel_terms,
     _components,
-    _source_terms,
+    _coset_terms,
     coset_mi_channel,
     coset_mi_source,
 )
@@ -216,14 +219,14 @@ def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
 class _SupportProblems:
     """The per-input solve of one rate call over its group's selector plan
     (``GroupSpec._selector_layer`` and ``._covering_layer``, shared by every
-    call on the group): the terms c over the grid's rows, from terms_of(the
-    component lists of the reachable rows), and the sense's excluded
-    endpoint selector.  Support i's LP input is sliced on demand: (n and D
-    on S over the rows of Theta(S), their terms and excluded flags).
+    call on the group): the terms c over the grid's rows, given on the
+    reachable rows, and the sense's excluded endpoint selector.  Support i's
+    LP input is sliced on demand: (n and D on S over the rows of Theta(S),
+    their terms and excluded flags).
     ``sign`` +1 maximises (channel), -1 minimises (source), so sign * value
     is larger when better."""
 
-    def __init__(self, spec: GroupSpec, terms_of, sense: str):
+    def __init__(self, spec: GroupSpec, terms, sense: str):
         if sense not in ("source", "channel"):
             raise ValueError(f"unknown sense {sense!r}")
         self.spec, self.sense = spec, sense
@@ -232,7 +235,7 @@ class _SupportProblems:
         plan = spec._covering_layer
         self.columns, self.members, self.n, self.d, self.top = plan
         self.c = np.full(len(grid), math.nan)
-        self.c[reachable] = terms_of(grid[reachable].tolist())
+        self.c[reachable] = terms
         # the zero selector is the grid's first row, the full selector its last
         self.excluded = np.zeros(len(grid), dtype=bool)
         self.excluded[0 if sense == "source" else -1] = True
@@ -240,17 +243,13 @@ class _SupportProblems:
     @classmethod
     def from_mapping(cls, spec: GroupSpec, terms: Mapping[ThetaVector, float], sense):
         """Problems from a terms mapping, checked complete, finite and >= 0."""
-
-        def terms_of(rows):
-            thetas = all_reachable_thetas(spec)  # the rows, as selectors
-            if missing := [th for th in thetas if th not in terms]:
-                raise ValueError(f"terms missing for selectors {missing}")
-            for th, c in terms.items():
-                if not math.isfinite(c) or c < -1e-12:
-                    raise ValueError(f"information term for {th.components} is {c}")
-            return [terms[th] for th in thetas]
-
-        return cls(spec, terms_of, sense)
+        thetas = all_reachable_thetas(spec)  # the reachable rows, as selectors
+        if missing := [th for th in thetas if th not in terms]:
+            raise ValueError(f"terms missing for selectors {missing}")
+        for th, c in terms.items():
+            if not math.isfinite(c) or c < -1e-12:
+                raise ValueError(f"information term for {th.components} is {c}")
+        return cls(spec, [terms[th] for th in thetas], sense)
 
     def __getitem__(self, i: int):
         cols, rows = self.columns[i], self.members[i]
@@ -263,13 +262,18 @@ class _SupportProblems:
         the channel bound UB(S) the min of c_theta / (1 - top).  A term at or
         below INFO_ZERO_TOL bounds by 0, a zero denominator by +inf: a source
         support with LB(S) = +inf has a term that is infinite for every
-        weight choice."""
-        part = self.top if self.sign < 0 else 1.0 - self.top
+        weight choice.  The bounds are built in one float array the size of
+        top, in place."""
+        source = self.sign < 0
+        bound = self.top.copy() if source else 1.0 - self.top
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(self.c <= INFO_ZERO_TOL, 0.0, self.c / part)
-        counted = self.members & ~self.excluded
+            np.divide(self.c, bound, out=bound)
+        bound[:, self.c <= INFO_ZERO_TOL] = 0.0
         # the max (source) or min (channel) over the counted selectors
-        return self.sign * np.where(counted, self.sign * bound, math.inf).min(axis=1)
+        uncounted = -math.inf if source else math.inf
+        np.copyto(bound, uncounted, where=~self.members)
+        bound[:, self.excluded] = uncounted
+        return bound.max(axis=1) if source else bound.min(axis=1)
 
 
 # -- linear programming ----------------------------------------------------
@@ -355,36 +359,40 @@ def _solve_support(
     c: np.ndarray,
     excluded: np.ndarray,
     sense: str,
-) -> tuple[float, tuple[float, ...]]:
+) -> tuple[float, tuple[float, ...], float, np.ndarray]:
     """Optimize one support pattern, given its slice of the selector plan;
-    returns the value and the witness.
+    returns the value, the witness, and the inner optimum with the ratio of
+    each selector of the slice evaluated at the witness.  Where no weight
+    choice matters the value is 0 and the witness uniform.
 
     With v = w * rate / (D.w) the inner problem becomes one packing LP:
     channel, rate = max D.v subject to (D - N_theta).v <= c_theta; source,
     rate = min D.v subject to N_theta.v >= c_theta, solved as its dual
     max c.y subject to N^T y <= D, whose dual values are v.
     """
-    k = len(d)
-    uniform = (1.0 / k,) * k
     active = ~excluded & (c > INFO_ZERO_TOL)
-
     if sense == "source":
-        if not active.any():
-            return 0.0, uniform
+        # no active term: the inner max is zero for every weight choice
+        fixed = not active.any()
+    else:
+        # a zero term pins the inner min to zero for every weight choice
+        fixed = (c[~excluded] <= INFO_ZERO_TOL).any()
+
+    if fixed:
+        v = np.ones(len(d))
+    elif sense == "source":
         # bounded when every active row of N is nonzero on the support, which
         # is when its vertex bound is finite
         _, v = _packing_lp(n[active].T, d, c[active])
     else:
-        if (c[~excluded] <= INFO_ZERO_TOL).any():
-            # a zero term pins the inner min to zero for every weight choice
-            return 0.0, uniform
         # bounded: the selector of depth zero on every slot is active, with
         # the row D > 0
         v, _ = _packing_lp(d - n[active], c[active], d)
 
     witness = tuple((v / v.sum()).tolist())
-    values, _ = _evaluate(n, d, c, excluded, np.array([witness]), sense)
-    return float(values[0]), witness
+    values, ratios = _evaluate(n, d, c, excluded, np.array([witness]), sense)
+    inner = float(values[0])
+    return 0.0 if fixed else inner, witness, inner, ratios[0]
 
 
 # -- results ---------------------------------------------------------------
@@ -460,7 +468,7 @@ def _optimize(problems: _SupportProblems) -> RateResult:
     after it and is never solved."""
     sign = problems.sign
     bounds = sign * problems.vertex_bounds()
-    values, witnesses = {}, {}
+    values, solved = {}, {}
     best = -math.inf
     for i in np.argsort(-bounds, kind="stable").tolist():
         bound = bounds[i]
@@ -468,11 +476,11 @@ def _optimize(problems: _SupportProblems) -> RateResult:
             break
         if values and i > w and values[w] >= bound - TIE_TOL / 2 * abs(bound):
             continue
-        value, witnesses[i] = _solve_support(*problems[i], problems.sense)
+        value, *solved[i] = _solve_support(*problems[i], problems.sense)
         values[i] = sign * value
         best = max(best, sign * value)
         w = _winner(values)
-    return _result(problems, w, witnesses[w])
+    return _result(problems, w, *solved[w])
 
 
 def _winner(values: Mapping[int, float]) -> int:
@@ -483,29 +491,41 @@ def _winner(values: Mapping[int, float]) -> int:
     return min(i for i, v in values.items() if abs(v - opt) <= slack)
 
 
-def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
-    """The result of support i at a witness: the inner optimum evaluated
-    there, its critical selectors and the per-selector table."""
-    spec, sense = problems.spec, problems.sense
+def _result(
+    problems: _SupportProblems, i: int, witness: tuple, value: float, ratios
+) -> RateResult:
+    """The result of support i at a witness, from the inner optimum and the
+    per-selector ratios its solve evaluated there: the critical selectors
+    and the per-selector table."""
+    spec = problems.spec
     support = tuple(itertools.compress(spec.weight_slots, problems.columns[i]))
-    problem = problems[i]
-    _, _, terms, excluded = problem
-    values, ratios = _evaluate(*problem, np.array([witness]), sense)
-    value, ratios = float(values[0]), ratios[0].tolist()
+    rows = problems.members[i]
     weights = WeightVector.from_mapping(spec, dict(zip(support, witness)))
-    thetas = list(itertools.compress(spec._thetas, problems.members[i]))
-    coeffs = problems.depths[problems.members[i]].tolist()
+    thetas = list(itertools.compress(spec._thetas, rows))
+    omegas = _omegas(spec, weights.values, problems.depths[rows])
     crit_tol = CRITICAL_TOL * (1.0 + abs(value))
+    ratios = ratios.tolist()
     critical = tuple(
         th
-        for th, skip, ratio in zip(thetas, excluded, ratios)
+        for th, skip, ratio in zip(thetas, problems.excluded[rows], ratios)
         if not skip and abs(ratio - value) <= crit_tol
     )
     per_theta = tuple(
-        PerThetaTerm(th, float(_omega(spec, weights.values, row)), info, ratio)
-        for th, row, info, ratio in zip(thetas, coeffs, terms.tolist(), ratios)
+        map(PerThetaTerm, thetas, omegas, problems.c[rows].tolist(), ratios)
     )
-    return RateResult(value, weights, critical, per_theta, support, sense)
+    return RateResult(value, weights, critical, per_theta, support, problems.sense)
+
+
+def _omegas(spec: GroupSpec, values, coeffs: np.ndarray) -> list[float]:
+    """omega at float weights for each row of numerator coefficients
+    [rows, k], in _omega's order of operations, so that each equals it:
+    scale = log2(q) w, then coeff scale and s scale, added slot by slot."""
+    log_q = np.array([math.log2(q) for q, _ in spec.weight_slots])
+    scale = log_q * np.array(values, dtype=float)
+    s = np.array([s for _, s in spec.weight_slots])
+    num = np.add.accumulate(coeffs * scale, axis=1)[:, -1]
+    den = np.add.accumulate(s * scale)[-1]
+    return (num / den).tolist()
 
 
 # -- the two functionals ---------------------------------------------------
@@ -514,21 +534,18 @@ def _result(problems: _SupportProblems, i: int, witness: tuple) -> RateResult:
 def source_terms(sj: SourceJoint) -> dict[ThetaVector, float]:
     """Coset information terms for every reachable selector, with H(X)
     computed once for all of them."""
-    thetas = all_reachable_thetas(sj.group)
-    return dict(zip(thetas, _source_terms(sj, [t.components for t in thetas])))
+    return dict(zip(all_reachable_thetas(sj.group), _coset_terms(sj).tolist()))
 
 
 def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
     """Conditional coset information terms for every reachable selector,
     with H(Y | X) computed once for all of them."""
-    thetas = all_reachable_thetas(chan.group)
-    return dict(zip(thetas, _channel_terms(chan, [t.components for t in thetas])))
+    return dict(zip(all_reachable_thetas(chan.group), _coset_terms(chan).tolist()))
 
 
 def _rate(data, sense: str) -> RateResult:
     """The terms on the group's selector plan, then the optimization."""
-    terms_of = _source_terms if sense == "source" else _channel_terms
-    return _optimize(_SupportProblems(data.group, partial(terms_of, data), sense))
+    return _optimize(_SupportProblems(data.group, _coset_terms(data), sense))
 
 
 def source_coding_rate(sj: SourceJoint) -> RateResult:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from groupcodes import (
     mutual_information,
 )
 from groupcodes.groups import Subgroup
-from groupcodes.measures import ValidationError, mi_per_coset
-from groupcodes.rates import channel_terms, source_terms
+from groupcodes.measures import ValidationError, _row_entropies, mi_per_coset
+from groupcodes.rates import all_reachable_thetas, channel_terms, source_terms
 
 from conftest import make_rng, random_additive_channel, random_channel, random_source_joint
 
@@ -219,7 +220,7 @@ def test_additive_channels_have_equal_coset_terms(orders):
             assert max(per) - min(per) < 1e-10
 
 
-# -- the reshape route against per-coset oracles on the label array ----------
+# -- the walk against per-coset oracles on the label array -------------------
 
 
 def per_coset_oracle(chan, theta):
@@ -277,3 +278,108 @@ def test_endpoint_terms_are_exactly_zero(orders):
         assert mi_per_coset(chan, full) == [0.0] * spec.order
         assert coset_mi_source(sj, zero) == 0.0
         assert source_terms(sj)[zero] == 0.0
+
+
+# -- the walk against the per-selector reshape route --------------------------
+
+
+def split_shape(spec, theta):
+    """The shape that splits each ring axis p^r of the canonical element
+    order into (p^(r - theta), p^theta): the high axis runs over a coset, the
+    low axis is the coset label.  High axes sit at the even positions."""
+    shape = []
+    for (p, r, _), level in zip(spec.rings, spec._ring_level_index):
+        shape += [p ** (r - theta[level]), p ** theta[level]]
+    return tuple(shape)
+
+
+def coset_sums(spec, theta, values):
+    """Values [order, ...] summed over each coset of theta, in label order,
+    by one reshape and one sum over the high axes."""
+    shape = split_shape(spec, theta)
+    cells = values.reshape(shape + values.shape[1:])
+    sums = cells.sum(axis=tuple(range(0, len(shape), 2)))
+    return sums.reshape((-1,) + values.shape[1:])
+
+
+def reshape_coset_entropy(data, theta):
+    """H(Y | [X]_theta) of a channel or H(X | [U]_theta) of a joint, from
+    the coset sums of one selector."""
+    if isinstance(data, ChannelSpec):
+        sums = coset_sums(data.group, theta, data.matrix)
+        return float(_row_entropies(sums / (data.group.order // len(sums))).mean())
+    sums = coset_sums(data.group, theta, data.joint.T)
+    mass = sums.sum(axis=1)
+    return float(mass @ _row_entropies(sums / mass[:, None]))
+
+
+def reshape_terms(data, thetas):
+    """The coset terms of each selector (component tuples), one reshape per
+    selector: the route the walk replaced."""
+    levels = data.group.ring_levels
+    if isinstance(data, ChannelSpec):
+        h_y_x = reshape_coset_entropy(data, [r for _, r in levels])
+        return [max(0.0, reshape_coset_entropy(data, th) - h_y_x) for th in thetas]
+    h_x = reshape_coset_entropy(data, [0] * len(levels))
+    return [max(0.0, h_x - reshape_coset_entropy(data, th)) for th in thetas]
+
+
+# repeated levels, mixed primes and deep rings, then random groups
+WALK_GROUPS = [[4, 4], [2, 2, 2], [4, 9, 5], [8, 8, 3], [1024], [243, 4]]
+
+
+@given(
+    st.one_of(
+        st.sampled_from(WALK_GROUPS),
+        st.lists(st.sampled_from([2, 3, 4, 8, 9, 16, 25, 27]), min_size=1, max_size=3),
+    ),
+    st.integers(0, 2**32),
+    st.integers(2, 5),
+)
+def test_walk_matches_reshape_route_property(orders, seed, letters):
+    spec = decompose(orders).spec
+    rng = make_rng(seed)
+    chan = random_channel(spec, letters, rng)
+    sj = random_source_joint(spec, letters, rng)
+    thetas = all_reachable_thetas(spec)
+    comps = [th.components for th in thetas]
+    chan_terms = channel_terms(chan)
+    for data, terms, single, endpoint in (
+        (chan, chan_terms, coset_mi_channel, ThetaVector.full(spec)),
+        (sj, source_terms(sj), coset_mi_source, ThetaVector.zero(spec)),
+    ):
+        assert list(terms) == list(thetas)
+        oracle = reshape_terms(data, comps)
+        assert np.allclose(list(terms.values()), oracle, rtol=0, atol=1e-12)
+        assert terms[endpoint] == 0.0
+        assert single(data, endpoint) == 0.0
+        for th in thetas:
+            assert single(data, th) == terms[th]
+    for th in thetas:
+        assert abs(coset_mi_channel_chain(chan, th) - chan_terms[th]) < 1e-12
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("orders", [[8, 8, 8, 27], [16, 27, 25]])
+def test_walk_memory_within_reshape_route(orders):
+    # the walk keeps one entropy batch, at most the input's size, and drops
+    # each array once its children are done: no more memory than one
+    # selector's reshape
+    spec = decompose(orders).spec
+    rng = make_rng(140)
+    comps = [th.components for th in all_reachable_thetas(spec)]
+    for letters in (2, 6):
+        chan = random_channel(spec, letters, rng)
+        sj = random_source_joint(spec, letters, rng)
+        for data, terms_of in ((chan, channel_terms), (sj, source_terms)):
+            terms_of(data)  # the group's plan is built once, outside the peak
+            oracle_peak = traced_peak(reshape_terms, data, comps)
+            assert traced_peak(terms_of, data) <= oracle_peak

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -564,6 +565,20 @@ def test_result_value_consistent_with_witness():
         assert 0.0 <= t.omega <= 1.0
 
 
+@pytest.mark.parametrize("orders", [[8], [4, 9], [2, 4, 3], [16, 27]])
+def test_result_table_omega_is_public_omega(orders):
+    # the table's omegas come from one array pass in omega's order of
+    # operations, so each equals the public omega at the witness exactly
+    spec = decompose(orders).spec
+    rng = make_rng(93)
+    for result in (
+        channel_coding_rate(random_channel(spec, 4, rng)),
+        source_coding_rate(random_source_joint(spec, 4, rng)),
+    ):
+        for t in result.per_theta:
+            assert t.omega == omega(spec, result.weights, t.theta)
+
+
 def unit_scaling(spec, units) -> np.ndarray:
     """The row order of the relabelling x -> u*x, one unit per ring:
     perm[index(u*x)] = index(x)."""
@@ -765,14 +780,14 @@ def unpruned_scan(problems):
     for i in range(len(problems.columns)):
         if bounds[i] < math.inf:
             solved[i] = _solve_support(*problems[i], problems.sense)
-    values = [value for value, _ in solved.values()]
+    values = [value for value, *_ in solved.values()]
     opt = min(values) if problems.sense == "source" else max(values)
     first = min(
         i
-        for i, (value, _) in solved.items()
+        for i, (value, *_) in solved.items()
         if value == opt or abs(value - opt) <= 1e-12 * abs(opt)
     )
-    return _result(problems, first, solved[first][1]), solved
+    return _result(problems, first, *solved[first][1:]), solved
 
 
 def draw_group(draw):
@@ -816,7 +831,7 @@ def assert_matches_unpruned_scan(spec, terms, sense):
     # the channel bound is an upper bound, the source bound a lower one
     bounds = problems.sign * problems.vertex_bounds()
     supports = support_tuples(problems)
-    for i, (value, _) in solved.items():
+    for i, (value, *_) in solved.items():
         assert bounds[i] >= problems.sign * value - 1e-12 * value
         if len(supports[i]) == 1:
             # the face of a single slot is one point, where the bound is met
@@ -885,9 +900,14 @@ def test_plan_reuse_keeps_results_property(case):
 
 def test_plan_arrays_are_read_only():
     spec = decompose([4, 9]).spec
+    # the first terms call builds the walk layer, not the covering layer
+    channel_terms(random_channel(spec, 3, make_rng(4)))
+    assert "_walk_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+    _, batches = spec._walk_layer
+    walk = tuple(array for _, *arrays in batches for array in arrays)
     arrays = spec._selector_layer + spec._covering_layer
     assert len(arrays) == 9
-    for array in arrays:
+    for array in arrays + walk:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array
 
@@ -916,6 +936,7 @@ def test_theta_enumeration_builds_no_covering_table():
     assert len(enumerate_theta_set(spec, [(2, 3), (2, 16)])) > 1
     assert len(all_reachable_thetas(spec)) == 17
     assert "_selector_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+    assert "_walk_layer" not in vars(spec)
 
 
 @pytest.mark.parametrize("orders", [[8], [4, 3], [16, 27], [2, 4, 9]])
@@ -985,12 +1006,11 @@ def assert_visits_best_first(monkeypatch, terms, sense):
 
     monkeypatch.setattr(_SupportProblems, "__getitem__", record)
     result = optimize_weights(spec, terms, sense)
-    *visited, winner = visited  # the last slice builds the result
+    winner = support_tuples(problems).index(result.support)
     best_first = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))
     assert visited == sorted(visited, key=best_first.index)
     assert visited[0] == best_first[0]
     assert winner in visited
-    assert support_tuples(problems)[winner] == result.support
     value = problems.sign * result.value
     skipped = [
         i
@@ -1077,7 +1097,7 @@ def test_full_support_source_bound_is_finite_property(orders):
     # on the full support, so the best-first loop always solves a support
     # before any whose term is infinite for every weight choice
     spec = decompose(orders).spec
-    problems = _SupportProblems(spec, lambda rows: [1.0] * len(rows), "source")
+    problems = _SupportProblems(spec, 1.0, "source")
     full = support_tuples(problems).index(tuple(sorted(spec.weight_slots)))
     assert problems.vertex_bounds()[full] < math.inf
 
@@ -1150,3 +1170,34 @@ def test_packing_lp_matches_highs(orders):
             assert abs(b @ y + ref.fun) <= 1e-9
             solved += 1
     assert solved
+
+
+def plain_vertex_bounds(problems):
+    """The vertex bounds by whole-array temporaries: c / top or c / (1 - top),
+    0 for a zero term, the max (source) or min (channel) over the counted
+    selectors."""
+    part = problems.top if problems.sign < 0 else 1.0 - problems.top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(problems.c <= INFO_ZERO_TOL, 0.0, problems.c / part)
+    counted = problems.members & ~problems.excluded
+    if problems.sign < 0:
+        return np.where(counted, bound, -math.inf).max(axis=1)
+    return np.where(counted, bound, math.inf).min(axis=1)
+
+
+@pytest.mark.parametrize("sense", ["channel", "source"])
+def test_vertex_bounds_in_one_temporary(sense):
+    # a deep ring has 2^14 - 1 supports over 15 selectors: the bounds are
+    # built in one float array the size of top, not one per operation
+    spec = decompose([2**14]).spec
+    terms = make_rng(150).random(len(all_reachable_thetas(spec)))
+    terms[[3, 7]] = 0.0  # zero terms bound by 0
+    problems = _SupportProblems(spec, terms, sense)
+    tracemalloc.start()
+    try:
+        bounds = problems.vertex_bounds()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(bounds, plain_vertex_bounds(problems))
+    assert peak <= 1.5 * problems.top.nbytes
