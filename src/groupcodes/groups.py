@@ -137,17 +137,20 @@ class GroupSpec:
     def _selector_layer(self) -> tuple[np.ndarray, ...]:
         """The selector grid [n, L] (sorted by components: the zero selector
         first, the full one last), the least depths m(theta) [n, k] of every
-        row on every weight slot (the omega coefficients), ``hits`` [n, k, L]
-        of ``_theta_members`` and the rows reachable from the full support,
-        which are those reachable from any: a slot at its full depth s gives
-        |r - s|^+ + s >= r, so adding one never removes a selector."""
+        row on every weight slot, the omega coefficients n = m(theta) log2 q
+        [n, k] and d = s log2 q [k] (also the packing LP's), ``hits``
+        [n, k, L] of ``_theta_members`` and the rows reachable from the full
+        support, which are those reachable from any: a slot at its full depth
+        s gives |r - s|^+ + s >= r, so adding one never removes a selector."""
         levels, gaps = self.ring_levels, self._slot_gaps
         grid = _grid([r + 1 for _, r in levels])
         depths = _min_depths(gaps, grid)
+        s = np.array([s for _, s in self.weight_slots])
+        log_q = np.array([math.log2(q) for q, _ in self.weight_slots])
         # [n, k, L]: each slot alone, as a one-slot axis per slot
         hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
         reachable = _theta_members(hits, np.ones((1, len(gaps)), dtype=bool))[0]
-        return _read_only(grid, depths, hits, reachable)
+        return _read_only(grid, depths, depths * log_q, s * log_q, hits, reachable)
 
     @cached_property
     def _thetas(self) -> tuple["ThetaVector", ...]:
@@ -159,27 +162,24 @@ class GroupSpec:
     def _covering_layer(self) -> tuple[np.ndarray, ...]:
         """The covering supports as slot masks ``columns`` [supports, k] in
         tie-break order, Theta(S) of each as a row of ``members`` [supports,
-        n], the packing LP's n = m(theta) log2 q [n, k] and d = s log2 q [k],
-        and ``top`` [supports, n], the largest omega_theta on the face S: it
-        is linear-fractional, so largest at a vertex, the max over j in S of
-        m_j(theta)/s_j.  On Z_(2^18) this layer holds about 50 MB, most of it
-        ``top``."""
-        _, depths, hits, _ = self._selector_layer
+        n], and ``top`` [supports, n], the largest omega_theta on the face S:
+        it is linear-fractional, so largest at a vertex, the max over j in S
+        of m_j(theta)/s_j.  On Z_(2^18) this layer holds about 50 MB, most of
+        it ``top``."""
+        _, depths, _, _, hits, _ = self._selector_layer
         columns = _covering_masks(self)
         members = _theta_members(hits, columns)
-        s = np.array([s for _, s in self.weight_slots])
-        log_q = np.array([math.log2(q) for q, _ in self.weight_slots])
         top = np.zeros(members.shape)
-        for j in range(len(s)):  # in place, one slot at a time
-            np.maximum(top, depths[:, j] / s[j], out=top, where=columns[:, [j]])
-        return _read_only(columns, members, depths * log_q, s * log_q, top)
+        for j, (_, s) in enumerate(self.weight_slots):  # in place, slot by slot
+            np.maximum(top, depths[:, j] / s, out=top, where=columns[:, [j]])
+        return _read_only(columns, members, top)
 
     @cached_property
     def _walk_layer(self) -> tuple[tuple, tuple]:
         """The walk of ``_walk_schedule`` to the reachable rows, built by the
         first coset-terms call: what every terms computation on the group
         reads."""
-        return _walk_schedule(self, np.flatnonzero(self._selector_layer[3]))
+        return _walk_schedule(self, np.flatnonzero(self._selector_layer[-1]))
 
     # -- elements ---------------------------------------------------------
 

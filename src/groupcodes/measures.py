@@ -255,23 +255,20 @@ def _coset_entropies(data, steps, batches) -> np.ndarray:
 
 
 def _coset_terms(data, rows=None) -> np.ndarray:
-    """The coset term of each selector grid row in ``rows``, by default the
-    rows reachable from a support, as one array, with the endpoint's
-    entropy from the same walk.  Given rows, the walk visits only the paths
-    to them and the endpoint, by the same steps, so each term equals the
-    default's."""
+    """The coset terms as one array over the selector grid's rows: the term
+    of each row in ``rows``, by default the rows reachable from a support,
+    and of the endpoint, whose entropy comes from the same walk, NaN on
+    every other row.  Given rows, the walk visits only the paths to them and
+    the endpoint, by the same steps, so each term equals the default's."""
     spec = data.group
     channel = isinstance(data, ChannelSpec)
-    grid, _, _, reachable = spec._selector_layer
-    endpoint = len(grid) - 1 if channel else 0
+    endpoint = len(spec._selector_layer[0]) - 1 if channel else 0
     if rows is None:
-        rows = np.flatnonzero(reachable)
         schedule = spec._walk_layer
     else:
         schedule = _walk_schedule(spec, [*rows, endpoint])
     h = _coset_entropies(data, *schedule)
-    gain = h[rows] - h[endpoint] if channel else h[endpoint] - h[rows]
-    return np.maximum(0.0, gain)
+    return np.maximum(0.0, h - h[endpoint] if channel else h[endpoint] - h)
 
 
 def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
@@ -289,13 +286,15 @@ def _grid_row(spec: GroupSpec, theta: ThetaVector) -> int:
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction
     symbols into cosets of the theta-subgroup."""
-    return float(_coset_terms(sj, [_grid_row(sj.group, theta)])[0])
+    row = _grid_row(sj.group, theta)
+    return float(_coset_terms(sj, [row])[row])
 
 
 def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
     """I(X; Y | [X]_theta) with X uniform on the group: the coset-average of
     the per-coset mutual informations."""
-    return float(_coset_terms(chan, [_grid_row(chan.group, theta)])[0])
+    row = _grid_row(chan.group, theta)
+    return float(_coset_terms(chan, [row])[row])
 
 
 def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:

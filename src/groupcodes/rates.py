@@ -21,15 +21,18 @@ the endpoint selector's term binds, as on random inputs, the first support
 solved settles the call.
 Every rate call, oracle and Theta enumeration on a group reads its selector
 plan, cached on the GroupSpec because it depends on the group alone: the
-selector grid with m(theta) and the reachable rows, built on first read, the
-covering supports with Theta(S) of each, the LP's n and d and the vertex
-bound's top, built on the first rate call or oracle, and the walk layer of
-the coset terms (see measures), built by the first terms call.  Its arrays
-are read-only and live as long as the spec; a call computes only what
+selector grid with m(theta), the coefficients n and d and the reachable
+rows, built on first read, the covering supports with Theta(S) of each and
+the vertex bound's top, built on the first rate call or oracle, and the walk
+layer of the coset terms (see measures), built by the first terms call.  Its
+arrays are read-only and live as long as the spec; a call computes only what
 depends on its input, the terms and what is solved from them.  The vertex
-bounds take one float array the size of top, built in place.  The winning
-support's solve evaluates the inner problem at its witness once, and the
-result table reuses those ratios, with every omega in one array pass.
+bounds take one float array the size of top, built in place.  At float
+weights omega is n.w / d.w with n = m(theta) log2 q and d = s log2 q, summed
+in slot order: the LP's own coefficients, the one float statement of omega,
+which the public omega takes too.  The winning support's solve evaluates
+the inner problem at its witness once, and the result table reuses those
+ratios and omegas.
 Theta(S) is the set of selectors theta whose least inducing depths m(theta)
 on S induce them back.
 Inside a call a selector is a row of the plan's grid and the terms are an
@@ -50,15 +53,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _gaps, _induce
-from .groups import _min_depths, _slot_values, _theta_members
-from .measures import (
-    ChannelSpec,
-    SourceJoint,
-    _components,
-    _coset_terms,
-    coset_mi_channel,
-    coset_mi_source,
-)
+from .groups import _slot_values, _theta_members
+from .measures import ChannelSpec, SourceJoint, _coset_terms, _grid_row
 
 # Information terms at or below this count as exactly zero when applying the
 # 0/0 -> 0 term convention; far below any meaningful rate in bits.
@@ -163,7 +159,7 @@ def enumerate_theta_set(
     support = tuple(sorted(set(support)))
     _check_support(spec, support)
     mask = np.array([[slot in support for slot in spec.weight_slots]])
-    _, _, hits, _ = spec._selector_layer
+    *_, hits, _ = spec._selector_layer
     return frozenset(itertools.compress(spec._thetas, _theta_members(hits, mask)[0]))
 
 
@@ -172,11 +168,12 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
 
     ``weights`` is a WeightVector or a mapping over the (q, s) slots.  With
     Fraction weights the result is exact whenever the group has a single
-    prime (log factors cancel); with floats it is a float.  A selector or a
-    weight vector of another group, a mapping key that is not a weight slot
-    and a negative weight are refused.
+    prime (log factors cancel); with floats it is a float, from the sums a
+    rate call's linear program takes.  A selector or a weight vector of
+    another group, a mapping key that is not a weight slot and a negative
+    weight are refused.
     """
-    components = _components(spec, theta)
+    row = _grid_row(spec, theta)
     if isinstance(weights, WeightVector):
         if weights.spec != spec:
             raise ValueError("weights bound to a different group")
@@ -187,23 +184,17 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
             raise ValueError(f"weights must be finite, got {values}")
         if any(v < 0 for v in values):
             raise ValueError("weights must be nonnegative")
-    coeffs = _min_depths(spec._slot_gaps, components)
-    return _omega(spec, values, coeffs.tolist())
-
-
-def _omega(spec: GroupSpec, values, coeffs):
-    """omega from the weights and the numerator coefficients on every slot:
-    in float arithmetic when every nonzero weight is a float, exactly
-    otherwise."""
-    exact = not all(isinstance(w, float) for w in values if w != 0)
-    num = 0
-    den = 0
-    for (q, s), w, coeff in zip(spec.weight_slots, values, coeffs):
-        if w == 0:
-            continue
-        scale = (_log_weight(q) if exact else math.log2(q)) * w
-        num = num + coeff * scale
-        den = den + s * scale
+    _, depths, n, d, _, _ = spec._selector_layer
+    if all(isinstance(w, float) for w in values if w != 0):
+        num, den = _sums(n[[row]], d, np.array([values], dtype=float))
+        num, den = num.item(), den.item()
+    else:
+        num = den = 0
+        for (q, s), w, coeff in zip(spec.weight_slots, values, depths[row].tolist()):
+            if w != 0:
+                scale = _log_weight(q) * w
+                num = num + coeff * scale
+                den = den + s * scale
     if den == 0:
         raise ValueError("weight vector has empty support")
     return num / den
@@ -219,10 +210,11 @@ def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
 class _SupportProblems:
     """The per-input solve of one rate call over its group's selector plan
     (``GroupSpec._selector_layer`` and ``._covering_layer``, shared by every
-    call on the group): the terms c over the grid's rows, given on the
-    reachable rows, and the sense's excluded endpoint selector.  Support i's
-    LP input is sliced on demand: (n and D on S over the rows of Theta(S),
-    their terms and excluded flags).
+    call on the group): the terms c, one array over the grid's rows (NaN
+    off the reachable rows, which no support reads), and the sense's
+    excluded endpoint selector.  Support i's LP input is sliced on demand:
+    (n and D on S over the rows of Theta(S), their terms and excluded
+    flags).
     ``sign`` +1 maximises (channel), -1 minimises (source), so sign * value
     is larger when better."""
 
@@ -231,11 +223,9 @@ class _SupportProblems:
             raise ValueError(f"unknown sense {sense!r}")
         self.spec, self.sense = spec, sense
         self.sign = 1 if sense == "channel" else -1
-        grid, self.depths, _, reachable = spec._selector_layer
-        plan = spec._covering_layer
-        self.columns, self.members, self.n, self.d, self.top = plan
-        self.c = np.full(len(grid), math.nan)
-        self.c[reachable] = terms
+        grid, _, self.n, self.d, _, _ = spec._selector_layer
+        self.columns, self.members, self.top = spec._covering_layer
+        self.c = terms
         # the zero selector is the grid's first row, the full selector its last
         self.excluded = np.zeros(len(grid), dtype=bool)
         self.excluded[0 if sense == "source" else -1] = True
@@ -249,7 +239,10 @@ class _SupportProblems:
         for th, c in terms.items():
             if not math.isfinite(c) or c < -1e-12:
                 raise ValueError(f"information term for {th.components} is {c}")
-        return cls(spec, [terms[th] for th in thetas], sense)
+        grid, *_, reachable = spec._selector_layer
+        c = np.full(len(grid), math.nan)
+        c[reachable] = [terms[th] for th in thetas]
+        return cls(spec, c, sense)
 
     def __getitem__(self, i: int):
         cols, rows = self.columns[i], self.members[i]
@@ -323,6 +316,16 @@ def _packing_lp(
 # -- inner evaluation ------------------------------------------------------
 
 
+def _sums(n: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """n.w [points, selectors] and d.w [points, 1] at each weight point, a
+    row of w [points, slots]: omega is their ratio.  The sums run in slot
+    order, as accumulate adds one slot at a time, so a slot of weight 0
+    leaves them unchanged."""
+    d_val = np.add.accumulate(w * d, axis=1)[:, -1:]
+    n_val = np.add.accumulate(w[:, :, None] * n.T, axis=1)[:, -1]
+    return n_val, d_val
+
+
 def _evaluate(
     n: np.ndarray,
     d: np.ndarray,
@@ -330,14 +333,14 @@ def _evaluate(
     excluded: np.ndarray,
     w: np.ndarray,
     sense: str,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inner max (source) or min (channel) over one support's selectors at
     each weight point, a row of w [points, slots], skipping the excluded
-    endpoint selector, plus the per-selector ratios [points, selectors]."""
-    # the sums run in slot order: accumulate adds one slot at a time
-    d_val = np.add.accumulate(w * d, axis=1)[:, -1:]
-    n_val = np.add.accumulate(w[:, :, None] * n.T, axis=1)[:, -1]
-    part = n_val / d_val if sense == "source" else (d_val - n_val) / d_val
+    endpoint selector, plus the per-selector ratios and omegas [points,
+    selectors]."""
+    n_val, d_val = _sums(n, d, w)
+    omegas = n_val / d_val
+    part = omegas if sense == "source" else (d_val - n_val) / d_val
     # the term over omega (source) or 1 - omega (channel); 0/0 -> 0, c/0 -> inf
     ratios = np.where(c <= INFO_ZERO_TOL, 0.0, math.inf) * np.ones_like(part)
     np.divide(c, part, out=ratios, where=part > 0)
@@ -347,7 +350,7 @@ def _evaluate(
         values = np.max(ratios, axis=1, where=~excluded, initial=-math.inf)
     else:
         values = np.min(ratios, axis=1, where=~excluded, initial=math.inf)
-    return values, ratios
+    return values, ratios, omegas
 
 
 # -- per-support linear program -------------------------------------------
@@ -359,11 +362,11 @@ def _solve_support(
     c: np.ndarray,
     excluded: np.ndarray,
     sense: str,
-) -> tuple[float, tuple[float, ...], float, np.ndarray]:
+) -> tuple[float, tuple[float, ...], float, np.ndarray, np.ndarray]:
     """Optimize one support pattern, given its slice of the selector plan;
-    returns the value, the witness, and the inner optimum with the ratio of
-    each selector of the slice evaluated at the witness.  Where no weight
-    choice matters the value is 0 and the witness uniform.
+    returns the value, the witness, and the inner optimum with the ratio and
+    omega of each selector of the slice evaluated at the witness.  Where no
+    weight choice matters the value is 0 and the witness uniform.
 
     With v = w * rate / (D.w) the inner problem becomes one packing LP:
     channel, rate = max D.v subject to (D - N_theta).v <= c_theta; source,
@@ -390,9 +393,9 @@ def _solve_support(
         v, _ = _packing_lp(d - n[active], c[active], d)
 
     witness = tuple((v / v.sum()).tolist())
-    values, ratios = _evaluate(n, d, c, excluded, np.array([witness]), sense)
+    values, ratios, omegas = _evaluate(n, d, c, excluded, np.array([witness]), sense)
     inner = float(values[0])
-    return 0.0 if fixed else inner, witness, inner, ratios[0]
+    return 0.0 if fixed else inner, witness, inner, ratios[0], omegas[0]
 
 
 # -- results ---------------------------------------------------------------
@@ -492,17 +495,17 @@ def _winner(values: Mapping[int, float]) -> int:
 
 
 def _result(
-    problems: _SupportProblems, i: int, witness: tuple, value: float, ratios
+    problems: _SupportProblems, i: int, witness: tuple, value: float, ratios, omegas
 ) -> RateResult:
     """The result of support i at a witness, from the inner optimum and the
-    per-selector ratios its solve evaluated there: the critical selectors
-    and the per-selector table."""
+    per-selector ratios and omegas its solve evaluated there: the critical
+    selectors and the per-selector table.  Weights off the support are 0."""
     spec = problems.spec
-    support = tuple(itertools.compress(spec.weight_slots, problems.columns[i]))
-    rows = problems.members[i]
-    weights = WeightVector.from_mapping(spec, dict(zip(support, witness)))
+    cols, rows = problems.columns[i], problems.members[i]
+    support = tuple(itertools.compress(spec.weight_slots, cols))
+    on_support = iter(witness)
+    weights = WeightVector(spec, tuple(next(on_support) if on else 0 for on in cols))
     thetas = list(itertools.compress(spec._thetas, rows))
-    omegas = _omegas(spec, weights.values, problems.depths[rows])
     crit_tol = CRITICAL_TOL * (1.0 + abs(value))
     ratios = ratios.tolist()
     critical = tuple(
@@ -511,21 +514,9 @@ def _result(
         if not skip and abs(ratio - value) <= crit_tol
     )
     per_theta = tuple(
-        map(PerThetaTerm, thetas, omegas, problems.c[rows].tolist(), ratios)
+        map(PerThetaTerm, thetas, omegas.tolist(), problems.c[rows].tolist(), ratios)
     )
     return RateResult(value, weights, critical, per_theta, support, problems.sense)
-
-
-def _omegas(spec: GroupSpec, values, coeffs: np.ndarray) -> list[float]:
-    """omega at float weights for each row of numerator coefficients
-    [rows, k], in _omega's order of operations, so that each equals it:
-    scale = log2(q) w, then coeff scale and s scale, added slot by slot."""
-    log_q = np.array([math.log2(q) for q, _ in spec.weight_slots])
-    scale = log_q * np.array(values, dtype=float)
-    s = np.array([s for _, s in spec.weight_slots])
-    num = np.add.accumulate(coeffs * scale, axis=1)[:, -1]
-    den = np.add.accumulate(s * scale)[-1]
-    return (num / den).tolist()
 
 
 # -- the two functionals ---------------------------------------------------
@@ -534,13 +525,20 @@ def _omegas(spec: GroupSpec, values, coeffs: np.ndarray) -> list[float]:
 def source_terms(sj: SourceJoint) -> dict[ThetaVector, float]:
     """Coset information terms for every reachable selector, with H(X)
     computed once for all of them."""
-    return dict(zip(all_reachable_thetas(sj.group), _coset_terms(sj).tolist()))
+    return _reachable_terms(sj)
 
 
 def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
     """Conditional coset information terms for every reachable selector,
     with H(Y | X) computed once for all of them."""
-    return dict(zip(all_reachable_thetas(chan.group), _coset_terms(chan).tolist()))
+    return _reachable_terms(chan)
+
+
+def _reachable_terms(data) -> dict[ThetaVector, float]:
+    """The reachable rows of the terms, keyed by their selectors."""
+    *_, reachable = data.group._selector_layer
+    terms = _coset_terms(data)[reachable].tolist()
+    return dict(zip(all_reachable_thetas(data.group), terms))
 
 
 def _rate(data, sense: str) -> RateResult:
@@ -574,24 +572,23 @@ def _single_ring(spec: GroupSpec) -> tuple[int, int]:
 
 def source_rate_prime_power(sj: SourceJoint) -> float:
     """Single-ring fast path: max over depth 1..r of (r/depth) times the
-    coset information.  Must match the general optimizer."""
+    coset information, every depth from one walk (on a single ring, depth t
+    is the grid's row t).  Must match the general optimizer."""
     _, r = _single_ring(sj.group)
-    return max(
-        (r / t) * coset_mi_source(sj, ThetaVector(sj.group, (t,)))
-        for t in range(1, r + 1)
-    )
+    depths = range(1, r + 1)
+    terms = _coset_terms(sj, depths).tolist()
+    return max((r / t) * terms[t] for t in depths)
 
 
 def channel_rate_prime_power(chan: ChannelSpec) -> float:
     """Single-ring fast path: min over depth 0..r-1 of (r/(r-depth)) times
-    the conditional coset information.  The reduction is a minimum: each
-    depth is a constraint and the tightest one binds, mirroring the max on
-    the source side."""
+    the conditional coset information, every depth from one walk.  The
+    reduction is a minimum: each depth is a constraint and the tightest one
+    binds, mirroring the max on the source side."""
     _, r = _single_ring(chan.group)
-    return min(
-        (r / (r - t)) * coset_mi_channel(chan, ThetaVector(chan.group, (t,)))
-        for t in range(r)
-    )
+    depths = range(r)
+    terms = _coset_terms(chan, depths).tolist()
+    return min((r / (r - t)) * terms[t] for t in depths)
 
 
 # -- grid oracle -----------------------------------------------------------
@@ -620,7 +617,7 @@ def grid_search(
         while block := list(itertools.islice(cuts, GRID_BLOCK)):
             edges = np.array(block, dtype=np.int64).reshape(len(block), k - 1)
             w = np.diff(edges, axis=1, prepend=0, append=steps) / steps
-            values, _ = _evaluate(*problem, w, sense)
+            values, *_ = _evaluate(*problem, w, sense)
             at = int((sign * values).argmax())
             value = float(values[at])
             if best_val is None or sign * value > sign * best_val:

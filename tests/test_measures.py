@@ -19,7 +19,8 @@ from groupcodes import (
     mutual_information,
 )
 from groupcodes.groups import Subgroup
-from groupcodes.measures import ValidationError, _row_entropies, mi_per_coset
+from groupcodes.measures import ValidationError, _coset_terms, _row_entropies
+from groupcodes.measures import mi_per_coset
 from groupcodes.rates import all_reachable_thetas, channel_terms, source_terms
 
 from conftest import make_rng, random_additive_channel, random_channel, random_source_joint
@@ -357,6 +358,33 @@ def test_walk_matches_reshape_route_property(orders, seed, letters):
             assert single(data, th) == terms[th]
     for th in thetas:
         assert abs(coset_mi_channel_chain(chan, th) - chan_terms[th]) < 1e-12
+
+
+@pytest.mark.parametrize("orders", [[4, 2], [8, 2, 9, 3], [16, 4, 25]])
+def test_grid_terms_nan_off_walked_rows(orders):
+    # the terms are one array over the selector grid: the reachable rows
+    # hold the terms, every other row is NaN; given rows, those rows and the
+    # endpoint hold them
+    spec = decompose(orders).spec
+    grid, *_, reachable = spec._selector_layer
+    assert not reachable.all()
+    rng = make_rng(spec.order)
+    chan = random_channel(spec, 3, rng)
+    sj = random_source_joint(spec, 3, rng)
+    thetas = all_reachable_thetas(spec)
+    for data, terms_of, endpoint in (
+        (chan, channel_terms, len(grid) - 1),
+        (sj, source_terms, 0),
+    ):
+        terms = _coset_terms(data)
+        assert np.array_equal(np.isnan(terms), ~reachable)
+        assert terms[reachable].tolist() == list(terms_of(data).values())
+        oracle = reshape_terms(data, [th.components for th in thetas])
+        assert np.allclose(terms[reachable], oracle, rtol=0, atol=1e-12)
+        row = int(np.flatnonzero(reachable)[1])
+        single = _coset_terms(data, [row])
+        assert np.flatnonzero(~np.isnan(single)).tolist() == sorted({row, endpoint})
+        assert single[row] == terms[row] and single[endpoint] == 0.0
 
 
 def traced_peak(fn, *args) -> int:

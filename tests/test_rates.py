@@ -404,6 +404,25 @@ def test_prime_power_closed_forms_match_solver(orders):
         ) < 1e-8
 
 
+@pytest.mark.parametrize("orders", [[2], [8], [27], [25], [1024], [243]])
+def test_prime_power_closed_forms_match_per_depth_route(orders):
+    # one walk to every depth gives each term of the per-depth calls exactly
+    spec = decompose(orders).spec
+    (_, r, _), = spec.rings
+    rng = make_rng(19 + spec.order)
+    for letters in (2, 5):
+        chan = random_channel(spec, letters, rng)
+        sj = random_source_joint(spec, letters, rng)
+        assert channel_rate_prime_power(chan) == min(
+            (r / (r - t)) * coset_mi_channel(chan, ThetaVector(spec, (t,)))
+            for t in range(r)
+        )
+        assert source_rate_prime_power(sj) == max(
+            (r / t) * coset_mi_source(sj, ThetaVector(spec, (t,)))
+            for t in range(1, r + 1)
+        )
+
+
 @given(
     st.sampled_from([2, 3, 5, 7, 11, 13]),
     st.integers(2, 6),
@@ -565,10 +584,13 @@ def test_result_value_consistent_with_witness():
         assert 0.0 <= t.omega <= 1.0
 
 
-@pytest.mark.parametrize("orders", [[8], [4, 9], [2, 4, 3], [16, 27]])
+@pytest.mark.parametrize(
+    "orders", [[8], [4, 9], [2, 4, 3], [27], [81, 4], [125, 9], [16, 27]]
+)
 def test_result_table_omega_is_public_omega(orders):
-    # the table's omegas come from one array pass in omega's order of
-    # operations, so each equals the public omega at the witness exactly
+    # the table's omegas are the winning solve's n.w / d.w, the sums the
+    # public omega takes at float weights, so each equals it exactly, also
+    # where m log2 q or s log2 q rounds (powers of 3 and 5)
     spec = decompose(orders).spec
     rng = make_rng(93)
     for result in (
@@ -937,6 +959,13 @@ def test_theta_enumeration_builds_no_covering_table():
     assert len(all_reachable_thetas(spec)) == 17
     assert "_selector_layer" in vars(spec) and "_covering_layer" not in vars(spec)
     assert "_walk_layer" not in vars(spec)
+    # omega reads the selector layer alone, at float and at exact weights
+    spec = decompose([65536]).spec
+    theta = ThetaVector(spec, (5,))
+    for weight, expected in ((0.5, 5 / 19), (Fraction(1, 2), Fraction(5, 19))):
+        weights = {(2, 3): weight, (2, 16): weight}
+        assert omega(spec, weights, theta) == expected
+    assert "_selector_layer" in vars(spec) and "_covering_layer" not in vars(spec)
 
 
 @pytest.mark.parametrize("orders", [[8], [4, 3], [16, 27], [2, 4, 9]])
@@ -1097,7 +1126,8 @@ def test_full_support_source_bound_is_finite_property(orders):
     # on the full support, so the best-first loop always solves a support
     # before any whose term is infinite for every weight choice
     spec = decompose(orders).spec
-    problems = _SupportProblems(spec, 1.0, "source")
+    *_, reachable = spec._selector_layer
+    problems = _SupportProblems(spec, np.where(reachable, 1.0, math.nan), "source")
     full = support_tuples(problems).index(tuple(sorted(spec.weight_slots)))
     assert problems.vertex_bounds()[full] < math.inf
 
@@ -1190,7 +1220,8 @@ def test_vertex_bounds_in_one_temporary(sense):
     # a deep ring has 2^14 - 1 supports over 15 selectors: the bounds are
     # built in one float array the size of top, not one per operation
     spec = decompose([2**14]).spec
-    terms = make_rng(150).random(len(all_reachable_thetas(spec)))
+    # every row of a single ring's selector grid is reachable
+    terms = make_rng(150).random(len(spec._selector_layer[0]))
     terms[[3, 7]] = 0.0  # zero terms bound by 0
     problems = _SupportProblems(spec, terms, sense)
     tracemalloc.start()
