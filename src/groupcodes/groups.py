@@ -7,11 +7,12 @@ residue grid instead, one row per element in canonical order (last residue
 fastest), and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
 A GroupSpec caches the rate layer's selector plan, which depends on the
-group alone: the selector grid, built on first read, the covering supports,
-built by the first rate call or oracle, and the walk of the coset terms down
-the selector lattice, built by the first terms call.  Everything here is
-immutable and safe to share across threads: a cached value computed twice
-in a race is identical, and its arrays are read-only.
+group alone: the selector grid, built on first read, the prefix supports and
+dominance pairs, built by the first rate call, the covering supports, built
+only where the best-first search or the grid oracle runs, and the walk of
+the coset terms down the selector lattice, built by the first terms call.
+Everything here is immutable and safe to share across threads: a cached
+value computed twice in a race is identical, and its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import numpy as np
 # Soft cap on element enumeration: groups in this library are desk-scale,
 # fail loudly instead of hanging on a huge order.
 ENUMERATION_CAP = 1 << 20
+# Rows an entropy batch of the coset-terms walk may hold below the group's
+# order, so that a small group's terms take one batch.
+ENTROPY_BATCH_FLOOR = 4096
 
 
 def _grid(radices) -> np.ndarray:
@@ -160,14 +164,33 @@ class GroupSpec:
 
     @cached_property
     def _covering_layer(self) -> tuple[np.ndarray, ...]:
-        """The covering supports as slot masks ``columns`` [supports, k] in
-        tie-break order, Theta(S) of each as a row of ``members`` [supports,
-        n], and ``top`` [supports, n], the largest omega_theta on the face S:
-        it is linear-fractional, so largest at a vertex, the max over j in S
-        of m_j(theta)/s_j.  On Z_(2^18) this layer holds about 50 MB, most of
-        it ``top``."""
+        """Every covering support, as ``_faces`` of their slot masks in
+        tie-break order, built only where the rate's best-first search or
+        the grid oracle runs.  On Z_(2^18) this layer holds about 50 MB, most
+        of it ``top``."""
+        return self._faces(_covering_masks(self))
+
+    @cached_property
+    def _prefix_layer(self) -> tuple[np.ndarray, ...]:
+        """The supports a rate call with monotone terms solves: ``_faces`` of
+        the prefixes of the slot order that give every prime a slot, the
+        shortest first and the full support last, and the dominance pairs
+        [2, pairs] of the reachable rows, each column two grid rows lo != hi
+        with theta_lo <= theta_hi componentwise."""
+        k, r = len(self.weight_slots), self.max_exponent(self.primes[-1])
+        reachable = np.flatnonzero(self._selector_layer[-1])
+        grid = self._selector_layer[0][reachable]
+        below = (grid[:, None, :] <= grid[None, :, :]).all(axis=-1)
+        np.fill_diagonal(below, False)
+        pairs = reachable[np.array(np.nonzero(below))]
+        return self._faces(np.tri(k, dtype=bool)[k - r :]) + _read_only(pairs)
+
+    def _faces(self, columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Supports as slot masks ``columns`` [supports, k], Theta(S) of each
+        as a row of ``members`` [supports, n], and ``top`` [supports, n], the
+        largest omega_theta on the face S: it is linear-fractional, so
+        largest at a vertex, the max over j in S of m_j(theta)/s_j."""
         _, depths, _, _, hits, _ = self._selector_layer
-        columns = _covering_masks(self)
         members = _theta_members(hits, columns)
         top = np.zeros(members.shape)
         for j, (_, s) in enumerate(self.weight_slots):  # in place, slot by slot
@@ -252,8 +275,9 @@ def _walk_schedule(spec: GroupSpec, rows) -> tuple[tuple, tuple]:
     last.  put is None off the rows, else the node's rows (start, stop) in
     its entropy batch and |H_theta|, the coset size.  A batch is (its row
     count, the start of each node in it, their grid rows, their coset
-    counts); a node that would take a batch past the group's order starts
-    the next, so no batch is larger than the input."""
+    counts); a node that would take a batch past max(|G|,
+    ENTROPY_BATCH_FLOOR) rows starts the next, so a batch holds no more rows
+    than the input unless the group is smaller than that floor."""
     levels, ring_level = spec.ring_levels, spec._ring_level_index
     primes = [p for p, _, _ in spec.rings]
     grid = spec._selector_layer[0]
@@ -291,11 +315,12 @@ def _walk_schedule(spec: GroupSpec, rows) -> tuple[tuple, tuple]:
     visit(tuple(r for _, r in levels), 0, 0, 0, None, None)
 
     batches, batch, used = [], [], 0
+    capacity = max(spec.order, ENTROPY_BATCH_FLOOR)
     for step in steps:
         if (row := step[4]) is None:
             continue
         count = math.prod(p ** int(grid[row, at]) for p, at in zip(primes, ring_level))
-        if used + count > spec.order:
+        if used + count > capacity:
             batches.append(_batch(used, batch))
             batch, used = [], 0
         batch.append((used, row, count))

@@ -14,9 +14,11 @@ at the full selector, the input itself, and visits every selector it needs
 depth first, by steps in a fixed level order; its layout, the plan's walk
 layer ``GroupSpec._walk_layer`` (``groups._walk_schedule``), depends on the
 group alone.  An array is dropped once its children are done, and the
-normalised sums go into entropy batches of at most the input's own size, so
-the walk's peak memory, a few times the input, stays within that of one
-selector's reshape and sum, the route it replaced.  Each term is a
+normalised sums go into entropy batches of at most the input's own size
+(``groups.ENTROPY_BATCH_FLOOR`` rows on a smaller group, so that its terms
+take one batch), so the walk's peak memory, a few times the input, stays
+within that of one selector's reshape and sum, the route it replaced.  A
+row's entropy does not depend on its batch.  Each term is a
 difference of two conditional entropies: the source term H(X) -
 H(X | [U]_theta), the channel term H(Y | [X]_theta) - H(Y | X).  H(X) is
 the zero selector's H(X | [U]_theta) and H(Y | X) the full selector's

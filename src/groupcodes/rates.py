@@ -7,39 +7,58 @@ value does not change when w is scaled, so for a fixed support the inner
 problem is one linear-fractional program; the Charnes-Cooper substitution
 turns it into one packing linear program, solved by a small dense simplex.
 The outer optimization ranges over the support patterns that give every prime
-of the group at least one slot, visited best-first by a vertex bound.  A
-single selector's ratio is linear-fractional, so its extremes on the face S
-sit at vertices: the source bound is the largest over Theta(S) of
-c_theta / max omega_theta, the channel bound the least of
+of the group at least one slot.  Supports whose values agree to a relative
+tie tolerance tie, and the lexicographically first wins.
+Where the coset terms are monotone in theta (the channel term falls and the
+source term rises as theta rises, componentwise) adding a slot to a support
+never makes its value worse: the selectors the slot adds take, at the
+smaller support's optimum, the omega of a selector above them that it
+already holds, whose term is no better.  So the full support attains the
+rate, and as every support that sorts before it is one of its prefixes in
+slot order, the first tying support is a prefix too.  Such a call solves the
+full support's LP and then walks the prefixes, longest first, until one
+falls out of the tie band: on random inputs one LP.  Two preconditions are
+checked on the call's terms first: monotonicity over every pair of
+reachable selectors theta <= theta', and, on the channel side, no reachable
+term but the excluded full selector's at or below INFO_ZERO_TOL, since a
+zero term that shares omega = 1 with the full selector pins every support
+reaching it to 0 (a coset channel, whose output is the coset of its input).
+Every other input, as a coset channel or non-monotone terms given to
+optimize_weights, takes the best-first search over every covering support:
+terms in sixths on Z32 make the source value of {(2,1),(2,2),(2,3)} +inf,
+between {(2,1),(2,2)} and the full support, both at 5/3, and a prefix walk
+would stop at the infinite one.  The search visits supports by a vertex
+bound.  A single selector's ratio is linear-fractional, so its extremes on
+the face S sit at vertices: the source bound is the largest over Theta(S)
+of c_theta / max omega_theta, the channel bound the least of
 c_theta / (1 - max omega_theta), and neither side's optimum on S can beat
-its bound.  Supports whose values agree to a relative tie tolerance tie,
-and the lexicographically first wins.  Once a bound falls short of the
-incumbent by that tolerance, no later support can tie or win; a support
-whose bound the current winner already ties, and which comes after it in
-lexicographic order, cannot win either and gets no linear program.  Where
-the endpoint selector's term binds, as on random inputs, the first support
-solved settles the call.
+its bound.  Once a bound falls short of the incumbent by the tie tolerance,
+no later support can tie or win; a support whose bound the current winner
+already ties, and which comes after it in lexicographic order, cannot win
+either and gets no linear program.
 Every rate call, oracle and Theta enumeration on a group reads its selector
 plan, cached on the GroupSpec because it depends on the group alone: the
 selector grid with m(theta), the coefficients n and d and the reachable
-rows, built on first read, the covering supports with Theta(S) of each and
-the vertex bound's top, built on the first rate call or oracle, and the walk
-layer of the coset terms (see measures), built by the first terms call.  Its
-arrays are read-only and live as long as the spec; a call computes only what
-depends on its input, the terms and what is solved from them.  The vertex
-bounds take one float array the size of top, built in place.  At float
-weights omega is n.w / d.w with n = m(theta) log2 q and d = s log2 q, summed
-in slot order: the LP's own coefficients, the one float statement of omega,
-which the public omega takes too.  The winning support's solve evaluates
-the inner problem at its witness once, and the result table reuses those
-ratios and omegas.
+rows, built on first read; the prefix supports with Theta(S) and the vertex
+bound's top of each, and the dominance pairs of the reachable rows, built by
+the first rate call; the covering supports with the same, built only where
+the best-first search or the grid oracle runs, so a call with monotone terms
+builds none of them; and the walk layer of the coset terms (see measures),
+built by the first terms call.  Its arrays are read-only and live as long as
+the spec; a call computes only what depends on its input, the terms and
+what is solved from them.  The vertex bounds take one float array the size
+of top, built in place.  At float weights omega is n.w / d.w with
+n = m(theta) log2 q and d = s log2 q, summed in slot order: the LP's own
+coefficients, the one float statement of omega, which the public omega
+takes too.  The winning support's solve evaluates the inner problem at its
+witness once, and the result table reuses those ratios and omegas.
 Theta(S) is the set of selectors theta whose least inducing depths m(theta)
 on S induce them back.
 Inside a call a selector is a row of the plan's grid and the terms are an
 array over its rows; a terms mapping keyed by ThetaVector exists only at
 optimize_weights and grid_search, where it is checked.  Likewise a support
-is a row of one slot mask array [supports, k] in tie-break order; a tuple of
-slots exists only at RateResult.support and the public inputs.
+is a slot mask row with its row of Theta(S); a tuple of slots exists only at
+RateResult.support and the public inputs.
 """
 
 from __future__ import annotations
@@ -209,12 +228,14 @@ def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
 
 class _SupportProblems:
     """The per-input solve of one rate call over its group's selector plan
-    (``GroupSpec._selector_layer`` and ``._covering_layer``, shared by every
-    call on the group): the terms c, one array over the grid's rows (NaN
-    off the reachable rows, which no support reads), and the sense's
-    excluded endpoint selector.  Support i's LP input is sliced on demand:
-    (n and D on S over the rows of Theta(S), their terms and excluded
-    flags).
+    (``GroupSpec._selector_layer``, shared by every call on the group): the
+    terms c, one array over the grid's rows (NaN off the reachable rows,
+    which no support reads), and the sense's excluded endpoint selector.  A
+    support's LP input is sliced on demand from its slot mask and its row of
+    Theta(S): n and D on S over the rows of Theta(S), their terms and
+    excluded flags.  Covering support i, a row of the plan's covering layer,
+    is ``self[i]``; only the best-first search and the grid oracle read that
+    layer.
     ``sign`` +1 maximises (channel), -1 minimises (source), so sign * value
     is larger when better."""
 
@@ -224,7 +245,6 @@ class _SupportProblems:
         self.spec, self.sense = spec, sense
         self.sign = 1 if sense == "channel" else -1
         grid, _, self.n, self.d, _, _ = spec._selector_layer
-        self.columns, self.members, self.top = spec._covering_layer
         self.c = terms
         # the zero selector is the grid's first row, the full selector its last
         self.excluded = np.zeros(len(grid), dtype=bool)
@@ -244,27 +264,49 @@ class _SupportProblems:
         c[reachable] = [terms[th] for th in thetas]
         return cls(spec, c, sense)
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The covering supports' slot masks [supports, k], in tie-break
+        order."""
+        return self.spec._covering_layer[0]
+
     def __getitem__(self, i: int):
-        cols, rows = self.columns[i], self.members[i]
+        columns, members, _ = self.spec._covering_layer
+        return self.slice(columns[i], members[i])
+
+    def slice(self, cols: np.ndarray, rows: np.ndarray):
+        """The LP input of the support with slot mask cols and Theta(S) rows."""
         return self.n[rows][:, cols], self.d[cols], self.c[rows], self.excluded[rows]
 
-    def vertex_bounds(self) -> np.ndarray:
-        """The bound of every support that its optimum cannot beat, from the
-        plan's top, the largest omega_theta on the face S.  The source bound
-        LB(S) is the max over the active theta in Theta(S) of c_theta / top,
-        the channel bound UB(S) the min of c_theta / (1 - top).  A term at or
-        below INFO_ZERO_TOL bounds by 0, a zero denominator by +inf: a source
-        support with LB(S) = +inf has a term that is infinite for every
-        weight choice.  The bounds are built in one float array the size of
-        top, in place."""
+    def monotone(self) -> bool:
+        """Whether the full support settles the rate (see _optimize): the
+        terms are monotone over the plan's dominance pairs of reachable rows,
+        theta <= theta' giving c_theta >= c_theta' (channel) or c_theta <=
+        c_theta' (source), and on the channel side no reachable selector but
+        the excluded one has a term at or below INFO_ZERO_TOL."""
+        lo, hi = self.c[self.spec._prefix_layer[-1]]
+        if self.sign < 0:
+            return bool((lo <= hi).all())
+        zero = (self.c[~self.excluded] <= INFO_ZERO_TOL).any()
+        return bool((lo >= hi).all() and not zero)
+
+    def vertex_bounds(self, members: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """The bound that each support's optimum cannot beat, from its row of
+        Theta(S) ``members`` and of ``top``, the largest omega_theta on the
+        face S.  The source bound LB(S) is the max over the active theta in
+        Theta(S) of c_theta / top, the channel bound UB(S) the min of
+        c_theta / (1 - top).  A term at or below INFO_ZERO_TOL bounds by 0, a
+        zero denominator by +inf: a source support with LB(S) = +inf has a
+        term that is infinite for every weight choice.  The bounds are built
+        in one float array the size of top, in place."""
         source = self.sign < 0
-        bound = self.top.copy() if source else 1.0 - self.top
+        bound = top.copy() if source else 1.0 - top
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(self.c, bound, out=bound)
         bound[:, self.c <= INFO_ZERO_TOL] = 0.0
         # the max (source) or min (channel) over the counted selectors
         uncounted = -math.inf if source else math.inf
-        np.copyto(bound, uncounted, where=~self.members)
+        np.copyto(bound, uncounted, where=~members)
         bound[:, self.excluded] = uncounted
         return bound.max(axis=1) if source else bound.min(axis=1)
 
@@ -290,19 +332,18 @@ def _packing_lp(
     tab[:m, -1] = b
     tab[m, :n] = -c
     cost, rhs = tab[m, :-1], tab[:m, -1]
-    basis = np.arange(n, n + m)
-    ratios = np.empty(m)
+    basis = list(range(n, n + m))
+    # the pivots are chosen on Python floats, the row operations on arrays
     while True:
-        j = (cost < -LP_TOL).argmax()
-        if not cost[j] < -LP_TOL:
+        j = next((j for j, v in enumerate(cost.tolist()) if v < -LP_TOL), None)
+        if j is None:
             break
-        col = tab[:m, j]
-        rows = col > LP_TOL
-        if not rows.any():
+        col = tab[:m, j].tolist()
+        if not any(v > LP_TOL for v in col):
             raise SolverError("unbounded packing LP")
-        ratios.fill(math.inf)
-        np.divide(rhs, col, out=ratios, where=rows)
-        i = np.where(ratios <= ratios.min() + LP_TOL, basis, n + m).argmin()
+        ratios = [r / v if v > LP_TOL else math.inf for r, v in zip(rhs.tolist(), col)]
+        low = min(ratios) + LP_TOL
+        i = min((i for i, r in enumerate(ratios) if r <= low), key=basis.__getitem__)
         tab[i] /= tab[i, j]
         pivot_col = tab[:, j].copy()
         pivot_col[i] = 0.0
@@ -342,14 +383,14 @@ def _evaluate(
     omegas = n_val / d_val
     part = omegas if sense == "source" else (d_val - n_val) / d_val
     # the term over omega (source) or 1 - omega (channel); 0/0 -> 0, c/0 -> inf
-    ratios = np.where(c <= INFO_ZERO_TOL, 0.0, math.inf) * np.ones_like(part)
+    ratios = np.where(c <= INFO_ZERO_TOL, np.zeros(part.shape), math.inf)
     np.divide(c, part, out=ratios, where=part > 0)
     # Theta(S) holds the full selector and the one of depth zero on every
     # slot, which differ, so one of them is a candidate
     if sense == "source":
-        values = np.max(ratios, axis=1, where=~excluded, initial=-math.inf)
+        values = ratios.max(axis=1, where=~excluded, initial=-math.inf)
     else:
-        values = np.min(ratios, axis=1, where=~excluded, initial=math.inf)
+        values = ratios.min(axis=1, where=~excluded, initial=math.inf)
     return values, ratios, omegas
 
 
@@ -438,21 +479,68 @@ def optimize_weights(
 
 
 def _optimize(problems: _SupportProblems) -> RateResult:
-    """Solve the supports that can still win and report the winner.
+    """Solve the supports that can still win and report the winner: the
+    prefix walk where the terms are monotone, else the best-first search
+    (both in _search).
 
-    Values and bounds are compared signed, sign * value, so larger is better
-    in both senses.  B_i is support i's signed vertex bound, best the best
-    value solved so far and w the winner among the solved supports
-    (_winner).  Supports are visited by bound, best first (a stable order,
-    so equal bounds stay lexicographic), and support i gets no linear
-    program when it cannot be the winner:
+    Signed, sign * value, larger is better in both senses.  Let S be a
+    subset of S', w* S's optimum, also a point of the face of S', and
+    theta' in Theta(S') but not in Theta(S).  The depths m(theta') on S
+    induce a theta >= theta' in Theta(S) with omega_theta(w*) =
+    omega_theta'(w*).  Where the terms are monotone in theta, the channel
+    term c_theta' >= c_theta and the source term c_theta' <= c_theta, so at
+    w* theta' lowers neither the channel minimum nor raises the source
+    maximum, and S' is at least as good as S.  Two preconditions make this
+    hold, and _SupportProblems.monotone checks them on the call's terms:
 
-    - stop, B_i < best - TIE_TOL |best|: no support from i on can reach the
-      tie band, so the loop ends;
+    - monotone over every pair theta <= theta' of reachable selectors;
+    - on the channel side, no reachable term at or below INFO_ZERO_TOL but
+      the excluded full selector's.  theta may be the full selector, with
+      omega = 1 and no ratio, and then theta' shares omega = 1, where a zero
+      term pins the value of S' to 0 (a coset channel, whose output is the
+      coset of its input, has such terms).  The source side needs no such
+      check: theta >= theta' and theta = 0, its excluded selector, force
+      theta' = 0.
+
+    Then the full support attains the rate.  Every support that sorts
+    before it is one of its prefixes in slot order, and the first tying
+    support is a prefix: adding the first slot of the order that a tying
+    support skips keeps the tie and sorts earlier.  A prefix is a subset of
+    every longer one, so once one falls out of the tie band every shorter
+    one does.  The prefix walk solves the full support, then the prefixes
+    that give every prime a slot, longest first, and stops at the first
+    whose vertex bound or solved value is out of the band; it reads only the
+    plan's prefix layer, and builds no covering layer.  On random inputs the
+    longest prefix's bound is usually out of the band already, and one LP
+    settles the call.
+
+    Every other input takes the best-first search over every covering
+    support.  Terms in sixths on Z32 are not monotone, and show why it is
+    needed: the source value of {(2,1),(2,2),(2,3)} is +inf, between
+    {(2,1),(2,2)} and the full support, both at 5/3, so a prefix walk would
+    stop at the infinite prefix and miss the first tie."""
+    return _search(problems, problems.monotone())
+
+
+def _search(problems: _SupportProblems, monotone: bool) -> RateResult:
+    """The prefix walk (monotone) or the best-first search of _optimize.
+
+    Values and bounds are compared signed.  B_i is support i's signed vertex
+    bound, best the best value solved so far and w the winner among the
+    solved supports (_winner).  The walk visits the prefixes from the full
+    support down; the search visits every covering support by bound, best
+    first (a stable order, so equal bounds stay lexicographic).  In either
+    order support i gets no linear program when it cannot be the winner:
+
+    - stop, B_i < best - TIE_TOL |best|: support i cannot reach the tie
+      band, and neither can any support visited after it, so the loop ends;
     - skip, i > w and v_w >= B_i - TIE_TOL/2 |B_i|: no support from i on has
       a value above B_i, so the optimum can rise to at most B_i.  Since
       x - TIE_TOL |x| increases with x, w stays in the final tie band, and
-      the winner ends as w or a support of lower index, never i.
+      the winner ends as w or a support of lower index, never i.  The walk
+      never skips, as every prefix it visits sorts before w.
+
+    The walk also stops at the first solved value below the band.
 
     A computed value can exceed its bound by the rounding of omega at the
     witness, a few ulps (the scan tests allow up to TIE_TOL).  The skip test
@@ -465,25 +553,35 @@ def _optimize(problems: _SupportProblems) -> RateResult:
     later-solved support of lower index out of the band only if its value
     lies within that rise of the band's lower edge.  Where the endpoint
     selector's term binds, I(X;Y) on the channel side and I(U;X) on the
-    source side, as on random inputs, every value ties to ulps and one
-    linear program settles the call.  The full support's bound is finite,
+    source side, as on random inputs, every value ties to ulps and the first
+    support solved settles the call.  The full support's bound is finite,
     so a source support whose term is infinite for every weight choice sorts
     after it and is never solved."""
     sign = problems.sign
-    bounds = sign * problems.vertex_bounds()
+    plan = problems.spec._prefix_layer if monotone else problems.spec._covering_layer
+    columns, members, top = plan[:3]
+    bounds = sign * problems.vertex_bounds(members, top)
+    if monotone:
+        order = reversed(range(len(columns)))
+    else:
+        order = np.argsort(-bounds, kind="stable").tolist()
     values, solved = {}, {}
     best = -math.inf
-    for i in np.argsort(-bounds, kind="stable").tolist():
+    for i in order:
         bound = bounds[i]
         if bound < best - TIE_TOL * abs(best):
             break
         if values and i > w and values[w] >= bound - TIE_TOL / 2 * abs(bound):
             continue
-        value, *solved[i] = _solve_support(*problems[i], problems.sense)
+        value, *solved[i] = _solve_support(
+            *problems.slice(columns[i], members[i]), problems.sense
+        )
         values[i] = sign * value
         best = max(best, sign * value)
         w = _winner(values)
-    return _result(problems, w, *solved[w])
+        if monotone and values[i] < best - TIE_TOL * abs(best):
+            break
+    return _result(problems, columns[w], members[w], *solved[w])
 
 
 def _winner(values: Mapping[int, float]) -> int:
@@ -495,22 +593,29 @@ def _winner(values: Mapping[int, float]) -> int:
 
 
 def _result(
-    problems: _SupportProblems, i: int, witness: tuple, value: float, ratios, omegas
+    problems: _SupportProblems,
+    cols: np.ndarray,
+    rows: np.ndarray,
+    witness: tuple,
+    value: float,
+    ratios,
+    omegas,
 ) -> RateResult:
-    """The result of support i at a witness, from the inner optimum and the
-    per-selector ratios and omegas its solve evaluated there: the critical
-    selectors and the per-selector table.  Weights off the support are 0."""
+    """The result of the support with slot mask cols and Theta(S) rows at a
+    witness, from the inner optimum and the per-selector ratios and omegas
+    its solve evaluated there: the critical selectors and the per-selector
+    table.  Weights off the support are 0."""
     spec = problems.spec
-    cols, rows = problems.columns[i], problems.members[i]
+    cols = cols.tolist()
     support = tuple(itertools.compress(spec.weight_slots, cols))
     on_support = iter(witness)
     weights = WeightVector(spec, tuple(next(on_support) if on else 0 for on in cols))
-    thetas = list(itertools.compress(spec._thetas, rows))
+    thetas = list(itertools.compress(spec._thetas, rows.tolist()))
     crit_tol = CRITICAL_TOL * (1.0 + abs(value))
     ratios = ratios.tolist()
     critical = tuple(
         th
-        for th, skip, ratio in zip(thetas, problems.excluded[rows], ratios)
+        for th, skip, ratio in zip(thetas, problems.excluded[rows].tolist(), ratios)
         if not skip and abs(ratio - value) <= crit_tol
     )
     per_theta = tuple(
@@ -604,8 +709,15 @@ def grid_search(
     weight vector of the simplex grid with the given step count and return
     the best value.  Direct, with no linear program; used to cross-check the
     solver.  Each covering support takes the grid points positive exactly on
-    it, evaluated GRID_BLOCK points at a time.  ``steps`` is an integer >= 1."""
+    it, evaluated GRID_BLOCK points at a time.  ``steps`` is an integer at
+    least the group's number of primes, as every support holds one slot per
+    prime."""
     _check_count("steps", steps)
+    if steps < len(spec.primes):
+        raise ValueError(
+            f"steps must be >= {len(spec.primes)}, the number of primes of the "
+            f"group, as every support holds one slot per prime; got {steps}"
+        )
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
     best_val: float | None = None
@@ -624,6 +736,4 @@ def grid_search(
                 best_val = value
                 best_w = np.zeros(len(cols))
                 best_w[cols] = w[at]
-    if best_val is None:
-        raise SolverError("grid contains no valid weight vector")
     return best_val, WeightVector(spec, tuple(best_w.tolist()))

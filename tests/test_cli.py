@@ -164,6 +164,19 @@ def test_capacity_grid_check(capsys, merged_channel_file):
     assert record["grid_gap"] < 5e-3
 
 
+def test_capacity_grid_check_needs_a_step_per_prime(capsys, tmp_path):
+    # every support of Z4+Z3 holds a slot of each of its two primes, so one
+    # grid step is an invalid argument (exit 2), not a solver error
+    doc = {"kind": "channel", "group": [4, 3], "output_size": 2,
+           "matrix": [[1, 0] if x % 2 else [0, 1] for x in range(12)]}
+    path = tmp_path / "z4z3.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["capacity", str(path), "--grid-check", "1"])
+    assert code == 2 and out == ""
+    assert "steps must be >= 2, the number of primes" in err
+    assert run_cli(capsys, ["capacity", str(path), "--grid-check", "2"])[0] == 0
+
+
 def test_capacity_nats(capsys, merged_channel_file):
     code, out, _ = run_cli(capsys, ["capacity", merged_channel_file, "--json", "--nats"])
     record = json.loads(out)

@@ -18,8 +18,10 @@ from groupcodes import (
     entropy,
     mutual_information,
 )
-from groupcodes.groups import Subgroup
-from groupcodes.measures import ValidationError, _coset_terms, _row_entropies
+from groupcodes import groups
+from groupcodes.groups import Subgroup, _walk_schedule
+from groupcodes.measures import ValidationError, _coset_entropies, _coset_terms
+from groupcodes.measures import _row_entropies
 from groupcodes.measures import mi_per_coset
 from groupcodes.rates import all_reachable_thetas, channel_terms, source_terms
 
@@ -411,3 +413,20 @@ def test_walk_memory_within_reshape_route(orders):
             terms_of(data)  # the group's plan is built once, outside the peak
             oracle_peak = traced_peak(reshape_terms, data, comps)
             assert traced_peak(terms_of, data) <= oracle_peak
+
+
+@pytest.mark.parametrize("orders", [[4, 9], [2, 4, 8], [32]])
+def test_small_group_terms_take_one_entropy_batch(monkeypatch, orders):
+    # below ENTROPY_BATCH_FLOOR rows a group's terms take one batch; a row's
+    # entropy does not depend on its batch, so batches capped at |G| rows,
+    # as without the floor, give the same entropies bit for bit
+    spec = decompose(orders).spec
+    rng = make_rng(spec.order)
+    _, batches = spec._walk_layer
+    assert len(batches) == 1
+    monkeypatch.setattr(groups, "ENTROPY_BATCH_FLOOR", 1)
+    capped = _walk_schedule(spec, np.flatnonzero(spec._selector_layer[-1]))
+    assert len(capped[1]) > 1
+    for data in (random_channel(spec, 3, rng), random_source_joint(spec, 3, rng)):
+        one = _coset_entropies(data, *spec._walk_layer)
+        assert np.array_equal(one, _coset_entropies(data, *capped), equal_nan=True)

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from groupcodes import (
     ChannelSpec,
@@ -37,7 +38,9 @@ from groupcodes.rates import (
     TIE_TOL,
     SolverError,
     _packing_lp,
+    _optimize,
     _result,
+    _search,
     _solve_support,
     _SupportProblems,
     all_reachable_thetas,
@@ -141,6 +144,12 @@ def covering_supports(spec):
         for combo in itertools.product(*per_prime)
     ]
     return sorted(supports)
+
+
+def covering_bounds(problems):
+    """The vertex bound of every covering support of a rate call."""
+    _, members, top = problems.spec._covering_layer
+    return problems.vertex_bounds(members, top)
 
 
 def support_tuples(problems):
@@ -743,6 +752,16 @@ def test_grid_search_rejects_non_integer_steps(steps):
     )
 
 
+def test_grid_search_names_the_least_step_count():
+    # every support holds one slot per prime, so Z4+Z3 needs two steps
+    spec = decompose([4, 3]).spec
+    terms = channel_terms(random_channel(spec, 3, make_rng(9)))
+    with pytest.raises(ValueError, match="steps must be >= 2, the number of primes"):
+        grid_search(spec, terms, "channel", steps=1)
+    _, weights = grid_search(spec, terms, "channel", steps=2)
+    assert {q for q, _ in weights.support} == {2, 3}
+
+
 def inner_optimum(spec, terms, sense, weights) -> float:
     """The inner max (source) or min (channel) at a weight vector, from the
     public omega over Theta of its support, with the 0/0 -> 0 convention."""
@@ -797,7 +816,7 @@ def unpruned_scan(problems):
     """Every support with a finite bound solved in lexicographic order; the
     winner is the first support whose value is within a relative 1e-12 of
     the optimum."""
-    bounds = problems.vertex_bounds()
+    bounds = covering_bounds(problems)
     solved = {}
     for i in range(len(problems.columns)):
         if bounds[i] < math.inf:
@@ -809,7 +828,8 @@ def unpruned_scan(problems):
         for i, (value, *_) in solved.items()
         if value == opt or abs(value - opt) <= 1e-12 * abs(opt)
     )
-    return _result(problems, first, *solved[first][1:]), solved
+    columns, members, _ = problems.spec._covering_layer
+    return _result(problems, columns[first], members[first], *solved[first][1:]), solved
 
 
 def draw_group(draw):
@@ -851,7 +871,7 @@ def assert_matches_unpruned_scan(spec, terms, sense):
     for field in RateResult.__dataclass_fields__:
         assert getattr(got, field) == getattr(expected, field), field
     # the channel bound is an upper bound, the source bound a lower one
-    bounds = problems.sign * problems.vertex_bounds()
+    bounds = problems.sign * covering_bounds(problems)
     supports = support_tuples(problems)
     for i, (value, *_) in solved.items():
         assert bounds[i] >= problems.sign * value - 1e-12 * value
@@ -927,8 +947,8 @@ def test_plan_arrays_are_read_only():
     assert "_walk_layer" in vars(spec) and "_covering_layer" not in vars(spec)
     _, batches = spec._walk_layer
     walk = tuple(array for _, *arrays in batches for array in arrays)
-    arrays = spec._selector_layer + spec._covering_layer
-    assert len(arrays) == 9
+    arrays = spec._selector_layer + spec._prefix_layer + spec._covering_layer
+    assert len(arrays) == 13
     for array in arrays + walk:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array
@@ -1018,22 +1038,25 @@ def test_pruning_margin_keeps_ties(orders, sixths):
 
 
 def assert_visits_best_first(monkeypatch, terms, sense):
-    """Supports are solved by vertex bound, best first, equal bounds in
-    lexicographic order, and the winner is the reported support.  Every
-    support not solved lies past the stop (its bound below the winner's value
-    by TIE_TOL) or was skipped: it comes after the winner, whose value is
-    within TIE_TOL of its bound, so it could at best tie and lose."""
+    """Terms that are not monotone take the best-first search: supports are
+    solved by vertex bound, best first, equal bounds in lexicographic order,
+    and the winner is the reported support.  Every support not solved lies
+    past the stop (its bound below the winner's value by TIE_TOL) or was
+    skipped: it comes after the winner, whose value is within TIE_TOL of its
+    bound, so it could at best tie and lose."""
     spec = decompose([64, 81]).spec
     problems = _SupportProblems.from_mapping(spec, terms, sense)
-    bounds = problems.sign * problems.vertex_bounds()
+    assert not problems.monotone()
+    bounds = problems.sign * covering_bounds(problems)
+    row_of = {row.tobytes(): i for i, row in enumerate(problems.columns)}
     visited = []
-    getitem = _SupportProblems.__getitem__
+    sliced = _SupportProblems.slice
 
-    def record(self, i):
-        visited.append(i)
-        return getitem(self, i)
+    def record(self, cols, rows):
+        visited.append(row_of[cols.tobytes()])
+        return sliced(self, cols, rows)
 
-    monkeypatch.setattr(_SupportProblems, "__getitem__", record)
+    monkeypatch.setattr(_SupportProblems, "slice", record)
     result = optimize_weights(spec, terms, sense)
     winner = support_tuples(problems).index(result.support)
     best_first = sorted(range(len(bounds)), key=lambda i: (-bounds[i], i))
@@ -1055,13 +1078,19 @@ def assert_visits_best_first(monkeypatch, terms, sense):
 
 
 def test_channel_visits_supports_best_first(monkeypatch):
-    terms = channel_terms(random_channel(decompose([64, 81]).spec, 4, make_rng(3)))
+    # a term of theta = (6, 3) above I(X;Y) breaks monotonicity
+    spec = decompose([64, 81]).spec
+    terms = channel_terms(random_channel(spec, 4, make_rng(3)))
+    terms[ThetaVector(spec, (6, 3))] = 2 * max(terms.values())
     assert_visits_best_first(monkeypatch, terms, "channel")
 
 
 def test_source_visits_supports_best_first(monkeypatch):
-    # the supports with an infinite bound are never solved
-    terms = source_terms(random_source_joint(decompose([64, 81]).spec, 4, make_rng(3)))
+    # a zero term of theta = (3, 2) breaks monotonicity; the supports with
+    # an infinite bound are never solved
+    spec = decompose([64, 81]).spec
+    terms = source_terms(random_source_joint(spec, 4, make_rng(3)))
+    terms[ThetaVector(spec, (3, 2))] = 0.0
     bounds, visited = assert_visits_best_first(monkeypatch, terms, "source")
     assert all(bounds[i] > -math.inf for i in visited)
 
@@ -1129,7 +1158,7 @@ def test_full_support_source_bound_is_finite_property(orders):
     *_, reachable = spec._selector_layer
     problems = _SupportProblems(spec, np.where(reachable, 1.0, math.nan), "source")
     full = support_tuples(problems).index(tuple(sorted(spec.weight_slots)))
-    assert problems.vertex_bounds()[full] < math.inf
+    assert covering_bounds(problems)[full] < math.inf
 
 
 @pytest.mark.parametrize(
@@ -1146,6 +1175,84 @@ def test_ulp_move_keeps_support(orders, seed):
             moved = dict(terms)
             moved[th] = float(np.nextafter(terms[th], direction))
             assert optimize_weights(spec, moved, "channel").support == support
+
+
+@st.composite
+def search_case(draw):
+    """Terms over a random group of a random, additive-noise or coset
+    channel, or of a random source, with the sense.  A coset channel's
+    output is the coset of its input under a drawn selector, so every
+    selector at or above that one has a zero term."""
+    spec = draw_group(draw)
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "additive", "coset", "source"]))
+    if kind == "source":
+        joint = random_source_joint(spec, draw(st.integers(2, 5)), rng)
+        return spec, source_terms(joint), "source", kind
+    if kind == "random":
+        chan = random_channel(spec, draw(st.integers(2, 5)), rng)
+    elif kind == "additive":
+        chan = random_additive_channel(spec, rng)
+    else:
+        theta = draw(st.sampled_from(all_reachable_thetas(spec)[:-1]))
+        labels = Subgroup(spec, theta).label_indices()
+        matrix = np.zeros((spec.order, labels.max() + 1))
+        matrix[np.arange(spec.order), labels] = 1.0
+        chan = ChannelSpec(spec, matrix)
+    return spec, channel_terms(chan), "channel", kind
+
+
+@given(search_case())
+def test_prefix_walk_matches_best_first_and_scan_property(case):
+    # where the terms are monotone, the prefix walk reports every field the
+    # best-first search and the unpruned scan report; a coset channel of a
+    # selector other than the full one has a zero term and takes the search
+    spec, terms, sense, kind = case
+    problems = _SupportProblems.from_mapping(spec, terms, sense)
+    if kind == "coset":
+        assert not problems.monotone()
+    expected, _ = unpruned_scan(problems)
+    results = [optimize_weights(spec, terms, sense), _search(problems, False)]
+    if problems.monotone():
+        results.append(_search(problems, True))
+    for got in results:
+        for field in RateResult.__dataclass_fields__:
+            assert getattr(got, field) == getattr(expected, field), field
+
+
+def test_sixths_source_terms_take_the_best_first_search():
+    # on Z32, {(2,1),(2,2),(2,3)} is +inf, between {(2,1),(2,2)} and the
+    # full support, both at 5/3: the terms are not monotone, and the prefix
+    # walk alone would stop at the infinite prefix and miss the first tie
+    spec = decompose([32]).spec
+    sixths = (0, 1, 4, 0, 5, 0)
+    terms = {th: k / 6 for th, k in zip(all_reachable_thetas(spec), sixths)}
+    problems = _SupportProblems.from_mapping(spec, terms, "source")
+    assert not problems.monotone()
+    expected, _ = unpruned_scan(problems)
+    assert expected.support == ((2, 1), (2, 2))
+    assert optimize_weights(spec, terms, "source") == expected
+    assert _search(problems, True).support != expected.support
+
+
+def test_monotone_rate_call_builds_no_covering_layer(monkeypatch):
+    # Z_(2^16) has 65535 covering supports; with monotone terms the call
+    # solves the full support and at most one prefix, and builds none of them
+    spec = decompose([2**16]).spec
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _packing_lp(*args)
+
+    monkeypatch.setattr(rates, "_packing_lp", counted)
+    chan = random_channel(spec, 2, make_rng(16))
+    result = channel_coding_rate(chan)
+    assert "_prefix_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+    assert 1 <= len(calls) <= 2
+    problems = _SupportProblems.from_mapping(spec, channel_terms(chan), "channel")
+    assert problems.monotone()
+    assert result == _search(problems, False)
 
 
 def test_packing_lp_raises_when_unbounded():
@@ -1202,14 +1309,76 @@ def test_packing_lp_matches_highs(orders):
     assert solved
 
 
+def numpy_packing_lp(a, b, c):
+    """The simplex with its entering column and leaving row chosen by numpy
+    array operations: the oracle of the scalar pivot choice."""
+    m, n = a.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    np.fill_diagonal(tab[:m, n:], 1.0)
+    tab[:m, -1] = b
+    tab[m, :n] = -c
+    cost, rhs = tab[m, :-1], tab[:m, -1]
+    basis = np.arange(n, n + m)
+    ratios = np.empty(m)
+    while True:
+        j = (cost < -rates.LP_TOL).argmax()
+        if not cost[j] < -rates.LP_TOL:
+            break
+        col = tab[:m, j]
+        rows = col > rates.LP_TOL
+        if not rows.any():
+            raise SolverError("unbounded packing LP")
+        ratios.fill(math.inf)
+        np.divide(rhs, col, out=ratios, where=rows)
+        i = np.where(ratios <= ratios.min() + rates.LP_TOL, basis, n + m).argmin()
+        tab[i] /= tab[i, j]
+        pivot_col = tab[:, j].copy()
+        pivot_col[i] = 0.0
+        tab -= pivot_col[:, None] * tab[i]
+        basis[i] = j
+    x = np.zeros(n + m)
+    x[basis] = rhs
+    return np.maximum(x[:n], 0.0), np.maximum(tab[m, n : n + m], 0.0)
+
+
+@st.composite
+def packing_lps(draw):
+    """A packing LP with small integer entries, so ratios and reduced costs
+    tie often, scaled by one of a few factors; b >= 0 and mostly 0, so that
+    pivots are degenerate and the leaving row is picked among tied ratios."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    scale = draw(st.sampled_from([1.0, math.log2(3), 0.1]))
+    ints = st.integers(-1, 2)
+    a = draw(hnp.arrays(np.int64, (m, n), elements=ints)) * scale
+    b = draw(hnp.arrays(np.int64, m, elements=st.sampled_from([0, 0, 1]))) * scale
+    c = draw(hnp.arrays(np.int64, n, elements=ints)) * scale
+    return a, b, c
+
+
+@settings(max_examples=300)
+@given(packing_lps())
+def test_packing_lp_matches_numpy_pivot_choice_property(lp):
+    # choosing pivots on Python floats keeps x, y and the unbounded cases
+    try:
+        expected = numpy_packing_lp(*lp)
+    except SolverError:
+        with pytest.raises(SolverError, match="unbounded packing LP"):
+            _packing_lp(*lp)
+        return
+    x, y = _packing_lp(*lp)
+    assert np.array_equal(x, expected[0]) and np.array_equal(y, expected[1])
+
+
 def plain_vertex_bounds(problems):
-    """The vertex bounds by whole-array temporaries: c / top or c / (1 - top),
-    0 for a zero term, the max (source) or min (channel) over the counted
-    selectors."""
-    part = problems.top if problems.sign < 0 else 1.0 - problems.top
+    """The covering supports' vertex bounds by whole-array temporaries:
+    c / top or c / (1 - top), 0 for a zero term, the max (source) or min
+    (channel) over the counted selectors."""
+    _, members, top = problems.spec._covering_layer
+    part = top if problems.sign < 0 else 1.0 - top
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(problems.c <= INFO_ZERO_TOL, 0.0, problems.c / part)
-    counted = problems.members & ~problems.excluded
+    counted = members & ~problems.excluded
     if problems.sign < 0:
         return np.where(counted, bound, -math.inf).max(axis=1)
     return np.where(counted, bound, math.inf).min(axis=1)
@@ -1217,18 +1386,23 @@ def plain_vertex_bounds(problems):
 
 @pytest.mark.parametrize("sense", ["channel", "source"])
 def test_vertex_bounds_in_one_temporary(sense):
-    # a deep ring has 2^14 - 1 supports over 15 selectors: the bounds are
-    # built in one float array the size of top, not one per operation
+    # a deep ring has 2^14 - 1 supports over 15 selectors.  Random terms are
+    # not monotone, so the rate takes the best-first search, which bounds
+    # every covering support in one float array the size of top, not one per
+    # operation, and solves its supports in that much memory again at most
     spec = decompose([2**14]).spec
     # every row of a single ring's selector grid is reachable
     terms = make_rng(150).random(len(spec._selector_layer[0]))
     terms[[3, 7]] = 0.0  # zero terms bound by 0
     problems = _SupportProblems(spec, terms, sense)
+    assert not problems.monotone()
+    _, _, top = spec._covering_layer  # the plan is built before tracing
     tracemalloc.start()
     try:
-        bounds = problems.vertex_bounds()
+        result = _optimize(problems)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(bounds, plain_vertex_bounds(problems))
-    assert peak <= 1.5 * problems.top.nbytes
+    assert np.array_equal(covering_bounds(problems), plain_vertex_bounds(problems))
+    assert peak <= 1.5 * top.nbytes
+    assert result.value == _search(problems, False).value
