@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1202,14 +1202,32 @@ def search_case(draw):
     return spec, channel_terms(chan), "channel", kind
 
 
+def sixths_case():
+    """The Z32 source terms in sixths of test_pruning_margin_keeps_ties,
+    which are not monotone."""
+    spec = decompose([32]).spec
+    sixths = (0, 1, 4, 0, 5, 0)
+    return spec, dict(zip(all_reachable_thetas(spec), (k / 6 for k in sixths)))
+
+
+def coset_case():
+    """The channel on Z4+Z2 whose output is the coset of theta = (1, 0)."""
+    spec = decompose([4, 2]).spec
+    labels = Subgroup(spec, ThetaVector(spec, (1, 0))).label_indices()
+    return spec, channel_terms(ChannelSpec(spec, np.eye(2)[labels]))
+
+
+@example((*sixths_case(), "source", "sixths"))
+@example((*coset_case(), "channel", "coset"))
 @given(search_case())
 def test_prefix_walk_matches_best_first_and_scan_property(case):
     # where the terms are monotone, the prefix walk reports every field the
     # best-first search and the unpruned scan report; a coset channel of a
-    # selector other than the full one has a zero term and takes the search
+    # selector other than the full one has a zero term, and the sixths terms
+    # are not monotone, so both take the search
     spec, terms, sense, kind = case
     problems = _SupportProblems.from_mapping(spec, terms, sense)
-    if kind == "coset":
+    if kind in ("coset", "sixths"):
         assert not problems.monotone()
     expected, _ = unpruned_scan(problems)
     results = [optimize_weights(spec, terms, sense), _search(problems, False)]
@@ -1224,11 +1242,8 @@ def test_sixths_source_terms_take_the_best_first_search():
     # on Z32, {(2,1),(2,2),(2,3)} is +inf, between {(2,1),(2,2)} and the
     # full support, both at 5/3: the terms are not monotone, and the prefix
     # walk alone would stop at the infinite prefix and miss the first tie
-    spec = decompose([32]).spec
-    sixths = (0, 1, 4, 0, 5, 0)
-    terms = {th: k / 6 for th, k in zip(all_reachable_thetas(spec), sixths)}
+    spec, terms = sixths_case()
     problems = _SupportProblems.from_mapping(spec, terms, "source")
-    assert not problems.monotone()
     expected, _ = unpruned_scan(problems)
     assert expected.support == ((2, 1), (2, 2))
     assert optimize_weights(spec, terms, "source") == expected
