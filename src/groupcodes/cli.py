@@ -95,8 +95,11 @@ def _input_group(args, spec):
 
 
 def _write_csv(path: str, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(args, doc: dict, text: str) -> None:

@@ -7,10 +7,12 @@ residue grid instead, one row per element in canonical order (last residue
 fastest), and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
 A GroupSpec caches the rate layer's selector plan, which depends on the
-group alone: the selector grid, built on first read, the prefix supports and
-dominance pairs, built by the first rate call, the covering supports, built
-only where the best-first search or the grid oracle runs, and the walk of
-the coset terms down the selector lattice, built by the first terms call.
+group alone: the selector grid, built on first read, the dominance pairs of
+its reachable rows, built by the first rate call, the supports a rate call
+searches (the prefixes of the slot order, or every covering support where
+the prefixes may not settle it, which the grid oracle scans too), each built
+by the first call that reads it, and the walk of the coset terms down the
+selector lattice, built by the first terms call.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
 """
@@ -165,25 +167,31 @@ class GroupSpec:
     @cached_property
     def _covering_layer(self) -> tuple[np.ndarray, ...]:
         """Every covering support, as ``_faces`` of their slot masks in
-        tie-break order, built only where the rate's best-first search or
-        the grid oracle runs.  On Z_(2^18) this layer holds about 50 MB, most
-        of it ``top``."""
+        tie-break order: what a rate call searches where the full support
+        may not settle it, and what the grid oracle scans.  On Z_(2^18) this
+        layer holds about 50 MB, most of it ``top``."""
         return self._faces(_covering_masks(self))
 
     @cached_property
     def _prefix_layer(self) -> tuple[np.ndarray, ...]:
-        """The supports a rate call with monotone terms solves: ``_faces`` of
-        the prefixes of the slot order that give every prime a slot, the
-        shortest first and the full support last, and the dominance pairs
-        [2, pairs] of the reachable rows, each column two grid rows lo != hi
-        with theta_lo <= theta_hi componentwise."""
+        """The prefixes of the slot order that give every prime a slot, as
+        ``_faces`` of their slot masks, the shortest first and the full
+        support last (their tie-break order): what a rate call searches
+        where the full support settles it."""
         k, r = len(self.weight_slots), self.max_exponent(self.primes[-1])
+        return self._faces(np.tri(k, dtype=bool)[k - r :])
+
+    @cached_property
+    def _dominance_pairs(self) -> np.ndarray:
+        """The dominance pairs [2, pairs] of the reachable rows, each column
+        two grid rows lo != hi with theta_lo <= theta_hi componentwise."""
         reachable = np.flatnonzero(self._selector_layer[-1])
         grid = self._selector_layer[0][reachable]
         below = (grid[:, None, :] <= grid[None, :, :]).all(axis=-1)
         np.fill_diagonal(below, False)
         pairs = reachable[np.array(np.nonzero(below))]
-        return self._faces(np.tri(k, dtype=bool)[k - r :]) + _read_only(pairs)
+        pairs.setflags(write=False)
+        return pairs
 
     def _faces(self, columns: np.ndarray) -> tuple[np.ndarray, ...]:
         """Supports as slot masks ``columns`` [supports, k], Theta(S) of each

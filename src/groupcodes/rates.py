@@ -15,19 +15,17 @@ never makes its value worse: the selectors the slot adds take, at the
 smaller support's optimum, the omega of a selector above them that it
 already holds, whose term is no better.  So the full support attains the
 rate, and as every support that sorts before it is one of its prefixes in
-slot order, the first tying support is a prefix too.  Such a call solves the
-full support's LP and then walks the prefixes, longest first, until one
-falls out of the tie band: on random inputs one LP.  Two preconditions are
-checked on the call's terms first: monotonicity over every pair of
-reachable selectors theta <= theta', and, on the channel side, no reachable
-term but the excluded full selector's at or below INFO_ZERO_TOL, since a
-zero term that shares omega = 1 with the full selector pins every support
-reaching it to 0 (a coset channel, whose output is the coset of its input).
-Every other input, as a coset channel or non-monotone terms given to
-optimize_weights, takes the best-first search over every covering support:
-terms in sixths on Z32 make the source value of {(2,1),(2,2),(2,3)} +inf,
-between {(2,1),(2,2)} and the full support, both at 5/3, and a prefix walk
-would stop at the infinite one.  The search visits supports by a vertex
+slot order, the first tying support is a prefix too.  Two preconditions are
+checked on the call's terms: monotonicity over every pair of reachable
+selectors theta <= theta', and, on the channel side, no reachable term but
+the excluded full selector's at or below INFO_ZERO_TOL, since a zero term
+that shares omega = 1 with the full selector pins every support reaching it
+to 0 (a coset channel, whose output is the coset of its input).
+One search serves every call, over one of two support sets: the prefixes
+that give every prime a slot where both hold, and every covering support
+otherwise, as for a coset channel or non-monotone terms given to
+optimize_weights (terms in sixths on Z4+Z2 put the source optimum on
+{(2,2)}, which is no prefix).  The search visits supports by a vertex
 bound.  A single selector's ratio is linear-fractional, so its extremes on
 the face S sit at vertices: the source bound is the largest over Theta(S)
 of c_theta / max omega_theta, the channel bound the least of
@@ -35,19 +33,20 @@ c_theta / (1 - max omega_theta), and neither side's optimum on S can beat
 its bound.  Once a bound falls short of the incumbent by the tie tolerance,
 no later support can tie or win; a support whose bound the current winner
 already ties, and which comes after it in lexicographic order, cannot win
-either and gets no linear program.
+either and gets no linear program.  Over the prefixes of random inputs one
+linear program settles the call.
 Every rate call, oracle and Theta enumeration on a group reads its selector
 plan, cached on the GroupSpec because it depends on the group alone: the
 selector grid with m(theta), the coefficients n and d and the reachable
-rows, built on first read; the prefix supports with Theta(S) and the vertex
-bound's top of each, and the dominance pairs of the reachable rows, built by
-the first rate call; the covering supports with the same, built only where
-the best-first search or the grid oracle runs, so a call with monotone terms
-builds none of them; and the walk layer of the coset terms (see measures),
-built by the first terms call.  Its arrays are read-only and live as long as
-the spec; a call computes only what depends on its input, the terms and
-what is solved from them.  The vertex bounds take one float array the size
-of top, built in place.  At float weights omega is n.w / d.w with
+rows, built on first read; the dominance pairs of the reachable rows, built
+by the first rate call; each support set with Theta(S) and the vertex
+bound's top of each support, built by the first call that searches it (the
+covering supports also by the grid oracle), so a call with monotone terms
+builds no covering support; and the walk layer of the coset terms (see
+measures), built by the first terms call.  Its arrays are read-only and live
+as long as the spec; a call computes only what depends on its input, the
+terms and what is solved from them.  The vertex bounds take one float array
+the size of top, built in place.  At float weights omega is n.w / d.w with
 n = m(theta) log2 q and d = s log2 q, summed in slot order: the LP's own
 coefficients, the one float statement of omega, which the public omega
 takes too.  The winning support's solve evaluates the inner problem at its
@@ -233,9 +232,7 @@ class _SupportProblems:
     which no support reads), and the sense's excluded endpoint selector.  A
     support's LP input is sliced on demand from its slot mask and its row of
     Theta(S): n and D on S over the rows of Theta(S), their terms and
-    excluded flags.  Covering support i, a row of the plan's covering layer,
-    is ``self[i]``; only the best-first search and the grid oracle read that
-    layer.
+    excluded flags.
     ``sign`` +1 maximises (channel), -1 minimises (source), so sign * value
     is larger when better."""
 
@@ -264,16 +261,6 @@ class _SupportProblems:
         c[reachable] = [terms[th] for th in thetas]
         return cls(spec, c, sense)
 
-    @property
-    def columns(self) -> np.ndarray:
-        """The covering supports' slot masks [supports, k], in tie-break
-        order."""
-        return self.spec._covering_layer[0]
-
-    def __getitem__(self, i: int):
-        columns, members, _ = self.spec._covering_layer
-        return self.slice(columns[i], members[i])
-
     def slice(self, cols: np.ndarray, rows: np.ndarray):
         """The LP input of the support with slot mask cols and Theta(S) rows."""
         return self.n[rows][:, cols], self.d[cols], self.c[rows], self.excluded[rows]
@@ -284,7 +271,7 @@ class _SupportProblems:
         theta <= theta' giving c_theta >= c_theta' (channel) or c_theta <=
         c_theta' (source), and on the channel side no reachable selector but
         the excluded one has a term at or below INFO_ZERO_TOL."""
-        lo, hi = self.c[self.spec._prefix_layer[-1]]
+        lo, hi = self.c[self.spec._dominance_pairs]
         if self.sign < 0:
             return bool((lo <= hi).all())
         zero = (self.c[~self.excluded] <= INFO_ZERO_TOL).any()
@@ -479,9 +466,9 @@ def optimize_weights(
 
 
 def _optimize(problems: _SupportProblems) -> RateResult:
-    """Solve the supports that can still win and report the winner: the
-    prefix walk where the terms are monotone, else the best-first search
-    (both in _search).
+    """Search the support set that holds the winner (_search): the plan's
+    prefix supports where the terms are monotone, else every covering
+    support.
 
     Signed, sign * value, larger is better in both senses.  Let S be a
     subset of S', w* S's optimum, also a point of the face of S', and
@@ -505,42 +492,41 @@ def _optimize(problems: _SupportProblems) -> RateResult:
     Then the full support attains the rate.  Every support that sorts
     before it is one of its prefixes in slot order, and the first tying
     support is a prefix: adding the first slot of the order that a tying
-    support skips keeps the tie and sorts earlier.  A prefix is a subset of
-    every longer one, so once one falls out of the tie band every shorter
-    one does.  The prefix walk solves the full support, then the prefixes
-    that give every prime a slot, longest first, and stops at the first
-    whose vertex bound or solved value is out of the band; it reads only the
-    plan's prefix layer, and builds no covering layer.  On random inputs the
-    longest prefix's bound is usually out of the band already, and one LP
-    settles the call.
+    support skips keeps the tie and sorts earlier.  So the prefixes that
+    give every prime a slot hold the winner, and the call builds no
+    covering layer.
 
-    Every other input takes the best-first search over every covering
-    support.  Terms in sixths on Z32 are not monotone, and show why it is
-    needed: the source value of {(2,1),(2,2),(2,3)} is +inf, between
-    {(2,1),(2,2)} and the full support, both at 5/3, so a prefix walk would
-    stop at the infinite prefix and miss the first tie."""
-    return _search(problems, problems.monotone())
+    Every other input takes every covering support.  Source terms in
+    sixths on Z4+Z2 are not monotone, and show why: the optimum, 1/6, is
+    on {(2,2)}, which is no prefix, while the best prefix, {(2,1),(2,2)},
+    is at 5/3."""
+    spec = problems.spec
+    layer = spec._prefix_layer if problems.monotone() else spec._covering_layer
+    return _search(problems, *layer)
 
 
-def _search(problems: _SupportProblems, monotone: bool) -> RateResult:
-    """The prefix walk (monotone) or the best-first search of _optimize.
+def _search(
+    problems: _SupportProblems,
+    columns: np.ndarray,
+    members: np.ndarray,
+    top: np.ndarray,
+) -> RateResult:
+    """The best-first search of _optimize over the supports with slot masks
+    ``columns``, Theta(S) rows ``members`` and the vertex bound's ``top``,
+    given in tie-break order (a ``GroupSpec._faces`` triple).
 
     Values and bounds are compared signed.  B_i is support i's signed vertex
     bound, best the best value solved so far and w the winner among the
-    solved supports (_winner).  The walk visits the prefixes from the full
-    support down; the search visits every covering support by bound, best
-    first (a stable order, so equal bounds stay lexicographic).  In either
-    order support i gets no linear program when it cannot be the winner:
+    solved supports (_winner).  Supports are visited by bound, best first (a
+    stable order, so equal bounds stay lexicographic), and support i gets no
+    linear program when it cannot be the winner:
 
     - stop, B_i < best - TIE_TOL |best|: support i cannot reach the tie
       band, and neither can any support visited after it, so the loop ends;
     - skip, i > w and v_w >= B_i - TIE_TOL/2 |B_i|: no support from i on has
       a value above B_i, so the optimum can rise to at most B_i.  Since
       x - TIE_TOL |x| increases with x, w stays in the final tie band, and
-      the winner ends as w or a support of lower index, never i.  The walk
-      never skips, as every prefix it visits sorts before w.
-
-    The walk also stops at the first solved value below the band.
+      the winner ends as w or a support of lower index, never i.
 
     A computed value can exceed its bound by the rounding of omega at the
     witness, a few ulps (the scan tests allow up to TIE_TOL).  The skip test
@@ -558,16 +544,10 @@ def _search(problems: _SupportProblems, monotone: bool) -> RateResult:
     so a source support whose term is infinite for every weight choice sorts
     after it and is never solved."""
     sign = problems.sign
-    plan = problems.spec._prefix_layer if monotone else problems.spec._covering_layer
-    columns, members, top = plan[:3]
     bounds = sign * problems.vertex_bounds(members, top)
-    if monotone:
-        order = reversed(range(len(columns)))
-    else:
-        order = np.argsort(-bounds, kind="stable").tolist()
     values, solved = {}, {}
     best = -math.inf
-    for i in order:
+    for i in np.argsort(-bounds, kind="stable").tolist():
         bound = bounds[i]
         if bound < best - TIE_TOL * abs(best):
             break
@@ -579,8 +559,6 @@ def _search(problems: _SupportProblems, monotone: bool) -> RateResult:
         values[i] = sign * value
         best = max(best, sign * value)
         w = _winner(values)
-        if monotone and values[i] < best - TIE_TOL * abs(best):
-            break
     return _result(problems, columns[w], members[w], *solved[w])
 
 
@@ -721,8 +699,9 @@ def grid_search(
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
     best_val: float | None = None
-    for i, cols in enumerate(problems.columns):
-        problem = problems[i]
+    columns, members, _ = spec._covering_layer
+    for cols, rows in zip(columns, members):
+        problem = problems.slice(cols, rows)
         k = int(cols.sum())
         # a positive composition of steps is k - 1 distinct cuts in 1..steps-1
         cuts = itertools.combinations(range(1, steps), k - 1)

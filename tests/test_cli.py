@@ -341,6 +341,23 @@ def test_csv_for_capacity(capsys, merged_channel_file, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_unwritable_csv_is_a_validation_error(
+    capsys, merged_channel_file, identity_source_file, tmp_path, target
+):
+    # a missing directory or a directory as --csv: exit 2 with a message on
+    # stderr, no traceback and nothing on stdout
+    path = str(tmp_path / target)
+    for argv in (
+        ["capacity", merged_channel_file],
+        ["rd", identity_source_file],
+        ["theta-table", "8", "--support", "2,2;2,3"],
+    ):
+        code, out, err = run_cli(capsys, argv + ["--csv", path])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_verify_ensemble_passes(capsys):
     code, out, _ = run_cli(
         capsys, ["verify-ensemble", "4", "--counts", "0,1", "--n", "1", "--trials", "40"]

@@ -155,7 +155,8 @@ def covering_bounds(problems):
 def support_tuples(problems):
     """The covering supports of a rate call as slot tuples, in row order."""
     slots = problems.spec.weight_slots
-    return [tuple(itertools.compress(slots, row)) for row in problems.columns]
+    columns = problems.spec._covering_layer[0]
+    return [tuple(itertools.compress(slots, row)) for row in columns]
 
 
 @given(
@@ -817,10 +818,11 @@ def unpruned_scan(problems):
     winner is the first support whose value is within a relative 1e-12 of
     the optimum."""
     bounds = covering_bounds(problems)
+    columns, members, _ = problems.spec._covering_layer
     solved = {}
-    for i in range(len(problems.columns)):
+    for i, problem in enumerate(zip(columns, members)):
         if bounds[i] < math.inf:
-            solved[i] = _solve_support(*problems[i], problems.sense)
+            solved[i] = _solve_support(*problems.slice(*problem), problems.sense)
     values = [value for value, *_ in solved.values()]
     opt = min(values) if problems.sense == "source" else max(values)
     first = min(
@@ -828,7 +830,6 @@ def unpruned_scan(problems):
         for i, (value, *_) in solved.items()
         if value == opt or abs(value - opt) <= 1e-12 * abs(opt)
     )
-    columns, members, _ = problems.spec._covering_layer
     return _result(problems, columns[first], members[first], *solved[first][1:]), solved
 
 
@@ -948,6 +949,7 @@ def test_plan_arrays_are_read_only():
     _, batches = spec._walk_layer
     walk = tuple(array for _, *arrays in batches for array in arrays)
     arrays = spec._selector_layer + spec._prefix_layer + spec._covering_layer
+    arrays += (spec._dominance_pairs,)
     assert len(arrays) == 13
     for array in arrays + walk:
         with pytest.raises(ValueError, match="read-only"):
@@ -1038,7 +1040,7 @@ def test_pruning_margin_keeps_ties(orders, sixths):
 
 
 def assert_visits_best_first(monkeypatch, terms, sense):
-    """Terms that are not monotone take the best-first search: supports are
+    """Terms that are not monotone take every covering support: supports are
     solved by vertex bound, best first, equal bounds in lexicographic order,
     and the winner is the reported support.  Every support not solved lies
     past the stop (its bound below the winner's value by TIE_TOL) or was
@@ -1048,7 +1050,8 @@ def assert_visits_best_first(monkeypatch, terms, sense):
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     assert not problems.monotone()
     bounds = problems.sign * covering_bounds(problems)
-    row_of = {row.tobytes(): i for i, row in enumerate(problems.columns)}
+    columns = spec._covering_layer[0]
+    row_of = {row.tobytes(): i for i, row in enumerate(columns)}
     visited = []
     sliced = _SupportProblems.slice
 
@@ -1220,19 +1223,23 @@ def coset_case():
 @example((*sixths_case(), "source", "sixths"))
 @example((*coset_case(), "channel", "coset"))
 @given(search_case())
-def test_prefix_walk_matches_best_first_and_scan_property(case):
-    # where the terms are monotone, the prefix walk reports every field the
-    # best-first search and the unpruned scan report; a coset channel of a
-    # selector other than the full one has a zero term, and the sixths terms
-    # are not monotone, so both take the search
+def test_prefix_search_matches_covering_search_and_scan_property(case):
+    # where the terms are monotone, the search over the prefix supports
+    # reports every field the search over every covering support and the
+    # unpruned scan report; a coset channel of a selector other than the
+    # full one has a zero term, and the sixths terms are not monotone, so
+    # both take the covering supports
     spec, terms, sense, kind = case
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     if kind in ("coset", "sixths"):
         assert not problems.monotone()
     expected, _ = unpruned_scan(problems)
-    results = [optimize_weights(spec, terms, sense), _search(problems, False)]
+    results = [
+        optimize_weights(spec, terms, sense),
+        _search(problems, *spec._covering_layer),
+    ]
     if problems.monotone():
-        results.append(_search(problems, True))
+        results.append(_search(problems, *spec._prefix_layer))
     for got in results:
         for field in RateResult.__dataclass_fields__:
             assert getattr(got, field) == getattr(expected, field), field
@@ -1240,20 +1247,30 @@ def test_prefix_walk_matches_best_first_and_scan_property(case):
 
 def test_sixths_source_terms_take_the_best_first_search():
     # on Z32, {(2,1),(2,2),(2,3)} is +inf, between {(2,1),(2,2)} and the
-    # full support, both at 5/3: the terms are not monotone, and the prefix
-    # walk alone would stop at the infinite prefix and miss the first tie
+    # full support, both at 5/3: the terms are not monotone, and the call
+    # searches every covering support
     spec, terms = sixths_case()
     problems = _SupportProblems.from_mapping(spec, terms, "source")
     expected, _ = unpruned_scan(problems)
     assert expected.support == ((2, 1), (2, 2))
     assert optimize_weights(spec, terms, "source") == expected
-    assert _search(problems, True).support != expected.support
+    # on Z4+Z2 the optimum is on {(2,2)}, which is no prefix, so the prefix
+    # supports alone report {(2,1),(2,2)} at 5/3
+    spec = decompose([4, 2]).spec
+    sixths = {(0, 0): 0, (0, 1): 5, (1, 1): 0, (1, 2): 1}
+    terms = {th: sixths[th.components] / 6 for th in all_reachable_thetas(spec)}
+    problems = _SupportProblems.from_mapping(spec, terms, "source")
+    expected, _ = unpruned_scan(problems)
+    assert expected.support == ((2, 2),) and expected.value == 1 / 6
+    assert optimize_weights(spec, terms, "source") == expected
+    prefixes = _search(problems, *spec._prefix_layer)
+    assert prefixes.support == ((2, 1), (2, 2)) and prefixes.value == 5 / 3
 
 
 def test_monotone_rate_call_builds_no_covering_layer(monkeypatch):
-    # Z_(2^16) has 65535 covering supports; with monotone terms the call
-    # solves the full support and at most one prefix, and builds none of them
-    spec = decompose([2**16]).spec
+    # with monotone terms a rate call searches the prefix supports, solves
+    # one LP and builds no covering support: random channels and sources on
+    # wide groups, and a channel on Z_(2^16), which has 65535 of them
     calls = []
 
     def counted(*args):
@@ -1261,13 +1278,26 @@ def test_monotone_rate_call_builds_no_covering_layer(monkeypatch):
         return _packing_lp(*args)
 
     monkeypatch.setattr(rates, "_packing_lp", counted)
+    rng = make_rng(16)
+    for orders in ([8], [2, 8], [4, 9], [64, 9], [8, 8, 8, 27]):
+        spec = decompose(orders).spec
+        for _ in range(3):
+            chan = random_channel(spec, int(rng.integers(2, 6)), rng)
+            joint = random_source_joint(spec, int(rng.integers(2, 6)), rng)
+            for rate, data in ((channel_coding_rate, chan), (source_coding_rate, joint)):
+                calls.clear()
+                rate(data)
+                assert len(calls) == 1
+        assert "_covering_layer" not in vars(spec)
+    spec = decompose([2**16]).spec
     chan = random_channel(spec, 2, make_rng(16))
+    calls.clear()
     result = channel_coding_rate(chan)
     assert "_prefix_layer" in vars(spec) and "_covering_layer" not in vars(spec)
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
     problems = _SupportProblems.from_mapping(spec, channel_terms(chan), "channel")
     assert problems.monotone()
-    assert result == _search(problems, False)
+    assert result == _search(problems, *spec._covering_layer)
 
 
 def test_packing_lp_raises_when_unbounded():
@@ -1306,8 +1336,8 @@ def test_packing_lp_matches_highs(orders):
     solved = 0
     for sense, terms in cases:
         problems = _SupportProblems.from_mapping(spec, terms, sense)
-        for i in range(len(problems.columns)):
-            n, d, c, excluded = problems[i]
+        for cols, rows in zip(*spec._covering_layer[:2]):
+            n, d, c, excluded = problems.slice(cols, rows)
             active = ~excluded & (c > INFO_ZERO_TOL)
             if sense == "channel":
                 a, b, gain = d - n[active], c[active], d
@@ -1402,9 +1432,9 @@ def plain_vertex_bounds(problems):
 @pytest.mark.parametrize("sense", ["channel", "source"])
 def test_vertex_bounds_in_one_temporary(sense):
     # a deep ring has 2^14 - 1 supports over 15 selectors.  Random terms are
-    # not monotone, so the rate takes the best-first search, which bounds
-    # every covering support in one float array the size of top, not one per
-    # operation, and solves its supports in that much memory again at most
+    # not monotone, so the rate searches every covering support, which it
+    # bounds in one float array the size of top, not one per operation, and
+    # solves its supports in that much memory again at most
     spec = decompose([2**14]).spec
     # every row of a single ring's selector grid is reachable
     terms = make_rng(150).random(len(spec._selector_layer[0]))
@@ -1420,4 +1450,4 @@ def test_vertex_bounds_in_one_temporary(sense):
         tracemalloc.stop()
     assert np.array_equal(covering_bounds(problems), plain_vertex_bounds(problems))
     assert peak <= 1.5 * top.nbytes
-    assert result.value == _search(problems, False).value
+    assert result.value == _search(problems, *spec._covering_layer).value
