@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 import time
 from fractions import Fraction
@@ -94,6 +95,16 @@ def _input_group(args, spec):
     return InputGroup(spec, counts)
 
 
+def _check_csv(path: str) -> None:
+    """Refuse before any solve what the write would, with its message: an existing
+    path must open for writing (untruncated), a new one needs its directory."""
+    try:
+        if os.path.exists(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            os.close(os.open(path, os.O_WRONLY))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: str, rows: list[list[str]]) -> None:
     try:
         with open(path, "w", newline="") as fh:
@@ -156,7 +167,14 @@ def _cmd_rate(args, sense: str) -> int:
         raise ValidationError(f"{args.file} is not a {sense} problem")
     if args.grid_check is not None:
         _require_positive(args.grid_check, "--grid-check")
+    if args.csv:
+        _check_csv(args.csv)
     start = time.perf_counter()
+    if args.grid_check:
+        # the oracle first, so that its step rule refuses before the rate call
+        grid_value, _ = grid_search(
+            data.group, terms_of(data), sense, steps=args.grid_check
+        )
     result = rate_of(data)
     extras: dict = {}
     if args.closed_form:
@@ -167,10 +185,6 @@ def _cmd_rate(args, sense: str) -> int:
             )
         extras["closed_form"] = closed
     if args.grid_check:
-        # the rate call keeps its terms, so the oracle computes them again
-        grid_value, _ = grid_search(
-            data.group, terms_of(data), sense, steps=args.grid_check
-        )
         extras["grid_value"] = grid_value
         extras["grid_gap"] = abs(grid_value - result.value)
     elapsed = time.perf_counter() - start

@@ -32,15 +32,6 @@ TABLE_CELL_CAP = 1 << 16
 SIZE_CAP = 1 << 20
 
 
-def _depth(value: int, q: int, s: int) -> int:
-    """q-adic depth of a residue in Z_{q^s}; the zero residue has depth s."""
-    d = 0
-    while d < s and value % q == 0:
-        value //= q
-        d += 1
-    return d
-
-
 @dataclass(frozen=True)
 class InputGroup:
     """The auxiliary group J = sum of Z_{q^s} components, one block of
@@ -666,7 +657,13 @@ def lemma_suite(
     the first 25 are checked for additivity on every input pair when
     |J| <= 64, else on 64 fresh pairs each.  The pairwise law is checked on
     every input pair when |J|^2 <= 64, else on 16 drawn pairs, pair i with
-    seed (seed + i) mod 2**64.  Pairs are residue rows throughout.
+    seed (seed + i) mod 2**64.  Pairs are residue rows throughout.  The
+    congruence solver's closed form is checked on every b of a coefficient a
+    at once against a stable sort of a*x mod p^r over every x, which groups
+    the solutions of a*x = b by b, in increasing order: each b's count must
+    be gcd(a, p^r) or 0, and each solvable b's group the whole solution set.
+    Above SIZE_CAP equations each coefficient a is checked, on every b, with
+    probability SIZE_CAP / equations, so about SIZE_CAP are checked.
     """
     _check_count("blocklength", n)
     _check_seed(seed)
@@ -683,8 +680,7 @@ def lemma_suite(
     # additivity of the sampled maps; pairs are [pairs, 2, k], a then b
     in_moduli, moduli, k = ig.spec.moduli, ig.group.moduli, ig.total
     every_pair = _grid(in_moduli * 2).reshape(-1, 2, k) if ig.size <= 64 else None
-    law_fail = 0
-    law_total = 0
+    law_fail = law_total = 0
     for images in tables[:25]:
         pairs = every_pair
         if pairs is None:
@@ -698,10 +694,7 @@ def lemma_suite(
     checks.append(LemmaCheck("homomorphism-law", law_fail == 0, detail))
 
     # pairwise joint law
-    if ig.size**2 <= 64:
-        pairs = _grid(in_moduli * 2).reshape(-1, 2, k)
-    else:
-        pairs = rng.integers(0, in_moduli, (16, 2, k))
+    pairs = every_pair if ig.size**2 <= 64 else rng.integers(0, in_moduli, (16, 2, k))
     reports = [
         verify_pairwise_law(ig, n, a, b, max(samples, 1024), (seed + i) % 2**64)
         for i, (a, b) in enumerate(pairs.tolist())
@@ -721,10 +714,7 @@ def lemma_suite(
     detail = f"census has {len(got)} selectors, support enumeration {len(expected)}"
     checks.append(LemmaCheck("theta-set-equality", got == expected, detail))
 
-    # congruence solver against brute force: a stable sort of a*x mod p^r
-    # over every x groups the solutions of a*x = b by b, in increasing order.
-    # Above SIZE_CAP equations, each coefficient a is checked, on every b,
-    # with probability SIZE_CAP / equations, so about SIZE_CAP are checked.
+    # congruence solver against brute force, mismatches counted per equation
     levels = [
         (p, r, s)
         for p in ig.group.primes
@@ -732,22 +722,26 @@ def lemma_suite(
         for s in range(1, r + 1)
     ]
     share = SIZE_CAP / sum((p**s - 1) * p**r for p, r, s in levels)
-    cong_total = 0
-    cong_fail = 0
+    cong_total = cong_fail = 0
     for p, r, s in levels:
         mod = p**r
         coeffs = range(1, p**s)
         if share < 1:
             coeffs = (np.flatnonzero(rng.random(len(coeffs)) < share) + 1).tolist()
+        targets = np.arange(mod)
         for a in coeffs:
-            image = a * np.arange(mod) % mod
-            xs = np.argsort(image, kind="stable").tolist()
-            edges = np.searchsorted(image[xs], np.arange(mod + 1)).tolist()
-            for b in range(mod):
-                brute = tuple(xs[edges[b] : edges[b + 1]])
-                cong_total += 1
-                if solve_congruence(p, r, s, a, b) != brute:
-                    cong_fail += 1
+            image = a * targets % mod
+            xs = np.argsort(image, kind="stable")
+            counts = np.bincount(image, minlength=mod)
+            solvable, base, period = _congruence(p, r, a, targets)
+            g = mod // period
+            wrong = counts != np.where(solvable, g, 0)
+            # each solvable b's slice of xs against base + period * arange(g)
+            b = np.flatnonzero(solvable & ~wrong)
+            brute = xs[(np.cumsum(counts) - counts)[b, None] + np.arange(g)]
+            wrong[b] |= (brute != base[b, None] + period * np.arange(g)).any(axis=1)
+            cong_total += mod
+            cong_fail += int(wrong.sum())
     sampled = " (sampled)" if share < 1 else ""
     detail = f"{cong_total} equations checked{sampled}, {cong_fail} mismatches"
     checks.append(LemmaCheck("congruence-solver", cong_fail == 0, detail))
@@ -757,10 +751,20 @@ def lemma_suite(
 # -- the modular linear-congruence solver ------------------------------------
 
 
+def _congruence(p: int, r: int, a: int, b):
+    """a*x = b mod p^r for a nonzero a and an int or int64 array b, with g =
+    gcd(a, p^r): whether g divides b, the least solution (b/g) (a/g)^-1 mod
+    p^r/g where it does, and the period p^r/g of its g solutions."""
+    g = math.gcd(a, p**r)
+    period = p**r // g
+    return b % g == 0, b // g * pow(a // g, -1, period) % period, period
+
+
 def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
     """Exact solution set of a*x = b mod p^r for a prime p and a nonzero a
-    in Z_{p^s}, s <= r: empty when b is shallower than a, else the p^depth(a)
-    residues of one class mod p^(r - depth(a)), in increasing order."""
+    in Z_{p^s}, s <= r: with g = gcd(a, p^r) = gcd(a, p^s), empty unless g
+    divides b, else the g residues (b/g) * (a/g)^-1 mod p^r/g plus the
+    multiples of p^r/g, in increasing order."""
     if not _is_prime(p):
         raise ValueError(f"modulus base p={p} is not prime")
     if not 1 <= s <= r:
@@ -772,13 +776,5 @@ def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
         )
     if not 0 <= b < p**r:
         raise ValueError(f"target {b} must be a residue of Z_{p**r}")
-    theta_hat = _depth(a, p, s)
-    theta = _depth(b, p, r)
-    if theta < theta_hat:
-        return ()
-    # p^theta_hat alpha x = p^theta beta: x = p^(theta - theta_hat) beta /
-    # alpha mod p^(r - theta_hat)
-    period = p ** (r - theta_hat)
-    alpha_inv = pow(a // p**theta_hat, -1, period)
-    base = p ** (theta - theta_hat) * alpha_inv * (b // p**theta) % period
-    return tuple(range(base, p**r, period))
+    solvable, base, period = _congruence(p, r, a, b)
+    return tuple(range(base, p**r, period)) if solvable else ()

@@ -212,20 +212,10 @@ def record_to_text(record: dict) -> str:
             fmt_number(term[key]) for key in ("omega", "info", "ratio")
         )
         lines.append(f"  theta={theta} omega={omega} info={info} ratio={ratio}")
+    # the extras, the cross-check rates: every number but the value, by key
     for key in sorted(record):
-        if key in (
-            "command",
-            "group",
-            "kind",
-            "units",
-            "value",
-            "support",
-            "weights",
-            "critical_thetas",
-            "per_theta",
-        ):
-            continue
-        lines.append(f"{key}: {fmt_number(record[key])}")
+        if key != "value" and isinstance(record[key], float):
+            lines.append(f"{key}: {fmt_number(record[key])}")
     return "\n".join(lines) + "\n"
 
 

@@ -50,6 +50,10 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _no_rate_call(*args, **kwargs):
+    raise cli.SolverError("the rate function was called")
+
+
 def test_group_info_mixed(capsys):
     code, out, _ = run_cli(capsys, ["group-info", "4,3,9,9"])
     assert code == 0
@@ -164,17 +168,19 @@ def test_capacity_grid_check(capsys, merged_channel_file):
     assert record["grid_gap"] < 5e-3
 
 
-def test_capacity_grid_check_needs_a_step_per_prime(capsys, tmp_path):
+def test_capacity_grid_check_needs_a_step_per_prime(capsys, tmp_path, monkeypatch):
     # every support of Z4+Z3 holds a slot of each of its two primes, so one
     # grid step is an invalid argument (exit 2), not a solver error
     doc = {"kind": "channel", "group": [4, 3], "output_size": 2,
            "matrix": [[1, 0] if x % 2 else [0, 1] for x in range(12)]}
     path = tmp_path / "z4z3.json"
     path.write_text(json.dumps(doc))
+    assert run_cli(capsys, ["capacity", str(path), "--grid-check", "2"])[0] == 0
+    # the step count is refused before the rate call
+    monkeypatch.setattr(cli, "channel_coding_rate", _no_rate_call)
     code, out, err = run_cli(capsys, ["capacity", str(path), "--grid-check", "1"])
     assert code == 2 and out == ""
     assert "steps must be >= 2, the number of primes" in err
-    assert run_cli(capsys, ["capacity", str(path), "--grid-check", "2"])[0] == 0
 
 
 def test_capacity_nats(capsys, merged_channel_file):
@@ -343,19 +349,26 @@ def test_csv_for_capacity(capsys, merged_channel_file, tmp_path):
 
 @pytest.mark.parametrize("target", ["missing/out.csv", "."])
 def test_unwritable_csv_is_a_validation_error(
-    capsys, merged_channel_file, identity_source_file, tmp_path, target
+    capsys, merged_channel_file, identity_source_file, tmp_path, target, monkeypatch
 ):
     # a missing directory or a directory as --csv: exit 2 with a message on
-    # stderr, no traceback and nothing on stdout
+    # stderr, no traceback and nothing on stdout, before any rate call
+    monkeypatch.setattr(cli, "channel_coding_rate", _no_rate_call)
+    monkeypatch.setattr(cli, "source_coding_rate", _no_rate_call)
     path = str(tmp_path / target)
-    for argv in (
-        ["capacity", merged_channel_file],
-        ["rd", identity_source_file],
-        ["theta-table", "8", "--support", "2,2;2,3"],
-    ):
+    rate_calls = (["capacity", merged_channel_file], ["rd", identity_source_file])
+    for argv in rate_calls + (["theta-table", "8", "--support", "2,2;2,3"],):
         code, out, err = run_cli(capsys, argv + ["--csv", path])
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write {path}: ")
+    # a failed solve leaves a writable path as it was: no new, no truncated file
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for argv in rate_calls:
+        for kept in (new, old):
+            code, out, err = run_cli(capsys, argv + ["--csv", str(kept)])
+            assert code == 3 and out == "" and "the rate function was called" in err
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 def test_verify_ensemble_passes(capsys):
@@ -366,7 +379,8 @@ def test_verify_ensemble_passes(capsys):
     assert out.count("PASS") == 6 and "FAIL" not in out
 
 
-def _suite_lines(tables, pairs, pairwise, classes, equations):
+def _suite_lines(tables, pairs, pairwise, classes, equations, sampled=False):
+    equations = f"{equations} equations checked{' (sampled)' if sampled else ''}"
     return (
         f"PASS generator-constraints: {tables} sampled tables, 0 violations\n"
         f"PASS homomorphism-law: {pairs} pairs checked, 0 failures\n"
@@ -374,7 +388,7 @@ def _suite_lines(tables, pairs, pairwise, classes, equations):
         f"PASS census-bound: {classes} selector classes, 0 above the bound\n"
         f"PASS theta-set-equality: census has {classes} selectors, "
         f"support enumeration {classes}\n"
-        f"PASS congruence-solver: {equations} equations checked, 0 mismatches\n"
+        f"PASS congruence-solver: {equations}, 0 mismatches\n"
     )
 
 
@@ -401,6 +415,15 @@ def _suite_lines(tables, pairs, pairwise, classes, equations):
         (
             "4 --counts 0,1 --n 1 --trials 30 --seed 5",
             (30, 400, "16 pairs (exhaustive)", 3, 18),
+        ),
+        # above SIZE_CAP equations: the congruence check samples coefficients
+        (
+            "65536 --counts 1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 --n 1 --trials 5",
+            (5, 20, "4 pairs (sampled)", 2, 1155072, True),
+        ),
+        (
+            "128,243 --counts 1,0,0,0,0,0,0,1,0,0,0,0 --n 1 --trials 5",
+            (5, 180, "36 pairs (sampled)", 4, 139100),
         ),
     ],
 )

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from groupcodes import ChannelSpec, GroupSpec, Subgroup, ThetaVector, decompose
-from groupcodes import ensemble
+from groupcodes import cli, ensemble
 from groupcodes.ensemble import (
     HomomorphismTable,
     InputGroup,
@@ -50,6 +50,16 @@ def generator_choices(ig: InputGroup, n: int, fixed_zero=()) -> list[list[int]]:
     ]
 
 
+def depth_oracle(value: int, q: int, s: int) -> int:
+    """q-adic depth of a residue in Z_{q^s} by repeated division; the zero
+    residue has depth s."""
+    d = 0
+    while d < s and value % q == 0:
+        value //= q
+        d += 1
+    return d
+
+
 def pair_theta_oracle(ig: InputGroup, a, b) -> ThetaVector:
     """The selector of an input pair, one component at a time in GroupElement
     arithmetic: per level (p, r), the least |r-s|^+ plus the q-adic depth of
@@ -60,7 +70,7 @@ def pair_theta_oracle(ig: InputGroup, a, b) -> ThetaVector:
         best = r
         for (q, s, _), d in zip(ig.spec.rings, diff.residues):
             if q == p:
-                best = min(best, max(r - s, 0) + ensemble._depth(d, q, s))
+                best = min(best, max(r - s, 0) + depth_oracle(d, q, s))
         comps.append(best)
     return ThetaVector(ig.group, tuple(comps))
 
@@ -617,6 +627,65 @@ def test_congruence_exhaustive_small_primes():
                             x for x in range(mod) if (a * x) % mod == b
                         )
                         assert solve_congruence(p, r, s, a, b) == brute
+
+
+def congruence_oracle(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
+    """The solution set of a*x = b mod p^r by q-adic depths: empty when b is
+    shallower than a, else p^theta_hat alpha x = p^theta beta gives x =
+    p^(theta - theta_hat) beta / alpha mod p^(r - theta_hat)."""
+    theta_hat, theta = depth_oracle(a, p, s), depth_oracle(b, p, r)
+    if theta < theta_hat:
+        return ()
+    period = p ** (r - theta_hat)
+    alpha_inv = pow(a // p**theta_hat, -1, period)
+    base = p ** (theta - theta_hat) * alpha_inv * (b // p**theta) % period
+    return tuple(range(base, p**r, period))
+
+
+def test_congruence_closed_form_matches_depth_oracle():
+    # every (p, r, s, a, b) up to Z_(2^8), Z_(3^5), Z_(5^3) and Z_(7^2):
+    # the scalar solver, and the array form on every b at once
+    checked = 0
+    for p, top in ((2, 8), (3, 5), (5, 3), (7, 2)):
+        for r in range(1, top + 1):
+            mod = p**r
+            targets = np.arange(mod)
+            for s in range(1, r + 1):
+                for a in range(1, p**s):
+                    solvable, base, period = ensemble._congruence(p, r, a, targets)
+                    for b, ok, first in zip(
+                        range(mod), solvable.tolist(), base.tolist()
+                    ):
+                        want = congruence_oracle(p, r, s, a, b)
+                        assert solve_congruence(p, r, s, a, b) == want
+                        assert (tuple(range(first, mod, period)) if ok else ()) == want
+                    checked += mod
+    assert checked == 290_020
+
+
+def test_lemma_suite_reports_congruence_mismatches(monkeypatch, capsys):
+    # on Z4's 18 equations, the base of a = 2 mod 4 moves by one, so both of
+    # its solvable targets (0 and 2) get the wrong solutions, and a = 3 mod 4
+    # calls b = 1 unsolvable although x = 3 solves it: 3 mismatches
+    congruence = ensemble._congruence
+
+    def wrong(p, r, a, b):
+        solvable, base, period = congruence(p, r, a, b)
+        if (p, r, a) == (2, 2, 2):
+            base = base + 1
+        if (p, r, a) == (2, 2, 3):
+            solvable = solvable & (b != 1)
+        return solvable, base, period
+
+    monkeypatch.setattr(ensemble, "_congruence", wrong)
+    check = lemma_suite(ig_of([4], {(2, 2): 1}), 1, samples=60, seed=2)[-1]
+    assert check.name == "congruence-solver" and not check.passed
+    assert check.detail == "18 equations checked, 3 mismatches"
+    argv = ["verify-ensemble", "4", "--counts", "0,1", "--n", "1", "--trials", "60"]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert "FAIL congruence-solver: 18 equations checked, 3 mismatches\n" in out
+    assert err == "violated: congruence-solver\n"
 
 
 @pytest.mark.parametrize("p", [4, 6, 1, 0])
