@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .groups import decompose
+from .groups import _check_count, decompose
 from .measures import ValidationError
 from .problems import (
     ChannelProblem,
@@ -80,18 +80,13 @@ def _parse_list(text: str, count: int, what: str, parse) -> tuple:
         raise ValidationError(f"bad {what} {text!r}: {exc}") from None
 
 
-def _require_positive(value: int, flag: str) -> None:
-    if value < 1:
-        raise ValidationError(f"{flag} must be >= 1, got {value}")
-
-
 def _input_group(args, spec):
     """The --counts input group over spec, once --n and --trials check out."""
     from .ensemble import InputGroup
 
     counts = _parse_list(args.counts, len(spec.weight_slots), "counts", int)
-    _require_positive(args.n, "--n")
-    _require_positive(args.trials, "--trials")
+    _check_count("--n", args.n)
+    _check_count("--trials", args.trials)
     return InputGroup(spec, counts)
 
 
@@ -166,7 +161,7 @@ def _cmd_rate(args, sense: str) -> int:
     else:
         raise ValidationError(f"{args.file} is not a {sense} problem")
     if args.grid_check is not None:
-        _require_positive(args.grid_check, "--grid-check")
+        _check_count("--grid-check", args.grid_check)
     if args.csv:
         _check_csv(args.csv)
     start = time.perf_counter()

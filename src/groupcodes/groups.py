@@ -234,18 +234,6 @@ class GroupSpec:
         for tup in itertools.product(*(range(n) for n in self.moduli)):
             yield GroupElement(self, tup)
 
-    def element_index(self, x: "GroupElement") -> int:
-        """Position of x in canonical element order (mixed-radix value)."""
-        if x.spec != self:
-            raise TypeError("element bound to a different group")
-        idx = 0
-        for v, n in zip(x.residues, self.moduli):
-            idx = idx * n + v
-        return idx
-
-    def describe(self) -> str:
-        return " + ".join(f"Z{p**r}({p},{r},{m})" for p, r, m in self.rings)
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:

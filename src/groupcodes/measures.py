@@ -58,16 +58,6 @@ def _as_prob_array(values, shape_hint: str) -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
-def validate_distribution(p) -> np.ndarray:
-    """Check a nonnegative vector sums to one (within 1e-9) and return it."""
-    arr = _as_prob_array(p, "distribution")
-    if arr.ndim != 1:
-        raise ValidationError("distribution must be one-dimensional")
-    if abs(arr.sum() - 1.0) > PROB_TOL:
-        raise ValidationError(f"distribution sums to {arr.sum()}, not 1")
-    return arr
-
-
 def _row_entropies(arr: np.ndarray) -> np.ndarray:
     """The entropy of every distribution along the last axis, 0*log(0) = 0,
     with one temporary the size of arr."""
@@ -78,8 +68,14 @@ def _row_entropies(arr: np.ndarray) -> np.ndarray:
 
 
 def entropy(p) -> float:
-    """Shannon entropy in bits, with 0*log(0) = 0."""
-    return float(_row_entropies(validate_distribution(p)))
+    """Shannon entropy in bits, with 0*log(0) = 0, of a nonnegative vector
+    that sums to one (within 1e-9)."""
+    arr = _as_prob_array(p, "distribution")
+    if arr.ndim != 1:
+        raise ValidationError("distribution must be one-dimensional")
+    if abs(arr.sum() - 1.0) > PROB_TOL:
+        raise ValidationError(f"distribution sums to {arr.sum()}, not 1")
+    return float(_row_entropies(arr))
 
 
 def mutual_information(joint) -> float:

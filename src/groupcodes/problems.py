@@ -132,6 +132,8 @@ def load_problem(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path} is not valid JSON: nested too deeply") from None
     return parse_problem(doc)
 
 

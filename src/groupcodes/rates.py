@@ -644,34 +644,33 @@ def channel_coding_rate(chan: ChannelSpec) -> RateResult:
 # -- closed forms for a single Z_{p^r} ring --------------------------------
 
 
-def _single_ring(spec: GroupSpec) -> tuple[int, int]:
+def _single_ring(spec: GroupSpec) -> int:
+    """The exponent r of a group that is one Z_(p^r) ring."""
     if len(spec.rings) != 1:
-        raise ValueError(
-            f"closed form applies to a single Z_(p^r) ring, not {spec.describe()}"
-        )
-    p, r, _ = spec.rings[0]
-    return p, r
+        rings = " + ".join(f"Z{p**r}({p},{r},{m})" for p, r, m in spec.rings)
+        raise ValueError(f"closed form applies to a single Z_(p^r) ring, not {rings}")
+    (_, r, _), = spec.rings
+    return r
 
 
 def source_rate_prime_power(sj: SourceJoint) -> float:
     """Single-ring fast path: max over depth 1..r of (r/depth) times the
-    coset information, every depth from one walk (on a single ring, depth t
-    is the grid's row t).  Must match the general optimizer."""
-    _, r = _single_ring(sj.group)
-    depths = range(1, r + 1)
-    terms = _coset_terms(sj, depths).tolist()
-    return max((r / t) * terms[t] for t in depths)
+    coset information, every depth from the group's cached walk (on a
+    single ring, depth t is the grid's row t, and every row is reachable).
+    Must match the general optimizer."""
+    r = _single_ring(sj.group)
+    terms = _coset_terms(sj).tolist()
+    return max((r / t) * terms[t] for t in range(1, r + 1))
 
 
 def channel_rate_prime_power(chan: ChannelSpec) -> float:
     """Single-ring fast path: min over depth 0..r-1 of (r/(r-depth)) times
-    the conditional coset information, every depth from one walk.  The
-    reduction is a minimum: each depth is a constraint and the tightest one
-    binds, mirroring the max on the source side."""
-    _, r = _single_ring(chan.group)
-    depths = range(r)
-    terms = _coset_terms(chan, depths).tolist()
-    return min((r / (r - t)) * terms[t] for t in depths)
+    the conditional coset information, every depth from the group's cached
+    walk.  The reduction is a minimum: each depth is a constraint and the
+    tightest one binds, mirroring the max on the source side."""
+    r = _single_ring(chan.group)
+    terms = _coset_terms(chan).tolist()
+    return min((r / (r - t)) * terms[t] for t in range(r))
 
 
 # -- grid oracle -----------------------------------------------------------
@@ -703,8 +702,9 @@ def grid_search(
     for cols, rows in zip(columns, members):
         problem = problems.slice(cols, rows)
         k = int(cols.sum())
-        # a positive composition of steps is k - 1 distinct cuts in 1..steps-1
-        cuts = itertools.combinations(range(1, steps), k - 1)
+        # a positive composition of steps is k - 1 distinct cuts in 1..steps-1;
+        # one slot takes no cut, so its one point needs no pool of cuts
+        cuts = itertools.combinations(range(1, steps) if k > 1 else (), k - 1)
         while block := list(itertools.islice(cuts, GRID_BLOCK)):
             edges = np.array(block, dtype=np.int64).reshape(len(block), k - 1)
             w = np.diff(edges, axis=1, prepend=0, append=steps) / steps

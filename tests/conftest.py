@@ -50,7 +50,7 @@ def additive_noise_channel(spec: GroupSpec, noise_pmf) -> ChannelSpec:
     w = np.zeros((spec.order, spec.order))
     for i, x in enumerate(elements):
         for k, z in enumerate(elements):
-            w[i, spec.element_index(x + z)] += pz[k]
+            w[i, np.ravel_multi_index((x + z).residues, spec.moduli)] += pz[k]
     return ChannelSpec(spec, w)
 
 

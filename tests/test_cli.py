@@ -222,6 +222,19 @@ def test_capacity_rejects_nan(capsys, tmp_path):
     assert code == 2 and out == "" and "finite" in err
 
 
+def test_capacity_rejects_deeply_nested_file(capsys, tmp_path):
+    # json.load raises RecursionError, not JSONDecodeError, past its depth
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"kind": "channel", "group": [2], "output_size": 2, "matrix": '
+        + "[" * depth + "]" * depth + "}"
+    )
+    code, out, err = run_cli(capsys, ["capacity", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {path} is not valid JSON: nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "matrix, message",
     [

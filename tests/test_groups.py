@@ -217,12 +217,6 @@ def test_label_indices_match_coset_labels_property(data):
     assert h.label_indices().tolist() == [rank[label] for label in labels]
 
 
-def test_element_index_roundtrip():
-    spec = decompose([4, 3]).spec
-    for i, x in enumerate(spec.elements()):
-        assert spec.element_index(x) == i
-
-
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(groups, "ENUMERATION_CAP", 2)
     spec = decompose([4]).spec

@@ -31,7 +31,7 @@ from groupcodes import (
     source_coding_rate,
     source_rate_prime_power,
 )
-from groupcodes import groups, rates
+from groupcodes import groups, measures, rates
 from groupcodes.groups import GroupSpec, Subgroup, _covering_masks, _gaps, _min_depths
 from groupcodes.rates import (
     INFO_ZERO_TOL,
@@ -415,19 +415,32 @@ def test_prime_power_closed_forms_match_solver(orders):
 
 
 @pytest.mark.parametrize("orders", [[2], [8], [27], [25], [1024], [243]])
-def test_prime_power_closed_forms_match_per_depth_route(orders):
-    # one walk to every depth gives each term of the per-depth calls exactly
+def test_prime_power_closed_forms_match_per_depth_route(monkeypatch, orders):
+    # one walk to every depth gives each term of the per-depth calls exactly,
+    # and once the group's walk is built the closed forms plan none of their own
     spec = decompose(orders).spec
     (_, r, _), = spec.rings
     rng = make_rng(19 + spec.order)
+    spec._walk_layer
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return groups._walk_schedule(*args)
+
+    monkeypatch.setattr(measures, "_walk_schedule", counted)
     for letters in (2, 5):
         chan = random_channel(spec, letters, rng)
         sj = random_source_joint(spec, letters, rng)
-        assert channel_rate_prime_power(chan) == min(
+        calls.clear()
+        closed_channel = channel_rate_prime_power(chan)
+        closed_source = source_rate_prime_power(sj)
+        assert calls == []
+        assert closed_channel == min(
             (r / (r - t)) * coset_mi_channel(chan, ThetaVector(spec, (t,)))
             for t in range(r)
         )
-        assert source_rate_prime_power(sj) == max(
+        assert closed_source == max(
             (r / t) * coset_mi_source(sj, ThetaVector(spec, (t,)))
             for t in range(1, r + 1)
         )
@@ -615,9 +628,9 @@ def unit_scaling(spec, units) -> np.ndarray:
     """The row order of the relabelling x -> u*x, one unit per ring:
     perm[index(u*x)] = index(x)."""
     perm = np.empty(spec.order, dtype=np.intp)
-    for x in spec.elements():
-        ux = spec.element([u * v for u, v in zip(units, x.residues)])
-        perm[spec.element_index(ux)] = spec.element_index(x)
+    for k, x in enumerate(spec.elements()):
+        ux = [u * v for u, v in zip(units, x.residues)]
+        perm[np.ravel_multi_index(ux, spec.moduli, mode="wrap")] = k
     return perm
 
 
@@ -651,10 +664,10 @@ def ring_swap(spec, i, j) -> np.ndarray:
     """The row order of the relabelling that swaps rings i and j (same
     modulus): perm[index(swapped x)] = index(x)."""
     perm = np.empty(spec.order, dtype=np.intp)
-    for x in spec.elements():
+    for k, x in enumerate(spec.elements()):
         v = list(x.residues)
         v[i], v[j] = v[j], v[i]
-        perm[spec.element_index(spec.element(v))] = spec.element_index(x)
+        perm[np.ravel_multi_index(v, spec.moduli)] = k
     return perm
 
 
@@ -761,6 +774,23 @@ def test_grid_search_names_the_least_step_count():
         grid_search(spec, terms, "channel", steps=1)
     _, weights = grid_search(spec, terms, "channel", steps=2)
     assert {q for q, _ in weights.support} == {2, 3}
+
+
+@pytest.mark.parametrize("orders", [[2], [5]])
+def test_grid_search_one_slot_support_takes_no_pool_of_cuts(orders):
+    # a one-slot support has one grid point, the unit weight, at any step
+    # count: no tuple of the steps - 1 possible cuts is built for it
+    spec = decompose(orders).spec
+    terms = channel_terms(random_channel(spec, 3, make_rng(10)))
+    expected = grid_search(spec, terms, "channel", steps=2)
+    tracemalloc.start()
+    try:
+        got = grid_search(spec, terms, "channel", steps=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == expected
 
 
 def inner_optimum(spec, terms, sense, weights) -> float:
@@ -1213,15 +1243,17 @@ def sixths_case():
     return spec, dict(zip(all_reachable_thetas(spec), (k / 6 for k in sixths)))
 
 
-def coset_case():
-    """The channel on Z4+Z2 whose output is the coset of theta = (1, 0)."""
-    spec = decompose([4, 2]).spec
-    labels = Subgroup(spec, ThetaVector(spec, (1, 0))).label_indices()
-    return spec, channel_terms(ChannelSpec(spec, np.eye(2)[labels]))
+def coset_case(orders=(4, 2), theta=(1, 0)):
+    """The channel whose output is the coset of theta, by default on Z4+Z2
+    with theta = (1, 0)."""
+    spec = decompose(orders).spec
+    labels = Subgroup(spec, ThetaVector(spec, theta)).label_indices()
+    return spec, channel_terms(ChannelSpec(spec, np.eye(labels.max() + 1)[labels]))
 
 
 @example((*sixths_case(), "source", "sixths"))
 @example((*coset_case(), "channel", "coset"))
+@example((*coset_case((4, 2, 3), (1, 0, 1)), "channel", "coset"))
 @given(search_case())
 def test_prefix_search_matches_covering_search_and_scan_property(case):
     # where the terms are monotone, the search over the prefix supports
@@ -1265,6 +1297,27 @@ def test_sixths_source_terms_take_the_best_first_search():
     assert optimize_weights(spec, terms, "source") == expected
     prefixes = _search(problems, *spec._prefix_layer)
     assert prefixes.support == ((2, 1), (2, 2)) and prefixes.value == 5 / 3
+
+
+def test_channel_zero_term_guard_is_needed():
+    # the coset channel of theta = (1, 0, 1) on Z4+Z2+Z3, levels (2,1),
+    # (2,2), (3,1): the output is the input's Z2 and Z3 coordinates.  Its
+    # terms are monotone over every dominance pair, with a zero term at
+    # (1,1,1) besides the full selector's.  The one prefix that gives both
+    # primes a slot is the full support, which reaches (1,1,1) and is pinned
+    # to 0, while the rate, log2 6, is on ((2,1),(3,1)), which is no prefix
+    spec, terms = coset_case((4, 2, 3), (1, 0, 1))
+    problems = _SupportProblems.from_mapping(spec, terms, "channel")
+    lo, hi = problems.c[spec._dominance_pairs]
+    assert (lo >= hi).all()
+    zero = [th.components for th, c in terms.items() if c <= INFO_ZERO_TOL]
+    assert zero == [(1, 1, 1), (1, 2, 1)]
+    assert not problems.monotone()
+    result = optimize_weights(spec, terms, "channel")
+    assert result.value == math.log2(6) == 2.584962500721156
+    assert result.support == ((2, 1), (3, 1))
+    prefixes = _search(problems, *spec._prefix_layer)
+    assert prefixes.support == spec.weight_slots and prefixes.value == 0.0
 
 
 def test_monotone_rate_call_builds_no_covering_layer(monkeypatch):
