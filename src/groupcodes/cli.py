@@ -38,6 +38,7 @@ from .rates import (
     channel_terms,
     enumerate_theta_set,
     grid_search,
+    grid_size,
     omega,
     source_coding_rate,
     source_rate_prime_power,
@@ -167,6 +168,8 @@ def _cmd_rate(args, sense: str) -> int:
     start = time.perf_counter()
     if args.grid_check:
         # the oracle first, so that its step rule refuses before the rate call
+        points, supports = grid_size(data.group, args.grid_check)
+        print(f"grid oracle: {points} points on {supports} supports", file=sys.stderr)
         grid_value, _ = grid_search(
             data.group, terms_of(data), sense, steps=args.grid_check
         )

@@ -471,9 +471,9 @@ def _child_keys(seq: np.random.SeedSequence, first: int, count: int) -> np.ndarr
     A child's entropy is the parent's, zero-padded to the 4-word pool, then
     its spawn word t (one word while t < 2**32).  So its pool is the parent's
     pool with t mixed into every word, the hash constant continuing after the
-    parent's 4 + 12 + 4 * (words - 4)+ hashmix steps."""
-    words = max(1, -(-int(seq.entropy).bit_length() // 32))
-    step = 16 + 4 * max(0, words - 4)
+    parent's 4 + 12 hashmix steps: a seed below 2**64 (``_check_seed``) has
+    at most two words, so none spills past the pool."""
+    step = 16
     t = np.arange(first, first + count, dtype=np.int64).astype(_U32)
     pool = []
     for word in seq.pool.tolist():

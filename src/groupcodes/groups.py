@@ -7,12 +7,13 @@ residue grid instead, one row per element in canonical order (last residue
 fastest), and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
 A GroupSpec caches the rate layer's selector plan, which depends on the
-group alone: the selector grid, built on first read, the dominance pairs of
-its reachable rows, built by the first rate call, the supports a rate call
-searches (the prefixes of the slot order, or every covering support where
-the prefixes may not settle it, which the grid oracle scans too), each built
-by the first call that reads it, and the walk of the coset terms down the
-selector lattice, built by the first terms call.
+group alone: the table of reachable selectors, the selectors that enter a
+rate, built on first read, with every array of the plan indexed by its rows;
+the dominance pairs of the table, built by the first rate call; the
+supports a rate call searches (the prefixes of the slot order, or every
+covering support where the prefixes may not settle it, which the grid
+oracle scans too), each built by the first call that reads it; and the walk
+of the coset terms down the selector lattice, built by the first terms call.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
 """
@@ -141,28 +142,33 @@ class GroupSpec:
 
     @cached_property
     def _selector_layer(self) -> tuple[np.ndarray, ...]:
-        """The selector grid [n, L] (sorted by components: the zero selector
-        first, the full one last), the least depths m(theta) [n, k] of every
-        row on every weight slot, the omega coefficients n = m(theta) log2 q
-        [n, k] and d = s log2 q [k] (also the packing LP's), ``hits``
-        [n, k, L] of ``_theta_members`` and the rows reachable from the full
-        support, which are those reachable from any: a slot at its full depth
-        s gives |r - s|^+ + s >= r, so adding one never removes a selector."""
+        """The table of reachable selectors [n, L]: the selector grid's rows
+        that the full support reaches, which are those any support reaches (a
+        slot at its full depth s gives |r - s|^+ + s >= r, so adding one never
+        removes a selector), in grid order, so the zero selector comes first
+        and the full one last; then ``_omega_coefficients`` of its rows and
+        ``hits`` [n, k, L] of ``_theta_members``."""
         levels, gaps = self.ring_levels, self._slot_gaps
         grid = _grid([r + 1 for _, r in levels])
-        depths = _min_depths(gaps, grid)
-        s = np.array([s for _, s in self.weight_slots])
-        log_q = np.array([math.log2(q) for q, _ in self.weight_slots])
+        depths, n, d = self._omega_coefficients(grid)
         # [n, k, L]: each slot alone, as a one-slot axis per slot
         hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
-        reachable = _theta_members(hits, np.ones((1, len(gaps)), dtype=bool))[0]
-        return _read_only(grid, depths, depths * log_q, s * log_q, hits, reachable)
+        table = hits.any(axis=1).all(axis=1)  # Theta of the full support
+        return _read_only(grid[table], depths[table], n[table], d, hits[table])
+
+    def _omega_coefficients(self, thetas) -> tuple[np.ndarray, ...]:
+        """The least depths m(theta) [..., k] of selectors thetas [..., L] on
+        every weight slot and the omega coefficients n = m(theta) log2 q
+        [..., k] and d = s log2 q [k], also the packing LP's."""
+        depths = _min_depths(self._slot_gaps, thetas)
+        s, log_q = np.array([(s, math.log2(q)) for q, s in self.weight_slots]).T
+        return depths, depths * log_q, s * log_q
 
     @cached_property
     def _thetas(self) -> tuple["ThetaVector", ...]:
-        """The grid's rows as selectors."""
-        grid = self._selector_layer[0]
-        return tuple(ThetaVector(self, tuple(row)) for row in grid.tolist())
+        """The table's rows as selectors."""
+        table = self._selector_layer[0]
+        return tuple(ThetaVector(self, tuple(row)) for row in table.tolist())
 
     @cached_property
     def _covering_layer(self) -> tuple[np.ndarray, ...]:
@@ -183,13 +189,12 @@ class GroupSpec:
 
     @cached_property
     def _dominance_pairs(self) -> np.ndarray:
-        """The dominance pairs [2, pairs] of the reachable rows, each column
-        two grid rows lo != hi with theta_lo <= theta_hi componentwise."""
-        reachable = np.flatnonzero(self._selector_layer[-1])
-        grid = self._selector_layer[0][reachable]
-        below = (grid[:, None, :] <= grid[None, :, :]).all(axis=-1)
+        """The dominance pairs [2, pairs] of the table, each column two rows
+        lo != hi with theta_lo <= theta_hi componentwise."""
+        table = self._selector_layer[0]
+        below = (table[:, None, :] <= table[None, :, :]).all(axis=-1)
         np.fill_diagonal(below, False)
-        pairs = reachable[np.array(np.nonzero(below))]
+        pairs = np.array(np.nonzero(below))
         pairs.setflags(write=False)
         return pairs
 
@@ -198,7 +203,7 @@ class GroupSpec:
         as a row of ``members`` [supports, n], and ``top`` [supports, n], the
         largest omega_theta on the face S: it is linear-fractional, so
         largest at a vertex, the max over j in S of m_j(theta)/s_j."""
-        _, depths, _, _, hits, _ = self._selector_layer
+        _, depths, _, _, hits = self._selector_layer
         members = _theta_members(hits, columns)
         top = np.zeros(members.shape)
         for j, (_, s) in enumerate(self.weight_slots):  # in place, slot by slot
@@ -207,10 +212,10 @@ class GroupSpec:
 
     @cached_property
     def _walk_layer(self) -> tuple[tuple, tuple]:
-        """The walk of ``_walk_schedule`` to the reachable rows, built by the
+        """The walk of ``_walk_schedule`` to the table's rows, built by the
         first coset-terms call: what every terms computation on the group
         reads."""
-        return _walk_schedule(self, np.flatnonzero(self._selector_layer[-1]))
+        return _walk_schedule(self, list(map(tuple, self._selector_layer[0].tolist())))
 
     # -- elements ---------------------------------------------------------
 
@@ -256,28 +261,28 @@ def _covering_masks(spec: GroupSpec) -> np.ndarray:
     return masks[np.lexsort(np.where(masks, 1, 2 * later).T[::-1])]
 
 
-def _walk_schedule(spec: GroupSpec, rows) -> tuple[tuple, tuple]:
+def _walk_schedule(spec: GroupSpec, thetas) -> tuple[tuple, tuple]:
     """The walk down the selector lattice (see measures) that reaches the
-    selector grid's rows ``rows``: the steps of ``measures._walk`` and the
-    batches of its entropies.  It starts at the full selector and reaches
-    each selector by steps in nondecreasing level order, so its path is
-    fixed, visiting only selectors with one of ``rows`` at or below them.
+    selectors ``thetas``, distinct tuples of components: the steps of
+    ``measures._walk`` and the batches of its entropies.  It starts at the
+    full selector and reaches each selector by steps in nondecreasing level
+    order, so its path is fixed, visiting only selectors with one of
+    ``thetas`` at or below them.
 
     A step is (src, dst, shape, axes, put): the parent's array is at stack
     slot src, reshaped to shape with the p axes of one level at axes, and
     the child goes to slot dst, dropping the deeper slots.  A node's last
     child replaces it, so an array is dropped once its children are done;
     children come in decreasing level order, the one with the most below it
-    last.  put is None off the rows, else the node's rows (start, stop) in
+    last.  put is None off ``thetas``, else the node's rows (start, stop) in
     its entropy batch and |H_theta|, the coset size.  A batch is (its row
-    count, the start of each node in it, their grid rows, their coset
-    counts); a node that would take a batch past max(|G|,
+    count, the start of each node in it, their rows in ``thetas``, their
+    coset counts); a node that would take a batch past max(|G|,
     ENTROPY_BATCH_FLOOR) rows starts the next, so a batch holds no more rows
     than the input unless the group is smaller than that floor."""
     levels, ring_level = spec.ring_levels, spec._ring_level_index
     primes = [p for p, _, _ in spec.rings]
-    grid = spec._selector_layer[0]
-    targets = {tuple(theta): row for theta, row in zip(grid[rows].tolist(), rows)}
+    targets = {theta: i for i, theta in enumerate(thetas)}
     steps: list = []
 
     def below(theta, level) -> bool:
@@ -290,7 +295,7 @@ def _walk_schedule(spec: GroupSpec, rows) -> tuple[tuple, tuple]:
         )
 
     def visit(theta, level, src, dst, shape, axes) -> None:
-        steps.append([src, dst, shape, axes, targets.get(theta)])
+        steps.append([src, dst, shape, axes, theta if theta in targets else None])
         kids = [
             (lv, theta[:lv] + (theta[lv] - 1,) + theta[lv + 1 :])
             for lv in reversed(range(level, len(levels)))
@@ -313,13 +318,13 @@ def _walk_schedule(spec: GroupSpec, rows) -> tuple[tuple, tuple]:
     batches, batch, used = [], [], 0
     capacity = max(spec.order, ENTROPY_BATCH_FLOOR)
     for step in steps:
-        if (row := step[4]) is None:
+        if (theta := step[4]) is None:
             continue
-        count = math.prod(p ** int(grid[row, at]) for p, at in zip(primes, ring_level))
+        count = math.prod(p ** theta[at] for p, at in zip(primes, ring_level))
         if used + count > capacity:
             batches.append(_batch(used, batch))
             batch, used = [], 0
-        batch.append((used, row, count))
+        batch.append((used, targets[theta], count))
         step[4] = (used, used + count, spec.order // count)
         used += count
     batches.append(_batch(used, batch))
@@ -460,9 +465,9 @@ def _min_depths(gaps, thetas) -> np.ndarray:
 
 def _theta_members(hits, masks) -> np.ndarray:
     """Theta(S) of each support, a row of the slot masks [supports, k], as a
-    row of a mask [supports, n] over the selector grid, from ``hits``
-    [n, k, L]: whether slot j alone at depth m_j(theta) induces level l of
-    theta exactly.
+    row of a mask [supports, n] over the table of reachable selectors, from
+    ``hits`` [n, k, L]: whether slot j alone at depth m_j(theta) induces
+    level l of theta exactly.
 
     Depths inducing theta are at least m(theta) and inducing is monotone, so
     theta is in Theta(S) exactly when m(theta) on S induces it back: when a

@@ -23,16 +23,17 @@ difference of two conditional entropies: the source term H(X) -
 H(X | [U]_theta), the channel term H(Y | [X]_theta) - H(Y | X).  H(X) is
 the zero selector's H(X | [U]_theta) and H(Y | X) the full selector's
 H(Y | [X]_theta), read from the same walk, so those endpoint terms are
-exactly zero.  A single selector walks only its
-own path, by the same steps, so its term equals the batch's exactly.  The
-term route takes each selector as a row of the selector grid and builds no
-subgroup object.  ``coset_mi_channel_chain`` merges rows by
-``Subgroup.label_indices`` instead: the independent route.
+exactly zero.  The terms of a rate call are one per row of the table of
+reachable selectors, the selectors that enter a rate.  A single selector of
+the group, in the table or not, walks only its own path, by the same steps,
+so its term equals the table's exactly.  The term route takes a selector as
+its tuple of components and builds no subgroup object.
+``coset_mi_channel_chain`` merges rows by ``Subgroup.label_indices``
+instead: the independent route.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -218,16 +219,17 @@ def _cells(data) -> np.ndarray:
 
 
 def _coset_entropies(data, steps, batches) -> np.ndarray:
-    """H(Y | [X]_theta) (channel) or H(X | [U]_theta) (source) of every grid
-    row the walk puts, NaN elsewhere.  Each node's coset sums are normalised
-    into its rows of an entropy batch: the channel's by the coset size, each
-    coset's conditional law of Y with X uniform; the joint's by each coset's
-    mass, positive as the reconstruction marginal is uniform.  A full batch
-    takes one ``_row_entropies``, and each node's rows reduce to the coset
-    mean (channel) or the mass-weighted sum (source)."""
+    """H(Y | [X]_theta) (channel) or H(X | [U]_theta) (source) of every
+    selector the walk puts, by its row in the walk's selectors.  Each node's
+    coset sums are normalised into its rows of an entropy batch: the
+    channel's by the coset size, each coset's conditional law of Y with X
+    uniform; the joint's by each coset's mass, positive as the
+    reconstruction marginal is uniform.  A full batch takes one
+    ``_row_entropies``, and each node's rows reduce to the coset mean
+    (channel) or the mass-weighted sum (source)."""
     channel = isinstance(data, ChannelSpec)
     cells = _cells(data)
-    h = np.full(len(data.group._selector_layer[0]), math.nan)
+    h = np.empty(sum(len(targets) for _, _, targets, _ in batches))
     pending = iter(batches)
     for (start, stop, size), sums in _walk(cells, steps):
         if start == 0:
@@ -252,21 +254,19 @@ def _coset_entropies(data, steps, batches) -> np.ndarray:
     return h
 
 
-def _coset_terms(data, rows=None) -> np.ndarray:
-    """The coset terms as one array over the selector grid's rows: the term
-    of each row in ``rows``, by default the rows reachable from a support,
-    and of the endpoint, whose entropy comes from the same walk, NaN on
-    every other row.  Given rows, the walk visits only the paths to them and
-    the endpoint, by the same steps, so each term equals the default's."""
+def _coset_terms(data, thetas=None) -> np.ndarray:
+    """The coset terms of the distinct selectors ``thetas``, tuples of
+    components, with the endpoint, whose entropy comes from the same walk,
+    first (source, the zero selector) or last (channel, the full selector);
+    by default the table of reachable selectors over the plan's walk, which
+    begins with the zero selector and ends with the full one.  Given
+    selectors, the walk visits only the paths to them, by the same steps, so
+    each term equals the table's."""
     spec = data.group
-    channel = isinstance(data, ChannelSpec)
-    endpoint = len(spec._selector_layer[0]) - 1 if channel else 0
-    if rows is None:
-        schedule = spec._walk_layer
-    else:
-        schedule = _walk_schedule(spec, [*rows, endpoint])
+    schedule = spec._walk_layer if thetas is None else _walk_schedule(spec, thetas)
     h = _coset_entropies(data, *schedule)
-    return np.maximum(0.0, h - h[endpoint] if channel else h[endpoint] - h)
+    channel = isinstance(data, ChannelSpec)
+    return np.maximum(0.0, h - h[-1] if channel else h[0] - h)
 
 
 def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
@@ -275,24 +275,20 @@ def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
     return theta.components
 
 
-def _grid_row(spec: GroupSpec, theta: ThetaVector) -> int:
-    """The row of a selector of ``spec`` in its selector grid."""
-    radices = [r + 1 for _, r in spec.ring_levels]
-    return int(np.ravel_multi_index(_components(spec, theta), radices))
-
-
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction
     symbols into cosets of the theta-subgroup."""
-    row = _grid_row(sj.group, theta)
-    return float(_coset_terms(sj, [row])[row])
+    zero = ThetaVector.zero(sj.group).components
+    path = dict.fromkeys([zero, _components(sj.group, theta)])
+    return float(_coset_terms(sj, path)[-1])
 
 
 def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
     """I(X; Y | [X]_theta) with X uniform on the group: the coset-average of
     the per-coset mutual informations."""
-    row = _grid_row(chan.group, theta)
-    return float(_coset_terms(chan, [row])[row])
+    full = ThetaVector.full(chan.group).components
+    path = dict.fromkeys([_components(chan.group, theta), full])
+    return float(_coset_terms(chan, path)[0])
 
 
 def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
@@ -301,7 +297,7 @@ def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
     entropy of the coset's mean row less the coset mean of the rows'
     entropies, both coset sums from the walk."""
     spec = chan.group
-    steps, _ = _walk_schedule(spec, [_grid_row(spec, theta)])
+    steps, _ = _walk_schedule(spec, [_components(spec, theta)])
     row_entropies = _row_entropies(chan.matrix).reshape(spec.moduli + (1,))
     ((_, _, size), sums), = _walk(_cells(chan), steps)
     (_, h_y_x), = _walk(row_entropies, steps)

@@ -9,52 +9,35 @@ turns it into one packing linear program, solved by a small dense simplex.
 The outer optimization ranges over the support patterns that give every prime
 of the group at least one slot.  Supports whose values agree to a relative
 tie tolerance tie, and the lexicographically first wins.
-Where the coset terms are monotone in theta (the channel term falls and the
-source term rises as theta rises, componentwise) adding a slot to a support
-never makes its value worse: the selectors the slot adds take, at the
-smaller support's optimum, the omega of a selector above them that it
-already holds, whose term is no better.  So the full support attains the
-rate, and as every support that sorts before it is one of its prefixes in
-slot order, the first tying support is a prefix too.  Two preconditions are
-checked on the call's terms: monotonicity over every pair of reachable
-selectors theta <= theta', and, on the channel side, no reachable term but
-the excluded full selector's at or below INFO_ZERO_TOL, since a zero term
-that shares omega = 1 with the full selector pins every support reaching it
-to 0 (a coset channel, whose output is the coset of its input).
-One search serves every call, over one of two support sets: the prefixes
-that give every prime a slot where both hold, and every covering support
-otherwise, as for a coset channel or non-monotone terms given to
-optimize_weights (terms in sixths on Z4+Z2 put the source optimum on
-{(2,2)}, which is no prefix).  The search visits supports by a vertex
-bound.  A single selector's ratio is linear-fractional, so its extremes on
-the face S sit at vertices: the source bound is the largest over Theta(S)
-of c_theta / max omega_theta, the channel bound the least of
-c_theta / (1 - max omega_theta), and neither side's optimum on S can beat
-its bound.  Once a bound falls short of the incumbent by the tie tolerance,
-no later support can tie or win; a support whose bound the current winner
-already ties, and which comes after it in lexicographic order, cannot win
-either and gets no linear program.  Over the prefixes of random inputs one
-linear program settles the call.
+One best-first search serves every call, over one of two support sets:
+the prefixes of the slot order that give every prime a slot where the
+call's terms are monotone in theta, and every covering support otherwise;
+_optimize states why the prefixes then hold the winner, and _search how
+its vertex bound skips the supports that cannot win.  Over the prefixes of
+random inputs one linear program settles the call.
 Every rate call, oracle and Theta enumeration on a group reads its selector
 plan, cached on the GroupSpec because it depends on the group alone: the
-selector grid with m(theta), the coefficients n and d and the reachable
-rows, built on first read; the dominance pairs of the reachable rows, built
-by the first rate call; each support set with Theta(S) and the vertex
-bound's top of each support, built by the first call that searches it (the
-covering supports also by the grid oracle), so a call with monotone terms
-builds no covering support; and the walk layer of the coset terms (see
-measures), built by the first terms call.  Its arrays are read-only and live
-as long as the spec; a call computes only what depends on its input, the
-terms and what is solved from them.  The vertex bounds take one float array
-the size of top, built in place.  At float weights omega is n.w / d.w with
-n = m(theta) log2 q and d = s log2 q, summed in slot order: the LP's own
-coefficients, the one float statement of omega, which the public omega
-takes too.  The winning support's solve evaluates the inner problem at its
-witness once, and the result table reuses those ratios and omegas.
+table of reachable selectors, the grid rows that the full support reaches
+and so the only selectors that enter a rate, with m(theta) and the
+coefficients n and d of each, built on first read; the dominance pairs of
+the table, built by the first rate call; each support set with Theta(S) and
+the vertex bound's top of each support, built by the first call that
+searches it (the covering supports also by the grid oracle), so a call with
+monotone terms builds no covering support; and the walk layer of the coset
+terms (see measures), built by the first terms call.  Every array indexed by
+selector has one row per table row.  Its arrays are read-only and live as
+long as the spec; a call computes only what depends on its input, the terms
+and what is solved from them.  The vertex bounds take one float array the
+size of top, built in place.  At float weights omega is n.w / d.w with
+n = m(theta) log2 q and d = s log2 q (GroupSpec._omega_coefficients),
+summed in slot order: the LP's own coefficients, the one float statement of
+omega, which the public omega takes too, for any selector of the group.
+The winning support's solve evaluates the inner problem at its witness
+once, and the result table reuses those ratios and omegas.
 Theta(S) is the set of selectors theta whose least inducing depths m(theta)
 on S induce them back.
-Inside a call a selector is a row of the plan's grid and the terms are an
-array over its rows; a terms mapping keyed by ThetaVector exists only at
+Inside a call a selector is a row of the table and the terms are an array
+over its rows; a terms mapping keyed by ThetaVector exists only at
 optimize_weights and grid_search, where it is checked.  Likewise a support
 is a slot mask row with its row of Theta(S); a tuple of slots exists only at
 RateResult.support and the public inputs.
@@ -72,7 +55,7 @@ import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _gaps, _induce
 from .groups import _slot_values, _theta_members
-from .measures import ChannelSpec, SourceJoint, _coset_terms, _grid_row
+from .measures import ChannelSpec, SourceJoint, _components, _coset_terms
 
 # Information terms at or below this count as exactly zero when applying the
 # 0/0 -> 0 term convention; far below any meaningful rate in bits.
@@ -177,7 +160,7 @@ def enumerate_theta_set(
     support = tuple(sorted(set(support)))
     _check_support(spec, support)
     mask = np.array([[slot in support for slot in spec.weight_slots]])
-    *_, hits, _ = spec._selector_layer
+    *_, hits = spec._selector_layer
     return frozenset(itertools.compress(spec._thetas, _theta_members(hits, mask)[0]))
 
 
@@ -191,7 +174,7 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
     another group, a mapping key that is not a weight slot and a negative
     weight are refused.
     """
-    row = _grid_row(spec, theta)
+    depths, n, d = spec._omega_coefficients([_components(spec, theta)])
     if isinstance(weights, WeightVector):
         if weights.spec != spec:
             raise ValueError("weights bound to a different group")
@@ -202,13 +185,12 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
             raise ValueError(f"weights must be finite, got {values}")
         if any(v < 0 for v in values):
             raise ValueError("weights must be nonnegative")
-    _, depths, n, d, _, _ = spec._selector_layer
     if all(isinstance(w, float) for w in values if w != 0):
-        num, den = _sums(n[[row]], d, np.array([values], dtype=float))
+        num, den = _sums(n, d, np.array([values], dtype=float))
         num, den = num.item(), den.item()
     else:
         num = den = 0
-        for (q, s), w, coeff in zip(spec.weight_slots, values, depths[row].tolist()):
+        for (q, s), w, coeff in zip(spec.weight_slots, values, depths[0].tolist()):
             if w != 0:
                 scale = _log_weight(q) * w
                 num = num + coeff * scale
@@ -220,19 +202,17 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
 
 def all_reachable_thetas(spec: GroupSpec) -> tuple[ThetaVector, ...]:
     """Union of the theta sets over every valid support pattern, which is
-    the theta set of the full support, in grid order."""
-    *_, reachable = spec._selector_layer
-    return tuple(itertools.compress(spec._thetas, reachable))
+    the theta set of the full support: the plan's table, in grid order."""
+    return spec._thetas
 
 
 class _SupportProblems:
     """The per-input solve of one rate call over its group's selector plan
     (``GroupSpec._selector_layer``, shared by every call on the group): the
-    terms c, one array over the grid's rows (NaN off the reachable rows,
-    which no support reads), and the sense's excluded endpoint selector.  A
-    support's LP input is sliced on demand from its slot mask and its row of
-    Theta(S): n and D on S over the rows of Theta(S), their terms and
-    excluded flags.
+    terms c, one array over the table of reachable selectors, and the
+    sense's excluded endpoint selector.  A support's LP input is sliced on
+    demand from its slot mask and its row of Theta(S): n and D on S over the
+    rows of Theta(S), their terms and excluded flags.
     ``sign`` +1 maximises (channel), -1 minimises (source), so sign * value
     is larger when better."""
 
@@ -241,24 +221,21 @@ class _SupportProblems:
             raise ValueError(f"unknown sense {sense!r}")
         self.spec, self.sense = spec, sense
         self.sign = 1 if sense == "channel" else -1
-        grid, _, self.n, self.d, _, _ = spec._selector_layer
+        table, _, self.n, self.d, _ = spec._selector_layer
         self.c = terms
-        # the zero selector is the grid's first row, the full selector its last
-        self.excluded = np.zeros(len(grid), dtype=bool)
+        # the zero selector is the table's first row, the full selector its last
+        self.excluded = np.zeros(len(table), dtype=bool)
         self.excluded[0 if sense == "source" else -1] = True
 
     @classmethod
     def from_mapping(cls, spec: GroupSpec, terms: Mapping[ThetaVector, float], sense):
         """Problems from a terms mapping, checked complete, finite and >= 0."""
-        thetas = all_reachable_thetas(spec)  # the reachable rows, as selectors
-        if missing := [th for th in thetas if th not in terms]:
+        if missing := [th for th in spec._thetas if th not in terms]:
             raise ValueError(f"terms missing for selectors {missing}")
         for th, c in terms.items():
             if not math.isfinite(c) or c < -1e-12:
                 raise ValueError(f"information term for {th.components} is {c}")
-        grid, *_, reachable = spec._selector_layer
-        c = np.full(len(grid), math.nan)
-        c[reachable] = [terms[th] for th in thetas]
+        c = np.array([terms[th] for th in spec._thetas], dtype=float)
         return cls(spec, c, sense)
 
     def slice(self, cols: np.ndarray, rows: np.ndarray):
@@ -267,10 +244,10 @@ class _SupportProblems:
 
     def monotone(self) -> bool:
         """Whether the full support settles the rate (see _optimize): the
-        terms are monotone over the plan's dominance pairs of reachable rows,
-        theta <= theta' giving c_theta >= c_theta' (channel) or c_theta <=
-        c_theta' (source), and on the channel side no reachable selector but
-        the excluded one has a term at or below INFO_ZERO_TOL."""
+        terms are monotone over the plan's dominance pairs, theta <= theta'
+        giving c_theta >= c_theta' (channel) or c_theta <= c_theta' (source),
+        and on the channel side no selector but the excluded one has a term
+        at or below INFO_ZERO_TOL."""
         lo, hi = self.c[self.spec._dominance_pairs]
         if self.sign < 0:
             return bool((lo <= hi).all())
@@ -618,10 +595,8 @@ def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
 
 
 def _reachable_terms(data) -> dict[ThetaVector, float]:
-    """The reachable rows of the terms, keyed by their selectors."""
-    *_, reachable = data.group._selector_layer
-    terms = _coset_terms(data)[reachable].tolist()
-    return dict(zip(all_reachable_thetas(data.group), terms))
+    """The terms, keyed by the table's selectors."""
+    return dict(zip(data.group._thetas, _coset_terms(data).tolist()))
 
 
 def _rate(data, sense: str) -> RateResult:
@@ -656,8 +631,8 @@ def _single_ring(spec: GroupSpec) -> int:
 def source_rate_prime_power(sj: SourceJoint) -> float:
     """Single-ring fast path: max over depth 1..r of (r/depth) times the
     coset information, every depth from the group's cached walk (on a
-    single ring, depth t is the grid's row t, and every row is reachable).
-    Must match the general optimizer."""
+    single ring every selector is reachable, and depth t is the table's row
+    t).  Must match the general optimizer."""
     r = _single_ring(sj.group)
     terms = _coset_terms(sj).tolist()
     return max((r / t) * terms[t] for t in range(1, r + 1))
@@ -676,6 +651,22 @@ def channel_rate_prime_power(chan: ChannelSpec) -> float:
 # -- grid oracle -----------------------------------------------------------
 
 
+def grid_size(spec: GroupSpec, steps: int) -> tuple[int, int]:
+    """The number of weight points grid_search evaluates at ``steps`` and of
+    the covering supports they lie on: a support of k slots takes the
+    C(steps - 1, k - 1) points positive exactly on it.  ``steps`` is an
+    integer at least the group's number of primes, as every support holds one
+    slot per prime."""
+    _check_count("steps", steps)
+    if steps < len(spec.primes):
+        raise ValueError(
+            f"steps must be >= {len(spec.primes)}, the number of primes of the "
+            f"group, as every support holds one slot per prime; got {steps}"
+        )
+    sizes = spec._covering_layer[0].sum(axis=1).tolist()
+    return sum(math.comb(steps - 1, k - 1) for k in sizes), len(sizes)
+
+
 def grid_search(
     spec: GroupSpec,
     terms: Mapping[ThetaVector, float],
@@ -686,15 +677,9 @@ def grid_search(
     weight vector of the simplex grid with the given step count and return
     the best value.  Direct, with no linear program; used to cross-check the
     solver.  Each covering support takes the grid points positive exactly on
-    it, evaluated GRID_BLOCK points at a time.  ``steps`` is an integer at
-    least the group's number of primes, as every support holds one slot per
-    prime."""
-    _check_count("steps", steps)
-    if steps < len(spec.primes):
-        raise ValueError(
-            f"steps must be >= {len(spec.primes)}, the number of primes of the "
-            f"group, as every support holds one slot per prime; got {steps}"
-        )
+    it, evaluated GRID_BLOCK points at a time; ``grid_size`` counts them and
+    checks ``steps``."""
+    grid_size(spec, steps)
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
     best_val: float | None = None

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupcodes import cli
+from groupcodes import cli, decompose
 from groupcodes.problems import parse_group_string, parse_problem
 from groupcodes.measures import ValidationError
+from groupcodes.rates import grid_size
 
 
 @pytest.fixture
@@ -166,6 +167,23 @@ def test_capacity_grid_check(capsys, merged_channel_file):
     assert code == 0
     record = json.loads(out)
     assert record["grid_gap"] < 5e-3
+
+
+def test_grid_check_states_its_size(capsys, tmp_path):
+    # Z8 has 3 one-slot, 3 two-slot and 1 three-slot supports: at 10 steps
+    # 3 * 1 + 3 * 9 + 36 = 66 points, stated on stderr before the oracle runs
+    doc = {"kind": "channel", "group": [8], "output_size": 2,
+           "matrix": [[1, 0] if x % 2 else [0, 1] for x in range(8)]}
+    path = tmp_path / "z8.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, ["capacity", str(path), "--grid-check", "10"])
+    assert code == 0
+    assert err.splitlines()[0] == "grid oracle: 66 points on 7 supports"
+    # Z256's 255 supports: sum over k of C(8, k) C(steps - 1, k - 1), which
+    # is C(steps + 7, 7), counted without running the oracle
+    spec = decompose([256]).spec
+    for steps, points in ((20, 888_030), (50, 264_385_836)):
+        assert grid_size(spec, steps) == (points, 255)
 
 
 def test_capacity_grid_check_needs_a_step_per_prime(capsys, tmp_path, monkeypatch):

@@ -778,7 +778,8 @@ def test_mc_matches_oracle_over_blocks():
     assert 0 < rep.injective_trials < trials
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1, 2**130 + 17])
+# one- and two-word entropies, the extremes of the seeds _check_seed admits
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
 @pytest.mark.parametrize("first,count", [(0, 5), (3, 4)])
 def test_child_keys_match_spawn(seed, first, count):
     children = np.random.SeedSequence(seed).spawn(first + count)[first:]

@@ -364,29 +364,48 @@ def test_walk_matches_reshape_route_property(orders, seed, letters):
 
 @pytest.mark.parametrize("orders", [[4, 2], [8, 2, 9, 3], [16, 4, 25]])
 def test_grid_terms_nan_off_walked_rows(orders):
-    # the terms are one array over the selector grid: the reachable rows
-    # hold the terms, every other row is NaN; given rows, those rows and the
-    # endpoint hold them
+    # the terms are one array over the table of reachable selectors, the
+    # grid rows that no support reaches left out, and hold no NaN; given
+    # selectors, the walk puts those alone, each term equal to the table's
     spec = decompose(orders).spec
-    grid, *_, reachable = spec._selector_layer
-    assert not reachable.all()
+    table = spec._selector_layer[0]
+    assert len(table) < math.prod(r + 1 for _, r in spec.ring_levels)
     rng = make_rng(spec.order)
     chan = random_channel(spec, 3, rng)
     sj = random_source_joint(spec, 3, rng)
     thetas = all_reachable_thetas(spec)
-    for data, terms_of, endpoint in (
-        (chan, channel_terms, len(grid) - 1),
-        (sj, source_terms, 0),
+    for data, terms_of, rows in (
+        (chan, channel_terms, [1, len(table) - 1]),
+        (sj, source_terms, [0, 1]),
     ):
         terms = _coset_terms(data)
-        assert np.array_equal(np.isnan(terms), ~reachable)
-        assert terms[reachable].tolist() == list(terms_of(data).values())
+        assert len(terms) == len(table) and not np.isnan(terms).any()
+        assert terms.tolist() == list(terms_of(data).values())
         oracle = reshape_terms(data, [th.components for th in thetas])
-        assert np.allclose(terms[reachable], oracle, rtol=0, atol=1e-12)
-        row = int(np.flatnonzero(reachable)[1])
-        single = _coset_terms(data, [row])
-        assert np.flatnonzero(~np.isnan(single)).tolist() == sorted({row, endpoint})
-        assert single[row] == terms[row] and single[endpoint] == 0.0
+        assert np.allclose(terms, oracle, rtol=0, atol=1e-12)
+        single = _coset_terms(data, [tuple(table[row].tolist()) for row in rows])
+        assert single.tolist() == terms[rows].tolist()
+
+
+@pytest.mark.parametrize("orders", [[2, 4], [2, 4, 8, 3, 9]])
+def test_selectors_outside_the_table(orders):
+    # the public measures take every selector of the group, also one that no
+    # support reaches, by the walk to its own components
+    spec = decompose(orders).spec
+    rng = make_rng(spec.order)
+    chan = random_channel(spec, 3, rng)
+    sj = random_source_joint(spec, 3, rng)
+    chan_terms, src_terms = channel_terms(chan), source_terms(sj)
+    ranges = [range(r + 1) for _, r in spec.ring_levels]
+    thetas = [ThetaVector(spec, comps) for comps in itertools.product(*ranges)]
+    assert len(chan_terms) < len(thetas)
+    for th in thetas:
+        mi = coset_mi_channel(chan, th)
+        assert abs(mi - coset_mi_channel_chain(chan, th)) < 1e-12
+        per = mi_per_coset(chan, th)
+        assert abs(sum(per) / len(per) - mi) < 1e-12
+        if th in chan_terms:
+            assert mi == chan_terms[th] and coset_mi_source(sj, th) == src_terms[th]
 
 
 def traced_peak(fn, *args) -> int:
@@ -425,8 +444,8 @@ def test_small_group_terms_take_one_entropy_batch(monkeypatch, orders):
     _, batches = spec._walk_layer
     assert len(batches) == 1
     monkeypatch.setattr(groups, "ENTROPY_BATCH_FLOOR", 1)
-    capped = _walk_schedule(spec, np.flatnonzero(spec._selector_layer[-1]))
+    capped = _walk_schedule(spec, list(map(tuple, spec._selector_layer[0].tolist())))
     assert len(capped[1]) > 1
     for data in (random_channel(spec, 3, rng), random_source_joint(spec, 3, rng)):
         one = _coset_entropies(data, *spec._walk_layer)
-        assert np.array_equal(one, _coset_entropies(data, *capped), equal_nan=True)
+        assert np.array_equal(one, _coset_entropies(data, *capped))

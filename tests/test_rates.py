@@ -266,11 +266,13 @@ def test_omega_endpoints():
 
 def test_omega_float_path_matches_exact():
     # float weights take plain float arithmetic; it must agree with the exact
-    # Fraction path evaluated at the same weights
-    for orders in ([8], [4, 3], [2, 9, 5]):
+    # Fraction path evaluated at the same weights, on every selector of the
+    # group, also one that no support reaches
+    for orders in ([8], [4, 3], [2, 9, 5], [2, 4], [2, 4, 8, 3, 9]):
         spec = decompose(orders).spec
         rng = make_rng(7 + spec.order)
-        thetas = all_reachable_thetas(spec)
+        ranges = [range(r + 1) for _, r in spec.ring_levels]
+        thetas = [ThetaVector(spec, comps) for comps in itertools.product(*ranges)]
         for _ in range(10):
             values = rng.dirichlet(np.ones(len(spec.weight_slots))).tolist()
             floats = WeightVector(spec, tuple(values))
@@ -980,7 +982,7 @@ def test_plan_arrays_are_read_only():
     walk = tuple(array for _, *arrays in batches for array in arrays)
     arrays = spec._selector_layer + spec._prefix_layer + spec._covering_layer
     arrays += (spec._dominance_pairs,)
-    assert len(arrays) == 13
+    assert len(arrays) == 12
     for array in arrays + walk:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array
@@ -1011,19 +1013,20 @@ def test_theta_enumeration_builds_no_covering_table():
     assert len(all_reachable_thetas(spec)) == 17
     assert "_selector_layer" in vars(spec) and "_covering_layer" not in vars(spec)
     assert "_walk_layer" not in vars(spec)
-    # omega reads the selector layer alone, at float and at exact weights
+    # omega builds no plan layer, at float and at exact weights: it takes
+    # m(theta) of its one selector
     spec = decompose([65536]).spec
     theta = ThetaVector(spec, (5,))
     for weight, expected in ((0.5, 5 / 19), (Fraction(1, 2), Fraction(5, 19))):
         weights = {(2, 3): weight, (2, 16): weight}
         assert omega(spec, weights, theta) == expected
-    assert "_selector_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+    assert "_selector_layer" not in vars(spec) and "_covering_layer" not in vars(spec)
 
 
 @pytest.mark.parametrize("orders", [[8], [4, 3], [16, 27], [2, 4, 9]])
 def test_rate_call_selectors_are_table_rows(monkeypatch, orders):
-    # inside a rate call a selector is a row of the plan's grid: no Subgroup
-    # is built, and the only ThetaVectors are the grid's rows, built once per
+    # inside a rate call a selector is a row of the plan's table: no Subgroup
+    # is built, and the only ThetaVectors are the table's rows, built once per
     # group by the first call and shared by the results
     built = Counter()
     for cls in (Subgroup, ThetaVector):
@@ -1188,8 +1191,7 @@ def test_full_support_source_bound_is_finite_property(orders):
     # on the full support, so the best-first loop always solves a support
     # before any whose term is infinite for every weight choice
     spec = decompose(orders).spec
-    *_, reachable = spec._selector_layer
-    problems = _SupportProblems(spec, np.where(reachable, 1.0, math.nan), "source")
+    problems = _SupportProblems(spec, np.ones(len(spec._selector_layer[0])), "source")
     full = support_tuples(problems).index(tuple(sorted(spec.weight_slots)))
     assert covering_bounds(problems)[full] < math.inf
 
@@ -1489,7 +1491,7 @@ def test_vertex_bounds_in_one_temporary(sense):
     # bounds in one float array the size of top, not one per operation, and
     # solves its supports in that much memory again at most
     spec = decompose([2**14]).spec
-    # every row of a single ring's selector grid is reachable
+    # a single ring's table is its whole selector grid
     terms = make_rng(150).random(len(spec._selector_layer[0]))
     terms[[3, 7]] = 0.0  # zero terms bound by 0
     problems = _SupportProblems(spec, terms, sense)
