@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .groups import _check_count, decompose
+from .groups import _check_count, _check_seed, decompose
 from .measures import ValidationError
 from .problems import (
     ChannelProblem,
@@ -61,7 +61,10 @@ def _parse_support(text: str) -> tuple[tuple[int, int], ...]:
         bits = part.split(",")
         if len(bits) != 2:
             raise ValidationError(f"bad support slot {part!r}: expected q,s")
-        q, s = int(bits[0]), int(bits[1])
+        try:
+            q, s = int(bits[0]), int(bits[1])
+        except ValueError as exc:
+            raise ValidationError(f"bad support slot {part!r}: {exc}") from None
         if (q, s) in slots:
             raise ValidationError(f"support slot ({q},{s}) is repeated")
         slots.append((q, s))
@@ -243,14 +246,7 @@ def cmd_verify_ensemble(args) -> int:
     from .ensemble import lemma_suite
 
     dec = decompose(parse_group_string(args.group))
-    spec = dec.spec
-    ig = _input_group(args, spec)
-    supported_primes = {q for q, _ in ig.support}
-    if supported_primes != set(spec.primes):
-        raise ValidationError(
-            "counts must give every prime of the group at least one component "
-            f"(primes {sorted(set(spec.primes) - supported_primes)} are missing)"
-        )
+    ig = _input_group(args, dec.spec)
     checks = lemma_suite(ig, args.n, samples=args.trials, seed=args.seed)
     doc = {
         "group": list(dec.orders),
@@ -374,8 +370,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= args.seed < 2**64:
-            raise ValidationError(f"--seed must be in [0, 2**64), got {args.seed}")
+        _check_seed("--seed", args.seed)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

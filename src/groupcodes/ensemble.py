@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, ThetaVector, _check_count
-from .groups import _gaps, _grid, _induce, _is_prime, _min_depths, _slot_values
+from .groups import GroupElement, GroupSpec, ThetaVector, _check_count, _check_seed
+from .groups import _components, _gaps, _grid, _induce, _is_prime, _min_depths
+from .groups import _slot_values
 from .measures import ChannelSpec
-from .rates import enumerate_theta_set
+from .rates import _check_support, enumerate_theta_set
 
 # Exhaustive enumeration is preferred whenever the sampled space fits under
 # this cap; statistical checks are a fallback, not the default.
@@ -214,17 +214,6 @@ def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_seed(seed) -> None:
-    """A seed must be an integer in [0, 2**64): None would draw fresh OS
-    entropy, and no result could be repeated."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-
-
 def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     if _violations(ig, images).any():
         raise ValueError("generator image violates ensemble constraints")
@@ -282,7 +271,7 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     image component uniform on its allowed subgroup, dither uniform on the
     group, all reproducible from the 64-bit seed (counter-based generator)."""
     _check_count("blocklength", n)
-    _check_seed(seed)
+    _check_seed("seed", seed)
     rng = np.random.Generator(np.random.Philox(seed))
     images, dither = _sample_table(ig, n, rng)
     g_spec = ig.group
@@ -342,10 +331,8 @@ def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
 
 def t_theta_bound(ig: InputGroup, theta: ThetaVector) -> int:
     """The census upper bound: product over slots of q^((s - coeff) * count)."""
-    if theta.spec != ig.group:
-        raise ValueError("theta bound to a different group")
     slots = ig.group.weight_slots
-    coeffs = _min_depths(ig.group._slot_gaps, theta.components).tolist()
+    coeffs = _min_depths(ig.group._slot_gaps, _components(ig.group, theta)).tolist()
     return math.prod(
         q ** ((s - coeff) * count)
         for (q, s), coeff, count in zip(slots, coeffs, ig.counts)
@@ -388,7 +375,7 @@ def verify_pairwise_law(
     variation threshold of 3 * sqrt(|H_theta|^n / samples), drawn from an
     integer seed in [0, 2**64).
     """
-    _check_seed(seed)
+    _check_seed("seed", seed)
     _check_count("blocklength", n)
     _check_count("samples", samples)
     g_spec = ig.group
@@ -600,7 +587,7 @@ def mc_channel_error(
     it depends only on the SeedSequence and Philox algorithms, not on how
     ``Generator``'s methods are implemented."""
     _check_count("blocklength", n)
-    _check_seed(seed)
+    _check_seed("seed", seed)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     if ig.size * chan.group.order**n > SIZE_CAP:
@@ -651,7 +638,9 @@ def lemma_suite(
 ) -> list[LemmaCheck]:
     """Run every structural check of the ensemble for one configuration.
 
-    Exhaustive wherever the space allows; the pairwise law falls back to
+    The counts must give every prime of the group a component, as the
+    theta-set check needs a support with a slot per prime; other counts are
+    refused before anything is drawn.  Exhaustive wherever the space allows; the pairwise law falls back to
     seeded sampling above the enumeration cap.  One Philox stream, seeded
     by ``seed``, draws min(samples, 1000) tables in one call (samples >= 1);
     the first 25 are checked for additivity on every input pair when
@@ -666,8 +655,9 @@ def lemma_suite(
     probability SIZE_CAP / equations, so about SIZE_CAP are checked.
     """
     _check_count("blocklength", n)
-    _check_seed(seed)
+    _check_seed("seed", seed)
     _check_count("samples", samples)
+    _check_support(ig.group, ig.support)
     rng = np.random.Generator(np.random.Philox(seed))
 
     # generator constraints on freshly sampled tables

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Sequence
@@ -434,6 +435,13 @@ class ThetaVector:
         return all(a >= b for a, b in zip(self.components, other.components))
 
 
+def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
+    """The components of a selector of ``spec``; another group's is refused."""
+    if theta.spec != spec:
+        raise ValueError("theta bound to a different group")
+    return theta.components
+
+
 # -- the selector algebra: slots (q, s) carry depths in [0, s], levels (p, r)
 # carry selector components in [0, r]
 
@@ -491,8 +499,7 @@ class Subgroup:
     theta: ThetaVector
 
     def __post_init__(self) -> None:
-        if self.theta.spec != self.spec:
-            raise ValueError("theta bound to a different group")
+        _components(self.spec, self.theta)
 
     @cached_property
     def _ring_depths(self) -> tuple[int, ...]:
@@ -597,13 +604,25 @@ def _cyclic_order(value) -> int:
     return int(value)
 
 
-def _check_count(name: str, value) -> None:
-    """A blocklength, trial, sample or grid step count is an integer >= 1: a
-    bool or a float is refused, not read as 1 or truncated."""
+def _integer(name: str, value) -> int:
+    """An integer argument as an int: a bool, Python's or numpy's, or a float
+    is refused, not read as 1 or truncated."""
     if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
+    return operator.index(value)
+
+
+def _check_count(name: str, value) -> None:
+    """A blocklength, trial, sample or grid step count is an integer >= 1."""
+    if _integer(name, value) < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_seed(name: str, seed) -> None:
+    """A seed is an integer in [0, 2**64): None would draw fresh OS entropy,
+    and no result could be repeated."""
+    if not 0 <= _integer(name, seed) < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
 
 
 def decompose(cyclic_orders: Sequence[int]) -> CyclicDecomposition:

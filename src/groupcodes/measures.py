@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .groups import GroupSpec, Subgroup, ThetaVector, _walk_schedule
+from .groups import GroupSpec, Subgroup, ThetaVector, _components, _walk_schedule
 
 PROB_TOL = 1e-9
 
@@ -48,14 +48,18 @@ class ValidationError(ValueError):
     """A probability object failed its sanity checks."""
 
 
-def _as_prob_array(values, shape_hint: str) -> np.ndarray:
+def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
+    """values as a float array of ndim (1 or 2) axes, nonempty, finite and
+    nonnegative within PROB_TOL, with the tolerated negatives clipped to 0."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise ValidationError(f"{shape_hint} is empty")
+        raise ValidationError(f"{what} is empty")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{shape_hint} has non-finite entries")
+        raise ValidationError(f"{what} has non-finite entries")
     if np.any(arr < -PROB_TOL):
-        raise ValidationError(f"{shape_hint} has negative entries")
+        raise ValidationError(f"{what} has negative entries")
+    if arr.ndim != ndim:
+        raise ValidationError(f"{what} must be {('one', 'two')[ndim - 1]}-dimensional")
     return np.clip(arr, 0.0, None)
 
 
@@ -71,9 +75,7 @@ def _row_entropies(arr: np.ndarray) -> np.ndarray:
 def entropy(p) -> float:
     """Shannon entropy in bits, with 0*log(0) = 0, of a nonnegative vector
     that sums to one (within 1e-9)."""
-    arr = _as_prob_array(p, "distribution")
-    if arr.ndim != 1:
-        raise ValidationError("distribution must be one-dimensional")
+    arr = _as_prob_array(p, "distribution", 1)
     if abs(arr.sum() - 1.0) > PROB_TOL:
         raise ValidationError(f"distribution sums to {arr.sum()}, not 1")
     return float(_row_entropies(arr))
@@ -81,9 +83,7 @@ def entropy(p) -> float:
 
 def mutual_information(joint) -> float:
     """Mutual information of a joint pmf given as a 2-D matrix."""
-    arr = _as_prob_array(joint, "joint matrix")
-    if arr.ndim != 2:
-        raise ValidationError("joint matrix must be two-dimensional")
+    arr = _as_prob_array(joint, "joint matrix", 2)
     if abs(arr.sum() - 1.0) > PROB_TOL:
         raise ValidationError(f"joint matrix sums to {arr.sum()}, not 1")
     value = float(
@@ -108,9 +108,7 @@ class ChannelSpec:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = _as_prob_array(self.matrix, "channel matrix")
-        if arr.ndim != 2:
-            raise ValidationError("channel matrix must be two-dimensional")
+        arr = _as_prob_array(self.matrix, "channel matrix", 2)
         if arr.shape[0] != self.group.order:
             raise ValidationError(
                 f"channel has {arr.shape[0]} rows but the group has "
@@ -148,9 +146,7 @@ class SourceJoint:
     max_distortion: float | None = None
 
     def __post_init__(self) -> None:
-        arr = _as_prob_array(self.joint, "source joint")
-        if arr.ndim != 2:
-            raise ValidationError("source joint must be two-dimensional")
+        arr = _as_prob_array(self.joint, "source joint", 2)
         if arr.shape[1] != self.group.order:
             raise ValidationError(
                 f"source joint has {arr.shape[1]} columns but the group has "
@@ -267,12 +263,6 @@ def _coset_terms(data, thetas=None) -> np.ndarray:
     h = _coset_entropies(data, *schedule)
     channel = isinstance(data, ChannelSpec)
     return np.maximum(0.0, h - h[-1] if channel else h[0] - h)
-
-
-def _components(spec: GroupSpec, theta: ThetaVector) -> tuple[int, ...]:
-    if theta.spec != spec:
-        raise ValueError("theta bound to a different group")
-    return theta.components
 
 
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:

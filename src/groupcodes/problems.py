@@ -54,6 +54,17 @@ def _number(value: Any, where: str) -> float:
     return number
 
 
+def _check_size(doc: dict, field: str, size: int, what: str) -> None:
+    """An optional size field is an integer, or a float with an integer value,
+    equal to the array's size; bools, strings and fractions are refused."""
+    value = doc.get(field, size)
+    whole = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not (whole or hasattr(value, "__index__")):
+        raise ValidationError(f"{field} {value!r} is not an integer")
+    if value != size:
+        raise ValidationError(f"{field} {value} does not match {what} {size}")
+
+
 def _matrix(raw: Any, where: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ValidationError(f"{where}: expected a list of rows")
@@ -101,19 +112,11 @@ def parse_problem(doc: Any):
     dec = decompose(group)
     if kind == "channel":
         matrix = _matrix(doc.get("matrix"), "matrix")
-        output_size = doc.get("output_size", len(matrix[0]))
-        if output_size != len(matrix[0]):
-            raise ValidationError(
-                f"output_size {output_size} does not match matrix width {len(matrix[0])}"
-            )
+        _check_size(doc, "output_size", len(matrix[0]), "matrix width")
         chan = ChannelSpec(dec.spec, matrix)
         return ChannelProblem(dec.orders, dec, chan)
     joint = _matrix(doc.get("joint"), "joint")
-    source_size = doc.get("source_size", len(joint))
-    if source_size != len(joint):
-        raise ValidationError(
-            f"source_size {source_size} does not match joint height {len(joint)}"
-        )
+    _check_size(doc, "source_size", len(joint), "joint height")
     distortion = doc.get("distortion")
     if distortion is not None:
         distortion = _matrix(distortion, "distortion")

@@ -53,9 +53,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .groups import GroupSpec, ThetaVector, _check_count, _gaps, _induce
+from .groups import GroupSpec, ThetaVector, _check_count, _components, _gaps, _induce
 from .groups import _slot_values, _theta_members
-from .measures import ChannelSpec, SourceJoint, _components, _coset_terms
+from .measures import ChannelSpec, SourceJoint, _coset_terms
 
 # Information terms at or below this count as exactly zero when applying the
 # 0/0 -> 0 term convention; far below any meaningful rate in bits.

@@ -290,6 +290,107 @@ def test_problem_group_entries_must_be_integers(capsys, tmp_path, group, shown):
     assert code == 2 and out == "" and f"cyclic order {shown} is not an integer" in err
 
 
+CHANNEL_DOC = {
+    "kind": "channel", "group": [2], "output_size": 2, "matrix": [[1, 0], [0, 1]]
+}
+SOURCE_DOC = {
+    "kind": "source", "group": [2], "source_size": 2, "joint": [[0.5, 0], [0, 0.5]]
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "capacity",
+            None,
+            "cannot read {path}: [Errno 2] No such file or directory: '{path}'",
+        ),
+        (
+            "rd",
+            "{",
+            "{path} is not valid JSON: Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1)",
+        ),
+        ("capacity", "[1, 2]", "problem file must hold a JSON object"),
+        (
+            "capacity",
+            {**CHANNEL_DOC, "kind": "x"},
+            'problem "kind" must be "channel" or "source", got \'x\'',
+        ),
+        (
+            "rd",
+            {**SOURCE_DOC, "group": "4"},
+            'problem needs a "group" list of cyclic orders',
+        ),
+        ("capacity", {**CHANNEL_DOC, "matrix": []}, "matrix: expected a list of rows"),
+        (
+            "capacity",
+            {**CHANNEL_DOC, "output_size": 3},
+            "output_size 3 does not match matrix width 2",
+        ),
+        (
+            "rd",
+            {**SOURCE_DOC, "source_size": 3},
+            "source_size 3 does not match joint height 2",
+        ),
+        ("simulate", SOURCE_DOC, "{path} is not a channel problem"),
+    ],
+    ids=[
+        "missing-file", "invalid-json", "json-array", "kind", "group-string",
+        "empty-matrix", "output-size-mismatch", "source-size-mismatch",
+        "simulate-source",
+    ],
+)
+def test_problem_file_refusals_pinned(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "problem.json"
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [command, str(path)] + (["--counts", "1"] if command == "simulate" else [])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: " + message.format(path=path) + "\n")
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("output_size", "1", "'1'"),
+        ("output_size", True, "True"),
+        ("output_size", 1.5, "1.5"),
+        ("output_size", None, "None"),
+        ("source_size", True, "True"),
+        ("source_size", "1", "'1'"),
+    ],
+)
+def test_problem_size_fields_must_be_integers(capsys, tmp_path, field, value, shown):
+    # one output letter or one source letter, so a size read as 1 would match
+    doc = (
+        {"kind": "channel", "group": [2], "matrix": [[1], [1]]}
+        if field == "output_size"
+        else {"kind": "source", "group": [2], "joint": [[0.5, 0.5]]}
+    )
+    doc[field] = value
+    path = tmp_path / "size.json"
+    path.write_text(json.dumps(doc))
+    command = "capacity" if field == "output_size" else "rd"
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} {shown} is not an integer\n"
+
+
+@pytest.mark.parametrize("field", ["output_size", "source_size"])
+def test_problem_size_fields_integral_float(capsys, tmp_path, field):
+    doc = dict(CHANNEL_DOC if field == "output_size" else SOURCE_DOC)
+    command = "capacity" if field == "output_size" else "rd"
+    path = tmp_path / "size.json"
+    path.write_text(json.dumps(doc))
+    _, want, _ = run_cli(capsys, [command, str(path)])
+    doc[field] = 2.0
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, [command, str(path)])
+    assert code == 0 and out == want
+
+
 def test_problem_group_integral_float(capsys, tmp_path, merged_channel_file):
     doc = json.loads(Path(merged_channel_file).read_text())
     doc["group"] = [4.0]
@@ -367,6 +468,40 @@ def test_theta_table_bad_weights(capsys):
 def test_theta_table_repeated_slot(capsys):
     code, out, err = run_cli(capsys, ["theta-table", "8", "--support", "2,2;2,2"])
     assert code == 2 and out == "" and "support slot (2,2) is repeated" in err
+
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--support", "2,1,3"], "bad support slot '2,1,3': expected q,s"),
+        (["--support", ";"], "no slots in support ';'"),
+        (
+            ["--support", "x,1"],
+            "bad support slot 'x,1': invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            ["--support", "2,1;2,2", "--weights", "a,b"],
+            "bad weights 'a,b': Invalid literal for Fraction: 'a'",
+        ),
+        (
+            ["--support", "2,1;2,2", "--weights", "1/3,1/3,1/3"],
+            "expected 2 weights, got 3",
+        ),
+    ],
+    ids=[
+        "three-numbers", "no-slots", "non-integer-slot", "bad-weights", "weight-count"
+    ],
+)
+def test_theta_table_refusals_pinned(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["theta-table", "4"] + argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_theta_table_skips_empty_support_part(capsys):
+    _, want, _ = run_cli(capsys, ["theta-table", "4", "--support", "2,1;2,2"])
+    code, out, _ = run_cli(capsys, ["theta-table", "4", "--support", "2,1;;2,2"])
+    assert code == 0 and out == want
 
 
 def test_csv_for_capacity(capsys, merged_channel_file, tmp_path):
@@ -465,10 +600,14 @@ def test_verify_ensemble_stdout_pinned(capsys, args, expected):
 
 
 def test_verify_ensemble_needs_covering_counts(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, ["verify-ensemble", "4,3", "--counts", "0,1,0", "--n", "1"]
     )
-    assert code == 2 and "prime" in err
+    assert code == 2 and out == "" and "prime" in err
+    assert err == (
+        "error: support ((2, 2),) has no slot for prime 3: "
+        "the induced depth is undefined\n"
+    )
 
 
 def test_verify_ensemble_many_axes_reaches_cell_cap(capsys):
@@ -573,6 +712,12 @@ def test_numeric_arguments_validated(capsys, merged_channel_file, argv):
     argv = [a.format(chan=merged_channel_file) for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and f"{argv[-2]} must be" in err
+
+
+
+def test_seed_range_message_pinned(capsys):
+    code, out, err = run_cli(capsys, ["group-info", "4", "--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: --seed must be in [0, 2**64), got -1\n")
 
 
 def test_largest_seed_accepted(capsys, merged_channel_file):

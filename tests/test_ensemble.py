@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -909,7 +910,7 @@ def test_mc_seed_contract():
     for seed in (-1, 2**64, 2**70):
         with pytest.raises(ValueError, match="seed"):
             mc_channel_error(ig, 2, chan, 20, seed)
-    for seed in (None, 1.5):
+    for seed in (None, 1.5, True, np.True_):
         with pytest.raises(TypeError, match="seed"):
             mc_channel_error(ig, 2, chan, 20, seed)
     with pytest.raises(ValueError, match="trials"):
@@ -1005,10 +1006,18 @@ def test_mc_cap():
 
 @pytest.mark.parametrize(
     "seed, error",
-    [(None, TypeError), (1.5, TypeError), (-1, ValueError), (2**64, ValueError)],
+    [
+        (None, TypeError),
+        (1.5, TypeError),
+        (True, TypeError),
+        (np.True_, TypeError),
+        (-1, ValueError),
+        (2**64, ValueError),
+    ],
 )
 def test_seed_contract(seed, error):
-    # a seed must be an integer in [0, 2**64): None would draw fresh OS entropy
+    # a seed must be an integer in [0, 2**64): None would draw fresh OS entropy,
+    # and a bool is refused as it is as a count, not read as seed 1
     ig = ig_of([4], {(2, 2): 1})
     with pytest.raises(error, match="seed"):
         sample_hom(ig, 2, seed)
@@ -1085,3 +1094,87 @@ def test_lemma_suite_congruence_check_sampled_above_cap(monkeypatch):
     monkeypatch.setattr(ensemble, "SIZE_CAP", 18)
     detail = lemma_suite(ig, 1, samples=8, seed=3)[-1].detail
     assert detail == "18 equations checked, 0 mismatches"
+
+
+IG4 = ig_of([4], {(2, 1): 1})
+Z4, Z8 = IG4.group, decompose([8]).spec
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: InputGroup(Z4, (1,)),
+            ValueError,
+            "expected 2 counts for slots ((2, 1), (2, 2))",
+        ),
+        (
+            lambda: IG4.element(ig_of([4], {(2, 2): 1}).spec.zero()),
+            TypeError,
+            "element bound to a different input group",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 1, (), (Z4.zero(),)),
+            ValueError,
+            "one image row per input component is required",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 1, ((Z4.zero(),),), ()),
+            ValueError,
+            "dither must be a blocklength tuple over the group",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 1, ((),), (Z4.zero(),)),
+            ValueError,
+            "each image row must have one entry per coordinate",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 1, ((Z8.zero(),),), (Z4.zero(),)),
+            ValueError,
+            "generator image violates ensemble constraints: "
+            "component (2, 1, 1) coord 0: wrong group",
+        ),
+        (
+            lambda: theta_census(ig_of([2], {(2, 1): 21})),
+            ValueError,
+            "input group size 2097152 exceeds cap 1048576",
+        ),
+        (
+            lambda: mc_channel_error(IG4, 1, ChannelSpec(Z8, np.eye(8)), 5, 0),
+            ValueError,
+            "channel input alphabet differs from the code group",
+        ),
+        (
+            lambda: solve_congruence(2, 2, 3, 1, 0),
+            ValueError,
+            "need 1 <= s <= r, got s=3, r=2",
+        ),
+        (
+            lambda: solve_congruence(2, 2, 1, 1, 4),
+            ValueError,
+            "target 4 must be a residue of Z_4",
+        ),
+    ],
+    ids=[
+        "counts-length", "element-of-another-input-group", "image-rows", "dither",
+        "image-row-length", "image-of-another-group", "census-cap",
+        "channel-of-another-group", "congruence-s-above-r", "congruence-target",
+    ],
+)
+def test_refusals_pinned(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_lemma_suite_refuses_uncovered_prime_before_drawing(monkeypatch):
+    # a support with no slot for some prime is refused before any table is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a table was drawn")
+
+    monkeypatch.setattr(ensemble, "_sample_table", no_draw)
+    message = (
+        "support ((2, 1), (2, 2)) has no slot for prime 3: the induced depth is undefined"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lemma_suite(ig_of([4, 3], {(2, 1): 1, (2, 2): 1}), 1)
+

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -234,3 +235,66 @@ def test_groupspec_validation():
         GroupSpec(((2, 1, 2),))  # multiplicity must start at 1
     with pytest.raises(ValueError):
         GroupElement(decompose([4]).spec, (5,))
+
+
+Z43, Z8 = decompose([4, 3]), decompose([8])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GroupSpec(()), ValueError, "a group needs at least one ring"),
+        (
+            lambda: GroupSpec(((3, 1, 1), (2, 1, 1))),
+            ValueError,
+            "rings must be sorted by (p, r, m)",
+        ),
+        (lambda: GroupSpec(((2, 0, 1),)), ValueError, "ring exponent 0 must be >= 1"),
+        (lambda: Z43.spec.element([1]), ValueError, "expected 2 residues, got 1"),
+        (
+            lambda: GroupElement(Z43.spec, (1,)),
+            ValueError,
+            "residue vector length does not match ring count",
+        ),
+        (
+            lambda: Z43.spec.zero() + 1,
+            TypeError,
+            "cannot combine GroupElement with int",
+        ),
+        (
+            lambda: ThetaVector(Z43.spec, (1,)),
+            ValueError,
+            "expected 2 components for levels ((2, 2), (3, 1)), got 1",
+        ),
+        (
+            lambda: Subgroup(Z43.spec, ThetaVector.zero(Z8.spec)),
+            ValueError,
+            "theta bound to a different group",
+        ),
+        (
+            lambda: Subgroup(Z8.spec, ThetaVector.zero(Z8.spec)).coset_label(
+                Z43.spec.zero()
+            ),
+            TypeError,
+            "element bound to a different group",
+        ),
+        (
+            lambda: Z43.from_canonical(Z8.spec.zero()),
+            TypeError,
+            "element bound to a different group",
+        ),
+        (lambda: Z43.to_canonical([1]), ValueError, "expected 2 values, got 1"),
+        (lambda: Z43.to_canonical([4, 0]), ValueError, "value 4 out of range for Z_4"),
+        (lambda: decompose([]), ValueError, "need at least one cyclic order"),
+    ],
+    ids=[
+        "no-rings", "unsorted-rings", "exponent-0", "element-length",
+        "group-element-length", "add-int", "theta-length", "subgroup-theta",
+        "coset-label", "from-canonical", "to-canonical-length",
+        "to-canonical-range", "decompose-empty",
+    ],
+)
+def test_refusals_pinned(call, error, message):
+    # each refusal's type and whole message
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,52 @@ def test_source_joint_validation():
     for target in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             SourceJoint(z2, half, [[0, 1], [1, 0]], target)
+
+
+Z4 = decompose([4]).spec
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: entropy([]), "distribution is empty"),
+        (lambda: entropy([[0.5, 0.5]]), "distribution must be one-dimensional"),
+        (lambda: mutual_information([]), "joint matrix is empty"),
+        (
+            lambda: mutual_information([0.5, 0.5]),
+            "joint matrix must be two-dimensional",
+        ),
+        (lambda: ChannelSpec(Z4, [0.25] * 4), "channel matrix must be two-dimensional"),
+        (lambda: SourceJoint(Z4, [0.25] * 4), "source joint must be two-dimensional"),
+        (
+            lambda: SourceJoint(Z4, np.full((4, 3), 1 / 12)),
+            "source joint has 3 columns but the group has 4 elements",
+        ),
+        (
+            lambda: SourceJoint(Z4, np.eye(4) / 4, np.zeros((4, 3))),
+            "distortion matrix shape mismatch",
+        ),
+        (
+            lambda: SourceJoint(Z4, np.eye(4) / 4, -np.eye(4)),
+            "distortion entries must be >= 0",
+        ),
+        # the shape is checked after the entries, so these keep their messages
+        (lambda: entropy([[]]), "distribution is empty"),
+        (
+            lambda: ChannelSpec(Z4, [0.5, "nan"]),
+            "channel matrix has non-finite entries",
+        ),
+        (lambda: SourceJoint(Z4, [-0.5, 1.5]), "source joint has negative entries"),
+    ],
+    ids=[
+        "empty-distribution", "2d-entropy", "empty-joint", "1d-joint", "1d-channel",
+        "1d-source", "joint-columns", "distortion-shape", "distortion-negative",
+        "empty-2d-distribution", "nan-1d-channel", "negative-1d-source",
+    ],
+)
+def test_refusals_pinned(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_coset_mi_source_endpoints():

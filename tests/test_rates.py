@@ -237,6 +237,14 @@ def test_theta_set_rejects_bad_support():
         enumerate_theta_set(spec, [(2, 1)])
 
 
+
+def test_rate_layer_refusals_pinned():
+    spec = decompose([4]).spec
+    with pytest.raises(ValueError, match=r"^depth 2 for slot \(2, 1\) not in \[0, 1\]$"):
+        induced_theta(spec, [(2, 1)], {(2, 1): 2})
+    with pytest.raises(ValueError, match="^weight vector has empty support$"):
+        omega(spec, {}, ThetaVector.zero(spec))
+
 # -- omega -------------------------------------------------------------------
 
 
