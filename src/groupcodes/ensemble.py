@@ -7,6 +7,16 @@ verifiers here check the ensemble's structural laws (generator constraints,
 pairwise joint probabilities, selector census bounds) by exhaustive
 enumeration whenever the state space is small enough, falling back to seeded
 sampling beyond that.
+
+An InputGroup caches the plan every check on (J, n) reads, built on first
+read: the element grid of J, and per blocklength n the enumeration of every
+homomorphism table, checked once against the constraints (a set that fails
+raises and is never kept).  The exhaustive pairwise law reads it, so it is
+only built where the tables T times the |G|^n dither words are at most
+EXHAUSTIVE_CAP.  The plan belongs to the instance, not to its value: an equal
+group built apart builds its own.  Its arrays are read-only, and a value
+computed twice in a race is identical, so an InputGroup is safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -90,6 +100,31 @@ class InputGroup:
         for table in (gaps, powers):
             table.setflags(write=False)
         return gaps, powers
+
+    # -- the plan: what every check on (J, n) reads, built on first read and
+    # kept by this instance alone
+
+    @cached_property
+    def _element_grid(self) -> np.ndarray:
+        """Every element of J [|J|, k], in canonical order, so the zero first."""
+        grid = _grid(self.spec.moduli)
+        grid.setflags(write=False)
+        return grid
+
+    @cached_property
+    def _enumerations(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def _enumeration(self, n: int) -> np.ndarray:
+        """Every homomorphism table [T, k, n, c], checked against the
+        ensemble's constraints once and read-only; a set that fails the check
+        raises and is not kept."""
+        tables = self._enumerations.get(n)
+        if tables is None:
+            tables = _checked(self, _all_tables(self, n))
+            tables.setflags(write=False)
+            self._enumerations[n] = tables
+        return tables
 
     @property
     def total(self) -> int:
@@ -207,11 +242,15 @@ def _sample_table(
 def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     """Cells of images [..., k, n, c] outside their allowed subgroup or
     outside [0, p^r)."""
-    moduli = np.array(ig.group.moduli)
-    # fmod is zero exactly on the multiples, of either sign, and faster than %
-    return (np.fmod(images, ig._allowed_step[:, None, :]) != 0) | (images < 0) | (
-        images >= moduli
-    )
+    images = np.asarray(images, dtype=np.int64)
+    # read as unsigned, a negative cell is at least 2**63, above p^r
+    bad = images.view(np.uint64) >= np.array(ig.group.moduli, dtype=np.uint64)
+    # a step of 1 allows every cell; fmod is zero exactly on the multiples,
+    # of either sign, and faster than %
+    step = ig._allowed_step
+    coarse = (step > 1).any(axis=1)
+    bad[..., coarse, :, :] |= np.fmod(images[..., coarse, :, :], step[coarse, None]) != 0
+    return bad
 
 
 def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
@@ -220,17 +259,19 @@ def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     return images
 
 
-def _encode(messages, images: np.ndarray, dither, moduli) -> np.ndarray:
-    """(messages @ images + dither) mod moduli: messages [k] or [M, k]
-    against images [..., k, n, c] give codewords [..., n, c] or [..., M, n,
-    c], and the dither broadcasts against them."""
-    # k products of residues below max(moduli), plus the dither, fit in int64
+def _encode(messages, images: np.ndarray, moduli) -> np.ndarray:
+    """(messages @ images) mod moduli: messages [k] or [M, k] against images
+    [..., k, n, c] give codewords [..., n, c] or [..., M, n, c].  A dither is
+    one more generator row, with message coordinate 1."""
+    # k products of residues below max(moduli) fit in int64
     if images.shape[-3] * max(moduli) ** 2 >= 2**63:
         raise ValueError("group moduli too large for int64 residue arithmetic")
     words = np.matmul(messages, images.reshape(images.shape[:-2] + (-1,)))
-    words = words.reshape(words.shape[:-1] + images.shape[-2:]) + dither
-    # numpy divides by one scalar modulus much faster than by an array
-    return words % (moduli[0] if len(set(moduli)) == 1 else moduli)
+    words = words.reshape(words.shape[:-1] + images.shape[-2:])
+    # numpy divides by one scalar modulus much faster than by an array, and
+    # in place it takes no second array as large as the codebook
+    modulus = moduli[0] if len(set(moduli)) == 1 else moduli
+    return np.remainder(words, modulus, out=words)
 
 
 def _image_array(table: HomomorphismTable) -> np.ndarray:
@@ -284,7 +325,7 @@ def apply_hom(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
     generator images."""
     a = table.input_group.element(a)
     g_spec = table.input_group.group
-    return _elements(g_spec, _encode(a.residues, _image_array(table), 0, g_spec.moduli))
+    return _elements(g_spec, _encode(a.residues, _image_array(table), g_spec.moduli))
 
 
 def encode(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
@@ -317,7 +358,7 @@ def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     if ig.size > SIZE_CAP:
         raise ValueError(f"input group size {ig.size} exceeds cap {SIZE_CAP}")
     a = ig.element(a) if a is not None else ig.spec.zero()
-    rows = _selectors(ig, _grid(ig.spec.moduli) - a.residues)
+    rows = _selectors(ig, ig._element_grid - a.residues)
     # one mixed-radix code per selector, in lexicographic order
     radices = [r + 1 for _, r in ig.group.ring_levels]
     counts = np.bincount(np.ravel_multi_index(tuple(rows.T), radices))
@@ -370,10 +411,10 @@ def verify_pairwise_law(
     joint law of (phi(a) + D, phi(b) + D) is Uniform(G^n) times the law of
     w = phi(b - a): the check tallies w over the tables, and its distances
     are those of w on the |H_theta|^n cells of H_theta^n.  Exhaustive (exact,
-    zero tolerance) whenever the (generators, dither) space fits under the
-    cap; otherwise seeded sampling of samples >= 1 tables with a total
-    variation threshold of 3 * sqrt(|H_theta|^n / samples), drawn from an
-    integer seed in [0, 2**64).
+    zero tolerance, over the enumeration of ``ig``'s plan) whenever the
+    (generators, dither) space fits under the cap; otherwise seeded sampling
+    of samples >= 1 tables with a total variation threshold of 3 *
+    sqrt(|H_theta|^n / samples), drawn from an integer seed in [0, 2**64).
     """
     _check_seed("seed", seed)
     _check_count("blocklength", n)
@@ -394,13 +435,13 @@ def verify_pairwise_law(
     hom_space = math.prod((g_spec.moduli // ig._allowed_step).ravel().tolist()) ** n
     if hom_space * gn <= EXHAUSTIVE_CAP:
         mode, threshold = "exhaustive", 0.0
-        tables = _all_tables(ig, n)
+        tables = ig._enumeration(n)
     else:
         mode, threshold = "sampled", 3.0 * math.sqrt(cells / samples)
         rng = np.random.Generator(np.random.Philox(seed))
-        tables = _sample_tables(ig, n, rng, (samples,))
+        tables = _checked(ig, _sample_tables(ig, n, rng, (samples,)))
     diff = np.subtract(b.residues, a.residues)
-    w = _encode(diff, _checked(ig, tables), 0, g_spec.moduli)  # [T, n, c]
+    w = _encode(diff, tables, g_spec.moduli)  # [T, n, c]
     digits, rest = np.divmod(w, h_step)
     digits = digits[~rest.any(axis=(1, 2))].reshape(-1, n * len(h_step))
     # mixed-radix cell index: the radices multiply to cells, within the cap
@@ -582,7 +623,11 @@ def mc_channel_error(
     The draws of a block of trials are read by position from their words,
     only a stream with a rejected draw being replayed; encoding, the
     injectivity test and decoding run over the block, with block x messages
-    x n x rings at most SIZE_CAP cells.  The report is bit for bit that of
+    x n x rings at most SIZE_CAP cells.  The dither is one more generator
+    row, with message coordinate 1, so a block's codebook is one product and
+    one reduction mod p^r.  A trial's code is injective exactly when no
+    message a != 0 has message 0's codeword: phi(a) + D = phi(b) + D holds
+    exactly when phi(a - b) = 0.  The report is bit for bit that of
     one ``Generator(Philox(child))`` per trial, drawn one trial at a time;
     it depends only on the SeedSequence and Philox algorithms, not on how
     ``Generator``'s methods are implemented."""
@@ -596,24 +641,35 @@ def mc_channel_error(
     if trials > 2**32:
         raise ValueError(f"trials must be in [1, 2**32], got {trials}")
     moduli = ig.group.moduli
-    messages = _grid(ig.spec.moduli)
-    w = chan.matrix
-    cdf = w.cumsum(axis=1)
+    size = ig.size
+    # message coordinate 1 on the dither, generator row k + 1
+    messages = np.hstack([ig._element_grid, np.ones((size, 1), dtype=np.int64)])
+    # place values of an element's rings and of a word's coordinates
+    order = ig.group.order
+    ring_place = np.cumprod((1,) + moduli[:0:-1])[::-1]
+    word_place = order ** np.arange(n - 1, -1, -1)
+    w_flat = chan.matrix.T.ravel()  # W(y | x) at y * |G| + x
+    cdf = chan.matrix.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     # at least 1: messages * |G|^n is within the cap and n * rings <= |G|^n
-    block = SIZE_CAP // (len(messages) * n * len(moduli))
+    block = SIZE_CAP // (size * n * len(moduli))
     seq = np.random.SeedSequence(seed)
     errors = injective_trials = injective_errors = 0
     for start in range(0, trials, block):
         keys = _child_keys(seq, start, min(block, trials - start))
-        images, dither, sent, u = _trial_draws(ig, n, keys, len(messages))
-        codewords = _encode(messages, images, dither[:, None], moduli)
-        codebook = np.ravel_multi_index(np.moveaxis(codewords, -1, 0), moduli)
-        words = np.ravel_multi_index(np.moveaxis(codebook, -1, 0), (len(w),) * n)
-        injective = (np.diff(np.sort(words, axis=1), axis=1) != 0).all(axis=1)
+        images, dither, sent, u = _trial_draws(ig, n, keys, size)
+        rows = np.concatenate([images, dither[:, None]], axis=1)
+        codebook = _encode(messages, rows, moduli) @ ring_place  # [B, messages, n]
+        # injective: no message a != 0 has message 0's codeword (see above)
+        words = codebook @ word_place
+        injective = (words[:, 1:] != words[:, :1]).all(axis=1)
         x = codebook[np.arange(len(sent)), sent]  # [B, n]
         y = (cdf[x] <= u[..., None]).sum(axis=-1)
-        likelihood = w[codebook, y[:, None, :]].prod(axis=-1)  # [B, messages]
+        # each codeword's likelihood, W(y_i | x_i) multiplied from i = 0 up: the
+        # rounding, and so which ties decode where, follows this order
+        likelihood = np.ones(codebook.shape[:2])
+        for i, row in enumerate((y * order).T):
+            likelihood *= w_flat[row[:, None] + codebook[..., i]]
         wrong = likelihood.argmax(axis=1) != sent
         errors += int(wrong.sum())
         injective_trials += int(injective.sum())
@@ -640,19 +696,21 @@ def lemma_suite(
 
     The counts must give every prime of the group a component, as the
     theta-set check needs a support with a slot per prime; other counts are
-    refused before anything is drawn.  Exhaustive wherever the space allows; the pairwise law falls back to
-    seeded sampling above the enumeration cap.  One Philox stream, seeded
-    by ``seed``, draws min(samples, 1000) tables in one call (samples >= 1);
-    the first 25 are checked for additivity on every input pair when
-    |J| <= 64, else on 64 fresh pairs each.  The pairwise law is checked on
-    every input pair when |J|^2 <= 64, else on 16 drawn pairs, pair i with
-    seed (seed + i) mod 2**64.  Pairs are residue rows throughout.  The
-    congruence solver's closed form is checked on every b of a coefficient a
-    at once against a stable sort of a*x mod p^r over every x, which groups
-    the solutions of a*x = b by b, in increasing order: each b's count must
-    be gcd(a, p^r) or 0, and each solvable b's group the whole solution set.
-    Above SIZE_CAP equations each coefficient a is checked, on every b, with
-    probability SIZE_CAP / equations, so about SIZE_CAP are checked.
+    refused before anything is drawn.  Exhaustive wherever the space allows;
+    the pairwise law falls back to seeded sampling above the enumeration
+    cap.  One Philox stream, seeded by ``seed``, draws min(samples, 1000)
+    tables in one call (samples >= 1); the first 25 are checked for
+    additivity on every input pair when |J| <= 64, else on 64 fresh pairs
+    each.  The pairwise law is checked on every input pair when |J|^2 <= 64,
+    else on 16 drawn pairs, pair i with seed (seed + i) mod 2**64; in
+    exhaustive mode every pair reads the one enumeration of the group's
+    plan.  Pairs are residue rows throughout.  The congruence solver's
+    closed form is checked on every b of a coefficient a at once against a
+    stable sort of a*x mod p^r over every x, which groups the solutions of
+    a*x = b by b, in increasing order: each b's count must be gcd(a, p^r) or
+    0, and each solvable b's group the whole solution set.  Above SIZE_CAP
+    equations each coefficient a is checked, on every b, with probability
+    SIZE_CAP / equations, so about SIZE_CAP are checked.
     """
     _check_count("blocklength", n)
     _check_seed("seed", seed)
@@ -676,8 +734,8 @@ def lemma_suite(
         if pairs is None:
             pairs = rng.integers(0, in_moduli, (64, 2, k))
         a, b = pairs[:, 0], pairs[:, 1]
-        lhs = _encode((a + b) % in_moduli, images, 0, moduli)
-        rhs = (_encode(a, images, 0, moduli) + _encode(b, images, 0, moduli)) % moduli
+        lhs = _encode((a + b) % in_moduli, images, moduli)
+        rhs = (_encode(a, images, moduli) + _encode(b, images, moduli)) % moduli
         law_total += len(a)
         law_fail += int((lhs != rhs).any(axis=(1, 2)).sum())
     detail = f"{law_total} pairs checked, {law_fail} failures"

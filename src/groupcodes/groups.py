@@ -85,6 +85,15 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if not self.rings:
             raise ValueError("a group needs at least one ring")
+        rings = tuple(
+            (
+                _integer("ring prime", p),
+                _integer("ring exponent", r),
+                _integer("ring multiplicity", m),
+            )
+            for p, r, m in self.rings
+        )
+        object.__setattr__(self, "rings", rings)
         if list(self.rings) != sorted(self.rings):
             raise ValueError("rings must be sorted by (p, r, m)")
         seen: dict[tuple[int, int], int] = {}
@@ -226,6 +235,7 @@ class GroupSpec:
             raise ValueError(
                 f"expected {len(self.rings)} residues, got {len(residues)}"
             )
+        residues = (_integer("residue", v) for v in residues)
         return GroupElement(self, tuple(v % n for v, n in zip(residues, self.moduli)))
 
     def zero(self) -> "GroupElement":
@@ -359,7 +369,7 @@ class GroupElement:
         if len(self.residues) != len(self.spec.rings):
             raise ValueError("residue vector length does not match ring count")
         for v, n in zip(self.residues, self.spec.moduli):
-            if not 0 <= v < n:
+            if not 0 <= _integer("residue", v) < n:
                 raise ValueError(f"residue {v} out of range [0, {n})")
 
     def _check_binding(self, other: "GroupElement") -> None:
@@ -409,7 +419,7 @@ class ThetaVector:
                 f"got {len(self.components)}"
             )
         for t, (p, r) in zip(self.components, levels):
-            if not 0 <= t <= r:
+            if not 0 <= _integer("selector component", t) <= r:
                 raise ValueError(f"component {t} for level ({p},{r}) not in [0, {r}]")
 
     @classmethod
@@ -607,6 +617,8 @@ def _cyclic_order(value) -> int:
 def _integer(name: str, value) -> int:
     """An integer argument as an int: a bool, Python's or numpy's, or a float
     is refused, not read as 1 or truncated."""
+    if type(value) is int:  # the common case, checked first as it is cheapest
+        return value
     if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)

@@ -88,7 +88,7 @@ def _log_weight(q: int) -> Fraction:
 class WeightVector:
     """Nonnegative weights over the (q, s) slots of a group, summing to one.
 
-    Values may be fractions.Fraction (exact) or floats.
+    Values may be fractions.Fraction (exact) or floats; a bool is refused.
     """
 
     spec: GroupSpec
@@ -98,10 +98,7 @@ class WeightVector:
         slots = self.spec.weight_slots
         if len(self.values) != len(slots):
             raise ValueError(f"expected {len(slots)} weights for slots {slots}")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"weights must be finite, got {self.values}")
-        if any(v < 0 for v in self.values):
-            raise ValueError("weights must be nonnegative")
+        _check_weights(self.values)
         if abs(sum(self.values) - 1) > 1e-9:
             raise ValueError(f"weights sum to {sum(self.values)}, not 1")
 
@@ -117,6 +114,17 @@ class WeightVector:
 
     def as_mapping(self) -> dict[tuple[int, int], object]:
         return dict(zip(self.spec.weight_slots, self.values))
+
+
+def _check_weights(values: tuple) -> None:
+    """Weights are finite nonnegative numbers; a bool is refused, not read as
+    the weight 1 or 0."""
+    if any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise TypeError(f"weights must be numbers, not bools, got {values}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"weights must be finite, got {values}")
+    if any(v < 0 for v in values):
+        raise ValueError("weights must be nonnegative")
 
 
 def induced_theta(
@@ -171,8 +179,8 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
     Fraction weights the result is exact whenever the group has a single
     prime (log factors cancel); with floats it is a float, from the sums a
     rate call's linear program takes.  A selector or a weight vector of
-    another group, a mapping key that is not a weight slot and a negative
-    weight are refused.
+    another group, a mapping key that is not a weight slot, a bool weight and a
+    negative weight are refused.
     """
     depths, n, d = spec._omega_coefficients([_components(spec, theta)])
     if isinstance(weights, WeightVector):
@@ -181,10 +189,7 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
         values = weights.values
     else:
         values = _slot_values(spec, weights)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"weights must be finite, got {values}")
-        if any(v < 0 for v in values):
-            raise ValueError("weights must be nonnegative")
+        _check_weights(values)
     if all(isinstance(w, float) for w in values if w != 0):
         num, den = _sums(n, d, np.array([values], dtype=float))
         num, den = num.item(), den.item()

@@ -1,6 +1,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -286,15 +287,66 @@ Z43, Z8 = decompose([4, 3]), decompose([8])
         (lambda: Z43.to_canonical([1]), ValueError, "expected 2 values, got 1"),
         (lambda: Z43.to_canonical([4, 0]), ValueError, "value 4 out of range for Z_4"),
         (lambda: decompose([]), ValueError, "need at least one cyclic order"),
+        # the integer rule: a float or a bool is refused, not read as a number
+        (
+            lambda: GroupSpec(((2, 1.5, 1),)),
+            TypeError,
+            "ring exponent must be an integer, got 1.5",
+        ),
+        (
+            lambda: GroupSpec(((2, True, 1),)),
+            TypeError,
+            "ring exponent must be an integer, got True",
+        ),
+        (
+            lambda: GroupSpec(((2.0, 1, 1),)),
+            TypeError,
+            "ring prime must be an integer, got 2.0",
+        ),
+        (
+            lambda: GroupSpec(((2, 1, np.True_),)),
+            TypeError,
+            "ring multiplicity must be an integer, got np.True_",
+        ),
+        (
+            lambda: ThetaVector(Z8.spec, (1.5,)),
+            TypeError,
+            "selector component must be an integer, got 1.5",
+        ),
+        (
+            lambda: Z8.spec.element([1.5]),
+            TypeError,
+            "residue must be an integer, got 1.5",
+        ),
+        (
+            lambda: Z8.spec.element([True]),
+            TypeError,
+            "residue must be an integer, got True",
+        ),
+        (
+            lambda: GroupElement(Z8.spec, (2.0,)),
+            TypeError,
+            "residue must be an integer, got 2.0",
+        ),
     ],
     ids=[
         "no-rings", "unsorted-rings", "exponent-0", "element-length",
         "group-element-length", "add-int", "theta-length", "subgroup-theta",
         "coset-label", "from-canonical", "to-canonical-length",
-        "to-canonical-range", "decompose-empty",
+        "to-canonical-range", "decompose-empty", "ring-exponent-float",
+        "ring-exponent-bool", "ring-prime-float", "ring-multiplicity-bool",
+        "theta-float", "element-float", "element-bool", "group-element-float",
     ],
 )
 def test_refusals_pinned(call, error, message):
     # each refusal's type and whole message
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_integer_rule_takes_numpy_integers():
+    # numpy integers pass the integer rule, and a group keeps its rings as ints
+    spec = GroupSpec(((np.int64(2), np.int64(3), np.int64(1)),))
+    assert spec == Z8.spec and all(type(v) is int for v in spec.rings[0])
+    assert spec.element([np.int64(9)]).residues == (1,)
+    assert ThetaVector(spec, (np.int64(2),)) == ThetaVector(spec, (2,))

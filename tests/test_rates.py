@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -317,6 +318,18 @@ def test_weight_vector_validation():
         WeightVector(spec, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError):
         WeightVector(spec, (Fraction(-1, 2), Fraction(1), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("values", [(True, False), (np.False_, np.True_)])
+def test_weight_vector_refuses_bools(values):
+    # a bool is not read as the weight 1 or 0; Fraction and float weights pass
+    spec = decompose([4]).spec
+    message = re.escape(f"weights must be numbers, not bools, got {values}")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        WeightVector(spec, values)
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        omega(spec, dict(zip(spec.weight_slots, values)), ThetaVector(spec, (1,)))
+    assert WeightVector(spec, (Fraction(1, 4), 0.75)).support == spec.weight_slots
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
