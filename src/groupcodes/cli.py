@@ -27,7 +27,6 @@ from .problems import (
     rate_record,
     record_to_json,
     record_to_text,
-    theta_csv_header,
     theta_csv_rows,
 )
 from .rates import (
@@ -195,7 +194,8 @@ def _cmd_rate(args, sense: str) -> int:
     if args.csv:
         # the CSV columns are info_bits and ratio_bits, with or without --nats
         levels = list(problem.decomposition.spec.ring_levels)
-        _write_csv(args.csv, theta_csv_rows(record_in(units="bits"), levels))
+        terms = record_in(units="bits")["per_theta"]
+        _write_csv(args.csv, theta_csv_rows(terms, levels))
     record = record_in(units="nats" if args.nats else "bits")
     _emit(args, record, record_to_text(record))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -219,11 +219,7 @@ def cmd_theta_table(args) -> int:
         for t in thetas
     ]
     if args.csv:
-        csv_rows = [theta_csv_header(spec.ring_levels)] + [
-            [str(c) for c in row["theta"]] + [fmt_number(row["omega"]), "", ""]
-            for row in rows
-        ]
-        _write_csv(args.csv, csv_rows)
+        _write_csv(args.csv, theta_csv_rows(rows, spec.ring_levels))
     doc = {
         "group": list(dec.orders),
         "support": [list(s) for s in support],

@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .groups import GroupElement, GroupSpec, ThetaVector, _check_count, _check_seed
-from .groups import _components, _gaps, _grid, _induce, _is_prime, _min_depths
-from .groups import _slot_values
+from .groups import _components, _gaps, _grid, _induce, _integer, _is_prime
+from .groups import _min_depths, _slot_values
 from .measures import ChannelSpec
 from .rates import _check_support, enumerate_theta_set
 
@@ -170,6 +170,8 @@ class HomomorphismTable:
 
     def __post_init__(self) -> None:
         n = self.blocklength
+        _check_count("blocklength", n)
+        _check_seed("seed", self.seed)
         if len(self.images) != len(self.input_group.spec.rings):
             raise ValueError("one image row per input component is required")
         if len(self.dither) != n or any(
@@ -813,6 +815,8 @@ def solve_congruence(p: int, r: int, s: int, a: int, b: int) -> tuple[int, ...]:
     in Z_{p^s}, s <= r: with g = gcd(a, p^r) = gcd(a, p^s), empty unless g
     divides b, else the g residues (b/g) * (a/g)^-1 mod p^r/g plus the
     multiples of p^r/g, in increasing order."""
+    p, r, s = _integer("modulus base p", p), _integer("r", r), _integer("s", s)
+    a, b = _integer("coefficient", a), _integer("target", b)
     if not _is_prime(p):
         raise ValueError(f"modulus base p={p} is not prime")
     if not 1 <= s <= r:

@@ -584,7 +584,7 @@ class CyclicDecomposition:
             raise ValueError(f"expected {len(self.orders)} values, got {len(values)}")
         residues = [0] * len(self.spec.rings)
         for value, n, slots in zip(values, self.orders, self.factor_slots):
-            if not 0 <= value < n:
+            if not 0 <= _integer("value", value) < n:
                 raise ValueError(f"value {value} out of range for Z_{n}")
             for pos, modulus in slots:
                 residues[pos] = value % modulus

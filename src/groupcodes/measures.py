@@ -1,7 +1,12 @@
 """Exact discrete information measures, including the coset-conditioned ones.
 
 All quantities are in bits.  Probability inputs are validated against a 1e-9
-tolerance; 0*log(0) is treated as 0 exactly.
+tolerance; 0*log(0) is treated as 0 exactly.  One zero rule holds for
+information: a value at or below INFO_ZERO_TOL, a rounding residue of either
+sign, is exactly 0.0 (``_zero_residues``).  It applies where information is
+made, in mutual_information, mi_per_coset and the coset terms, and again
+where a caller's terms enter the solver (rates), so a term that is zero in
+exact arithmetic is 0.0 from the walk to the report.
 
 The coset terms come from one walk down the selector lattice.  In canonical
 element order the coset of an element under the theta-subgroup is its
@@ -29,7 +34,8 @@ the group, in the table or not, walks only its own path, by the same steps,
 so its term equals the table's exactly.  The term route takes a selector as
 its tuple of components and builds no subgroup object.
 ``coset_mi_channel_chain`` merges rows by ``Subgroup.label_indices``
-instead: the independent route.
+instead: the independent route, whose difference of two mutual
+informations stays raw.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ import numpy as np
 from .groups import GroupSpec, Subgroup, ThetaVector, _components, _walk_schedule
 
 PROB_TOL = 1e-9
+# Information at or below this many bits is exactly zero, far below any
+# meaningful rate: the 0/0 -> 0 convention of the rate functionals reads it.
+INFO_ZERO_TOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -61,6 +70,13 @@ def _as_prob_array(values, what: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise ValidationError(f"{what} must be {('one', 'two')[ndim - 1]}-dimensional")
     return np.clip(arr, 0.0, None)
+
+
+def _zero_residues(info):
+    """Information values with every value at or below INFO_ZERO_TOL, a
+    rounding residue of either sign, set to exactly 0.0; a float array for
+    an array, a 0-d one for a scalar."""
+    return np.where(info <= INFO_ZERO_TOL, 0.0, info)
 
 
 def _row_entropies(arr: np.ndarray) -> np.ndarray:
@@ -86,13 +102,13 @@ def mutual_information(joint) -> float:
     arr = _as_prob_array(joint, "joint matrix", 2)
     if abs(arr.sum() - 1.0) > PROB_TOL:
         raise ValidationError(f"joint matrix sums to {arr.sum()}, not 1")
-    value = float(
+    value = (
         _row_entropies(arr.sum(axis=1))
         + _row_entropies(arr.sum(axis=0))
         - _row_entropies(arr.reshape(-1))
     )
-    # exact-independence inputs can land a few ulp below zero
-    return max(0.0, value)
+    # exact-independence inputs land a few ulp off zero
+    return float(_zero_residues(value))
 
 
 @dataclass(frozen=True)
@@ -262,7 +278,7 @@ def _coset_terms(data, thetas=None) -> np.ndarray:
     schedule = spec._walk_layer if thetas is None else _walk_schedule(spec, thetas)
     h = _coset_entropies(data, *schedule)
     channel = isinstance(data, ChannelSpec)
-    return np.maximum(0.0, h - h[-1] if channel else h[0] - h)
+    return _zero_residues(h - h[-1] if channel else h[0] - h)
 
 
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
@@ -292,7 +308,7 @@ def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
     ((_, _, size), sums), = _walk(_cells(chan), steps)
     (_, h_y_x), = _walk(row_entropies, steps)
     mi = _row_entropies(sums / size) - h_y_x[..., 0] / size
-    return np.maximum(0.0, mi).reshape(-1).tolist()
+    return _zero_residues(mi).reshape(-1).tolist()
 
 
 def coset_mi_channel_chain(chan: ChannelSpec, theta: ThetaVector) -> float:

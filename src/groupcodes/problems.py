@@ -224,16 +224,15 @@ def record_to_text(record: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def theta_csv_header(levels: list[tuple[int, int]]) -> list[str]:
-    """The stable column contract: theta components, omega, info_bits,
-    ratio_bits (always bits)."""
-    return [f"theta_{p}_{r}" for p, r in levels] + ["omega", "info_bits", "ratio_bits"]
-
-
-def theta_csv_rows(record: dict, levels: list[tuple[int, int]]) -> list[list[str]]:
-    """Per-theta table as CSV rows under theta_csv_header."""
-    return [theta_csv_header(levels)] + [
+def theta_csv_rows(terms: list[dict], levels) -> list[list[str]]:
+    """A per-theta table as CSV rows under the stable column contract: theta
+    components, omega, info_bits, ratio_bits (always bits).  A term without
+    info and ratio, a theta-table row, leaves those cells empty."""
+    header = [f"theta_{p}_{r}" for p, r in levels]
+    header += ["omega", "info_bits", "ratio_bits"]
+    keys = ("omega", "info", "ratio")
+    return [header] + [
         [str(c) for c in term["theta"]]
-        + [fmt_number(term[key]) for key in ("omega", "info", "ratio")]
-        for term in record["per_theta"]
+        + [fmt_number(term[key]) if key in term else "" for key in keys]
+        for term in terms
     ]

@@ -32,8 +32,15 @@ size of top, built in place.  At float weights omega is n.w / d.w with
 n = m(theta) log2 q and d = s log2 q (GroupSpec._omega_coefficients),
 summed in slot order: the LP's own coefficients, the one float statement of
 omega, which the public omega takes too, for any selector of the group.
-The winning support's solve evaluates the inner problem at its witness
-once, and the result table reuses those ratios and omegas.
+Each support's solve yields one value, the inner problem evaluated at its
+witness: the search ranks it and the result reports it, with the ratios and
+omegas of that evaluation in its table.
+The terms obey the one zero rule of measures: a term at or below
+INFO_ZERO_TOL is exactly 0.0, made so where information is made and again
+where a caller's terms enter (_SupportProblems), so the solver compares
+against zero exactly.  A zero term's ratio is 0, 0/0 included; a zero
+channel term pins its support to 0 and a source support with no positive
+term is 0, for every weight choice.
 Theta(S) is the set of selectors theta whose least inducing depths m(theta)
 on S induce them back.
 Inside a call a selector is a row of the table and the terms are an array
@@ -54,12 +61,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _components, _gaps, _induce
-from .groups import _slot_values, _theta_members
-from .measures import ChannelSpec, SourceJoint, _coset_terms
+from .groups import _integer, _slot_values, _theta_members
+from .measures import INFO_ZERO_TOL, ChannelSpec, SourceJoint, _coset_terms
+from .measures import _zero_residues
 
-# Information terms at or below this count as exactly zero when applying the
-# 0/0 -> 0 term convention; far below any meaningful rate in bits.
-INFO_ZERO_TOL = 1e-12
 # Pivot and reduced-cost threshold of the simplex; the LP coefficients are
 # bits and s * log2(q), of order one.
 LP_TOL = 1e-12
@@ -139,7 +144,7 @@ def induced_theta(
     _check_support(spec, support)
     for slot in support:
         depth = slot_depths[slot]
-        if not 0 <= depth <= slot[1]:
+        if not 0 <= _integer(f"depth for slot {slot}", depth) <= slot[1]:
             raise ValueError(f"depth {depth} for slot {slot} not in [0, {slot[1]}]")
     depths = [slot_depths[slot] for slot in support]
     induced = _induce(spec.ring_levels, _gaps(spec.ring_levels, support), depths)
@@ -227,7 +232,7 @@ class _SupportProblems:
         self.spec, self.sense = spec, sense
         self.sign = 1 if sense == "channel" else -1
         table, _, self.n, self.d, _ = spec._selector_layer
-        self.c = terms
+        self.c = _zero_residues(terms)
         # the zero selector is the table's first row, the full selector its last
         self.excluded = np.zeros(len(table), dtype=bool)
         self.excluded[0 if sense == "source" else -1] = True
@@ -238,7 +243,7 @@ class _SupportProblems:
         if missing := [th for th in spec._thetas if th not in terms]:
             raise ValueError(f"terms missing for selectors {missing}")
         for th, c in terms.items():
-            if not math.isfinite(c) or c < -1e-12:
+            if not math.isfinite(c) or c < -INFO_ZERO_TOL:
                 raise ValueError(f"information term for {th.components} is {c}")
         c = np.array([terms[th] for th in spec._thetas], dtype=float)
         return cls(spec, c, sense)
@@ -251,12 +256,12 @@ class _SupportProblems:
         """Whether the full support settles the rate (see _optimize): the
         terms are monotone over the plan's dominance pairs, theta <= theta'
         giving c_theta >= c_theta' (channel) or c_theta <= c_theta' (source),
-        and on the channel side no selector but the excluded one has a term
-        at or below INFO_ZERO_TOL."""
+        and on the channel side no selector but the excluded one has a zero
+        term."""
         lo, hi = self.c[self.spec._dominance_pairs]
         if self.sign < 0:
             return bool((lo <= hi).all())
-        zero = (self.c[~self.excluded] <= INFO_ZERO_TOL).any()
+        zero = (self.c[~self.excluded] == 0).any()
         return bool((lo >= hi).all() and not zero)
 
     def vertex_bounds(self, members: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -264,15 +269,16 @@ class _SupportProblems:
         Theta(S) ``members`` and of ``top``, the largest omega_theta on the
         face S.  The source bound LB(S) is the max over the active theta in
         Theta(S) of c_theta / top, the channel bound UB(S) the min of
-        c_theta / (1 - top).  A term at or below INFO_ZERO_TOL bounds by 0, a
-        zero denominator by +inf: a source support with LB(S) = +inf has a
-        term that is infinite for every weight choice.  The bounds are built
-        in one float array the size of top, in place."""
+        c_theta / (1 - top).  A zero term bounds by 0, even over a zero
+        denominator, a positive term over a zero denominator by +inf: a
+        source support with LB(S) = +inf has a term that is infinite for
+        every weight choice.  The bounds are built in one float array the
+        size of top, in place."""
         source = self.sign < 0
         bound = top.copy() if source else 1.0 - top
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(self.c, bound, out=bound)
-        bound[:, self.c <= INFO_ZERO_TOL] = 0.0
+        bound[:, self.c == 0] = 0.0
         # the max (source) or min (channel) over the counted selectors
         uncounted = -math.inf if source else math.inf
         np.copyto(bound, uncounted, where=~members)
@@ -347,12 +353,13 @@ def _evaluate(
     """Inner max (source) or min (channel) over one support's selectors at
     each weight point, a row of w [points, slots], skipping the excluded
     endpoint selector, plus the per-selector ratios and omegas [points,
-    selectors]."""
+    selectors].  The terms c obey the zero rule (measures), so a zero term's
+    ratio is exactly 0 at every point, 0/0 included."""
     n_val, d_val = _sums(n, d, w)
     omegas = n_val / d_val
     part = omegas if sense == "source" else (d_val - n_val) / d_val
     # the term over omega (source) or 1 - omega (channel); 0/0 -> 0, c/0 -> inf
-    ratios = np.where(c <= INFO_ZERO_TOL, np.zeros(part.shape), math.inf)
+    ratios = np.where(c == 0, np.zeros(part.shape), math.inf)
     np.divide(c, part, out=ratios, where=part > 0)
     # Theta(S) holds the full selector and the one of depth zero on every
     # slot, which differ, so one of them is a candidate
@@ -372,24 +379,27 @@ def _solve_support(
     c: np.ndarray,
     excluded: np.ndarray,
     sense: str,
-) -> tuple[float, tuple[float, ...], float, np.ndarray, np.ndarray]:
+) -> tuple[float, tuple[float, ...], np.ndarray, np.ndarray]:
     """Optimize one support pattern, given its slice of the selector plan;
-    returns the value, the witness, and the inner optimum with the ratio and
-    omega of each selector of the slice evaluated at the witness.  Where no
-    weight choice matters the value is 0 and the witness uniform.
+    returns its one value, the inner optimum evaluated at the witness, then
+    the witness and the ratio and omega of each selector of the slice there.
+    Where no weight choice matters, a source slice with no positive term or
+    a channel slice with a zero term, the witness is uniform and the value
+    exactly 0: the terms obey the zero rule, so every ratio of such a source
+    slice, and the zero term's ratio of such a channel slice, is 0.
 
     With v = w * rate / (D.w) the inner problem becomes one packing LP:
     channel, rate = max D.v subject to (D - N_theta).v <= c_theta; source,
     rate = min D.v subject to N_theta.v >= c_theta, solved as its dual
     max c.y subject to N^T y <= D, whose dual values are v.
     """
-    active = ~excluded & (c > INFO_ZERO_TOL)
+    active = ~excluded & (c > 0)
     if sense == "source":
         # no active term: the inner max is zero for every weight choice
         fixed = not active.any()
     else:
         # a zero term pins the inner min to zero for every weight choice
-        fixed = (c[~excluded] <= INFO_ZERO_TOL).any()
+        fixed = (c[~excluded] == 0).any()
 
     if fixed:
         v = np.ones(len(d))
@@ -404,8 +414,7 @@ def _solve_support(
 
     witness = tuple((v / v.sum()).tolist())
     values, ratios, omegas = _evaluate(n, d, c, excluded, np.array([witness]), sense)
-    inner = float(values[0])
-    return 0.0 if fixed else inner, witness, inner, ratios[0], omegas[0]
+    return float(values[0]), witness, ratios[0], omegas[0]
 
 
 # -- results ---------------------------------------------------------------
@@ -463,12 +472,12 @@ def _optimize(problems: _SupportProblems) -> RateResult:
     hold, and _SupportProblems.monotone checks them on the call's terms:
 
     - monotone over every pair theta <= theta' of reachable selectors;
-    - on the channel side, no reachable term at or below INFO_ZERO_TOL but
-      the excluded full selector's.  theta may be the full selector, with
-      omega = 1 and no ratio, and then theta' shares omega = 1, where a zero
-      term pins the value of S' to 0 (a coset channel, whose output is the
-      coset of its input, has such terms).  The source side needs no such
-      check: theta >= theta' and theta = 0, its excluded selector, force
+    - on the channel side, no zero reachable term but the excluded full
+      selector's.  theta may be the full selector, with omega = 1 and no
+      ratio, and then theta' shares omega = 1, where a zero term pins the
+      value of S' to 0 (a coset channel, whose output is the coset of its
+      input, has such terms).  The source side needs no such check:
+      theta >= theta' and theta = 0, its excluded selector, force
       theta' = 0.
 
     Then the full support attains the rate.  Every support that sorts
@@ -535,11 +544,11 @@ def _search(
             break
         if values and i > w and values[w] >= bound - TIE_TOL / 2 * abs(bound):
             continue
-        value, *solved[i] = _solve_support(
+        solved[i] = _solve_support(
             *problems.slice(columns[i], members[i]), problems.sense
         )
-        values[i] = sign * value
-        best = max(best, sign * value)
+        values[i] = sign * solved[i][0]
+        best = max(best, values[i])
         w = _winner(values)
     return _result(problems, columns[w], members[w], *solved[w])
 
@@ -556,15 +565,15 @@ def _result(
     problems: _SupportProblems,
     cols: np.ndarray,
     rows: np.ndarray,
-    witness: tuple,
     value: float,
+    witness: tuple,
     ratios,
     omegas,
 ) -> RateResult:
-    """The result of the support with slot mask cols and Theta(S) rows at a
-    witness, from the inner optimum and the per-selector ratios and omegas
-    its solve evaluated there: the critical selectors and the per-selector
-    table.  Weights off the support are 0."""
+    """The result of the support with slot mask cols and Theta(S) rows, from
+    its solve: the inner optimum at the witness, which the search ranked,
+    and the per-selector ratios and omegas there give the critical selectors
+    and the per-selector table.  Weights off the support are 0."""
     spec = problems.spec
     cols = cols.tolist()
     support = tuple(itertools.compress(spec.weight_slots, cols))

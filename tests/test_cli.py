@@ -661,6 +661,56 @@ def test_cross_check_extras_print_nine_decimals(capsys, merged_channel_file, uni
     ]
 
 
+def test_both_csv_tables_pinned(capsys, merged_channel_file, tmp_path):
+    # capacity and theta-table write their rows under one header; a
+    # theta-table row has no info or ratio, so those cells are empty
+    rate_csv, table_csv = tmp_path / "rate.csv", tmp_path / "table.csv"
+    for argv in (
+        ["capacity", merged_channel_file, "--csv", str(rate_csv)],
+        ["theta-table", "8", "--support", "2,2;2,3", "--csv", str(table_csv)],
+    ):
+        assert run_cli(capsys, argv)[0] == 0
+    assert rate_csv.read_bytes() == (
+        b"theta_2_2,omega,info_bits,ratio_bits\r\n"
+        b"0,0.000000000,1.500000000,1.500000000\r\n"
+        b"1,0.500000000,0.500000000,1.000000000\r\n"
+        b"2,1.000000000,0.000000000,0.000000000\r\n"
+    )
+    assert table_csv.read_bytes() == (
+        b"theta_2_3,omega,info_bits,ratio_bits\r\n"
+        b"0,0.000000000,,\r\n"
+        b"1,0.200000000,,\r\n"
+        b"2,0.600000000,,\r\n"
+        b"3,1.000000000,,\r\n"
+    )
+
+
+def test_zero_rate_prints_exact_zero(capsys, tmp_path):
+    # Z27 with noise uniform on {0, 9, 18}: a rate of exactly 0 is 0.0 in
+    # the JSON record, and the text output, 9 decimals, reads as it always has
+    matrix = np.zeros((27, 27))
+    for x in range(27):
+        matrix[x, [x, (x + 9) % 27, (x + 18) % 27]] = 1 / 3
+    doc = {
+        "kind": "channel", "group": [27], "output_size": 27, "matrix": matrix.tolist()
+    }
+    path = tmp_path / "z27.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, ["capacity", str(path), "--json"])
+    assert code == 0 and '  "value": 0.0,' in out.splitlines()
+    assert json.loads(out)["value"] == 0.0
+    code, out, _ = run_cli(capsys, ["capacity", str(path)])
+    assert code == 0 and out == (
+        "group: 27\n"
+        "capacity (bits): 0.000000000\n"
+        "optimal weights: w[3,1]=1.000000000 w[3,2]=0.000000000 w[3,3]=0.000000000\n"
+        "critical thetas: (2)\n"
+        "theta table:\n"
+        "  theta=(2) omega=0.000000000 info=0.000000000 ratio=0.000000000\n"
+        "  theta=(3) omega=1.000000000 info=0.000000000 ratio=0.000000000\n"
+    )
+
+
 def test_csv_stays_in_bits_with_nats(capsys, merged_channel_file, tmp_path):
     tables = []
     for units in ([], ["--nats"]):

@@ -1248,16 +1248,60 @@ Z4, Z8 = IG4.group, decompose([8]).spec
             ValueError,
             "target 4 must be a residue of Z_4",
         ),
+        (
+            lambda: HomomorphismTable(IG4, 0, ((),), (), 0),
+            ValueError,
+            "blocklength must be >= 1, got 0",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, True, ((Z4.zero(),),), (Z4.zero(),)),
+            TypeError,
+            "blocklength must be an integer, got True",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 1, ((Z4.zero(),),), (Z4.zero(),), -1),
+            ValueError,
+            "seed must be in [0, 2**64), got -1",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 1, ((Z4.zero(),),), (Z4.zero(),), 1.0),
+            TypeError,
+            "seed must be an integer, got 1.0",
+        ),
+        (
+            lambda: solve_congruence(2, 3, 1, True, 0),
+            TypeError,
+            "coefficient must be an integer, got True",
+        ),
+        (
+            lambda: solve_congruence(2.0, 3, 1, 1, 0),
+            TypeError,
+            "modulus base p must be an integer, got 2.0",
+        ),
+        (
+            lambda: solve_congruence(2, 3, 1, 1, 0.0),
+            TypeError,
+            "target must be an integer, got 0.0",
+        ),
     ],
     ids=[
         "counts-length", "element-of-another-input-group", "image-rows", "dither",
         "image-row-length", "image-of-another-group", "census-cap",
         "channel-of-another-group", "congruence-s-above-r", "congruence-target",
+        "table-blocklength-0", "table-blocklength-bool", "table-seed-negative",
+        "table-seed-float", "congruence-bool-coefficient", "congruence-float-prime",
+        "congruence-float-target",
     ],
 )
 def test_refusals_pinned(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_congruence_takes_numpy_integers():
+    # numpy integers pass the integer rule, and the solutions are ints
+    got = solve_congruence(np.int64(2), np.int64(3), 2, np.int64(2), np.uint8(4))
+    assert got == (2, 6) and all(type(x) is int for x in got)
 
 
 def test_lemma_suite_refuses_uncovered_prime_before_drawing(monkeypatch):

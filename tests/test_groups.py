@@ -286,6 +286,16 @@ Z43, Z8 = decompose([4, 3]), decompose([8])
         ),
         (lambda: Z43.to_canonical([1]), ValueError, "expected 2 values, got 1"),
         (lambda: Z43.to_canonical([4, 0]), ValueError, "value 4 out of range for Z_4"),
+        (
+            lambda: Z43.to_canonical((True, 2)),
+            TypeError,
+            "value must be an integer, got True",
+        ),
+        (
+            lambda: Z43.to_canonical((1.0, 2)),
+            TypeError,
+            "value must be an integer, got 1.0",
+        ),
         (lambda: decompose([]), ValueError, "need at least one cyclic order"),
         # the integer rule: a float or a bool is refused, not read as a number
         (
@@ -333,8 +343,8 @@ Z43, Z8 = decompose([4, 3]), decompose([8])
         "no-rings", "unsorted-rings", "exponent-0", "element-length",
         "group-element-length", "add-int", "theta-length", "subgroup-theta",
         "coset-label", "from-canonical", "to-canonical-length",
-        "to-canonical-range", "decompose-empty", "ring-exponent-float",
-        "ring-exponent-bool", "ring-prime-float", "ring-multiplicity-bool",
+        "to-canonical-range", "to-canonical-bool", "to-canonical-float",
+        "decompose-empty", "ring-exponent-float", "ring-exponent-bool", "ring-prime-float", "ring-multiplicity-bool",
         "theta-float", "element-float", "element-bool", "group-element-float",
     ],
 )

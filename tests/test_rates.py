@@ -243,6 +243,11 @@ def test_rate_layer_refusals_pinned():
     spec = decompose([4]).spec
     with pytest.raises(ValueError, match=r"^depth 2 for slot \(2, 1\) not in \[0, 1\]$"):
         induced_theta(spec, [(2, 1)], {(2, 1): 2})
+    # a bool depth is refused, not read as the depth 1
+    message = r"^depth for slot \(2, 2\) must be an integer, got True$"
+    with pytest.raises(TypeError, match=message):
+        induced_theta(spec, [(2, 2)], {(2, 2): True})
+    assert induced_theta(spec, [(2, 2)], {(2, 2): np.int64(1)}).components == (1,)
     with pytest.raises(ValueError, match="^weight vector has empty support$"):
         omega(spec, {}, ThetaVector.zero(spec))
 
@@ -883,7 +888,7 @@ def unpruned_scan(problems):
         for i, (value, *_) in solved.items()
         if value == opt or abs(value - opt) <= 1e-12 * abs(opt)
     )
-    return _result(problems, columns[first], members[first], *solved[first][1:]), solved
+    return _result(problems, columns[first], members[first], *solved[first]), solved
 
 
 def draw_group(draw):
@@ -1527,3 +1532,66 @@ def test_vertex_bounds_in_one_temporary(sense):
     assert np.array_equal(covering_bounds(problems), plain_vertex_bounds(problems))
     assert peak <= 1.5 * top.nbytes
     assert result.value == _search(problems, *spec._covering_layer).value
+
+
+# -- the zero rule -------------------------------------------------------------
+
+
+def subgroup_noise_case(orders, theta):
+    """Y = X + Z over the group with Z uniform on H_theta: the output is
+    uniform on the input's coset, whose label is its residues mod p^theta."""
+    spec = decompose(orders).spec
+    labels = Subgroup(spec, ThetaVector(spec, theta)).label_indices()
+    same = labels[:, None] == labels[None, :]
+    return spec, ChannelSpec(spec, same / same.sum(axis=1, keepdims=True))
+
+
+def test_zero_rate_reads_exactly_zero_on_every_route():
+    # Z27 with noise uniform on {0, 9, 18} = H_(2): the term of (2) is 0 in
+    # exact arithmetic, and the terms, the solver, the closed form and the
+    # grid oracle all read 0.0, not a rounding residue
+    spec, chan = subgroup_noise_case([27], (2,))
+    terms = channel_terms(chan)
+    assert terms[ThetaVector(spec, (2,))] == 0.0
+    assert channel_coding_rate(chan).value == 0.0
+    assert channel_rate_prime_power(chan) == 0.0
+    assert grid_search(spec, terms, "channel", steps=12)[0] == 0.0
+
+
+def test_pinned_support_reports_zero_with_its_witness():
+    # Z4+Z3 with noise uniform on H_(1,0): three selectors have zero terms,
+    # and the full support is pinned at 0 with the uniform witness
+    spec, chan = subgroup_noise_case([4, 3], (1, 0))
+    result = channel_coding_rate(chan)
+    assert result.value == 0.0
+    assert result.support == ((2, 1), (2, 2), (3, 1))
+    critical = [th.components for th in result.critical_thetas]
+    assert critical == [(1, 0), (1, 1), (2, 0)]
+    assert result.weights.values == (1 / 3, 1 / 3, 1 / 3)
+
+
+@st.composite
+def subgroup_noise_channels(draw):
+    """A channel with noise uniform on a drawn subgroup of a random group."""
+    spec = draw_group(draw)
+    ranges = [range(r + 1) for _, r in spec.ring_levels]
+    theta = draw(st.sampled_from(list(itertools.product(*ranges))))
+    return subgroup_noise_case(spec.moduli, theta)
+
+
+@example(subgroup_noise_case([27], (2,)))
+@example(subgroup_noise_case([4, 3], (1, 0)))
+@given(subgroup_noise_channels())
+def test_zero_rule_holds_from_terms_to_report_property(case):
+    # every information value is 0.0 or above INFO_ZERO_TOL, the table's
+    # terms are the walk's, and the value is the minimum of the table's own
+    # ratios without the excluded full selector
+    spec, chan = case
+    terms = channel_terms(chan)
+    result = channel_coding_rate(chan)
+    assert all(c == 0.0 or c > INFO_ZERO_TOL for c in terms.values())
+    for term in result.per_theta:
+        assert term.info_bits == terms[term.theta]
+        assert (term.ratio_bits == 0.0) == (term.info_bits == 0.0)
+    ratios = [term.ratio_bits for term in result.per_theta if not term.theta.is_full()]
+    assert result.value == min(ratios)
