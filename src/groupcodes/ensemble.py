@@ -32,7 +32,7 @@ import numpy as np
 from .groups import GroupElement, GroupSpec, ThetaVector, _check_count, _check_seed
 from .groups import _components, _gaps, _grid, _induce, _integer, _is_prime
 from .groups import _min_depths, _slot_values
-from .measures import ChannelSpec
+from .measures import ChannelSpec, _check_kind
 from .rates import _check_support, enumerate_theta_set
 
 # Exhaustive enumeration is preferred whenever the sampled space fits under
@@ -490,7 +490,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_LOW_HALF, _HIGH_HALF = (0, 1) if np.little_endian else (1, 0)
 
 
 def _child_keys(seq: np.random.SeedSequence, first: int, count: int) -> np.ndarray:
@@ -526,23 +525,23 @@ def _child_keys(seq: np.random.SeedSequence, first: int, count: int) -> np.ndarr
     )
 
 
-def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 32-bit halves of 64-bit words x (contiguous), as views."""
-    pairs = x.view(_U32)
-    return pairs[..., _LOW_HALF::2], pairs[..., _HIGH_HALF::2]
-
-
 def _mulhi(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray) -> np.ndarray:
     """High words of the 128-bit products a * b of uint64 arrays, from a's
-    32-bit halves; no partial sum exceeds 64 bits."""
-    b_lo, b_hi = _halves(b)
-    low_cross = a_hi * b_lo
-    low_cross += _halves(a_lo * b_lo)[1]
-    high_cross = a_lo * b_hi
-    high_cross += _halves(low_cross)[0]
-    high = a_hi * b_hi
-    high += _halves(low_cross)[1]
-    high += _halves(high_cross)[1]
+    32-bit halves, b split by mask and shift; no partial sum exceeds 64 bits
+    and, as fresh megabyte arrays fault pages in, the products run in place."""
+    low, high = b & _LOW32, b >> _U64(32)
+    low_cross = a_hi * low
+    low *= a_lo
+    low >>= _U64(32)
+    low_cross += low
+    high_cross = a_lo * high
+    np.bitwise_and(low_cross, _LOW32, out=low)
+    high_cross += low
+    high *= a_hi
+    low_cross >>= _U64(32)
+    high += low_cross
+    high_cross >>= _U64(32)
+    high += high_cross
     return high
 
 
@@ -551,7 +550,7 @@ def _philox(keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
     counters first, ..., first + blocks - 1: Philox(key=key) starts at
     counter 1, so counter c holds its words 4(c - 1) to 4c - 1.  Lanes 0
     and 2, and lanes 1 and 3, are stacked [2, blocks, B], so one product
-    serves both multipliers."""
+    serves both multipliers; ``_mulhi`` splits words by mask and shift."""
     # the multipliers and key bumps of lanes 0 and 2, [2, 1, 1]
     mult = np.array(_PHILOX_MULT, _U64)[:, None, None]
     bump = np.array(_PHILOX_BUMP, _U64)[:, None, None]
@@ -575,11 +574,11 @@ def _trial_draws(
     ``_sample_table``, ``integers(0, messages)`` and ``random(n)``: images
     [B, k, n, c], dither [B, n, c], message index [B], uniforms [B, n].
 
-    Draw i is Lemire's (u * span) >> 32 on 32-bit half i of the stream (low
-    half first), and the uniforms (w >> 11) * 2**-53 take the full words w
-    after the last, unless a draw is rejected, (u * span) mod 2**32 < 2**32
-    mod span: such a stream is replayed one draw at a time, on as many more
-    words as its rejections reach."""
+    Draw i is Lemire's (u * span) >> 32 on 32-bit half i of the stream (the
+    mask, then the shift of a word), and the uniforms (w >> 11) * 2**-53 take
+    the full words w after the last, unless a draw is rejected, (u * span)
+    mod 2**32 < 2**32 mod span: such a stream is replayed one draw at a
+    time, on as many more words as its rejections reach."""
     moduli = ig.group.moduli
     # a stream's spans: the table cells that _tables draws, the dither, the message
     bounds = np.repeat((moduli // ig._allowed_step)[:, None], n, axis=1)
@@ -587,7 +586,7 @@ def _trial_draws(
     spans = np.concatenate([bounds, np.tile(moduli, n), [messages]]).astype(_U64)
     head = -(-len(spans) // 2)
     words = _philox(keys, 1, -(-(head + n) // 4))
-    halves = np.stack(_halves(words), axis=-1).reshape(len(keys), -1)
+    halves = np.stack([words & _LOW32, words >> _U64(32)], -1).reshape(len(keys), -1)
     product = halves[:, : len(spans)] * spans
     draws = (product >> _U64(32)).astype(np.int64)
     uniform_words = words[:, head : head + n]
@@ -635,6 +634,7 @@ def mc_channel_error(
     ``Generator``'s methods are implemented."""
     _check_count("blocklength", n)
     _check_seed("seed", seed)
+    _check_kind(chan, ChannelSpec)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     if ig.size * chan.group.order**n > SIZE_CAP:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -112,7 +111,7 @@ class GroupSpec:
 
     @cached_property
     def order(self) -> int:
-        return reduce(lambda a, b: a * b, self.moduli, 1)
+        return math.prod(self.moduli)
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
@@ -524,7 +523,7 @@ class Subgroup:
     @cached_property
     def index(self) -> int:
         """Number of cosets |G : H|."""
-        return reduce(lambda a, b: a * b, self._label_moduli, 1)
+        return math.prod(self._label_moduli)
 
     @cached_property
     def order(self) -> int:
@@ -559,7 +558,7 @@ class Subgroup:
 
 def _crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
     """Solve x = residues[i] mod moduli[i] for pairwise coprime moduli."""
-    total = reduce(lambda a, b: a * b, moduli, 1)
+    total = math.prod(moduli)
     x = 0
     for v, n in zip(residues, moduli):
         rest = total // n
@@ -602,16 +601,24 @@ class CyclicDecomposition:
         return tuple(out)
 
 
+def _whole(value) -> int | None:
+    """An integer, Python's or numpy's, or a float with an integer value (JSON
+    writers may print 4 as 4.0), as an int; None for anything else, bools too."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        return None
+    return operator.index(value)
+
+
 def _cyclic_order(value) -> int:
-    """An integer order >= 2, or a float with such a value (JSON writers may
-    print 4 as 4.0); bools, strings and fractional values are rejected."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """A cyclic order: an integer >= 2 in the sense of ``_whole``."""
+    order = _whole(value)
+    if order is None:
         raise ValueError(f"cyclic order {value!r} is not an integer")
-    if value < 2:
-        raise ValueError(f"cyclic order {value} is invalid: orders must be >= 2")
-    return int(value)
+    if order < 2:
+        raise ValueError(f"cyclic order {order} is invalid: orders must be >= 2")
+    return order
 
 
 def _integer(name: str, value) -> int:
@@ -619,9 +626,9 @@ def _integer(name: str, value) -> int:
     is refused, not read as 1 or truncated."""
     if type(value) is int:  # the common case, checked first as it is cheapest
         return value
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+    if isinstance(value, float) or (whole := _whole(value)) is None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    return whole
 
 
 def _check_count(name: str, value) -> None:

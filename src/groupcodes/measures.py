@@ -208,6 +208,14 @@ class SourceJoint:
         return self.joint.shape[0]
 
 
+def _check_kind(data, kind: type) -> None:
+    """The kind rule of every public channel or source function: it takes
+    its own kind of data, a ``ChannelSpec`` or a ``SourceJoint``, and
+    refuses the other kind (or anything else)."""
+    if not isinstance(data, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(data).__name__}")
+
+
 def _walk(cells: np.ndarray, steps) -> Iterator[tuple[tuple, np.ndarray]]:
     """Walk the steps of ``groups._walk_schedule`` from cells [moduli...,
     letters], the full selector's values, each node's sums from its
@@ -284,6 +292,7 @@ def _coset_terms(data, thetas=None) -> np.ndarray:
 def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
     """I([U]_theta; X): mutual information after merging reconstruction
     symbols into cosets of the theta-subgroup."""
+    _check_kind(sj, SourceJoint)
     zero = ThetaVector.zero(sj.group).components
     path = dict.fromkeys([zero, _components(sj.group, theta)])
     return float(_coset_terms(sj, path)[-1])
@@ -292,6 +301,7 @@ def coset_mi_source(sj: SourceJoint, theta: ThetaVector) -> float:
 def coset_mi_channel(chan: ChannelSpec, theta: ThetaVector) -> float:
     """I(X; Y | [X]_theta) with X uniform on the group: the coset-average of
     the per-coset mutual informations."""
+    _check_kind(chan, ChannelSpec)
     full = ThetaVector.full(chan.group).components
     path = dict.fromkeys([_components(chan.group, theta), full])
     return float(_coset_terms(chan, path)[0])
@@ -302,6 +312,7 @@ def mi_per_coset(chan: ChannelSpec, theta: ThetaVector) -> list[float]:
     theta-subgroup (input uniform on the coset), in coset-label order: the
     entropy of the coset's mean row less the coset mean of the rows'
     entropies, both coset sums from the walk."""
+    _check_kind(chan, ChannelSpec)
     spec = chan.group
     steps, _ = _walk_schedule(spec, [_components(spec, theta)])
     row_entropies = _row_entropies(chan.matrix).reshape(spec.moduli + (1,))
@@ -315,6 +326,7 @@ def coset_mi_channel_chain(chan: ChannelSpec, theta: ThetaVector) -> float:
     """Same quantity as :func:`coset_mi_channel` via the chain identity
     I(X;Y) - I([X]_theta;Y), merging rows by the label array of every
     element; kept as an independent computation route."""
+    _check_kind(chan, ChannelSpec)
     h = Subgroup(chan.group, theta)
     labels = h.label_indices()
     joint = chan.uniform_joint()

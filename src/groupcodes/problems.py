@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .groups import CyclicDecomposition, decompose
+from .groups import CyclicDecomposition, _whole, decompose
 from .measures import ChannelSpec, SourceJoint, ValidationError
 from .rates import RateResult
 
@@ -58,8 +58,7 @@ def _check_size(doc: dict, field: str, size: int, what: str) -> None:
     """An optional size field is an integer, or a float with an integer value,
     equal to the array's size; bools, strings and fractions are refused."""
     value = doc.get(field, size)
-    whole = isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not (whole or hasattr(value, "__index__")):
+    if _whole(value) is None:
         raise ValidationError(f"{field} {value!r} is not an integer")
     if value != size:
         raise ValidationError(f"{field} {value} does not match {what} {size}")

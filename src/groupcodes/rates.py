@@ -63,7 +63,7 @@ import numpy as np
 from .groups import GroupSpec, ThetaVector, _check_count, _components, _gaps, _induce
 from .groups import _integer, _slot_values, _theta_members
 from .measures import INFO_ZERO_TOL, ChannelSpec, SourceJoint, _coset_terms
-from .measures import _zero_residues
+from .measures import _check_kind, _zero_residues
 
 # Pivot and reduced-cost threshold of the simplex; the LP coefficients are
 # bits and s * log2(q), of order one.
@@ -599,12 +599,14 @@ def _result(
 def source_terms(sj: SourceJoint) -> dict[ThetaVector, float]:
     """Coset information terms for every reachable selector, with H(X)
     computed once for all of them."""
+    _check_kind(sj, SourceJoint)
     return _reachable_terms(sj)
 
 
 def channel_terms(chan: ChannelSpec) -> dict[ThetaVector, float]:
     """Conditional coset information terms for every reachable selector,
     with H(Y | X) computed once for all of them."""
+    _check_kind(chan, ChannelSpec)
     return _reachable_terms(chan)
 
 
@@ -621,12 +623,14 @@ def _rate(data, sense: str) -> RateResult:
 def source_coding_rate(sj: SourceJoint) -> RateResult:
     """Source-coding group mutual information of a joint with uniform
     reconstruction marginal: min over weights of the max scaled coset term."""
+    _check_kind(sj, SourceJoint)
     return _rate(sj, "source")
 
 
 def channel_coding_rate(chan: ChannelSpec) -> RateResult:
     """Channel-coding group mutual information of a channel with uniform
     input: max over weights of the min scaled coset term."""
+    _check_kind(chan, ChannelSpec)
     return _rate(chan, "channel")
 
 
@@ -647,6 +651,7 @@ def source_rate_prime_power(sj: SourceJoint) -> float:
     coset information, every depth from the group's cached walk (on a
     single ring every selector is reachable, and depth t is the table's row
     t).  Must match the general optimizer."""
+    _check_kind(sj, SourceJoint)
     r = _single_ring(sj.group)
     terms = _coset_terms(sj).tolist()
     return max((r / t) * terms[t] for t in range(1, r + 1))
@@ -657,6 +662,7 @@ def channel_rate_prime_power(chan: ChannelSpec) -> float:
     the conditional coset information, every depth from the group's cached
     walk.  The reduction is a minimum: each depth is a constraint and the
     tightest one binds, mirroring the max on the source side."""
+    _check_kind(chan, ChannelSpec)
     r = _single_ring(chan.group)
     terms = _coset_terms(chan).tolist()
     return min((r / (r - t)) * terms[t] for t in range(r))

@@ -858,6 +858,20 @@ def test_child_keys_match_spawn(seed, first, count):
     np.testing.assert_array_equal(got, expected)
 
 
+_EDGE_WORDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+_WORD = st.one_of(st.sampled_from(_EDGE_WORDS), st.integers(0, 2**64 - 1))
+
+
+@given(st.lists(st.tuples(_WORD, _WORD), max_size=40))
+def test_mulhi_is_the_high_word_of_the_product(drawn):
+    # every pair of edge words, then drawn pairs: _mulhi from a's mask and
+    # shift halves is the exact high word of the 128-bit product
+    pairs = list(itertools.product(_EDGE_WORDS, repeat=2)) + drawn
+    a, b = (np.array(words, dtype=np.uint64) for words in zip(*pairs))
+    high = ensemble._mulhi(a & np.uint64(0xFFFFFFFF), a >> np.uint64(32), b)
+    assert high.tolist() == [(int(x) * int(y)) >> 64 for x, y in pairs]
+
+
 @pytest.mark.parametrize("m", [1, 6, 11, 20])
 def test_philox_words_match_random_raw(m):
     # 1, 2, 3 and 5 blocks of the stacked lanes

@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 
 from groupcodes import (
     ChannelSpec,
+    InputGroup,
     SourceJoint,
     ThetaVector,
+    channel_coding_rate,
+    channel_rate_prime_power,
     coset_mi_channel,
     coset_mi_channel_chain,
     coset_mi_source,
     decompose,
     entropy,
+    mc_channel_error,
     mutual_information,
+    source_coding_rate,
+    source_rate_prime_power,
 )
 from groupcodes import groups
 from groupcodes.groups import Subgroup, _walk_schedule
@@ -496,3 +502,34 @@ def test_small_group_terms_take_one_entropy_batch(monkeypatch, orders):
     for data in (random_channel(spec, 3, rng), random_source_joint(spec, 3, rng)):
         one = _coset_entropies(data, *spec._walk_layer)
         assert np.array_equal(one, _coset_entropies(data, *capped))
+
+
+_Z4 = decompose([4]).spec
+_Z4_CHANNEL = ChannelSpec(_Z4, np.eye(4))
+_Z4_SOURCE = SourceJoint(_Z4, np.eye(4) / 4)
+_Z4_THETA = ThetaVector(_Z4, (1,))
+_Z4_CODE = InputGroup.from_mapping(_Z4, {(2, 2): 1})
+_WRONG_KIND = [
+    (source_terms, (_Z4_CHANNEL,)),
+    (channel_terms, (_Z4_SOURCE,)),
+    (source_coding_rate, (_Z4_CHANNEL,)),
+    (channel_coding_rate, (_Z4_SOURCE,)),
+    (source_rate_prime_power, (_Z4_CHANNEL,)),
+    (channel_rate_prime_power, (_Z4_SOURCE,)),
+    (coset_mi_source, (_Z4_CHANNEL, _Z4_THETA)),
+    (coset_mi_channel, (_Z4_SOURCE, _Z4_THETA)),
+    (mi_per_coset, (_Z4_SOURCE, _Z4_THETA)),
+    (coset_mi_channel_chain, (_Z4_SOURCE, _Z4_THETA)),
+    (mc_channel_error, (_Z4_CODE, 1, _Z4_SOURCE, 5, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args", _WRONG_KIND, ids=[f.__name__ for f, _ in _WRONG_KIND]
+)
+def test_public_functions_refuse_the_other_kind(function, args):
+    # a channel function given a source joint, or the reverse, raises instead
+    # of answering for the wrong kind or failing on a missing field
+    expected = "ChannelSpec" if _Z4_SOURCE in args else "SourceJoint"
+    with pytest.raises(TypeError, match=f"expected a {expected}, got "):
+        function(*args)
