@@ -179,7 +179,7 @@ def _cmd_rate(args, sense: str) -> int:
     extras: dict = {}
     if args.closed_form:
         closed = closed_form(data)
-        if abs(closed - result.value) > 1e-6:
+        if abs(closed - result.value) > 1e-9:
             raise SolverError(
                 f"closed form {closed:.9f} disagrees with solver {result.value:.9f}"
             )

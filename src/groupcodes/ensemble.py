@@ -22,7 +22,6 @@ across threads.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,12 +53,10 @@ class InputGroup:
         slots = self.group.weight_slots
         if len(self.counts) != len(slots):
             raise ValueError(f"expected {len(slots)} counts for slots {slots}")
-        if any(
-            isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 0
-            for c in self.counts
-        ):
+        counts = tuple(_integer("count", c) for c in self.counts)
+        if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative integers")
-        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
+        object.__setattr__(self, "counts", counts)
         if sum(self.counts) < 1:
             raise ValueError("the input group needs at least one component")
 
@@ -132,7 +129,9 @@ class InputGroup:
 
     @property
     def size(self) -> int:
-        return self.spec.order
+        """|J|, from the counts: no ``spec`` is built."""
+        slots = self.group.weight_slots
+        return math.prod(q ** (s * c) for (q, s), c in zip(slots, self.counts))
 
     @property
     def support(self) -> tuple[tuple[int, int], ...]:
@@ -184,6 +183,18 @@ class HomomorphismTable:
         bad = constraint_violations(self)
         if bad:
             raise ValueError(f"generator image violates ensemble constraints: {bad[0]}")
+
+
+def _over_cap(cap: int, doublings: int, size) -> str | None:
+    """None for a size within cap, else the size as a refusal names it.  A
+    size here is a product in which every component of J and every
+    coordinate at least doubles it, so it is at least 2**doublings: past
+    twice the cap that bound refuses it unformed, named "at least
+    2^doublings"; otherwise ``size()`` forms it, from at most the cap's bit
+    length of such factors, so it is short, and names it by its digits."""
+    if doublings > cap.bit_length():
+        return f"at least 2^{doublings}"
+    return str(value) if (value := size()) > cap else None
 
 
 # -- the residue-array core ----------------------------------------------------
@@ -357,8 +368,8 @@ def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     """Counts of every selector over all input pairs with a fixed first
     element (the census is the same for every choice), in lexicographic
     selector order."""
-    if ig.size > SIZE_CAP:
-        raise ValueError(f"input group size {ig.size} exceeds cap {SIZE_CAP}")
+    if size := _over_cap(SIZE_CAP, ig.total, lambda: ig.size):
+        raise ValueError(f"input group size {size} exceeds cap {SIZE_CAP}")
     a = ig.element(a) if a is not None else ig.spec.zero()
     rows = _selectors(ig, ig._element_grid - a.residues)
     # one mixed-radix code per selector, in lexicographic order
@@ -422,7 +433,6 @@ def verify_pairwise_law(
     _check_count("blocklength", n)
     _check_count("samples", samples)
     g_spec = ig.group
-    gn = g_spec.order**n
     a = ig.element(a)
     b = ig.element(b)
     theta = pair_theta(ig, a, b)
@@ -430,12 +440,15 @@ def verify_pairwise_law(
     levels = g_spec._ring_level_index
     h_step = [p ** theta.components[i] for (p, _, _), i in zip(g_spec.rings, levels)]
     radices = [m // h for m, h in zip(g_spec.moduli, h_step)]
-    cells = math.prod(radices) ** n
-    if cells > TABLE_CELL_CAP:
-        raise ValueError(f"H_theta^n has {cells} cells, above cap {TABLE_CELL_CAP}")
+    per_coordinate = math.prod(radices)
+    doublings = n if per_coordinate > 1 else 0
+    if over := _over_cap(TABLE_CELL_CAP, doublings, lambda: per_coordinate**n):
+        raise ValueError(f"H_theta^n has {over} cells, above cap {TABLE_CELL_CAP}")
+    cells = per_coordinate**n
 
-    hom_space = math.prod((g_spec.moduli // ig._allowed_step).ravel().tolist()) ** n
-    if hom_space * gn <= EXHAUSTIVE_CAP:
+    # tables times dither words, (hom_space |G|)^n: each coordinate doubles it
+    hom_space = math.prod((g_spec.moduli // ig._allowed_step).ravel().tolist())
+    if not _over_cap(EXHAUSTIVE_CAP, n, lambda: (hom_space * g_spec.order) ** n):
         mode, threshold = "exhaustive", 0.0
         tables = ig._enumeration(n)
     else:
@@ -453,8 +466,9 @@ def verify_pairwise_law(
     # TV over the support: (1/2) sum |hits/total - 1/cells|, in integers
     tv = Fraction(int(np.abs(hits * cells - total).sum()), 2 * total * cells)
     passed = off == 0 and (tv == 0 or tv < threshold)
+    support = g_spec.order**n * cells
     return PairwiseLawReport(
-        theta, mode, total, gn * cells, off / total, float(tv), threshold, passed
+        theta, mode, total, support, off / total, float(tv), threshold, passed
     )
 
 
@@ -637,8 +651,9 @@ def mc_channel_error(
     _check_kind(chan, ChannelSpec)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
-    if ig.size * chan.group.order**n > SIZE_CAP:
-        raise ValueError("codebook times space size exceeds the simulation cap")
+    space = _over_cap(SIZE_CAP, ig.total + n, lambda: ig.size * chan.group.order**n)
+    if space:
+        raise ValueError(f"codebook times space size {space} exceeds cap {SIZE_CAP}")
     _check_count("trials", trials)
     if trials > 2**32:
         raise ValueError(f"trials must be in [1, 2**32], got {trials}")

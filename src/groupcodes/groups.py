@@ -275,9 +275,10 @@ def _walk_schedule(spec: GroupSpec, thetas) -> tuple[tuple, tuple]:
     """The walk down the selector lattice (see measures) that reaches the
     selectors ``thetas``, distinct tuples of components: the steps of
     ``measures._walk`` and the batches of its entropies.  It starts at the
-    full selector and reaches each selector by steps in nondecreasing level
-    order, so its path is fixed, visiting only selectors with one of
-    ``thetas`` at or below them.
+    full selector and reaches each selector by lowering its levels in order,
+    first to last, so its path is fixed, and the walk visits exactly the
+    selectors on its targets' paths: for a target t, each level l and each v
+    from t_l to r_l - 1, the selector t[:l] + (v,) + full[l+1:].
 
     A step is (src, dst, shape, axes, put): the parent's array is at stack
     slot src, reshaped to shape with the p axes of one level at axes, and
@@ -292,26 +293,34 @@ def _walk_schedule(spec: GroupSpec, thetas) -> tuple[tuple, tuple]:
     than the input unless the group is smaller than that floor."""
     levels, ring_level = spec.ring_levels, spec._ring_level_index
     primes = [p for p, _, _ in spec.rings]
+    full = tuple(r for _, r in levels)
     targets = {theta: i for i, theta in enumerate(thetas)}
-    steps: list = []
-
-    def below(theta, level) -> bool:
-        # the selectors a node reached at level reaches: theta lowered at
-        # that level and after it
-        head = theta[:level]
-        return any(
-            t[:level] == head and all(a <= b for a, b in zip(t[level:], theta[level:]))
-            for t in targets
-        )
+    paths = {
+        t[:l] + (v,) + full[l + 1 :]
+        for t in targets
+        for l, r in enumerate(full)
+        for v in range(t[l], r)
+    }
+    capacity = max(spec.order, ENTROPY_BATCH_FLOOR)
+    steps, batches, batch, used = [], [], [], 0
 
     def visit(theta, level, src, dst, shape, axes) -> None:
-        steps.append([src, dst, shape, axes, theta if theta in targets else None])
+        nonlocal batch, used
+        put = None
+        if theta in targets:
+            count = math.prod(p ** theta[at] for p, at in zip(primes, ring_level))
+            if used + count > capacity:
+                batches.append(_batch(used, batch))
+                batch, used = [], 0
+            batch.append((used, targets[theta], count))
+            put = (used, used + count, spec.order // count)
+            used += count
+        steps.append((src, dst, shape, axes, put))
         kids = [
-            (lv, theta[:lv] + (theta[lv] - 1,) + theta[lv + 1 :])
+            (lv, kid)
             for lv in reversed(range(level, len(levels)))
-            if theta[lv]
+            if (kid := theta[:lv] + (theta[lv] - 1,) + theta[lv + 1 :]) in paths
         ]
-        kids = [(lv, kid) for lv, kid in kids if below(kid, lv)]
         for n, (lv, kid) in enumerate(kids):
             shape, axes = [], []
             for p, at in zip(primes, ring_level):
@@ -323,22 +332,9 @@ def _walk_schedule(spec: GroupSpec, thetas) -> tuple[tuple, tuple]:
             slot = dst if n == len(kids) - 1 else dst + 1
             visit(kid, lv, dst, slot, (*shape, -1), tuple(axes))
 
-    visit(tuple(r for _, r in levels), 0, 0, 0, None, None)
-
-    batches, batch, used = [], [], 0
-    capacity = max(spec.order, ENTROPY_BATCH_FLOOR)
-    for step in steps:
-        if (theta := step[4]) is None:
-            continue
-        count = math.prod(p ** theta[at] for p, at in zip(primes, ring_level))
-        if used + count > capacity:
-            batches.append(_batch(used, batch))
-            batch, used = [], 0
-        batch.append((used, targets[theta], count))
-        step[4] = (used, used + count, spec.order // count)
-        used += count
+    visit(full, 0, 0, 0, None, None)
     batches.append(_batch(used, batch))
-    return tuple(map(tuple, steps)), tuple(batches)
+    return tuple(steps), tuple(batches)
 
 
 def _batch(size: int, members: list) -> tuple:
@@ -629,6 +625,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, float) or (whole := _whole(value)) is None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return whole
+
+
+def _check_real(name: str, value) -> None:
+    """A real-number argument is a number: a bool is refused, not read as 1
+    or 0, and so is a value without ``__float__``, a string among them."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__float__"):
+        raise TypeError(f"{name} must be a number, got {value!r}")
 
 
 def _check_count(name: str, value) -> None:

@@ -45,7 +45,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .groups import GroupSpec, Subgroup, ThetaVector, _components, _walk_schedule
+from .groups import GroupSpec, Subgroup, ThetaVector, _check_real, _components
+from .groups import _walk_schedule
 
 PROB_TOL = 1e-9
 # Information at or below this many bits is exactly zero, far below any
@@ -190,6 +191,7 @@ class SourceJoint:
             d.setflags(write=False)
             object.__setattr__(self, "distortion", d)
             if self.max_distortion is not None:
+                _check_real("distortion target", self.max_distortion)
                 if not np.isfinite(self.max_distortion):
                     raise ValidationError(
                         f"distortion target {self.max_distortion} is not finite"

@@ -61,7 +61,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _components, _gaps, _induce
-from .groups import _integer, _slot_values, _theta_members
+from .groups import _check_real, _integer, _slot_values, _theta_members
 from .measures import INFO_ZERO_TOL, ChannelSpec, SourceJoint, _coset_terms
 from .measures import _check_kind, _zero_residues
 
@@ -243,6 +243,7 @@ class _SupportProblems:
         if missing := [th for th in spec._thetas if th not in terms]:
             raise ValueError(f"terms missing for selectors {missing}")
         for th, c in terms.items():
+            _check_real(f"information term for {th.components}", c)
             if not math.isfinite(c) or c < -INFO_ZERO_TOL:
                 raise ValueError(f"information term for {th.components} is {c}")
         c = np.array([terms[th] for th in spec._thetas], dtype=float)

@@ -109,19 +109,20 @@ def test_cli_imports_numpy_only():
 
 
 def test_cli_imports_ensemble_lazily():
-    # the rate commands never load the ensemble module, and the package still
-    # serves its names, loading it on first use
+    # the rate commands never load the ensemble module, nor does dir(), which
+    # lists every name of __all__; the package still serves the ensemble's
+    # names, loading it on first use
     code = (
         "import sys, groupcodes, groupcodes.cli\n"
+        "print(set(groupcodes.__all__) <= set(dir(groupcodes)))\n"
         "print('groupcodes.ensemble' in sys.modules)\n"
         "print(groupcodes.InputGroup.__module__)\n"
         "print(hasattr(groupcodes, 'no_such_name'))\n"
-        "print(set(groupcodes.__all__) <= set(dir(groupcodes)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "False\ngroupcodes.ensemble\nFalse\nTrue\n"
+    assert proc.stdout == "True\nFalse\ngroupcodes.ensemble\nFalse\n"
 
 
 def test_capacity_identity(capsys, tmp_path):
@@ -729,6 +730,15 @@ def test_solver_disagreement_exit_code(capsys, monkeypatch, merged_channel_file)
     monkeypatch.setattr(cli, "channel_rate_prime_power", lambda chan: 99.0)
     code, _, err = run_cli(capsys, ["capacity", merged_channel_file, "--closed-form"])
     assert code == 3 and "disagrees" in err
+
+
+def test_closed_form_checks_at_1e_9(capsys, monkeypatch, merged_channel_file):
+    # the closed form and the solver agree to rounding on single-ring groups,
+    # so a gap of 1e-8 bits is a disagreement
+    closed = cli.channel_rate_prime_power
+    monkeypatch.setattr(cli, "channel_rate_prime_power", lambda c: closed(c) + 1e-8)
+    code, out, err = run_cli(capsys, ["capacity", merged_channel_file, "--closed-form"])
+    assert code == 3 and out == "" and "disagrees" in err
 
 
 def test_simulate(capsys, merged_channel_file):

@@ -180,11 +180,36 @@ def test_input_group_validation():
 
 def test_input_group_counts_are_integers():
     spec = decompose([4]).spec
+    # the integer rule of every count and seed: TypeError, a bool not read as 1
     for counts in [(True, 0), (0, np.bool_(True)), (1.0, 0), ("1", 0)]:
-        with pytest.raises(ValueError, match="nonnegative integers"):
+        with pytest.raises(TypeError, match="count must be an integer"):
             InputGroup(spec, counts)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        InputGroup(spec, (0, -1))
     ig = InputGroup(spec, (np.int64(1), np.uint8(2)))
     assert ig == InputGroup(spec, (1, 2)) and type(ig.counts[0]) is int
+
+
+# every component of J and every coordinate at least doubles a capped size,
+# so a size far above its cap is refused unformed: no J spec, no huge power
+
+
+def test_simulation_cap_refuses_before_building_j():
+    z4 = decompose([4]).spec
+    ig = InputGroup(z4, (21, 0))
+    with pytest.raises(ValueError, match="exceeds cap 1048576"):
+        mc_channel_error(ig, 1, ChannelSpec(z4, np.eye(4)), 5, 0)
+    assert "spec" not in vars(ig)
+
+
+def test_cell_cap_refuses_a_long_blocklength():
+    with pytest.raises(ValueError, match="above cap"):
+        verify_pairwise_law(InputGroup(decompose([4]).spec, (0, 1)), 10**6, [0], [1])
+
+
+def test_census_cap_refuses_many_components():
+    with pytest.raises(ValueError, match="exceeds cap"):
+        theta_census(InputGroup(decompose([4]).spec, (10**5, 0)))
 
 
 def test_input_group_from_mapping_rejects_stray_key():

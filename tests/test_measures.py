@@ -124,6 +124,15 @@ def test_source_joint_validation():
             SourceJoint(z2, half, [[0, 1], [1, 0]], target)
 
 
+@pytest.mark.parametrize("target", [True, np.True_, "0.5"])
+def test_distortion_target_is_a_number(target):
+    # a bool is not read as the target 1, nor a string parsed
+    z2 = decompose([2]).spec
+    half = [[0.5, 0.0], [0.0, 0.5]]
+    with pytest.raises(TypeError, match="distortion target must be a number"):
+        SourceJoint(z2, half, [[0, 1], [1, 0]], target)
+
+
 Z4 = decompose([4]).spec
 
 
@@ -502,6 +511,61 @@ def test_small_group_terms_take_one_entropy_batch(monkeypatch, orders):
     for data in (random_channel(spec, 3, rng), random_source_joint(spec, 3, rng)):
         one = _coset_entropies(data, *spec._walk_layer)
         assert np.array_equal(one, _coset_entropies(data, *capped))
+
+
+def below(targets, theta, level) -> bool:
+    """The walk's visiting rule as first stated, scanning every target: a
+    node reached by lowering ``level`` is visited when some target agrees
+    with it before that level and lies at or below it from there on."""
+    head = theta[:level]
+    return any(
+        t[:level] == head and all(a <= b for a, b in zip(t[level:], theta[level:]))
+        for t in targets
+    )
+
+
+def walk_nodes(spec, steps) -> list:
+    """The (selector, level) of each step, read back from the steps: a
+    child lowers its parent at the level of the ring at its first split axis
+    (the full selector's step reads level None)."""
+    full = tuple(r for _, r in spec.ring_levels)
+    stack, nodes = [], []
+    for src, dst, shape, axes, _ in steps:
+        if shape is None:
+            theta, level = full, None
+        else:
+            level, parent = spec._ring_level_index[axes[0]], stack[src]
+            theta = parent[:level] + (parent[level] - 1,) + parent[level + 1 :]
+        stack[dst:] = [theta]
+        nodes.append((theta, level))
+    return nodes
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 8, 9, 12, 16, 27]), min_size=1, max_size=3),
+    st.data(),
+)
+def test_walk_visits_the_targets_paths(orders, data):
+    # the walk visits the full selector and exactly the children that ``below``
+    # keeps: each reached by lowering level l with the levels after l still
+    # full, and each once; it puts exactly the targets
+    spec = decompose(orders).spec
+    full = tuple(r for _, r in spec.ring_levels)
+    grid = list(map(tuple, groups._grid([r + 1 for r in full]).tolist()))
+    targets = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+    steps, _ = _walk_schedule(spec, targets)
+    nodes = walk_nodes(spec, steps)
+    expected = {(full, None)} | {
+        (theta, level)
+        for theta in grid
+        for level, r in enumerate(full)
+        if theta[level] < r
+        and theta[level + 1 :] == full[level + 1 :]
+        and below(targets, theta, level)
+    }
+    assert len(nodes) == len(set(nodes)) and set(nodes) == expected
+    put = {theta for (theta, _), step in zip(nodes, steps) if step[4] is not None}
+    assert put == set(targets)
 
 
 _Z4 = decompose([4]).spec

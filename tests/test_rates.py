@@ -414,6 +414,15 @@ def test_non_finite_terms_rejected(orders, bad, sense):
         optimize_weights(spec, terms, sense)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "0.3"])
+def test_terms_must_be_numbers(bad):
+    # a bool is not read as the term 1 bit, nor a string parsed
+    spec = decompose([4]).spec
+    terms = {th: bad for th in all_reachable_thetas(spec)}
+    with pytest.raises(TypeError, match="information term for .* must be a number"):
+        optimize_weights(spec, terms, "channel")
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_field_case_reduces_to_plain_mi(seed):
     for orders in ([2], [3], [5]):
