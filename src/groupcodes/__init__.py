@@ -1,44 +1,22 @@
-"""Achievable-rate functionals and code-ensemble checks for Abelian group codes."""
+"""Achievable-rate functionals and code-ensemble checks for Abelian group codes.
 
-from .groups import (
-    CyclicDecomposition,
-    GroupElement,
-    GroupSpec,
-    Subgroup,
-    ThetaVector,
-    decompose,
-)
-from .measures import (
-    ChannelSpec,
-    SourceJoint,
-    coset_mi_channel,
-    coset_mi_channel_chain,
-    coset_mi_source,
-    entropy,
-    mutual_information,
-)
-from .rates import (
-    RateResult,
-    WeightVector,
-    channel_coding_rate,
-    channel_rate_prime_power,
-    enumerate_theta_set,
-    grid_search,
-    induced_theta,
-    omega,
-    optimize_weights,
-    source_coding_rate,
-    source_rate_prime_power,
-)
+Each public name is loaded on first use, so ``import groupcodes`` imports
+neither numpy nor any submodule.
+"""
+
+import importlib
 
 
 def __getattr__(name: str):
-    # the names of __all__ not imported above are the ensemble module's,
-    # imported on first use so the CLI's rate commands never load it (PEP 562)
+    # a public name comes from the first submodule, in dependency order, that
+    # defines it and is then kept in this module's globals, so the lookup runs
+    # once per name (PEP 562)
     if name in __all__:
-        from . import ensemble
-
-        return getattr(ensemble, name)
+        for submodule in ("groups", "measures", "rates", "ensemble"):
+            module = importlib.import_module(f".{submodule}", __name__)
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

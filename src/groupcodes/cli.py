@@ -16,6 +16,12 @@ import sys
 import time
 from fractions import Fraction
 
+# the CLI loads numpy first, so its OpenBLAS starts one thread, not a pool that
+# nothing here uses (every matmul is on integer or bool arrays); a caller's
+# value wins
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .groups import _check_count, _check_seed, decompose
 from .measures import ValidationError
 from .problems import (

@@ -93,7 +93,8 @@ def _log_weight(q: int) -> Fraction:
 class WeightVector:
     """Nonnegative weights over the (q, s) slots of a group, summing to one.
 
-    Values may be fractions.Fraction (exact) or floats; a bool is refused.
+    Values may be fractions.Fraction (exact) or floats; a bool or a string is
+    refused.
     """
 
     spec: GroupSpec
@@ -103,7 +104,7 @@ class WeightVector:
         slots = self.spec.weight_slots
         if len(self.values) != len(slots):
             raise ValueError(f"expected {len(slots)} weights for slots {slots}")
-        _check_weights(self.values)
+        _check_weights(self.spec, self.values)
         if abs(sum(self.values) - 1) > 1e-9:
             raise ValueError(f"weights sum to {sum(self.values)}, not 1")
 
@@ -121,11 +122,11 @@ class WeightVector:
         return dict(zip(self.spec.weight_slots, self.values))
 
 
-def _check_weights(values: tuple) -> None:
+def _check_weights(spec: GroupSpec, values: tuple) -> None:
     """Weights are finite nonnegative numbers; a bool is refused, not read as
-    the weight 1 or 0."""
-    if any(isinstance(v, (bool, np.bool_)) for v in values):
-        raise TypeError(f"weights must be numbers, not bools, got {values}")
+    the weight 1 or 0, and so is a string."""
+    for slot, v in zip(spec.weight_slots, values):
+        _check_real(f"weight for slot {slot}", v)
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"weights must be finite, got {values}")
     if any(v < 0 for v in values):
@@ -184,8 +185,9 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
     Fraction weights the result is exact whenever the group has a single
     prime (log factors cancel); with floats it is a float, from the sums a
     rate call's linear program takes.  A selector or a weight vector of
-    another group, a mapping key that is not a weight slot, a bool weight and a
-    negative weight are refused.
+    another group, a mapping key that is not a weight slot, a weight that is a
+    bool or not a number (a string among them) and a negative weight are
+    refused, each weight's message naming its slot and value.
     """
     depths, n, d = spec._omega_coefficients([_components(spec, theta)])
     if isinstance(weights, WeightVector):
@@ -194,7 +196,7 @@ def omega(spec: GroupSpec, weights, theta: ThetaVector):
         values = weights.values
     else:
         values = _slot_values(spec, weights)
-        _check_weights(values)
+        _check_weights(spec, values)
     if all(isinstance(w, float) for w in values if w != 0):
         num, den = _sums(n, d, np.array([values], dtype=float))
         num, den = num.item(), den.item()

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -109,20 +110,49 @@ def test_cli_imports_numpy_only():
 
 
 def test_cli_imports_ensemble_lazily():
-    # the rate commands never load the ensemble module, nor does dir(), which
-    # lists every name of __all__; the package still serves the ensemble's
-    # names, loading it on first use
+    # a bare import loads neither numpy nor any submodule; the rate commands
+    # never load the ensemble module, nor does dir(), which lists every name
+    # of __all__; each name is the object of the module that defines it,
+    # loaded on first use
     code = (
-        "import sys, groupcodes, groupcodes.cli\n"
+        "import sys, groupcodes\n"
+        "print([m for m in sys.modules if m.startswith(('numpy', 'groupcodes.'))])\n"
+        "import groupcodes.cli\n"
         "print(set(groupcodes.__all__) <= set(dir(groupcodes)))\n"
         "print('groupcodes.ensemble' in sys.modules)\n"
         "print(groupcodes.InputGroup.__module__)\n"
         "print(hasattr(groupcodes, 'no_such_name'))\n"
+        "homes = set()\n"
+        "for name in groupcodes.__all__:\n"
+        "    value = getattr(groupcodes, name)\n"
+        "    home = sys.modules[value.__module__]\n"
+        "    assert getattr(home, name) is value and value.__name__ == name, name\n"
+        "    homes.add(home.__name__)\n"
+        "print(sorted(homes))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "True\nFalse\ngroupcodes.ensemble\nFalse\n"
+    homes = [f"groupcodes.{m}" for m in ("ensemble", "groups", "measures", "rates")]
+    assert proc.stdout == f"[]\nTrue\nFalse\ngroupcodes.ensemble\nFalse\n{homes}\n"
+
+
+def test_cli_starts_blas_single_threaded():
+    # a CLI process starts numpy's OpenBLAS with one thread unless the caller
+    # chose a count; the library alone never sets the variable
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def blas_threads(modules, **caller):
+        code = f"import os, {modules}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**env, **caller},
+            capture_output=True, text=True, check=True,
+        )
+        return proc.stdout
+
+    assert blas_threads("groupcodes.cli") == "1\n"
+    assert blas_threads("groupcodes.cli", OPENBLAS_NUM_THREADS="2") == "2\n"
+    assert blas_threads("groupcodes, groupcodes.rates") == "None\n"
 
 
 def test_capacity_identity(capsys, tmp_path):

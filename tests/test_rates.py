@@ -325,11 +325,15 @@ def test_weight_vector_validation():
         WeightVector(spec, (Fraction(-1, 2), Fraction(1), Fraction(1, 2)))
 
 
-@pytest.mark.parametrize("values", [(True, False), (np.False_, np.True_)])
+@pytest.mark.parametrize(
+    "values", [(True, False), (np.False_, np.True_), ("0.5", "0.5")]
+)
 def test_weight_vector_refuses_bools(values):
-    # a bool is not read as the weight 1 or 0; Fraction and float weights pass
+    # a bool is not read as the weight 1 or 0, nor a string as a number; the
+    # message names the first weight's slot and value; Fraction and float
+    # weights pass
     spec = decompose([4]).spec
-    message = re.escape(f"weights must be numbers, not bools, got {values}")
+    message = re.escape(f"weight for slot (2, 1) must be a number, got {values[0]!r}")
     with pytest.raises(TypeError, match=f"^{message}$"):
         WeightVector(spec, values)
     with pytest.raises(TypeError, match=f"^{message}$"):
