@@ -661,10 +661,7 @@ def mc_channel_error(
     size = ig.size
     # message coordinate 1 on the dither, generator row k + 1
     messages = np.hstack([ig._element_grid, np.ones((size, 1), dtype=np.int64)])
-    # place values of an element's rings and of a word's coordinates
     order = ig.group.order
-    ring_place = np.cumprod((1,) + moduli[:0:-1])[::-1]
-    word_place = order ** np.arange(n - 1, -1, -1)
     w_flat = chan.matrix.T.ravel()  # W(y | x) at y * |G| + x
     cdf = chan.matrix.cumsum(axis=1)
     cdf /= cdf[:, -1:]
@@ -676,9 +673,17 @@ def mc_channel_error(
         keys = _child_keys(seq, start, min(block, trials - start))
         images, dither, sent, u = _trial_draws(ig, n, keys, size)
         rows = np.concatenate([images, dither[:, None]], axis=1)
-        codebook = _encode(messages, rows, moduli) @ ring_place  # [B, messages, n]
+        # each element's index over its rings, then each word's over its
+        # coordinates, by Horner steps (an integer matmul with so small a
+        # core runs numpy's inner loop once per batch row)
+        residues = _encode(messages, rows, moduli)  # [B, messages, n, rings]
+        codebook = residues[..., 0]
+        for j in range(1, len(moduli)):
+            codebook = codebook * moduli[j] + residues[..., j]
+        words = codebook[..., 0]
+        for i in range(1, n):
+            words = words * order + codebook[..., i]
         # injective: no message a != 0 has message 0's codeword (see above)
-        words = codebook @ word_place
         injective = (words[:, 1:] != words[:, :1]).all(axis=1)
         x = codebook[np.arange(len(sent)), sent]  # [B, n]
         y = (cdf[x] <= u[..., None]).sum(axis=-1)

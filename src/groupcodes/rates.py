@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -84,8 +83,10 @@ class SolverError(RuntimeError):
     """The weight optimization could not produce a value."""
 
 
-def _log_weight(q: int) -> Fraction:
-    """log2(q) as an exact rational of its float value (exactly 1 for q=2)."""
+def _log_weight(q: int):
+    """log2(q) as an exact Fraction of its float value (exactly 1 for q=2)."""
+    from fractions import Fraction
+
     return Fraction(1) if q == 2 else Fraction(math.log2(q))
 
 

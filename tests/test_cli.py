@@ -98,10 +98,12 @@ def test_verify_ensemble_rejects_huge_table_draw(capsys):
 
 def test_cli_imports_numpy_only():
     # the library's one dependency is numpy: the test tools scipy, hypothesis
-    # and pytest must not load with the CLI
+    # and pytest must not load with the CLI, nor the stdlib modules that the
+    # rate commands never use
     code = (
         "import sys, groupcodes.cli; print(sorted({m.split('.')[0] for m in "
-        "sys.modules} & {'scipy', 'hypothesis', 'pytest', '_pytest'}))"
+        "sys.modules} & {'scipy', 'hypothesis', 'pytest', '_pytest', 'csv', "
+        "'fractions', 'decimal'}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -135,6 +137,29 @@ def test_cli_imports_ensemble_lazily():
     )
     homes = [f"groupcodes.{m}" for m in ("ensemble", "groups", "measures", "rates")]
     assert proc.stdout == f"[]\nTrue\nFalse\ngroupcodes.ensemble\nFalse\n{homes}\n"
+
+
+@pytest.mark.parametrize(
+    "entry, argv, code, frozen",
+    [
+        ("run", ["group-info", "4"], 0, True),
+        ("run", ["group-info", "1"], 2, True),
+        ("main", ["group-info", "4"], 0, False),
+    ],
+)
+def test_process_entry_freezes_heap(entry, argv, code, frozen):
+    # run, the process entry, freezes the heap after the command so that the
+    # collections at exit skip it; main leaves it to the collector (each in a
+    # child process, so that this heap is never frozen)
+    script = (
+        "import gc\nfrom groupcodes import cli\n"
+        f"code = cli.{entry}({argv!r})\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == f"{code} {frozen}"
 
 
 def test_cli_starts_blas_single_threaded():
