@@ -8,12 +8,14 @@ fastest), and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
 A GroupSpec caches the rate layer's selector plan, which depends on the
 group alone: the table of reachable selectors, the selectors that enter a
-rate, built on first read, with every array of the plan indexed by its rows;
-the dominance pairs of the table, built by the first rate call; the
-supports a rate call searches (the prefixes of the slot order, or every
-covering support where the prefixes may not settle it, which the grid
-oracle scans too), each built by the first call that reads it; and the walk
-of the coset terms down the selector lattice, built by the first terms call.
+rate, built on first read by a fold over the weight slots that never holds
+more than the table times one slot's depths, with every array of the plan
+indexed by its rows; the dominance pairs of the table, built by the first
+rate call; the supports a rate call searches (the prefixes of the slot
+order, or every covering support where the prefixes may not settle it,
+which the grid oracle scans too), each built by the first call that reads
+it; and the walk of the coset terms down the selector lattice, built by the
+first terms call.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
 """
@@ -151,19 +153,31 @@ class GroupSpec:
 
     @cached_property
     def _selector_layer(self) -> tuple[np.ndarray, ...]:
-        """The table of reachable selectors [n, L]: the selector grid's rows
-        that the full support reaches, which are those any support reaches (a
-        slot at its full depth s gives |r - s|^+ + s >= r, so adding one never
-        removes a selector), in grid order, so the zero selector comes first
-        and the full one last; then ``_omega_coefficients`` of its rows and
-        ``hits`` [n, k, L] of ``_theta_members``."""
+        """The table of reachable selectors [n, L]: the selectors that the
+        full support reaches, which are those any support reaches (a slot at
+        its full depth s gives |r - s|^+ + s >= r, so adding one never removes
+        a selector), in grid order (lexicographic), so the zero selector comes
+        first and the full one last; then ``_omega_coefficients`` of its rows
+        and ``hits`` [n, k, L] of ``_theta_members``.
+
+        The table is folded over the slots from the full selector, never from
+        the grid of every selector: ``_induce`` is a minimum over slots and a
+        slot at full depth lowers no level, so once slots 0..j are folded in,
+        each row is the selector induced by depths on them with every other
+        slot at full depth, itself a row of the table.  So the fold holds at
+        most n (s_j + 1) rows, the rows so far lowered by slot j alone at each
+        depth 0..s_j, before it sorts them and drops repeats."""
         levels, gaps = self.ring_levels, self._slot_gaps
-        grid = _grid([r + 1 for _, r in levels])
-        depths, n, d = self._omega_coefficients(grid)
+        table = np.array([[r for _, r in levels]])
+        for j, (_, s) in enumerate(self.weight_slots):
+            alone = _induce(levels, gaps[[j]], np.arange(s + 1)[:, None])
+            rows = np.minimum(table[:, None], alone).reshape(-1, len(levels))
+            rows = rows[np.lexsort(rows.T[::-1])]
+            table = rows[np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])]
+        depths, n, d = self._omega_coefficients(table)
         # [n, k, L]: each slot alone, as a one-slot axis per slot
-        hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
-        table = hits.any(axis=1).all(axis=1)  # Theta of the full support
-        return _read_only(grid[table], depths[table], n[table], d, hits[table])
+        hits = _induce(levels, gaps[:, None, :], depths[..., None]) == table[:, None, :]
+        return _read_only(table, depths, n, d, hits)
 
     def _omega_coefficients(self, thetas) -> tuple[np.ndarray, ...]:
         """The least depths m(theta) [..., k] of selectors thetas [..., L] on

@@ -17,10 +17,11 @@ its vertex bound skips the supports that cannot win.  Over the prefixes of
 random inputs one linear program settles the call.
 Every rate call, oracle and Theta enumeration on a group reads its selector
 plan, cached on the GroupSpec because it depends on the group alone: the
-table of reachable selectors, the grid rows that the full support reaches
-and so the only selectors that enter a rate, with m(theta) and the
-coefficients n and d of each, built on first read; the dominance pairs of
-the table, built by the first rate call; each support set with Theta(S) and
+table of reachable selectors, the selectors that the full support reaches
+and so the only ones that enter a rate, folded over the weight slots
+without the grid of every selector, with m(theta) and the coefficients n
+and d of each, built on first read; the dominance pairs of the table,
+built by the first rate call; each support set with Theta(S) and
 the vertex bound's top of each support, built by the first call that
 searches it (the covering supports also by the grid oracle), so a call with
 monotone terms builds no covering support; and the walk layer of the coset

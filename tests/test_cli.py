@@ -162,6 +162,48 @@ def test_process_entry_freezes_heap(entry, argv, code, frozen):
     assert proc.stdout.splitlines()[-1] == f"{code} {frozen}"
 
 
+def test_theta_table_runs_under_an_address_space_cap():
+    # Z2+Z4+...+Z512 has 512 reachable selectors and a selector grid of 10!
+    # rows, whose [grid, k, L] int64 arrays alone would take 2.19 GiB; the
+    # child caps its address space at 512 MiB before it imports anything
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from groupcodes import cli\n"
+        "group = '2,4,8,16,32,64,128,256,512'\n"
+        "raise SystemExit(cli.main(['theta-table', group, '--support', '2,1']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[3:] == [
+        "  theta=(0,1,2,3,4,5,6,7,8) omega=0.000000000",
+        "  theta=(1,2,3,4,5,6,7,8,9) omega=1.000000000",
+    ]
+
+
+def test_rate_commands_leave_numpy_ma_unloaded(
+    merged_channel_file, identity_source_file
+):
+    # np.unique imports numpy.ma (about 15 ms) on its first call, so the
+    # selector plan and the rate commands must not call it
+    argvs = [
+        ["theta-table", "2,4,8,16,32,64,128,256", "--support", "2,1"],
+        ["capacity", merged_channel_file],
+        ["rd", identity_source_file],
+    ]
+    script = (
+        "import sys\nfrom groupcodes import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_cli_starts_blas_single_threaded():
     # a CLI process starts numpy's OpenBLAS with one thread unless the caller
     # chose a count; the library alone never sets the variable

@@ -33,7 +33,15 @@ from groupcodes import (
     source_rate_prime_power,
 )
 from groupcodes import groups, measures, rates
-from groupcodes.groups import GroupSpec, Subgroup, _covering_masks, _gaps, _min_depths
+from groupcodes.groups import (
+    GroupSpec,
+    Subgroup,
+    _covering_masks,
+    _gaps,
+    _grid,
+    _induce,
+    _min_depths,
+)
 from groupcodes.rates import (
     INFO_ZERO_TOL,
     TIE_TOL,
@@ -196,6 +204,47 @@ def test_theta_fold_matches_product(orders):
         assert enumerate_theta_set(spec, support) == expected
         union |= expected
     assert set(all_reachable_thetas(spec)) == union
+
+
+def selector_layer_by_grid(spec):
+    """Reference route for the selector layer: every row of the selector
+    grid, filtered to those that the full support reaches."""
+    levels, gaps = spec.ring_levels, spec._slot_gaps
+    grid = _grid([r + 1 for _, r in levels])
+    depths, n, d = spec._omega_coefficients(grid)
+    hits = _induce(levels, gaps[:, None, :], depths[..., None]) == grid[:, None, :]
+    table = hits.any(axis=1).all(axis=1)  # Theta of the full support
+    return grid[table], depths[table], n[table], d, hits[table]
+
+
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81]
+
+
+@given(st.lists(st.sampled_from(PRIME_POWERS), min_size=1, max_size=5))
+def test_selector_layer_matches_grid_filter(orders):
+    # the table folded over the slots holds the grid filter's rows, in its
+    # order, and every array of the layer is the filter's, dtype included
+    spec = decompose(orders).spec
+    assume(math.prod(r + 1 for _, r in spec.ring_levels) <= 4096)
+    got, expected = spec._selector_layer, selector_layer_by_grid(spec)
+    assert len(got) == len(expected) == 5
+    for array, reference in zip(got, expected):
+        assert array.dtype == reference.dtype
+        assert np.array_equal(array, reference)
+
+
+def test_selector_layer_memory_is_bounded_by_its_table():
+    # Z2+Z4+...+Z256 has 256 reachable selectors among 9! = 362,880 in its
+    # selector grid, whose [grid, k, L] arrays would take hundreds of MiB
+    spec = decompose([2**e for e in range(1, 9)]).spec
+    tracemalloc.start()
+    try:
+        table = spec._selector_layer[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 256
+    assert peak < 4 * 2**20
 
 
 SMALL_ORDERS = [2, 3, 4, 5, 8, 9, 16, 27]
