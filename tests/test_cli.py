@@ -187,21 +187,27 @@ def test_rate_commands_leave_numpy_ma_unloaded(
     merged_channel_file, identity_source_file
 ):
     # np.unique imports numpy.ma (about 15 ms) on its first call, so the
-    # selector plan and the rate commands must not call it
+    # selector plan and the rate commands must not call it; numpy 1.x loads
+    # numpy.ma on import, and then there is nothing to check
     argvs = [
         ["theta-table", "2,4,8,16,32,64,128,256", "--support", "2,1"],
         ["capacity", merged_channel_file],
         ["rd", identity_source_file],
     ]
     script = (
-        "import sys\nfrom groupcodes import cli\n"
+        "import sys\nimport numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from groupcodes import cli\n"
         f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
         "print(codes, 'numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    lines = proc.stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert lines[-1] == "[0, 0, 0] False"
 
 
 def test_cli_starts_blas_single_threaded():
