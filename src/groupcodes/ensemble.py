@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .groups import GroupElement, GroupSpec, ThetaVector, _check_count, _check_seed
-from .groups import _components, _gaps, _grid, _induce, _integer, _is_prime
-from .groups import _min_depths, _slot_values
+from .groups import _components, _grid, _induce, _integer, _is_prime
+from .groups import _min_depths, _runs, _slot_values
 from .measures import ChannelSpec, _check_kind
 from .rates import _check_support, enumerate_theta_set
 
@@ -76,21 +76,20 @@ class InputGroup:
     @cached_property
     def _allowed_step(self) -> np.ndarray:
         """[k, c], read-only like every array cached here: the (p, r) image of
-        a Z_{q^s} generator lies in p^gap Z_{p^r}, its ``_gaps`` entry, so
-        p^(r-s)+ Z_{p^r} for q = p and zero across primes."""
+        a Z_{q^s} generator lies in p^gap Z_{p^r}, its slot's gap at the
+        ring's level, so p^(r-s)+ Z_{p^r} for q = p and zero across primes."""
         primes = np.array([p for p, _, _ in self.group.rings])
-        levels = [(p, r) for p, r, _ in self.group.rings]
-        step = primes ** _gaps(levels, [(q, s) for q, s, _ in self.spec.rings])
+        step = primes ** self._selector_tables[0][:, self.group._ring_level_index]
         step.setflags(write=False)
         return step
 
     @cached_property
     def _selector_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per component: its slot's gaps [k, L], and the powers q, ..., q^s
-        then q^s + 1 [k, max s], of which a residue's q-adic depth counts
-        those up to its gcd with q^s."""
+        """Per component: its slot's row of the group's ``_slot_gaps`` [k, L],
+        and the powers q, ..., q^s then q^s + 1 [k, max s], of which a
+        residue's q-adic depth counts those up to its gcd with q^s."""
         rings, top = self.spec.rings, max(s for _, s, _ in self.spec.rings)
-        gaps = _gaps(self.group.ring_levels, [(q, s) for q, s, _ in rings])
+        gaps = np.repeat(self.group._slot_gaps, self.counts, axis=0)
         powers = np.array(
             [[q ** min(t, s) + (t > s) for t in range(1, top + 1)] for q, s, _ in rings]
         )
@@ -367,19 +366,15 @@ def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
 def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     """Counts of every selector over all input pairs with a fixed first
     element (the census is the same for every choice), in lexicographic
-    selector order."""
+    selector order, grouped by ``_runs``: O(|J| k) memory, whatever the size
+    of the selector grid."""
     if size := _over_cap(SIZE_CAP, ig.total, lambda: ig.size):
         raise ValueError(f"input group size {size} exceeds cap {SIZE_CAP}")
     a = ig.element(a) if a is not None else ig.spec.zero()
-    rows = _selectors(ig, ig._element_grid - a.residues)
-    # one mixed-radix code per selector, in lexicographic order
-    radices = [r + 1 for _, r in ig.group.ring_levels]
-    counts = np.bincount(np.ravel_multi_index(tuple(rows.T), radices))
-    codes = np.flatnonzero(counts)
-    classes = zip(*(axis.tolist() for axis in np.unravel_index(codes, radices)))
+    classes, counts = _runs(_selectors(ig, ig._element_grid - a.residues))
     return {
-        ThetaVector(ig.group, row): count
-        for row, count in zip(classes, counts[codes].tolist())
+        ThetaVector(ig.group, tuple(row)): count
+        for row, count in zip(classes.tolist(), counts.tolist())
     }
 
 
@@ -727,10 +722,10 @@ def lemma_suite(
     else on 16 drawn pairs, pair i with seed (seed + i) mod 2**64; in
     exhaustive mode every pair reads the one enumeration of the group's
     plan.  Pairs are residue rows throughout.  The congruence solver's
-    closed form is checked on every b of a coefficient a at once against a
-    stable sort of a*x mod p^r over every x, which groups the solutions of
-    a*x = b by b, in increasing order: each b's count must be gcd(a, p^r) or
-    0, and each solvable b's group the whole solution set.  Above SIZE_CAP
+    closed form is checked on every b of a coefficient a at once by
+    substitution: each b's count of x with a*x = b mod p^r must be g =
+    gcd(a, p^r) or 0 as it says, and a solvable b's g distinct solutions
+    must lie in [0, p^r) and solve it, so they are all.  Above SIZE_CAP
     equations each coefficient a is checked, on every b, with probability
     SIZE_CAP / equations, so about SIZE_CAP are checked.
     """
@@ -800,16 +795,14 @@ def lemma_suite(
             coeffs = (np.flatnonzero(rng.random(len(coeffs)) < share) + 1).tolist()
         targets = np.arange(mod)
         for a in coeffs:
-            image = a * targets % mod
-            xs = np.argsort(image, kind="stable")
-            counts = np.bincount(image, minlength=mod)
+            counts = np.bincount(a * targets % mod, minlength=mod)
             solvable, base, period = _congruence(p, r, a, targets)
             g = mod // period
             wrong = counts != np.where(solvable, g, 0)
-            # each solvable b's slice of xs against base + period * arange(g)
-            b = np.flatnonzero(solvable & ~wrong)
-            brute = xs[(np.cumsum(counts) - counts)[b, None] + np.arange(g)]
-            wrong[b] |= (brute != base[b, None] + period * np.arange(g)).any(axis=1)
+            b = np.flatnonzero(solvable)
+            xs = base[b, None] + period * np.arange(g)
+            bad = (xs < 0) | (xs >= mod) | (a * xs % mod != b[:, None])
+            wrong[b] |= bad.any(axis=1)
             cong_total += mod
             cong_fail += int(wrong.sum())
     sampled = " (sampled)" if share < 1 else ""

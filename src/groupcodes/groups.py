@@ -166,14 +166,12 @@ class GroupSpec:
         each row is the selector induced by depths on them with every other
         slot at full depth, itself a row of the table.  So the fold holds at
         most n (s_j + 1) rows, the rows so far lowered by slot j alone at each
-        depth 0..s_j, before it sorts them and drops repeats."""
+        depth 0..s_j, before ``_runs`` drops repeats."""
         levels, gaps = self.ring_levels, self._slot_gaps
         table = np.array([[r for _, r in levels]])
         for j, (_, s) in enumerate(self.weight_slots):
             alone = _induce(levels, gaps[[j]], np.arange(s + 1)[:, None])
-            rows = np.minimum(table[:, None], alone).reshape(-1, len(levels))
-            rows = rows[np.lexsort(rows.T[::-1])]
-            table = rows[np.concatenate([[True], (rows[1:] != rows[:-1]).any(axis=1)])]
+            table = _runs(np.minimum(table[:, None], alone).reshape(-1, len(levels)))[0]
         depths, n, d = self._omega_coefficients(table)
         # [n, k, L]: each slot alone, as a one-slot axis per slot
         hits = _induce(levels, gaps[:, None, :], depths[..., None]) == table[:, None, :]
@@ -268,6 +266,14 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.setflags(write=False)
     return arrays
+
+
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows [n, L] in lexicographic order, and the count of each."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = (rows[1:] != rows[:-1]).any(axis=1)
+    edges = np.flatnonzero(np.concatenate(([True], new, [True])))
+    return rows[edges[:-1]], edges[1:] - edges[:-1]
 
 
 def _covering_masks(spec: GroupSpec) -> np.ndarray:

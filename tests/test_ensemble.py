@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -393,6 +394,28 @@ def test_brute_theta_matches_enumeration(orders, counts):
     assert frozenset(census) == enumerate_theta_set(ig.group, ig.support)
 
 
+def test_census_memory_is_independent_of_selector_grid():
+    # Z2+Z4+...+Z1024 has a selector grid of 11! = 39,916,800 cells, but J =
+    # Z2+Z1024 has 2,048 elements: the census holds O(|J| k) cells
+    spec = decompose([2**e for e in range(1, 11)]).spec
+    ig = InputGroup.from_mapping(spec, {(2, 1): 1, (2, 10): 1})
+    tracemalloc.start()
+    try:
+        census = theta_census(ig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    expected = census_oracle(ig, ig.spec.zero())
+    assert list(census.items()) == sorted(
+        expected.items(), key=lambda item: item[0].components
+    )
+    # one level more, the grid has 12! cells; J = Z2+Z2048 gives 22 classes
+    spec = decompose([2**e for e in range(1, 12)]).spec
+    ig = InputGroup.from_mapping(spec, {(2, 1): 1, (2, 11): 1})
+    assert len(theta_census(ig)) == 22
+
+
 def test_theta_set_depends_only_on_support():
     # two different count vectors with the same support produce the same set
     a = frozenset(theta_census(ig_of([8], {(2, 2): 1, (2, 3): 1})))
@@ -422,6 +445,7 @@ def test_census_matches_oracle_property(data):
     # the same classes and counts, in lexicographic selector order
     expected = sorted(census.items(), key=lambda item: item[0].components)
     assert list(theta_census(ig, a).items()) == expected
+    assert all(type(count) is int for count in theta_census(ig, a).values())
     assert pair_theta(ig, a, b) == pair_theta_oracle(ig, a, b)
     # every selector with a nonempty class is reachable in the group
     assert set(census) <= set(all_reachable_thetas(ig.group))
@@ -759,28 +783,51 @@ def test_congruence_closed_form_matches_depth_oracle():
     assert checked == 290_020
 
 
-def test_lemma_suite_reports_congruence_mismatches(monkeypatch, capsys):
-    # on Z4's 18 equations, the base of a = 2 mod 4 moves by one, so both of
-    # its solvable targets (0 and 2) get the wrong solutions, and a = 3 mod 4
-    # calls b = 1 unsolvable although x = 3 solves it: 3 mismatches
+def _base_and_solvable(p, r, a, b, solvable, base, period):
+    """The base of a = 2 mod 4 moves by one, so both of its solvable targets
+    (0 and 2) get the wrong solutions, and a = 3 mod 4 calls b = 1
+    unsolvable although x = 3 solves it: 3 mismatches."""
+    if (p, r, a) == (2, 2, 2):
+        base = base + 1
+    if (p, r, a) == (2, 2, 3):
+        solvable = solvable & (b != 1)
+    return solvable, base, period
+
+
+def _base_by_periods(shift):
+    """The base of a = 2 mod 4 moves by shift periods: each of its solvable
+    targets (0 and 2) gets residues that solve it, but one of them lies
+    outside [0, 4), so 2 mismatches."""
+
+    def fault(p, r, a, b, solvable, base, period):
+        return solvable, base + shift * period * ((p, r, a) == (2, 2, 2)), period
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "fault, mismatches",
+    [(_base_and_solvable, 3), (_base_by_periods(1), 2), (_base_by_periods(-1), 2)],
+    ids=["base-and-solvable", "base-up-one-period", "base-down-one-period"],
+)
+def test_lemma_suite_reports_congruence_mismatches(
+    monkeypatch, capsys, fault, mismatches
+):
+    # on Z4's 18 equations, a wrong closed form is caught per equation
     congruence = ensemble._congruence
 
     def wrong(p, r, a, b):
-        solvable, base, period = congruence(p, r, a, b)
-        if (p, r, a) == (2, 2, 2):
-            base = base + 1
-        if (p, r, a) == (2, 2, 3):
-            solvable = solvable & (b != 1)
-        return solvable, base, period
+        return fault(p, r, a, b, *congruence(p, r, a, b))
 
     monkeypatch.setattr(ensemble, "_congruence", wrong)
+    detail = f"18 equations checked, {mismatches} mismatches"
     check = lemma_suite(ig_of([4], {(2, 2): 1}), 1, samples=60, seed=2)[-1]
     assert check.name == "congruence-solver" and not check.passed
-    assert check.detail == "18 equations checked, 3 mismatches"
+    assert check.detail == detail
     argv = ["verify-ensemble", "4", "--counts", "0,1", "--n", "1", "--trials", "60"]
     assert cli.main(argv) == 4
     out, err = capsys.readouterr()
-    assert "FAIL congruence-solver: 18 equations checked, 3 mismatches\n" in out
+    assert f"FAIL congruence-solver: {detail}\n" in out
     assert err == "violated: congruence-solver\n"
 
 
