@@ -10,10 +10,10 @@ A GroupSpec caches the rate layer's selector plan, which depends on the
 group alone: the table of reachable selectors, the selectors that enter a
 rate, built on first read by a fold over the weight slots that never holds
 more than the table times one slot's depths, with every array of the plan
-indexed by its rows; the dominance pairs of the table, built by the first
-rate call; the supports a rate call searches (the prefixes of the slot
-order, or every covering support where the prefixes may not settle it,
-which the grid oracle scans too), each built by the first call that reads
+indexed by its rows; the dominance pairs of the table, which only the check
+of a caller's terms reads; the prefixes of the slot order, which rate calls
+search, and every covering support, which the grid oracle and a caller's
+terms that are not monotone take, each built by the first call that reads
 it; and the walk of the coset terms down the selector lattice, built by the
 first terms call.
 Everything here is immutable and safe to share across threads: a cached
@@ -194,9 +194,9 @@ class GroupSpec:
     @cached_property
     def _covering_layer(self) -> tuple[np.ndarray, ...]:
         """Every covering support, as ``_faces`` of their slot masks in
-        tie-break order: what a rate call searches where the full support
-        may not settle it, and what the grid oracle scans.  On Z_(2^18) this
-        layer holds about 50 MB, most of it ``top``."""
+        tie-break order: what the grid oracle scans and optimize_weights
+        searches on terms that are not monotone; no rate call builds it.  On
+        Z_(2^18) this layer holds about 50 MB, most of it ``top``."""
         return self._faces(_covering_masks(self))
 
     @cached_property
@@ -204,14 +204,14 @@ class GroupSpec:
         """The prefixes of the slot order that give every prime a slot, as
         ``_faces`` of their slot masks, the shortest first and the full
         support last (their tie-break order): what a rate call searches
-        where the full support settles it."""
+        where no zero channel term pins a slot."""
         k, r = len(self.weight_slots), self.max_exponent(self.primes[-1])
         return self._faces(np.tri(k, dtype=bool)[k - r :])
 
     @cached_property
     def _dominance_pairs(self) -> np.ndarray:
-        """The dominance pairs [2, pairs] of the table, each column two rows
-        lo != hi with theta_lo <= theta_hi componentwise."""
+        """The dominance pairs [2, pairs] of the table, rows lo != hi with
+        theta_lo <= theta_hi, over which optimize_weights checks caller terms."""
         table = self._selector_layer[0]
         below = (table[:, None, :] <= table[None, :, :]).all(axis=-1)
         np.fill_diagonal(below, False)

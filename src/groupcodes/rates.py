@@ -9,22 +9,22 @@ turns it into one packing linear program, solved by a small dense simplex.
 The outer optimization ranges over the support patterns that give every prime
 of the group at least one slot.  Supports whose values agree to a relative
 tie tolerance tie, and the lexicographically first wins.
-One best-first search serves every call, over one of two support sets:
-the prefixes of the slot order that give every prime a slot where the
-call's terms are monotone in theta, and every covering support otherwise;
-_optimize states why the prefixes then hold the winner, and _search how
-its vertex bound skips the supports that cannot win.  Over the prefixes of
-random inputs one linear program settles the call.
+One best-first search serves every call.  A rate call searches the prefixes
+of the slot order, less the slots a zero channel term pins, that give every
+prime a slot (_SupportProblems.prefixes); optimize_weights states why they
+hold the winner and when it searches them, and _search how its vertex
+bound skips the supports that cannot win.  Over the prefixes of random
+inputs one linear program settles the call.
 Every rate call, oracle and Theta enumeration on a group reads its selector
 plan, cached on the GroupSpec because it depends on the group alone: the
 table of reachable selectors, the selectors that the full support reaches
 and so the only ones that enter a rate, folded over the weight slots
 without the grid of every selector, with m(theta) and the coefficients n
 and d of each, built on first read; the dominance pairs of the table,
-built by the first rate call; each support set with Theta(S) and
-the vertex bound's top of each support, built by the first call that
-searches it (the covering supports also by the grid oracle), so a call with
-monotone terms builds no covering support; and the walk layer of the coset
+built by the first optimize_weights call; each support set with Theta(S)
+and the vertex bound's top of each support, built by the first call that
+searches it (the covering supports only by optimize_weights on terms that
+are not monotone and by the grid oracle); and the walk layer of the coset
 terms (see measures), built by the first terms call.  Every array indexed by
 selector has one row per table row.  Its arrays are read-only and live as
 long as the spec; a call computes only what depends on its input, the terms
@@ -258,16 +258,32 @@ class _SupportProblems:
         return self.n[rows][:, cols], self.d[cols], self.c[rows], self.excluded[rows]
 
     def monotone(self) -> bool:
-        """Whether the full support settles the rate (see _optimize): the
+        """Whether prefixes() holds the winner (see optimize_weights): the
         terms are monotone over the plan's dominance pairs, theta <= theta'
-        giving c_theta >= c_theta' (channel) or c_theta <= c_theta' (source),
-        and on the channel side no selector but the excluded one has a zero
-        term."""
+        giving c_theta >= c_theta' (channel) or c_theta <= c_theta' (source)."""
         lo, hi = self.c[self.spec._dominance_pairs]
-        if self.sign < 0:
-            return bool((lo <= hi).all())
-        zero = (self.c[~self.excluded] == 0).any()
-        return bool((lo >= hi).all() and not zero)
+        return bool((lo <= hi).all() if self.sign < 0 else (lo >= hi).all())
+
+    def prefixes(self) -> tuple[np.ndarray, ...]:
+        """The supports that hold the winner where the terms are monotone (see
+        optimize_weights), as ``GroupSpec._faces``: the prefixes of the slot
+        order less the pinned slots, those whose Theta({j}) holds a zero
+        term other than the full selector's, that give every prime a slot.
+
+        Monotone channel terms make the zero terms an up-set, and every
+        non-full theta in Theta(S) lies below a slot j of S lowered alone one
+        step, in Theta({j}), a subset of Theta(S): so S is pinned to 0
+        exactly when it holds a pinned slot.  Where the unpinned slots miss
+        a prime, the rate is 0 and the first covering support, the plan's
+        first prefix, wins."""
+        spec, zero = self.spec, (self.c == 0) & ~self.excluded
+        if self.sign < 0 or not zero.any():
+            return spec._prefix_layer
+        slots = np.eye(len(spec.weight_slots), dtype=bool)
+        pinned = (_theta_members(spec._selector_layer[-1], slots) & zero).any(axis=1)
+        masks = np.logical_or.accumulate(slots[~pinned], axis=0)
+        covers = (masks @ (np.array(spec.weight_slots)[:, :1] == spec.primes)).all(1)
+        return spec._faces(masks[covers] if covers.any() else spec._prefix_layer[0][:1])
 
     def vertex_bounds(self, members: np.ndarray, top: np.ndarray) -> np.ndarray:
         """The bound that each support's optimum cannot beat, from its row of
@@ -456,15 +472,9 @@ def optimize_weights(
     built from precomputed per-selector information terms.
 
     ``terms`` must cover every selector reachable from some support pattern,
-    with finite nonnegative values.
-    """
-    return _optimize(_SupportProblems.from_mapping(spec, terms, sense))
-
-
-def _optimize(problems: _SupportProblems) -> RateResult:
-    """Search the support set that holds the winner (_search): the plan's
-    prefix supports where the terms are monotone, else every covering
-    support.
+    with finite nonnegative values.  The best-first search (_search) runs
+    over _SupportProblems.prefixes where monotone() finds the terms monotone
+    in theta, as a rate call's are (_rate), else over every covering support.
 
     Signed, sign * value, larger is better in both senses.  Let S be a
     subset of S', w* S's optimum, also a point of the face of S', and
@@ -473,31 +483,26 @@ def _optimize(problems: _SupportProblems) -> RateResult:
     omega_theta'(w*).  Where the terms are monotone in theta, the channel
     term c_theta' >= c_theta and the source term c_theta' <= c_theta, so at
     w* theta' lowers neither the channel minimum nor raises the source
-    maximum, and S' is at least as good as S.  Two preconditions make this
-    hold, and _SupportProblems.monotone checks them on the call's terms:
+    maximum, and S' is at least as good as S.  On the channel side theta
+    may be the full selector, with omega = 1 and no ratio, and then theta'
+    shares omega = 1, where a zero term pins S' to 0: so this holds among
+    the supports of the slots that no zero term pins (prefixes), and a
+    pinned support, at 0, ties no positive rate.  The source side needs no
+    such care: theta >= theta' and theta = 0, its excluded selector, force
+    theta' = 0.
 
-    - monotone over every pair theta <= theta' of reachable selectors;
-    - on the channel side, no zero reachable term but the excluded full
-      selector's.  theta may be the full selector, with omega = 1 and no
-      ratio, and then theta' shares omega = 1, where a zero term pins the
-      value of S' to 0 (a coset channel, whose output is the coset of its
-      input, has such terms).  The source side needs no such check:
-      theta >= theta' and theta = 0, its excluded selector, force
-      theta' = 0.
+    Then the full support of those slots attains their best value.  Every
+    support of them that sorts before it is one of its prefixes in slot
+    order, and the first tying support is a prefix: adding the first slot of
+    the order that a tying support skips keeps the tie and sorts earlier.
+    So the prefixes that give every prime a slot hold the winner, and the
+    call builds no covering layer.
 
-    Then the full support attains the rate.  Every support that sorts
-    before it is one of its prefixes in slot order, and the first tying
-    support is a prefix: adding the first slot of the order that a tying
-    support skips keeps the tie and sorts earlier.  So the prefixes that
-    give every prime a slot hold the winner, and the call builds no
-    covering layer.
-
-    Every other input takes every covering support.  Source terms in
-    sixths on Z4+Z2 are not monotone, and show why: the optimum, 1/6, is
-    on {(2,2)}, which is no prefix, while the best prefix, {(2,1),(2,2)},
-    is at 5/3."""
-    spec = problems.spec
-    layer = spec._prefix_layer if problems.monotone() else spec._covering_layer
+    Source terms in sixths on Z4+Z2 are not monotone, and show why the
+    others take every covering support: the optimum, 1/6, is on {(2,2)},
+    which is no prefix, while the best prefix, {(2,1),(2,2)}, is at 5/3."""
+    problems = _SupportProblems.from_mapping(spec, terms, sense)
+    layer = problems.prefixes() if problems.monotone() else spec._covering_layer
     return _search(problems, *layer)
 
 
@@ -507,9 +512,9 @@ def _search(
     members: np.ndarray,
     top: np.ndarray,
 ) -> RateResult:
-    """The best-first search of _optimize over the supports with slot masks
-    ``columns``, Theta(S) rows ``members`` and the vertex bound's ``top``,
-    given in tie-break order (a ``GroupSpec._faces`` triple).
+    """The best-first search over the supports with slot masks ``columns``,
+    Theta(S) rows ``members`` and the vertex bound's ``top``, given in
+    tie-break order (a ``GroupSpec._faces`` triple).
 
     Values and bounds are compared signed.  B_i is support i's signed vertex
     bound, best the best value solved so far and w the winner among the
@@ -621,8 +626,13 @@ def _reachable_terms(data) -> dict[ThetaVector, float]:
 
 
 def _rate(data, sense: str) -> RateResult:
-    """The terms on the group's selector plan, then the optimization."""
-    return _optimize(_SupportProblems(data.group, _coset_terms(data), sense))
+    """The terms on the group's selector plan, then the search over their
+    prefixes, untested, as data processing makes the terms monotone: for
+    theta <= theta', [X]_theta is a function of [X]_theta', so
+    I(X;Y | [X]_theta) >= I(X;Y | [X]_theta') and
+    I([U]_theta; X) <= I([U]_theta'; X)."""
+    problems = _SupportProblems(data.group, _coset_terms(data), sense)
+    return _search(problems, *problems.prefixes())
 
 
 def source_coding_rate(sj: SourceJoint) -> RateResult:

@@ -47,7 +47,6 @@ from groupcodes.rates import (
     TIE_TOL,
     SolverError,
     _packing_lp,
-    _optimize,
     _result,
     _search,
     _solve_support,
@@ -1300,29 +1299,54 @@ def test_ulp_move_keeps_support(orders, seed):
             assert optimize_weights(spec, moved, "channel").support == support
 
 
+def coset_channel(spec, theta, noise=0.0):
+    """The channel whose output is the coset label of its input under the
+    selector with components theta, replaced with probability noise by a
+    label drawn uniformly."""
+    labels = Subgroup(spec, ThetaVector(spec, theta)).label_indices()
+    count = labels.max() + 1
+    return ChannelSpec(spec, (1 - noise) * np.eye(count)[labels] + noise / count)
+
+
+def coset_source(spec, theta, noise=0.0):
+    """The source whose X is the coset label of U, noisy as coset_channel's
+    output."""
+    return SourceJoint(spec, coset_channel(spec, theta, noise).matrix.T / spec.order)
+
+
 @st.composite
 def search_case(draw):
-    """Terms over a random group of a random, additive-noise or coset
-    channel, or of a random source, with the sense.  A coset channel's
-    output is the coset of its input under a drawn selector, so every
-    selector at or above that one has a zero term."""
+    """A random group and the data of a random, additive-noise, coset or
+    subgroup-noise channel or of a random or coset source, with its terms,
+    sense and kind.  A coset channel's output and a coset source's X are
+    the coset labels of the input under a drawn selector other than the
+    full one, with 0, 5 or 30% of uniform noise over the labels; a coset
+    channel has a zero term at every selector at or above that one.
+    Subgroup noise is uniform on the drawn selector's subgroup."""
     spec = draw_group(draw)
     rng = make_rng(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(["random", "additive", "coset", "source"]))
+    kind = draw(
+        st.sampled_from(
+            ["coset", "coset-source", "subgroup", "random", "additive", "source"]
+        )
+    )
+    theta = draw(st.sampled_from(all_reachable_thetas(spec)[:-1])).components
+    noise = draw(st.sampled_from([0.0, 0.05, 0.3]))
     if kind == "source":
-        joint = random_source_joint(spec, draw(st.integers(2, 5)), rng)
-        return spec, source_terms(joint), "source", kind
-    if kind == "random":
-        chan = random_channel(spec, draw(st.integers(2, 5)), rng)
+        data = random_source_joint(spec, draw(st.integers(2, 5)), rng)
+    elif kind == "coset-source":
+        data = coset_source(spec, theta, noise)
+    elif kind == "random":
+        data = random_channel(spec, draw(st.integers(2, 5)), rng)
     elif kind == "additive":
-        chan = random_additive_channel(spec, rng)
+        data = random_additive_channel(spec, rng)
+    elif kind == "coset":
+        data = coset_channel(spec, theta, noise)
     else:
-        theta = draw(st.sampled_from(all_reachable_thetas(spec)[:-1]))
-        labels = Subgroup(spec, theta).label_indices()
-        matrix = np.zeros((spec.order, labels.max() + 1))
-        matrix[np.arange(spec.order), labels] = 1.0
-        chan = ChannelSpec(spec, matrix)
-    return spec, channel_terms(chan), "channel", kind
+        data = subgroup_noise_case(spec.moduli, theta)[1]
+    if isinstance(data, SourceJoint):
+        return data.group, source_terms(data), "source", kind, data
+    return data.group, channel_terms(data), "channel", kind, data
 
 
 def sixths_case():
@@ -1334,34 +1358,36 @@ def sixths_case():
 
 
 def coset_case(orders=(4, 2), theta=(1, 0)):
-    """The channel whose output is the coset of theta, by default on Z4+Z2
+    """The search case of the coset channel of theta, by default on Z4+Z2
     with theta = (1, 0)."""
-    spec = decompose(orders).spec
-    labels = Subgroup(spec, ThetaVector(spec, theta)).label_indices()
-    return spec, channel_terms(ChannelSpec(spec, np.eye(labels.max() + 1)[labels]))
+    chan = coset_channel(decompose(orders).spec, theta)
+    return chan.group, channel_terms(chan), "channel", "coset", chan
 
 
-@example((*sixths_case(), "source", "sixths"))
-@example((*coset_case(), "channel", "coset"))
-@example((*coset_case((4, 2, 3), (1, 0, 1)), "channel", "coset"))
+@example((*sixths_case(), "source", "sixths", None))
+@example(coset_case())
+@example(coset_case((4, 2, 3), (1, 0, 1)))
 @given(search_case())
 def test_prefix_search_matches_covering_search_and_scan_property(case):
-    # where the terms are monotone, the search over the prefix supports
-    # reports every field the search over every covering support and the
-    # unpruned scan report; a coset channel of a selector other than the
-    # full one has a zero term, and the sixths terms are not monotone, so
-    # both take the covering supports
-    spec, terms, sense, kind = case
+    # the search over prefixes(), which a rate call takes untested, reports
+    # every field the search over every covering support and the unpruned
+    # scan report, and so do the rate call and optimize_weights: the terms
+    # of channel and source data are monotone up to rounding, and the
+    # sixths terms are not, so optimize_weights takes the covering supports
+    spec, terms, sense, kind, data = case
     problems = _SupportProblems.from_mapping(spec, terms, sense)
-    if kind in ("coset", "sixths"):
+    if kind == "sixths":
         assert not problems.monotone()
     expected, _ = unpruned_scan(problems)
     results = [
         optimize_weights(spec, terms, sense),
         _search(problems, *spec._covering_layer),
     ]
-    if problems.monotone():
-        results.append(_search(problems, *spec._prefix_layer))
+    if kind != "sixths":
+        results.append(_search(problems, *problems.prefixes()))
+    if data is not None:
+        rate = channel_coding_rate if sense == "channel" else source_coding_rate
+        results.append(rate(data))
     for got in results:
         for field in RateResult.__dataclass_fields__:
             assert getattr(got, field) == getattr(expected, field), field
@@ -1389,36 +1415,82 @@ def test_sixths_source_terms_take_the_best_first_search():
     assert prefixes.support == ((2, 1), (2, 2)) and prefixes.value == 5 / 3
 
 
+def pinned_slots(spec, terms):
+    """The slots whose selector lowered alone one step from the full one,
+    with every other slot at its full depth, has a zero term."""
+    levels = spec.ring_levels
+    zero = {th.components for th, c in terms.items() if c == 0}
+    return {
+        (q, s)
+        for q, s in spec.weight_slots
+        if tuple(_induce(levels, _gaps(levels, [(q, s)]), [s - 1]).tolist()) in zero
+    }
+
+
 def test_channel_zero_term_guard_is_needed():
     # the coset channel of theta = (1, 0, 1) on Z4+Z2+Z3, levels (2,1),
     # (2,2), (3,1): the output is the input's Z2 and Z3 coordinates.  Its
     # terms are monotone over every dominance pair, with a zero term at
-    # (1,1,1) besides the full selector's.  The one prefix that gives both
-    # primes a slot is the full support, which reaches (1,1,1) and is pinned
-    # to 0, while the rate, log2 6, is on ((2,1),(3,1)), which is no prefix
-    spec, terms = coset_case((4, 2, 3), (1, 0, 1))
+    # (1,1,1) besides the full selector's: (2,2) lowered alone one step.
+    # So slot (2,2) is pinned, and the one prefix of the other slots that
+    # gives both primes a slot, ((2,1),(3,1)), holds the rate, log2 6.  The
+    # one prefix of the whole slot order that does, the full support,
+    # reaches (1,1,1) and solves to 0
+    spec, terms, _, _, chan = coset_case((4, 2, 3), (1, 0, 1))
     problems = _SupportProblems.from_mapping(spec, terms, "channel")
-    lo, hi = problems.c[spec._dominance_pairs]
-    assert (lo >= hi).all()
+    assert problems.monotone()
     zero = [th.components for th, c in terms.items() if c <= INFO_ZERO_TOL]
     assert zero == [(1, 1, 1), (1, 2, 1)]
-    assert not problems.monotone()
-    result = optimize_weights(spec, terms, "channel")
-    assert result.value == math.log2(6) == 2.584962500721156
-    assert result.support == ((2, 1), (3, 1))
+    assert pinned_slots(spec, terms) == {(2, 2)}
+    columns, _, _ = problems.prefixes()
+    assert columns.tolist() == [[True, False, True]]
+    for result in optimize_weights(spec, terms, "channel"), channel_coding_rate(chan):
+        assert result.value == math.log2(6) == 2.584962500721156
+        assert result.support == ((2, 1), (3, 1))
     prefixes = _search(problems, *spec._prefix_layer)
     assert prefixes.support == spec.weight_slots and prefixes.value == 0.0
 
 
-def test_monotone_rate_call_builds_no_covering_layer(monkeypatch):
-    # with monotone terms a rate call searches the prefix supports, solves
-    # one LP and builds no covering support: random channels and sources on
-    # wide groups, and a channel on Z_(2^16), which has 65535 of them
+@st.composite
+def coset_channels(draw):
+    """A coset channel (see search_case) over a random group, noiseless or
+    with 5 or 30% of noise."""
+    spec = draw_group(draw)
+    theta = draw(st.sampled_from(all_reachable_thetas(spec)[:-1])).components
+    return coset_channel(spec, theta, draw(st.sampled_from([0.0, 0.05, 0.3])))
+
+
+@example(coset_case((4, 2, 3), (1, 0, 1))[-1])
+@given(coset_channels())
+def test_pinned_slots_pin_exactly_their_supports_property(chan):
+    # a covering support solves to exactly 0 when it holds a pinned slot,
+    # and to a positive rate when it holds none
+    spec, terms = chan.group, channel_terms(chan)
+    pinned = pinned_slots(spec, terms)
+    problems = _SupportProblems.from_mapping(spec, terms, "channel")
+    columns, members, _ = spec._covering_layer
+    for support, cols, rows in zip(support_tuples(problems), columns, members):
+        value, *_ = _solve_support(*problems.slice(cols, rows), "channel")
+        assert (value == 0.0) == bool(pinned.intersection(support)), support
+
+
+def test_rate_call_builds_no_covering_layer(monkeypatch):
+    # a rate call searches prefixes() and builds neither the covering
+    # supports nor the dominance pairs.  Random channels and sources on wide
+    # groups and a random channel on Z_(2^16), which has 65535 covering
+    # supports, solve one LP.  Three more inputs report what the covering
+    # search reports: the Z4+Z2+Z3 coset channel with slot (2,2) pinned, and
+    # on Z_(2^16) the channel whose output is X mod 8, with every slot
+    # pinned, and the source whose X is U mod 8 with 10% noise, whose terms
+    # break the order by rounding
     calls = []
 
     def counted(*args):
         calls.append(args)
         return _packing_lp(*args)
+
+    def built(spec):
+        return {"_covering_layer", "_dominance_pairs"} & set(vars(spec))
 
     monkeypatch.setattr(rates, "_packing_lp", counted)
     rng = make_rng(16)
@@ -1431,16 +1503,31 @@ def test_monotone_rate_call_builds_no_covering_layer(monkeypatch):
                 calls.clear()
                 rate(data)
                 assert len(calls) == 1
-        assert "_covering_layer" not in vars(spec)
+        assert not built(spec)
     spec = decompose([2**16]).spec
     chan = random_channel(spec, 2, make_rng(16))
     calls.clear()
     result = channel_coding_rate(chan)
-    assert "_prefix_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+    assert "_prefix_layer" in vars(spec) and not built(spec)
     assert len(calls) == 1
     problems = _SupportProblems.from_mapping(spec, channel_terms(chan), "channel")
     assert problems.monotone()
     assert result == _search(problems, *spec._covering_layer)
+    for data in (
+        coset_case((4, 2, 3), (1, 0, 1))[-1],
+        coset_channel(decompose([2**16]).spec, (3,)),
+        coset_source(decompose([2**16]).spec, (3,), 0.1),
+    ):
+        spec = data.group
+        if isinstance(data, SourceJoint):
+            rate, terms, sense = source_coding_rate, source_terms(data), "source"
+        else:
+            rate, terms, sense = channel_coding_rate, channel_terms(data), "channel"
+        result = rate(data)
+        assert not built(spec)
+        problems = _SupportProblems.from_mapping(spec, terms, sense)
+        assert repr(result) == repr(_search(problems, *spec._covering_layer))
+        assert problems.monotone() == (sense == "channel")
 
 
 def test_packing_lp_raises_when_unbounded():
@@ -1575,8 +1662,8 @@ def plain_vertex_bounds(problems):
 @pytest.mark.parametrize("sense", ["channel", "source"])
 def test_vertex_bounds_in_one_temporary(sense):
     # a deep ring has 2^14 - 1 supports over 15 selectors.  Random terms are
-    # not monotone, so the rate searches every covering support, which it
-    # bounds in one float array the size of top, not one per operation, and
+    # not monotone, so optimize_weights searches every covering support, which
+    # it bounds in one float array the size of top, not one per operation, and
     # solves its supports in that much memory again at most
     spec = decompose([2**14]).spec
     # a single ring's table is its whole selector grid
@@ -1587,7 +1674,7 @@ def test_vertex_bounds_in_one_temporary(sense):
     _, _, top = spec._covering_layer  # the plan is built before tracing
     tracemalloc.start()
     try:
-        result = _optimize(problems)
+        result = optimize_weights(spec, dict(zip(spec._thetas, terms)), sense)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
