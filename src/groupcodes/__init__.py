@@ -36,9 +36,11 @@ __all__ = [
     "Subgroup",
     "ThetaVector",
     "WeightVector",
+    "all_reachable_thetas",
     "apply_hom",
     "channel_coding_rate",
     "channel_rate_prime_power",
+    "channel_terms",
     "coset_mi_channel",
     "coset_mi_channel_chain",
     "coset_mi_source",
@@ -47,8 +49,11 @@ __all__ = [
     "entropy",
     "enumerate_theta_set",
     "grid_search",
+    "grid_size",
     "induced_theta",
+    "lemma_suite",
     "mc_channel_error",
+    "mi_per_coset",
     "mutual_information",
     "omega",
     "optimize_weights",
@@ -57,7 +62,9 @@ __all__ = [
     "solve_congruence",
     "source_coding_rate",
     "source_rate_prime_power",
+    "source_terms",
     "t_theta_bound",
+    "theta_census",
     "verify_pairwise_law",
 ]
 

@@ -364,14 +364,14 @@ def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
 
 
 def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
-    """Counts of every selector over all input pairs with a fixed first
-    element (the census is the same for every choice), in lexicographic
-    selector order, grouped by ``_runs``: O(|J| k) memory, whatever the size
-    of the selector grid."""
+    """Counts of every selector over all input pairs (a, b), in lexicographic
+    order by ``_runs``, in O(|J| k) memory whatever the selector grid's size.
+    As b runs over J so does b - a, so a given a is only checked."""
     if size := _over_cap(SIZE_CAP, ig.total, lambda: ig.size):
         raise ValueError(f"input group size {size} exceeds cap {SIZE_CAP}")
-    a = ig.element(a) if a is not None else ig.spec.zero()
-    classes, counts = _runs(_selectors(ig, ig._element_grid - a.residues))
+    if a is not None:
+        ig.element(a)
+    classes, counts = _runs(_selectors(ig, ig._element_grid))
     return {
         ThetaVector(ig.group, tuple(row)): count
         for row, count in zip(classes.tolist(), counts.tolist())

@@ -6,16 +6,14 @@ is the per-element public type; computations over the whole group use the
 residue grid instead, one row per element in canonical order (last residue
 fastest), and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
-A GroupSpec caches the rate layer's selector plan, which depends on the
-group alone: the table of reachable selectors, the selectors that enter a
-rate, built on first read by a fold over the weight slots that never holds
-more than the table times one slot's depths, with every array of the plan
-indexed by its rows; the dominance pairs of the table, which only the check
-of a caller's terms reads; the prefixes of the slot order, which rate calls
-search, and every covering support, which the grid oracle and a caller's
-terms that are not monotone take, each built by the first call that reads
-it; and the walk of the coset terms down the selector lattice, built by the
-first terms call.
+A GroupSpec caches the rate layer's selector plan, which depends on the group
+alone, each layer built by the first call that reads it and sized by the table
+and the slots: the table of reachable selectors, the selectors that enter a
+rate, folded over the weight slots in at most the table times one slot's
+depths, every array of the plan indexed by its rows; the dominance pairs of
+the table; the prefixes of the slot order, which rate calls search; and the
+walk of the coset terms down the selector lattice.  No layer holds the 2^k
+covering supports: a call that takes them builds their faces for itself.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
 """
@@ -192,14 +190,6 @@ class GroupSpec:
         return tuple(ThetaVector(self, tuple(row)) for row in table.tolist())
 
     @cached_property
-    def _covering_layer(self) -> tuple[np.ndarray, ...]:
-        """Every covering support, as ``_faces`` of their slot masks in
-        tie-break order: what the grid oracle scans and optimize_weights
-        searches on terms that are not monotone; no rate call builds it.  On
-        Z_(2^18) this layer holds about 50 MB, most of it ``top``."""
-        return self._faces(_covering_masks(self))
-
-    @cached_property
     def _prefix_layer(self) -> tuple[np.ndarray, ...]:
         """The prefixes of the slot order that give every prime a slot, as
         ``_faces`` of their slot masks, the shortest first and the full
@@ -223,7 +213,8 @@ class GroupSpec:
         """Supports as slot masks ``columns`` [supports, k], Theta(S) of each
         as a row of ``members`` [supports, n], and ``top`` [supports, n], the
         largest omega_theta on the face S: it is linear-fractional, so
-        largest at a vertex, the max over j in S of m_j(theta)/s_j."""
+        largest at a vertex, the max over j in S of m_j(theta)/s_j.  Only
+        the prefix layer's faces are kept; a call builds any others."""
         _, depths, _, _, hits = self._selector_layer
         members = _theta_members(hits, columns)
         top = np.zeros(members.shape)

@@ -16,23 +16,18 @@ hold the winner and when it searches them, and _search how its vertex
 bound skips the supports that cannot win.  Over the prefixes of random
 inputs one linear program settles the call.
 Every rate call, oracle and Theta enumeration on a group reads its selector
-plan, cached on the GroupSpec because it depends on the group alone: the
-table of reachable selectors, the selectors that the full support reaches
-and so the only ones that enter a rate, folded over the weight slots
-without the grid of every selector, with m(theta) and the coefficients n
-and d of each, built on first read; the dominance pairs of the table,
-built by the first optimize_weights call; each support set with Theta(S)
-and the vertex bound's top of each support, built by the first call that
-searches it (the covering supports only by optimize_weights on terms that
-are not monotone and by the grid oracle); and the walk layer of the coset
-terms (see measures), built by the first terms call.  Every array indexed by
-selector has one row per table row.  Its arrays are read-only and live as
-long as the spec; a call computes only what depends on its input, the terms
-and what is solved from them.  The vertex bounds take one float array the
-size of top, built in place.  At float weights omega is n.w / d.w with
-n = m(theta) log2 q and d = s log2 q (GroupSpec._omega_coefficients),
-summed in slot order: the LP's own coefficients, the one float statement of
-omega, which the public omega takes too, for any selector of the group.
+plan (see groups), cached on the GroupSpec: the table of reachable selectors,
+the only ones that enter a rate, with m(theta) and the coefficients n and d
+of each, and layers sized by the table and the slots, with one row per table
+row in every array indexed by selector.  A call computes only the terms, what
+is solved from them and the faces it searches that the plan does not hold,
+dropped on return: the prefixes of its unpinned slots, or every covering
+support for the grid oracle and for optimize_weights on terms that are not
+monotone.  The vertex bounds take one float array the size of top, built in
+place.  At float weights omega is n.w / d.w with n = m(theta) log2 q and
+d = s log2 q (GroupSpec._omega_coefficients), summed in slot order: the LP's
+own coefficients, the one float statement of omega, which the public omega
+takes too, for any selector of the group.
 Each support's solve yields one value, the inner problem evaluated at its
 witness: the search ranks it and the result reports it, with the ratios and
 omegas of that evaluation in its table.
@@ -61,7 +56,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _components, _gaps, _induce
-from .groups import _check_real, _integer, _slot_values, _theta_members
+from .groups import _check_real, _covering_masks, _integer, _slot_values, _theta_members
 from .measures import INFO_ZERO_TOL, ChannelSpec, SourceJoint, _coset_terms
 from .measures import _check_kind, _zero_residues
 
@@ -279,9 +274,8 @@ class _SupportProblems:
         spec, zero = self.spec, (self.c == 0) & ~self.excluded
         if self.sign < 0 or not zero.any():
             return spec._prefix_layer
-        slots = np.eye(len(spec.weight_slots), dtype=bool)
-        pinned = (_theta_members(spec._selector_layer[-1], slots) & zero).any(axis=1)
-        masks = np.logical_or.accumulate(slots[~pinned], axis=0)
+        pinned = (spec._selector_layer[-1].all(axis=2).T & zero).any(axis=1)
+        masks = np.tri(len(pinned), dtype=bool)[~pinned] & ~pinned
         covers = (masks @ (np.array(spec.weight_slots)[:, :1] == spec.primes)).all(1)
         return spec._faces(masks[covers] if covers.any() else spec._prefix_layer[0][:1])
 
@@ -496,14 +490,15 @@ def optimize_weights(
     order, and the first tying support is a prefix: adding the first slot of
     the order that a tying support skips keeps the tie and sorts earlier.
     So the prefixes that give every prime a slot hold the winner, and the
-    call builds no covering layer.
+    call builds no covering support.
 
     Source terms in sixths on Z4+Z2 are not monotone, and show why the
     others take every covering support: the optimum, 1/6, is on {(2,2)},
     which is no prefix, while the best prefix, {(2,1),(2,2)}, is at 5/3."""
     problems = _SupportProblems.from_mapping(spec, terms, sense)
-    layer = problems.prefixes() if problems.monotone() else spec._covering_layer
-    return _search(problems, *layer)
+    if problems.monotone():
+        return _search(problems, *problems.prefixes())
+    return _search(problems, *spec._faces(_covering_masks(spec)))
 
 
 def _search(
@@ -688,18 +683,25 @@ def channel_rate_prime_power(chan: ChannelSpec) -> float:
 
 def grid_size(spec: GroupSpec, steps: int) -> tuple[int, int]:
     """The number of weight points grid_search evaluates at ``steps`` and of
-    the covering supports they lie on: a support of k slots takes the
-    C(steps - 1, k - 1) points positive exactly on it.  ``steps`` is an
-    integer at least the group's number of primes, as every support holds one
-    slot per prime."""
+    the covering supports they lie on, counted with no array: a support of m
+    slots takes the C(steps - 1, m - 1) points positive exactly on it, and
+    the supports of m slots number the x^m coefficient of the product over
+    primes q of (1 + x)^r_q - 1.  ``steps`` is an integer at least the
+    group's number of primes, as every support holds one slot per prime."""
     _check_count("steps", steps)
     if steps < len(spec.primes):
         raise ValueError(
             f"steps must be >= {len(spec.primes)}, the number of primes of the "
             f"group, as every support holds one slot per prime; got {steps}"
         )
-    sizes = spec._covering_layer[0].sum(axis=1).tolist()
-    return sum(math.comb(steps - 1, k - 1) for k in sizes), len(sizes)
+    sizes = [1]  # sizes[m]: the supports of m slots over the primes so far
+    for r in map(spec.max_exponent, spec.primes):
+        sizes = [
+            sum(math.comb(r, m - i) * n for i, n in enumerate(sizes) if 0 < m - i <= r)
+            for m in range(len(sizes) + r)
+        ]
+    points = sum(c * math.comb(steps - 1, m - 1) for m, c in enumerate(sizes) if c)
+    return points, sum(sizes)
 
 
 def grid_search(
@@ -718,8 +720,7 @@ def grid_search(
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
     best_val: float | None = None
-    columns, members, _ = spec._covering_layer
-    for cols, rows in zip(columns, members):
+    for cols, rows in zip(*spec._faces(_covering_masks(spec))[:2]):
         problem = problems.slice(cols, rows)
         k = int(cols.sum())
         # a positive composition of steps is k - 1 distinct cuts in 1..steps-1;

@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import groupcodes
 from groupcodes import cli, decompose
 from groupcodes.problems import parse_group_string, parse_problem
 from groupcodes.measures import ValidationError
@@ -137,6 +140,27 @@ def test_cli_imports_ensemble_lazily():
     )
     homes = [f"groupcodes.{m}" for m in ("ensemble", "groups", "measures", "rates")]
     assert proc.stdout == f"[]\nTrue\nFalse\ngroupcodes.ensemble\nFalse\n{homes}\n"
+
+
+def test_readme_entry_points_resolve_from_the_package():
+    # every lowercase name in backticks in README's "Key entry points" that a
+    # submodule defines publicly is a name of the package
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("Key entry points.") :]
+    section = section[: section.index("\n## ")]
+    modules = [
+        importlib.import_module(f"groupcodes.{name}")
+        for name in ("groups", "measures", "rates", "ensemble", "problems", "cli")
+    ]
+    defined = {
+        name
+        for name in re.findall(r"`([a-z][a-z0-9_]*)`", section)
+        for module in modules
+        if getattr(getattr(module, name, None), "__module__", "") == module.__name__
+    }
+    assert len(defined) >= 27
+    for name in sorted(defined):
+        assert name in groupcodes.__all__ and getattr(groupcodes, name), name
 
 
 @pytest.mark.parametrize(

@@ -416,6 +416,22 @@ def test_census_memory_is_independent_of_selector_grid():
     assert len(theta_census(ig)) == 22
 
 
+def test_census_holds_no_differences_array():
+    # the census selects over J's own elements, as b - a runs over J with b:
+    # on Z2 with 16 components the grid is 8 MiB, and the select-and-group
+    # step holds about twice that, with no [|J|, k] copy of b - a
+    ig = InputGroup(decompose([2]).spec, (16,))
+    ig._element_grid  # the plan is built before tracing
+    tracemalloc.start()
+    try:
+        census = theta_census(ig, [1] * 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert list(census.values()) == [2**16 - 1, 1]
+
+
 def test_theta_set_depends_only_on_support():
     # two different count vectors with the same support produce the same set
     a = frozenset(theta_census(ig_of([8], {(2, 2): 1, (2, 3): 1})))
@@ -449,6 +465,18 @@ def test_census_matches_oracle_property(data):
     assert pair_theta(ig, a, b) == pair_theta_oracle(ig, a, b)
     # every selector with a nonempty class is reachable in the group
     assert set(census) <= set(all_reachable_thetas(ig.group))
+
+
+@given(st.sampled_from(list(census_configs())))
+def test_census_cumulated_is_its_bound_property(config):
+    # #{d in J : sel(d) >= theta} = prod q^((s - m_j(theta)) c_j): the census
+    # counts of the selectors that dominate theta sum to its bound exactly
+    orders, counts = config
+    ig = InputGroup(decompose(orders).spec, counts)
+    census = theta_census(ig)
+    for theta in all_reachable_thetas(ig.group):
+        above = sum(count for t, count in census.items() if t.dominates(theta))
+        assert above == t_theta_bound(ig, theta), theta
 
 
 # -- pairwise law -------------------------------------------------------------

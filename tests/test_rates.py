@@ -53,6 +53,7 @@ from groupcodes.rates import (
     _SupportProblems,
     all_reachable_thetas,
     channel_terms,
+    grid_size,
     source_terms,
 )
 
@@ -154,16 +155,39 @@ def covering_supports(spec):
     return sorted(supports)
 
 
+def covering_faces(spec):
+    """Every covering support as ``GroupSpec._faces``, in tie-break order:
+    what the grid oracle and optimize_weights on terms that are not monotone
+    build for one call, and the covering search of the tests."""
+    return spec._faces(_covering_masks(spec))
+
+
+@pytest.fixture
+def covering_builds(monkeypatch):
+    """The group of every covering-mask build, one entry per build, counted
+    by wrapping groups._covering_masks under each name the package calls it
+    by; covering_faces calls the unwrapped function and is not counted."""
+    built = []
+    masks = groups._covering_masks
+
+    def counted(spec):
+        built.append(spec)
+        return masks(spec)
+
+    for module in (groups, rates):
+        monkeypatch.setattr(module, "_covering_masks", counted)
+    return built
+
+
 def covering_bounds(problems):
     """The vertex bound of every covering support of a rate call."""
-    _, members, top = problems.spec._covering_layer
+    _, members, top = covering_faces(problems.spec)
     return problems.vertex_bounds(members, top)
 
 
 def support_tuples(problems):
     """The covering supports of a rate call as slot tuples, in row order."""
-    slots = problems.spec.weight_slots
-    columns = problems.spec._covering_layer[0]
+    slots, columns = problems.spec.weight_slots, _covering_masks(problems.spec)
     return [tuple(itertools.compress(slots, row)) for row in columns]
 
 
@@ -937,7 +961,7 @@ def unpruned_scan(problems):
     winner is the first support whose value is within a relative 1e-12 of
     the optimum."""
     bounds = covering_bounds(problems)
-    columns, members, _ = problems.spec._covering_layer
+    columns, members, _ = covering_faces(problems.spec)
     solved = {}
     for i, problem in enumerate(zip(columns, members)):
         if bounds[i] < math.inf:
@@ -1062,12 +1086,13 @@ def test_plan_reuse_keeps_results_property(case):
 
 def test_plan_arrays_are_read_only():
     spec = decompose([4, 9]).spec
-    # the first terms call builds the walk layer, not the covering layer
+    # the first terms call builds the walk layer; the covering faces, which
+    # a call builds for itself, are read-only too
     channel_terms(random_channel(spec, 3, make_rng(4)))
-    assert "_walk_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+    assert "_walk_layer" in vars(spec)
     _, batches = spec._walk_layer
     walk = tuple(array for _, *arrays in batches for array in arrays)
-    arrays = spec._selector_layer + spec._prefix_layer + spec._covering_layer
+    arrays = spec._selector_layer + spec._prefix_layer + covering_faces(spec)
     arrays += (spec._dominance_pairs,)
     assert len(arrays) == 12
     for array in arrays + walk:
@@ -1075,30 +1100,36 @@ def test_plan_arrays_are_read_only():
             array[...] = array
 
 
-def test_covering_table_built_once_per_group(monkeypatch):
-    # a rate call, the terms mapping and the oracle share one plan
-    built = []
-    masks = groups._covering_masks
-
-    def counted(spec):
-        built.append(spec)
-        return masks(spec)
-
-    monkeypatch.setattr(groups, "_covering_masks", counted)
+def test_covering_supports_built_once_per_call(covering_builds):
+    # no plan layer keeps the covering supports: the grid oracle and
+    # optimize_weights on terms that are not monotone build them once per
+    # call, and a rate call, grid_size and monotone terms never do
     spec = decompose([2, 8]).spec
-    chan = random_channel(spec, 3, make_rng(2))
+    rng = make_rng(2)
+    chan, joint = random_channel(spec, 3, rng), random_source_joint(spec, 3, rng)
     channel_coding_rate(chan)
-    grid_search(spec, channel_terms(chan), "channel", steps=4)
-    assert built == [spec]
+    source_coding_rate(joint)
+    assert grid_size(spec, 4) == (15, 7)
+    terms = channel_terms(chan)
+    assert _SupportProblems.from_mapping(spec, terms, "channel").monotone()
+    optimize_weights(spec, terms, "channel")
+    assert covering_builds == []
+    for calls in (1, 2):
+        grid_search(spec, terms, "channel", steps=4)
+        assert covering_builds == [spec] * calls
+    sixths, terms = sixths_case()
+    for calls in (1, 2):
+        optimize_weights(sixths, terms, "source")
+        assert covering_builds == [spec] * 2 + [sixths] * calls
 
 
-def test_theta_enumeration_builds_no_covering_table():
+def test_theta_enumeration_builds_no_covering_table(covering_builds):
     # one support's Theta(S) reads only the selector layer: Z65536 has 65535
     # covering supports, which verify-ensemble never pays for
     spec = decompose([65536]).spec
     assert len(enumerate_theta_set(spec, [(2, 3), (2, 16)])) > 1
     assert len(all_reachable_thetas(spec)) == 17
-    assert "_selector_layer" in vars(spec) and "_covering_layer" not in vars(spec)
+    assert "_selector_layer" in vars(spec) and covering_builds == []
     assert "_walk_layer" not in vars(spec)
     # omega builds no plan layer, at float and at exact weights: it takes
     # m(theta) of its one selector
@@ -1107,7 +1138,7 @@ def test_theta_enumeration_builds_no_covering_table():
     for weight, expected in ((0.5, 5 / 19), (Fraction(1, 2), Fraction(5, 19))):
         weights = {(2, 3): weight, (2, 16): weight}
         assert omega(spec, weights, theta) == expected
-    assert "_selector_layer" not in vars(spec) and "_covering_layer" not in vars(spec)
+    assert "_selector_layer" not in vars(spec) and covering_builds == []
 
 
 @pytest.mark.parametrize("orders", [[8], [4, 3], [16, 27], [2, 4, 9]])
@@ -1170,7 +1201,7 @@ def assert_visits_best_first(monkeypatch, terms, sense):
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     assert not problems.monotone()
     bounds = problems.sign * covering_bounds(problems)
-    columns = spec._covering_layer[0]
+    columns = _covering_masks(spec)
     row_of = {row.tobytes(): i for i, row in enumerate(columns)}
     visited = []
     sliced = _SupportProblems.slice
@@ -1381,7 +1412,7 @@ def test_prefix_search_matches_covering_search_and_scan_property(case):
     expected, _ = unpruned_scan(problems)
     results = [
         optimize_weights(spec, terms, sense),
-        _search(problems, *spec._covering_layer),
+        _search(problems, *covering_faces(spec)),
     ]
     if kind != "sixths":
         results.append(_search(problems, *problems.prefixes()))
@@ -1468,13 +1499,13 @@ def test_pinned_slots_pin_exactly_their_supports_property(chan):
     spec, terms = chan.group, channel_terms(chan)
     pinned = pinned_slots(spec, terms)
     problems = _SupportProblems.from_mapping(spec, terms, "channel")
-    columns, members, _ = spec._covering_layer
+    columns, members, _ = covering_faces(spec)
     for support, cols, rows in zip(support_tuples(problems), columns, members):
         value, *_ = _solve_support(*problems.slice(cols, rows), "channel")
         assert (value == 0.0) == bool(pinned.intersection(support)), support
 
 
-def test_rate_call_builds_no_covering_layer(monkeypatch):
+def test_rate_call_builds_no_covering_layer(monkeypatch, covering_builds):
     # a rate call searches prefixes() and builds neither the covering
     # supports nor the dominance pairs.  Random channels and sources on wide
     # groups and a random channel on Z_(2^16), which has 65535 covering
@@ -1490,7 +1521,7 @@ def test_rate_call_builds_no_covering_layer(monkeypatch):
         return _packing_lp(*args)
 
     def built(spec):
-        return {"_covering_layer", "_dominance_pairs"} & set(vars(spec))
+        return covering_builds or "_dominance_pairs" in vars(spec)
 
     monkeypatch.setattr(rates, "_packing_lp", counted)
     rng = make_rng(16)
@@ -1512,7 +1543,7 @@ def test_rate_call_builds_no_covering_layer(monkeypatch):
     assert len(calls) == 1
     problems = _SupportProblems.from_mapping(spec, channel_terms(chan), "channel")
     assert problems.monotone()
-    assert result == _search(problems, *spec._covering_layer)
+    assert result == _search(problems, *covering_faces(spec))
     for data in (
         coset_case((4, 2, 3), (1, 0, 1))[-1],
         coset_channel(decompose([2**16]).spec, (3,)),
@@ -1526,7 +1557,7 @@ def test_rate_call_builds_no_covering_layer(monkeypatch):
         result = rate(data)
         assert not built(spec)
         problems = _SupportProblems.from_mapping(spec, terms, sense)
-        assert repr(result) == repr(_search(problems, *spec._covering_layer))
+        assert repr(result) == repr(_search(problems, *covering_faces(spec)))
         assert problems.monotone() == (sense == "channel")
 
 
@@ -1566,7 +1597,7 @@ def test_packing_lp_matches_highs(orders):
     solved = 0
     for sense, terms in cases:
         problems = _SupportProblems.from_mapping(spec, terms, sense)
-        for cols, rows in zip(*spec._covering_layer[:2]):
+        for cols, rows in zip(*covering_faces(spec)[:2]):
             n, d, c, excluded = problems.slice(cols, rows)
             active = ~excluded & (c > INFO_ZERO_TOL)
             if sense == "channel":
@@ -1649,7 +1680,7 @@ def plain_vertex_bounds(problems):
     """The covering supports' vertex bounds by whole-array temporaries:
     c / top or c / (1 - top), 0 for a zero term, the max (source) or min
     (channel) over the counted selectors."""
-    _, members, top = problems.spec._covering_layer
+    _, members, top = covering_faces(problems.spec)
     part = top if problems.sign < 0 else 1.0 - top
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.where(problems.c <= INFO_ZERO_TOL, 0.0, problems.c / part)
@@ -1659,28 +1690,75 @@ def plain_vertex_bounds(problems):
     return np.where(counted, bound, math.inf).min(axis=1)
 
 
-@pytest.mark.parametrize("sense", ["channel", "source"])
-def test_vertex_bounds_in_one_temporary(sense):
-    # a deep ring has 2^14 - 1 supports over 15 selectors.  Random terms are
-    # not monotone, so optimize_weights searches every covering support, which
-    # it bounds in one float array the size of top, not one per operation, and
-    # solves its supports in that much memory again at most
+def unordered_case(sense):
+    """A deep ring, 2^14 - 1 supports over 15 selectors, with random terms
+    that are not monotone, so optimize_weights searches every covering
+    support: the problems and the terms mapping."""
     spec = decompose([2**14]).spec
     # a single ring's table is its whole selector grid
     terms = make_rng(150).random(len(spec._selector_layer[0]))
     terms[[3, 7]] = 0.0  # zero terms bound by 0
     problems = _SupportProblems(spec, terms, sense)
     assert not problems.monotone()
-    _, _, top = spec._covering_layer  # the plan is built before tracing
+    return problems, dict(zip(spec._thetas, terms))
+
+
+@pytest.mark.parametrize("sense", ["channel", "source"])
+def test_vertex_bounds_in_one_temporary(sense):
+    # the search over every covering support bounds them in one float array
+    # the size of top, not one per operation, and solves its supports in
+    # that much memory again at most
+    problems, terms = unordered_case(sense)
+    faces = covering_faces(problems.spec)  # built before tracing
     tracemalloc.start()
     try:
-        result = optimize_weights(spec, dict(zip(spec._thetas, terms)), sense)
+        result = _search(problems, *faces)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(covering_bounds(problems), plain_vertex_bounds(problems))
-    assert peak <= 1.5 * top.nbytes
-    assert result.value == _search(problems, *spec._covering_layer).value
+    assert peak <= 1.5 * faces[2].nbytes
+    assert repr(result) == repr(optimize_weights(problems.spec, terms, sense))
+
+
+def test_covering_faces_are_dropped_on_return():
+    # the grid oracle and optimize_weights on terms that are not monotone
+    # keep nothing that grows with the 2^14 - 1 covering supports, whose
+    # faces hold 2.3 MiB while a call runs.  The table-sized layers are
+    # built before tracing, and calls on another group warm numpy
+    problems, terms = unordered_case("channel")
+    spec = problems.spec
+    warm = decompose([64]).spec
+    warm_terms = dict(zip(warm._thetas, make_rng(151).random(len(warm._thetas))))
+    grid_search(warm, warm_terms, "channel", steps=2)
+    optimize_weights(warm, warm_terms, "channel")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid_search(spec, terms, "channel", steps=2)
+        optimize_weights(spec, terms, "channel")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 0.25 * 2**20
+
+
+@given(
+    st.lists(
+        st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64]),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 40),
+)
+def test_grid_size_counts_the_covering_masks_property(orders, steps):
+    # the closed form counts what the masks hold: C(steps - 1, m - 1) points
+    # on each support of m slots
+    spec = decompose(orders).spec
+    assume(steps >= len(spec.primes))
+    sizes = _covering_masks(spec).sum(axis=1).tolist()
+    expected = sum(math.comb(steps - 1, m - 1) for m in sizes), len(sizes)
+    assert grid_size(spec, steps) == expected
 
 
 # -- the zero rule -------------------------------------------------------------
