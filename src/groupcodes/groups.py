@@ -10,10 +10,10 @@ A GroupSpec caches the rate layer's selector plan, which depends on the group
 alone, each layer built by the first call that reads it and sized by the table
 and the slots: the table of reachable selectors, the selectors that enter a
 rate, folded over the weight slots in at most the table times one slot's
-depths, every array of the plan indexed by its rows; the dominance pairs of
-the table; the prefixes of the slot order, which rate calls search; and the
-walk of the coset terms down the selector lattice.  No layer holds the 2^k
-covering supports: a call that takes them builds their faces for itself.
+depths, every array of the plan indexed by its rows; the prefixes of the slot
+order, which rate calls search; and the walk of the coset terms down the
+selector lattice, what rate calls read.  No layer holds the 2^k covering
+supports: a call that takes them builds what it reads of them for itself.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
 """
@@ -197,17 +197,6 @@ class GroupSpec:
         where no zero channel term pins a slot."""
         k, r = len(self.weight_slots), self.max_exponent(self.primes[-1])
         return self._faces(np.tri(k, dtype=bool)[k - r :])
-
-    @cached_property
-    def _dominance_pairs(self) -> np.ndarray:
-        """The dominance pairs [2, pairs] of the table, rows lo != hi with
-        theta_lo <= theta_hi, over which optimize_weights checks caller terms."""
-        table = self._selector_layer[0]
-        below = (table[:, None, :] <= table[None, :, :]).all(axis=-1)
-        np.fill_diagonal(below, False)
-        pairs = np.array(np.nonzero(below))
-        pairs.setflags(write=False)
-        return pairs
 
     def _faces(self, columns: np.ndarray) -> tuple[np.ndarray, ...]:
         """Supports as slot masks ``columns`` [supports, k], Theta(S) of each

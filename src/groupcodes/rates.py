@@ -22,12 +22,13 @@ of each, and layers sized by the table and the slots, with one row per table
 row in every array indexed by selector.  A call computes only the terms, what
 is solved from them and the faces it searches that the plan does not hold,
 dropped on return: the prefixes of its unpinned slots, or every covering
-support for the grid oracle and for optimize_weights on terms that are not
-monotone.  The vertex bounds take one float array the size of top, built in
-place.  At float weights omega is n.w / d.w with n = m(theta) log2 q and
-d = s log2 q (GroupSpec._omega_coefficients), summed in slot order: the LP's
-own coefficients, the one float statement of omega, which the public omega
-takes too, for any selector of the group.
+support for optimize_weights on terms that are not monotone; the grid oracle
+takes only Theta(S), of the supports holding a grid point.  The vertex bounds
+take one float array the size of top, built in place.  At float weights omega
+is n.w / d.w with n = m(theta) log2 q and d = s log2 q
+(GroupSpec._omega_coefficients), summed in slot order: the LP's own
+coefficients, the one float statement of omega, which the public omega takes
+too, for any selector of the group.
 Each support's solve yields one value, the inner problem evaluated at its
 witness: the search ranks it and the result reports it, with the ratios and
 omegas of that evaluation in its table.
@@ -57,7 +58,7 @@ import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _components, _gaps, _induce
 from .groups import _check_real, _covering_masks, _integer, _slot_values, _theta_members
-from .measures import INFO_ZERO_TOL, ChannelSpec, SourceJoint, _coset_terms
+from .measures import INFO_ZERO_TOL, PROB_TOL, ChannelSpec, SourceJoint, _coset_terms
 from .measures import _check_kind, _zero_residues
 
 # Pivot and reduced-cost threshold of the simplex; the LP coefficients are
@@ -102,7 +103,7 @@ class WeightVector:
         if len(self.values) != len(slots):
             raise ValueError(f"expected {len(slots)} weights for slots {slots}")
         _check_weights(self.spec, self.values)
-        if abs(sum(self.values) - 1) > 1e-9:
+        if abs(sum(self.values) - 1) > PROB_TOL:
             raise ValueError(f"weights sum to {sum(self.values)}, not 1")
 
     @classmethod
@@ -137,9 +138,13 @@ def induced_theta(
 ) -> ThetaVector:
     """Map per-slot depths on the supported input components to the subgroup
     selector they induce on the group: each level takes the minimum of
-    |r - s|^+ + depth over supported slots of its prime, clamped to [0, r]."""
+    |r - s|^+ + depth over supported slots of its prime, clamped to [0, r].
+    Each supported slot needs a depth; a key that is no weight slot is refused."""
     support = tuple(support)
     _check_support(spec, support)
+    _slot_values(spec, slot_depths)
+    if missing := [slot for slot in support if slot not in slot_depths]:
+        raise ValueError(f"no depth for slot {missing[0]} of support {support}")
     for slot in support:
         depth = slot_depths[slot]
         if not 0 <= _integer(f"depth for slot {slot}", depth) <= slot[1]:
@@ -254,10 +259,10 @@ class _SupportProblems:
 
     def monotone(self) -> bool:
         """Whether prefixes() holds the winner (see optimize_weights): the
-        terms are monotone over the plan's dominance pairs, theta <= theta'
-        giving c_theta >= c_theta' (channel) or c_theta <= c_theta' (source)."""
-        lo, hi = self.c[self.spec._dominance_pairs]
-        return bool((lo <= hi).all() if self.sign < 0 else (lo >= hi).all())
+        terms are monotone in the order read off the table in the call,
+        theta <= theta' giving sign * c_theta >= sign * c_theta'."""
+        table, c = self.spec._selector_layer[0], self.sign * self.c
+        return not ((table[:, None] <= table).all(-1) & (c[:, None] < c)).any()
 
     def prefixes(self) -> tuple[np.ndarray, ...]:
         """The supports that hold the winner where the terms are monotone (see
@@ -683,22 +688,23 @@ def channel_rate_prime_power(chan: ChannelSpec) -> float:
 
 def grid_size(spec: GroupSpec, steps: int) -> tuple[int, int]:
     """The number of weight points grid_search evaluates at ``steps`` and of
-    the covering supports they lie on, counted with no array: a support of m
-    slots takes the C(steps - 1, m - 1) points positive exactly on it, and
-    the supports of m slots number the x^m coefficient of the product over
-    primes q of (1 + x)^r_q - 1.  ``steps`` is an integer at least the
-    group's number of primes, as every support holds one slot per prime."""
+    the covering supports they lie on, those of at most ``steps`` slots,
+    counted with no array: a support of m slots takes the C(steps - 1, m - 1)
+    points positive exactly on it, and the supports of m slots number the
+    x^m coefficient of the product over primes q of (1 + x)^r_q - 1.
+    ``steps`` is an integer at least the group's number of primes, as every
+    support holds one slot per prime."""
     _check_count("steps", steps)
     if steps < len(spec.primes):
         raise ValueError(
             f"steps must be >= {len(spec.primes)}, the number of primes of the "
             f"group, as every support holds one slot per prime; got {steps}"
         )
-    sizes = [1]  # sizes[m]: the supports of m slots over the primes so far
+    sizes = [1]  # sizes[m]: the supports of m <= steps slots over the primes so far
     for r in map(spec.max_exponent, spec.primes):
         sizes = [
             sum(math.comb(r, m - i) * n for i, n in enumerate(sizes) if 0 < m - i <= r)
-            for m in range(len(sizes) + r)
+            for m in range(min(len(sizes) + r, steps + 1))
         ]
     points = sum(c * math.comb(steps - 1, m - 1) for m, c in enumerate(sizes) if c)
     return points, sum(sizes)
@@ -713,14 +719,16 @@ def grid_search(
     """Independent exhaustive oracle: evaluate the inner optimum on every
     weight vector of the simplex grid with the given step count and return
     the best value.  Direct, with no linear program; used to cross-check the
-    solver.  Each covering support takes the grid points positive exactly on
-    it, evaluated GRID_BLOCK points at a time; ``grid_size`` counts them and
-    checks ``steps``."""
+    solver.  Each covering support of at most ``steps`` slots takes the grid
+    points positive exactly on it, evaluated GRID_BLOCK points at a time (a
+    larger one holds none); ``grid_size`` counts them and checks ``steps``."""
     grid_size(spec, steps)
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
+    masks = _covering_masks(spec)
+    masks = masks[masks.sum(axis=1) <= steps]
     best_val: float | None = None
-    for cols, rows in zip(*spec._faces(_covering_masks(spec))[:2]):
+    for cols, rows in zip(masks, _theta_members(spec._selector_layer[-1], masks)):
         problem = problems.slice(cols, rows)
         k = int(cols.sum())
         # a positive composition of steps is k - 1 distinct cuts in 1..steps-1;

@@ -307,6 +307,14 @@ def test_grid_check_states_its_size(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["capacity", str(path), "--grid-check", "10"])
     assert code == 0
     assert err.splitlines()[0] == "grid oracle: 66 points on 7 supports"
+    # Z16 at 2 steps: its 4 one-slot and 6 two-slot supports hold one point
+    # each, and its 5 supports of more slots hold none and are not counted
+    doc = {**doc, "group": [16], "matrix": doc["matrix"] * 2}
+    path = tmp_path / "z16.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, ["capacity", str(path), "--grid-check", "2"])
+    assert code == 0
+    assert err.splitlines()[0] == "grid oracle: 10 points on 10 supports"
     # Z256's 255 supports: sum over k of C(8, k) C(steps - 1, k - 1), which
     # is C(steps + 7, 7), counted without running the oracle
     spec = decompose([256]).spec

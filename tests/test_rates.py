@@ -41,11 +41,13 @@ from groupcodes.groups import (
     _grid,
     _induce,
     _min_depths,
+    _theta_members,
 )
 from groupcodes.rates import (
     INFO_ZERO_TOL,
     TIE_TOL,
     SolverError,
+    _evaluate,
     _packing_lp,
     _result,
     _search,
@@ -100,6 +102,20 @@ def test_induced_theta_missing_prime():
     spec = decompose([4, 3]).spec
     with pytest.raises(ValueError):
         induced_theta(spec, [(2, 1)], {(2, 1): 0})
+
+
+def test_induced_theta_refuses_bad_depth_maps():
+    # a supported slot with no depth is named, and a key that is no weight
+    # slot is refused by the rule of every slot mapping; a weight slot off
+    # the support is ignored
+    spec = decompose([4, 3]).spec
+    with pytest.raises(ValueError, match=r"^no depth for slot \(3, 1\) of support"):
+        induced_theta(spec, [(2, 1), (3, 1)], {(2, 1): 1})
+    message = r"^\(2, 3\) is not a weight slot of this group$"
+    with pytest.raises(ValueError, match=message):
+        induced_theta(spec, [(2, 1), (3, 1)], {(2, 1): 1, (3, 1): 0, (2, 3): 0})
+    off_support = {(2, 1): 1, (3, 1): 0, (2, 2): 0}
+    assert induced_theta(spec, [(2, 1), (3, 1)], off_support).components == (2, 0)
 
 
 def test_theta_set_z8():
@@ -906,6 +922,42 @@ def test_grid_search_one_slot_support_takes_no_pool_of_cuts(orders):
     assert got == expected
 
 
+def test_grid_oracle_visits_only_the_supports_with_grid_points(monkeypatch):
+    # Z_(2^16) has 65535 covering supports, of which the 136 of at most two
+    # slots hold a point of the 2-step grid: the oracle slices those alone,
+    # builds no faces, and reports what a scan of every covering mask does
+    spec = decompose([2**16]).spec
+    terms = channel_terms(random_channel(spec, 4, make_rng(38)))
+    problems = _SupportProblems.from_mapping(spec, terms, "channel")
+    n, d, c, excluded = problems.n, problems.d, problems.c, problems.excluded
+    masks = _covering_masks(spec)
+    best = None
+    for cols, rows in zip(masks, _theta_members(spec._selector_layer[-1], masks)):
+        for cuts in itertools.combinations(range(1, 2), int(cols.sum()) - 1):
+            w = np.diff((0, *cuts, 2)) / 2
+            (value,), *_ = _evaluate(
+                n[rows][:, cols], d[cols], c[rows], excluded[rows], w[None], "channel"
+            )
+            if best is None or value > best[0]:
+                point = np.zeros(len(cols))
+                point[cols] = w
+                best = float(value), WeightVector(spec, tuple(point.tolist()))
+    slices = []
+    sliced = _SupportProblems.slice
+
+    def counted(self, cols, rows):
+        slices.append(cols)
+        return sliced(self, cols, rows)
+
+    def refused(self, columns):
+        raise AssertionError("the grid oracle builds no faces")
+
+    monkeypatch.setattr(_SupportProblems, "slice", counted)
+    monkeypatch.setattr(GroupSpec, "_faces", refused)
+    assert grid_search(spec, terms, "channel", steps=2) == best
+    assert len(slices) == grid_size(spec, 2)[1] == 136
+
+
 def inner_optimum(spec, terms, sense, weights) -> float:
     """The inner max (source) or min (channel) at a weight vector, from the
     public omega over Theta of its support, with the 0/0 -> 0 convention."""
@@ -1093,8 +1145,7 @@ def test_plan_arrays_are_read_only():
     _, batches = spec._walk_layer
     walk = tuple(array for _, *arrays in batches for array in arrays)
     arrays = spec._selector_layer + spec._prefix_layer + covering_faces(spec)
-    arrays += (spec._dominance_pairs,)
-    assert len(arrays) == 12
+    assert len(arrays) == 11
     for array in arrays + walk:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array
@@ -1506,22 +1557,18 @@ def test_pinned_slots_pin_exactly_their_supports_property(chan):
 
 
 def test_rate_call_builds_no_covering_layer(monkeypatch, covering_builds):
-    # a rate call searches prefixes() and builds neither the covering
-    # supports nor the dominance pairs.  Random channels and sources on wide
-    # groups and a random channel on Z_(2^16), which has 65535 covering
-    # supports, solve one LP.  Three more inputs report what the covering
-    # search reports: the Z4+Z2+Z3 coset channel with slot (2,2) pinned, and
-    # on Z_(2^16) the channel whose output is X mod 8, with every slot
-    # pinned, and the source whose X is U mod 8 with 10% noise, whose terms
-    # break the order by rounding
+    # a rate call searches prefixes() and builds no covering support.
+    # Random channels and sources on wide groups and a random channel on
+    # Z_(2^16), which has 65535 covering supports, solve one LP.  Three more
+    # inputs report what the covering search reports: the Z4+Z2+Z3 coset
+    # channel with slot (2,2) pinned, and on Z_(2^16) the channel whose
+    # output is X mod 8, with every slot pinned, and the source whose X is
+    # U mod 8 with 10% noise, whose terms break the order by rounding
     calls = []
 
     def counted(*args):
         calls.append(args)
         return _packing_lp(*args)
-
-    def built(spec):
-        return covering_builds or "_dominance_pairs" in vars(spec)
 
     monkeypatch.setattr(rates, "_packing_lp", counted)
     rng = make_rng(16)
@@ -1534,12 +1581,12 @@ def test_rate_call_builds_no_covering_layer(monkeypatch, covering_builds):
                 calls.clear()
                 rate(data)
                 assert len(calls) == 1
-        assert not built(spec)
+        assert covering_builds == []
     spec = decompose([2**16]).spec
     chan = random_channel(spec, 2, make_rng(16))
     calls.clear()
     result = channel_coding_rate(chan)
-    assert "_prefix_layer" in vars(spec) and not built(spec)
+    assert "_prefix_layer" in vars(spec) and covering_builds == []
     assert len(calls) == 1
     problems = _SupportProblems.from_mapping(spec, channel_terms(chan), "channel")
     assert problems.monotone()
@@ -1555,10 +1602,57 @@ def test_rate_call_builds_no_covering_layer(monkeypatch, covering_builds):
         else:
             rate, terms, sense = channel_coding_rate, channel_terms(data), "channel"
         result = rate(data)
-        assert not built(spec)
+        assert covering_builds == []
         problems = _SupportProblems.from_mapping(spec, terms, sense)
         assert repr(result) == repr(_search(problems, *covering_faces(spec)))
         assert problems.monotone() == (sense == "channel")
+
+
+def monotone_by_pairs(problems) -> bool:
+    """Whether the terms of problems are monotone in theta, one pair of
+    table selectors at a time: theta <= theta' by ThetaVector.dominates
+    gives sign * c_theta >= sign * c_theta'."""
+    sign, c = problems.sign, dict(zip(problems.spec._thetas, problems.c.tolist()))
+    return all(
+        sign * c[lo] >= sign * c[hi]
+        for lo, hi in itertools.product(c, repeat=2)
+        if hi.dominates(lo)
+    )
+
+
+@st.composite
+def order_case(draw):
+    """A search case's terms, or small integer terms over a random group in
+    either sense, sorted half the time along the table's grid order, which
+    extends theta <= theta', so that both answers of monotone() occur."""
+    if draw(st.booleans()):
+        spec, terms, sense, *_ = draw(search_case())
+        return spec, terms, sense
+    spec = draw_group(draw)
+    sense = draw(st.sampled_from(["channel", "source"]))
+    size = len(spec._thetas)
+    values = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        values.sort(reverse=sense == "channel")
+    return spec, dict(zip(spec._thetas, map(float, values))), sense
+
+
+@example((*sixths_case(), "source"))
+@example(
+    (
+        decompose([2**16]).spec,
+        source_terms(coset_source(decompose([2**16]).spec, (3,), 0.1)),
+        "source",
+    )
+)
+@given(order_case())
+def test_monotone_matches_pairwise_dominance_property(case):
+    # monotone() reads the order off the table in the call; the pairwise
+    # check compares every two selectors by ThetaVector.dominates.  The
+    # sixths terms and the Z_(2^16) coset source, whose terms break the
+    # order by rounding, are not monotone
+    problems = _SupportProblems.from_mapping(*case)
+    assert problems.monotone() == monotone_by_pairs(problems)
 
 
 def test_packing_lp_raises_when_unbounded():
@@ -1753,10 +1847,11 @@ def test_covering_faces_are_dropped_on_return():
 )
 def test_grid_size_counts_the_covering_masks_property(orders, steps):
     # the closed form counts what the masks hold: C(steps - 1, m - 1) points
-    # on each support of m slots
+    # on each support of m slots, and the supports of at most steps slots,
+    # which hold them
     spec = decompose(orders).spec
     assume(steps >= len(spec.primes))
-    sizes = _covering_masks(spec).sum(axis=1).tolist()
+    sizes = [m for m in _covering_masks(spec).sum(axis=1).tolist() if m <= steps]
     expected = sum(math.comb(steps - 1, m - 1) for m in sizes), len(sizes)
     assert grid_size(spec, steps) == expected
 
