@@ -6,17 +6,17 @@ the n-fold direct sum of the target group, shifted by a uniform dither.  The
 verifiers here check the ensemble's structural laws (generator constraints,
 pairwise joint probabilities, selector census bounds) by exhaustive
 enumeration whenever the state space is small enough, falling back to seeded
-sampling beyond that.
+sampling beyond that.  The selector census is counted over slot depths, not
+over J; the lemma suite checks the count against an enumeration of J.
 
 An InputGroup caches the plan every check on (J, n) reads, built on first
-read: the element grid of J, and per blocklength n the enumeration of every
-homomorphism table, checked once against the constraints (a set that fails
-raises and is never kept).  The exhaustive pairwise law reads it, so it is
-only built where the tables T times the |G|^n dither words are at most
-EXHAUSTIVE_CAP.  The plan belongs to the instance, not to its value: an equal
-group built apart builds its own.  Its arrays are read-only, and a value
-computed twice in a race is identical, so an InputGroup is safe to share
-across threads.
+read: per blocklength n the enumeration of every homomorphism table, checked
+once against the constraints (a set that fails raises and is never kept).
+The exhaustive pairwise law reads it, so it is only built where the tables T
+times the |G|^n dither words are at most EXHAUSTIVE_CAP.  The plan belongs to
+the instance, not to its value: an equal group built apart builds its own.
+Its arrays are read-only, and a value computed twice in a race is identical,
+so an InputGroup is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ class InputGroup:
 
     # -- the plan: what every check on (J, n) reads, built on first read and
     # kept by this instance alone
-
-    @cached_property
-    def _element_grid(self) -> np.ndarray:
-        """Every element of J [|J|, k], in canonical order, so the zero first."""
-        grid = _grid(self.spec.moduli)
-        grid.setflags(write=False)
-        return grid
 
     @cached_property
     def _enumerations(self) -> dict[int, np.ndarray]:
@@ -365,17 +358,29 @@ def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
 
 def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     """Counts of every selector over all input pairs (a, b), in lexicographic
-    order by ``_runs``, in O(|J| k) memory whatever the selector grid's size.
-    As b runs over J so does b - a, so a given a is only checked."""
+    order, counted over slot depths and never over J.  As b runs over J so
+    does b - a, so a given a is only checked.
+
+    The components of a slot share its gap row, so a difference's selector is
+    ``_induce`` of its slots' least q-adic depths.  On a slot (q, s) with c
+    components the least depth is t in q^((s-t)c) - q^((s-t-1)c) ways for
+    t < s and in 1 way for t = s, so the census sums these products over the
+    prod (s + 1) depth vectors of the used slots, at most |J| of them."""
     if size := _over_cap(SIZE_CAP, ig.total, lambda: ig.size):
         raise ValueError(f"input group size {size} exceeds cap {SIZE_CAP}")
     if a is not None:
         ig.element(a)
-    classes, counts = _runs(_selectors(ig, ig._element_grid))
-    return {
-        ThetaVector(ig.group, tuple(row)): count
-        for row, count in zip(classes.tolist(), counts.tolist())
-    }
+    used = [(q, s, c) for (q, s), c in zip(ig.group.weight_slots, ig.counts) if c]
+    # per used slot, the differences of depth at least t, then exactly t
+    at_least = [[q ** ((s - t) * c) for t in range(s + 1)] + [0] for q, s, c in used]
+    ways = [[x - y for x, y in zip(row, row[1:])] for row in at_least]
+    depths = _grid([s + 1 for _, s, _ in used])
+    gaps = ig.group._slot_gaps[[c > 0 for c in ig.counts]]
+    rows = _induce(ig.group.ring_levels, gaps, depths).tolist()
+    census: dict[tuple[int, ...], int] = {}
+    for row, depth in zip(map(tuple, rows), depths.tolist()):
+        census[row] = census.get(row, 0) + math.prod(w[t] for w, t in zip(ways, depth))
+    return {ThetaVector(ig.group, row): census[row] for row in sorted(census)}
 
 
 def t_theta_bound(ig: InputGroup, theta: ThetaVector) -> int:
@@ -655,7 +660,7 @@ def mc_channel_error(
     moduli = ig.group.moduli
     size = ig.size
     # message coordinate 1 on the dither, generator row k + 1
-    messages = np.hstack([ig._element_grid, np.ones((size, 1), dtype=np.int64)])
+    messages = np.hstack([_grid(ig.spec.moduli), np.ones((size, 1), dtype=np.int64)])
     order = ig.group.order
     w_flat = chan.matrix.T.ravel()  # W(y | x) at y * |G| + x
     cdf = chan.matrix.cumsum(axis=1)
@@ -769,11 +774,15 @@ def lemma_suite(
     detail = f"{len(reports)} pairs ({modes}), {len(failed)} failures"
     checks.append(LemmaCheck("pairwise-joint-law", not failed, detail))
 
-    # census bound and selector-set equality
+    # census: the count equals an enumeration of J and is within the bound;
+    # and selector-set equality
     census = theta_census(ig)
+    classes, counts = _runs(_selectors(ig, _grid(in_moduli)))
+    enumerated = dict(zip(map(tuple, classes.tolist()), counts.tolist()))
+    same = enumerated == {th.components: count for th, count in census.items()}
     over = [th for th, count in census.items() if count > t_theta_bound(ig, th)]
     detail = f"{len(census)} selector classes, {len(over)} above the bound"
-    checks.append(LemmaCheck("census-bound", not over, detail))
+    checks.append(LemmaCheck("census-bound", same and not over, detail))
     expected = enumerate_theta_set(ig.group, ig.support)
     got = frozenset(census)
     detail = f"census has {len(got)} selectors, support enumeration {len(expected)}"

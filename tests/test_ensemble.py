@@ -396,7 +396,7 @@ def test_brute_theta_matches_enumeration(orders, counts):
 
 def test_census_memory_is_independent_of_selector_grid():
     # Z2+Z4+...+Z1024 has a selector grid of 11! = 39,916,800 cells, but J =
-    # Z2+Z1024 has 2,048 elements: the census holds O(|J| k) cells
+    # Z2+Z1024 has two used slots: the census counts 2 * 11 slot-depth vectors
     spec = decompose([2**e for e in range(1, 11)]).spec
     ig = InputGroup.from_mapping(spec, {(2, 1): 1, (2, 10): 1})
     tracemalloc.start()
@@ -416,20 +416,39 @@ def test_census_memory_is_independent_of_selector_grid():
     assert len(theta_census(ig)) == 22
 
 
-def test_census_holds_no_differences_array():
-    # the census selects over J's own elements, as b - a runs over J with b:
-    # on Z2 with 16 components the grid is 8 MiB, and the select-and-group
-    # step holds about twice that, with no [|J|, k] copy of b - a
+def test_census_at_a_base_point_builds_nothing_of_j():
+    # a given base point is only checked, and the count builds no array of
+    # J's elements or of their differences: on Z2 with 16 components such an
+    # array would hold 2^16 rows
     ig = InputGroup(decompose([2]).spec, (16,))
-    ig._element_grid  # the plan is built before tracing
     tracemalloc.start()
     try:
         census = theta_census(ig, [1] * 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 2**20
     assert list(census.values()) == [2**16 - 1, 1]
+    assert census == theta_census(ig)
+
+
+def test_census_at_its_cap_is_counted_in_constant_memory():
+    # Z2 with 20 components is |J| = SIZE_CAP: the count reads one slot at
+    # depths 0 and 1, where an enumeration of J held hundreds of MiB, and
+    # the input group keeps nothing of J's size after the call
+    ig = InputGroup(decompose([2]).spec, (20,))
+    assert ig.size == ensemble.SIZE_CAP
+    tracemalloc.start()
+    try:
+        census = theta_census(ig)
+        peak = tracemalloc.get_traced_memory()[1]
+        del census
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert kept < 2**16
+    assert list(theta_census(ig).values()) == [2**20 - 1, 1]
 
 
 def test_theta_set_depends_only_on_support():
@@ -465,6 +484,28 @@ def test_census_matches_oracle_property(data):
     assert pair_theta(ig, a, b) == pair_theta_oracle(ig, a, b)
     # every selector with a nonempty class is reachable in the group
     assert set(census) <= set(all_reachable_thetas(ig.group))
+
+
+@given(st.data())
+def test_census_count_matches_oracle_on_random_groups_property(data):
+    # up to three cyclic orders, counts 0-3 per slot, |J| at most 2^10: the
+    # oracle's element-by-element tally bounds |J| for the time budget
+    orders = data.draw(
+        st.lists(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 27]), min_size=1, max_size=3)
+    )
+    spec = decompose(orders).spec
+    counts, room = [], 2**10
+    for q, s in spec.weight_slots:
+        top = max(c for c in range(4) if q ** (s * c) <= room)
+        counts.append(data.draw(st.integers(0, top)))
+        room //= q ** (s * counts[-1])
+    assume(sum(counts))
+    ig = InputGroup(spec, tuple(counts))
+    a = data.draw(st.tuples(*[st.integers(0, m - 1) for m in ig.spec.moduli]))
+    expected = sorted(census_oracle(ig, a).items(), key=lambda item: item[0].components)
+    census = theta_census(ig, a)
+    assert list(census.items()) == expected
+    assert all(type(count) is int for count in census.values())
 
 
 @given(st.sampled_from(list(census_configs())))
@@ -644,11 +685,8 @@ def test_plan_arrays_are_read_only():
     tables = ig._enumeration(1)
     assert tables is ig._enumeration(1)
     assert tables.shape == (8, 1, 1, 2)
-    grid = ig._element_grid
-    assert grid.tolist() == [[0], [1], [2], [3]]
-    for array in (tables, grid):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0] = 1
 
 
 def test_plan_never_keeps_failing_tables(monkeypatch):
@@ -857,6 +895,31 @@ def test_lemma_suite_reports_congruence_mismatches(
     out, err = capsys.readouterr()
     assert f"FAIL congruence-solver: {detail}\n" in out
     assert err == "violated: congruence-solver\n"
+
+
+def test_lemma_suite_fails_a_count_that_differs_from_the_enumeration(
+    monkeypatch, capsys
+):
+    # on J = Z4 the class of selector 0 counts 2 against a bound of 4: one
+    # more stays within the bound, and only the enumeration of J catches it
+    ig = ig_of([4], {(2, 2): 1})
+    zero = ThetaVector(ig.group, (0,))
+    assert theta_census(ig)[zero] == 2 and t_theta_bound(ig, zero) == 4
+    census = ensemble.theta_census
+
+    def one_more(ig, a=None):
+        return {th: count + (th == zero) for th, count in census(ig, a).items()}
+
+    monkeypatch.setattr(ensemble, "theta_census", one_more)
+    detail = "3 selector classes, 0 above the bound"
+    check = lemma_suite(ig, 1, samples=60, seed=2)[3]
+    assert check.name == "census-bound" and not check.passed
+    assert check.detail == detail
+    argv = ["verify-ensemble", "4", "--counts", "0,1", "--n", "1", "--trials", "60"]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert f"FAIL census-bound: {detail}\n" in out
+    assert err == "violated: census-bound\n"
 
 
 @pytest.mark.parametrize("p", [4, 6, 1, 0])
