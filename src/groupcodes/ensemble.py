@@ -6,8 +6,8 @@ the n-fold direct sum of the target group, shifted by a uniform dither.  The
 verifiers here check the ensemble's structural laws (generator constraints,
 pairwise joint probabilities, selector census bounds) by exhaustive
 enumeration whenever the state space is small enough, falling back to seeded
-sampling beyond that.  The selector census is counted over slot depths, not
-over J; the lemma suite checks the count against an enumeration of J.
+sampling beyond that.  The selector census is a fold over the used slots,
+at any |J|; the lemma suite checks it by its cumulated bound, not against J.
 
 An InputGroup caches the plan every check on (J, n) reads, built on first
 read: per blocklength n the enumeration of every homomorphism table, checked
@@ -30,7 +30,7 @@ import numpy as np
 
 from .groups import GroupElement, GroupSpec, ThetaVector, _check_count, _check_seed
 from .groups import _components, _grid, _induce, _integer, _is_prime
-from .groups import _min_depths, _runs, _slot_values
+from .groups import _min_depths, _slot_values
 from .measures import ChannelSpec, _check_kind
 from .rates import _check_support, enumerate_theta_set
 
@@ -358,28 +358,32 @@ def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
 
 def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     """Counts of every selector over all input pairs (a, b), in lexicographic
-    order, counted over slot depths and never over J.  As b runs over J so
-    does b - a, so a given a is only checked.
+    order, folded over the used slots and never over J, at any |J|.  As b
+    runs over J so does b - a, so a given a is only checked.
 
     The components of a slot share its gap row, so a difference's selector is
-    ``_induce`` of its slots' least q-adic depths.  On a slot (q, s) with c
-    components the least depth is t in q^((s-t)c) - q^((s-t-1)c) ways for
-    t < s and in 1 way for t = s, so the census sums these products over the
-    prod (s + 1) depth vectors of the used slots, at most |J| of them."""
-    if size := _over_cap(SIZE_CAP, ig.total, lambda: ig.size):
-        raise ValueError(f"input group size {size} exceeds cap {SIZE_CAP}")
+    ``_induce`` of its slots' least q-adic depths, a minimum over slots.  On
+    a slot (q, s) with c components the least depth is t in q^((s-t)c) -
+    q^((s-t-1)c) ways for t < s and in 1 way for t = s, so the fold starts
+    from the full selector, counted once, and per used slot maps each row to
+    its componentwise minimum with the slot alone at each depth t, its count
+    times those ways, in Python ints.  As in ``GroupSpec._selector_layer``,
+    it holds at most the selector table times one slot's depths."""
     if a is not None:
         ig.element(a)
-    used = [(q, s, c) for (q, s), c in zip(ig.group.weight_slots, ig.counts) if c]
-    # per used slot, the differences of depth at least t, then exactly t
-    at_least = [[q ** ((s - t) * c) for t in range(s + 1)] + [0] for q, s, c in used]
-    ways = [[x - y for x, y in zip(row, row[1:])] for row in at_least]
-    depths = _grid([s + 1 for _, s, _ in used])
-    gaps = ig.group._slot_gaps[[c > 0 for c in ig.counts]]
-    rows = _induce(ig.group.ring_levels, gaps, depths).tolist()
-    census: dict[tuple[int, ...], int] = {}
-    for row, depth in zip(map(tuple, rows), depths.tolist()):
-        census[row] = census.get(row, 0) + math.prod(w[t] for w, t in zip(ways, depth))
+    levels, gaps = ig.group.ring_levels, ig.group._slot_gaps
+    census = {tuple(r for _, r in levels): 1}
+    for j in np.flatnonzero(ig.counts).tolist():
+        (q, s), c = ig.group.weight_slots[j], ig.counts[j]
+        # the differences of least depth exactly t
+        ways = [q ** ((s - t) * c) - q ** ((s - t - 1) * c) for t in range(s)] + [1]
+        alone = _induce(levels, gaps[[j]], np.arange(s + 1)[:, None]).tolist()
+        folded: dict[tuple[int, ...], int] = {}
+        for row, count in census.items():
+            for lowered, way in zip(alone, ways):
+                key = tuple(map(min, row, lowered))
+                folded[key] = folded.get(key, 0) + count * way
+        census = folded
     return {ThetaVector(ig.group, row): census[row] for row in sorted(census)}
 
 
@@ -446,9 +450,10 @@ def verify_pairwise_law(
         raise ValueError(f"H_theta^n has {over} cells, above cap {TABLE_CELL_CAP}")
     cells = per_coordinate**n
 
-    # tables times dither words, (hom_space |G|)^n: each coordinate doubles it
-    hom_space = math.prod((g_spec.moduli // ig._allowed_step).ravel().tolist())
-    if not _over_cap(EXHAUSTIVE_CAP, n, lambda: (hom_space * g_spec.order) ** n):
+    # tables times dither words, space^n: a coordinate's hom_space |G| is at
+    # least doubled by each component of J and by |G|
+    space = g_spec.order * math.prod(map(int, (g_spec.moduli // ig._allowed_step).flat))
+    if not _over_cap(EXHAUSTIVE_CAP, (ig.total + 1) * n, lambda: space**n):
         mode, threshold = "exhaustive", 0.0
         tables = ig._enumeration(n)
     else:
@@ -726,11 +731,15 @@ def lemma_suite(
     each.  The pairwise law is checked on every input pair when |J|^2 <= 64,
     else on 16 drawn pairs, pair i with seed (seed + i) mod 2**64; in
     exhaustive mode every pair reads the one enumeration of the group's
-    plan.  Pairs are residue rows throughout.  The congruence solver's
-    closed form is checked on every b of a coefficient a at once by
+    plan.  Pairs are residue rows throughout.  The census is checked at any
+    |J| without J: each class within ``t_theta_bound``, and the counts of the
+    classes that dominate each class summing to its bound exactly, the
+    number of differences whose selector is at least it; given the classes,
+    which theta-set equality checks, that fixes every count.  The congruence
+    solver's closed form is checked on every b of a coefficient a at once by
     substitution: each b's count of x with a*x = b mod p^r must be g =
-    gcd(a, p^r) or 0 as it says, and a solvable b's g distinct solutions
-    must lie in [0, p^r) and solve it, so they are all.  Above SIZE_CAP
+    gcd(a, p^r) or 0 as it says, and a solvable b's g distinct solutions must
+    lie in [0, p^r) and solve it, so they are all.  Above SIZE_CAP
     equations each coefficient a is checked, on every b, with probability
     SIZE_CAP / equations, so about SIZE_CAP are checked.
     """
@@ -774,15 +783,19 @@ def lemma_suite(
     detail = f"{len(reports)} pairs ({modes}), {len(failed)} failures"
     checks.append(LemmaCheck("pairwise-joint-law", not failed, detail))
 
-    # census: the count equals an enumeration of J and is within the bound;
+    # census: each class within its bound, and, a second route to every
+    # count, the classes that dominate each class sum to its bound exactly
+    # (given the classes, that fixes each count by descending induction);
     # and selector-set equality
     census = theta_census(ig)
-    classes, counts = _runs(_selectors(ig, _grid(in_moduli)))
-    enumerated = dict(zip(map(tuple, classes.tolist()), counts.tolist()))
-    same = enumerated == {th.components: count for th, count in census.items()}
-    over = [th for th, count in census.items() if count > t_theta_bound(ig, th)]
-    detail = f"{len(census)} selector classes, {len(over)} above the bound"
-    checks.append(LemmaCheck("census-bound", same and not over, detail))
+    counts, bounds = list(census.values()), [t_theta_bound(ig, th) for th in census]
+    rows = np.array([th.components for th in census])
+    # [classes, classes]: whether the column's class dominates the row's
+    dominating = (rows[:, None] <= rows).all(-1)
+    exact = (dominating @ np.array(counts, dtype=object)).tolist() == bounds
+    over = sum(count > bound for count, bound in zip(counts, bounds))
+    detail = f"{len(census)} selector classes, {over} above the bound"
+    checks.append(LemmaCheck("census-bound", exact and not over, detail))
     expected = enumerate_theta_set(ig.group, ig.support)
     got = frozenset(census)
     detail = f"census has {len(got)} selectors, support enumeration {len(expected)}"

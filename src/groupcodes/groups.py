@@ -169,7 +169,7 @@ class GroupSpec:
         table = np.array([[r for _, r in levels]])
         for j, (_, s) in enumerate(self.weight_slots):
             alone = _induce(levels, gaps[[j]], np.arange(s + 1)[:, None])
-            table = _runs(np.minimum(table[:, None], alone).reshape(-1, len(levels)))[0]
+            table = _runs(np.minimum(table[:, None], alone).reshape(-1, len(levels)))
         depths, n, d = self._omega_coefficients(table)
         # [n, k, L]: each slot alone, as a one-slot axis per slot
         hits = _induce(levels, gaps[:, None, :], depths[..., None]) == table[:, None, :]
@@ -248,12 +248,10 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows [n, L] in lexicographic order, and the count of each."""
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows [n, L] in lexicographic order."""
     rows = rows[np.lexsort(rows.T[::-1])]
-    new = (rows[1:] != rows[:-1]).any(axis=1)
-    edges = np.flatnonzero(np.concatenate(([True], new, [True])))
-    return rows[edges[:-1]], edges[1:] - edges[:-1]
+    return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
 
 
 def _covering_masks(spec: GroupSpec) -> np.ndarray:

@@ -207,6 +207,30 @@ def test_theta_table_runs_under_an_address_space_cap():
     ]
 
 
+def test_verify_ensemble_on_z2_with_20_components_peaks_in_small_memory():
+    # Z2 with 20 components is |J| = 2^20, where one [|J|, k] int64 array
+    # takes 160 MiB: the census by its fold and cumulated bound builds none.
+    # A child's peak RSS starts from its parent's RSS at the fork, so a small
+    # fresh process forks the command and reads its peak from os.wait4
+    script = (
+        "import os, sys\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    cli = [sys.executable, '-m', 'groupcodes.cli', *sys.argv[1:]]\n"
+        "    os.execv(sys.executable, cli)\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    argv = ["verify-ensemble", "2", "--counts", "20", "--n", "1", "--trials", "20"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True
+    )
+    *lines, last = proc.stdout.splitlines()
+    code, peak_kib = map(int, last.split())
+    assert code == 0 and sum(line.startswith("PASS") for line in lines) == 6
+    assert peak_kib < 128 << 10  # ru_maxrss is in KiB on Linux
+
+
 def test_rate_commands_leave_numpy_ma_unloaded(
     merged_channel_file, identity_source_file
 ):

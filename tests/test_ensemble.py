@@ -208,9 +208,23 @@ def test_cell_cap_refuses_a_long_blocklength():
         verify_pairwise_law(InputGroup(decompose([4]).spec, (0, 1)), 10**6, [0], [1])
 
 
-def test_census_cap_refuses_many_components():
-    with pytest.raises(ValueError, match="exceeds cap"):
-        theta_census(InputGroup(decompose([4]).spec, (10**5, 0)))
+def test_pairwise_mode_rule_counts_every_component_of_j():
+    # (tables x dither words) on Z2 with 20,000 components is 2^20001 at n = 1:
+    # every component doubles it, so it is sampled unformed, not turned into
+    # a 6,000-digit string
+    ig = InputGroup(decompose([2]).spec, (20000,))
+    report = verify_pairwise_law(ig, 1, [0] * 20000, [1] + [0] * 19999, samples=10)
+    assert report.mode == "sampled" and report.outcomes == 10 and report.passed
+
+
+def test_verify_ensemble_on_a_wide_j_refuses_its_table_draw(capsys):
+    # the pairwise law on Z2 with 100,000 components samples 1024 tables of
+    # 100,000 cells, a draw that the table cap refuses
+    argv = ["verify-ensemble", "2", "--counts", "100000", "--n", "1", "--trials", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: table draw of 102400000 cells exceeds cap SIZE_CAP=1048576\n"
 
 
 def test_input_group_from_mapping_rejects_stray_key():
@@ -396,7 +410,7 @@ def test_brute_theta_matches_enumeration(orders, counts):
 
 def test_census_memory_is_independent_of_selector_grid():
     # Z2+Z4+...+Z1024 has a selector grid of 11! = 39,916,800 cells, but J =
-    # Z2+Z1024 has two used slots: the census counts 2 * 11 slot-depth vectors
+    # Z2+Z1024 has two used slots: the census folds 2 then 11 slot depths
     spec = decompose([2**e for e in range(1, 11)]).spec
     ig = InputGroup.from_mapping(spec, {(2, 1): 1, (2, 10): 1})
     tracemalloc.start()
@@ -449,6 +463,25 @@ def test_census_at_its_cap_is_counted_in_constant_memory():
     assert peak < 2**20
     assert kept < 2**16
     assert list(theta_census(ig).values()) == [2**20 - 1, 1]
+
+
+def test_census_of_j_with_2_to_the_165_elements_is_folded_in_small_memory():
+    # Z2+Z4+...+Z1024 with three components per slot is |J| = 2^165: the fold
+    # holds Python-int counts over the selector classes, nothing of J's size,
+    # and every class sums into |J| within its bound
+    spec = decompose([2**e for e in range(1, 11)]).spec
+    ig = InputGroup(spec, (3,) * 10)
+    assert ig.size == 2**165
+    tracemalloc.start()
+    try:
+        census = theta_census(ig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(census) == 1024 and sum(census.values()) == ig.size
+    assert all(type(count) is int for count in census.values())
+    assert all(count <= t_theta_bound(ig, th) for th, count in census.items())
 
 
 def test_theta_set_depends_only_on_support():
@@ -897,26 +930,33 @@ def test_lemma_suite_reports_congruence_mismatches(
     assert err == "violated: congruence-solver\n"
 
 
-def test_lemma_suite_fails_a_count_that_differs_from_the_enumeration(
-    monkeypatch, capsys
+@pytest.mark.parametrize(
+    "orders, counts, n, classes",
+    [([4], {(2, 2): 1}, 1, 3), ([2], {(2, 1): 40}, 2, 2)],
+    ids=["z4", "z2-40-components"],
+)
+def test_lemma_suite_fails_a_count_off_its_cumulated_bound(
+    monkeypatch, capsys, orders, counts, n, classes
 ):
-    # on J = Z4 the class of selector 0 counts 2 against a bound of 4: one
-    # more stays within the bound, and only the enumeration of J catches it
-    ig = ig_of([4], {(2, 2): 1})
+    # one more pair in the class of selector 0 stays within its bound (2 of 4
+    # on J = Z4, 2^40 - 1 of 2^40 on Z2 with 40 components, where J has no
+    # enumeration): only the classes dominating it, summed to its bound, catch it
+    ig = ig_of(orders, counts)
     zero = ThetaVector(ig.group, (0,))
-    assert theta_census(ig)[zero] == 2 and t_theta_bound(ig, zero) == 4
+    assert theta_census(ig)[zero] < t_theta_bound(ig, zero)
     census = ensemble.theta_census
 
     def one_more(ig, a=None):
         return {th: count + (th == zero) for th, count in census(ig, a).items()}
 
     monkeypatch.setattr(ensemble, "theta_census", one_more)
-    detail = "3 selector classes, 0 above the bound"
-    check = lemma_suite(ig, 1, samples=60, seed=2)[3]
+    detail = f"{classes} selector classes, 0 above the bound"
+    check = lemma_suite(ig, n, samples=60, seed=2)[3]
     assert check.name == "census-bound" and not check.passed
     assert check.detail == detail
-    argv = ["verify-ensemble", "4", "--counts", "0,1", "--n", "1", "--trials", "60"]
-    assert cli.main(argv) == 4
+    group, in_counts = ",".join(map(str, orders)), ",".join(map(str, ig.counts))
+    argv = ["verify-ensemble", group, "--counts", in_counts, "--n", str(n)]
+    assert cli.main(argv + ["--trials", "60"]) == 4
     out, err = capsys.readouterr()
     assert f"FAIL census-bound: {detail}\n" in out
     assert err == "violated: census-bound\n"
@@ -1406,11 +1446,6 @@ Z4, Z8 = IG4.group, decompose([8]).spec
             "component (2, 1, 1) coord 0: wrong group",
         ),
         (
-            lambda: theta_census(ig_of([2], {(2, 1): 21})),
-            ValueError,
-            "input group size 2097152 exceeds cap 1048576",
-        ),
-        (
             lambda: mc_channel_error(IG4, 1, ChannelSpec(Z8, np.eye(8)), 5, 0),
             ValueError,
             "channel input alphabet differs from the code group",
@@ -1463,7 +1498,7 @@ Z4, Z8 = IG4.group, decompose([8]).spec
     ],
     ids=[
         "counts-length", "element-of-another-input-group", "image-rows", "dither",
-        "image-row-length", "image-of-another-group", "census-cap",
+        "image-row-length", "image-of-another-group",
         "channel-of-another-group", "congruence-s-above-r", "congruence-target",
         "table-blocklength-0", "table-blocklength-bool", "table-seed-negative",
         "table-seed-float", "congruence-bool-coefficient", "congruence-float-prime",
