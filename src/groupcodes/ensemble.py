@@ -179,11 +179,11 @@ class HomomorphismTable:
 
 def _over_cap(cap: int, doublings: int, size) -> str | None:
     """None for a size within cap, else the size as a refusal names it.  A
-    size here is a product in which every component of J and every
-    coordinate at least doubles it, so it is at least 2**doublings: past
-    twice the cap that bound refuses it unformed, named "at least
-    2^doublings"; otherwise ``size()`` forms it, from at most the cap's bit
-    length of such factors, so it is short, and names it by its digits."""
+    size here is a product of factors that each at least double it (J's
+    components, the pairwise law's coordinates, n's bits in a simulation),
+    so it is at least 2**doublings: past twice the cap that bound refuses it
+    unformed, named "at least 2^doublings"; otherwise ``size()`` forms it,
+    from at most the cap's bit length of such factors, so it is short."""
     if doublings > cap.bit_length():
         return f"at least 2^{doublings}"
     return str(value) if (value := size()) > cap else None
@@ -217,15 +217,20 @@ def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
     return _tables(ig, n, _grid)
 
 
+def _check_draw(ig: InputGroup, n: int, size: tuple[int, ...]) -> None:
+    """A draw of ``size`` tables, more than SIZE_CAP cells, is refused."""
+    cells = math.prod(size) * ig.total * n * len(ig.group.moduli)
+    if cells > SIZE_CAP:
+        raise ValueError(f"table draw of {cells} cells exceeds cap SIZE_CAP={SIZE_CAP}")
+
+
 def _sample_tables(
     ig: InputGroup, n: int, rng, size: tuple[int, ...] = ()
 ) -> np.ndarray:
     """``size`` tables drawn from the ensemble by the Generator ``rng``,
     [*size, k, n, c].  A draw of more than SIZE_CAP cells is rejected before
     anything is drawn."""
-    cells = math.prod(size) * ig.total * n * len(ig.group.moduli)
-    if cells > SIZE_CAP:
-        raise ValueError(f"table draw of {cells} cells exceeds cap SIZE_CAP={SIZE_CAP}")
+    _check_draw(ig, n, size)
 
     def pick(bounds):
         # equal bounds draw the same stream as one scalar bound, which is faster
@@ -412,6 +417,18 @@ class PairwiseLawReport:
     passed: bool
 
 
+def _exhaustive(ig: InputGroup, n: int) -> bool:
+    """Whether the pairwise law enumerates its tables: tables times dither
+    words, space^n, within EXHAUSTIVE_CAP, where a coordinate's hom_space
+    |G| is at least doubled by each component of J and by |G|."""
+
+    def space() -> int:
+        hom_space = math.prod(map(int, (ig.group.moduli // ig._allowed_step).flat))
+        return (ig.group.order * hom_space) ** n
+
+    return not _over_cap(EXHAUSTIVE_CAP, (ig.total + 1) * n, space)
+
+
 def verify_pairwise_law(
     ig: InputGroup,
     n: int,
@@ -449,11 +466,7 @@ def verify_pairwise_law(
     if over := _over_cap(TABLE_CELL_CAP, doublings, lambda: per_coordinate**n):
         raise ValueError(f"H_theta^n has {over} cells, above cap {TABLE_CELL_CAP}")
     cells = per_coordinate**n
-
-    # tables times dither words, space^n: a coordinate's hom_space |G| is at
-    # least doubled by each component of J and by |G|
-    space = g_spec.order * math.prod(map(int, (g_spec.moduli // ig._allowed_step).flat))
-    if not _over_cap(EXHAUSTIVE_CAP, (ig.total + 1) * n, lambda: space**n):
+    if _exhaustive(ig, n):
         mode, threshold = "exhaustive", 0.0
         tables = ig._enumeration(n)
     else:
@@ -626,13 +639,31 @@ def _trial_draws(
     return images, dither.reshape(-1, n, len(moduli)), sent[:, 0], uniforms
 
 
+def _exponent_argmax(w_flat, offsets, codebook) -> np.ndarray:
+    """The first message of greatest likelihood in each trial, W(y_i | x_i)
+    read at offsets [B, n] + codebook [B, messages, n] and multiplied from
+    i = 0 up as a mantissa and a binary exponent (``np.frexp``), so that no
+    product leaves the normal range: each step rounds as the plain product
+    does wherever that is normal, and ties fall as they do there."""
+    mantissa = np.ones(codebook.shape[:2])
+    exponent = np.zeros(codebook.shape[:2], dtype=np.int64)
+    for i, row in enumerate(offsets.T):
+        mantissa, step = np.frexp(mantissa * w_flat[row[:, None] + codebook[..., i]])
+        exponent += step
+    exponent[mantissa == 0] = np.iinfo(np.int64).min  # 0 is below every product
+    top = exponent == exponent.max(axis=1, keepdims=True)
+    return np.where(top, mantissa, -1.0).argmax(axis=1)
+
+
 def mc_channel_error(
     ig: InputGroup, n: int, chan: ChannelSpec, trials: int, seed: int
 ) -> MonteCarloReport:
     """Empirical block-error rate of the shifted random code under exhaustive
     maximum-likelihood decoding, averaged over freshly sampled (table,
     dither, message, noise) per trial.  Ties decode to the lowest message
-    index, so the result is deterministic given the seed.
+    index, so the result is deterministic given the seed.  A trial whose
+    greatest likelihood falls below the normal float range, as on a long
+    block, is decoded again by ``_exponent_argmax``, which cannot underflow.
 
     Trial t (t < trials <= 2**32) draws from its own Philox4x64-10 stream,
     keyed by child t of ``SeedSequence(seed)``, an integer seed: the table
@@ -642,27 +673,28 @@ def mc_channel_error(
     cumulative W(. | x) exceeds u, which is how ``Generator.choice`` draws.
     The draws of a block of trials are read by position from their words,
     only a stream with a rejected draw being replayed; encoding, the
-    injectivity test and decoding run over the block, with block x messages
-    x n x rings at most SIZE_CAP cells.  The dither is one more generator
-    row, with message coordinate 1, so a block's codebook is one product and
-    one reduction mod p^r.  A trial's code is injective exactly when no
-    message a != 0 has message 0's codeword: phi(a) + D = phi(b) + D holds
-    exactly when phi(a - b) = 0.  The report is bit for bit that of
-    one ``Generator(Philox(child))`` per trial, drawn one trial at a time;
-    it depends only on the SeedSequence and Philox algorithms, not on how
-    ``Generator``'s methods are implemented."""
+    injectivity test and decoding run over a block of SIZE_CAP // (messages
+    x n x rings) trials, one trial's codebook being refused above SIZE_CAP
+    cells; the message grid [messages, k + 1] has at most 21 * SIZE_CAP.
+    The dither is one more generator row, with message coordinate 1, so a
+    block's codebook is one product and one reduction mod p^r.  A trial's
+    code is injective exactly when no message a != 0 has message 0's
+    codeword: phi(a) + D = phi(b) + D holds exactly when phi(a - b) = 0.
+    The report is bit for bit that of one ``Generator(Philox(child))`` per
+    trial, drawn one trial at a time; it depends only on the SeedSequence
+    and Philox algorithms, not on ``Generator``'s methods."""
     _check_count("blocklength", n)
     _check_seed("seed", seed)
     _check_kind(chan, ChannelSpec)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
-    space = _over_cap(SIZE_CAP, ig.total + n, lambda: ig.size * chan.group.order**n)
-    if space:
-        raise ValueError(f"codebook times space size {space} exceeds cap {SIZE_CAP}")
+    moduli = ig.group.moduli
+    doublings = ig.total + int(n).bit_length() - 1
+    if cells := _over_cap(SIZE_CAP, doublings, lambda: ig.size * n * len(moduli)):
+        raise ValueError(f"trial codebook of {cells} cells exceeds cap {SIZE_CAP}")
     _check_count("trials", trials)
     if trials > 2**32:
         raise ValueError(f"trials must be in [1, 2**32], got {trials}")
-    moduli = ig.group.moduli
     size = ig.size
     # message coordinate 1 on the dither, generator row k + 1
     messages = np.hstack([_grid(ig.spec.moduli), np.ones((size, 1), dtype=np.int64)])
@@ -670,7 +702,7 @@ def mc_channel_error(
     w_flat = chan.matrix.T.ravel()  # W(y | x) at y * |G| + x
     cdf = chan.matrix.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    # at least 1: messages * |G|^n is within the cap and n * rings <= |G|^n
+    # at least 1: one trial's codebook, messages x n x rings, is within the cap
     block = SIZE_CAP // (size * n * len(moduli))
     seq = np.random.SeedSequence(seed)
     errors = injective_trials = injective_errors = 0
@@ -678,18 +710,17 @@ def mc_channel_error(
         keys = _child_keys(seq, start, min(block, trials - start))
         images, dither, sent, u = _trial_draws(ig, n, keys, size)
         rows = np.concatenate([images, dither[:, None]], axis=1)
-        # each element's index over its rings, then each word's over its
-        # coordinates, by Horner steps (an integer matmul with so small a
-        # core runs numpy's inner loop once per batch row)
+        # each element's index over its rings by Horner steps (an integer
+        # matmul with so small a core runs numpy's inner loop once per batch row)
         residues = _encode(messages, rows, moduli)  # [B, messages, n, rings]
         codebook = residues[..., 0]
         for j in range(1, len(moduli)):
             codebook = codebook * moduli[j] + residues[..., j]
-        words = codebook[..., 0]
+        # injective (see above), by coordinate: reducing a short last axis is slow
+        moved = codebook[:, 1:, 0] != codebook[:, :1, 0]
         for i in range(1, n):
-            words = words * order + codebook[..., i]
-        # injective: no message a != 0 has message 0's codeword (see above)
-        injective = (words[:, 1:] != words[:, :1]).all(axis=1)
+            moved |= codebook[:, 1:, i] != codebook[:, :1, i]
+        injective = moved.all(axis=1)
         x = codebook[np.arange(len(sent)), sent]  # [B, n]
         y = (cdf[x] <= u[..., None]).sum(axis=-1)
         # each codeword's likelihood, W(y_i | x_i) multiplied from i = 0 up: the
@@ -697,7 +728,13 @@ def mc_channel_error(
         likelihood = np.ones(codebook.shape[:2])
         for i, row in enumerate((y * order).T):
             likelihood *= w_flat[row[:, None] + codebook[..., i]]
-        wrong = likelihood.argmax(axis=1) != sent
+        decoded = likelihood.argmax(axis=1)
+        # a best product below the normal range (a long block) may have lost
+        # bits, or all of them: such a trial is decoded again, exactly
+        low = likelihood[np.arange(len(sent)), decoded] < np.finfo(np.float64).tiny
+        if low.any():
+            decoded[low] = _exponent_argmax(w_flat, y[low] * order, codebook[low])
+        wrong = decoded != sent
         errors += int(wrong.sum())
         injective_trials += int(injective.sum())
         injective_errors += int(wrong[injective].sum())
@@ -722,8 +759,9 @@ def lemma_suite(
     """Run every structural check of the ensemble for one configuration.
 
     The counts must give every prime of the group a component, as the
-    theta-set check needs a support with a slot per prime; other counts are
-    refused before anything is drawn.  Exhaustive wherever the space allows;
+    theta-set check needs a support with a slot per prime; other counts,
+    and a table draw of more than SIZE_CAP cells, are refused before
+    anything is drawn.  Exhaustive wherever the space allows;
     the pairwise law falls back to seeded sampling above the enumeration
     cap.  One Philox stream, seeded by ``seed``, draws min(samples, 1000)
     tables in one call (samples >= 1); the first 25 are checked for
@@ -747,10 +785,15 @@ def lemma_suite(
     _check_seed("seed", seed)
     _check_count("samples", samples)
     _check_support(ig.group, ig.support)
+    # both table draws are refused before anything is drawn: the constraint
+    # check's, and the pairwise law's, which draws only where it samples
+    n_tables = min(samples, 1000)
+    _check_draw(ig, n, (n_tables,))
+    if not _exhaustive(ig, n):
+        _check_draw(ig, n, (max(samples, 1024),))
     rng = np.random.Generator(np.random.Philox(seed))
 
     # generator constraints on freshly sampled tables
-    n_tables = min(samples, 1000)
     tables, _ = _sample_table(ig, n, rng, (n_tables,))
     bad_tables = int(_violations(ig, tables).any(axis=(1, 2, 3)).sum())
     detail = f"{n_tables} sampled tables, {bad_tables} violations"

@@ -254,14 +254,29 @@ def _runs(rows: np.ndarray) -> np.ndarray:
     return rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
 
 
-def _covering_masks(spec: GroupSpec) -> np.ndarray:
-    """All support patterns giving every prime at least one slot, as slot
-    masks [supports, k] in the lexicographic order of their sorted slot
-    tuples (the deterministic tie-break order)."""
-    # every prime's nonzero patterns over its slots, in every combination
-    bits = [_grid([2] * spec.max_exponent(q))[1:].astype(bool) for q in spec.primes]
+def _covering_masks(spec: GroupSpec, most: int | None = None) -> np.ndarray:
+    """All support patterns giving every prime at least one slot, or those of
+    at most ``most`` slots (at least the number of primes), as slot masks
+    [supports, k] in the lexicographic order of their sorted slot tuples
+    (the deterministic tie-break order)."""
+    # every prime's nonzero patterns over its slots, of at most its share of
+    # ``most`` (the other primes take a slot each), in every combination
+    share = len(spec.weight_slots) if most is None else most - len(spec.primes) + 1
+    bits = []
+    for r in map(spec.max_exponent, spec.primes):
+        if share >= r:
+            bits.append(_grid([2] * r)[1:].astype(bool))
+        else:
+            rows = []
+            for m in range(1, share + 1):
+                picks = np.array(list(itertools.combinations(range(r), m)))
+                rows.append(np.zeros((len(picks), r), dtype=bool))
+                np.put_along_axis(rows[-1], picks, True, axis=1)
+            bits.append(np.vstack(rows))
     picks = _grid([len(b) for b in bits]).T
     masks = np.hstack([b[pick] for b, pick in zip(bits, picks)])
+    if most is not None:
+        masks = masks[masks.sum(axis=1) <= most]
     # rows in the order of their sorted slot tuples, a prefix first: at the
     # first slot where two rows differ, the row holding it (key 1) follows a
     # row with no later slot (key 0) and precedes one with a later slot (2)

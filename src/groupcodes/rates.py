@@ -725,8 +725,7 @@ def grid_search(
     grid_size(spec, steps)
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
-    masks = _covering_masks(spec)
-    masks = masks[masks.sum(axis=1) <= steps]
+    masks = _covering_masks(spec, steps)
     best_val: float | None = None
     for cols, rows in zip(masks, _theta_members(spec._selector_layer[-1], masks)):
         problem = problems.slice(cols, rows)

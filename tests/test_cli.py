@@ -207,11 +207,11 @@ def test_theta_table_runs_under_an_address_space_cap():
     ]
 
 
-def test_verify_ensemble_on_z2_with_20_components_peaks_in_small_memory():
-    # Z2 with 20 components is |J| = 2^20, where one [|J|, k] int64 array
-    # takes 160 MiB: the census by its fold and cumulated bound builds none.
-    # A child's peak RSS starts from its parent's RSS at the fork, so a small
-    # fresh process forks the command and reads its peak from os.wait4
+def peak_run(argv):
+    """A fresh CLI process on argv: its stdout lines, exit code and peak RSS
+    in KiB.  A child's peak RSS starts from its parent's RSS at the fork, so
+    a small fresh process forks the command and reads its peak from
+    os.wait4 (ru_maxrss is in KiB on Linux)."""
     script = (
         "import os, sys\n"
         "pid = os.fork()\n"
@@ -221,14 +221,30 @@ def test_verify_ensemble_on_z2_with_20_components_peaks_in_small_memory():
         "_, status, usage = os.wait4(pid, 0)\n"
         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
     )
-    argv = ["verify-ensemble", "2", "--counts", "20", "--n", "1", "--trials", "20"]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True
     )
     *lines, last = proc.stdout.splitlines()
     code, peak_kib = map(int, last.split())
+    return lines, code, peak_kib
+
+
+def test_verify_ensemble_on_z2_with_20_components_peaks_in_small_memory():
+    # Z2 with 20 components is |J| = 2^20, where one [|J|, k] int64 array
+    # takes 160 MiB: the census by its fold and cumulated bound builds none
+    argv = ["verify-ensemble", "2", "--counts", "20", "--n", "1", "--trials", "20"]
+    lines, code, peak_kib = peak_run(argv)
     assert code == 0 and sum(line.startswith("PASS") for line in lines) == 6
-    assert peak_kib < 128 << 10  # ru_maxrss is in KiB on Linux
+    assert peak_kib < 128 << 10
+
+
+def test_verify_ensemble_refuses_a_wide_j_before_drawing_in_small_memory():
+    # Z2 with 100,000 components: the pairwise law's table draw is refused
+    # before the constraint and additivity checks draw and encode anything
+    argv = ["verify-ensemble", "2", "--counts", "100000", "--n", "1", "--trials", "1"]
+    lines, code, peak_kib = peak_run(argv)
+    assert lines == [] and code == 2
+    assert peak_kib < 64 << 10
 
 
 def test_rate_commands_leave_numpy_ma_unloaded(

@@ -191,8 +191,9 @@ def test_input_group_counts_are_integers():
     assert ig == InputGroup(spec, (1, 2)) and type(ig.counts[0]) is int
 
 
-# every component of J and every coordinate at least doubles a capped size,
-# so a size far above its cap is refused unformed: no J spec, no huge power
+# every component of J, and every coordinate of the pairwise law, at least
+# doubles a capped size, so a size far above its cap is refused unformed: no
+# J spec, no huge power
 
 
 def test_simulation_cap_refuses_before_building_j():
@@ -1008,7 +1009,8 @@ def mc_oracle(ig: InputGroup, n: int, chan: ChannelSpec, trials: int, seed: int)
 @st.composite
 def mc_case(draw):
     """A configuration within the simulation cap, with a random, identity or
-    uniform channel (the last two make likelihood ties)."""
+    uniform channel (the last two make likelihood ties); the codebook of one
+    trial stays small, so that the trial-at-a-time oracle is fast."""
     orders = draw(st.sampled_from([[2], [3], [4], [8], [9], [2, 2], [4, 3]]))
     spec = decompose(orders).spec
     slots = len(spec.weight_slots)
@@ -1016,8 +1018,8 @@ def mc_case(draw):
         st.lists(st.integers(0, 3), min_size=slots, max_size=slots).filter(any)
     )
     ig = InputGroup(spec, tuple(counts))
-    n = draw(st.integers(1, 3))
-    assume(ig.size * spec.order**n <= ensemble.SIZE_CAP)
+    n = draw(st.integers(1, 8))
+    assume(ig.size * n * len(spec.moduli) <= 2**12)
     kind = draw(st.sampled_from(["random", "identity", "uniform"]))
     ny = spec.order if kind == "identity" else draw(st.integers(1, 5))
     if kind == "identity":
@@ -1049,6 +1051,39 @@ def test_mc_matches_oracle_over_blocks():
     rep = mc_channel_error(ig, n, chan, trials, seed=13)
     assert rep == mc_oracle(ig, n, chan, trials, seed=13)
     assert 0 < rep.injective_trials < trials
+
+
+def test_mc_decodes_a_block_whose_likelihoods_underflow():
+    # on a BSC(0.1) at n = 3000 every codeword's likelihood is below 1e-300
+    # and most multiply down to 0.0; decoded by mantissa and exponent, two
+    # messages about 1,500 coordinates apart are never confused
+    z2 = decompose([2]).spec
+    bsc = ChannelSpec(z2, [[0.9, 0.1], [0.1, 0.9]])
+    rep = mc_channel_error(InputGroup(z2, (2,)), 3000, bsc, 50, 0)
+    assert rep.errors == 0 and rep.injective_trials == 50
+
+
+@pytest.mark.parametrize("n", [5, 3000])
+def test_exponent_argmax_matches_the_product(n):
+    # at n = 5 every product is normal, and the first greatest one is the
+    # plain product's argmax, ties (equal and zero entries) included; at
+    # n = 3000 the products underflow, and it is the sum of logs' argmax
+    rng = make_rng(n)
+    if n == 5:
+        w = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0.25, 0.75], [0.2, 0.3, 0.5]])
+    else:
+        w = rng.dirichlet(np.ones(3), size=4)
+    w_flat, order = w.T.ravel(), len(w)
+    offsets = rng.integers(0, 3, (40, n)) * order
+    codebook = rng.integers(0, order, (40, 16, n))
+    terms = w_flat[offsets[:, None, :] + codebook]  # [trials, messages, n]
+    if n == 5:
+        expected = terms.prod(axis=-1).argmax(axis=1)
+    else:
+        assert (terms.prod(axis=-1) == 0).all()
+        expected = np.log(terms).sum(axis=-1).argmax(axis=1)
+    got = ensemble._exponent_argmax(w_flat, offsets, codebook)
+    assert got.tolist() == expected.tolist()
 
 
 # one- and two-word entropies, the extremes of the seeds _check_seed admits
@@ -1308,11 +1343,21 @@ def test_blocklength_validated(n):
 
 
 def test_mc_cap():
+    # the cap bounds one trial's codebook, |J| x n x rings cells, not the
+    # space |J| x |G|^n: Z8 with three Z8 components at n = 6 is 3,072 cells
+    # (a space of 2^27) and runs
     spec = decompose([8]).spec
-    chan = ChannelSpec(spec, np.eye(8))
+    chan = additive_noise_channel(spec, [0.7] + [0.3 / 7] * 7)
     ig = InputGroup.from_mapping(spec, {(2, 3): 3})
-    with pytest.raises(ValueError):
-        mc_channel_error(ig, 6, chan, trials=10, seed=0)
+    assert mc_channel_error(ig, 6, chan, 8, 5) == mc_oracle(ig, 6, chan, 8, 5)
+    # Z2 with 10 components at n = 1025 is 1,049,600 cells, above the cap,
+    # and n's bits refuse a long block unformed
+    z2 = decompose([2]).spec
+    wide, bsc = InputGroup(z2, (10,)), ChannelSpec(z2, [[0.9, 0.1], [0.1, 0.9]])
+    for n, cells in [(1025, "1049600"), (10**5000, "at least 2^16619")]:
+        message = f"trial codebook of {cells} cells exceeds cap 1048576"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc_channel_error(wide, n, bsc, trials=5, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -1514,6 +1559,27 @@ def test_congruence_takes_numpy_integers():
     # numpy integers pass the integer rule, and the solutions are ints
     got = solve_congruence(np.int64(2), np.int64(3), 2, np.int64(2), np.uint8(4))
     assert got == (2, 6) and all(type(x) is int for x in got)
+
+
+def test_lemma_suite_refuses_its_table_draws_before_drawing(monkeypatch):
+    # Z2 with 2,000 components: the constraint check's one table is within
+    # the cap, the pairwise law's 1024 sampled tables are not, and the suite
+    # refuses them before any table is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a table was drawn")
+
+    monkeypatch.setattr(ensemble, "_sample_table", no_draw)
+    message = "table draw of 2048000 cells exceeds cap SIZE_CAP=1048576"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lemma_suite(InputGroup(decompose([2]).spec, (2000,)), 1, samples=1)
+
+
+def test_lemma_suite_draws_no_table_for_an_exhaustive_pairwise_law():
+    # a million samples would be 2,000,000 table cells, but on Z4 at n = 2
+    # the pairwise law enumerates its tables and draws none
+    checks = lemma_suite(ig_of([4], {(2, 2): 1}), 2, samples=10**6)
+    assert all(c.passed for c in checks)
+    assert checks[2].detail == "16 pairs (exhaustive), 0 failures"
 
 
 def test_lemma_suite_refuses_uncovered_prime_before_drawing(monkeypatch):

@@ -186,9 +186,9 @@ def covering_builds(monkeypatch):
     built = []
     masks = groups._covering_masks
 
-    def counted(spec):
+    def counted(spec, *most):
         built.append(spec)
-        return masks(spec)
+        return masks(spec, *most)
 
     for module in (groups, rates):
         monkeypatch.setattr(module, "_covering_masks", counted)
@@ -1854,6 +1854,39 @@ def test_grid_size_counts_the_covering_masks_property(orders, steps):
     sizes = [m for m in _covering_masks(spec).sum(axis=1).tolist() if m <= steps]
     expected = sum(math.comb(steps - 1, m - 1) for m in sizes), len(sizes)
     assert grid_size(spec, steps) == expected
+
+
+@given(
+    st.lists(
+        st.sampled_from([2, 3, 4, 5, 8, 9, 16, 27, 32, 64, 128]),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 12),
+)
+def test_covering_masks_of_at_most_some_slots_property(orders, most):
+    # the supports of at most ``most`` slots, built from each prime's share,
+    # are the full build's rows of at most that many slots, in its order
+    spec = decompose(orders).spec
+    assume(most >= len(spec.primes))
+    full = _covering_masks(spec).tolist()
+    assert _covering_masks(spec, most).tolist() == [m for m in full if sum(m) <= most]
+
+
+def test_grid_search_builds_only_the_supports_it_visits():
+    # Z_(2^20) has 2^20 - 1 covering supports, whose masks alone take 20
+    # MiB; at two steps the oracle visits the 210 of at most two slots and
+    # builds no others
+    spec = decompose([2**20]).spec
+    terms = dict(zip(spec._thetas, make_rng(5).random(len(spec._thetas))))
+    expected = grid_search(spec, terms, "channel", steps=2)
+    tracemalloc.start()
+    try:
+        assert grid_search(spec, terms, "channel", steps=2) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- the zero rule -------------------------------------------------------------
