@@ -639,20 +639,28 @@ def _trial_draws(
     return images, dither.reshape(-1, n, len(moduli)), sent[:, 0], uniforms
 
 
-def _exponent_argmax(w_flat, offsets, codebook) -> np.ndarray:
+def _ml_decode(w_flat, offsets, codebook) -> np.ndarray:
     """The first message of greatest likelihood in each trial, W(y_i | x_i)
     read at offsets [B, n] + codebook [B, messages, n] and multiplied from
-    i = 0 up as a mantissa and a binary exponent (``np.frexp``), so that no
-    product leaves the normal range: each step rounds as the plain product
-    does wherever that is normal, and ties fall as they do there."""
-    mantissa = np.ones(codebook.shape[:2])
-    exponent = np.zeros(codebook.shape[:2], dtype=np.int64)
-    for i, row in enumerate(offsets.T):
-        mantissa, step = np.frexp(mantissa * w_flat[row[:, None] + codebook[..., i]])
-        exponent += step
-    exponent[mantissa == 0] = np.iinfo(np.int64).min  # 0 is below every product
-    top = exponent == exponent.max(axis=1, keepdims=True)
-    return np.where(top, mantissa, -1.0).argmax(axis=1)
+    i = 0 up: the rounding, and so which ties decode where, follows this
+    order.  Every ``run`` coordinates, as many as keep a product from
+    [1/2, 1) at or above 2^-1022 (but for a zero of W), a trial's products
+    are scaled by the power of two that brings its greatest to [1/2, 1).
+    The scaling is exact, so each step rounds as the plain product does
+    wherever that is normal, and a long block's likelihoods do not
+    underflow to 0; only a product more than 2^1021 below its trial's
+    greatest at a scaling keeps fewer bits."""
+    # W's least nonzero entry is at least 2^(e - 1), so from 1/2 a run of
+    # 1021 // (1 - e) factors stays at or above 2^-1022
+    e = np.frexp(w_flat[w_flat > 0].min())[1]
+    run = max(1021 // max(1 - e, 1), 1)
+    likelihood = np.ones(codebook.shape[:2])
+    for i, row in enumerate(offsets.T, 1):
+        likelihood *= w_flat[row[:, None] + codebook[..., i - 1]]
+        if i % run == 0:
+            top = likelihood.max(axis=1, keepdims=True)
+            np.ldexp(likelihood, -np.frexp(top)[1], out=likelihood)
+    return likelihood.argmax(axis=1)
 
 
 def mc_channel_error(
@@ -661,9 +669,9 @@ def mc_channel_error(
     """Empirical block-error rate of the shifted random code under exhaustive
     maximum-likelihood decoding, averaged over freshly sampled (table,
     dither, message, noise) per trial.  Ties decode to the lowest message
-    index, so the result is deterministic given the seed.  A trial whose
-    greatest likelihood falls below the normal float range, as on a long
-    block, is decoded again by ``_exponent_argmax``, which cannot underflow.
+    index, so the result is deterministic given the seed.  ``_ml_decode``
+    scales each trial's likelihoods by powers of two as it goes, so a long
+    block's do not underflow.
 
     Trial t (t < trials <= 2**32) draws from its own Philox4x64-10 stream,
     keyed by child t of ``SeedSequence(seed)``, an integer seed: the table
@@ -696,8 +704,10 @@ def mc_channel_error(
     if trials > 2**32:
         raise ValueError(f"trials must be in [1, 2**32], got {trials}")
     size = ig.size
-    # message coordinate 1 on the dither, generator row k + 1
-    messages = np.hstack([_grid(ig.spec.moduli), np.ones((size, 1), dtype=np.int64)])
+    # message coordinate 1 on the dither, generator row k + 1; the grid is a
+    # view of its digits, so it is built once
+    messages = _grid((*ig.spec.moduli, 1))
+    messages[:, -1] = 1
     order = ig.group.order
     w_flat = chan.matrix.T.ravel()  # W(y | x) at y * |G| + x
     cdf = chan.matrix.cumsum(axis=1)
@@ -723,18 +733,7 @@ def mc_channel_error(
         injective = moved.all(axis=1)
         x = codebook[np.arange(len(sent)), sent]  # [B, n]
         y = (cdf[x] <= u[..., None]).sum(axis=-1)
-        # each codeword's likelihood, W(y_i | x_i) multiplied from i = 0 up: the
-        # rounding, and so which ties decode where, follows this order
-        likelihood = np.ones(codebook.shape[:2])
-        for i, row in enumerate((y * order).T):
-            likelihood *= w_flat[row[:, None] + codebook[..., i]]
-        decoded = likelihood.argmax(axis=1)
-        # a best product below the normal range (a long block) may have lost
-        # bits, or all of them: such a trial is decoded again, exactly
-        low = likelihood[np.arange(len(sent)), decoded] < np.finfo(np.float64).tiny
-        if low.any():
-            decoded[low] = _exponent_argmax(w_flat, y[low] * order, codebook[low])
-        wrong = decoded != sent
+        wrong = _ml_decode(w_flat, y * order, codebook) != sent
         errors += int(wrong.sum())
         injective_trials += int(injective.sum())
         injective_errors += int(wrong[injective].sum())

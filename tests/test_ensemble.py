@@ -1009,8 +1009,10 @@ def mc_oracle(ig: InputGroup, n: int, chan: ChannelSpec, trials: int, seed: int)
 @st.composite
 def mc_case(draw):
     """A configuration within the simulation cap, with a random, identity or
-    uniform channel (the last two make likelihood ties); the codebook of one
-    trial stays small, so that the trial-at-a-time oracle is fast."""
+    uniform channel (the last two make likelihood ties): the codebook of one
+    trial stays small, so that the trial-at-a-time oracle is fast, or the
+    configuration is one that the former cap |J|·|G|^n <= SIZE_CAP admitted,
+    which reaches wide J and blocks of a few trials."""
     orders = draw(st.sampled_from([[2], [3], [4], [8], [9], [2, 2], [4, 3]]))
     spec = decompose(orders).spec
     slots = len(spec.weight_slots)
@@ -1019,7 +1021,10 @@ def mc_case(draw):
     )
     ig = InputGroup(spec, tuple(counts))
     n = draw(st.integers(1, 8))
-    assume(ig.size * n * len(spec.moduli) <= 2**12)
+    assume(
+        ig.size * n * len(spec.moduli) <= 2**12
+        or ig.size * spec.order**n <= ensemble.SIZE_CAP
+    )
     kind = draw(st.sampled_from(["random", "identity", "uniform"]))
     ny = spec.order if kind == "identity" else draw(st.integers(1, 5))
     if kind == "identity":
@@ -1063,26 +1068,29 @@ def test_mc_decodes_a_block_whose_likelihoods_underflow():
     assert rep.errors == 0 and rep.injective_trials == 50
 
 
-@pytest.mark.parametrize("n", [5, 3000])
-def test_exponent_argmax_matches_the_product(n):
+@pytest.mark.parametrize("n,least", [(5, 1.0), (3000, 1.0), (5, 1e-250)])
+def test_ml_decode_matches_the_product(n, least):
     # at n = 5 every product is normal, and the first greatest one is the
     # plain product's argmax, ties (equal and zero entries) included; at
-    # n = 3000 the products underflow, and it is the sum of logs' argmax
+    # n = 3000, scaled every 145 coordinates, and with entries near
+    # 1e-250, scaled every coordinate, the products underflow, and it is the
+    # sum of logs' argmax
     rng = make_rng(n)
-    if n == 5:
+    if least == 1.0 and n == 5:
         w = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0.25, 0.75], [0.2, 0.3, 0.5]])
     else:
         w = rng.dirichlet(np.ones(3), size=4)
+        w[:, 0] *= least
     w_flat, order = w.T.ravel(), len(w)
     offsets = rng.integers(0, 3, (40, n)) * order
     codebook = rng.integers(0, order, (40, 16, n))
     terms = w_flat[offsets[:, None, :] + codebook]  # [trials, messages, n]
-    if n == 5:
+    if least == 1.0 and n == 5:
         expected = terms.prod(axis=-1).argmax(axis=1)
     else:
-        assert (terms.prod(axis=-1) == 0).all()
+        assert (terms.prod(axis=-1) == 0).any()
         expected = np.log(terms).sum(axis=-1).argmax(axis=1)
-    got = ensemble._exponent_argmax(w_flat, offsets, codebook)
+    got = ensemble._ml_decode(w_flat, offsets, codebook)
     assert got.tolist() == expected.tolist()
 
 
