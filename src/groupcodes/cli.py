@@ -37,6 +37,7 @@ from .problems import (
 from .rates import (
     SolverError,
     WeightVector,
+    _over_covering_cap,
     channel_coding_rate,
     channel_rate_prime_power,
     channel_terms,
@@ -178,6 +179,7 @@ def _cmd_rate(args, sense: str) -> int:
     if args.grid_check:
         # the oracle first, so that its step rule refuses before the rate call
         points, supports = grid_size(data.group, args.grid_check)
+        points = _over_covering_cap(points) or points
         print(f"grid oracle: {points} points on {supports} supports", file=sys.stderr)
         grid_value, _ = grid_search(
             data.group, terms_of(data), sense, steps=args.grid_check

@@ -22,8 +22,9 @@ of each, and layers sized by the table and the slots, with one row per table
 row in every array indexed by selector.  A call computes only the terms, what
 is solved from them and the faces it searches that the plan does not hold,
 dropped on return: the prefixes of its unpinned slots, or every covering
-support for optimize_weights on terms that are not monotone; the grid oracle
-takes only Theta(S), of the supports holding a grid point.  The vertex bounds
+support for optimize_weights on terms not monotone up to rounding; the grid
+oracle takes only Theta(S), of the supports holding a grid point.  Both are
+refused past COVERING_CAP cells or points.  The vertex bounds
 take one float array the size of top, built in place.  At float weights omega
 is n.w / d.w with n = m(theta) log2 q and d = s log2 q
 (GroupSpec._omega_coefficients), summed in slot order: the LP's own
@@ -37,7 +38,8 @@ INFO_ZERO_TOL is exactly 0.0, made so where information is made and again
 where a caller's terms enter (_SupportProblems), so the solver compares
 against zero exactly.  A zero term's ratio is 0, 0/0 included; a zero
 channel term pins its support to 0 and a source support with no positive
-term is 0, for every weight choice.
+term is 0, for every weight choice; a break of the terms' order in theta at
+or below it is none (_SupportProblems.monotone).
 Theta(S) is the set of selectors theta whose least inducing depths m(theta)
 on S induce them back.
 Inside a call a selector is a row of the table and the terms are an array
@@ -74,6 +76,10 @@ TIE_TOL = 1e-12
 # Grid points the oracle evaluates in one array computation, which bounds its
 # memory for any step count.
 GRID_BLOCK = 256
+# The most covering-face cells (supports x selectors) optimize_weights builds,
+# 64 MiB of top at the cap, and grid points grid_search evaluates, about 1 us
+# each: a larger search is refused before anything is built or evaluated.
+COVERING_CAP = 1 << 23
 
 
 class SolverError(RuntimeError):
@@ -258,11 +264,14 @@ class _SupportProblems:
         return self.n[rows][:, cols], self.d[cols], self.c[rows], self.excluded[rows]
 
     def monotone(self) -> bool:
-        """Whether prefixes() holds the winner (see optimize_weights): the
-        terms are monotone in the order read off the table in the call,
-        theta <= theta' giving sign * c_theta >= sign * c_theta'."""
+        """Whether the search takes prefixes(), as a rate call does (see
+        optimize_weights): the terms are monotone in the order read off the
+        table in the call, theta <= theta' giving sign * c_theta >= sign *
+        c_theta', but for breaks at or below INFO_ZERO_TOL, the zero rule's
+        rounding residue."""
         table, c = self.spec._selector_layer[0], self.sign * self.c
-        return not ((table[:, None] <= table).all(-1) & (c[:, None] < c)).any()
+        above = c - c[:, None] > INFO_ZERO_TOL
+        return not ((table[:, None] <= table).all(-1) & above).any()
 
     def prefixes(self) -> tuple[np.ndarray, ...]:
         """The supports that hold the winner where the terms are monotone (see
@@ -473,7 +482,9 @@ def optimize_weights(
     ``terms`` must cover every selector reachable from some support pattern,
     with finite nonnegative values.  The best-first search (_search) runs
     over _SupportProblems.prefixes where monotone() finds the terms monotone
-    in theta, as a rate call's are (_rate), else over every covering support.
+    in theta up to INFO_ZERO_TOL, as a rate call's are (_rate), else over
+    every covering support, refused before any is built past COVERING_CAP
+    cells of supports x selectors.
 
     Signed, sign * value, larger is better in both senses.  Let S be a
     subset of S', w* S's optimum, also a point of the face of S', and
@@ -497,13 +508,36 @@ def optimize_weights(
     So the prefixes that give every prime a slot hold the winner, and the
     call builds no covering support.
 
+    Terms that break the order by at most INFO_ZERO_TOL, as a rate call's
+    do by rounding, take the prefixes with a rate call's guarantee: raising
+    each sign * c_theta to the largest sign * c_theta' above it moves none
+    by more than INFO_ZERO_TOL, nor to or from 0, so the prefixes hold the
+    winner of those monotone terms, and the search reports the best prefix
+    on the terms as given, on a rate call's own terms the rate call's result.
+
     Source terms in sixths on Z4+Z2 are not monotone, and show why the
     others take every covering support: the optimum, 1/6, is on {(2,2)},
     which is no prefix, while the best prefix, {(2,1),(2,2)}, is at 5/3."""
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     if problems.monotone():
         return _search(problems, *problems.prefixes())
+    cells = grid_size(spec, len(spec.weight_slots))[1] * len(spec._thetas)
+    if over := _over_covering_cap(cells):
+        raise ValueError(
+            f"terms not monotone in theta: their covering search of {over} "
+            f"cells (supports x selectors) exceeds cap {COVERING_CAP}"
+        )
     return _search(problems, *spec._faces(_covering_masks(spec)))
+
+
+def _over_covering_cap(count: int) -> str | None:
+    """None for a count within COVERING_CAP, else the count as a refusal
+    names it: in full up to 64 bits, past them "at least 2^D", D = its bit
+    length - 1, as the ensemble names a size too long to form."""
+    if count <= COVERING_CAP:
+        return None
+    bits = count.bit_length()
+    return str(count) if bits <= 64 else f"at least 2^{bits - 1}"
 
 
 def _search(
@@ -693,7 +727,8 @@ def grid_size(spec: GroupSpec, steps: int) -> tuple[int, int]:
     points positive exactly on it, and the supports of m slots number the
     x^m coefficient of the product over primes q of (1 + x)^r_q - 1.
     ``steps`` is an integer at least the group's number of primes, as every
-    support holds one slot per prime."""
+    support holds one slot per prime.  At ``steps`` = the slot count the
+    supports are every covering support, which optimize_weights counts."""
     _check_count("steps", steps)
     if steps < len(spec.primes):
         raise ValueError(
@@ -721,8 +756,10 @@ def grid_search(
     the best value.  Direct, with no linear program; used to cross-check the
     solver.  Each covering support of at most ``steps`` slots takes the grid
     points positive exactly on it, evaluated GRID_BLOCK points at a time (a
-    larger one holds none); ``grid_size`` counts them and checks ``steps``."""
-    grid_size(spec, steps)
+    larger one holds none); ``grid_size`` counts them and checks ``steps``,
+    and a grid of more than COVERING_CAP points is refused unevaluated."""
+    if over := _over_covering_cap(grid_size(spec, steps)[0]):
+        raise ValueError(f"grid of {over} points exceeds cap {COVERING_CAP}")
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
     masks = _covering_masks(spec, steps)

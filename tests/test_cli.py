@@ -362,6 +362,28 @@ def test_grid_check_states_its_size(capsys, tmp_path):
         assert grid_size(spec, steps) == (points, 255)
 
 
+@pytest.mark.parametrize(
+    "steps, points",
+    [("200", "1760806558963166"), ("1" + "0" * 500, "at least 2^14930")],
+    ids=["past-cap", "too-long-to-print"],
+)
+def test_grid_check_refused_past_its_cap(capsys, tmp_path, monkeypatch, steps, points):
+    # Z1024's 1023 supports at 200 steps hold more grid points than the
+    # oracle's cap, named in full; at 10^500 steps the count is too long to
+    # print and is named by its bit length.  Exit 2 before the rate call
+    doc = {"kind": "channel", "group": [1024], "output_size": 2,
+           "matrix": [[1, 0] if x % 2 else [0, 1] for x in range(1024)]}
+    path = tmp_path / "z1024.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "channel_coding_rate", _no_rate_call)
+    code, out, err = run_cli(capsys, ["capacity", str(path), "--grid-check", steps])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"grid oracle: {points} points on 1023 supports",
+        f"error: grid of {points} points exceeds cap 8388608",
+    ]
+
+
 def test_capacity_grid_check_needs_a_step_per_prime(capsys, tmp_path, monkeypatch):
     # every support of Z4+Z3 holds a slot of each of its two primes, so one
     # grid step is an invalid argument (exit 2), not a solver error

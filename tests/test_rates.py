@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -44,6 +44,7 @@ from groupcodes.groups import (
     _theta_members,
 )
 from groupcodes.rates import (
+    COVERING_CAP,
     INFO_ZERO_TOL,
     TIE_TOL,
     SolverError,
@@ -895,6 +896,39 @@ def test_grid_search_rejects_non_integer_steps(steps):
     )
 
 
+def test_grid_search_refused_past_its_cap(monkeypatch, covering_builds):
+    # Z8 at 10 steps has 66 points: a cap of 66 admits them, one of 65 not
+    z8 = decompose([8]).spec
+    terms = channel_terms(random_channel(z8, 3, make_rng(8)))
+    expected = grid_search(z8, terms, "channel", steps=10)
+    monkeypatch.setattr(rates, "COVERING_CAP", 66)
+    assert grid_search(z8, terms, "channel", steps=10) == expected
+    monkeypatch.setattr(rates, "COVERING_CAP", 65)
+    with pytest.raises(ValueError, match="^grid of 66 points exceeds cap 65$"):
+        grid_search(z8, terms, "channel", steps=10)
+    # Z1024 at 200 steps has 1,760,806,558,963,166 points, named in full; at
+    # 10^500 steps the count has 4,495 digits, past 64 bits, and is named by
+    # its bit length.  Both are refused before any mask or point
+    monkeypatch.setattr(rates, "COVERING_CAP", COVERING_CAP)
+    monkeypatch.setattr(rates, "_evaluate", None)
+    spec = decompose([1024]).spec
+    terms = channel_terms(random_channel(spec, 3, make_rng(10)))
+    assert grid_size(spec, 10**500)[0].bit_length() - 1 == 14930
+    for steps, points in ((200, "1760806558963166"), (10**500, "at least 2^14930")):
+        message = f"grid of {points} points exceeds cap {COVERING_CAP}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_search(spec, terms, "channel", steps=steps)
+    assert covering_builds == [z8] * 2
+
+
+def test_over_covering_cap_names_a_count_in_full_up_to_64_bits():
+    assert rates._over_covering_cap(COVERING_CAP) is None
+    assert rates._over_covering_cap(COVERING_CAP + 1) == str(COVERING_CAP + 1)
+    assert rates._over_covering_cap(2**64 - 1) == "18446744073709551615"
+    assert rates._over_covering_cap(2**64) == "at least 2^64"
+    assert rates._over_covering_cap(3 * 2**64) == "at least 2^65"
+
+
 def test_grid_search_names_the_least_step_count():
     # every support holds one slot per prime, so Z4+Z3 needs two steps
     spec = decompose([4, 3]).spec
@@ -1475,7 +1509,7 @@ def test_prefix_search_matches_covering_search_and_scan_property(case):
             assert getattr(got, field) == getattr(expected, field), field
 
 
-def test_sixths_source_terms_take_the_best_first_search():
+def test_sixths_source_terms_take_the_best_first_search(covering_builds):
     # on Z32, {(2,1),(2,2),(2,3)} is +inf, between {(2,1),(2,2)} and the
     # full support, both at 5/3: the terms are not monotone, and the call
     # searches every covering support
@@ -1495,6 +1529,45 @@ def test_sixths_source_terms_take_the_best_first_search():
     assert optimize_weights(spec, terms, "source") == expected
     prefixes = _search(problems, *spec._prefix_layer)
     assert prefixes.support == ((2, 1), (2, 2)) and prefixes.value == 5 / 3
+    assert covering_builds == [decompose([32]).spec, spec]
+
+
+def test_covering_search_refused_past_its_cap(monkeypatch, covering_builds):
+    # the Z32 sixths terms take 31 covering supports x 6 selectors = 186
+    # cells: a cap of 186 admits them, one of 185 refuses before any mask
+    sixths, terms = sixths_case()
+    expected = optimize_weights(sixths, terms, "source")
+    monkeypatch.setattr(rates, "COVERING_CAP", 186)
+    assert optimize_weights(sixths, terms, "source") == expected
+    monkeypatch.setattr(rates, "COVERING_CAP", 185)
+    with pytest.raises(ValueError, match="covering search of 186 cells"):
+        optimize_weights(sixths, terms, "source")
+    assert covering_builds == [sixths] * 2
+    # random terms on Z_(2^20), not monotone: 2^20 - 1 supports x 21
+    # selectors = 22,020,075 cells, past the stated cap
+    monkeypatch.setattr(rates, "COVERING_CAP", COVERING_CAP)
+    spec = decompose([2**20]).spec
+    terms = dict(zip(spec._thetas, make_rng(20).random(len(spec._thetas))))
+    assert not _SupportProblems.from_mapping(spec, terms, "channel").monotone()
+    message = (
+        "terms not monotone in theta: their covering search of 22020075 cells "
+        f"(supports x selectors) exceeds cap {COVERING_CAP}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        optimize_weights(spec, terms, "channel")
+    assert covering_builds == [sixths] * 2
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=search_case())
+def test_rate_call_terms_take_the_prefixes_property(covering_builds, case):
+    # a rate call's terms are monotone up to rounding, below INFO_ZERO_TOL,
+    # so optimize_weights searches their prefixes, as the rate call does:
+    # the same result, and no covering support built
+    spec, terms, sense, _, data = case
+    rate = channel_coding_rate if sense == "channel" else source_coding_rate
+    assert repr(optimize_weights(spec, terms, sense)) == repr(rate(data))
+    assert covering_builds == []
 
 
 def pinned_slots(spec, terms):
@@ -1563,7 +1636,8 @@ def test_rate_call_builds_no_covering_layer(monkeypatch, covering_builds):
     # inputs report what the covering search reports: the Z4+Z2+Z3 coset
     # channel with slot (2,2) pinned, and on Z_(2^16) the channel whose
     # output is X mod 8, with every slot pinned, and the source whose X is
-    # U mod 8 with 10% noise, whose terms break the order by rounding
+    # U mod 8 with 10% noise, whose terms break the order by rounding, below
+    # INFO_ZERO_TOL: optimize_weights takes their prefixes too
     calls = []
 
     def counted(*args):
@@ -1605,16 +1679,19 @@ def test_rate_call_builds_no_covering_layer(monkeypatch, covering_builds):
         assert covering_builds == []
         problems = _SupportProblems.from_mapping(spec, terms, sense)
         assert repr(result) == repr(_search(problems, *covering_faces(spec)))
-        assert problems.monotone() == (sense == "channel")
+        assert problems.monotone()
+        assert repr(optimize_weights(spec, terms, sense)) == repr(result)
+        assert covering_builds == []
 
 
 def monotone_by_pairs(problems) -> bool:
-    """Whether the terms of problems are monotone in theta, one pair of
-    table selectors at a time: theta <= theta' by ThetaVector.dominates
-    gives sign * c_theta >= sign * c_theta'."""
+    """Whether the terms of problems are monotone in theta up to
+    INFO_ZERO_TOL, one pair of table selectors at a time: theta <= theta' by
+    ThetaVector.dominates gives sign * c_theta' - sign * c_theta at most
+    INFO_ZERO_TOL."""
     sign, c = problems.sign, dict(zip(problems.spec._thetas, problems.c.tolist()))
     return all(
-        sign * c[lo] >= sign * c[hi]
+        sign * c[hi] - sign * c[lo] <= INFO_ZERO_TOL
         for lo, hi in itertools.product(c, repeat=2)
         if hi.dominates(lo)
     )
@@ -1624,7 +1701,8 @@ def monotone_by_pairs(problems) -> bool:
 def order_case(draw):
     """A search case's terms, or small integer terms over a random group in
     either sense, sorted half the time along the table's grid order, which
-    extends theta <= theta', so that both answers of monotone() occur."""
+    extends theta <= theta', so that both answers of monotone() occur, with
+    one term then moved by half or twice INFO_ZERO_TOL (none below 0)."""
     if draw(st.booleans()):
         spec, terms, sense, *_ = draw(search_case())
         return spec, terms, sense
@@ -1632,9 +1710,13 @@ def order_case(draw):
     sense = draw(st.sampled_from(["channel", "source"]))
     size = len(spec._thetas)
     values = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    values = list(map(float, values))
     if draw(st.booleans()):
         values.sort(reverse=sense == "channel")
-    return spec, dict(zip(spec._thetas, map(float, values))), sense
+    i = draw(st.integers(0, size - 1))
+    step = draw(st.sampled_from([-2, -0.5, 0, 0.5, 2])) * INFO_ZERO_TOL
+    values[i] = max(values[i] + step, 0.0)
+    return spec, dict(zip(spec._thetas, values)), sense
 
 
 @example((*sixths_case(), "source"))
@@ -1649,8 +1731,8 @@ def order_case(draw):
 def test_monotone_matches_pairwise_dominance_property(case):
     # monotone() reads the order off the table in the call; the pairwise
     # check compares every two selectors by ThetaVector.dominates.  The
-    # sixths terms and the Z_(2^16) coset source, whose terms break the
-    # order by rounding, are not monotone
+    # sixths terms are not monotone; the Z_(2^16) coset source, whose terms
+    # break the order by rounding, below INFO_ZERO_TOL, is
     problems = _SupportProblems.from_mapping(*case)
     assert problems.monotone() == monotone_by_pairs(problems)
 
