@@ -577,18 +577,17 @@ def _mulhi(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray) -> np.ndarray:
     return high
 
 
-def _philox(keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
-    """Philox4x64-10 output words [B, 4 * blocks] for keys [B, 2] at
-    counters first, ..., first + blocks - 1: Philox(key=key) starts at
-    counter 1, so counter c holds its words 4(c - 1) to 4c - 1.  Lanes 0
-    and 2, and lanes 1 and 3, are stacked [2, blocks, B], so one product
+def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 4 * blocks Philox4x64-10 output words [B, 4 * blocks] of
+    ``Philox(key=key)`` for keys [B, 2], at counters 1, ..., blocks.  Lanes
+    0 and 2, and lanes 1 and 3, are stacked [2, blocks, B], so one product
     serves both multipliers; ``_mulhi`` splits words by mask and shift."""
     # the multipliers and key bumps of lanes 0 and 2, [2, 1, 1]
     mult = np.array(_PHILOX_MULT, _U64)[:, None, None]
     bump = np.array(_PHILOX_BUMP, _U64)[:, None, None]
     halves = mult & _LOW32, mult >> _U64(32)
     even = np.zeros((2, blocks, len(keys)), dtype=_U64)
-    even[0] = np.arange(first, first + blocks, dtype=np.int64)[:, None]
+    even[0] = np.arange(1, blocks + 1, dtype=np.int64)[:, None]
     odd = np.zeros((2, 1, 1), dtype=_U64)
     key = keys.T[:, None, :]
     for r in range(_PHILOX_ROUNDS):
@@ -600,43 +599,36 @@ def _philox(keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
 
 
 def _trial_draws(
-    ig: InputGroup, n: int, keys: np.ndarray, messages: int
+    ig: InputGroup, n: int, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What each key's ``Generator(Philox(key=key))`` draws by
-    ``_sample_table``, ``integers(0, messages)`` and ``random(n)``: images
+    ``_sample_table``, ``integers(0, ig.size)`` and ``random(n)``: images
     [B, k, n, c], dither [B, n, c], message index [B], uniforms [B, n].
 
     Draw i is Lemire's (u * span) >> 32 on 32-bit half i of the stream (the
     mask, then the shift of a word), and the uniforms (w >> 11) * 2**-53 take
     the full words w after the last, unless a draw is rejected, (u * span)
-    mod 2**32 < 2**32 mod span: such a stream is replayed one draw at a
-    time, on as many more words as its rejections reach."""
+    mod 2**32 < 2**32 mod span: such a stream is drawn again by its own
+    generator."""
     moduli = ig.group.moduli
     # a stream's spans: the table cells that _tables draws, the dither, the message
     bounds = np.repeat((moduli // ig._allowed_step)[:, None], n, axis=1)
     bounds = bounds[bounds > 1]
-    spans = np.concatenate([bounds, np.tile(moduli, n), [messages]]).astype(_U64)
+    spans = np.concatenate([bounds, np.tile(moduli, n), [ig.size]]).astype(_U64)
     head = -(-len(spans) // 2)
-    words = _philox(keys, 1, -(-(head + n) // 4))
+    words = _philox(keys, -(-(head + n) // 4))
     halves = np.stack([words & _LOW32, words >> _U64(32)], -1).reshape(len(keys), -1)
     product = halves[:, : len(spans)] * spans
     draws = (product >> _U64(32)).astype(np.int64)
-    uniform_words = words[:, head : head + n]
-    for b in np.flatnonzero(((product & _LOW32) < _U64(2**32) % spans).any(axis=1)):
-        row, at, i = words[b].tolist(), 0, 0
-        while i < len(spans):  # draw i on half at, or on the next if rejected
-            while len(row) <= at // 2 + n:
-                row += _philox(keys[b : b + 1], len(row) // 4 + 1, 1)[0].tolist()
-            span = int(spans[i])
-            wide = (row[at // 2] >> 32 * (at % 2) & 0xFFFFFFFF) * span
-            at += 1
-            if wide % 2**32 >= 2**32 % span:
-                draws[b, i], i = wide >> 32, i + 1
-        uniform_words[b] = row[-(-at // 2) :][:n]
     digits, dither, sent = np.split(draws, [len(bounds), -1], axis=1)
-    images = _checked(ig, _tables(ig, n, lambda _: digits))
-    uniforms = (uniform_words >> _U64(11)).astype(np.float64) * 2.0**-53
-    return images, dither.reshape(-1, n, len(moduli)), sent[:, 0], uniforms
+    images = _tables(ig, n, lambda _: digits)
+    dither, sent = dither.reshape(-1, n, len(moduli)), sent[:, 0]
+    uniforms = (words[:, head : head + n] >> _U64(11)).astype(np.float64) * 2.0**-53
+    for b in np.flatnonzero(((product & _LOW32) < _U64(2**32) % spans).any(axis=1)):
+        rng = np.random.Generator(np.random.Philox(key=keys[b]))
+        images[b], dither[b] = _sample_table(ig, n, rng)
+        sent[b], uniforms[b] = rng.integers(0, ig.size), rng.random(n)
+    return _checked(ig, images), dither, sent, uniforms
 
 
 def _ml_decode(w_flat, offsets, codebook) -> np.ndarray:
@@ -680,17 +672,16 @@ def mc_channel_error(
     coordinate from the next full words; the output is the first y whose
     cumulative W(. | x) exceeds u, which is how ``Generator.choice`` draws.
     The draws of a block of trials are read by position from their words,
-    only a stream with a rejected draw being replayed; encoding, the
-    injectivity test and decoding run over a block of SIZE_CAP // (messages
-    x n x rings) trials, one trial's codebook being refused above SIZE_CAP
-    cells; the message grid [messages, k + 1] has at most 21 * SIZE_CAP.
-    The dither is one more generator row, with message coordinate 1, so a
-    block's codebook is one product and one reduction mod p^r.  A trial's
-    code is injective exactly when no message a != 0 has message 0's
-    codeword: phi(a) + D = phi(b) + D holds exactly when phi(a - b) = 0.
-    The report is bit for bit that of one ``Generator(Philox(child))`` per
-    trial, drawn one trial at a time; it depends only on the SeedSequence
-    and Philox algorithms, not on ``Generator``'s methods."""
+    and only a stream with a rejected draw is drawn again by its own
+    generator; encoding, the injectivity test and decoding run over a block
+    of SIZE_CAP // (messages x n x rings) trials, one trial's codebook being
+    refused above SIZE_CAP cells; the message grid [messages, k + 1] has at
+    most 21 * SIZE_CAP.  The dither is one more generator row, with message
+    coordinate 1, so a block's codebook is one product and one reduction
+    mod p^r.  A trial's code is injective exactly when no message a != 0 has
+    message 0's codeword: phi(a) + D = phi(b) + D holds exactly when
+    phi(a - b) = 0.  The report is bit for bit that of one
+    ``Generator(Philox(child))`` per trial, drawn one trial at a time."""
     _check_count("blocklength", n)
     _check_seed("seed", seed)
     _check_kind(chan, ChannelSpec)
@@ -718,7 +709,7 @@ def mc_channel_error(
     errors = injective_trials = injective_errors = 0
     for start in range(0, trials, block):
         keys = _child_keys(seq, start, min(block, trials - start))
-        images, dither, sent, u = _trial_draws(ig, n, keys, size)
+        images, dither, sent, u = _trial_draws(ig, n, keys)
         rows = np.concatenate([images, dither[:, None]], axis=1)
         # each element's index over its rings by Horner steps (an integer
         # matmul with so small a core runs numpy's inner loop once per batch row)

@@ -112,13 +112,14 @@ def mutual_information(joint) -> float:
     return float(_zero_residues(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """A discrete memoryless channel with input alphabet a finite Abelian group.
 
     ``matrix[x][y]`` is W(y|x); rows follow the canonical element order of the
     group (lexicographic residue vectors).  The rate functionals evaluate the
-    channel with the uniform input distribution.
+    channel with the uniform input distribution.  Specs compare and hash by
+    identity, as an array has no truth value.
     """
 
     group: GroupSpec
@@ -146,7 +147,7 @@ class ChannelSpec:
         return self.matrix / self.group.order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceJoint:
     """A joint pmf p[x][u] with reconstruction alphabet a finite Abelian group.
 
@@ -154,7 +155,7 @@ class SourceJoint:
     marginal must be uniform (the rate functionals are defined only for
     uniform reconstructions); a non-uniform marginal is rejected rather than
     renormalized.  Optional distortion data: d[x][u] >= 0 and a target D with
-    E[d] <= D.
+    E[d] <= D.  Joints compare and hash by identity, as ``ChannelSpec`` does.
     """
 
     group: GroupSpec

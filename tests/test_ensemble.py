@@ -1122,73 +1122,44 @@ def test_mulhi_is_the_high_word_of_the_product(drawn):
 def test_philox_words_match_random_raw(m):
     # 1, 2, 3 and 5 blocks of the stacked lanes
     keys = ensemble._child_keys(np.random.SeedSequence(5), 0, 3)
-    raw = np.array([np.random.Philox(key=key).random_raw(m + 8) for key in keys])
-    blocks = -(-m // 4)
-    np.testing.assert_array_equal(ensemble._philox(keys, 1, blocks)[:, :m], raw[:, :m])
-    # counter 3 holds words 8 to 11
-    np.testing.assert_array_equal(ensemble._philox(keys, 3, blocks)[:, :m], raw[:, 8:])
+    raw = np.array([np.random.Philox(key=key).random_raw(m) for key in keys])
+    np.testing.assert_array_equal(ensemble._philox(keys, -(-m // 4))[:, :m], raw)
+
+
+def counted_philox(monkeypatch) -> list[tuple[int, int]]:
+    """``ensemble._philox`` recording (keys, blocks) of each call."""
+    calls = []
+    philox = ensemble._philox
+
+    def counted(keys, blocks):
+        calls.append((len(keys), blocks))
+        return philox(keys, blocks)
+
+    monkeypatch.setattr(ensemble, "_philox", counted)
+    return calls
 
 
 def test_mc_one_philox_call_per_block(monkeypatch):
-    # power-of-two bounds reject no draw, so each block of trials computes its
-    # streams' words in one call: blocks of 102, 102 and 46 trials
-    calls = []
-    philox = ensemble._philox
-
-    def counted(keys, first, blocks):
-        calls.append((len(keys), first))
-        return philox(keys, first, blocks)
-
-    monkeypatch.setattr(ensemble, "_philox", counted)
+    # each block of trials computes its streams' words in one call: blocks of
+    # 102, 102 and 46 trials, of 17 Philox blocks (100 table cells, 10 dither
+    # cells and the message: 56 halves, then 10 uniforms)
+    calls = counted_philox(monkeypatch)
     spec = decompose([2]).spec
     chan = ChannelSpec(spec, [[0.9, 0.1], [0.1, 0.9]])
     mc_channel_error(InputGroup(spec, (10,)), 10, chan, 250, seed=13)
-    assert calls == [(102, 1), (102, 1), (46, 1)]
+    assert calls == [(102, 17), (102, 17), (46, 17)]
 
 
-def assert_draws_match_generator(ig: InputGroup, n: int, keys, messages: int):
+def assert_draws_match_generator(ig: InputGroup, n: int, keys):
     """``_trial_draws`` against each key's own generator: ``_sample_table``,
-    then ``integers(0, messages)``, then ``random(n)``."""
-    got = ensemble._trial_draws(ig, n, keys, messages)
+    then ``integers(0, ig.size)``, then ``random(n)``."""
+    got = ensemble._trial_draws(ig, n, keys)
     for b, key in enumerate(keys):
         rng = np.random.Generator(np.random.Philox(key=key))
         images, dither = ensemble._sample_table(ig, n, rng)
-        expected = images, dither, rng.integers(0, messages), rng.random(n)
+        expected = images, dither, rng.integers(0, ig.size), rng.random(n)
         for part, want in zip(got, expected):
             assert part[b].tolist() == np.asarray(want).tolist()
-
-
-@pytest.mark.parametrize(
-    "orders,counts,n,messages",
-    [
-        # 13 halves: the uniforms start past a kept high half
-        ([4, 3], {(2, 1): 1, (3, 1): 1}, 3, 5),
-        ([4, 3], {(2, 1): 1, (2, 2): 1, (3, 1): 1}, 1, 2**32),  # 6 halves
-        # about half, then a quarter, of the message draws are rejected
-        ([8], {(2, 3): 1}, 2, 2**31 + 1),
-        ([5, 2], {(5, 1): 2, (2, 1): 1}, 2, 3 * 2**30 + 5),
-    ],
-)
-def test_trial_draws_match_generator(orders, counts, n, messages):
-    keys = ensemble._child_keys(np.random.SeedSequence(11), 0, 60)
-    assert_draws_match_generator(ig_of(orders, counts), n, keys, messages)
-
-
-def test_trial_draws_replay_rejected_streams(monkeypatch):
-    # near 2**31 about half the message draws are rejected; a replayed stream
-    # computes more words alone, one call per Philox block past those the
-    # block computed up front, and every stream matches its generator
-    calls = []
-    philox = ensemble._philox
-
-    def counted(keys, first, blocks):
-        calls.append((len(keys), first))
-        return philox(keys, first, blocks)
-
-    monkeypatch.setattr(ensemble, "_philox", counted)
-    keys = ensemble._child_keys(np.random.SeedSequence(3), 0, 40)
-    assert_draws_match_generator(ig_of([2], {(2, 1): 1}), 1, keys, 2**31 + 1)
-    assert calls[0] == (40, 1) and (1, 2) in calls[1:]
 
 
 def lemire_reference(halves, spans):
@@ -1206,28 +1177,82 @@ def lemire_reference(halves, spans):
     return draws, at
 
 
+def rejects(key, spans) -> bool:
+    """Whether the stream of ``Philox(key=key)`` rejects a draw on ``spans``."""
+    words = np.random.Philox(key=key).random_raw(len(spans)).tolist()
+    halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+    return lemire_reference(halves, spans)[1] > len(spans)
+
+
+@pytest.mark.parametrize(
+    "orders,counts,n",
+    [
+        # 13 halves: the uniforms start past a kept high half
+        ([4, 3], {(2, 1): 1, (3, 1): 1}, 3),
+        ([4, 3], {(2, 1): 1, (2, 2): 1, (3, 1): 1}, 1),  # 6 halves
+        # about a fifth, then two fifths, of the message draws are rejected
+        ([3], {(3, 1): 19}, 2),
+        ([5, 2], {(5, 1): 13, (2, 1): 1}, 2),
+        ([2], {(2, 1): 32}, 1),  # the message span is 2**32
+    ],
+)
+def test_trial_draws_match_generator(orders, counts, n):
+    keys = ensemble._child_keys(np.random.SeedSequence(11), 0, 60)
+    assert_draws_match_generator(ig_of(orders, counts), n, keys)
+
+
+def test_trial_draws_replay_rejected_streams(monkeypatch):
+    # 2**32 mod 3**19 is about 19% of 2**32, so some of 40 message draws are
+    # rejected; the block still computes its words in one call, and every
+    # stream, rejected or not, matches its generator
+    calls = counted_philox(monkeypatch)
+    keys = ensemble._child_keys(np.random.SeedSequence(3), 0, 40)
+    assert sum(rejects(key, [3] * 20 + [3**19]) for key in keys) >= 3
+    assert_draws_match_generator(ig_of([3], {(3, 1): 19}), 1, keys)
+    assert calls == [(40, 3)]
+
+
 def test_trial_draws_accept_leftover_at_threshold(monkeypatch):
-    # Z3 spans 3, 3, 3 (table cell, dither, message): half 0 leaves 0 < 1 =
-    # 2**32 mod 3 and is rejected, so the stream is replayed; half 1 leaves
-    # 3 * 0xAAAAAAAB mod 2**32 = 1, exactly the threshold, and is draw 2
-    halves = [0, 0xAAAAAAAB, 0x80000000, 0xFFFFFFFF]
+    # Z3 spans 3, 3, 3 (table cell, dither, message): each half leaves
+    # 3 * 0xAAAAAAAB mod 2**32 = 1 = 2**32 mod 3, exactly the threshold, so
+    # no draw is rejected, no stream is drawn again, and the draws are read
+    # by position: half i is draw i and word 2 the uniform
+    halves = [0xAAAAAAAB] * 3 + [0xFFFFFFFF]
     words = [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
     words += [0x123456789ABCDEF0 + i for i in range(6)]
     row = np.array([words], dtype=np.uint64)
 
-    def crafted(keys, first, blocks):
-        return row[:, 4 * (first - 1) : 4 * (first - 1 + blocks)]
+    def crafted(keys, blocks):
+        return row[:, : 4 * blocks]
+
+    def redrawn(*args):
+        raise AssertionError("a stream was drawn again")
 
     monkeypatch.setattr(ensemble, "_philox", crafted)
+    monkeypatch.setattr(ensemble, "_sample_table", redrawn)
     ig = ig_of([3], {(3, 1): 1})
     keys = np.zeros((1, 2), dtype=np.uint64)
-    images, dither, sent, uniforms = ensemble._trial_draws(ig, 1, keys, 3)
-    split = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
-    (cell, shift, message), at = lemire_reference(split, [3, 3, 3])
-    assert (cell, at) == (2, 4)
+    images, dither, sent, uniforms = ensemble._trial_draws(ig, 1, keys)
+    (cell, shift, message), at = lemire_reference(halves, [3, 3, 3])
+    assert (cell, shift, message, at) == (2, 2, 2, 3)
     assert images.tolist() == [[[[cell]]]]
     assert dither.tolist() == [[[shift]]] and sent.tolist() == [message]
-    assert uniforms.tolist() == [[(words[-(-at // 2)] >> 11) * 2.0**-53]]
+    assert uniforms.tolist() == [[(words[2] >> 11) * 2.0**-53]]
+
+
+@pytest.mark.parametrize("seed,trials", [(16146, 1), (6697, 2)])
+def test_mc_rejected_stream_matches_oracle(seed, trials):
+    # |J| = 3**12: the last trial's stream rejects a draw, so the whole
+    # simulation runs through a stream drawn again by its generator.  At a
+    # rate of 12 trits per symbol every trial errs and none is injective,
+    # whatever is drawn, so the block's draws are checked too
+    ig = ig_of([3], {(3, 1): 12})
+    keys = ensemble._child_keys(np.random.SeedSequence(seed), 0, trials)
+    assert rejects(keys[-1], [3] * 13 + [3**12])
+    assert_draws_match_generator(ig, 1, keys)
+    chan = additive_noise_channel(ig.group, [0.8, 0.15, 0.05])
+    case = (ig, 1, chan, trials, seed)
+    assert mc_channel_error(*case) == mc_oracle(*case)
 
 
 def test_mc_seed_contract():

@@ -133,6 +133,22 @@ def test_distortion_target_is_a_number(target):
         SourceJoint(z2, half, [[0, 1], [1, 0]], target)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ChannelSpec(decompose([4]).spec, np.eye(4)),
+        lambda: SourceJoint(decompose([4]).spec, np.eye(4) / 4, 1 - np.eye(4), 0.5),
+    ],
+)
+def test_probability_objects_compare_by_identity(make):
+    # equal contents do not make two objects equal: an array field has no
+    # truth value, so equality and hashing are by identity
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    assert a not in [b] and a in [b, a]
+
+
 Z4 = decompose([4]).spec
 
 
