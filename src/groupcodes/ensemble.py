@@ -37,7 +37,6 @@ from .rates import _check_support, enumerate_theta_set
 # Exhaustive enumeration is preferred whenever the sampled space fits under
 # this cap; statistical checks are a fallback, not the default.
 EXHAUSTIVE_CAP = 1 << 16
-TABLE_CELL_CAP = 1 << 16
 SIZE_CAP = 1 << 20
 
 
@@ -180,7 +179,8 @@ class HomomorphismTable:
 def _over_cap(cap: int, doublings: int, size) -> str | None:
     """None for a size within cap, else the size as a refusal names it.  A
     size here is a product of factors that each at least double it (J's
-    components, the pairwise law's coordinates, n's bits in a simulation),
+    components, and |G| in each coordinate of the exhaustive pairwise space;
+    n's bits in a simulation),
     so it is at least 2**doublings: past twice the cap that bound refuses it
     unformed, named "at least 2^doublings"; otherwise ``size()`` forms it,
     from at most the cap's bit length of such factors, so it is short."""
@@ -429,6 +429,29 @@ def _exhaustive(ig: InputGroup, n: int) -> bool:
     return not _over_cap(EXHAUSTIVE_CAP, (ig.total + 1) * n, space)
 
 
+def _h_theta(ig: InputGroup, theta) -> tuple[list[int], list[int]]:
+    """H_theta, from the selector components ``theta``: per ring the step
+    h of H_theta = h Z_{p^r}, then its p^r // h cells."""
+    levels = ig.group._ring_level_index
+    steps = [p ** int(theta[i]) for (p, _, _), i in zip(ig.group.rings, levels)]
+    return steps, [m // h for m, h in zip(ig.group.moduli, steps)]
+
+
+def _law_draw(n: int, cells: int, samples: int) -> int:
+    """The tables a sampled pairwise law draws for tallies of ``cells``: at
+    least 36 per cell, so its threshold is at most 1/2.  Tallies of more
+    than SIZE_CAP cells, tables times coordinate pairs, are refused before
+    anything is drawn."""
+    tables = max(samples, 36 * cells)
+    pairs = math.comb(n, 2)
+    if (work := tables * pairs) > SIZE_CAP:
+        raise ValueError(
+            f"pairwise tally of {work} cells ({tables} tables x {pairs} "
+            f"coordinate pairs) exceeds cap SIZE_CAP={SIZE_CAP}"
+        )
+    return tables
+
+
 def verify_pairwise_law(
     ig: InputGroup,
     n: int,
@@ -443,12 +466,21 @@ def verify_pairwise_law(
 
     The dither D is uniform and independent of the homomorphism phi, so the
     joint law of (phi(a) + D, phi(b) + D) is Uniform(G^n) times the law of
-    w = phi(b - a): the check tallies w over the tables, and its distances
-    are those of w on the |H_theta|^n cells of H_theta^n.  Exhaustive (exact,
-    zero tolerance, over the enumeration of ``ig``'s plan) whenever the
-    (generators, dither) space fits under the cap; otherwise seeded sampling
-    of samples >= 1 tables with a total variation threshold of 3 *
-    sqrt(|H_theta|^n / samples), drawn from an integer seed in [0, 2**64).
+    w = phi(b - a): the check tallies w over the tables, and a table whose w
+    leaves H_theta^n is off-support mass.  Exhaustive (exact, zero
+    tolerance, over the enumeration of ``ig``'s plan) whenever the
+    (generators, dither) space fits under the cap: the distance is that of
+    w on the |H_theta|^n cells of H_theta^n.  Otherwise seeded sampling,
+    drawn from an integer seed in [0, 2**64).  The ensemble draws each
+    coordinate's images independently, so the coordinates of w are i.i.d.
+    and the law says each is uniform on H_theta: the sampled check tallies
+    every pair of coordinates over its |H_theta|^2 cells (the one coordinate
+    over |H_theta| at n = 1), which also catches shared or copied
+    coordinates, and never forms H_theta^n.  It draws max(samples, 36 *
+    cells) tables, so ``outcomes`` counts them, ``tv_distance`` is the
+    largest pair's total variation and ``threshold``, 3 * sqrt(cells /
+    outcomes), is at most 1/2.  Tallies of more than SIZE_CAP cells, tables
+    times C(n, 2), are refused before anything is drawn.
     """
     _check_seed("seed", seed)
     _check_count("blocklength", n)
@@ -457,34 +489,42 @@ def verify_pairwise_law(
     a = ig.element(a)
     b = ig.element(b)
     theta = pair_theta(ig, a, b)
-    # H_theta is h_step Z_{p^r} in each ring, which has p^r // h_step cells
-    levels = g_spec._ring_level_index
-    h_step = [p ** theta.components[i] for (p, _, _), i in zip(g_spec.rings, levels)]
-    radices = [m // h for m, h in zip(g_spec.moduli, h_step)]
+    h_step, radices = _h_theta(ig, theta.components)
     per_coordinate = math.prod(radices)
-    doublings = n if per_coordinate > 1 else 0
-    if over := _over_cap(TABLE_CELL_CAP, doublings, lambda: per_coordinate**n):
-        raise ValueError(f"H_theta^n has {over} cells, above cap {TABLE_CELL_CAP}")
-    cells = per_coordinate**n
     if _exhaustive(ig, n):
-        mode, threshold = "exhaustive", 0.0
+        mode, cells, threshold = "exhaustive", per_coordinate**n, 0.0
         tables = ig._enumeration(n)
     else:
-        mode, threshold = "sampled", 3.0 * math.sqrt(cells / samples)
+        mode, cells = "sampled", per_coordinate ** min(n, 2)
+        drawn = _law_draw(n, cells, samples)
+        threshold = 3.0 * math.sqrt(cells / drawn)
         rng = np.random.Generator(np.random.Philox(seed))
-        tables = _checked(ig, _sample_tables(ig, n, rng, (samples,)))
+        tables = _checked(ig, _sample_tables(ig, n, rng, (drawn,)))
     diff = np.subtract(b.residues, a.residues)
     w = _encode(diff, tables, g_spec.moduli)  # [T, n, c]
     digits, rest = np.divmod(w, h_step)
-    digits = digits[~rest.any(axis=(1, 2))].reshape(-1, n * len(h_step))
-    # mixed-radix cell index: the radices multiply to cells, within the cap
-    hits = np.bincount(digits @ (cells // np.cumprod(radices * n)), minlength=cells)
+    digits = digits[~rest.any(axis=(1, 2))]
+    if mode == "exhaustive":
+        digits = digits.reshape(-1, n * len(h_step))
+        # mixed-radix cell index: the radices multiply to cells, within the cap
+        hits = np.bincount(digits @ (cells // np.cumprod(radices * n)), minlength=cells)
+    else:
+        # each coordinate's cell, then each pair's, offset by pair in one tally
+        cell = digits @ (per_coordinate // np.cumprod(radices))  # [T', n]
+        if n > 1:
+            first, second = np.triu_indices(n, 1)
+            cell = cell[:, first] * per_coordinate + cell[:, second]
+        tallies = cell.shape[1]
+        keys = (cell + cells * np.arange(tallies)).ravel()
+        hits = np.bincount(keys, minlength=cells * tallies).reshape(tallies, cells)
     total = len(tables)
     off = total - len(digits)  # int / int is the correctly rounded float
-    # TV over the support: (1/2) sum |hits/total - 1/cells|, in integers
-    tv = Fraction(int(np.abs(hits * cells - total).sum()), 2 * total * cells)
+    # TV over the support, the largest tally's: (1/2) sum |hits/total - 1/cells|,
+    # in integers
+    gap = int(np.abs(hits * cells - total).sum(axis=-1).max())
+    tv = Fraction(gap, 2 * total * cells)
     passed = off == 0 and (tv == 0 or tv < threshold)
-    support = g_spec.order**n * cells
+    support = g_spec.order**n * per_coordinate**n
     return PairwiseLawReport(
         theta, mode, total, support, off / total, float(tv), threshold, passed
     )
@@ -750,13 +790,15 @@ def lemma_suite(
 
     The counts must give every prime of the group a component, as the
     theta-set check needs a support with a slot per prime; other counts,
-    and a table draw of more than SIZE_CAP cells, are refused before
-    anything is drawn.  Exhaustive wherever the space allows;
-    the pairwise law falls back to seeded sampling above the enumeration
-    cap.  One Philox stream, seeded by ``seed``, draws min(samples, 1000)
-    tables in one call (samples >= 1); the first 25 are checked for
-    additivity on every input pair when |J| <= 64, else on 64 fresh pairs
-    each.  The pairwise law is checked on every input pair when |J|^2 <= 64,
+    a table draw of more than SIZE_CAP cells, and a sampled pairwise law
+    whose tallies could pass SIZE_CAP cells (bounded by the largest H_theta
+    of any pair), are refused before anything is drawn.  Exhaustive wherever
+    the space allows; the pairwise law falls back to seeded sampling above
+    the enumeration cap, of max(samples, 1024) tables or more (see
+    ``verify_pairwise_law``).  One Philox stream, seeded by ``seed``, draws
+    min(samples, 1000) tables in one call (samples >= 1); the first 25 are
+    checked for additivity on every input pair when |J| <= 64, else on 64
+    fresh pairs each.  The pairwise law is checked on every input pair when |J|^2 <= 64,
     else on 16 drawn pairs, pair i with seed (seed + i) mod 2**64; in
     exhaustive mode every pair reads the one enumeration of the group's
     plan.  Pairs are residue rows throughout.  The census is checked at any
@@ -776,11 +818,15 @@ def lemma_suite(
     _check_count("samples", samples)
     _check_support(ig.group, ig.support)
     # both table draws are refused before anything is drawn: the constraint
-    # check's, and the pairwise law's, which draws only where it samples
+    # check's, and the pairwise law's, which draws only where it samples, at
+    # most as many tables as the largest H_theta of any pair needs: that of a
+    # difference whose every component is a unit
     n_tables = min(samples, 1000)
     _check_draw(ig, n, (n_tables,))
     if not _exhaustive(ig, n):
-        _check_draw(ig, n, (max(samples, 1024),))
+        _, radices = _h_theta(ig, _selectors(ig, np.ones(ig.total, dtype=np.int64)))
+        cells = math.prod(radices) ** min(n, 2)
+        _check_draw(ig, n, (_law_draw(n, cells, max(samples, 1024)),))
     rng = np.random.Generator(np.random.Philox(seed))
 
     # generator constraints on freshly sampled tables

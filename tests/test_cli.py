@@ -808,12 +808,22 @@ def test_verify_ensemble_needs_covering_counts(capsys):
     )
 
 
-def test_verify_ensemble_many_axes_reaches_cell_cap(capsys):
-    # n = 64 cell axes: the pair (0, 0) tallies one cell, the pair (0, 1)
-    # has 4^64 cells and stops at the cap
+def test_verify_ensemble_many_axes_reaches_cell_cap(capsys, monkeypatch):
+    # n = 64: the sampled pairwise law's 1024 tables at each of the 2,016
+    # coordinate pairs pass SIZE_CAP cells, refused before any table is drawn
+    from groupcodes import ensemble
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a table was drawn")
+
+    monkeypatch.setattr(ensemble, "_sample_table", no_draw)
     argv = ["verify-ensemble", "4", "--counts", "0,1", "--n", "64"]
     code, out, err = run_cli(capsys, argv)
-    assert code == 2 and out == "" and "above cap" in err
+    assert code == 2 and out == ""
+    assert err == (
+        "error: pairwise tally of 2064384 cells (1024 tables x 2016 coordinate "
+        "pairs) exceeds cap SIZE_CAP=1048576\n"
+    )
 
 
 def test_verify_ensemble_failure_exit_code(capsys, monkeypatch):

@@ -205,17 +205,25 @@ def test_simulation_cap_refuses_before_building_j():
 
 
 def test_cell_cap_refuses_a_long_blocklength():
-    with pytest.raises(ValueError, match="above cap"):
+    # the sampled law tallies 4,096 tables at each of the C(n, 2) coordinate
+    # pairs, far above SIZE_CAP cells at n = 10^6, and refuses before drawing
+    message = (
+        "pairwise tally of 2047997952000000 cells (4096 tables x 499999500000 "
+        "coordinate pairs) exceeds cap SIZE_CAP=1048576"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         verify_pairwise_law(InputGroup(decompose([4]).spec, (0, 1)), 10**6, [0], [1])
 
 
 def test_pairwise_mode_rule_counts_every_component_of_j():
-    # (tables x dither words) on Z2 with 20,000 components is 2^20001 at n = 1:
+    # (tables x dither words) on Z2 with 10,000 components is 2^10001 at n = 1:
     # every component doubles it, so it is sampled unformed, not turned into
-    # a 6,000-digit string
-    ig = InputGroup(decompose([2]).spec, (20000,))
-    report = verify_pairwise_law(ig, 1, [0] * 20000, [1] + [0] * 19999, samples=10)
-    assert report.mode == "sampled" and report.outcomes == 10 and report.passed
+    # a 3,000-digit string; 10 samples are raised to the floor of 36 tables
+    # per cell of Z2, so the threshold is 1/2
+    ig = InputGroup(decompose([2]).spec, (10000,))
+    report = verify_pairwise_law(ig, 1, [0] * 10000, [1] + [0] * 9999, samples=10)
+    assert report.mode == "sampled" and report.outcomes == 72 and report.passed
+    assert report.threshold == 0.5
 
 
 def test_verify_ensemble_on_a_wide_j_refuses_its_table_draw(capsys):
@@ -632,19 +640,70 @@ def test_pairwise_law_detects_dropped_tables(monkeypatch):
     assert_matches_oracle(ig2, 1, [0], [2], fixed_zero=[(0, 0, 1)])
 
 
+def _halve_ring_0(ig, tables):
+    moduli = ig.group.moduli
+    return tables % [moduli[0] // 2, *moduli[1:]]
+
+
+def _drop_last_generator(ig, tables):
+    tables[..., -1, :, :] = 0
+    return tables
+
+
+# faulty samplers of tables [..., k, n, c], each within the generator constraints
+TABLE_FAULTS = {
+    "copied coordinate 0": lambda ig, t: np.repeat(t[..., :1, :], t.shape[-2], axis=-2),
+    "all-zero tables": lambda ig, t: np.zeros_like(t),
+    "halved ring-0 modulus": _halve_ring_0,
+    "dropped last generator": _drop_last_generator,
+}
+
+
 def test_pairwise_law_sampled_detects_dropped_tables(monkeypatch):
-    ig = ig_of([4], {(2, 1): 1, (2, 2): 1})
+    # at n = 4, 8 and 20 on three input groups, each pair's difference reaches
+    # ring 0 and the last generator, so every fault moves its law; honest
+    # draws pass
     sample = ensemble._sample_tables
+    configs = [
+        ([4], (1, 1), [1, 1]),
+        ([2], (10,), [0] * 9 + [1]),
+        ([4, 3], (1, 1, 1), [1, 0, 1]),
+    ]
+    for (orders, counts, b), n in itertools.product(configs, [4, 8, 20]):
+        ig = InputGroup(decompose(orders).spec, counts)
+        a = [0] * len(b)
+        monkeypatch.setattr(ensemble, "_sample_tables", sample)
+        rep = verify_pairwise_law(ig, n, a, b, seed=4)
+        assert rep.mode == "sampled" and rep.passed, (orders, n)
+        for name, fault in TABLE_FAULTS.items():
+            faulty = lambda *args, fault=fault: fault(ig, sample(*args))
+            monkeypatch.setattr(ensemble, "_sample_tables", faulty)
+            rep = verify_pairwise_law(ig, n, a, b, seed=4)
+            case = (orders, n, name)
+            assert rep.mode == "sampled" and rep.off_support_mass == 0, case
+            assert not rep.passed and rep.tv_distance >= rep.threshold, case
 
-    def without_last_generator(ig, n, rng, size=()):
-        tables = sample(ig, n, rng, size)
-        tables[..., -1, :, :] = 0
-        return tables
 
-    monkeypatch.setattr(ensemble, "_sample_tables", without_last_generator)
-    rep = verify_pairwise_law(ig, 4, [0, 0], [1, 1], seed=4)
-    assert rep.mode == "sampled"
-    assert not rep.passed and rep.tv_distance >= rep.threshold
+@given(st.sampled_from([[2], [3], [4], [8], [9], [2, 2], [2, 4], [4, 3]]), st.data())
+def test_sampled_pairwise_threshold_property(orders, data):
+    # in sampled mode, forced here at any size, every report draws at least
+    # 36 tables per cell of its tally and so has a threshold of at most 1/2
+    spec = decompose(orders).spec
+    slots = len(spec.weight_slots)
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=slots, max_size=slots))
+    assume(sum(counts))
+    ig = InputGroup(spec, counts)
+    a, b = (
+        data.draw(st.tuples(*[st.integers(0, m - 1) for m in ig.spec.moduli]))
+        for _ in range(2)
+    )
+    n = data.draw(st.integers(1, 6))
+    samples = data.draw(st.integers(1, 300))
+    with mock.patch.object(ensemble, "_exhaustive", lambda ig, n: False):
+        rep = verify_pairwise_law(ig, n, a, b, samples=samples, seed=n)
+    width = min(n, 2)
+    assert rep.mode == "sampled" and rep.threshold <= 0.5
+    assert rep.outcomes >= max(samples, 36 * Subgroup(spec, rep.theta).order ** width)
 
 
 def test_pairwise_law_detects_off_support_mass(monkeypatch):
@@ -742,7 +801,8 @@ def test_plan_never_keeps_failing_tables(monkeypatch):
 
 
 def test_pairwise_law_sampled_threshold_not_vacuous():
-    # 256 cells of H_theta^4 = Z_4^4: threshold 3 sqrt(256 / 4096) = 0.75
+    # each pair of coordinates of H_theta^4 = Z_4^4 tallies 16 cells:
+    # threshold 3 sqrt(16 / 4096) = 0.1875
     ig = ig_of([4], {(2, 1): 1, (2, 2): 1})
     rep = verify_pairwise_law(ig, 4, [1, 2], [1, 3], samples=4096, seed=7)
     assert rep.mode == "sampled" and rep.theta.is_zero()
@@ -784,14 +844,19 @@ def test_reduced_law_matches_oracle_property(data):
 
 
 def test_pairwise_law_cap():
-    # the cap bounds the |H_theta|^n cells of the tally, not |G|^(2n): on Z_8
-    # at n = 3 the pair 0, 4 tallies 2^3 cells, sampled since the tables and
-    # dither words number 8^6
+    # the cap bounds the tally, tables x C(n, 2) coordinate pairs, not |G|^(2n)
+    # or |H_theta|^n: on Z_8 at n = 3 the pair 0, 4 tallies 2^2 cells a pair,
+    # sampled since the tables and dither words number 8^6
     rep = verify_pairwise_law(ig_of([8], {(2, 3): 1}), 3, [0], [4])
     assert rep.mode == "sampled" and rep.theta.components == (2,)
     assert rep.threshold < 1 and rep.passed
-    with pytest.raises(ValueError):
-        verify_pairwise_law(ig_of([2], {(2, 1): 1}), 17, [0], [1])  # 2^17 cells
+    # Z_2 at n = 17, 2^17 cells of H_theta^n, tallies 4,096 x 136; at n = 24,
+    # 4,096 x 276 cells are above SIZE_CAP
+    z2 = ig_of([2], {(2, 1): 1})
+    rep = verify_pairwise_law(z2, 17, [0], [1])
+    assert rep.support_cells == 2**34 and rep.threshold == 0.09375 and rep.passed
+    with pytest.raises(ValueError, match="4096 tables x 276 coordinate pairs"):
+        verify_pairwise_law(z2, 24, [0], [1])
 
 
 def test_table_draw_cap():
@@ -814,13 +879,16 @@ def test_table_draw_cap():
 
 
 def test_pairwise_law_many_axes():
-    # n * rings >= 64 cell axes, one cell: a == b gives w = 0 in every table
+    # n * rings >= 64 axes, one cell a pair: a == b gives w = 0 in every table;
+    # 4,096 tables at the 2,016 coordinate pairs of n = 64 exceed the tally cap
     ig = ig_of([4], {(2, 2): 1})
-    rep = verify_pairwise_law(ig, 64, [1], [1])
+    with pytest.raises(ValueError, match="4096 tables x 2016 coordinate pairs"):
+        verify_pairwise_law(ig, 64, [1], [1])
+    rep = verify_pairwise_law(ig, 64, [1], [1], samples=500)
     assert rep.mode == "sampled" and rep.support_cells == 4**64
-    assert rep.passed and rep.tv_distance == 0 and rep.outcomes == 4096
+    assert rep.passed and rep.tv_distance == 0 and rep.outcomes == 500
     rep = verify_pairwise_law(ig_of([2], {(2, 1): 1}), 70, [0], [0], samples=8)
-    assert rep.passed and rep.support_cells == 2**70
+    assert rep.passed and rep.support_cells == 2**70 and rep.outcomes == 36
 
 
 # -- congruence solver --------------------------------------------------------
@@ -1605,6 +1673,19 @@ def test_lemma_suite_refuses_its_table_draws_before_drawing(monkeypatch):
     message = "table draw of 2048000 cells exceeds cap SIZE_CAP=1048576"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lemma_suite(InputGroup(decompose([2]).spec, (2000,)), 1, samples=1)
+    # Z4 at n = 64: both draws are within the cap, but the pairwise law's 1024
+    # tables at each of the 2,016 coordinate pairs are not
+    message = (
+        "pairwise tally of 2064384 cells (1024 tables x 2016 coordinate pairs) "
+        "exceeds cap SIZE_CAP=1048576"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lemma_suite(ig_of([4], {(2, 2): 1}), 64)
+    # J = Z_65536 at n = 1: a pair differing by a unit has |H_theta| = 65536,
+    # whose floor of 36 tables a cell passes the table-draw cap
+    message = "table draw of 2359296 cells exceeds cap SIZE_CAP=1048576"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lemma_suite(ig_of([65536], {(2, 16): 1}), 1)
 
 
 def test_lemma_suite_draws_no_table_for_an_exhaustive_pairwise_law():
