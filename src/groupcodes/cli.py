@@ -100,10 +100,12 @@ def _input_group(args, spec):
 
 
 def _check_csv(path: str) -> None:
-    """Refuse before any solve what the write would, with its message: an existing
-    path must open for writing (untruncated), a new one needs its directory."""
+    """Refuse before any solve what the write would, with its message: the empty
+    path, an existing path that does not open for writing (untruncated), or a
+    new one without its directory."""
     try:
-        if os.path.exists(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        directory = os.path.dirname(path) or "."
+        if not path or os.path.exists(path) or not os.path.isdir(directory):
             os.close(os.open(path, os.O_WRONLY))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
@@ -173,7 +175,7 @@ def _cmd_rate(args, sense: str) -> int:
         raise ValidationError(f"{args.file} is not a {sense} problem")
     if args.grid_check is not None:
         _check_count("--grid-check", args.grid_check)
-    if args.csv:
+    if args.csv is not None:
         _check_csv(args.csv)
     start = time.perf_counter()
     if args.grid_check:
@@ -200,7 +202,7 @@ def _cmd_rate(args, sense: str) -> int:
     record_in = functools.partial(
         rate_record, [kind, args.file], problem.orders, kind, result, extras=extras
     )
-    if args.csv:
+    if args.csv is not None:
         # the CSV columns are info_bits and ratio_bits, with or without --nats
         levels = list(problem.decomposition.spec.ring_levels)
         terms = record_in(units="bits")["per_theta"]
@@ -229,7 +231,7 @@ def cmd_theta_table(args) -> int:
         {"theta": list(t.components), "omega": float(omega(spec, weights, t))}
         for t in thetas
     ]
-    if args.csv:
+    if args.csv is not None:
         _write_csv(args.csv, theta_csv_rows(rows, spec.ring_levels))
     doc = {
         "group": list(dec.orders),

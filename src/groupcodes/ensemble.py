@@ -6,8 +6,9 @@ the n-fold direct sum of the target group, shifted by a uniform dither.  The
 verifiers here check the ensemble's structural laws (generator constraints,
 pairwise joint probabilities, selector census bounds) by exhaustive
 enumeration whenever the state space is small enough, falling back to seeded
-sampling beyond that.  The selector census is a fold over the used slots,
-at any |J|; the lemma suite checks it by its cumulated bound, not against J.
+sampling beyond that.  The pairwise law is sized once, by ``_law_plan``, and
+counts both modes in one tally.  The selector census is a fold over the used
+slots at any |J|, which the lemma suite checks by its cumulated bound alone.
 
 An InputGroup caches the plan every check on (J, n) reads, built on first
 read: per blocklength n the enumeration of every homomorphism table, checked
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .groups import GroupElement, GroupSpec, ThetaVector, _check_count, _check_seed
-from .groups import _components, _grid, _induce, _integer, _is_prime
+from .groups import _components, _grid, _index, _induce, _integer, _is_prime
 from .groups import _min_depths, _slot_values
 from .measures import ChannelSpec, _check_kind
 from .rates import _check_support, enumerate_theta_set
@@ -159,8 +160,8 @@ class HomomorphismTable:
     seed: int = 0  # the sample_hom seed; 0 for a table built directly
 
     def __post_init__(self) -> None:
-        n = self.blocklength
-        _check_count("blocklength", n)
+        n = _check_count("blocklength", self.blocklength)
+        object.__setattr__(self, "blocklength", n)
         _check_seed("seed", self.seed)
         if len(self.images) != len(self.input_group.spec.rings):
             raise ValueError("one image row per input component is required")
@@ -321,7 +322,7 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     """Draw a homomorphism table from the ensemble: each admissible generator
     image component uniform on its allowed subgroup, dither uniform on the
     group, all reproducible from the 64-bit seed (counter-based generator)."""
-    _check_count("blocklength", n)
+    n = _check_count("blocklength", n)
     _check_seed("seed", seed)
     rng = np.random.Generator(np.random.Philox(seed))
     images, dither = _sample_table(ig, n, rng)
@@ -429,27 +430,29 @@ def _exhaustive(ig: InputGroup, n: int) -> bool:
     return not _over_cap(EXHAUSTIVE_CAP, (ig.total + 1) * n, space)
 
 
-def _h_theta(ig: InputGroup, theta) -> tuple[list[int], list[int]]:
-    """H_theta, from the selector components ``theta``: per ring the step
-    h of H_theta = h Z_{p^r}, then its p^r // h cells."""
+def _law_plan(ig: InputGroup, n: int, theta, samples: int):
+    """The pairwise law's sizing for the selector components ``theta``: per ring
+    the step h of H_theta = h Z_{p^r} and its p^r // h cells, the coordinates
+    [tallies, width] each tally reads, and the tables drawn, 0 where they are
+    enumerated (``_exhaustive``): then one tally reads the whole block.
+    Sampled, each pair of coordinates (the one coordinate at n = 1) is a tally
+    of cells = |H_theta|^width, from max(samples, 36 * cells) tables; tallies
+    of more than SIZE_CAP cells, tables times C(n, 2), and a draw of more than
+    SIZE_CAP cells are refused before anything is drawn."""
     levels = ig.group._ring_level_index
     steps = [p ** int(theta[i]) for (p, _, _), i in zip(ig.group.rings, levels)]
-    return steps, [m // h for m, h in zip(ig.group.moduli, steps)]
-
-
-def _law_draw(n: int, cells: int, samples: int) -> int:
-    """The tables a sampled pairwise law draws for tallies of ``cells``: at
-    least 36 per cell, so its threshold is at most 1/2.  Tallies of more
-    than SIZE_CAP cells, tables times coordinate pairs, are refused before
-    anything is drawn."""
-    tables = max(samples, 36 * cells)
-    pairs = math.comb(n, 2)
-    if (work := tables * pairs) > SIZE_CAP:
+    radices = [m // h for m, h in zip(ig.group.moduli, steps)]
+    if _exhaustive(ig, n):
+        return steps, radices, np.arange(n)[None], 0
+    tables = max(samples, 36 * math.prod(radices) ** min(n, 2))
+    if (work := tables * math.comb(n, 2)) > SIZE_CAP:
         raise ValueError(
-            f"pairwise tally of {work} cells ({tables} tables x {pairs} "
+            f"pairwise tally of {work} cells ({tables} tables x {math.comb(n, 2)} "
             f"coordinate pairs) exceeds cap SIZE_CAP={SIZE_CAP}"
         )
-    return tables
+    _check_draw(ig, n, (tables,))
+    coords = np.transpose(np.triu_indices(n, 1)) if n > 1 else np.zeros((1, 1), int)
+    return steps, radices, coords, tables
 
 
 def verify_pairwise_law(
@@ -467,57 +470,48 @@ def verify_pairwise_law(
     The dither D is uniform and independent of the homomorphism phi, so the
     joint law of (phi(a) + D, phi(b) + D) is Uniform(G^n) times the law of
     w = phi(b - a): the check tallies w over the tables, and a table whose w
-    leaves H_theta^n is off-support mass.  Exhaustive (exact, zero
-    tolerance, over the enumeration of ``ig``'s plan) whenever the
-    (generators, dither) space fits under the cap: the distance is that of
+    leaves H_theta^n is off-support mass.  ``_law_plan`` sizes it, and the
+    one tally indexes each coordinate's cell of H_theta, then each tally's
+    cell of its coordinates, and counts every tally in one bincount.
+    Exhaustive (exact, zero tolerance, over the enumeration of ``ig``'s plan)
+    whenever the (generators, dither) space fits under the cap: one tally,
     w on the |H_theta|^n cells of H_theta^n.  Otherwise seeded sampling,
     drawn from an integer seed in [0, 2**64).  The ensemble draws each
     coordinate's images independently, so the coordinates of w are i.i.d.
     and the law says each is uniform on H_theta: the sampled check tallies
     every pair of coordinates over its |H_theta|^2 cells (the one coordinate
     over |H_theta| at n = 1), which also catches shared or copied
-    coordinates, and never forms H_theta^n.  It draws max(samples, 36 *
-    cells) tables, so ``outcomes`` counts them, ``tv_distance`` is the
-    largest pair's total variation and ``threshold``, 3 * sqrt(cells /
-    outcomes), is at most 1/2.  Tallies of more than SIZE_CAP cells, tables
-    times C(n, 2), are refused before anything is drawn.
+    coordinates, and never forms H_theta^n.  ``outcomes`` counts the tables,
+    ``tv_distance`` is the largest tally's total variation and, sampled,
+    ``threshold`` is 3 * sqrt(cells / outcomes).
     """
     _check_seed("seed", seed)
-    _check_count("blocklength", n)
-    _check_count("samples", samples)
+    n = _check_count("blocklength", n)
+    samples = _check_count("samples", samples)
     g_spec = ig.group
     a = ig.element(a)
     b = ig.element(b)
     theta = pair_theta(ig, a, b)
-    h_step, radices = _h_theta(ig, theta.components)
-    per_coordinate = math.prod(radices)
-    if _exhaustive(ig, n):
-        mode, cells, threshold = "exhaustive", per_coordinate**n, 0.0
-        tables = ig._enumeration(n)
-    else:
-        mode, cells = "sampled", per_coordinate ** min(n, 2)
-        drawn = _law_draw(n, cells, samples)
-        threshold = 3.0 * math.sqrt(cells / drawn)
+    steps, radices, coords, drawn = _law_plan(ig, n, theta.components, samples)
+    if drawn:
         rng = np.random.Generator(np.random.Philox(seed))
         tables = _checked(ig, _sample_tables(ig, n, rng, (drawn,)))
+    else:
+        tables = ig._enumeration(n)
     diff = np.subtract(b.residues, a.residues)
     w = _encode(diff, tables, g_spec.moduli)  # [T, n, c]
-    digits, rest = np.divmod(w, h_step)
+    digits, rest = np.divmod(w, steps)
     digits = digits[~rest.any(axis=(1, 2))]
-    if mode == "exhaustive":
-        digits = digits.reshape(-1, n * len(h_step))
-        # mixed-radix cell index: the radices multiply to cells, within the cap
-        hits = np.bincount(digits @ (cells // np.cumprod(radices * n)), minlength=cells)
-    else:
-        # each coordinate's cell, then each pair's, offset by pair in one tally
-        cell = digits @ (per_coordinate // np.cumprod(radices))  # [T', n]
-        if n > 1:
-            first, second = np.triu_indices(n, 1)
-            cell = cell[:, first] * per_coordinate + cell[:, second]
-        tallies = cell.shape[1]
-        keys = (cell + cells * np.arange(tallies)).ravel()
-        hits = np.bincount(keys, minlength=cells * tallies).reshape(tallies, cells)
+    per_coordinate = math.prod(radices)
+    tallies, width = coords.shape
+    cells = per_coordinate**width
+    # [T', tallies]: each coordinate's cell, then each tally's, offset by tally
+    cell = _index(_index(digits, radices)[:, coords], [per_coordinate] * width)
+    keys = (cell + cells * np.arange(tallies)).ravel()
+    hits = np.bincount(keys, minlength=cells * tallies).reshape(tallies, cells)
     total = len(tables)
+    mode = "sampled" if drawn else "exhaustive"
+    threshold = 3.0 * math.sqrt(cells / total) if drawn else 0.0
     off = total - len(digits)  # int / int is the correctly rounded float
     # TV over the support, the largest tally's: (1/2) sum |hits/total - 1/cells|,
     # in integers
@@ -722,7 +716,7 @@ def mc_channel_error(
     message 0's codeword: phi(a) + D = phi(b) + D holds exactly when
     phi(a - b) = 0.  The report is bit for bit that of one
     ``Generator(Philox(child))`` per trial, drawn one trial at a time."""
-    _check_count("blocklength", n)
+    n = _check_count("blocklength", n)
     _check_seed("seed", seed)
     _check_kind(chan, ChannelSpec)
     if chan.group != ig.group:
@@ -731,7 +725,7 @@ def mc_channel_error(
     doublings = ig.total + int(n).bit_length() - 1
     if cells := _over_cap(SIZE_CAP, doublings, lambda: ig.size * n * len(moduli)):
         raise ValueError(f"trial codebook of {cells} cells exceeds cap {SIZE_CAP}")
-    _check_count("trials", trials)
+    trials = _check_count("trials", trials)
     if trials > 2**32:
         raise ValueError(f"trials must be in [1, 2**32], got {trials}")
     size = ig.size
@@ -751,12 +745,7 @@ def mc_channel_error(
         keys = _child_keys(seq, start, min(block, trials - start))
         images, dither, sent, u = _trial_draws(ig, n, keys)
         rows = np.concatenate([images, dither[:, None]], axis=1)
-        # each element's index over its rings by Horner steps (an integer
-        # matmul with so small a core runs numpy's inner loop once per batch row)
-        residues = _encode(messages, rows, moduli)  # [B, messages, n, rings]
-        codebook = residues[..., 0]
-        for j in range(1, len(moduli)):
-            codebook = codebook * moduli[j] + residues[..., j]
+        codebook = _index(_encode(messages, rows, moduli), moduli)  # [B, messages, n]
         # injective (see above), by coordinate: reducing a short last axis is slow
         moved = codebook[:, 1:, 0] != codebook[:, :1, 0]
         for i in range(1, n):
@@ -790,9 +779,9 @@ def lemma_suite(
 
     The counts must give every prime of the group a component, as the
     theta-set check needs a support with a slot per prime; other counts,
-    a table draw of more than SIZE_CAP cells, and a sampled pairwise law
-    whose tallies could pass SIZE_CAP cells (bounded by the largest H_theta
-    of any pair), are refused before anything is drawn.  Exhaustive wherever
+    a table draw of more than SIZE_CAP cells, and a pairwise law that its
+    plan, ``_law_plan`` at the largest H_theta of any pair, refuses, are
+    refused before anything is drawn.  Exhaustive wherever
     the space allows; the pairwise law falls back to seeded sampling above
     the enumeration cap, of max(samples, 1024) tables or more (see
     ``verify_pairwise_law``).  One Philox stream, seeded by ``seed``, draws
@@ -813,20 +802,17 @@ def lemma_suite(
     equations each coefficient a is checked, on every b, with probability
     SIZE_CAP / equations, so about SIZE_CAP are checked.
     """
-    _check_count("blocklength", n)
+    n = _check_count("blocklength", n)
     _check_seed("seed", seed)
-    _check_count("samples", samples)
+    samples = _check_count("samples", samples)
     _check_support(ig.group, ig.support)
     # both table draws are refused before anything is drawn: the constraint
-    # check's, and the pairwise law's, which draws only where it samples, at
-    # most as many tables as the largest H_theta of any pair needs: that of a
-    # difference whose every component is a unit
-    n_tables = min(samples, 1000)
+    # check's, and the pairwise law's, by its plan, which draws only where it
+    # samples, at most as many tables as the largest H_theta of any pair
+    # needs: that of a difference whose every component is a unit
+    n_tables, law_samples = min(samples, 1000), max(samples, 1024)
     _check_draw(ig, n, (n_tables,))
-    if not _exhaustive(ig, n):
-        _, radices = _h_theta(ig, _selectors(ig, np.ones(ig.total, dtype=np.int64)))
-        cells = math.prod(radices) ** min(n, 2)
-        _check_draw(ig, n, (_law_draw(n, cells, max(samples, 1024)),))
+    _law_plan(ig, n, _selectors(ig, np.ones(ig.total, dtype=np.int64)), law_samples)
     rng = np.random.Generator(np.random.Philox(seed))
 
     # generator constraints on freshly sampled tables
@@ -854,7 +840,7 @@ def lemma_suite(
     # pairwise joint law
     pairs = every_pair if ig.size**2 <= 64 else rng.integers(0, in_moduli, (16, 2, k))
     reports = [
-        verify_pairwise_law(ig, n, a, b, max(samples, 1024), (seed + i) % 2**64)
+        verify_pairwise_law(ig, n, a, b, law_samples, (seed + i) % 2**64)
         for i, (a, b) in enumerate(pairs.tolist())
     ]
     failed = [r for r in reports if not r.passed]

@@ -4,7 +4,8 @@ A group is represented as an ordered direct sum of rings Z_{p^r}; elements
 are residue vectors with componentwise modular arithmetic.  ``GroupElement``
 is the per-element public type; computations over the whole group use the
 residue grid instead, one row per element in canonical order (last residue
-fastest), and a subgroup gives the coset of every row in one label array.
+fastest), ``_index`` maps any digit rows back to their positions in such a
+grid, and a subgroup gives the coset of every row in one label array.
 The selector algebra is stated once, on arrays: ``_induce``, ``_min_depths``.
 A GroupSpec caches the rate layer's selector plan, which depends on the group
 alone, each layer built by the first call that reads it and sized by the table
@@ -41,6 +42,15 @@ def _grid(radices) -> np.ndarray:
     """Every digit vector over the radices, one per row, last digit fastest
     (for moduli this is the canonical element order)."""
     return np.indices(tuple(radices)).reshape(len(radices), -1).T
+
+
+def _index(digits: np.ndarray, radices) -> np.ndarray:
+    """The inverse of ``_grid``: the position of each digit row [...,
+    len(radices)] in ``_grid(radices)``, last digit fastest, by Horner steps."""
+    index = digits[..., 0]
+    for j in range(1, len(radices)):
+        index = index * radices[j] + digits[..., j]
+    return index
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -548,7 +558,7 @@ class Subgroup:
         """The coset of every element in canonical order, as the position of
         its label among all labels in lexicographic order."""
         labels = _grid(self.spec.moduli) % self._label_moduli
-        return np.ravel_multi_index(tuple(labels.T), self._label_moduli)
+        return _index(labels, self._label_moduli)
 
     def __contains__(self, x: GroupElement) -> bool:
         return self.coset_label(x) == (0,) * len(self.spec.rings)
@@ -647,10 +657,12 @@ def _check_real(name: str, value) -> None:
         raise TypeError(f"{name} must be a number, got {value!r}")
 
 
-def _check_count(name: str, value) -> None:
-    """A blocklength, trial, sample or grid step count is an integer >= 1."""
-    if _integer(name, value) < 1:
+def _check_count(name: str, value) -> int:
+    """A blocklength, trial, sample or grid step count: an integer >= 1, as an
+    int, so that no cap arithmetic on it wraps as numpy's integers do."""
+    if (count := _integer(name, value)) < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    return count
 
 
 def _check_seed(name: str, seed) -> None:

@@ -729,7 +729,7 @@ def grid_size(spec: GroupSpec, steps: int) -> tuple[int, int]:
     ``steps`` is an integer at least the group's number of primes, as every
     support holds one slot per prime.  At ``steps`` = the slot count the
     supports are every covering support, which optimize_weights counts."""
-    _check_count("steps", steps)
+    steps = _check_count("steps", steps)
     if steps < len(spec.primes):
         raise ValueError(
             f"steps must be >= {len(spec.primes)}, the number of primes of the "

@@ -711,15 +711,16 @@ def test_csv_for_capacity(capsys, merged_channel_file, tmp_path):
     assert len(lines) == 4
 
 
-@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+@pytest.mark.parametrize("target", ["missing/out.csv", ".", ""])
 def test_unwritable_csv_is_a_validation_error(
     capsys, merged_channel_file, identity_source_file, tmp_path, target, monkeypatch
 ):
-    # a missing directory or a directory as --csv: exit 2 with a message on
-    # stderr, no traceback and nothing on stdout, before any rate call
+    # a missing directory, a directory or the empty path as --csv: exit 2 with
+    # a message on stderr, no traceback and nothing on stdout, before any rate
+    # call; the empty path is refused, not read as no --csv
     monkeypatch.setattr(cli, "channel_coding_rate", _no_rate_call)
     monkeypatch.setattr(cli, "source_coding_rate", _no_rate_call)
-    path = str(tmp_path / target)
+    path = str(tmp_path / target) if target else ""
     rate_calls = (["capacity", merged_channel_file], ["rd", identity_source_file])
     for argv in rate_calls + (["theta-table", "8", "--support", "2,2;2,3"],):
         code, out, err = run_cli(capsys, argv + ["--csv", path])

@@ -28,7 +28,7 @@ from groupcodes.ensemble import (
     theta_census,
     verify_pairwise_law,
 )
-from groupcodes.rates import all_reachable_thetas, enumerate_theta_set
+from groupcodes.rates import all_reachable_thetas, enumerate_theta_set, grid_size
 
 from conftest import additive_noise_channel, make_rng
 
@@ -891,6 +891,69 @@ def test_pairwise_law_many_axes():
     assert rep.passed and rep.support_cells == 2**70 and rep.outcomes == 36
 
 
+# (mode, orders, counts, a, b, n, (theta, outcomes, support_cells,
+# off_support_mass, tv_distance, threshold, passed)) at samples=500, seed=11,
+# each in the mode given, recorded before the law's two tallies became one
+PAIRWISE_PINS = [
+    ("exhaustive", [4], (0, 1), [0], [2], 1, ((1,), 4, 8, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4], (0, 1), [0], [2], 2, ((1,), 16, 64, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4], (0, 1), [0], [2], 4, ((1,), 256, 4096, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4], (0, 1), [1], [2], 1, ((0,), 4, 16, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4], (0, 1), [1], [2], 2, ((0,), 16, 256, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4], (0, 1), [1], [2], 4, ((0,), 256, 65536, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [2, 4], (1, 0), [0], [1], 1, ((0, 1), 4, 32, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [2, 4], (1, 0), [0], [1], 2,
+     ((0, 1), 16, 1024, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [2, 4], (1, 0), [0], [1], 4,
+     ((0, 1), 256, 1048576, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [2, 4], (0, 1), [1], [3], 1, ((1, 1), 8, 16, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [2, 4], (0, 1), [1], [3], 2, ((1, 1), 64, 256, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [2, 4], (0, 1), [1], [3], 4,
+     ((1, 1), 4096, 65536, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4, 3], (1, 0, 1), [0, 0], [1, 2], 1,
+     ((1, 0), 6, 72, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4, 3], (1, 0, 1), [0, 0], [1, 2], 2,
+     ((1, 0), 36, 5184, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4, 3], (1, 0, 1), [0, 0], [1, 2], 4,
+     ((1, 0), 1296, 26873856, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4, 3], (0, 1, 1), [2, 0], [0, 1], 1,
+     ((1, 0), 12, 72, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4, 3], (0, 1, 1), [2, 0], [0, 1], 2,
+     ((1, 0), 144, 5184, 0.0, 0.0, 0.0, True)),
+    ("exhaustive", [4, 3], (0, 1, 1), [2, 0], [0, 1], 4,
+     ((1, 0), 20736, 26873856, 0.0, 0.0, 0.0, True)),
+    ("sampled", [2], (17,), [0] * 17, [1] + [0] * 16, 1,
+     ((0,), 500, 4, 0.0, 0.022, 0.18973665961010275, True)),
+    ("sampled", [2], (17,), [0] * 17, [1] + [0] * 16, 2,
+     ((0,), 500, 16, 0.0, 0.036, 0.2683281572999748, True)),
+    ("sampled", [2], (17,), [0] * 17, [1] + [0] * 16, 8,
+     ((0,), 500, 65536, 0.0, 0.052, 0.2683281572999748, True)),
+    ("sampled", [4], (1, 1), [0, 0], [1, 2], 1,
+     ((1,), 500, 8, 0.0, 0.03, 0.18973665961010275, True)),
+    ("sampled", [4], (1, 1), [0, 0], [1, 2], 2,
+     ((1,), 500, 64, 0.0, 0.054, 0.2683281572999748, True)),
+    ("sampled", [4], (1, 1), [0, 0], [1, 2], 8,
+     ((1,), 500, 16777216, 0.0, 0.072, 0.2683281572999748, True)),
+    ("sampled", [4], (1, 1), [1, 1], [1, 3], 1,
+     ((1,), 500, 8, 0.0, 0.024, 0.18973665961010275, True)),
+    ("sampled", [4], (1, 1), [1, 1], [1, 3], 2,
+     ((1,), 500, 64, 0.0, 0.036, 0.2683281572999748, True)),
+    ("sampled", [4], (1, 1), [1, 1], [1, 3], 8,
+     ((1,), 500, 16777216, 0.0, 0.058, 0.2683281572999748, True)),
+]
+
+
+@pytest.mark.parametrize("mode,orders,counts,a,b,n,fields", PAIRWISE_PINS)
+def test_pairwise_law_reports_pinned(mode, orders, counts, a, b, n, fields):
+    # every field exact: both modes count in one tally, whose cells and
+    # distances must not move
+    ig = InputGroup(decompose(orders).spec, counts)
+    with mock.patch.object(ensemble, "_exhaustive", lambda ig, n: mode == "exhaustive"):
+        rep = verify_pairwise_law(ig, n, a, b, samples=500, seed=11)
+    theta, *rest = fields
+    assert rep == ensemble.PairwiseLawReport(ThetaVector(ig.group, theta), mode, *rest)
+
+
 # -- congruence solver --------------------------------------------------------
 
 
@@ -1403,6 +1466,32 @@ def test_mc_reports_pinned(orders, counts, n, noise, seed, trials, expected):
     assert (rep.errors, rep.injective_trials, rep.injective_errors) == expected
 
 
+@pytest.mark.parametrize(
+    "orders,counts,n,noise,seed,trials,expected",
+    [
+        ([2, 4], (1, 1), 2, [0.6, 0.1, 0.1, 0.05, 0.05, 0.05, 0.03, 0.02], 5, 300,
+         "MonteCarloReport(trials=300, errors=147, seed=5, code_rate_bits=1.5, "
+         "injective_trials=201, injective_errors=87)"),
+        ([4, 3], (1, 0, 1), 3, [0.5] + [0.5 / 11] * 11, 2**63 + 9, 200,
+         "MonteCarloReport(trials=200, errors=94, seed=9223372036854775817, "
+         "code_rate_bits=0.861654166907052, injective_trials=167, "
+         "injective_errors=71)"),
+        ([2, 2, 2], (2,), 4, [0.65] + [0.05] * 7, 123456789, 400,
+         "MonteCarloReport(trials=400, errors=46, seed=123456789, "
+         "code_rate_bits=0.5, injective_trials=400, injective_errors=46)"),
+    ],
+)
+def test_mc_reprs_pinned_on_multi_ring_groups(
+    orders, counts, n, noise, seed, trials, expected
+):
+    # whole reports on groups of two and three rings, whose codewords are
+    # indexed over their rings, recorded before that index was shared
+    spec = decompose(orders).spec
+    ig = InputGroup(spec, counts)
+    rep = mc_channel_error(ig, n, additive_noise_channel(spec, noise), trials, seed)
+    assert repr(rep) == expected
+
+
 # the benchmark's three Monte Carlo configs, with the seeds its ensemble
 # workload draws at seed 1: (orders, counts, n, P(Z = 0), seed, expected)
 @pytest.mark.parametrize(
@@ -1513,6 +1602,35 @@ def test_count_contract(count):
     assert mc_channel_error(ig, 1, chan, np.int64(5), 0) == mc_channel_error(
         ig, 1, chan, 5, 0
     )
+
+
+def test_numpy_counts_are_read_as_ints():
+    # a numpy count is read as the int it equals before any cap arithmetic,
+    # in which numpy's integers would wrap: |G|^n |H_theta|^n = 2^80 read 0
+    z2 = ig_of([2], {(2, 1): 1})
+    rep = verify_pairwise_law(z2, np.int64(40), [0], [1], samples=100)
+    assert rep == verify_pairwise_law(z2, 40, [0], [1], samples=100)
+    assert rep.support_cells == 2**80
+    # J = Z_(2^20) at n = 2: tables times dither words are 2^80, so the law
+    # samples and refuses its tally, never enumerating 2^40 tables
+    wide = ig_of([2**20], {(2, 20): 1})
+    for n in (2, np.int64(2)):
+        with pytest.raises(ValueError, match="^pairwise tally of 39582418599936 cells"):
+            verify_pairwise_law(wide, n, [0], [1])
+    # 2^62 tables at the 6 pairs of n = 4 are refused, in either call
+    z4 = ig_of([4], {(2, 1): 1, (2, 2): 1})
+    message = "^pairwise tally of 27670116110564327424 cells"
+    for samples in (2**62, np.int64(2**62)):
+        with pytest.raises(ValueError, match=message):
+            verify_pairwise_law(z4, 4, [0, 0], [1, 1], samples=samples)
+        with pytest.raises(ValueError, match=message):
+            lemma_suite(z4, 4, samples=samples)
+    table = sample_hom(z4, np.int64(2), 0)
+    assert type(table.blocklength) is int and table == sample_hom(z4, 2, 0)
+    chan = ChannelSpec(z4.group, np.eye(4))
+    rep = mc_channel_error(z4, np.int64(3), chan, np.int64(7), 1)
+    assert rep == mc_channel_error(z4, 3, chan, 7, 1)
+    assert grid_size(z4.group, np.int64(5)) == grid_size(z4.group, 5)
 
 
 # -- suite --------------------------------------------------------------------

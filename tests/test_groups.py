@@ -219,6 +219,23 @@ def test_label_indices_match_coset_labels_property(data):
     assert h.label_indices().tolist() == [rank[label] for label in labels]
 
 
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.data())
+def test_index_inverts_grid_property(radices, data):
+    # every digit row's position in _grid, last digit fastest; and a
+    # subgroup's label indices are the positions of its labels
+    position = groups._index(groups._grid(radices), radices)
+    assert position.tolist() == list(range(int(np.prod(radices))))
+    orders = data.draw(st.sampled_from([[2], [9], [2, 4], [4, 3], [2, 4, 8], [8, 9]]))
+    spec = decompose(orders).spec
+    theta = ThetaVector(
+        spec, tuple(data.draw(st.integers(0, r)) for _, r in spec.ring_levels)
+    )
+    h = Subgroup(spec, theta)
+    labels = groups._grid(spec.moduli) % h._label_moduli
+    want = np.ravel_multi_index(tuple(labels.T), h._label_moduli)
+    assert h.label_indices().tolist() == want.tolist()
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(groups, "ENUMERATION_CAP", 2)
     spec = decompose([4]).spec
