@@ -6,8 +6,10 @@ the n-fold direct sum of the target group, shifted by a uniform dither.  The
 verifiers here check the ensemble's structural laws (generator constraints,
 pairwise joint probabilities, selector census bounds) by exhaustive
 enumeration whenever the state space is small enough, falling back to seeded
-sampling beyond that.  The pairwise law is sized once, by ``_law_plan``, and
-counts both modes in one tally.  The selector census is a fold over the used
+sampling beyond that.  Every seeded draw, the Monte Carlo's among them,
+reads one ``Generator(Philox(seed))`` of an integer seed by
+``_sample_table(s)``, ``integers`` and ``random``.  The pairwise law is
+sized once, by ``_law_plan``, and counts both modes in one tally.  The selector census is a fold over the used
 slots at any |J|, which the lemma suite checks by its cumulated bound alone.
 
 An InputGroup caches the plan every check on (J, n) reads, built on first
@@ -162,7 +164,7 @@ class HomomorphismTable:
     def __post_init__(self) -> None:
         n = _check_count("blocklength", self.blocklength)
         object.__setattr__(self, "blocklength", n)
-        _check_seed("seed", self.seed)
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
         if len(self.images) != len(self.input_group.spec.rings):
             raise ValueError("one image row per input component is required")
         if len(self.dither) != n or any(
@@ -323,7 +325,7 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     image component uniform on its allowed subgroup, dither uniform on the
     group, all reproducible from the 64-bit seed (counter-based generator)."""
     n = _check_count("blocklength", n)
-    _check_seed("seed", seed)
+    seed = _check_seed("seed", seed)
     rng = np.random.Generator(np.random.Philox(seed))
     images, dither = _sample_table(ig, n, rng)
     g_spec = ig.group
@@ -485,7 +487,7 @@ def verify_pairwise_law(
     ``tv_distance`` is the largest tally's total variation and, sampled,
     ``threshold`` is 3 * sqrt(cells / outcomes).
     """
-    _check_seed("seed", seed)
+    seed = _check_seed("seed", seed)
     n = _check_count("blocklength", n)
     samples = _check_count("samples", samples)
     g_spec = ig.group
@@ -541,130 +543,6 @@ class MonteCarloReport:
         return self.errors / self.trials
 
 
-# Trial t of a simulation draws what Generator(Philox(child t of
-# SeedSequence(seed))) would.  Both algorithms are counter-based or pure
-# hashes, so the words of a block of trials are computed here as arrays and
-# each draw is read at its position (the constants are numpy's SeedSequence
-# and Random123's Philox4x64-10).
-
-_U32 = np.uint32
-_U64 = np.uint64
-_LOW32 = _U64(0xFFFFFFFF)
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-
-
-def _child_keys(seq: np.random.SeedSequence, first: int, count: int) -> np.ndarray:
-    """Philox keys [count, 2] of children first, ..., first + count - 1 of
-    ``seq`` (an integer-entropy SeedSequence that has spawned nothing): row i
-    is ``seq.spawn(first + count)[first + i].generate_state(2, np.uint64)``.
-
-    A child's entropy is the parent's, zero-padded to the 4-word pool, then
-    its spawn word t (one word while t < 2**32).  So its pool is the parent's
-    pool with t mixed into every word, the hash constant continuing after the
-    parent's 4 + 12 hashmix steps: a seed below 2**64 (``_check_seed``) has
-    at most two words, so none spills past the pool."""
-    step = 16
-    t = np.arange(first, first + count, dtype=np.int64).astype(_U32)
-    pool = []
-    for word in seq.pool.tolist():
-        hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, step, 2**32) % 2**32
-        step += 1
-        mixed = (t ^ _U32(hash_const)) * _U32(hash_const * _HASH_MULT_A % 2**32)
-        mixed ^= mixed >> _U32(16)
-        mixed = _U32(_MIX_MULT_L * word % 2**32) - _U32(_MIX_MULT_R) * mixed
-        pool.append(mixed ^ (mixed >> _U32(16)))
-    # generate_state(2, uint64): four hashed pool words, little-endian pairs
-    hash_const = _HASH_INIT_B
-    state = []
-    for word in pool:
-        word = word ^ _U32(hash_const)
-        hash_const = hash_const * _HASH_MULT_B % 2**32
-        word = word * _U32(hash_const)
-        state.append((word ^ (word >> _U32(16))).astype(_U64))
-    return np.stack(
-        [state[0] | state[1] << _U64(32), state[2] | state[3] << _U64(32)], axis=-1
-    )
-
-
-def _mulhi(a_lo: np.ndarray, a_hi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High words of the 128-bit products a * b of uint64 arrays, from a's
-    32-bit halves, b split by mask and shift; no partial sum exceeds 64 bits
-    and, as fresh megabyte arrays fault pages in, the products run in place."""
-    low, high = b & _LOW32, b >> _U64(32)
-    low_cross = a_hi * low
-    low *= a_lo
-    low >>= _U64(32)
-    low_cross += low
-    high_cross = a_lo * high
-    np.bitwise_and(low_cross, _LOW32, out=low)
-    high_cross += low
-    high *= a_hi
-    low_cross >>= _U64(32)
-    high += low_cross
-    high_cross >>= _U64(32)
-    high += high_cross
-    return high
-
-
-def _philox(keys: np.ndarray, blocks: int) -> np.ndarray:
-    """The first 4 * blocks Philox4x64-10 output words [B, 4 * blocks] of
-    ``Philox(key=key)`` for keys [B, 2], at counters 1, ..., blocks.  Lanes
-    0 and 2, and lanes 1 and 3, are stacked [2, blocks, B], so one product
-    serves both multipliers; ``_mulhi`` splits words by mask and shift."""
-    # the multipliers and key bumps of lanes 0 and 2, [2, 1, 1]
-    mult = np.array(_PHILOX_MULT, _U64)[:, None, None]
-    bump = np.array(_PHILOX_BUMP, _U64)[:, None, None]
-    halves = mult & _LOW32, mult >> _U64(32)
-    even = np.zeros((2, blocks, len(keys)), dtype=_U64)
-    even[0] = np.arange(1, blocks + 1, dtype=np.int64)[:, None]
-    odd = np.zeros((2, 1, 1), dtype=_U64)
-    key = keys.T[:, None, :]
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key = key + bump
-        even, odd = _mulhi(*halves, even)[::-1] ^ odd ^ key, (even * mult)[::-1]
-    words = np.stack([even, odd], axis=-1)  # [2, blocks, B, 2]: lane 2i + j
-    return words.transpose(2, 1, 0, 3).reshape(len(keys), 4 * blocks)
-
-
-def _trial_draws(
-    ig: InputGroup, n: int, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What each key's ``Generator(Philox(key=key))`` draws by
-    ``_sample_table``, ``integers(0, ig.size)`` and ``random(n)``: images
-    [B, k, n, c], dither [B, n, c], message index [B], uniforms [B, n].
-
-    Draw i is Lemire's (u * span) >> 32 on 32-bit half i of the stream (the
-    mask, then the shift of a word), and the uniforms (w >> 11) * 2**-53 take
-    the full words w after the last, unless a draw is rejected, (u * span)
-    mod 2**32 < 2**32 mod span: such a stream is drawn again by its own
-    generator."""
-    moduli = ig.group.moduli
-    # a stream's spans: the table cells that _tables draws, the dither, the message
-    bounds = np.repeat((moduli // ig._allowed_step)[:, None], n, axis=1)
-    bounds = bounds[bounds > 1]
-    spans = np.concatenate([bounds, np.tile(moduli, n), [ig.size]]).astype(_U64)
-    head = -(-len(spans) // 2)
-    words = _philox(keys, -(-(head + n) // 4))
-    halves = np.stack([words & _LOW32, words >> _U64(32)], -1).reshape(len(keys), -1)
-    product = halves[:, : len(spans)] * spans
-    draws = (product >> _U64(32)).astype(np.int64)
-    digits, dither, sent = np.split(draws, [len(bounds), -1], axis=1)
-    images = _tables(ig, n, lambda _: digits)
-    dither, sent = dither.reshape(-1, n, len(moduli)), sent[:, 0]
-    uniforms = (words[:, head : head + n] >> _U64(11)).astype(np.float64) * 2.0**-53
-    for b in np.flatnonzero(((product & _LOW32) < _U64(2**32) % spans).any(axis=1)):
-        rng = np.random.Generator(np.random.Philox(key=keys[b]))
-        images[b], dither[b] = _sample_table(ig, n, rng)
-        sent[b], uniforms[b] = rng.integers(0, ig.size), rng.random(n)
-    return _checked(ig, images), dither, sent, uniforms
-
-
 def _ml_decode(w_flat, offsets, codebook) -> np.ndarray:
     """The first message of greatest likelihood in each trial, W(y_i | x_i)
     read at offsets [B, n] + codebook [B, messages, n] and multiplied from
@@ -699,35 +577,33 @@ def mc_channel_error(
     scales each trial's likelihoods by powers of two as it goes, so a long
     block's do not underflow.
 
-    Trial t (t < trials <= 2**32) draws from its own Philox4x64-10 stream,
-    keyed by child t of ``SeedSequence(seed)``, an integer seed: the table
-    digits, the dither and the message index, each ``(u * b) >> 32`` on the
-    stream's next 32-bit half u (Lemire's rejection), then one uniform u per
-    coordinate from the next full words; the output is the first y whose
+    Every trial is drawn from one ``Generator(Philox(seed))``, an integer
+    seed, as every seeded draw of this module is, a block of trials at a
+    time: the block's tables and dithers by ``_sample_table``, then its
+    message indices by ``integers(0, messages)``, then one uniform u per
+    coordinate of each trial by ``random``; the output is the first y whose
     cumulative W(. | x) exceeds u, which is how ``Generator.choice`` draws.
-    The draws of a block of trials are read by position from their words,
-    and only a stream with a rejected draw is drawn again by its own
-    generator; encoding, the injectivity test and decoding run over a block
-    of SIZE_CAP // (messages x n x rings) trials, one trial's codebook being
+    So the report depends on the inputs and the seed alone; as a block's
+    draws depend on its size, a run of t trials is not the first t trials
+    of a longer run.
+    Encoding, the injectivity test and decoding run over a block of
+    SIZE_CAP // (messages x n x rings) trials, one trial's codebook being
     refused above SIZE_CAP cells; the message grid [messages, k + 1] has at
     most 21 * SIZE_CAP.  The dither is one more generator row, with message
     coordinate 1, so a block's codebook is one product and one reduction
     mod p^r.  A trial's code is injective exactly when no message a != 0 has
     message 0's codeword: phi(a) + D = phi(b) + D holds exactly when
-    phi(a - b) = 0.  The report is bit for bit that of one
-    ``Generator(Philox(child))`` per trial, drawn one trial at a time."""
+    phi(a - b) = 0."""
     n = _check_count("blocklength", n)
-    _check_seed("seed", seed)
+    seed = _check_seed("seed", seed)
     _check_kind(chan, ChannelSpec)
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     moduli = ig.group.moduli
-    doublings = ig.total + int(n).bit_length() - 1
+    doublings = ig.total + n.bit_length() - 1
     if cells := _over_cap(SIZE_CAP, doublings, lambda: ig.size * n * len(moduli)):
         raise ValueError(f"trial codebook of {cells} cells exceeds cap {SIZE_CAP}")
     trials = _check_count("trials", trials)
-    if trials > 2**32:
-        raise ValueError(f"trials must be in [1, 2**32], got {trials}")
     size = ig.size
     # message coordinate 1 on the dither, generator row k + 1; the grid is a
     # view of its digits, so it is built once
@@ -739,11 +615,14 @@ def mc_channel_error(
     cdf /= cdf[:, -1:]
     # at least 1: one trial's codebook, messages x n x rings, is within the cap
     block = SIZE_CAP // (size * n * len(moduli))
-    seq = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
     errors = injective_trials = injective_errors = 0
     for start in range(0, trials, block):
-        keys = _child_keys(seq, start, min(block, trials - start))
-        images, dither, sent, u = _trial_draws(ig, n, keys)
+        count = min(block, trials - start)
+        images, dither = _sample_table(ig, n, rng, (count,))
+        _checked(ig, images)
+        sent = rng.integers(0, size, count)
+        u = rng.random((count, n))
         rows = np.concatenate([images, dither[:, None]], axis=1)
         codebook = _index(_encode(messages, rows, moduli), moduli)  # [B, messages, n]
         # injective (see above), by coordinate: reducing a short last axis is slow
@@ -751,7 +630,7 @@ def mc_channel_error(
         for i in range(1, n):
             moved |= codebook[:, 1:, i] != codebook[:, :1, i]
         injective = moved.all(axis=1)
-        x = codebook[np.arange(len(sent)), sent]  # [B, n]
+        x = codebook[np.arange(count), sent]  # [B, n]
         y = (cdf[x] <= u[..., None]).sum(axis=-1)
         wrong = _ml_decode(w_flat, y * order, codebook) != sent
         errors += int(wrong.sum())
@@ -803,7 +682,7 @@ def lemma_suite(
     SIZE_CAP / equations, so about SIZE_CAP are checked.
     """
     n = _check_count("blocklength", n)
-    _check_seed("seed", seed)
+    seed = _check_seed("seed", seed)
     samples = _check_count("samples", samples)
     _check_support(ig.group, ig.support)
     # both table draws are refused before anything is drawn: the constraint

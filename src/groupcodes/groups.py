@@ -665,11 +665,13 @@ def _check_count(name: str, value) -> int:
     return count
 
 
-def _check_seed(name: str, seed) -> None:
-    """A seed is an integer in [0, 2**64): None would draw fresh OS entropy,
-    and no result could be repeated."""
-    if not 0 <= _integer(name, seed) < 2**64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+def _check_seed(name: str, value) -> int:
+    """A seed is an integer in [0, 2**64), as an int, so that no arithmetic on
+    it wraps as numpy's integers do: None would draw fresh OS entropy, and no
+    result could be repeated."""
+    if not 0 <= (seed := _integer(name, value)) < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return seed
 
 
 def decompose(cyclic_orders: Sequence[int]) -> CyclicDecomposition:
