@@ -9,8 +9,9 @@ enumeration whenever the state space is small enough, falling back to seeded
 sampling beyond that.  Every seeded draw, the Monte Carlo's among them,
 reads one ``Generator(Philox(seed))`` of an integer seed by
 ``_sample_table(s)``, ``integers`` and ``random``.  The pairwise law is
-sized once, by ``_law_plan``, and counts both modes in one tally.  The selector census is a fold over the used
-slots at any |J|, which the lemma suite checks by its cumulated bound alone.
+sized once, by ``_law_plan``, and counts both modes in one tally.  The
+selector census is a fold over the used slots at any |J|, which the lemma
+suite checks by its cumulated bound alone.
 
 An InputGroup caches the plan every check on (J, n) reads, built on first
 read: per blocklength n the enumeration of every homomorphism table, checked

@@ -1237,9 +1237,9 @@ def test_ml_decode_matches_the_product(n, least):
 
 @pytest.mark.parametrize("seed,trials", [(16146, 1), (6697, 2)])
 def test_mc_rejected_stream_matches_oracle(seed, trials):
-    # |J| = 3**12 on Z3 at n = 1, a message span that is no power of two.  At
-    # a rate of 12 trits per symbol every trial errs and none is injective,
-    # whatever is drawn
+    # |J| = 3**12 on Z3 at n = 1, a message span that is no power of two, so
+    # a block holds one trial.  At a rate of 12 trits per symbol every trial
+    # errs and none is injective, whatever is drawn
     ig = ig_of([3], {(3, 1): 12})
     chan = additive_noise_channel(ig.group, [0.8, 0.15, 0.05])
     case = (ig, 1, chan, trials, seed)
