@@ -195,25 +195,46 @@ def _over_cap(cap: int, doublings: int, size) -> str | None:
 
 # -- the residue-array core ----------------------------------------------------
 #
-# Inside this module a table is an int64 array images[k, n, c] (input
-# component x coordinate x target ring) and a dither is an array [n, c];
-# GroupElement appears only where a public function takes or returns one.
+# Inside this module a table is an array images[k, n, c] (input component x
+# coordinate x target ring) and a dither is an array [n, c], both in the
+# residue dtype; GroupElement appears only where a public function takes or
+# returns one.
+
+
+def _residue_dtype(moduli) -> np.dtype:
+    """The narrowest unsigned dtype that holds the sum of two residues."""
+    return np.min_scalar_type(2 * max(moduli) - 1)
+
+
+def _plus(a, b, moduli, out=None) -> np.ndarray:
+    """(a + b) mod p^r of residues in the residue dtype: their sum s is below
+    2 p^r, and s - p^r wraps above s exactly when s < p^r."""
+    s = np.add(a, b, out=out)
+    return np.minimum(s, s - moduli, out=s)
+
+
+def _integers(rng, high, size) -> np.ndarray:
+    """``rng.integers(0, high, size)``, as int32 while every bound is at most
+    2**31, where both dtypes draw one 32-bit word a draw (Lemire's method)."""
+    wide = np.int32 if np.max(high) <= 2**31 else np.int64
+    return rng.integers(0, high, size, dtype=wide)
 
 
 def _tables(ig: InputGroup, n: int, pick) -> np.ndarray:
-    """Generator images [..., k, n, c].  ``pick(bounds)`` gives the digits
-    [..., len(bounds)] of the drawn positions, the same-prime (component,
-    coordinate, ring) cells in C order; cross-prime cells stay zero."""
+    """Generator images [..., k, n, c] in the residue dtype; ``pick(bounds)``
+    gives the digits [..., len(bounds)] of the drawn same-prime (component,
+    coordinate, ring) cells in C order, and cross-prime cells stay zero."""
     moduli = np.array(ig.group.moduli)
+    dtype = _residue_dtype(ig.group.moduli)
     step = np.repeat(ig._allowed_step[:, None, :], n, axis=1)
     drawn = step < moduli
     digits = pick((moduli // step)[drawn])
     if drawn.all():  # one prime: no cross-prime cell stays zero
-        images = digits.reshape(digits.shape[:-1] + step.shape)
+        images = digits.astype(dtype).reshape(digits.shape[:-1] + step.shape)
     else:
-        images = np.zeros(digits.shape[:-1] + step.shape, dtype=np.int64)
+        images = np.zeros(digits.shape[:-1] + step.shape, dtype)
         images[..., drawn] = digits
-    return images * step
+    return np.multiply(images, step.astype(dtype), out=images)
 
 
 def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
@@ -239,7 +260,7 @@ def _sample_tables(
     def pick(bounds):
         # equal bounds draw the same stream as one scalar bound, which is faster
         high = bounds[0] if (bounds == bounds[0]).all() else bounds
-        return rng.integers(0, high, size=size + bounds.shape)
+        return _integers(rng, high, size + bounds.shape)
 
     return _tables(ig, n, pick)
 
@@ -250,18 +271,19 @@ def _sample_table(
     """Generator images [*size, k, n, c], then the dither [*size, n, c]."""
     images = _sample_tables(ig, n, rng, size)
     moduli = ig.group.moduli
-    return images, rng.integers(0, moduli, size=size + (n, len(moduli)))
+    return images, _integers(rng, moduli, size + (n, len(moduli)))
 
 
 def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     """Cells of images [..., k, n, c] outside their allowed subgroup or
-    outside [0, p^r)."""
-    images = np.asarray(images, dtype=np.int64)
-    # read as unsigned, a negative cell is at least 2**63, above p^r
-    bad = images.view(np.uint64) >= np.array(ig.group.moduli, dtype=np.uint64)
+    outside [0, p^r); unsigned images are read in their own dtype."""
+    images = np.asarray(images)
+    if images.dtype.kind != "u":  # read as uint64, a negative cell is >= 2**63
+        images = images.astype(np.int64, copy=False).view(np.uint64)
+    bad = images >= np.array(ig.group.moduli, images.dtype)
     # a step of 1 allows every cell; fmod is zero exactly on the multiples,
-    # of either sign, and faster than %
-    step = ig._allowed_step
+    # and faster than %
+    step = ig._allowed_step.astype(images.dtype)
     coarse = (step > 1).any(axis=1)
     bad[..., coarse, :, :] |= np.fmod(images[..., coarse, :, :], step[coarse, None]) != 0
     return bad
@@ -273,18 +295,24 @@ def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     return images
 
 
-def _encode(messages, images: np.ndarray, moduli) -> np.ndarray:
-    """(messages @ images) mod moduli: messages [k] or [M, k] against images
-    [..., k, n, c] give codewords [..., n, c] or [..., M, n, c].  A dither is
-    one more generator row, with message coordinate 1."""
-    # k products of residues below max(moduli) fit in int64
-    if images.shape[-3] * max(moduli) ** 2 >= 2**63:
+def _encode(messages, rows: np.ndarray, moduli) -> np.ndarray:
+    """(messages @ rows) mod moduli: messages [k] or [M, k] against rows
+    [k, n, c, ...] give words [n, c, ...] or [M, n, c, ...], by per-component
+    additions in int32, or int64 where k products of residues need it; each
+    product names its dtype, so that none wraps in the residue dtype."""
+    if (bound := len(rows) * max(moduli) ** 2) >= 2**63:
         raise ValueError("group moduli too large for int64 residue arithmetic")
-    words = np.matmul(messages, images.reshape(images.shape[:-2] + (-1,)))
-    words = words.reshape(words.shape[:-1] + images.shape[-2:])
-    # numpy divides by one scalar modulus much faster than by an array, and
-    # in place it takes no second array as large as the codebook
-    modulus = moduli[0] if len(set(moduli)) == 1 else moduli
+    wide = np.int32 if bound < 2**31 else np.int64
+    messages = np.asarray(messages, wide)
+    words = np.zeros(messages.shape[:-1] + rows.shape[1:], wide)
+    used = messages.reshape(-1, len(rows)).any(axis=0).tolist()
+    for row, column, nonzero in zip(rows, messages.T, used):
+        if nonzero:
+            words += np.multiply.outer(column, row, dtype=wide)
+    # numpy divides by one scalar modulus much faster than by an array
+    modulus = moduli[0]
+    if len(set(moduli)) > 1:  # one per ring, against the axes after it
+        modulus = np.array(moduli, wide).reshape((-1,) + (1,) * (rows.ndim - 3))
     return np.remainder(words, modulus, out=words)
 
 
@@ -501,21 +529,24 @@ def verify_pairwise_law(
         tables = _checked(ig, _sample_tables(ig, n, rng, (drawn,)))
     else:
         tables = ig._enumeration(n)
+    # w = phi(b - a) [n, c, T], tables last, so that the tally reduces and
+    # gathers whole rows of them
     diff = np.subtract(b.residues, a.residues)
-    w = _encode(diff, tables, g_spec.moduli)  # [T, n, c]
-    digits, rest = np.divmod(w, steps)
-    digits = digits[~rest.any(axis=(1, 2))]
+    w = _encode(diff, tables.transpose(1, 2, 3, 0), g_spec.moduli)
+    digits, rest = np.divmod(w, np.array(steps, w.dtype)[:, None])
+    digits = digits[..., ~rest.any(axis=(0, 1))]
     per_coordinate = math.prod(radices)
     tallies, width = coords.shape
     cells = per_coordinate**width
-    # [T', tallies]: each coordinate's cell, then each tally's, offset by tally
-    cell = _index(_index(digits, radices)[:, coords], [per_coordinate] * width)
-    keys = (cell + cells * np.arange(tallies)).ravel()
+    # [tallies, T']: each coordinate's cell, then each tally's, offset by tally
+    cell = _index(digits.transpose(0, 2, 1), radices)[coords]
+    cell = _index(cell.transpose(0, 2, 1), [per_coordinate] * width)
+    keys = (cell + cells * np.arange(tallies)[:, None]).ravel()
     hits = np.bincount(keys, minlength=cells * tallies).reshape(tallies, cells)
     total = len(tables)
     mode = "sampled" if drawn else "exhaustive"
     threshold = 3.0 * math.sqrt(cells / total) if drawn else 0.0
-    off = total - len(digits)  # int / int is the correctly rounded float
+    off = total - digits.shape[-1]  # int / int is the correctly rounded float
     # TV over the support, the largest tally's: (1/2) sum |hits/total - 1/cells|,
     # in integers
     gap = int(np.abs(hits * cells - total).sum(axis=-1).max())
@@ -544,28 +575,48 @@ class MonteCarloReport:
         return self.errors / self.trials
 
 
+def _codebook(ig: InputGroup, images: np.ndarray, dither: np.ndarray) -> np.ndarray:
+    """Every message's codeword, element indices [messages, n, trials], of
+    images [trials, k, n, c] and dithers [trials, n, c]: from the dither,
+    add each component's q^s multiples in turn, last message digit fastest,
+    the multiples built by doubling in O(log q^s) steps of ``_plus``."""
+    moduli = ig.group.moduli
+    dtype = _residue_dtype(moduli)
+    top = np.array(moduli, dtype)[:, None]  # p^r per ring, against the trials
+    words = dither.transpose(1, 2, 0).astype(dtype)[None]
+    for row, radix in zip(images.transpose(1, 2, 3, 0), ig.spec.moduli):
+        multiples = np.zeros((radix,) + row.shape, dtype)
+        multiples[1] = row
+        for span in (1 << t for t in range(1, (radix - 1).bit_length())):
+            shift = _plus(multiples[span - 1], multiples[1], top)
+            end = min(2 * span, radix)
+            _plus(multiples[: end - span], shift, top, out=multiples[span:end])
+        words = _plus(words[:, None], multiples, top).reshape((-1,) + row.shape)
+    index = np.min_scalar_type(ig.group.order - 1)
+    return _index(words.transpose(0, 1, 3, 2).astype(index, copy=False), moduli)
+
+
 def _ml_decode(w_flat, offsets, codebook) -> np.ndarray:
     """The first message of greatest likelihood in each trial, W(y_i | x_i)
-    read at offsets [B, n] + codebook [B, messages, n] and multiplied from
-    i = 0 up: the rounding, and so which ties decode where, follows this
-    order.  Every ``run`` coordinates, as many as keep a product from
-    [1/2, 1) at or above 2^-1022 (but for a zero of W), a trial's products
-    are scaled by the power of two that brings its greatest to [1/2, 1).
-    The scaling is exact, so each step rounds as the plain product does
-    wherever that is normal, and a long block's likelihoods do not
-    underflow to 0; only a product more than 2^1021 below its trial's
-    greatest at a scaling keeps fewer bits."""
+    read at offsets [n, trials] + codebook [messages, n, trials] and
+    multiplied from i = 0 up, an order that fixes the rounding and so the
+    ties.  Every ``run`` coordinates, as many as keep a product from [1/2, 1)
+    at or above 2^-1022 (but for a zero of W), a trial's products are scaled
+    exactly by the power of two that brings its greatest to [1/2, 1): each
+    step rounds as the plain product does wherever that is normal, and no
+    likelihood underflows to 0; only a product more than 2^1021 below its
+    trial's greatest at a scaling keeps fewer bits."""
     # W's least nonzero entry is at least 2^(e - 1), so from 1/2 a run of
     # 1021 // (1 - e) factors stays at or above 2^-1022
     e = np.frexp(w_flat[w_flat > 0].min())[1]
     run = max(1021 // max(1 - e, 1), 1)
-    likelihood = np.ones(codebook.shape[:2])
-    for i, row in enumerate(offsets.T, 1):
-        likelihood *= w_flat[row[:, None] + codebook[..., i - 1]]
+    likelihood = np.ones(codebook.shape[::2])
+    for i, row in enumerate(offsets, 1):
+        likelihood *= w_flat[row + codebook[:, i - 1]]
         if i % run == 0:
-            top = likelihood.max(axis=1, keepdims=True)
+            top = likelihood.max(axis=0)
             np.ldexp(likelihood, -np.frexp(top)[1], out=likelihood)
-    return likelihood.argmax(axis=1)
+    return likelihood.argmax(axis=0)
 
 
 def mc_channel_error(
@@ -574,27 +625,21 @@ def mc_channel_error(
     """Empirical block-error rate of the shifted random code under exhaustive
     maximum-likelihood decoding, averaged over freshly sampled (table,
     dither, message, noise) per trial.  Ties decode to the lowest message
-    index, so the result is deterministic given the seed.  ``_ml_decode``
-    scales each trial's likelihoods by powers of two as it goes, so a long
-    block's do not underflow.
+    index, and ``_ml_decode`` scales each trial's likelihoods by powers of
+    two as it goes, so a long block's do not underflow.
 
     Every trial is drawn from one ``Generator(Philox(seed))``, an integer
-    seed, as every seeded draw of this module is, a block of trials at a
-    time: the block's tables and dithers by ``_sample_table``, then its
-    message indices by ``integers(0, messages)``, then one uniform u per
-    coordinate of each trial by ``random``; the output is the first y whose
-    cumulative W(. | x) exceeds u, which is how ``Generator.choice`` draws.
-    So the report depends on the inputs and the seed alone; as a block's
-    draws depend on its size, a run of t trials is not the first t trials
-    of a longer run.
-    Encoding, the injectivity test and decoding run over a block of
-    SIZE_CAP // (messages x n x rings) trials, one trial's codebook being
-    refused above SIZE_CAP cells; the message grid [messages, k + 1] has at
-    most 21 * SIZE_CAP.  The dither is one more generator row, with message
-    coordinate 1, so a block's codebook is one product and one reduction
-    mod p^r.  A trial's code is injective exactly when no message a != 0 has
-    message 0's codeword: phi(a) + D = phi(b) + D holds exactly when
-    phi(a - b) = 0."""
+    seed, a block of SIZE_CAP // (messages x n x rings) trials at a time,
+    one trial's codebook being refused above SIZE_CAP cells: the block's
+    tables and dithers by ``_sample_table``, its message indices by
+    ``integers(0, messages)``, then one uniform u per coordinate of each
+    trial by ``random``; the output is the first y whose cumulative
+    W(. | x) exceeds u, as ``Generator.choice`` draws.  So the report
+    depends on the inputs and the seed alone, but as a block's draws depend
+    on its size, a run of t trials is not the first t of a longer run.
+    ``_codebook`` builds a block's codewords, trials last, by additions.  A
+    trial's code is injective exactly when no message a != 0 has message
+    0's codeword: phi(a) + D = phi(b) + D holds exactly when phi(a - b) = 0."""
     n = _check_count("blocklength", n)
     seed = _check_seed("seed", seed)
     _check_kind(chan, ChannelSpec)
@@ -605,12 +650,7 @@ def mc_channel_error(
     if cells := _over_cap(SIZE_CAP, doublings, lambda: ig.size * n * len(moduli)):
         raise ValueError(f"trial codebook of {cells} cells exceeds cap {SIZE_CAP}")
     trials = _check_count("trials", trials)
-    size = ig.size
-    # message coordinate 1 on the dither, generator row k + 1; the grid is a
-    # view of its digits, so it is built once
-    messages = _grid((*ig.spec.moduli, 1))
-    messages[:, -1] = 1
-    order = ig.group.order
+    size, order = ig.size, ig.group.order
     w_flat = chan.matrix.T.ravel()  # W(y | x) at y * |G| + x
     cdf = chan.matrix.cumsum(axis=1)
     cdf /= cdf[:, -1:]
@@ -624,16 +664,11 @@ def mc_channel_error(
         _checked(ig, images)
         sent = rng.integers(0, size, count)
         u = rng.random((count, n))
-        rows = np.concatenate([images, dither[:, None]], axis=1)
-        codebook = _index(_encode(messages, rows, moduli), moduli)  # [B, messages, n]
-        # injective (see above), by coordinate: reducing a short last axis is slow
-        moved = codebook[:, 1:, 0] != codebook[:, :1, 0]
-        for i in range(1, n):
-            moved |= codebook[:, 1:, i] != codebook[:, :1, i]
-        injective = moved.all(axis=1)
-        x = codebook[np.arange(count), sent]  # [B, n]
+        codebook = _codebook(ig, images, dither)  # [messages, n, B]
+        injective = (codebook[1:] != codebook[:1]).any(axis=1).all(axis=0)
+        x = codebook[sent, :, np.arange(count)]  # [B, n]
         y = (cdf[x] <= u[..., None]).sum(axis=-1)
-        wrong = _ml_decode(w_flat, y * order, codebook) != sent
+        wrong = _ml_decode(w_flat, y.T * order, codebook) != sent
         errors += int(wrong.sum())
         injective_trials += int(injective.sum())
         injective_errors += int(wrong[injective].sum())

@@ -745,6 +745,29 @@ def test_violations_bound_both_ends():
     assert bad.tolist() == [True, True, True, False, False, True, True]
 
 
+@pytest.mark.parametrize(
+    "orders,slot,a,b",
+    [
+        ([128], (2, 7), [127], [0]),
+        ([128], (2, 7), [0], [127]),
+        ([27], (3, 3), [0], [26]),
+    ],
+)
+def test_pairwise_law_products_do_not_wrap_in_narrow_residues(orders, slot, a, b):
+    # both groups' tables are uint8, Z128 at its edge (2 * 128 = 256); numpy
+    # 1.24's value-based casting and numpy 2's NEP 50 type a scalar times a
+    # uint8 array differently, so each product in _encode names its wide
+    # dtype.  A difference of -127 times a uint8 array overflows it, and
+    # 26 * 26 wrapped mod 256 moves its residue mod 27; the full joint route
+    # and the sampled law's pass catch both
+    ig = ig_of(orders, {slot: 1})
+    assert ig._enumeration(1).dtype == np.uint8
+    assert_matches_oracle(ig, 1, a, b)
+    with mock.patch.object(ensemble, "_exhaustive", lambda ig, n: False):
+        rep = verify_pairwise_law(ig, 1, a, b, samples=4096, seed=3)
+    assert rep.mode == "sampled" and rep.off_support_mass == 0 and rep.passed
+
+
 def counted_tables(calls: list, tables=ALL_TABLES):
     """An enumerator that records the blocklength of each call."""
 
@@ -1154,7 +1177,9 @@ def mc_case(draw):
     trial stays small, so that the trial-at-a-time oracle is fast, or the
     configuration is one that the former cap |J|·|G|^n <= SIZE_CAP admitted,
     which reaches wide J and blocks of a few trials."""
-    orders = draw(st.sampled_from([[2], [3], [4], [8], [9], [2, 2], [4, 3]]))
+    orders = draw(
+        st.sampled_from([[2], [3], [4], [8], [9], [16], [27], [128], [2, 2], [4, 3]])
+    )
     spec = decompose(orders).spec
     slots = len(spec.weight_slots)
     counts = draw(
@@ -1180,6 +1205,77 @@ def mc_case(draw):
         matrix /= matrix.sum(axis=1, keepdims=True)
     chan = ChannelSpec(spec, matrix)
     return ig, n, chan, draw(st.integers(1, 30)), draw(st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def codebook_case(draw):
+    """A block of sampled tables and dithers, at most 2^12 messages, on a group
+    of uint8 residues up to Z128 (2 * 128 = 256 is the edge), of uint16 from
+    Z243 and Z256, of several rings, or a J of one Z4096 component on Z4096."""
+    groups = [[2], [3], [8], [9], [27], [128], [243], [256], [4, 3], [2, 3, 5]]
+    orders = draw(st.sampled_from(groups + [[4096]]))
+    spec = decompose(orders).spec
+    slots = len(spec.weight_slots)
+    if orders == [4096]:
+        counts = [0] * (slots - 1) + [1]
+    else:
+        counts = draw(st.lists(st.integers(0, 2), min_size=slots, max_size=slots))
+    ig = InputGroup(spec, counts) if any(counts) else None
+    assume(ig is not None and ig.size <= 2**12)
+    n, trials = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**64 - 1))))
+    return ig, *ensemble._sample_table(ig, n, rng, (trials,))
+
+
+@given(codebook_case())
+def test_codebook_matches_the_message_grid_product(case):
+    # the old route: the dither is one more generator row, with message
+    # coordinate 1, so the codebook is one product over the message grid,
+    # reduced mod p^r and indexed over the rings
+    ig, images, dither = case
+    moduli = ig.group.moduli
+    assert images.dtype == np.min_scalar_type(2 * max(moduli) - 1)
+    messages = ensemble._grid((*ig.spec.moduli, 1))
+    messages[:, -1] = 1
+    rows = np.concatenate([images, dither[:, None]], axis=1).transpose(1, 2, 3, 0)
+    words = ensemble._encode(messages, rows, moduli)  # [messages, n, c, trials]
+    expected = ensemble._index(words.transpose(0, 1, 3, 2), moduli)
+    assert ensemble._codebook(ig, images, dither).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "high",
+    [2, 3, 4, 9, 27, 243, 2**31 - 1, 2**31, [2, 2, 4, 4, 9], [[3, 9], [27, 2**31 - 1]]],
+)
+def test_int32_draws_are_the_int64_stream(high):
+    # numpy draws a bound up to 2**32 from one 32-bit word a draw by Lemire's
+    # method, whether the output is int32 or int64; every pinned report here
+    # reads the ensemble's draws, so the narrow draw must leave the default
+    # draw's values and the state after it, which the next random() reads
+    size = (7, 5) + np.shape(high)
+    for seed in (0, 1, 2**64 - 1):
+        wide, narrow = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        expected = wide.integers(0, high, size)
+        got = ensemble._integers(narrow, high, size)  # integers(..., dtype=np.int32)
+        assert got.dtype == np.int32 and got.tolist() == expected.tolist()
+        assert narrow.random() == wide.random()
+    rng = np.random.Generator(np.random.Philox(0))
+    assert ensemble._integers(rng, 2**31 + 1, 1).dtype == np.int64
+
+
+def test_mc_memory_of_the_widest_codebook():
+    # |J| = 2^20 at n = 1, one trial a block: the codebook is 2^20 uint8
+    # cells, and no [|J|, k + 1] message grid of int64 is built (202 MiB)
+    z2 = decompose([2]).spec
+    bsc = ChannelSpec(z2, [[0.9, 0.1], [0.1, 0.9]])
+    tracemalloc.start()
+    try:
+        rep = mc_channel_error(InputGroup(z2, (20,)), 1, bsc, 20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 20 and rep.injective_trials == 0
+    assert peak < 64 * 2**20, peak
 
 
 @given(mc_case())
@@ -1223,14 +1319,15 @@ def test_ml_decode_matches_the_product(n, least):
         w = rng.dirichlet(np.ones(3), size=4)
         w[:, 0] *= least
     w_flat, order = w.T.ravel(), len(w)
-    offsets = rng.integers(0, 3, (40, n)) * order
-    codebook = rng.integers(0, order, (40, 16, n))
-    terms = w_flat[offsets[:, None, :] + codebook]  # [trials, messages, n]
+    # offsets [n, trials] and codebook [messages, n, trials], trials last
+    offsets = rng.integers(0, 3, (40, n)).T * order
+    codebook = rng.integers(0, order, (40, 16, n)).transpose(1, 2, 0)
+    terms = w_flat[offsets + codebook]  # [messages, n, trials]
     if least == 1.0 and n == 5:
-        expected = terms.prod(axis=-1).argmax(axis=1)
+        expected = terms.prod(axis=1).argmax(axis=0)
     else:
-        assert (terms.prod(axis=-1) == 0).any()
-        expected = np.log(terms).sum(axis=-1).argmax(axis=1)
+        assert (terms.prod(axis=1) == 0).any()
+        expected = np.log(terms).sum(axis=1).argmax(axis=0)
     got = ensemble._ml_decode(w_flat, offsets, codebook)
     assert got.tolist() == expected.tolist()
 
