@@ -21,7 +21,7 @@ import time
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .groups import _check_count, _check_seed, decompose
+from .groups import _check_count, _check_seed, _past_cap, decompose
 from .measures import ValidationError
 from .problems import (
     ChannelProblem,
@@ -35,9 +35,9 @@ from .problems import (
     theta_csv_rows,
 )
 from .rates import (
+    COVERING_CAP,
     SolverError,
     WeightVector,
-    _over_covering_cap,
     channel_coding_rate,
     channel_rate_prime_power,
     channel_terms,
@@ -179,9 +179,10 @@ def _cmd_rate(args, sense: str) -> int:
         _check_csv(args.csv)
     start = time.perf_counter()
     if args.grid_check:
-        # the oracle first, so that its step rule refuses before the rate call
+        # the oracle first, so that its step rule and its cap refuse before
+        # the rate call
         points, supports = grid_size(data.group, args.grid_check)
-        points = _over_covering_cap(points) or points
+        _past_cap(points, COVERING_CAP, "COVERING_CAP", "grid", "points")
         print(f"grid oracle: {points} points on {supports} supports", file=sys.stderr)
         grid_value, _ = grid_search(
             data.group, terms_of(data), sense, steps=args.grid_check

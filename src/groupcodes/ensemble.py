@@ -20,28 +20,31 @@ The exhaustive pairwise law reads it, so it is only built where the tables T
 times the |G|^n dither words are at most EXHAUSTIVE_CAP.  The plan belongs to
 the instance, not to its value: an equal group built apart builds its own.
 Its arrays are read-only, and a value computed twice in a race is identical,
-so an InputGroup is safe to share across threads.
+so an InputGroup is safe to share across threads.  A table draw, a sampled
+tally and a trial codebook past SIZE_CAP cells, and a ring too wide for
+int64 residues, are refused before anything is built, by
+``groups._past_cap``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupElement, GroupSpec, ThetaVector, _check_count, _check_seed
-from .groups import _components, _grid, _index, _induce, _integer, _is_prime
-from .groups import _min_depths, _slot_values
+from .groups import SIZE_CAP, GroupElement, GroupSpec, ThetaVector, _check_count
+from .groups import _check_seed, _components, _grid, _index, _induce, _integer
+from .groups import _is_prime, _min_depths, _past_cap, _slot_values
 from .measures import ChannelSpec, _check_kind
 from .rates import _check_support, enumerate_theta_set
 
 # Exhaustive enumeration is preferred whenever the sampled space fits under
 # this cap; statistical checks are a fallback, not the default.
 EXHAUSTIVE_CAP = 1 << 16
-SIZE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,10 @@ class InputGroup:
     def _selector_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Per component: its slot's row of the group's ``_slot_gaps`` [k, L],
         and the powers q, ..., q^s then q^s + 1 [k, max s], of which a
-        residue's q-adic depth counts those up to its gcd with q^s."""
+        residue's q-adic depth counts those up to its gcd with q^s.  Every
+        residue array is read after these, so a ring too wide for int64
+        residues is refused here, before any is built."""
+        _past_cap(max(self.group.moduli), 2**63 - 1, "int64", "ring", "residues")
         rings, top = self.spec.rings, max(s for _, s, _ in self.spec.rings)
         gaps = np.repeat(self.group._slot_gaps, self.counts, axis=0)
         powers = np.array(
@@ -180,19 +186,6 @@ class HomomorphismTable:
             raise ValueError(f"generator image violates ensemble constraints: {bad[0]}")
 
 
-def _over_cap(cap: int, doublings: int, size) -> str | None:
-    """None for a size within cap, else the size as a refusal names it.  A
-    size here is a product of factors that each at least double it (J's
-    components, and |G| in each coordinate of the exhaustive pairwise space;
-    n's bits in a simulation),
-    so it is at least 2**doublings: past twice the cap that bound refuses it
-    unformed, named "at least 2^doublings"; otherwise ``size()`` forms it,
-    from at most the cap's bit length of such factors, so it is short."""
-    if doublings > cap.bit_length():
-        return f"at least 2^{doublings}"
-    return str(value) if (value := size()) > cap else None
-
-
 # -- the residue-array core ----------------------------------------------------
 #
 # Inside this module a table is an array images[k, n, c] (input component x
@@ -224,9 +217,9 @@ def _tables(ig: InputGroup, n: int, pick) -> np.ndarray:
     """Generator images [..., k, n, c] in the residue dtype; ``pick(bounds)``
     gives the digits [..., len(bounds)] of the drawn same-prime (component,
     coordinate, ring) cells in C order, and cross-prime cells stay zero."""
+    step = np.repeat(ig._allowed_step[:, None, :], n, axis=1)
     moduli = np.array(ig.group.moduli)
     dtype = _residue_dtype(ig.group.moduli)
-    step = np.repeat(ig._allowed_step[:, None, :], n, axis=1)
     drawn = step < moduli
     digits = pick((moduli // step)[drawn])
     if drawn.all():  # one prime: no cross-prime cell stays zero
@@ -245,8 +238,7 @@ def _all_tables(ig: InputGroup, n: int) -> np.ndarray:
 def _check_draw(ig: InputGroup, n: int, size: tuple[int, ...]) -> None:
     """A draw of ``size`` tables, more than SIZE_CAP cells, is refused."""
     cells = math.prod(size) * ig.total * n * len(ig.group.moduli)
-    if cells > SIZE_CAP:
-        raise ValueError(f"table draw of {cells} cells exceeds cap SIZE_CAP={SIZE_CAP}")
+    _past_cap(cells, SIZE_CAP, "SIZE_CAP", "table draw", "cells")
 
 
 def _sample_tables(
@@ -280,10 +272,10 @@ def _violations(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     images = np.asarray(images)
     if images.dtype.kind != "u":  # read as uint64, a negative cell is >= 2**63
         images = images.astype(np.int64, copy=False).view(np.uint64)
+    step = ig._allowed_step.astype(images.dtype)
     bad = images >= np.array(ig.group.moduli, images.dtype)
     # a step of 1 allows every cell; fmod is zero exactly on the multiples,
     # and faster than %
-    step = ig._allowed_step.astype(images.dtype)
     coarse = (step > 1).any(axis=1)
     bad[..., coarse, :, :] |= np.fmod(images[..., coarse, :, :], step[coarse, None]) != 0
     return bad
@@ -317,10 +309,11 @@ def _encode(messages, rows: np.ndarray, moduli) -> np.ndarray:
 
 
 def _image_array(table: HomomorphismTable) -> np.ndarray:
-    ig = table.input_group
+    # [k, c], read first: it refuses a ring too wide for int64 residues
+    k, c = table.input_group._allowed_step.shape
     return np.array(
         [[g.residues for g in row] for row in table.images], dtype=np.int64
-    ).reshape(ig.total, table.blocklength, len(ig.group.rings))
+    ).reshape(k, table.blocklength, c)
 
 
 def _elements(spec: GroupSpec, rows: np.ndarray) -> tuple[GroupElement, ...]:
@@ -458,7 +451,7 @@ def _exhaustive(ig: InputGroup, n: int) -> bool:
         hom_space = math.prod(map(int, (ig.group.moduli // ig._allowed_step).flat))
         return (ig.group.order * hom_space) ** n
 
-    return not _over_cap(EXHAUSTIVE_CAP, (ig.total + 1) * n, space)
+    return not _past_cap(space, EXHAUSTIVE_CAP, doublings=(ig.total + 1) * n)
 
 
 def _law_plan(ig: InputGroup, n: int, theta, samples: int):
@@ -476,11 +469,9 @@ def _law_plan(ig: InputGroup, n: int, theta, samples: int):
     if _exhaustive(ig, n):
         return steps, radices, np.arange(n)[None], 0
     tables = max(samples, 36 * math.prod(radices) ** min(n, 2))
-    if (work := tables * math.comb(n, 2)) > SIZE_CAP:
-        raise ValueError(
-            f"pairwise tally of {work} cells ({tables} tables x {math.comb(n, 2)} "
-            f"coordinate pairs) exceeds cap SIZE_CAP={SIZE_CAP}"
-        )
+    pairs = math.comb(n, 2)
+    unit = f"cells ({tables} tables x {pairs} coordinate pairs)"
+    _past_cap(tables * pairs, SIZE_CAP, "SIZE_CAP", "pairwise tally", unit)
     _check_draw(ig, n, (tables,))
     coords = np.transpose(np.triu_indices(n, 1)) if n > 1 else np.zeros((1, 1), int)
     return steps, radices, coords, tables
@@ -646,9 +637,11 @@ def mc_channel_error(
     if chan.group != ig.group:
         raise ValueError("channel input alphabet differs from the code group")
     moduli = ig.group.moduli
-    doublings = ig.total + n.bit_length() - 1
-    if cells := _over_cap(SIZE_CAP, doublings, lambda: ig.size * n * len(moduli)):
-        raise ValueError(f"trial codebook of {cells} cells exceeds cap {SIZE_CAP}")
+    # one trial's codebook: |J| x n x rings cells, at least 2^(k + n's bits - 1)
+    _past_cap(
+        lambda: ig.size * n * len(moduli), SIZE_CAP, "SIZE_CAP",
+        "trial codebook", "cells", ig.total + n.bit_length() - 1,
+    )
     trials = _check_count("trials", trials)
     size, order = ig.size, ig.group.order
     w_flat = chan.matrix.T.ravel()  # W(y | x) at y * |G| + x
@@ -694,8 +687,9 @@ def lemma_suite(
 
     The counts must give every prime of the group a component, as the
     theta-set check needs a support with a slot per prime; other counts,
-    a table draw of more than SIZE_CAP cells, and a pairwise law that its
-    plan, ``_law_plan`` at the largest H_theta of any pair, refuses, are
+    a table draw of more than SIZE_CAP cells, a pairwise law that its plan,
+    ``_law_plan`` at the largest H_theta of any pair, refuses, and a ring of
+    more than SIZE_CAP residues, all of which a congruence check reads, are
     refused before anything is drawn.  Exhaustive wherever
     the space allows; the pairwise law falls back to seeded sampling above
     the enumeration cap, of max(samples, 1024) tables or more (see
@@ -715,7 +709,13 @@ def lemma_suite(
     gcd(a, p^r) or 0 as it says, and a solvable b's g distinct solutions must
     lie in [0, p^r) and solve it, so they are all.  Above SIZE_CAP
     equations each coefficient a is checked, on every b, with probability
-    SIZE_CAP / equations, so about SIZE_CAP are checked.
+    SIZE_CAP / equations: the coefficients of every level, in ascending p^r,
+    laid end to end, are sampled every equations / SIZE_CAP of them from one
+    drawn offset, no draw made per coefficient.  That checks at least one
+    coefficient, as no ring has more than SIZE_CAP residues, and at most
+    SIZE_CAP + max p^r <= 2 SIZE_CAP equations, as p^r ascends: each sampled
+    coefficient but the last has at most the mean p^r of the spacing after
+    it.
     """
     n = _check_count("blocklength", n)
     seed = _check_seed("seed", seed)
@@ -728,6 +728,9 @@ def lemma_suite(
     n_tables, law_samples = min(samples, 1000), max(samples, 1024)
     _check_draw(ig, n, (n_tables,))
     _law_plan(ig, n, _selectors(ig, np.ones(ig.total, dtype=np.int64)), law_samples)
+    # and a congruence check reads every residue of its ring
+    ring = max(ig.group.moduli)
+    _past_cap(ring, SIZE_CAP, "SIZE_CAP", "congruence-solver ring", "residues")
     rng = np.random.Generator(np.random.Philox(seed))
 
     # generator constraints on freshly sampled tables
@@ -782,19 +785,27 @@ def lemma_suite(
     checks.append(LemmaCheck("theta-set-equality", got == expected, detail))
 
     # congruence solver against brute force, mismatches counted per equation
-    levels = [
-        (p, r, s)
-        for p in ig.group.primes
-        for r in range(1, ig.group.max_exponent(p) + 1)
-        for s in range(1, r + 1)
-    ]
-    share = SIZE_CAP / sum((p**s - 1) * p**r for p, r, s in levels)
-    cong_total = cong_fail = 0
+    levels = sorted(
+        (
+            (p, r, s)
+            for p in ig.group.primes
+            for r in range(1, ig.group.max_exponent(p) + 1)
+            for s in range(1, r + 1)
+        ),
+        key=lambda level: level[0] ** level[1],
+    )
+    equations = sum((p**s - 1) * p**r for p, r, s in levels)
+    sampled = equations > SIZE_CAP
+    if sampled:  # the positions of the sampled coefficients, levels end to end
+        end = sum(p**s - 1 for p, _, s in levels) * SIZE_CAP
+        offset = int(rng.integers(equations))
+        kept = [x // SIZE_CAP for x in range(offset, end, equations)]
+    cong_total = cong_fail = start = 0
     for p, r, s in levels:
-        mod = p**r
-        coeffs = range(1, p**s)
-        if share < 1:
-            coeffs = (np.flatnonzero(rng.random(len(coeffs)) < share) + 1).tolist()
+        mod, coeffs = p**r, range(1, p**s)
+        if sampled:  # the kept positions among this level's coefficients
+            lo, hi = bisect_left(kept, start), bisect_left(kept, start + len(coeffs))
+            coeffs, start = [i - start + 1 for i in kept[lo:hi]], start + len(coeffs)
         targets = np.arange(mod)
         for a in coeffs:
             counts = np.bincount(a * targets % mod, minlength=mod)
@@ -807,8 +818,8 @@ def lemma_suite(
             wrong[b] |= bad.any(axis=1)
             cong_total += mod
             cong_fail += int(wrong.sum())
-    sampled = " (sampled)" if share < 1 else ""
-    detail = f"{cong_total} equations checked{sampled}, {cong_fail} mismatches"
+    tag = " (sampled)" if sampled else ""
+    detail = f"{cong_total} equations checked{tag}, {cong_fail} mismatches"
     checks.append(LemmaCheck("congruence-solver", cong_fail == 0, detail))
     return checks
 

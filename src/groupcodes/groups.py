@@ -17,6 +17,8 @@ selector lattice, what rate calls read.  No layer holds the 2^k covering
 supports: a call that takes them builds what it reads of them for itself.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
+Every cap of the package is checked, and a size past it refused in one form,
+by ``_past_cap``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# Soft cap on element enumeration: groups in this library are desk-scale,
-# fail loudly instead of hanging on a huge order.
-ENUMERATION_CAP = 1 << 20
+# The most elements an enumeration lists and cells an ensemble array holds:
+# groups here are desk-scale, so a larger size is refused, not left to hang.
+SIZE_CAP = 1 << 20
 # Rows an entropy batch of the coset-terms walk may hold below the group's
 # order, so that a small group's terms take one batch.
 ENTROPY_BATCH_FLOOR = 4096
@@ -244,10 +246,7 @@ class GroupSpec:
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements in canonical (lexicographic residue vector) order."""
-        if self.order > ENUMERATION_CAP:
-            raise ValueError(
-                f"group order {self.order} exceeds enumeration cap {ENUMERATION_CAP}"
-            )
+        _past_cap(self.order, SIZE_CAP, "SIZE_CAP", "group", "elements")
         for tup in itertools.product(*(range(n) for n in self.moduli)):
             yield GroupElement(self, tup)
 
@@ -564,10 +563,7 @@ class Subgroup:
         return self.coset_label(x) == (0,) * len(self.spec.rings)
 
     def elements(self) -> Iterator[GroupElement]:
-        if self.order > ENUMERATION_CAP:
-            raise ValueError(
-                f"subgroup order {self.order} exceeds cap {ENUMERATION_CAP}"
-            )
+        _past_cap(self.order, SIZE_CAP, "SIZE_CAP", "subgroup", "elements")
         ranges = [
             range(0, n, q) for n, q in zip(self.spec.moduli, self._label_moduli)
         ]
@@ -663,6 +659,28 @@ def _check_count(name: str, value) -> int:
     if (count := _integer(name, value)) < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return count
+
+
+def _past_cap(
+    size, cap: int, name: str = "", what: str = "", unit: str = "", doublings: int = 0
+) -> bool:
+    """Whether ``size`` is past ``cap``, the cap ``name``: False within it;
+    past it True, or, given ``what``, the one refusal of every cap, a
+    ValueError "<what> of <size> <unit> exceeds cap <name>=<cap>", the size
+    in digits up to 64 bits and as "at least 2^D" past them.  A size known
+    to be at least 2**doublings may be given as a callable, formed only when
+    that bound is within the cap: past it, the size is refused unformed, as
+    "at least 2^doublings"."""
+    if doublings < cap.bit_length():  # else 2**doublings is past the cap
+        if callable(size):
+            size = size()
+        if size <= cap:
+            return False
+        doublings = size.bit_length() - 1
+    if not what:
+        return True
+    shown = size if doublings < 64 and not callable(size) else f"at least 2^{doublings}"
+    raise ValueError(f"{what} of {shown} {unit} exceeds cap {name}={cap}")
 
 
 def _check_seed(name: str, value) -> int:

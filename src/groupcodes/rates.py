@@ -24,8 +24,8 @@ is solved from them and the faces it searches that the plan does not hold,
 dropped on return: the prefixes of its unpinned slots, or every covering
 support for optimize_weights on terms not monotone up to rounding; the grid
 oracle takes only Theta(S), of the supports holding a grid point.  Both are
-refused past COVERING_CAP cells or points.  The vertex bounds
-take one float array the size of top, built in place.  At float weights omega
+refused past COVERING_CAP cells or points, by ``groups._past_cap``.  The
+vertex bounds take one float array the size of top, built in place.  At float weights omega
 is n.w / d.w with n = m(theta) log2 q and d = s log2 q
 (GroupSpec._omega_coefficients), summed in slot order: the LP's own
 coefficients, the one float statement of omega, which the public omega takes
@@ -59,7 +59,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .groups import GroupSpec, ThetaVector, _check_count, _components, _gaps, _induce
-from .groups import _check_real, _covering_masks, _integer, _slot_values, _theta_members
+from .groups import _check_real, _covering_masks, _integer, _past_cap, _slot_values
+from .groups import _theta_members
 from .measures import INFO_ZERO_TOL, PROB_TOL, ChannelSpec, SourceJoint, _coset_terms
 from .measures import _check_kind, _zero_residues
 
@@ -522,22 +523,9 @@ def optimize_weights(
     if problems.monotone():
         return _search(problems, *problems.prefixes())
     cells = grid_size(spec, len(spec.weight_slots))[1] * len(spec._thetas)
-    if over := _over_covering_cap(cells):
-        raise ValueError(
-            f"terms not monotone in theta: their covering search of {over} "
-            f"cells (supports x selectors) exceeds cap {COVERING_CAP}"
-        )
+    what = "terms not monotone in theta: their covering search"
+    _past_cap(cells, COVERING_CAP, "COVERING_CAP", what, "cells (supports x selectors)")
     return _search(problems, *spec._faces(_covering_masks(spec)))
-
-
-def _over_covering_cap(count: int) -> str | None:
-    """None for a count within COVERING_CAP, else the count as a refusal
-    names it: in full up to 64 bits, past them "at least 2^D", D = its bit
-    length - 1, as the ensemble names a size too long to form."""
-    if count <= COVERING_CAP:
-        return None
-    bits = count.bit_length()
-    return str(count) if bits <= 64 else f"at least 2^{bits - 1}"
 
 
 def _search(
@@ -758,8 +746,7 @@ def grid_search(
     points positive exactly on it, evaluated GRID_BLOCK points at a time (a
     larger one holds none); ``grid_size`` counts them and checks ``steps``,
     and a grid of more than COVERING_CAP points is refused unevaluated."""
-    if over := _over_covering_cap(grid_size(spec, steps)[0]):
-        raise ValueError(f"grid of {over} points exceeds cap {COVERING_CAP}")
+    _past_cap(grid_size(spec, steps)[0], COVERING_CAP, "COVERING_CAP", "grid", "points")
     problems = _SupportProblems.from_mapping(spec, terms, sense)
     sign = problems.sign
     masks = _covering_masks(spec, steps)

@@ -370,7 +370,8 @@ def test_grid_check_states_its_size(capsys, tmp_path):
 def test_grid_check_refused_past_its_cap(capsys, tmp_path, monkeypatch, steps, points):
     # Z1024's 1023 supports at 200 steps hold more grid points than the
     # oracle's cap, named in full; at 10^500 steps the count is too long to
-    # print and is named by its bit length.  Exit 2 before the rate call
+    # print and is named by its bit length.  Exit 2 before the rate call, with
+    # the one refusal line: the oracle's own line names only a grid it runs
     doc = {"kind": "channel", "group": [1024], "output_size": 2,
            "matrix": [[1, 0] if x % 2 else [0, 1] for x in range(1024)]}
     path = tmp_path / "z1024.json"
@@ -379,9 +380,113 @@ def test_grid_check_refused_past_its_cap(capsys, tmp_path, monkeypatch, steps, p
     code, out, err = run_cli(capsys, ["capacity", str(path), "--grid-check", steps])
     assert code == 2 and out == ""
     assert err.splitlines() == [
-        f"grid oracle: {points} points on 1023 supports",
-        f"error: grid of {points} points exceeds cap 8388608",
+        f"error: grid of {points} points exceeds cap COVERING_CAP=8388608"
     ]
+
+
+def _z1024_channel(path):
+    matrix = [[x % 2, 1 - x % 2] for x in range(1024)]
+    path.write_text(json.dumps({"kind": "channel", "group": [1024], "matrix": matrix}))
+    return path
+
+
+def _not_monotone():
+    # random terms on Z_(2^20): 2^20 - 1 covering supports x 21 selectors
+    from groupcodes.rates import optimize_weights
+
+    spec = decompose([2**20]).spec
+    rng = np.random.default_rng(20)
+    terms = dict(zip(spec._thetas, rng.random(len(spec._thetas))))
+    optimize_weights(spec, terms, "channel")
+
+
+def _trivial_subgroup(spec):
+    return groupcodes.Subgroup(spec, groupcodes.ThetaVector.zero(spec))
+
+
+def _counts(slot, slots):
+    return ",".join("1" if i == slot else "0" for i in range(slots))
+
+
+REFUSALS = [
+    # (site, library call or None, CLI argv or None, the refusal)
+    (
+        "group elements",
+        lambda tmp: list(decompose([2**21]).spec.elements()),
+        None,
+        "group of 2097152 elements exceeds cap SIZE_CAP=1048576",
+    ),
+    (
+        "subgroup elements",
+        lambda tmp: list(_trivial_subgroup(decompose([2**21]).spec).elements()),
+        None,
+        "subgroup of 2097152 elements exceeds cap SIZE_CAP=1048576",
+    ),
+    (
+        "table draw",
+        None,
+        lambda tmp: ["verify-ensemble", "4", "--counts", "0,1", "--n", str(10**15)],
+        "table draw of 200000000000000000 cells exceeds cap SIZE_CAP=1048576",
+    ),
+    (
+        "law tally",
+        None,
+        lambda tmp: ["verify-ensemble", "4", "--counts", "0,1", "--n", "64"],
+        "pairwise tally of 2064384 cells (1024 tables x 2016 coordinate pairs) "
+        "exceeds cap SIZE_CAP=1048576",
+    ),
+    (
+        "trial codebook",
+        None,
+        lambda tmp: ["simulate", str(_z1024_channel(tmp / "z.json")), "--counts",
+                     "1000000" + ",0" * 9, "--trials", "5"],
+        "trial codebook of at least 2^1000000 cells exceeds cap SIZE_CAP=1048576",
+    ),
+    (
+        "covering search",
+        lambda tmp: _not_monotone(),
+        None,
+        "terms not monotone in theta: their covering search of 22020075 cells "
+        "(supports x selectors) exceeds cap COVERING_CAP=8388608",
+    ),
+    (
+        "grid",
+        None,
+        lambda tmp: ["capacity", str(_z1024_channel(tmp / "z.json")), "--grid-check",
+                     "200"],
+        "grid of 1760806558963166 points exceeds cap COVERING_CAP=8388608",
+    ),
+    (
+        "wide ring",
+        None,
+        lambda tmp: ["verify-ensemble", str(2**70), "--counts", _counts(0, 70)],
+        "ring of at least 2^70 residues exceeds cap int64=9223372036854775807",
+    ),
+    (
+        "congruence ring",
+        None,
+        lambda tmp: ["verify-ensemble", str(2**24), "--counts", _counts(0, 24)],
+        "congruence-solver ring of 16777216 residues exceeds cap SIZE_CAP=1048576",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, argv, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS]
+)
+def test_every_cap_refuses_in_one_form(capsys, tmp_path, call, argv, message):
+    # every cap is checked and named by groups._past_cap: "<what> of <size>
+    # <unit> exceeds cap <NAME>=<value>", a context before it at most, and a
+    # refusal the CLI reaches exits 2 with that one error line
+    form = r"([^:]+: )?[a-z -]+ of (\d+|at least 2\^\d+) [^:]+ exceeds cap \w+=\d+"
+    assert re.fullmatch(form, message)
+    if call is not None:
+        with pytest.raises(ValueError) as info:
+            call(tmp_path)
+        assert str(info.value) == message
+    if argv is not None:
+        code, out, err = run_cli(capsys, argv(tmp_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_capacity_grid_check_needs_a_step_per_prime(capsys, tmp_path, monkeypatch):
@@ -784,7 +889,7 @@ def _suite_lines(tables, pairs, pairwise, classes, equations, sampled=False):
         # above SIZE_CAP equations: the congruence check samples coefficients
         (
             "65536 --counts 1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 --n 1 --trials 5",
-            (5, 20, "4 pairs (sampled)", 2, 1155072, True),
+            (5, 20, "4 pairs (sampled)", 2, 1045504, True),
         ),
         (
             "128,243 --counts 1,0,0,0,0,0,0,1,0,0,0,0 --n 1 --trials 5",

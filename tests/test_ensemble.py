@@ -199,7 +199,8 @@ def test_input_group_counts_are_integers():
 def test_simulation_cap_refuses_before_building_j():
     z4 = decompose([4]).spec
     ig = InputGroup(z4, (21, 0))
-    with pytest.raises(ValueError, match="exceeds cap 1048576"):
+    message = "trial codebook of at least 2^21 cells exceeds cap SIZE_CAP=1048576"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         mc_channel_error(ig, 1, ChannelSpec(z4, np.eye(4)), 5, 0)
     assert "spec" not in vars(ig)
 
@@ -1500,7 +1501,7 @@ def test_mc_cap():
     z2 = decompose([2]).spec
     wide, bsc = InputGroup(z2, (10,)), ChannelSpec(z2, [[0.9, 0.1], [0.1, 0.9]])
     for n, cells in [(1025, "1049600"), (10**5000, "at least 2^16619")]:
-        message = f"trial codebook of {cells} cells exceeds cap 1048576"
+        message = f"trial codebook of {cells} cells exceeds cap SIZE_CAP=1048576"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mc_channel_error(wide, n, bsc, trials=5, seed=0)
 
@@ -1572,9 +1573,10 @@ def test_numpy_counts_are_read_as_ints():
     for n in (2, np.int64(2)):
         with pytest.raises(ValueError, match="^pairwise tally of 39582418599936 cells"):
             verify_pairwise_law(wide, n, [0], [1])
-    # 2^62 tables at the 6 pairs of n = 4 are refused, in either call
+    # 2^62 tables at the 6 pairs of n = 4 are refused, in either call; their
+    # 27,670,116,110,564,327,424 cells are past 64 bits
     z4 = ig_of([4], {(2, 1): 1, (2, 2): 1})
-    message = "^pairwise tally of 27670116110564327424 cells"
+    message = r"^pairwise tally of at least 2\^64 cells \(4611686018427387904 tables"
     for samples in (2**62, np.int64(2**62)):
         with pytest.raises(ValueError, match=message):
             verify_pairwise_law(z4, 4, [0, 0], [1, 1], samples=samples)
@@ -1637,6 +1639,49 @@ def test_lemma_suite_congruence_check_sampled_above_cap(monkeypatch):
     monkeypatch.setattr(ensemble, "SIZE_CAP", 18)
     detail = lemma_suite(ig, 1, samples=8, seed=3)[-1].detail
     assert detail == "18 equations checked, 0 mismatches"
+
+
+def test_lemma_suite_congruence_sample_is_never_empty(monkeypatch):
+    # Z4's 18 equations are 2 of Z2's one coefficient and 4 of each of Z4's
+    # 1 + 3: under a cap of 8 every seed checks at least one coefficient and
+    # at most SIZE_CAP + max p^r = 12 equations, 8 on average over the offsets
+    ig = ig_of([4], {(2, 2): 1})
+    monkeypatch.setattr(ensemble, "SIZE_CAP", 8)
+    form = r"(\d+) equations checked \(sampled\), 0 mismatches"
+    for seed in range(100):
+        detail = lemma_suite(ig, 1, samples=8, seed=seed)[-1].detail
+        assert 2 <= int(re.fullmatch(form, detail)[1]) <= 8 + 4, (seed, detail)
+
+
+def test_wide_rings_are_refused_not_crashed():
+    # a ring of order 2^63 or more has no int64 residues, and every table,
+    # selector and law path refuses it before building any; below that each
+    # call returns or refuses, and the census builds no residue array at all
+    for e in range(70, 29, -1):
+        spec = decompose([2**e]).spec
+        for slot in (0, e - 1):  # J of one Z2, and of one Z_(2^e)
+            counts = [0] * e
+            counts[slot] = 1
+            ig = InputGroup(spec, tuple(counts))
+            # 2^(e-1) is an allowed image of either J, past int64 from e = 64
+            half = spec.element([2 ** (e - 1)])
+            calls = [
+                lambda: sample_hom(ig, 2, 0),
+                lambda: apply_hom(HomomorphismTable(ig, 1, ((half,),), (half,)), [1]),
+                lambda: pair_theta(ig, [0], [1]),
+                lambda: verify_pairwise_law(ig, 1, [0], [1]),
+                lambda: lemma_suite(ig, 1),
+            ]
+            for call in calls:
+                try:
+                    call()
+                except ValueError as exc:
+                    if e >= 63:
+                        assert str(exc).startswith("ring of ")
+                else:
+                    assert e < 63
+            assert sum(theta_census(ig).values()) == ig.size
+            assert t_theta_bound(ig, ThetaVector.zero(spec)) == ig.size
 
 
 IG4 = ig_of([4], {(2, 1): 1})

@@ -237,11 +237,12 @@ def test_index_inverts_grid_property(radices, data):
 
 
 def test_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(groups, "ENUMERATION_CAP", 2)
+    monkeypatch.setattr(groups, "SIZE_CAP", 2)
     spec = decompose([4]).spec
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^group of 4 elements exceeds cap SIZE_CAP=2$"):
         list(spec.elements())
-    with pytest.raises(ValueError):
+    message = "^subgroup of 4 elements exceeds cap SIZE_CAP=2$"
+    with pytest.raises(ValueError, match=message):
         list(Subgroup(spec, ThetaVector.zero(spec)).elements())
     assert len(list(Subgroup(spec, ThetaVector(spec, (1,))).elements())) == 2
 

@@ -41,6 +41,7 @@ from groupcodes.groups import (
     _grid,
     _induce,
     _min_depths,
+    _past_cap,
     _theta_members,
 )
 from groupcodes.rates import (
@@ -904,7 +905,8 @@ def test_grid_search_refused_past_its_cap(monkeypatch, covering_builds):
     monkeypatch.setattr(rates, "COVERING_CAP", 66)
     assert grid_search(z8, terms, "channel", steps=10) == expected
     monkeypatch.setattr(rates, "COVERING_CAP", 65)
-    with pytest.raises(ValueError, match="^grid of 66 points exceeds cap 65$"):
+    message = "^grid of 66 points exceeds cap COVERING_CAP=65$"
+    with pytest.raises(ValueError, match=message):
         grid_search(z8, terms, "channel", steps=10)
     # Z1024 at 200 steps has 1,760,806,558,963,166 points, named in full; at
     # 10^500 steps the count has 4,495 digits, past 64 bits, and is named by
@@ -915,18 +917,36 @@ def test_grid_search_refused_past_its_cap(monkeypatch, covering_builds):
     terms = channel_terms(random_channel(spec, 3, make_rng(10)))
     assert grid_size(spec, 10**500)[0].bit_length() - 1 == 14930
     for steps, points in ((200, "1760806558963166"), (10**500, "at least 2^14930")):
-        message = f"grid of {points} points exceeds cap {COVERING_CAP}"
+        message = f"grid of {points} points exceeds cap COVERING_CAP={COVERING_CAP}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid_search(spec, terms, "channel", steps=steps)
     assert covering_builds == [z8] * 2
 
 
 def test_over_covering_cap_names_a_count_in_full_up_to_64_bits():
-    assert rates._over_covering_cap(COVERING_CAP) is None
-    assert rates._over_covering_cap(COVERING_CAP + 1) == str(COVERING_CAP + 1)
-    assert rates._over_covering_cap(2**64 - 1) == "18446744073709551615"
-    assert rates._over_covering_cap(2**64) == "at least 2^64"
-    assert rates._over_covering_cap(3 * 2**64) == "at least 2^65"
+    # the one cap rule, groups._past_cap: a count is named in full up to 64
+    # bits and by its bit length past them
+    def refusal(count):
+        assert _past_cap(count, COVERING_CAP) is True
+        with pytest.raises(ValueError) as info:
+            _past_cap(count, COVERING_CAP, "COVERING_CAP", "covering search", "cells")
+        return str(info.value)
+
+    assert _past_cap(COVERING_CAP, COVERING_CAP, "COVERING_CAP", "grid") is False
+    form = "covering search of {} cells exceeds cap COVERING_CAP=8388608"
+    assert refusal(COVERING_CAP + 1) == form.format(COVERING_CAP + 1)
+    assert refusal(2**64 - 1) == form.format("18446744073709551615")
+    assert refusal(2**64) == form.format("at least 2^64")
+    assert refusal(3 * 2**64) == form.format("at least 2^65")
+    # a size at least 2^24, past the cap, is refused without being formed
+    def unformed():
+        raise AssertionError("the size was formed")
+
+    assert _past_cap(unformed, COVERING_CAP, doublings=24) is True
+    with pytest.raises(ValueError, match=re.escape(form.format("at least 2^24"))):
+        _past_cap(unformed, COVERING_CAP, "COVERING_CAP", "covering search", "cells", 24)
+    # below the cap's bit length the bound refuses nothing: the size is formed
+    assert _past_cap(lambda: COVERING_CAP, COVERING_CAP, doublings=23) is False
 
 
 def test_grid_search_names_the_least_step_count():
@@ -1551,7 +1571,7 @@ def test_covering_search_refused_past_its_cap(monkeypatch, covering_builds):
     assert not _SupportProblems.from_mapping(spec, terms, "channel").monotone()
     message = (
         "terms not monotone in theta: their covering search of 22020075 cells "
-        f"(supports x selectors) exceeds cap {COVERING_CAP}"
+        f"(supports x selectors) exceeds cap COVERING_CAP={COVERING_CAP}"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         optimize_weights(spec, terms, "channel")
