@@ -11,14 +11,16 @@ reads one ``Generator(Philox(seed))`` of an integer seed by
 ``_sample_table(s)``, ``integers`` and ``random``.  The pairwise law is
 sized once, by ``_law_plan``, and counts both modes in one tally.  The
 selector census is a fold over the used slots at any |J|, which the lemma
-suite checks by its cumulated bound alone.
+suite checks by its cumulated bound alone; the census, its bounds and a
+pair's selector read the group's selector memo (see groups).
 
 An InputGroup caches the plan every check on (J, n) reads, built on first
-read: per blocklength n the enumeration of every homomorphism table, checked
-once against the constraints (a set that fails raises and is never kept).
-The exhaustive pairwise law reads it, so it is only built where the tables T
-times the |G|^n dither words are at most EXHAUSTIVE_CAP.  The plan belongs to
-the instance, not to its value: an equal group built apart builds its own.
+read: per blocklength n the pairwise law's mode and the enumeration of every
+homomorphism table, checked once against the constraints (a set that fails
+raises and is never kept).  The exhaustive pairwise law reads the
+enumeration, so it is only built where the tables T times the |G|^n dither
+words are at most EXHAUSTIVE_CAP.  The plan belongs to the instance, not to
+its value: an equal group built apart builds its own.
 Its arrays are read-only, and a value computed twice in a race is identical,
 so an InputGroup is safe to share across threads.  A table draw, a sampled
 tally and a trial codebook past SIZE_CAP cells, and a ring too wide for
@@ -38,7 +40,7 @@ import numpy as np
 
 from .groups import SIZE_CAP, GroupElement, GroupSpec, ThetaVector, _check_count
 from .groups import _check_seed, _components, _grid, _index, _induce, _integer
-from .groups import _is_prime, _min_depths, _past_cap, _slot_values
+from .groups import _is_prime, _past_cap, _slot_values
 from .measures import ChannelSpec, _check_kind
 from .rates import _check_support, enumerate_theta_set
 
@@ -111,6 +113,10 @@ class InputGroup:
 
     @cached_property
     def _enumerations(self) -> dict[int, np.ndarray]:
+        return {}
+
+    @cached_property
+    def _modes(self) -> dict[int, bool]:
         return {}
 
     def _enumeration(self, n: int) -> np.ndarray:
@@ -287,12 +293,15 @@ def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     return images
 
 
-def _encode(messages, rows: np.ndarray, moduli) -> np.ndarray:
-    """(messages @ rows) mod moduli: messages [k] or [M, k] against rows
-    [k, n, c, ...] give words [n, c, ...] or [M, n, c, ...], by per-component
-    additions in int32, or int64 where k products of residues need it; each
-    product names its dtype, so that none wraps in the residue dtype."""
-    if (bound := len(rows) * max(moduli) ** 2) >= 2**63:
+def _encode(messages, rows: np.ndarray, moduli, radices) -> np.ndarray:
+    """(messages @ rows) mod moduli: messages [k] or [M, k], each digit below
+    its radix (J's q^s) in absolute value, a residue of J or a difference of
+    two, against rows [k, n, c, ...] of residues give words [n, c, ...] or
+    [M, n, c, ...], by per-component additions in int32, or int64 where the
+    products need it: their sum and every modulus are at most max(moduli)
+    times the sum of radix - 1 over the components.  Each product names its
+    dtype, so that none wraps in the residue dtype."""
+    if (bound := max(moduli) * (sum(radices) - len(radices))) >= 2**63:
         raise ValueError("group moduli too large for int64 residue arithmetic")
     wide = np.int32 if bound < 2**31 else np.int64
     messages = np.asarray(messages, wide)
@@ -360,7 +369,8 @@ def apply_hom(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
     generator images."""
     a = table.input_group.element(a)
     g_spec = table.input_group.group
-    return _elements(g_spec, _encode(a.residues, _image_array(table), g_spec.moduli))
+    images = _image_array(table)
+    return _elements(g_spec, _encode(a.residues, images, g_spec.moduli, a.spec.moduli))
 
 
 def encode(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
@@ -381,9 +391,11 @@ def pair_theta(ig: InputGroup, a, b) -> ThetaVector:
     """The subgroup selector induced by an input pair: per level (p, r), the
     minimum of |r-s|^+ plus the q-adic depth of the component difference,
     over components of the same prime (clamped to r; levels with no matching
-    component get r, since the image difference there is identically zero)."""
+    component get r, since the image difference there is identically zero).
+    It is the group's memo selector of those components; ``_selectors``
+    refuses a ring too wide for int64 before the memo is read."""
     diff = np.subtract(ig.element(b).residues, ig.element(a).residues)
-    return ThetaVector(ig.group, tuple(_selectors(ig, diff).tolist()))
+    return ig.group._theta(tuple(_selectors(ig, diff).tolist()))
 
 
 def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
@@ -397,33 +409,41 @@ def theta_census(ig: InputGroup, a=None) -> dict[ThetaVector, int]:
     q^((s-t-1)c) ways for t < s and in 1 way for t = s, so the fold starts
     from the full selector, counted once, and per used slot maps each row to
     its componentwise minimum with the slot alone at each depth t, its count
-    times those ways, in Python ints.  As in ``GroupSpec._selector_layer``,
-    it holds at most the selector table times one slot's depths."""
+    times those ways, in Python ints.  The slot-alone rows are the group's
+    ``_slot_alone``, which ``GroupSpec._selector_layer`` folds by too, and as
+    there the fold holds at most the selector table times one slot's depths.
+    The keys are the group's memo selectors (``GroupSpec._theta``), so a
+    census builds no selector that an earlier call made, and never the
+    group's selector table."""
     if a is not None:
         ig.element(a)
-    levels, gaps = ig.group.ring_levels, ig.group._slot_gaps
-    census = {tuple(r for _, r in levels): 1}
-    for j in np.flatnonzero(ig.counts).tolist():
-        (q, s), c = ig.group.weight_slots[j], ig.counts[j]
+    spec = ig.group
+    census = {tuple(r for _, r in spec.ring_levels): 1}
+    for (q, s), c, rows in zip(spec.weight_slots, ig.counts, spec._slot_alone):
+        if not c:
+            continue
         # the differences of least depth exactly t
         ways = [q ** ((s - t) * c) - q ** ((s - t - 1) * c) for t in range(s)] + [1]
-        alone = _induce(levels, gaps[[j]], np.arange(s + 1)[:, None]).tolist()
+        alone = rows.tolist()
         folded: dict[tuple[int, ...], int] = {}
         for row, count in census.items():
             for lowered, way in zip(alone, ways):
                 key = tuple(map(min, row, lowered))
                 folded[key] = folded.get(key, 0) + count * way
         census = folded
-    return {ThetaVector(ig.group, row): census[row] for row in sorted(census)}
+    return {spec._theta(row): census[row] for row in sorted(census)}
 
 
 def t_theta_bound(ig: InputGroup, theta: ThetaVector) -> int:
-    """The census upper bound: product over slots of q^((s - coeff) * count)."""
-    slots = ig.group.weight_slots
-    coeffs = _min_depths(ig.group._slot_gaps, _components(ig.group, theta)).tolist()
+    """The census upper bound: product over slots of q^((s - m) * count),
+    with m the selector's least depth on the slot, which the group's memo
+    keeps (``GroupSpec._least_depths``, from ``_min_depths``): a route apart
+    from the census's fold by ``_induce``."""
+    spec = ig.group
+    depths = spec._least_depths(_components(spec, theta))
     return math.prod(
-        q ** ((s - coeff) * count)
-        for (q, s), coeff, count in zip(slots, coeffs, ig.counts)
+        q ** ((s - m) * count)
+        for (q, s), m, count in zip(spec.weight_slots, depths, ig.counts)
     )
 
 
@@ -445,13 +465,18 @@ class PairwiseLawReport:
 def _exhaustive(ig: InputGroup, n: int) -> bool:
     """Whether the pairwise law enumerates its tables: tables times dither
     words, space^n, within EXHAUSTIVE_CAP, where a coordinate's hom_space
-    |G| is at least doubled by each component of J and by |G|."""
+    |G| is at least doubled by each component of J and by |G|.  Decided once
+    per n and kept in J's plan."""
 
     def space() -> int:
         hom_space = math.prod(map(int, (ig.group.moduli // ig._allowed_step).flat))
         return (ig.group.order * hom_space) ** n
 
-    return not _past_cap(space, EXHAUSTIVE_CAP, doublings=(ig.total + 1) * n)
+    mode = ig._modes.get(n)
+    if mode is None:
+        mode = not _past_cap(space, EXHAUSTIVE_CAP, doublings=(ig.total + 1) * n)
+        mode = ig._modes.setdefault(n, mode)
+    return mode
 
 
 def _law_plan(ig: InputGroup, n: int, theta, samples: int):
@@ -523,7 +548,7 @@ def verify_pairwise_law(
     # w = phi(b - a) [n, c, T], tables last, so that the tally reduces and
     # gathers whole rows of them
     diff = np.subtract(b.residues, a.residues)
-    w = _encode(diff, tables.transpose(1, 2, 3, 0), g_spec.moduli)
+    w = _encode(diff, tables.transpose(1, 2, 3, 0), g_spec.moduli, ig.spec.moduli)
     digits, rest = np.divmod(w, np.array(steps, w.dtype)[:, None])
     digits = digits[..., ~rest.any(axis=(0, 1))]
     per_coordinate = math.prod(radices)
@@ -748,8 +773,9 @@ def lemma_suite(
         if pairs is None:
             pairs = rng.integers(0, in_moduli, (64, 2, k))
         a, b = pairs[:, 0], pairs[:, 1]
-        lhs = _encode((a + b) % in_moduli, images, moduli)
-        rhs = (_encode(a, images, moduli) + _encode(b, images, moduli)) % moduli
+        lhs = _encode((a + b) % in_moduli, images, moduli, in_moduli)
+        rhs = _encode(a, images, moduli, in_moduli)
+        rhs = (rhs + _encode(b, images, moduli, in_moduli)) % moduli
         law_total += len(a)
         law_fail += int((lhs != rhs).any(axis=(1, 2)).sum())
     detail = f"{law_total} pairs checked, {law_fail} failures"

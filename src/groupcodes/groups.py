@@ -15,6 +15,15 @@ depths, every array of the plan indexed by its rows; the prefixes of the slot
 order, which rate calls search; and the walk of the coset terms down the
 selector lattice, what rate calls read.  No layer holds the 2^k covering
 supports: a call that takes them builds what it reads of them for itself.
+A GroupSpec also keeps a selector memo, which the ensemble's checks read and
+which builds no layer of the plan: the group's one ThetaVector per tuple of
+components, validated once when first asked for, and beside it each
+selector's least depths (``_min_depths``), computed when a bound first asks
+for them.  Both fill on demand, with only the selectors asked for; an entry
+goes in by ``dict.setdefault``, so two threads that race to make one keep
+one of their equal values.  The rows of each slot alone at every depth,
+which the selector table's fold and the census's fold both lower by, are
+cached once per group.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
 Every cap of the package is checked, and a size past it refused in one form,
@@ -179,13 +188,23 @@ class GroupSpec:
         depth 0..s_j, before ``_runs`` drops repeats."""
         levels, gaps = self.ring_levels, self._slot_gaps
         table = np.array([[r for _, r in levels]])
-        for j, (_, s) in enumerate(self.weight_slots):
-            alone = _induce(levels, gaps[[j]], np.arange(s + 1)[:, None])
+        for alone in self._slot_alone:
             table = _runs(np.minimum(table[:, None], alone).reshape(-1, len(levels)))
         depths, n, d = self._omega_coefficients(table)
         # [n, k, L]: each slot alone, as a one-slot axis per slot
         hits = _induce(levels, gaps[:, None, :], depths[..., None]) == table[:, None, :]
         return _read_only(table, depths, n, d, hits)
+
+    @cached_property
+    def _slot_alone(self) -> tuple[np.ndarray, ...]:
+        """Per weight slot (q, s), the selectors [s + 1, L] it induces alone
+        at each depth 0..s, every other slot at full depth: what the folds of
+        the selector table and of the ensemble's census lower rows by."""
+        slots, gaps = self.weight_slots, self._slot_gaps
+        depths = np.arange(max(s for _, s in slots) + 1)[:, None, None]
+        # [depths, k, L]: each slot alone, as a one-slot axis per slot
+        (alone,) = _read_only(_induce(self.ring_levels, gaps[:, None], depths))
+        return tuple(alone[: s + 1, j] for j, (_, s) in enumerate(slots))
 
     def _omega_coefficients(self, thetas) -> tuple[np.ndarray, ...]:
         """The least depths m(theta) [..., k] of selectors thetas [..., L] on
@@ -229,6 +248,37 @@ class GroupSpec:
         first coset-terms call: what every terms computation on the group
         reads."""
         return _walk_schedule(self, list(map(tuple, self._selector_layer[0].tolist())))
+
+    # -- the selector memo: what the ensemble's checks read, apart from the
+    # plan and building none of it
+
+    @cached_property
+    def _theta_memo(self) -> dict[tuple[int, ...], "ThetaVector"]:
+        return {}
+
+    @cached_property
+    def _depth_memo(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return {}
+
+    def _theta(self, components: tuple[int, ...]) -> "ThetaVector":
+        """The group's one selector of these components, Python ints in
+        range, validated by the call that first makes it."""
+        theta = self._theta_memo.get(components)
+        if theta is None:
+            theta = ThetaVector(self, components)
+            theta = self._theta_memo.setdefault(components, theta)
+        return theta
+
+    def _least_depths(self, components: tuple[int, ...]) -> tuple[int, ...]:
+        """The least depths m(theta) on every weight slot of the selector of
+        these components, by ``_min_depths`` on the first call for them.  Any
+        integers in range may key it, a caller's numpy ints too, so it is kept
+        apart from the selectors, whose components are Python ints."""
+        depths = self._depth_memo.get(components)
+        if depths is None:
+            depths = tuple(_min_depths(self._slot_gaps, components).tolist())
+            depths = self._depth_memo.setdefault(components, depths)
+        return depths
 
     # -- elements ---------------------------------------------------------
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +30,7 @@ from groupcodes.ensemble import (
     theta_census,
     verify_pairwise_law,
 )
+from groupcodes.groups import _min_depths
 from groupcodes.rates import all_reachable_thetas, enumerate_theta_set, grid_size
 
 from conftest import additive_noise_channel, make_rng
@@ -492,6 +495,8 @@ def test_census_of_j_with_2_to_the_165_elements_is_folded_in_small_memory():
     assert len(census) == 1024 and sum(census.values()) == ig.size
     assert all(type(count) is int for count in census.values())
     assert all(count <= t_theta_bound(ig, th) for th, count in census.items())
+    # the census and its bounds read the selector memo, not the selector table
+    assert "_selector_layer" not in spec.__dict__
 
 
 def test_theta_set_depends_only_on_support():
@@ -549,6 +554,117 @@ def test_census_count_matches_oracle_on_random_groups_property(data):
     census = theta_census(ig, a)
     assert list(census.items()) == expected
     assert all(type(count) is int for count in census.values())
+
+
+@given(st.data())
+def test_selector_memo_matches_fresh_selectors_property(data):
+    # the census keys, a pair's selector and every bound read the group's
+    # selector memo: the keys and the pair's selector are the memo's objects,
+    # equal, with equal hashes, to selectors built afresh on an equal group;
+    # a bound asked first with numpy-int components leaves the census's
+    # components Python ints; every selector of the [0, r]^L grid, reachable
+    # or not, has the bound prod q^((s - m) c) with m from _min_depths
+    orders = data.draw(
+        st.lists(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 27]), min_size=1, max_size=3)
+    )
+    spec, fresh = decompose(orders).spec, decompose(orders).spec
+    slots = spec.weight_slots
+    k = len(slots)
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    assume(sum(counts))
+    ig = InputGroup(spec, tuple(counts))
+    grid = list(itertools.product(*(range(r + 1) for _, r in spec.ring_levels)))
+    depths = _min_depths(spec._slot_gaps, grid).tolist()
+    first = data.draw(st.sampled_from(grid))
+    t_theta_bound(ig, ThetaVector(spec, tuple(map(np.int64, first))))
+    census = theta_census(ig)
+    for theta in census:
+        assert theta is spec._theta_memo[theta.components]
+        assert all(type(c) is int for c in theta.components)
+        built = ThetaVector(fresh, theta.components)
+        assert theta == built and hash(theta) == hash(built)
+    a, b = (
+        data.draw(st.tuples(*[st.integers(0, m - 1) for m in ig.spec.moduli]))
+        for _ in range(2)
+    )
+    theta = pair_theta(ig, a, b)
+    assert theta is spec._theta_memo[theta.components]
+    assert theta == pair_theta_oracle(ig, a, b)
+    for components, m in zip(grid, depths):
+        bound = math.prod(q ** ((s - d) * c) for (q, s), d, c in zip(slots, m, counts))
+        assert t_theta_bound(ig, ThetaVector(fresh, components)) == bound
+
+
+def test_selector_memo_under_racing_threads():
+    # eight threads, more than the cores, fill one fresh group's memo at
+    # once with the thread switch at its shortest: each thread's census,
+    # bounds and pair selectors equal the serial ones, and every selector a
+    # thread got equals the memo's entry for its components
+    orders, counts = [8, 9, 4], (1, 1, 2, 1, 1)
+    serial = InputGroup(decompose(orders).spec, counts)
+    rows = len(serial.spec.rings)
+    pairs = [([0] * rows, [v] * rows) for v in range(4)]
+    census = list(theta_census(serial).items())
+    bounds = [t_theta_bound(serial, th) for th, _ in census]
+    selectors = [pair_theta(serial, a, b) for a, b in pairs]
+    ig = InputGroup(decompose(orders).spec, counts)
+    got, errors = [], []
+
+    def work():
+        try:
+            for _ in range(20):
+                mine = list(theta_census(ig).items())
+                assert mine == census
+                assert [t_theta_bound(ig, th) for th, _ in mine] == bounds
+                assert [pair_theta(ig, a, b) for a, b in pairs] == selectors
+                got.extend(th for th, _ in mine)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(got) == 8 * 20 * len(census)
+    memo = ig.group._theta_memo
+    assert all(memo[theta.components] == theta for theta in got + selectors)
+
+
+def test_encode_bounds_products_by_the_input_moduli():
+    # a message digit, or a difference of two, is below J's q^s, so with J
+    # one Z2 each product on Z_(2^e) is below 2^e, far inside int64 up to
+    # e = 62; J two Z2 at e = 62 is still refused, as max p^r times the sum
+    # of q^s - 1 reaches 2^63; a congruence check reads every residue of its
+    # ring, so the lemma suite refuses all of these rings
+    for e in range(30, 63):
+        spec = decompose([2**e]).spec
+        ig = InputGroup(spec, (1,) + (0,) * (e - 1))
+        table = sample_hom(ig, 3, e)
+        for a in ([0], [1]):
+            image = tuple(
+                spec.element(
+                    [
+                        sum(x * row[i].residues[c] for x, row in zip(a, table.images))
+                        for c in range(len(spec.rings))
+                    ]
+                )
+                for i in range(3)
+            )
+            assert apply_hom(table, a) == image
+        assert verify_pairwise_law(ig, 1, [0], [1], seed=e).passed
+        with pytest.raises(ValueError, match="^congruence-solver ring of "):
+            lemma_suite(ig, 1)
+    ig = InputGroup(spec, (2,) + (0,) * 61)
+    with pytest.raises(ValueError, match="too large for int64"):
+        verify_pairwise_law(ig, 1, [0, 0], [1, 1])
 
 
 @given(st.sampled_from(list(census_configs())))
@@ -1239,7 +1355,9 @@ def test_codebook_matches_the_message_grid_product(case):
     messages = ensemble._grid((*ig.spec.moduli, 1))
     messages[:, -1] = 1
     rows = np.concatenate([images, dither[:, None]], axis=1).transpose(1, 2, 3, 0)
-    words = ensemble._encode(messages, rows, moduli)  # [messages, n, c, trials]
+    radices = (*ig.spec.moduli, 2)  # the dither's message digit is 1
+    # [messages, n, c, trials]
+    words = ensemble._encode(messages, rows, moduli, radices)
     expected = ensemble._index(words.transpose(0, 1, 3, 2), moduli)
     assert ensemble._codebook(ig, images, dither).tolist() == expected.tolist()
 
