@@ -20,11 +20,11 @@ homomorphism table, checked once against the constraints (a set that fails
 raises and is never kept).  The exhaustive pairwise law reads the
 enumeration, so it is only built where the tables T times the |G|^n dither
 words are at most EXHAUSTIVE_CAP.  The plan belongs to the instance, not to
-its value: an equal group built apart builds its own.
-Its arrays are read-only, and a value computed twice in a race is identical,
-so an InputGroup is safe to share across threads.  A table draw, a sampled
-tally and a trial codebook past SIZE_CAP cells, and a ring too wide for
-int64 residues, are refused before anything is built, by
+its value: an equal group built apart builds its own.  Its dicts are made
+with the instance, its arrays are read-only, and a value computed twice in a
+race is identical, so an InputGroup is safe to share across threads.  A
+table draw, a sampled tally and a trial codebook past SIZE_CAP cells, and a
+ring too wide for int64 residues, are refused before anything is built, by
 ``groups._past_cap``.
 """
 
@@ -67,6 +67,10 @@ class InputGroup:
         object.__setattr__(self, "counts", counts)
         if sum(self.counts) < 1:
             raise ValueError("the input group needs at least one component")
+        # the plan's dicts, per n the pairwise law's mode and the table
+        # enumeration, made here so that every thread fills the same ones
+        object.__setattr__(self, "_modes", {})
+        object.__setattr__(self, "_enumerations", {})
 
     @classmethod
     def from_mapping(cls, group: GroupSpec, mapping) -> "InputGroup":
@@ -110,14 +114,6 @@ class InputGroup:
 
     # -- the plan: what every check on (J, n) reads, built on first read and
     # kept by this instance alone
-
-    @cached_property
-    def _enumerations(self) -> dict[int, np.ndarray]:
-        return {}
-
-    @cached_property
-    def _modes(self) -> dict[int, bool]:
-        return {}
 
     def _enumeration(self, n: int) -> np.ndarray:
         """Every homomorphism table [T, k, n, c], checked against the

@@ -19,11 +19,12 @@ A GroupSpec also keeps a selector memo, which the ensemble's checks read and
 which builds no layer of the plan: the group's one ThetaVector per tuple of
 components, validated once when first asked for, and beside it each
 selector's least depths (``_min_depths``), computed when a bound first asks
-for them.  Both fill on demand, with only the selectors asked for; an entry
-goes in by ``dict.setdefault``, so two threads that race to make one keep
-one of their equal values.  The rows of each slot alone at every depth,
-which the selector table's fold and the census's fold both lower by, are
-cached once per group.
+for them.  Both fill on demand, with only the selectors asked for.  Their
+dicts are made with the group, so every thread fills the same ones, and an
+entry goes in by ``dict.setdefault``: two threads that race to make one
+both get the one that went in, so a race keeps one equal value.  The rows
+of each slot alone at every depth, which the selector table's fold and the
+census's fold both lower by, are cached once per group.
 Everything here is immutable and safe to share across threads: a cached
 value computed twice in a race is identical, and its arrays are read-only.
 Every cap of the package is checked, and a size past it refused in one form,
@@ -125,6 +126,10 @@ class GroupSpec:
             if m != seen.get((p, r), 0) + 1:
                 raise ValueError(f"multiplicity indices for ({p},{r}) not contiguous")
             seen[(p, r)] = m
+        # the selector memo (see the module docstring), made here so that
+        # every thread fills the same dicts
+        object.__setattr__(self, "_theta_memo", {})
+        object.__setattr__(self, "_depth_memo", {})
 
     @cached_property
     def moduli(self) -> tuple[int, ...]:
@@ -251,14 +256,6 @@ class GroupSpec:
 
     # -- the selector memo: what the ensemble's checks read, apart from the
     # plan and building none of it
-
-    @cached_property
-    def _theta_memo(self) -> dict[tuple[int, ...], "ThetaVector"]:
-        return {}
-
-    @cached_property
-    def _depth_memo(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        return {}
 
     def _theta(self, components: tuple[int, ...]) -> "ThetaVector":
         """The group's one selector of these components, Python ints in

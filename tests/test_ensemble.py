@@ -596,10 +596,11 @@ def test_selector_memo_matches_fresh_selectors_property(data):
 
 
 def test_selector_memo_under_racing_threads():
-    # eight threads, more than the cores, fill one fresh group's memo at
-    # once with the thread switch at its shortest: each thread's census,
-    # bounds and pair selectors equal the serial ones, and every selector a
-    # thread got equals the memo's entry for its components
+    # eight threads, more than the cores, released together, fill a fresh
+    # group's memo at once with the thread switch at its shortest, on each
+    # of 20 groups: each thread's census, bounds and pair selectors equal
+    # the serial ones, and every selector a thread got is the memo's one
+    # entry for its components, which a lost update would break
     orders, counts = [8, 9, 4], (1, 1, 2, 1, 1)
     serial = InputGroup(decompose(orders).spec, counts)
     rows = len(serial.spec.rings)
@@ -607,35 +608,38 @@ def test_selector_memo_under_racing_threads():
     census = list(theta_census(serial).items())
     bounds = [t_theta_bound(serial, th) for th, _ in census]
     selectors = [pair_theta(serial, a, b) for a, b in pairs]
-    ig = InputGroup(decompose(orders).spec, counts)
-    got, errors = [], []
-
-    def work():
-        try:
-            for _ in range(20):
-                mine = list(theta_census(ig).items())
-                assert mine == census
-                assert [t_theta_bound(ig, th) for th, _ in mine] == bounds
-                assert [pair_theta(ig, a, b) for a, b in pairs] == selectors
-                got.extend(th for th, _ in mine)
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        for _ in range(20):
+            ig = InputGroup(decompose(orders).spec, counts)
+            start = threading.Barrier(8, timeout=60)
+            got, errors = [], []
+
+            def work():
+                try:
+                    start.wait()
+                    mine = list(theta_census(ig).items())
+                    assert mine == census
+                    assert [t_theta_bound(ig, th) for th, _ in mine] == bounds
+                    theirs = [pair_theta(ig, a, b) for a, b in pairs]
+                    assert theirs == selectors
+                    got.extend([th for th, _ in mine] + theirs)
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert len(got) == 8 * (len(census) + len(pairs))
+            memo = ig.group._theta_memo
+            assert all(memo[theta.components] is theta for theta in got)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not errors, errors
-    assert len(got) == 8 * 20 * len(census)
-    memo = ig.group._theta_memo
-    assert all(memo[theta.components] == theta for theta in got + selectors)
 
 
 def test_encode_bounds_products_by_the_input_moduli():
