@@ -24,7 +24,8 @@ its value: an equal group built apart builds its own.  Its dicts are made
 with the instance, its arrays are read-only, and a value computed twice in a
 race is identical, so an InputGroup is safe to share across threads.  A
 table draw, a sampled tally and a trial codebook past SIZE_CAP cells, and a
-ring too wide for int64 residues, are refused before anything is built, by
+ring too wide for int64 residues (the one width rule: every phi(a) is sums
+in the residue dtype), are refused before anything is built, by
 ``groups._past_cap``.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -154,46 +155,61 @@ class InputGroup:
         return self.spec.element(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomomorphismTable:
-    """Sampled generator images plus dither, defining one shifted group code.
-
-    ``images[slot][i]`` is the target-group element receiving the generator
-    of input component ``slot`` in coordinate i.  Construction enforces the
-    structural constraints: cross-prime image components are zero and the
-    (p, r) component of a Z_{q^s} generator image lies in p^(r-s) Z_{p^r}.
-    """
+    """Sampled generator images plus dither, defining one shifted group code:
+    read-only residue arrays ``images`` [k, n, c], whose [j, i] receives the
+    generator of input component j in coordinate i, and ``dither`` [n, c];
+    equal by value, so unhashable.  Built from integer arrays, refusing a
+    too-wide ring, a wrong shape, a dither cell off [0, p^r) and an image off
+    the structural constraints: cross-prime image components are zero and the
+    (p, r) component of a Z_{q^s} generator image lies in p^(r-s) Z_{p^r}."""
 
     input_group: InputGroup
     blocklength: int
-    images: tuple[tuple[GroupElement, ...], ...]
-    dither: tuple[GroupElement, ...]
+    images: np.ndarray
+    dither: np.ndarray
     seed: int = 0  # the sample_hom seed; 0 for a table built directly
 
     def __post_init__(self) -> None:
         n = _check_count("blocklength", self.blocklength)
         object.__setattr__(self, "blocklength", n)
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
-        if len(self.images) != len(self.input_group.spec.rings):
-            raise ValueError("one image row per input component is required")
-        if len(self.dither) != n or any(
-            d.spec != self.input_group.group for d in self.dither
-        ):
-            raise ValueError("dither must be a blocklength tuple over the group")
-        for row in self.images:
-            if len(row) != n:
-                raise ValueError("each image row must have one entry per coordinate")
+        ig, moduli = self.input_group, self.input_group.group.moduli
+        k, c = ig._allowed_step.shape  # read first: it refuses a too-wide ring
+        images, dither = np.asarray(self.images), np.asarray(self.dither)
+        if images.shape != (k, n, c) or dither.shape != (n, c):
+            shapes = f"{images.shape} and {dither.shape}, not {(k, n, c)} and {(n, c)}"
+            raise ValueError(f"images and dither have shapes {shapes}")
+        if images.dtype.kind not in "iu" or dither.dtype.kind not in "iu":
+            raise TypeError("images and dither must be integer residue arrays")
+        # checked in int64, exact below 2**63 (a larger cell reads negative);
+        # constraint_violations reads these images before they are narrowed
+        images, dither = images.astype(np.int64), dither.astype(np.int64)
+        for i, c in np.argwhere((dither < 0) | (dither >= moduli))[:1].tolist():
+            raise ValueError(f"dither coord {i}: {dither[i, c]} not in Z_{moduli[c]}")
+        object.__setattr__(self, "images", images)
         bad = constraint_violations(self)
         if bad:
             raise ValueError(f"generator image violates ensemble constraints: {bad[0]}")
+        for name, array in (("images", images), ("dither", dither)):
+            array = array.astype(_residue_dtype(moduli))
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HomomorphismTable):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(x, y) for x, y in pairs)
 
 
 # -- the residue-array core ----------------------------------------------------
 #
-# Inside this module a table is an array images[k, n, c] (input component x
-# coordinate x target ring) and a dither is an array [n, c], both in the
-# residue dtype; GroupElement appears only where a public function takes or
-# returns one.
+# A table is an array images[k, n, c] (input component x coordinate x target
+# ring) and a dither an array [n, c], both in the residue dtype, as a
+# HomomorphismTable holds them; every phi(a) is additions through _plus, and
+# GroupElement appears only where a public function takes or returns one.
 
 
 def _residue_dtype(moduli) -> np.dtype:
@@ -289,59 +305,31 @@ def _checked(ig: InputGroup, images: np.ndarray) -> np.ndarray:
     return images
 
 
-def _encode(messages, rows: np.ndarray, moduli, radices) -> np.ndarray:
-    """(messages @ rows) mod moduli: messages [k] or [M, k], each digit below
-    its radix (J's q^s) in absolute value, a residue of J or a difference of
-    two, against rows [k, n, c, ...] of residues give words [n, c, ...] or
-    [M, n, c, ...], by per-component additions in int32, or int64 where the
-    products need it: their sum and every modulus are at most max(moduli)
-    times the sum of radix - 1 over the components.  Each product names its
-    dtype, so that none wraps in the residue dtype."""
-    if (bound := max(moduli) * (sum(radices) - len(radices))) >= 2**63:
-        raise ValueError("group moduli too large for int64 residue arithmetic")
-    wide = np.int32 if bound < 2**31 else np.int64
-    messages = np.asarray(messages, wide)
-    words = np.zeros(messages.shape[:-1] + rows.shape[1:], wide)
-    used = messages.reshape(-1, len(rows)).any(axis=0).tolist()
-    for row, column, nonzero in zip(rows, messages.T, used):
-        if nonzero:
-            words += np.multiply.outer(column, row, dtype=wide)
-    # numpy divides by one scalar modulus much faster than by an array
-    modulus = moduli[0]
-    if len(set(moduli)) > 1:  # one per ring, against the axes after it
-        modulus = np.array(moduli, wide).reshape((-1,) + (1,) * (rows.ndim - 3))
-    return np.remainder(words, modulus, out=words)
-
-
-def _image_array(table: HomomorphismTable) -> np.ndarray:
-    # [k, c], read first: it refuses a ring too wide for int64 residues
-    k, c = table.input_group._allowed_step.shape
-    return np.array(
-        [[g.residues for g in row] for row in table.images], dtype=np.int64
-    ).reshape(k, table.blocklength, c)
-
-
-def _elements(spec: GroupSpec, rows: np.ndarray) -> tuple[GroupElement, ...]:
-    return tuple(GroupElement(spec, tuple(row)) for row in rows.tolist())
+def _phi(digits, rows: np.ndarray, radices, top) -> np.ndarray:
+    """phi(a) = sum_j a_j rows[j] mod p^r (``top``, against rows[j]'s axes) by
+    double-and-add through ``_plus`` in rows' residue dtype: each digit, an int
+    or an integer array broadcasting against rows[j], is read mod its radix
+    q^s (exact, as q^s kills an allowed image), and each set bit t adds 2^t rows[j]."""
+    word = None
+    for row, digit, radix in zip(rows, digits, radices):
+        digit = digit % radix
+        masked = not isinstance(digit, int)
+        for t in range(int(digit.max() if masked else digit).bit_length()):
+            row = _plus(row, row, top) if t else row
+            bit = digit >> t & 1
+            if masked or bit:
+                term = np.where(bit, row, 0) if masked else row
+                word = term if word is None else _plus(word, term, top)
+    return np.zeros_like(rows[0]) if word is None else word
 
 
 def constraint_violations(table: HomomorphismTable) -> list[str]:
     """Structural checks on the generator images; empty when the table obeys
     the ensemble's two constraints."""
-    ig = table.input_group
-    g_spec = ig.group
-    wrong = [
-        f"component {ig.spec.rings[j]} coord {i}: wrong group"
-        for j, row in enumerate(table.images)
-        for i, g in enumerate(row)
-        if g.spec != g_spec
-    ]
-    if wrong:
-        return wrong
-    images = _image_array(table)
+    ig, images = table.input_group, table.images
     out = []
     for j, i, c in np.argwhere(_violations(ig, images)).tolist():
-        (q, s, l), (p, r, m), v = ig.spec.rings[j], g_spec.rings[c], images[j, i, c]
+        (q, s, l), (p, r, m), v = ig.spec.rings[j], ig.group.rings[c], images[j, i, c]
         what = f"cross-prime {v} != 0" if p != q else f"{v} not in {p}^{r - s} Z_{p**r}"
         out.append(f"({q},{s},{l})->({p},{r},{m}) coord {i}: {what}")
     return out
@@ -354,24 +342,27 @@ def sample_hom(ig: InputGroup, n: int, seed: int) -> HomomorphismTable:
     n = _check_count("blocklength", n)
     seed = _check_seed("seed", seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    images, dither = _sample_table(ig, n, rng)
-    g_spec = ig.group
-    rows = tuple(_elements(g_spec, row) for row in images)
-    return HomomorphismTable(ig, n, rows, _elements(g_spec, dither), seed)
+    return HomomorphismTable(ig, n, *_sample_table(ig, n, rng), seed)
+
+
+def _image(table: HomomorphismTable, a, shift: int) -> tuple[GroupElement, ...]:
+    """phi(a) plus ``shift`` (0 or 1) times the dither, one more row of radix 2."""
+    ig = table.input_group
+    rows = np.concatenate([table.images, table.dither[None]])
+    top = np.array(ig.group.moduli, rows.dtype)
+    word = _phi((*ig.element(a).residues, shift), rows, (*ig.spec.moduli, 2), top)
+    return tuple(GroupElement(ig.group, tuple(row)) for row in word.tolist())
 
 
 def apply_hom(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
     """Image of an input element: per coordinate, the weighted sum of the
-    generator images."""
-    a = table.input_group.element(a)
-    g_spec = table.input_group.group
-    images = _image_array(table)
-    return _elements(g_spec, _encode(a.residues, images, g_spec.moduli, a.spec.moduli))
+    generator images, by additions in the residue dtype."""
+    return _image(table, a, 0)
 
 
 def encode(table: HomomorphismTable, a) -> tuple[GroupElement, ...]:
-    """Shifted codeword: homomorphism image plus dither."""
-    return tuple(x + d for x, d in zip(apply_hom(table, a), table.dither))
+    """Shifted codeword: homomorphism image plus dither, added by ``_plus``."""
+    return _image(table, a, 1)
 
 
 def _selectors(ig: InputGroup, diffs) -> np.ndarray:
@@ -532,8 +523,7 @@ def verify_pairwise_law(
     n = _check_count("blocklength", n)
     samples = _check_count("samples", samples)
     g_spec = ig.group
-    a = ig.element(a)
-    b = ig.element(b)
+    a, b = ig.element(a), ig.element(b)
     theta = pair_theta(ig, a, b)
     steps, radices, coords, drawn = _law_plan(ig, n, theta.components, samples)
     if drawn:
@@ -541,12 +531,13 @@ def verify_pairwise_law(
         tables = _checked(ig, _sample_tables(ig, n, rng, (drawn,)))
     else:
         tables = ig._enumeration(n)
-    # w = phi(b - a) [n, c, T], tables last, so that the tally reduces and
-    # gathers whole rows of them
-    diff = np.subtract(b.residues, a.residues)
-    w = _encode(diff, tables.transpose(1, 2, 3, 0), g_spec.moduli, ig.spec.moduli)
+    # w = phi(b - a) [n, c, T], tables last, so that the tally reduces and gathers
+    # whole rows of them; _index reads its digits in int32: cells x tallies <= SIZE_CAP
+    diff = [y - x for x, y in zip(a.residues, b.residues)]
+    top = np.array(g_spec.moduli, tables.dtype)[:, None]
+    w = _phi(diff, tables.transpose(1, 2, 3, 0), ig.spec.moduli, top)
     digits, rest = np.divmod(w, np.array(steps, w.dtype)[:, None])
-    digits = digits[..., ~rest.any(axis=(0, 1))]
+    digits = np.compress(~rest.any(axis=(0, 1)), digits, axis=-1).astype(np.int32)
     per_coordinate = math.prod(radices)
     tallies, width = coords.shape
     cells = per_coordinate**width
@@ -717,7 +708,8 @@ def lemma_suite(
     ``verify_pairwise_law``).  One Philox stream, seeded by ``seed``, draws
     min(samples, 1000) tables in one call (samples >= 1); the first 25 are
     checked for additivity on every input pair when |J| <= 64, else on 64
-    fresh pairs each.  The pairwise law is checked on every input pair when |J|^2 <= 64,
+    fresh pairs each, drawn in one call, encoded by ``_phi`` in one batch
+    against the tables.  The pairwise law is checked on every input pair when |J|^2 <= 64,
     else on 16 drawn pairs, pair i with seed (seed + i) mod 2**64; in
     exhaustive mode every pair reads the one enumeration of the group's
     plan.  Pairs are residue rows throughout.  The census is checked at any
@@ -760,28 +752,35 @@ def lemma_suite(
     detail = f"{n_tables} sampled tables, {bad_tables} violations"
     checks = [LemmaCheck("generator-constraints", bad_tables == 0, detail)]
 
-    # additivity of the sampled maps; pairs are [pairs, 2, k], a then b
-    in_moduli, moduli, k = ig.spec.moduli, ig.group.moduli, ig.total
-    every_pair = _grid(in_moduli * 2).reshape(-1, 2, k) if ig.size <= 64 else None
-    law_fail = law_total = 0
-    for images in tables[:25]:
-        pairs = every_pair
-        if pairs is None:
-            pairs = rng.integers(0, in_moduli, (64, 2, k))
-        a, b = pairs[:, 0], pairs[:, 1]
-        lhs = _encode((a + b) % in_moduli, images, moduli, in_moduli)
-        rhs = _encode(a, images, moduli, in_moduli)
-        rhs = (rhs + _encode(b, images, moduli, in_moduli)) % moduli
-        law_total += len(a)
-        law_fail += int((lhs != rhs).any(axis=(1, 2)).sum())
-    detail = f"{law_total} pairs checked, {law_fail} failures"
+    # additivity on the first 25 tables in one batch: the words [tables, m, n,
+    # c] of J's m elements, or past 64 of 64 pairs a table drawn in one call
+    # and their sums, are read per pair (a, b, a + b), SIZE_CAP cells a time
+    in_moduli, k, m, checked = ig.spec.moduli, ig.total, ig.size, tables[:25]
+    if m <= 64:
+        messages = _grid(in_moduli)
+        a, b = np.divmod(np.arange(m * m), m)
+        sums = _index((messages[a] + messages[b]) % in_moduli, in_moduli)
+    else:
+        pairs = rng.integers(0, in_moduli, (len(checked), 64, 2, k))
+        messages = np.concatenate([pairs, pairs.sum(-2, keepdims=True) % in_moduli], -2)
+        messages = messages.reshape(len(checked), -1, k)
+        a, b, sums = np.arange(64 * 3).reshape(64, 3).T
+    images = checked.transpose(1, 0, 2, 3)[:, :, None]  # [k, tables, 1, n, c]
+    top = np.array(ig.group.moduli, tables.dtype)
+    words = _phi(np.moveaxis(messages, -1, 0)[..., None, None], images, in_moduli, top)
+    block, law_fail = max(SIZE_CAP // words[:, 0].size, 1), 0
+    for start in range(0, len(a), block):
+        part = slice(start, start + block)
+        rhs = _plus(words[:, a[part]], words[:, b[part]], top)
+        law_fail += int((words[:, sums[part]] != rhs).any(axis=(-2, -1)).sum())
+    detail = f"{len(checked) * len(a)} pairs checked, {law_fail} failures"
     checks.append(LemmaCheck("homomorphism-law", law_fail == 0, detail))
 
     # pairwise joint law
-    pairs = every_pair if ig.size**2 <= 64 else rng.integers(0, in_moduli, (16, 2, k))
+    pairs = _grid(in_moduli * 2) if m <= 8 else rng.integers(0, in_moduli, (16, 2, k))
     reports = [
         verify_pairwise_law(ig, n, a, b, law_samples, (seed + i) % 2**64)
-        for i, (a, b) in enumerate(pairs.tolist())
+        for i, (a, b) in enumerate(pairs.reshape(-1, 2, k).tolist())
     ]
     failed = [r for r in reports if not r.passed]
     modes = "/".join(sorted({r.mode for r in reports}))

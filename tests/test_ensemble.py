@@ -274,35 +274,43 @@ def test_sample_hom_deterministic():
     ig = ig_of([4], {(2, 2): 1})
     t1 = sample_hom(ig, 3, seed=42)
     t2 = sample_hom(ig, 3, seed=42)
-    assert t1.images == t2.images and t1.dither == t2.dither
+    assert t1 == t2
+    assert np.array_equal(t1.images, t2.images) and np.array_equal(t1.dither, t2.dither)
     t3 = sample_hom(ig, 3, seed=43)
-    assert (t3.images, t3.dither) != (t1.images, t1.dither)
+    assert not np.array_equal(t3.images, t1.images) or not np.array_equal(
+        t3.dither, t1.dither
+    )
+    # the arrays the ensemble draws, in the residue dtype and read-only
+    assert t1.images.shape == (1, 3, 1) and t1.dither.shape == (3, 1)
+    assert t1.images.dtype == t1.dither.dtype == np.uint8
+    assert not t1.images.flags.writeable and not t1.dither.flags.writeable
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(t1)
 
 
 def test_sample_hom_supports():
     # full-exponent slot draws from the whole ring, the shallow slot from the
     # doubled subring, and cross-prime components stay zero
     ig44 = ig_of([4], {(2, 2): 1})
-    seen = {sample_hom(ig44, 1, seed=s).images[0][0].residues[0] for s in range(120)}
+    seen = {int(sample_hom(ig44, 1, seed=s).images[0, 0, 0]) for s in range(120)}
     assert seen == {0, 1, 2, 3}
 
     ig42 = ig_of([4], {(2, 1): 1})
-    seen = {sample_hom(ig42, 1, seed=s).images[0][0].residues[0] for s in range(60)}
+    seen = {int(sample_hom(ig42, 1, seed=s).images[0, 0, 0]) for s in range(60)}
     assert seen == {0, 2}
 
     ig_cross = ig_of([4, 3], {(3, 1): 1})
     for s in range(40):
-        g = sample_hom(ig_cross, 1, seed=s).images[0][0]
-        assert g.residues[0] == 0  # the Z_4 component of a Z_3 generator image
+        g = sample_hom(ig_cross, 1, seed=s).images[0, 0]
+        assert g[0] == 0  # the Z_4 component of a Z_3 generator image
 
 
 def test_table_constraints_enforced():
     ig = ig_of([4], {(2, 1): 1})
-    spec = ig.group
-    good = HomomorphismTable(ig, 1, ((spec.element([2]),),), (spec.zero(),))
+    good = HomomorphismTable(ig, 1, [[[2]]], [[0]])
     assert constraint_violations(good) == []
     with pytest.raises(ValueError):
-        HomomorphismTable(ig, 1, ((spec.element([1]),),), (spec.zero(),))
+        HomomorphismTable(ig, 1, [[[1]]], [[0]])
 
 
 def test_constraints_hold_for_many_samples():
@@ -333,18 +341,85 @@ def test_apply_hom_zero_and_law():
 def test_apply_hom_hand_value():
     # doubling generator image: input 1 lands on 2
     ig = ig_of([4], {(2, 1): 1})
-    spec = ig.group
-    table = HomomorphismTable(ig, 1, ((spec.element([2]),),), (spec.zero(),))
+    table = HomomorphismTable(ig, 1, [[[2]]], [[0]])
     assert apply_hom(table, [1])[0].residues == (2,)
     assert encode(table, [1])[0].residues == (2,)
 
 
-def test_apply_hom_rejects_overflowing_moduli():
+def test_apply_hom_is_exact_on_wide_moduli():
+    # J one Z_(2^32) on Z_(2^32): (2^32 - 1)^2 = 1 mod 2^32, its product
+    # never formed, and the dither added mod 2^32
     spec = GroupSpec(((2, 32, 1),))
     ig = InputGroup.from_mapping(spec, {(2, 32): 1})
-    table = HomomorphismTable(ig, 1, ((spec.element([2**32 - 1]),),), (spec.zero(),))
-    with pytest.raises(ValueError):
-        apply_hom(table, [2**32 - 1])
+    table = HomomorphismTable(ig, 1, [[[2**32 - 1]]], [[2**32 - 1]])
+    assert table.images.dtype == np.uint64
+    assert apply_hom(table, [2**32 - 1])[0].residues == (1,)
+    assert encode(table, [2**32 - 1])[0].residues == (0,)
+
+
+@st.composite
+def encoder_case(draw):
+    """An input group on a group up to Z_(2^62), among them J of one
+    Z_(2^32) on Z_(2^32), and tables [T, k, n, c] and dithers drawn from it."""
+    orders = draw(
+        st.sampled_from([[2**62], [2**32], [2**40], [3**30], [16], [27], [8, 9], [4, 3]])
+    )
+    spec = decompose(orders).spec
+    slots = len(spec.weight_slots)
+    counts = [0] * slots
+    if orders == [2**32] and draw(st.booleans()):
+        counts[-1] = 1
+    else:
+        for slot in draw(st.lists(st.integers(0, slots - 1), min_size=1, max_size=3)):
+            counts[slot] += 1
+    ig = InputGroup(spec, counts)
+    n, count = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2**64 - 1)))
+    return ig, *ensemble._sample_table(ig, n, rng, (count,))
+
+
+@given(encoder_case(), st.data())
+def test_encoder_matches_python_ints_property(case, data):
+    # every phi(a) is additions in the residue dtype; Python ints give the
+    # same words for one message (apply_hom and encode), for a difference of
+    # two, negative digits included, against tables last (the pairwise law's
+    # w), and for a batch of messages per table against the tables axis (the
+    # lemma suite's additivity check)
+    ig, images, dither = case
+    moduli, radices = ig.group.moduli, ig.spec.moduli
+    count, _, n, _ = images.shape
+    tables = images.tolist()
+
+    def oracle(digits, table):  # [n, c]
+        return [
+            [sum(d * row[i][c] for d, row in zip(digits, table)) % m
+             for c, m in enumerate(moduli)]
+            for i in range(n)
+        ]
+
+    def digits(low):
+        return st.tuples(*(st.integers(low * (q - 1), q - 1) for q in radices))
+
+    a, b = data.draw(digits(0)), data.draw(digits(0))
+    table = HomomorphismTable(ig, n, images[0], dither[0])
+    image = list(map(tuple, oracle(a, tables[0])))
+    assert [x.residues for x in apply_hom(table, a)] == image
+    shifted = [
+        tuple((x + d) % m for x, d, m in zip(word, shift, moduli))
+        for word, shift in zip(image, dither[0].tolist())
+    ]
+    assert [x.residues for x in encode(table, a)] == shifted
+    top = np.array(moduli, images.dtype)
+    diff = [y - x for x, y in zip(a, b)]
+    w = ensemble._phi(diff, images.transpose(1, 2, 3, 0), radices, top[:, None])
+    assert w.dtype == images.dtype
+    assert w.transpose(2, 0, 1).tolist() == [oracle(diff, t) for t in tables]
+    size = data.draw(st.integers(1, 3))
+    batch = [data.draw(st.lists(digits(-1), min_size=size, max_size=size)) for _ in tables]
+    messages = np.moveaxis(np.array(batch, dtype=np.int64), -1, 0)[..., None, None]
+    words = ensemble._phi(messages, images.transpose(1, 0, 2, 3)[:, :, None], radices, top)
+    assert words.shape == (count, size, n, len(moduli)) and words.dtype == images.dtype
+    assert words.tolist() == [[oracle(m, t) for m in ms] for ms, t in zip(batch, tables)]
 
 
 # -- pair selectors -----------------------------------------------------------
@@ -643,32 +718,37 @@ def test_selector_memo_under_racing_threads():
 
 
 def test_encode_bounds_products_by_the_input_moduli():
-    # a message digit, or a difference of two, is below J's q^s, so with J
-    # one Z2 each product on Z_(2^e) is below 2^e, far inside int64 up to
-    # e = 62; J two Z2 at e = 62 is still refused, as max p^r times the sum
-    # of q^s - 1 reaches 2^63; a congruence check reads every residue of its
-    # ring, so the lemma suite refuses all of these rings
+    # a message digit, or a difference of two, is read mod J's q^s, and each
+    # of its bits adds a multiple of the image in the residue dtype, so no
+    # product is formed: up to Z_(2^62), J of one Z2 and of two is encoded
+    # exactly, as Python ints give it, and the pairwise law runs; a
+    # congruence check reads every residue of its ring, so the lemma suite
+    # refuses all of these rings
+    def image(table, a, e):
+        return tuple(
+            sum(x * int(row[i, 0]) for x, row in zip(a, table.images)) % 2**e
+            for i in range(table.blocklength)
+        )
+
     for e in range(30, 63):
         spec = decompose([2**e]).spec
         ig = InputGroup(spec, (1,) + (0,) * (e - 1))
         table = sample_hom(ig, 3, e)
         for a in ([0], [1]):
-            image = tuple(
-                spec.element(
-                    [
-                        sum(x * row[i].residues[c] for x, row in zip(a, table.images))
-                        for c in range(len(spec.rings))
-                    ]
-                )
-                for i in range(3)
-            )
-            assert apply_hom(table, a) == image
+            assert [x.residues for x in apply_hom(table, a)] == [
+                (v,) for v in image(table, a, e)
+            ]
         assert verify_pairwise_law(ig, 1, [0], [1], seed=e).passed
         with pytest.raises(ValueError, match="^congruence-solver ring of "):
             lemma_suite(ig, 1)
     ig = InputGroup(spec, (2,) + (0,) * 61)
-    with pytest.raises(ValueError, match="too large for int64"):
-        verify_pairwise_law(ig, 1, [0, 0], [1, 1])
+    table = sample_hom(ig, 3, 62)
+    for a in itertools.product([0, 1], repeat=2):
+        want = [(v,) for v in image(table, a, 62)]
+        assert [x.residues for x in apply_hom(table, a)] == want
+    rep = verify_pairwise_law(ig, 1, [0, 0], [1, 1])
+    assert rep.theta.components == (61,) and rep.support_cells == 2**63
+    assert rep.mode == "sampled" and rep.off_support_mass == 0 and rep.passed
 
 
 @given(st.sampled_from(list(census_configs())))
@@ -762,8 +842,9 @@ def test_pairwise_law_detects_dropped_tables(monkeypatch):
 
 
 def _halve_ring_0(ig, tables):
+    # in the tables' own residue dtype, which the encoder's additions read
     moduli = ig.group.moduli
-    return tables % [moduli[0] // 2, *moduli[1:]]
+    return tables % np.array([moduli[0] // 2, *moduli[1:]], tables.dtype)
 
 
 def _drop_last_generator(ig, tables):
@@ -875,12 +956,12 @@ def test_violations_bound_both_ends():
     ],
 )
 def test_pairwise_law_products_do_not_wrap_in_narrow_residues(orders, slot, a, b):
-    # both groups' tables are uint8, Z128 at its edge (2 * 128 = 256); numpy
-    # 1.24's value-based casting and numpy 2's NEP 50 type a scalar times a
-    # uint8 array differently, so each product in _encode names its wide
-    # dtype.  A difference of -127 times a uint8 array overflows it, and
-    # 26 * 26 wrapped mod 256 moves its residue mod 27; the full joint route
-    # and the sampled law's pass catch both
+    # both groups' tables are uint8, Z128 at its edge (2 * 128 = 256), and
+    # the encoder forms no product there: a difference of -127 is read mod
+    # 128 as 1, and 26 bit by bit, each set bit adding a doubled image through
+    # _plus.  A product would not fit: -127 times a uint8 array overflows it,
+    # and 26 * 26 wrapped mod 256 moves its residue mod 27; the full joint
+    # route and the sampled law's pass catch both
     ig = ig_of(orders, {slot: 1})
     assert ig._enumeration(1).dtype == np.uint8
     assert_matches_oracle(ig, 1, a, b)
@@ -945,6 +1026,63 @@ def test_plan_never_keeps_failing_tables(monkeypatch):
     monkeypatch.setattr(ensemble, "_all_tables", counted_tables(calls))
     assert verify_pairwise_law(ig, 1, [0], [1]).passed
     assert calls == [1, 1, 1]
+
+
+def sampled_law_oracle(ig: InputGroup, n: int, a, b, samples: int, seed: int):
+    """The sampled pairwise law in Python ints: the same seeded tables, w =
+    phi(b - a) per coordinate as a sum of products, and per pair of
+    coordinates (the one coordinate at n = 1) a Counter of its cells of
+    H_theta^2, keyed by the residues themselves."""
+    spec = ig.group
+    theta = pair_theta_oracle(ig, a, b)
+    h = Subgroup(spec, theta).order
+    width = min(n, 2)
+    cells = h**width
+    total = max(samples, 36 * cells)
+    levels = list(spec.ring_levels)
+    steps = [p ** theta.components[levels.index((p, r))] for p, r, _ in spec.rings]
+    diff = [y - x for x, y in zip(a, b)]
+    w = [
+        [
+            tuple(
+                sum(d * row[i][c] for d, row in zip(diff, table)) % m
+                for c, m in enumerate(spec.moduli)
+            )
+            for i in range(n)
+        ]
+        for table in ensemble._sample_tables(ig, n, make_rng(seed), (total,)).tolist()
+    ]
+    inside = [x for x in w if all(v % h_c == 0 for y in x for v, h_c in zip(y, steps))]
+    tallies = itertools.combinations(range(n), 2) if n > 1 else [(0,)]
+    tv = max(
+        Fraction(
+            sum(abs(hits * cells - total) for hits in tally.values())
+            + (cells - len(tally)) * total,
+            2 * total * cells,
+        )
+        for tally in (Counter(tuple(x[i] for i in pair) for x in inside) for pair in tallies)
+    )
+    off = total - len(inside)
+    threshold = 3.0 * math.sqrt(cells / total)
+    passed = off == 0 and (tv == 0 or tv < threshold)
+    support = spec.order**n * h**n
+    return ensemble.PairwiseLawReport(
+        theta, "sampled", total, support, off / total, float(tv), threshold, passed
+    )
+
+
+@pytest.mark.parametrize("a, b", [([3], [4]), ([5], [1]), ([0], [2])])
+def test_sampled_tally_keys_pass_the_residue_dtype(a, b):
+    # Z32's residues are uint8, and at n = 3 each pair of coordinates tallies
+    # up to the 32^2 cells of H_theta^2 = Z32^2, three pairs of them, so the
+    # keys pass 255: the tally indexes the digits widened, and its report is
+    # that of the same draws tallied in Python ints (the joint route, over
+    # 2^30 tables and dither words, is out of reach)
+    ig = ig_of([32], {(2, 5): 1})
+    assert ensemble._residue_dtype(ig.group.moduli) == np.uint8
+    rep = verify_pairwise_law(ig, 3, a, b, seed=11)
+    assert rep.mode == "sampled" and rep.passed
+    assert rep == sampled_law_oracle(ig, 3, a, b, 4096, 11)
 
 
 def test_pairwise_law_sampled_threshold_not_vacuous():
@@ -1350,18 +1488,18 @@ def codebook_case(draw):
 
 @given(codebook_case())
 def test_codebook_matches_the_message_grid_product(case):
-    # the old route: the dither is one more generator row, with message
-    # coordinate 1, so the codebook is one product over the message grid,
-    # reduced mod p^r and indexed over the rings
+    # the old route, in Python ints: the dither is one more generator row,
+    # with message coordinate 1, so the codebook is one product over the
+    # message grid, reduced mod p^r and indexed over the rings
     ig, images, dither = case
     moduli = ig.group.moduli
     assert images.dtype == np.min_scalar_type(2 * max(moduli) - 1)
-    messages = ensemble._grid((*ig.spec.moduli, 1))
+    messages = ensemble._grid((*ig.spec.moduli, 1)).astype(object)
     messages[:, -1] = 1
     rows = np.concatenate([images, dither[:, None]], axis=1).transpose(1, 2, 3, 0)
-    radices = (*ig.spec.moduli, 2)  # the dither's message digit is 1
-    # [messages, n, c, trials]
-    words = ensemble._encode(messages, rows, moduli, radices)
+    # [messages, n, c, trials], every product and sum an exact Python int
+    words = np.tensordot(messages, rows.astype(object), axes=1)
+    words %= np.array(moduli, dtype=object)[:, None]
     expected = ensemble._index(words.transpose(0, 1, 3, 2), moduli)
     assert ensemble._codebook(ig, images, dither).tolist() == expected.tolist()
 
@@ -1786,10 +1924,10 @@ def test_wide_rings_are_refused_not_crashed():
             counts[slot] = 1
             ig = InputGroup(spec, tuple(counts))
             # 2^(e-1) is an allowed image of either J, past int64 from e = 64
-            half = spec.element([2 ** (e - 1)])
+            half = 2 ** (e - 1)
             calls = [
                 lambda: sample_hom(ig, 2, 0),
-                lambda: apply_hom(HomomorphismTable(ig, 1, ((half,),), (half,)), [1]),
+                lambda: apply_hom(HomomorphismTable(ig, 1, [[[half]]], [[half]]), [1]),
                 lambda: pair_theta(ig, [0], [1]),
                 lambda: verify_pairwise_law(ig, 1, [0], [1]),
                 lambda: lemma_suite(ig, 1),
@@ -1824,25 +1962,35 @@ Z4, Z8 = IG4.group, decompose([8]).spec
             "element bound to a different input group",
         ),
         (
-            lambda: HomomorphismTable(IG4, 1, (), (Z4.zero(),)),
+            lambda: HomomorphismTable(IG4, 1, np.zeros((0, 1, 1), int), [[0]]),
             ValueError,
-            "one image row per input component is required",
+            "images and dither have shapes (0, 1, 1) and (1, 1), not (1, 1, 1) and (1, 1)",
         ),
         (
-            lambda: HomomorphismTable(IG4, 1, ((Z4.zero(),),), ()),
+            lambda: HomomorphismTable(IG4, 1, [[[0]]], np.zeros((0, 1), int)),
             ValueError,
-            "dither must be a blocklength tuple over the group",
+            "images and dither have shapes (1, 1, 1) and (0, 1), not (1, 1, 1) and (1, 1)",
         ),
         (
-            lambda: HomomorphismTable(IG4, 1, ((),), (Z4.zero(),)),
+            lambda: HomomorphismTable(IG4, 1, np.zeros((1, 0, 1), int), [[0]]),
             ValueError,
-            "each image row must have one entry per coordinate",
+            "images and dither have shapes (1, 0, 1) and (1, 1), not (1, 1, 1) and (1, 1)",
         ),
         (
-            lambda: HomomorphismTable(IG4, 1, ((Z8.zero(),),), (Z4.zero(),)),
+            lambda: HomomorphismTable(IG4, 1, [[[0.0]]], [[0]]),
+            TypeError,
+            "images and dither must be integer residue arrays",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 2, [[[0], [2]]], [[3], [4]]),
+            ValueError,
+            "dither coord 1: 4 not in Z_4",
+        ),
+        (
+            lambda: HomomorphismTable(IG4, 1, [[[-2]]], [[0]]),
             ValueError,
             "generator image violates ensemble constraints: "
-            "component (2, 1, 1) coord 0: wrong group",
+            "(2,1,1)->(2,2,1) coord 0: -2 not in 2^1 Z_4",
         ),
         (
             lambda: mc_channel_error(IG4, 1, ChannelSpec(Z8, np.eye(8)), 5, 0),
@@ -1860,22 +2008,22 @@ Z4, Z8 = IG4.group, decompose([8]).spec
             "target 4 must be a residue of Z_4",
         ),
         (
-            lambda: HomomorphismTable(IG4, 0, ((),), (), 0),
+            lambda: HomomorphismTable(IG4, 0, [[[0]]], [[0]], 0),
             ValueError,
             "blocklength must be >= 1, got 0",
         ),
         (
-            lambda: HomomorphismTable(IG4, True, ((Z4.zero(),),), (Z4.zero(),)),
+            lambda: HomomorphismTable(IG4, True, [[[0]]], [[0]]),
             TypeError,
             "blocklength must be an integer, got True",
         ),
         (
-            lambda: HomomorphismTable(IG4, 1, ((Z4.zero(),),), (Z4.zero(),), -1),
+            lambda: HomomorphismTable(IG4, 1, [[[0]]], [[0]], -1),
             ValueError,
             "seed must be in [0, 2**64), got -1",
         ),
         (
-            lambda: HomomorphismTable(IG4, 1, ((Z4.zero(),),), (Z4.zero(),), 1.0),
+            lambda: HomomorphismTable(IG4, 1, [[[0]]], [[0]], 1.0),
             TypeError,
             "seed must be an integer, got 1.0",
         ),
@@ -1897,7 +2045,7 @@ Z4, Z8 = IG4.group, decompose([8]).spec
     ],
     ids=[
         "counts-length", "element-of-another-input-group", "image-rows", "dither",
-        "image-row-length", "image-of-another-group",
+        "image-row-length", "image-dtype", "dither-cell", "image-cell",
         "channel-of-another-group", "congruence-s-above-r", "congruence-target",
         "table-blocklength-0", "table-blocklength-bool", "table-seed-negative",
         "table-seed-float", "congruence-bool-coefficient", "congruence-float-prime",
